@@ -7,7 +7,7 @@ Modules:
     evolution      replicator dynamics on the simplex: RK4 trajectories,
                    rest points, ESS, Fisher rate identity, recurrence
     quantum        two-qubit states and the entangled identity/bit-flip
-                   quantumization with grid equilibrium search
+                   quantumization as an exact classical 2x2 game
     padic          fixed-precision p-adic numbers, quadratic extensions
                    Q_p(sqrt(mu)), p-adic probability distributions
     padic_quantum  p-adic Hilbert spaces, statistical operators, SOVM

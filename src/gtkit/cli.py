@@ -38,7 +38,7 @@ def _float(x):
 
 def _write_json(path, obj):
     with open(path, "w", encoding="utf-8") as fh:
-        fh.write(json.dumps(obj, sort_keys=True, indent=2) + "\n")
+        fh.write(json.dumps(obj, sort_keys=True, indent=2, default=float) + "\n")
     return path
 
 
@@ -348,17 +348,15 @@ def cmd_evolve(args):
 # quantumize
 
 
-def _complex_alpha(text):
+def _alpha_weight(text):
+    """Exact (a, a2) from --alpha: 'max' -> (None, 1/2), a rational a -> (a, a^2)."""
     if text in (None, "max"):
-        r = 1.0 / math.sqrt(2.0)
-        return r, r
+        return None, Fraction(1, 2)
     try:
-        a = float(Fraction(text)) if "/" in text else float(text)
+        a = Fraction(text)
     except (ValueError, ZeroDivisionError) as exc:
         raise errors.ParseError(f"bad --alpha {text!r}") from exc
-    if not (0.0 <= a <= 1.0):
-        raise errors.InvalidArgument("--alpha must lie in [0, 1] (amplitude of |00>)")
-    return a, math.sqrt(max(0.0, 1.0 - a * a))
+    return a, a * a
 
 
 def cmd_quantumize(args):
@@ -367,40 +365,24 @@ def cmd_quantumize(args):
     if game.shape != (2, 2):
         raise errors.UnsupportedShape("quantumize needs a 2x2 game")
     out = _outdir(args)
+    grid = args.grid if args.grid is not None else (10 if args.padic else 100)
+    if grid < 1:
+        raise errors.InvalidArgument("--grid must be >= 1")
     if args.padic:
-        return _quantumize_padic(args, scn, game, out)
+        return _quantumize_padic(args, scn, game, out, grid)
 
-    alpha, beta = _complex_alpha(args.alpha)
-    qg = quantum.QuantumizedGame(game, alpha, beta)
-    grid = args.grid if args.grid is not None else 100
-    found = quantum.mw_nash_search(qg, grid)
-    surface = quantum.payoff_surface_rows(qg, grid)
-
-    classical_mixed = None
-    for sigma, pay in games.mixed_ne_2x2(game):
-        if all(0 < q < 1 for q in sigma[0]):
-            classical_mixed = pay
-    best1 = max(pay[0] for _, pay in found)
-    best2 = max(pay[1] for _, pay in found)
-    rows = []
-    for (p, q), pay in found:
-        pareto = not any(
-            (o[0] >= pay[0] - 1e-12 and o[1] >= pay[1] - 1e-12)
-            and (o[0] > pay[0] + 1e-12 or o[1] > pay[1] + 1e-12)
-            for _, o in found
-        )
-        entry = {
-            "p": _float(p),
-            "q": _float(q),
-            "payoffs": [_float(pay[0]), _float(pay[1])],
-            "pareto_optimal_among_equilibria": pareto,
-        }
-        if classical_mixed is not None:
-            entry["exceeds_classical_mixed"] = bool(
-                pay[0] > float(classical_mixed[0]) + 1e-12
-                and pay[1] > float(classical_mixed[1]) + 1e-12
-            )
-        rows.append(entry)
+    a, a2 = _alpha_weight(args.alpha)
+    if a is None:
+        alpha = beta = 1.0 / math.sqrt(2.0)
+    elif 0 <= a <= 1:
+        alpha = float(a)
+        beta = math.sqrt(max(0.0, 1.0 - alpha * alpha))
+    else:
+        raise errors.InvalidArgument("--alpha must lie in [0, 1] (amplitude of |00>)")
+    form = quantum.ClassicalForm(game, a2)
+    surface = quantum.payoff_surface_rows(form, grid)
+    rep = quantum.equilibrium_report(form)
+    classical_mixed = rep["classical_mixed_payoffs"]
     doc = {
         "command": "quantumize",
         "mode": "complex",
@@ -408,17 +390,16 @@ def cmd_quantumize(args):
         "alpha": _float(alpha),
         "beta": _float(beta),
         "grid": grid,
-        "equilibria": rows,
-        "classical_mixed_payoffs": (
-            [_frac(v) for v in classical_mixed] if classical_mixed else None
-        ),
-        "best_equilibrium_payoffs": [_float(best1), _float(best2)],
+        **rep,
+        "classical_mixed_payoffs": [_frac(v) for v in classical_mixed] if classical_mixed else None,
     }
     csv_path = _write_lines(os.path.join(out, "surface.csv"), surface)
     json_path = _write_json(os.path.join(out, "equilibria.json"), doc)
     print(f"scenario        {scn.name}")
-    print(f"equilibria      {[(r['p'], r['q']) for r in rows]}")
-    print(f"best payoffs    {doc['best_equilibrium_payoffs']}")
+    print(f"equilibria      {[(str(r['p']), str(r['q'])) for r in rep['equilibria']]}")
+    if rep["continua"]:
+        print(f"continua        {[[list(map(str, c[k])) for k in 'pq'] for c in rep['continua']]}")
+    print(f"best payoffs    {[str(v) for v in rep['best_equilibrium_payoffs']]}")
     if classical_mixed:
         print(f"classical mixed {doc['classical_mixed_payoffs']}")
     print(f"surface         {csv_path}")
@@ -426,55 +407,43 @@ def cmd_quantumize(args):
     return EXIT_OK
 
 
-def _padic_alpha(text, p, mu, prec):
-    """alpha for the p-adic mode: 'max' -> sqrt(1/2), else an exact rational."""
-    if text in (None, "max"):
-        half = padic.padic_from_rational(1, 2, p, prec)
-        if not padic.is_square(half):
-            raise errors.InvalidArgument(
-                f"1/2 is not a square in Q_{p}; pass an explicit rational --alpha"
-            )
-        root = padic.hensel_sqrt(half)
-        alpha = padic.PAdicExtElement(root, padic.PAdicNumber.zero(p), mu)
+def _padic_alpha(a, a2, p, mu, prec):
+    """Amplitudes in Q_p(sqrt(mu)) for the parsed --alpha: sqrt(1/2) each for 'max'."""
+
+    def ext(x):
+        return padic.PAdicExtElement(x, padic.PAdicNumber.zero(p), mu)
+
+    def root(r, message):
+        square = padic.padic_from_rational(r.numerator, r.denominator, p, prec)
+        if not padic.is_square(square):
+            raise errors.InvalidArgument(message)
+        return ext(padic.hensel_sqrt(square))
+
+    if a is None:
+        alpha = root(a2, f"1/2 is not a square in Q_{p}; pass an explicit rational --alpha")
         return alpha, alpha
-    try:
-        a = Fraction(text)
-    except (ValueError, ZeroDivisionError) as exc:
-        raise errors.ParseError(f"bad --alpha {text!r}") from exc
-    rest = 1 - a * a
-    alpha = padic.PAdicExtElement(
-        padic.padic_from_rational(a.numerator, a.denominator, p, prec),
-        padic.PAdicNumber.zero(p),
-        mu,
-    )
+    alpha = ext(padic.padic_from_rational(a.numerator, a.denominator, p, prec))
+    rest = 1 - a2
     if rest == 0:
         return alpha, padic.ext_zero(p, mu)
-    beta_sq = padic.padic_from_rational(rest.numerator, rest.denominator, p, prec)
-    if not padic.is_square(beta_sq):
-        raise errors.InvalidArgument(f"1 - alpha^2 = {rest} is not a square in Q_{p}")
-    beta = padic.PAdicExtElement(padic.hensel_sqrt(beta_sq), padic.PAdicNumber.zero(p), mu)
-    return alpha, beta
+    return alpha, root(rest, f"1 - alpha^2 = {rest} is not a square in Q_{p}")
 
 
-def _quantumize_padic(args, scn, game, out):
+def _quantumize_padic(args, scn, game, out, grid):
     p = args.p
     prec = args.prec
     mu = args.mu if args.mu is not None else padic.find_nonresidue(p)
-    alpha, beta = _padic_alpha(args.alpha, p, mu, prec)
-    grid = args.grid if args.grid is not None else 10
+    a, a2 = _alpha_weight(args.alpha)
+    alpha, beta = _padic_alpha(a, a2, p, mu, prec)
+    res = padic_quantum.padic_quantumize_2x2(game, alpha, beta, Fraction(1), Fraction(1))
 
+    form = quantum.ClassicalForm(game, a2)
     surface = ["p,q,payoff1,payoff2"]
     for i in range(grid + 1):
         for j in range(grid + 1):
             pt, qt = Fraction(i, grid), Fraction(j, grid)
-            res = padic_quantum.padic_quantumize_2x2(game, alpha, beta, pt, qt)
-            surface.append(
-                ",".join(
-                    [_frac(pt), _frac(qt), _frac(res.payoffs[0].value), _frac(res.payoffs[1].value)]
-                )
-            )
+            surface.append(",".join(_frac(v) for v in (pt, qt, *form.payoffs(pt, qt))))
 
-    res = padic_quantum.padic_quantumize_2x2(game, alpha, beta, Fraction(1), Fraction(1))
     doc = {
         "command": "quantumize",
         "mode": "padic",

@@ -371,36 +371,59 @@ def iterated_elimination(game):
     return EliminationResult(reduced, tuple(tuple(s) for s in surviving), tuple(trace))
 
 
-def _profile_sort_key(mixed):
-    return tuple(tuple(vec) for vec in mixed)
+def _best_reply_graph(d0, d1):
+    """One player's best-reply graph in a 2x2 game as (own, opponent) interval pairs.
+
+    Both are probabilities of strategy 0, whose payoff advantage over strategy
+    1 is d0 + (d1 - d0) y at the opponent's y: own x is 1 where it is >= 0, 0
+    where it is <= 0, and anything where it vanishes.
+    """
+    zero, one = Fraction(0), Fraction(1)
+    graph = []
+    for x, a, b in (((one, one), d0, d1), ((zero, zero), -d0, -d1)):
+        if a >= 0 or b >= 0:
+            root = a / (a - b) if (a < 0) != (b < 0) else None
+            graph.append((x, (zero if a >= 0 else root, one if b >= 0 else root)))
+    if len(graph) == 2:  # the advantage changes sign, so it vanishes where both hold
+        (_, up), (_, down) = graph
+        graph.append(((zero, one), (max(up[0], down[0]), min(up[1], down[1]))))
+    return graph
+
+
+def equilibrium_set_2x2(game):
+    """The exact equilibrium set of a 2x2 game: the meet of the best-reply graphs.
+
+    Sorted boxes ((p_lo, p_hi), (q_lo, q_hi)) over each player's probability
+    of strategy 0, none inside another: isolated points, plus segments or the
+    whole square when the game is degenerate.
+    """
+    if game.shape != (2, 2):
+        raise errors.UnsupportedShape(f"needs a 2x2 game, got shape {game.shape}")
+    u = [game.payoff(s) for s in game.profiles()]
+    rows = _best_reply_graph(u[1][0] - u[3][0], u[0][0] - u[2][0])
+    cols = _best_reply_graph(u[2][1] - u[3][1], u[0][1] - u[1][1])
+    found = set()
+    for (p1, q1), (q2, p2) in itertools.product(rows, cols):
+        box = tuple((max(x[0], y[0]), min(x[1], y[1])) for x, y in ((p1, p2), (q1, q2)))
+        if all(lo <= hi for lo, hi in box):
+            found.add(box)
+    return sorted(b for b in found if not any(
+        b != c and all(y[0] <= x[0] and x[1] <= y[1] for x, y in zip(b, c)) for c in found))
 
 
 def mixed_ne_2x2(game):
     """All equilibria of a 2x2 game: pure NE plus the interior indifference point.
 
-    The interior solution is included only when it lies strictly inside
-    (0,1) x (0,1); everything is exact.
+    Read off `equilibrium_set_2x2`: the corners of the square it holds, and
+    an isolated point strictly inside (0,1) x (0,1); everything is exact.
     """
-    if game.n_players != 2 or game.shape != (2, 2):
-        raise errors.UnsupportedShape(f"mixed_ne_2x2 needs a 2x2 game, got {game.shape}")
-    results = [pure_to_mixed(game, ne) for ne in pure_nash(game)]
-
-    a = {s: game.payoff(s)[0] for s in game.profiles()}
-    b = {s: game.payoff(s)[1] for s in game.profiles()}
-    # player 1 indifferent between rows given column prob y on strategy 0
-    c1 = a[(0, 0)] - a[(1, 0)] - a[(0, 1)] + a[(1, 1)]
-    d1 = a[(0, 1)] - a[(1, 1)]
-    # player 2 indifferent between columns given row prob x on strategy 0
-    c2 = b[(0, 0)] - b[(0, 1)] - b[(1, 0)] + b[(1, 1)]
-    d2 = b[(1, 0)] - b[(1, 1)]
-    if c1 != 0 and c2 != 0:
-        y = -d1 / c1
-        x = -d2 / c2
-        if 0 < x < 1 and 0 < y < 1:
-            results.append(((x, 1 - x), (y, 1 - y)))
-
-    results = sorted({_profile_sort_key(m) for m in results})
-    return [(m, expected_payoff(game, m)) for m in results]
+    results = set()
+    for (p_lo, p_hi), (q_lo, q_hi) in equilibrium_set_2x2(game):
+        point = p_lo == p_hi and q_lo == q_hi
+        for p, q in itertools.product((p_lo, p_hi), (q_lo, q_hi)):
+            if {p, q} <= {0, 1} or (point and 0 < p < 1 and 0 < q < 1):
+                results.add(((p, 1 - p), (q, 1 - q)))
+    return [(m, expected_payoff(game, m)) for m in sorted(results)]
 
 
 def support_enumeration(game, max_support=None):
@@ -595,16 +618,13 @@ def _convex_hull(points):
     return lower[:-1] + upper[:-1]
 
 
-def nash_bargaining(problem, grid=64):
+def nash_bargaining(problem):
     """Maximize the Nash product over the hull of the utility points.
 
     Exact evaluation at hull vertices plus closed-form maximization of the
-    quadratic product on each edge; `grid` only controls the density of the
-    sampling self-check.  Raises InfeasibleBargain when no hull point weakly
-    dominates the disagreement point.
+    quadratic product on each edge.  Raises InfeasibleBargain when no hull
+    point weakly dominates the disagreement point.
     """
-    if grid < 1:
-        raise errors.InvalidArgument("grid must be a positive integer")
     lam = problem.disagreement
     hull = _convex_hull(problem.points)
     edges = []
@@ -658,16 +678,7 @@ def nash_bargaining(problem, grid=64):
             f"no feasible utility point dominates the disagreement point {lam}"
         )
 
-    best = max(candidates, key=lambda pt: (product(pt), pt))
-    # sampling self-check at the requested verification density
-    for a, b in edges:
-        d = (b[0] - a[0], b[1] - a[1])
-        for j in range(grid + 1):
-            t = Fraction(j, grid)
-            pt = (a[0] + t * d[0], a[1] + t * d[1])
-            if feasible(pt):
-                assert product(pt) <= product(best)
-    return best
+    return max(candidates, key=lambda pt: (product(pt), pt))
 
 
 # ---------------------------------------------------------------------------

@@ -14,18 +14,17 @@ from __future__ import annotations
 from dataclasses import dataclass
 from fractions import Fraction
 
-from . import errors, games
+from . import errors, games, quantum
 from .padic import (
     DEFAULT_PRECISION,
     PAdicDistribution,
     PAdicExtElement,
-    PAdicNumber,
+    PAdicValue,
     ext_conj,
     ext_eq,
     ext_norm,
     ext_zero,
     is_square,
-    padic_expected_payoff,
     padic_from_rational,
     rational_norm,
     rational_valuation,
@@ -396,14 +395,6 @@ def measurement_distribution(rho, sovm):
 # p-adic quantumization of 2x2 games
 
 
-_PERMUTATIONS = {
-    (0, 0): (0, 1, 2, 3),  # I x I
-    (0, 1): (1, 0, 3, 2),  # I x X
-    (1, 0): (2, 3, 0, 1),  # X x I
-    (1, 1): (3, 2, 1, 0),  # X x X
-}
-
-
 @dataclass(frozen=True)
 class GapReport:
     label: str
@@ -428,7 +419,8 @@ def padic_quantumize_2x2(game, alpha, beta, p_one, q_two):
     probabilities.  Returns the diagonal of the final state as a p-adic
     distribution over the four pure profiles, the players' exact expected
     payoffs with their p-adic norms, and the norm hierarchy of payoff gaps
-    against the classical equilibria of the base game.
+    against the classical equilibria of the base game.  The distribution and
+    payoffs are those of `quantum.ClassicalForm` at the weight alpha conj(alpha).
     """
     if game.shape != (2, 2):
         raise errors.UnsupportedShape("p-adic quantumization needs a 2x2 game")
@@ -440,40 +432,21 @@ def padic_quantumize_2x2(game, alpha, beta, p_one, q_two):
     prec = max(_component_precisions([alpha, beta]) or {DEFAULT_PRECISION})
 
     one = PAdicExtElement.from_rationals(1, 0, p, mu, prec)
-    norm_psi = alpha * ext_conj(alpha) + beta * ext_conj(beta)
-    if not ext_eq(norm_psi, one):
+    a2, b2 = (z * ext_conj(z) for z in (alpha, beta))
+    if not ext_eq(a2 + b2, one):
         raise errors.InvalidState("alpha conj(alpha) + beta conj(beta) must equal 1")
+    a2, b2 = _ext_to_rational(a2), _ext_to_rational(b2)
+    if a2 + b2 != 1:  # the precision is too low to read the weights back as rationals
+        raise errors.InvalidArgument(f"|alpha|^2, |beta|^2 read back as {a2}, {b2}; "
+                                     "raise the precision")
 
+    form = quantum.ClassicalForm(game, a2)
     p_one, q_two = Fraction(p_one), Fraction(q_two)
-    zero = ext_zero(p, mu)
-    psi = (alpha, zero, zero, beta)
-    rho = [[psi[i] * ext_conj(psi[j]) for j in range(4)] for i in range(4)]
-
-    weights = {
-        (0, 0): p_one * q_two,
-        (0, 1): p_one * (1 - q_two),
-        (1, 0): (1 - p_one) * q_two,
-        (1, 1): (1 - p_one) * (1 - q_two),
-    }
-    diag = []
-    for i in range(4):
-        acc = zero
-        for key, w in weights.items():
-            if w == 0:
-                continue
-            src = _PERMUTATIONS[key][i]
-            w_ext = PAdicExtElement.from_rationals(w, 0, p, mu, prec)
-            acc = acc + w_ext * rho[src][src]
-        diag.append(acc)
-
-    entries = tuple(_ext_to_rational(z) for z in diag)
-    dist = PAdicDistribution(entries, p)
-
-    order = [(0, 0), (0, 1), (1, 0), (1, 1)]
-    payoffs = []
-    for player in (0, 1):
-        column = [game.payoff(s)[player] for s in order]
-        payoffs.append(padic_expected_payoff(column, dist))
+    dist = PAdicDistribution(form.distribution(p_one, q_two), p)
+    payoffs = [
+        PAdicValue(v, p, rational_valuation(v, p), rational_norm(v, p))
+        for v in form.payoffs(p_one, q_two)
+    ]
 
     hierarchy = []
     quantum_pay = (payoffs[0].value, payoffs[1].value)

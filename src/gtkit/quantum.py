@@ -1,14 +1,19 @@
 """Two-qubit state machinery and the entangled quantumization of 2x2 games.
 
 The quantumization follows the probabilistic identity/bit-flip scheme applied
-to a shared initial state alpha|00> + beta|11>: player 1 applies the identity
-with probability p (the bit-flip otherwise), player 2 with probability q, and
-payoffs are read from the diagonal of the resulting density operator in the
-computational basis.  Equilibria are located by exhaustive grid search, which
-doubles as the verifiable oracle at desk scale.
+to a shared initial state alpha|00> + beta|11> (Marinatto & Weber 2000):
+player 1 applies the identity with probability p (the bit-flip otherwise),
+player 2 with probability q, and payoffs are read from the diagonal of the
+resulting density operator in the computational basis.
 
-binary64 throughout; reductions use math.fsum so results are independent of
-accumulation order.
+The pure choice (s, t) of identity (0) or bit-flip (1) yields (s, t) with
+weight |alpha|^2 and (1-s, 1-t) with |beta|^2, so the quantum game is exactly
+the classical 2x2 game `ClassicalForm`, solved exactly for both the complex
+and the p-adic mode.  The Kraus sum `mw_final_density` and the grid search
+`mw_nash_search` remain as reference oracles for tests and demos.
+
+Amplitudes, density operators and the payoff surface are binary64; the
+Kraus-sum payoffs reduce with math.fsum, independent of accumulation order.
 """
 
 from __future__ import annotations
@@ -28,6 +33,8 @@ EQ_TOL = 1e-9
 
 _X = np.array([[0.0, 1.0], [1.0, 0.0]], dtype=complex)
 _I = np.eye(2, dtype=complex)
+
+PROFILES = ((0, 0), (0, 1), (1, 0), (1, 1))
 
 
 class Ket:
@@ -70,9 +77,7 @@ def born_probabilities(psi, basis):
     gram = np.array([[np.vdot(u, w) for w in vecs] for u in vecs])
     if np.max(np.abs(gram - np.eye(psi.dim))) > NORM_TOL:
         raise errors.InvalidBasis("basis is not orthonormal within 1e-10")
-    probs = np.array([abs(np.vdot(v, psi.v)) ** 2 for v in vecs])
-    assert abs(math.fsum(probs.tolist()) - 1.0) <= NORM_TOL
-    return probs
+    return np.array([abs(np.vdot(v, psi.v)) ** 2 for v in vecs])
 
 
 class DensityOperator:
@@ -125,19 +130,78 @@ class QuantumizedGame:
     def initial_ket(self):
         return Ket([self.alpha, 0.0, 0.0, self.beta])
 
-    def payoff_columns(self):
-        """Float payoffs of the four basis profiles 00, 01, 10, 11, per player."""
-        order = [(0, 0), (0, 1), (1, 0), (1, 1)]
-        u = [self.base.payoff(s) for s in order]
-        return (
-            np.array([float(x[0]) for x in u]),
-            np.array([float(x[1]) for x in u]),
-        )
-
 
 def maximally_entangled(base):
     r = 1.0 / math.sqrt(2.0)
     return QuantumizedGame(base, r, r)
+
+
+class ClassicalForm:
+    """The 2x2 game A'(s,t) = a2 u(s,t) + (1 - a2) u(1-s,1-t) for the weight a2 = |alpha|^2.
+
+    Strategy 0 is the identity, so p and q are identity probabilities.  a2 is
+    an exact rational; in the p-adic mode it may lie outside [0, 1].
+    """
+
+    def __init__(self, base, a2):
+        if base.shape != (2, 2):
+            raise errors.UnsupportedShape("quantumization needs a 2x2 base game")
+        self.base = base
+        self.a2 = games.as_fraction(a2)
+        self.game = games.StrategicGame(base.strategy_names, {
+            s: tuple(self.a2 * x + (1 - self.a2) * y
+                     for x, y in zip(base.payoff(s), base.payoff((1 - s[0], 1 - s[1]))))
+            for s in PROFILES
+        })
+
+    def payoffs(self, p, q):
+        """Exact expected payoffs of A' under ((p, 1-p), (q, 1-q))."""
+        return games.expected_payoff(self.game, ((p, 1 - p), (q, 1 - q)))
+
+    def distribution(self, p, q):
+        """Exact outcome probabilities over the profiles 00, 01, 10, 11: a2 times
+        the product weight of each plus (1 - a2) times that of its flip."""
+        w = {(s, t): (p if s == 0 else 1 - p) * (q if t == 0 else 1 - q) for s, t in PROFILES}
+        return tuple(self.a2 * w[s] + (1 - self.a2) * w[(1 - s[0], 1 - s[1])] for s in PROFILES)
+
+    def equilibria(self):
+        """The exact equilibrium set of A' (see games.equilibrium_set_2x2)."""
+        return games.equilibrium_set_2x2(self.game)
+
+
+def classical_form(qg):
+    """The ClassicalForm of a QuantumizedGame; a ClassicalForm passes through."""
+    if isinstance(qg, ClassicalForm):
+        return qg
+    return ClassicalForm(qg.base, Fraction(abs(qg.alpha) ** 2))
+
+
+def equilibrium_report(form):
+    """The exact equilibrium section of a `gt quantumize` report.
+
+    Points and continua are flagged on their greatest payoff pair, attained
+    because whoever moves along a continuum is indifferent: undominated by any
+    equilibrium, and above the base game's interior mixed equilibrium.
+    """
+    classical_mixed = next(
+        (pay for sigma, pay in games.mixed_ne_2x2(form.base) if 0 < sigma[0][0] < 1), None)
+    boxes = form.equilibria()
+    ranges = [[[min(v), max(v)] for v in zip(*(form.payoffs(x, y) for x in p for y in q))]
+              for p, q in boxes]
+    tops = [(r1[1], r2[1]) for r1, r2 in ranges]
+    report = {"equilibria": [], "continua": [], "classical_mixed_payoffs": classical_mixed,
+              "best_equilibrium_payoffs": [max(t[0] for t in tops), max(t[1] for t in tops)]}
+    for (p, q), r, top in zip(boxes, ranges, tops):
+        entry = {"pareto_optimal_among_equilibria":
+                 not any(t != top and t[0] >= top[0] and t[1] >= top[1] for t in tops)}
+        if classical_mixed is not None:
+            entry["exceeds_classical_mixed"] = (
+                top[0] > classical_mixed[0] and top[1] > classical_mixed[1])
+        if p[0] == p[1] and q[0] == q[1]:
+            report["equilibria"].append(dict(entry, p=p[0], q=q[0], payoffs=list(top)))
+        else:
+            report["continua"].append(dict(entry, p=list(p), q=list(q), payoff_range=r))
+    return report
 
 
 def _check_prob(value, name):
@@ -150,7 +214,7 @@ def mw_final_density(qg, p, q):
 
     rho' = sum over U, V in {I, X} of w_UV (U x V) rho (U x V)^dagger with
     weights (pq, p(1-q), (1-p)q, (1-p)(1-q)); computed by explicit Kraus-sum
-    matrix products.
+    matrix products.  Reference oracle for the closed form; no report uses it.
     """
     _check_prob(p, "p")
     _check_prob(q, "q")
@@ -169,57 +233,42 @@ def mw_final_density(qg, p, q):
 
 
 def mw_diagonal(qg, p, q):
-    """Closed-form diagonal of the channel output (oracle partner of mw_final_density)."""
-    a2 = abs(qg.alpha) ** 2
-    b2 = abs(qg.beta) ** 2
-    return np.array(
-        [
-            p * q * a2 + (1.0 - p) * (1.0 - q) * b2,
-            p * (1.0 - q) * a2 + (1.0 - p) * q * b2,
-            (1.0 - p) * q * a2 + p * (1.0 - q) * b2,
-            (1.0 - p) * (1.0 - q) * a2 + p * q * b2,
-        ]
-    )
+    """Diagonal of the channel output from the classical form (partner of mw_final_density)."""
+    dist = classical_form(qg).distribution(Fraction(p), Fraction(q))
+    return np.array([float(x) for x in dist])
 
 
 def mw_expected_payoffs(qg, p, q):
-    """Expected payoffs: payoff-weighted diagonal of the final density operator."""
-    diag = mw_final_density(qg, p, q).diagonal()
-    u1, u2 = qg.payoff_columns()
-    return (
-        math.fsum((diag * u1).tolist()),
-        math.fsum((diag * u2).tolist()),
-    )
+    """Expected payoffs: payoff-weighted diagonal of the Kraus-sum final state."""
+    diag = mw_final_density(qg, p, q).diagonal().tolist()
+    u = [qg.base.payoff(s) for s in PROFILES]
+    return tuple(math.fsum(d * float(x[i]) for d, x in zip(diag, u)) for i in (0, 1))
 
 
 def _payoff_surfaces(qg, grid_n):
-    """Payoff arrays over the (grid_n+1)^2 probability grid, via the closed form."""
+    """Binary64 payoffs of A' (for a QuantumizedGame or ClassicalForm) over the grid."""
+    if grid_n < 1:
+        raise errors.InvalidArgument("grid_n must be >= 1")
+    game = classical_form(qg).game
     ps = np.array([i / grid_n for i in range(grid_n + 1)])
-    a2 = abs(qg.alpha) ** 2
-    b2 = abs(qg.beta) ** 2
     P, Q = np.meshgrid(ps, ps, indexing="ij")
-    d = [
-        P * Q * a2 + (1 - P) * (1 - Q) * b2,
-        P * (1 - Q) * a2 + (1 - P) * Q * b2,
-        (1 - P) * Q * a2 + P * (1 - Q) * b2,
-        (1 - P) * (1 - Q) * a2 + P * Q * b2,
-    ]
-    u1, u2 = qg.payoff_columns()
-    pay1 = sum(d[k] * u1[k] for k in range(4))
-    pay2 = sum(d[k] * u2[k] for k in range(4))
+    rows, cols = (P, 1 - P), (Q, 1 - Q)
+    pay1, pay2 = (
+        sum(rows[s] * cols[t] * float(game.payoff((s, t))[player]) for s, t in PROFILES)
+        for player in (0, 1)
+    )
     return ps, pay1, pay2
 
 
 def mw_nash_search(qg, grid_n=100):
-    """Exhaustive equilibrium search on the (p, q) grid.
+    """Exhaustive equilibrium search on the (p, q) grid: the reference oracle
+    for `ClassicalForm.equilibria`.
 
     A grid point is an equilibrium when no unilateral grid deviation improves
     either player's payoff by 1e-9 or more (ties count as no improvement, so
     weak equilibria are reported).  Returns ((p, q), (payoff1, payoff2)) rows
     in row-major grid order.
     """
-    if grid_n < 1:
-        raise errors.InvalidArgument("grid_n must be >= 1")
     ps, pay1, pay2 = _payoff_surfaces(qg, grid_n)
     col_best = pay1.max(axis=0)
     row_best = pay2.max(axis=1)
@@ -244,6 +293,4 @@ def payoff_surface_rows(qg, grid_n=100):
 
 def classical_product_payoffs(base, p, q):
     """Exact classical expected payoffs under the product profile ((p,1-p),(q,1-q))."""
-    p, q = Fraction(p), Fraction(q)
-    sigma = ((p, 1 - p), (q, 1 - q))
-    return games.expected_payoff(base, sigma)
+    return ClassicalForm(base, 1).payoffs(Fraction(p), Fraction(q))

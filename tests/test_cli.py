@@ -357,6 +357,123 @@ def test_padic_bad_expression(tmp_path):
     assert code2 == EXIT_PARSE
 
 
+def test_quantumize_finds_off_grid_interior_equilibrium(tmp_path):
+    for alpha in ("3/5", "0.6"):
+        code, out = run(tmp_path, "quantumize", "--in", "bos", "--alpha", alpha)
+        assert code == EXIT_OK
+        rep = read_json(out / "equilibria.json")
+        interior = [r for r in rep["equilibria"] if 0 < r["p"] < 1]
+        assert [(r["p"], r["q"]) for r in interior] == [(0.472, 0.528)]
+        assert interior[0]["payoffs"] == [3894 / 3125, 3894 / 3125] == [1.24608, 1.24608]
+        assert rep["best_equilibrium_payoffs"] == [2.64, 2.64]
+
+
+def test_quantumize_exact_payoffs_at_max(tmp_path):
+    code, out = run(tmp_path, "quantumize", "--in", "bos", "--grid", "4")
+    rep = read_json(out / "equilibria.json")
+    assert rep["best_equilibrium_payoffs"] == [2.5, 2.5]
+    assert [r["payoffs"] for r in rep["equilibria"]] == [[2.5, 2.5], [1.25, 1.25], [2.5, 2.5]]
+    assert rep["continua"] == []
+    assert len((out / "surface.csv").read_text().splitlines()) == 1 + 25
+
+
+def test_quantumize_constant_game_is_one_continuum(tmp_path):
+    game = tmp_path / "const.json"
+    game.write_text(json.dumps({
+        "format": "gt-game/1", "kind": "strategic", "name": "const", "players": 2,
+        "strategies": [["a", "b"], ["a", "b"]],
+        "payoffs": [[["1", "1"], ["1", "1"]], [["1", "1"], ["1", "1"]]],
+    }))
+    code, out = run(tmp_path, "quantumize", "--in", str(game), "--grid", "10")
+    assert code == EXIT_OK
+    rep = read_json(out / "equilibria.json")
+    assert rep["equilibria"] == []
+    assert rep["continua"] == [{
+        "p": [0.0, 1.0], "q": [0.0, 1.0], "payoff_range": [[1.0, 1.0], [1.0, 1.0]],
+        "pareto_optimal_among_equilibria": True,
+    }]
+
+
+def test_quantumize_padic_coarse_precision_fine_grid(tmp_path):
+    code, out = run(
+        tmp_path, "quantumize", "--in", "bos", "--padic", "--p", "7", "--prec", "10",
+        "--grid", "100",
+    )
+    assert code == EXIT_OK
+    rows = (out / "surface.csv").read_text().splitlines()
+    assert len(rows) == 1 + 101 * 101
+    u = {(0, 0): (3, 2), (0, 1): (0, 0), (1, 0): (0, 0), (1, 1): (2, 3)}
+    for k, line in enumerate(rows[1:]):
+        p, q, pay1, pay2 = (F(v) for v in line.split(","))
+        assert (p, q) == (F(k // 101, 100), F(k % 101, 100))
+        d = {
+            (0, 0): (p * q + (1 - p) * (1 - q)) / 2,
+            (0, 1): (p * (1 - q) + (1 - p) * q) / 2,
+            (1, 0): ((1 - p) * q + p * (1 - q)) / 2,
+            (1, 1): ((1 - p) * (1 - q) + p * q) / 2,
+        }
+        assert [pay1, pay2] == [sum(d[s] * u[s][i] for s in u) for i in (0, 1)]
+
+
+PADIC_DIGESTS = {
+    ("bos", "max"): ("269e381902d3474c82adfffc351f64dd7ad413382e8c657d97e90a8ef72c4b59",
+                     "e27672e8e156e5b920d2c89466e67169c37dcaf284c8ae6a6cdbb5fb08193f40"),
+    ("pd", "max"): ("dbf600c8f102ef9a44420ac02215b075fc2dad9535ef6ed84203cd6479b029e8",
+                    "39f3b65e9b03728ca6e9f87b96fa359cef5878b9ed7c1b2c17dfcea3a1b46786"),
+    ("matching-pennies", "max"): (
+        "1b8dd226de8570bf7e103fb983997bd952c498a6dcd0fbea816d6c2949541299",
+        "641b73a970b1cc69028d5dead62590a340171f9e44e1d6172968c177995af759"),
+    ("bos", "3/5"): ("ef04932a555b9c23c6c830c59216d7b7327408835a26a7e9dede9e9b2a41e816",
+                     "2f371df31adb0a419185cfe70e58d90672a4c6a663fc8adff4e626b3e072b885"),
+    ("bos", "4/5"): ("64d161d65e24e7dfc87437b8ff967140bd595f8a059c062014842a43b2ec1a0c",
+                     "002c155a08c84cc814323f1c7b02f3199f31d187bb53181760dbf4fb483b26b4"),
+}
+
+
+@pytest.mark.parametrize("name,alpha", sorted(PADIC_DIGESTS))
+def test_quantumize_padic_reports_are_pinned(tmp_path, monkeypatch, name, alpha):
+    # sha256 of the reports as the per-grid-point p-adic construction wrote
+    # them; padic_quantumize_2x2 now runs once per job, and neither reference
+    # oracle runs at all
+    import hashlib
+
+    from gtkit import padic_quantum, quantum
+
+    calls = []
+    original = padic_quantum.padic_quantumize_2x2
+    monkeypatch.setattr(padic_quantum, "padic_quantumize_2x2",
+                        lambda *a: calls.append(a) or original(*a))
+    for oracle in ("mw_nash_search", "mw_final_density"):
+        monkeypatch.setattr(quantum, oracle, None)
+    code, out = run(tmp_path, "quantumize", "--in", name, "--padic", "--grid", "28",
+                    "--p", "7", "--prec", "32", "--alpha", alpha)
+    assert code == EXIT_OK
+    assert len(calls) == 1
+    digests = tuple(hashlib.sha256((out / f).read_bytes()).hexdigest()
+                    for f in ("surface.csv", "equilibria.json"))
+    assert digests == PADIC_DIGESTS[(name, alpha)]
+
+
+def test_quantumize_complex_runs_no_oracle(tmp_path, monkeypatch):
+    from gtkit import quantum
+
+    for oracle in ("mw_nash_search", "mw_final_density"):
+        monkeypatch.setattr(quantum, oracle, None)
+    assert run(tmp_path, "quantumize", "--in", "pd", "--grid", "5")[0] == EXIT_OK
+
+
+def test_quantumize_rejects_bad_grid_and_alpha(tmp_path):
+    for extra in (["--grid", "0"], ["--padic", "--grid", "0"], ["--alpha", "2"]):
+        assert run(tmp_path, "quantumize", "--in", "bos", *extra)[0] == EXIT_VALIDATION
+    assert run(tmp_path, "quantumize", "--in", "bos", "--alpha", "x")[0] == EXIT_PARSE
+    assert run(tmp_path, "quantumize", "--in", "bos", "--padic", "--alpha", "1/2")[0] == (
+        EXIT_VALIDATION
+    )
+    # 9/25 is beyond rational reconstruction modulo 7^2
+    assert run(tmp_path, "quantumize", "--in", "bos", "--padic", "--prec", "2",
+               "--alpha", "3/5")[0] == EXIT_VALIDATION
+
+
 # ---------------------------------------------------------------------------
 # determinism
 

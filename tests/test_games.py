@@ -399,7 +399,7 @@ def test_congestion_game_validation():
 
 def test_nash_bargaining_edge_maximum():
     prob = BargainingProblem(points=((0, 0), (3, 2), (2, 3)), disagreement=(0, 0))
-    point = nash_bargaining(prob, grid=32)
+    point = nash_bargaining(prob)
     assert point == (F(5, 2), F(5, 2))
     assert (point[0] - 0) * (point[1] - 0) == F(25, 4)
 
@@ -420,6 +420,25 @@ def test_nash_bargaining_interior_segment_feasible():
     prob = BargainingProblem(points=((0, 3), (3, 0)), disagreement=(1, 1))
     point = nash_bargaining(prob)
     assert point == (F(3, 2), F(3, 2))
+
+
+def test_nash_bargaining_beats_sampled_segments():
+    # oracle: no feasible point sampled on a segment between two utility
+    # points (every hull edge is one) has a larger Nash product
+    for points, d in (
+        (((0, 0), (3, 2), (2, 3)), (0, 0)),
+        (((0, 0), (1, 0), (0, 1), (1, 1)), (0, 0)),
+        (((0, 3), (3, 0)), (1, 1)),
+    ):
+        best = nash_bargaining(BargainingProblem(points=points, disagreement=d))
+        top = (best[0] - d[0]) * (best[1] - d[1])
+        for a in points:
+            for b in points:
+                for j in range(65):
+                    t = F(j, 64)
+                    x, y = a[0] + t * (b[0] - a[0]), a[1] + t * (b[1] - a[1])
+                    if x >= d[0] and y >= d[1]:
+                        assert (x - d[0]) * (y - d[1]) <= top
 
 
 # ---------------------------------------------------------------------------
@@ -492,6 +511,68 @@ def test_affine_invariance(scale, shift, player):
         g2, player, {1 - player: (F(1, 3), F(2, 3))}
     )
     assert iterated_elimination(g).surviving == iterated_elimination(g2).surviving
+
+
+def _mixed_ne_2x2_by_indifference(g):
+    """Reference: pure NE plus the interior point of the indifference equations."""
+    out = {pure_to_mixed(g, ne) for ne in pure_nash(g)}
+    u = {s: g.payoff(s) for s in g.profiles()}
+    c1 = u[(0, 0)][0] - u[(1, 0)][0] - u[(0, 1)][0] + u[(1, 1)][0]
+    c2 = u[(0, 0)][1] - u[(0, 1)][1] - u[(1, 0)][1] + u[(1, 1)][1]
+    if c1 != 0 and c2 != 0:
+        y = -(u[(0, 1)][0] - u[(1, 1)][0]) / c1
+        x = -(u[(1, 0)][1] - u[(1, 1)][1]) / c2
+        if 0 < x < 1 and 0 < y < 1:
+            out.add(((x, 1 - x), (y, 1 - y)))
+    return sorted(out)
+
+
+small_2x2 = st.lists(st.integers(-2, 2), min_size=8, max_size=8).map(
+    lambda v: StrategicGame(
+        [["a", "b"], ["c", "d"]],
+        [[(v[0], v[1]), (v[2], v[3])], [(v[4], v[5]), (v[6], v[7])]],
+    )
+)
+
+
+@settings(max_examples=300, deadline=None)
+@given(small_2x2)
+def test_mixed_ne_2x2_matches_indifference_reference(g):
+    assert [m for m, _ in mixed_ne_2x2(g)] == _mixed_ne_2x2_by_indifference(g)
+
+
+@settings(max_examples=200, deadline=None)
+@given(small_2x2)
+def test_equilibrium_set_2x2_is_exact_on_a_grid(g):
+    # every profile of every box is an equilibrium, and every equilibrium on
+    # the 1/6 grid lies in some box; small payoffs make most games degenerate
+    boxes = games.equilibrium_set_2x2(g)
+    assert boxes == sorted(set(boxes))
+
+    def inside(p, q):
+        return any(b[0][0] <= p <= b[0][1] and b[1][0] <= q <= b[1][1] for b in boxes)
+
+    for (p_lo, p_hi), (q_lo, q_hi) in boxes:
+        for p in (p_lo, (p_lo + p_hi) / 2, p_hi):
+            for q in (q_lo, (q_lo + q_hi) / 2, q_hi):
+                assert is_epsilon_nash(g, ((p, 1 - p), (q, 1 - q)), 0)
+    for i in range(7):
+        for j in range(7):
+            p, q = F(i, 6), F(j, 6)
+            assert inside(p, q) == is_epsilon_nash(g, ((p, 1 - p), (q, 1 - q)), 0)
+
+
+def test_equilibrium_set_2x2_continua():
+    constant = StrategicGame([["a", "b"], ["c", "d"]], [[(1, 1), (1, 1)], [(1, 1), (1, 1)]])
+    assert games.equilibrium_set_2x2(constant) == [((0, 1), (0, 1))]
+    # player 1 indifferent everywhere: the equilibria are player 2's best-reply graph
+    g = StrategicGame([["a", "b"], ["c", "d"]], [[(0, 1), (0, 0)], [(0, 0), (0, 1)]])
+    half = F(1, 2)
+    assert games.equilibrium_set_2x2(g) == [
+        ((0, half), (0, 0)), ((half, half), (0, 1)), ((half, 1), (1, 1))
+    ]
+    with pytest.raises(errors.UnsupportedShape):
+        games.equilibrium_set_2x2(rps_bimatrix())
 
 
 def test_every_mixed_ne_induces_a_correlated_equilibrium():
