@@ -22,6 +22,10 @@ EXIT_PARSE = 2
 EXIT_VALIDATION = 3
 EXIT_SIZE = 4
 PROFILE_CAP = 200_000
+# Decimal digits allowed in the numerator and denominator of a p-adic expression's
+# rationals: a sum or product of two such still prints under Python's default
+# 4300-digit int-to-string limit.
+RATIONAL_DIGITS = 1000
 
 
 # ---------------------------------------------------------------------------
@@ -488,6 +492,13 @@ def _quantumize_padic(args, scn, game, out, grid):
 # padic expression evaluator
 
 
+def _bounded(q, what):
+    """q itself, or SizeLimit when its numerator or denominator has over RATIONAL_DIGITS digits."""
+    if max(abs(q.numerator), q.denominator) >= 10**RATIONAL_DIGITS:
+        raise errors.SizeLimit(f"{what} exceeds {RATIONAL_DIGITS} digits")
+    return q
+
+
 def _eval_padic_expr(line, default_prec):
     tokens = line.split()
     if not tokens:
@@ -495,41 +506,53 @@ def _eval_padic_expr(line, default_prec):
     op = tokens[0].lower()
 
     def split_site(tok):
-        if "^" in tok:
-            p_s, n_s = tok.split("^", 1)
-            return int(p_s), int(n_s)
-        return int(tok), default_prec
+        p_s, caret, n_s = tok.partition("^")
+        try:
+            return int(p_s), int(n_s) if caret else default_prec
+        except ValueError as exc:
+            raise errors.ParseError(f"bad site {tok!r}: expected p or p^N") from exc
 
     def rat(tok):
+        _, _, exponent = tok.lower().partition("e")
         try:
-            return Fraction(tok)
+            if exponent and abs(int(exponent)) > RATIONAL_DIGITS:
+                raise errors.SizeLimit(f"rational {tok!r} exceeds {RATIONAL_DIGITS} digits")
+            return _bounded(Fraction(tok), f"rational {tok!r}")
         except (ValueError, ZeroDivisionError) as exc:
             raise errors.ParseError(f"bad rational {tok!r}") from exc
 
     if op == "distcheck":
-        seq = [Fraction(t) for t in " ".join(tokens[1:]).split(",") if t.strip()]
+        seq = [rat(t) for t in " ".join(tokens[1:]).split(",") if t.strip()]
         return {
             "op": "distcheck",
             "entries": [_frac(v) for v in seq],
-            "sum": _frac(sum(seq, Fraction(0))),
+            "sum": _frac(_bounded(sum(seq, Fraction(0)), "distribution sum")),
             "is_distribution": padic.distribution_check(seq),
         }
     if op == "nonresidue":
         if len(tokens) != 2:
             raise errors.ParseError("usage: nonresidue <p>")
-        p = int(tokens[1])
+        try:
+            p = int(tokens[1])
+        except ValueError as exc:
+            raise errors.ParseError(f"bad prime {tokens[1]!r}") from exc
         return {"op": "nonresidue", "p": p, "mu": padic.find_nonresidue(p)}
 
     if "@" not in tokens:
         raise errors.ParseError(f"expression needs '@ p[^N]': {line!r}")
     at = tokens.index("@")
-    operands, site = tokens[1:at], tokens[at + 1:]
+    args, site = tokens[1:at], tokens[at + 1:]
     if len(site) != 1:
         raise errors.ParseError(f"exactly one site spec after '@': {line!r}")
     p, n = split_site(site[0])
 
+    def operands(count):
+        if len(args) != count:
+            raise errors.ParseError(f"{op} takes {count} operand(s), {len(args)} given: {line!r}")
+        return [rat(t) for t in args]
+
     if op == "expand":
-        (a,) = (rat(t) for t in operands)
+        (a,) = operands(1)
         x = padic.padic_from_rational(a.numerator, a.denominator, p, n)
         return {
             "op": "expand",
@@ -539,7 +562,7 @@ def _eval_padic_expr(line, default_prec):
             "literal": padic.format_padic(x),
         }
     if op in ("norm", "val"):
-        (a,) = (rat(t) for t in operands)
+        (a,) = operands(1)
         v = padic.rational_valuation(a, p)
         return {
             "op": op,
@@ -548,12 +571,12 @@ def _eval_padic_expr(line, default_prec):
             "norm": _frac(padic.rational_norm(a, p)),
         }
     if op == "dist":
-        a, b = (rat(t) for t in operands)
+        a, b = operands(2)
         x = padic.padic_from_rational(a.numerator, a.denominator, p, n)
         y = padic.padic_from_rational(b.numerator, b.denominator, p, n)
         return {"op": "dist", "inputs": [_frac(a), _frac(b)], "distance": _frac(padic.distance(x, y))}
     if op in ("add", "sub", "mul", "div"):
-        a, b = (rat(t) for t in operands)
+        a, b = operands(2)
         x = padic.padic_from_rational(a.numerator, a.denominator, p, n)
         y = padic.padic_from_rational(b.numerator, b.denominator, p, n)
         z = {"add": padic.add, "sub": padic.sub, "mul": padic.mul, "div": padic.div}[op](x, y)
@@ -564,7 +587,7 @@ def _eval_padic_expr(line, default_prec):
             "rational": _frac(z.to_rational()),
         }
     if op == "sqrt":
-        (a,) = (rat(t) for t in operands)
+        (a,) = operands(1)
         x = padic.padic_from_rational(a.numerator, a.denominator, p, n)
         if not padic.is_square(x):
             return {"op": "sqrt", "input": _frac(a), "is_square": False}
@@ -653,11 +676,11 @@ def build_parser():
     q.add_argument("--mu", type=int, default=None, help="non-residue override")
     q.set_defaults(func=cmd_quantumize)
 
-    d = sub.add_parser("padic", help="p-adic expression evaluation")
+    # no abbreviations: the removed `--p` would otherwise silently mean `--prec`
+    d = sub.add_parser("padic", help="p-adic expression evaluation", allow_abbrev=False)
     d.add_argument("--in", dest="infile", help="file with one expression per line")
     d.add_argument("--out", required=True, help="output directory")
     d.add_argument("--expr", action="append", help="inline expression (repeatable)")
-    d.add_argument("--p", type=int, default=7, help="default prime (expressions carry their own)")
     d.add_argument("--prec", type=int, default=32, help="default precision N")
     d.set_defaults(func=cmd_padic)
     return parser

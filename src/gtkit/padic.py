@@ -1,13 +1,14 @@
 """Fixed-precision p-adic arithmetic, quadratic extensions Q_p(sqrt(mu)), p-adic probability.
 
-Numbers are stored as valuation + digit window (least significant first) at a
-relative precision of N digits, Hensel-code style.  Absolute precision is
-valuation + N; sums propagate the min of the operands' absolute precisions and
-products the min of their relative precisions, so precision never silently
-degrades along a computation chain.
+A nonzero number is p**valuation * unit + O(p**(valuation + N)): the unit is an
+integer prime to p kept mod p**N, N the relative precision.  Arithmetic works
+on these integers; base-p digits are derived only for the literal format.
+Absolute precision is valuation + N; sums propagate the min of the operands'
+absolute precisions and products the min of their relative precisions, so
+precision never silently degrades along a computation chain.
 
-Zero is a distinguished value (valuation +inf, empty digit window); a sum
-whose digits cancel completely collapses to it.
+Zero is a distinguished value (valuation +inf, unit 0, precision 0); a sum
+that cancels completely collapses to it.
 """
 
 from __future__ import annotations
@@ -69,68 +70,49 @@ def rational_norm(q, p):
 
 
 class PAdicNumber:
-    """Element of Q_p known to relative precision N.
+    """Element of Q_p known to relative precision N: (p, valuation, unit, N).
 
-    Nonzero values carry a unit digit window (digits[0] != 0); the canonical
-    zero has valuation +inf and no digits.
+    `unit` is an integer prime to p, stored mod p**N.  The canonical zero is
+    (p, +inf, 0, 0).  Literals are checked by parse_padic; the constructor
+    checks only the prime and N >= 1.
     """
 
-    __slots__ = ("p", "valuation", "digits")
+    __slots__ = ("p", "valuation", "unit", "precision")
 
-    def __init__(self, p, valuation, digits):
+    def __init__(self, p, valuation, unit, precision):
         _check_prime(p)
-        digits = tuple(int(d) for d in digits)
-        if digits:
-            if any(not (0 <= d < p) for d in digits):
-                raise errors.InvalidArgument(f"digits out of range for p={p}: {digits}")
-            if digits[0] == 0:
-                raise errors.InvalidArgument("unit part must not start with digit 0")
-            valuation = int(valuation)
+        if valuation == math.inf:
+            unit = precision = 0
+        elif precision < 1:
+            raise errors.InvalidArgument("precision must be >= 1")
         else:
-            valuation = math.inf
+            unit %= p**precision
         self.p = p
         self.valuation = valuation
-        self.digits = digits
-
-    # -- construction ------------------------------------------------------
+        self.unit = unit
+        self.precision = precision
 
     @classmethod
     def zero(cls, p):
-        return cls(p, math.inf, ())
-
-    @classmethod
-    def _from_unit(cls, p, valuation, unit, n):
-        unit %= p**n
-        digits = []
-        r = unit
-        for _ in range(n):
-            r, d = divmod(r, p)
-            digits.append(d)
-        return cls(p, valuation, digits)
-
-    @property
-    def precision(self):
-        """Relative precision: number of known digits."""
-        return len(self.digits)
+        return cls(p, math.inf, 0, 0)
 
     @property
     def absolute_precision(self):
         """Exponent of the O(p^k) error window; +inf for the canonical zero."""
-        if self.is_zero:
-            return math.inf
-        return self.valuation + len(self.digits)
+        return self.valuation + self.precision
 
     @property
     def is_zero(self):
-        return not self.digits
+        return self.precision == 0
 
     @property
-    def unit(self):
-        """The digit window as an integer (unit part mod p**N)."""
-        total = 0
-        for d in reversed(self.digits):
-            total = total * self.p + d
-        return total
+    def digits(self):
+        """Base-p digits of the unit, least significant first; () for zero."""
+        out, r = [], self.unit
+        for _ in range(self.precision):
+            r, d = divmod(r, self.p)
+            out.append(d)
+        return tuple(out)
 
     # -- dunder ------------------------------------------------------------
 
@@ -139,10 +121,11 @@ class PAdicNumber:
             return NotImplemented
         if self.p != other.p:
             return False
-        return self.valuation == other.valuation and self.digits == other.digits
+        return (self.valuation, self.unit, self.precision) == (
+            other.valuation, other.unit, other.precision)
 
     def __hash__(self):
-        return hash((self.p, self.valuation, self.digits))
+        return hash((self.p, self.valuation, self.unit, self.precision))
 
     def __repr__(self):
         return f"PAdicNumber({format_padic(self)!r})"
@@ -163,16 +146,16 @@ class PAdicNumber:
         return neg(self)
 
     def to_rational(self):
-        """Best small rational representative of the digit window.
+        """Best small rational representative of the unit mod p**N.
 
         Balanced (Wang) reconstruction: returns a/b with |a|, |b| bounded by
         sqrt(p^N / 2) when such a representative exists, else the canonical
-        integer representative of the window.  Desk-scale values embedded via
+        integer representative of the unit.  Desk-scale values embedded via
         padic_from_rational round-trip exactly.
         """
         if self.is_zero:
             return Fraction(0)
-        m = self.p ** len(self.digits)
+        m = self.p**self.precision
         rec = _rational_reconstruct(self.unit, m)
         if rec is None:
             rec = Fraction(self.unit)
@@ -205,11 +188,8 @@ def padic_from_rational(a, b, p, n=DEFAULT_PRECISION):
     if q == 0:
         return PAdicNumber.zero(p)
     num, den = q.numerator, q.denominator
-    v = _int_valuation(num, p) - _int_valuation(den, p)
-    num //= p ** max(0, _int_valuation(num, p))
-    den //= p ** max(0, _int_valuation(den, p))
-    unit = num * pow(den, -1, p**n) % p**n
-    return PAdicNumber._from_unit(p, v, unit, n)
+    vn, vd = _int_valuation(num, p), _int_valuation(den, p)
+    return PAdicNumber(p, vn - vd, num // p**vn * pow(den // p**vd, -1, p**n), n)
 
 
 def valuation(x):
@@ -250,14 +230,13 @@ def add(x, y):
     if residue == 0:
         return PAdicNumber.zero(x.p)
     shift = _int_valuation(residue, x.p)
-    return PAdicNumber._from_unit(x.p, base + shift, residue // x.p**shift, width - shift)
+    return PAdicNumber(x.p, base + shift, residue // x.p**shift, width - shift)
 
 
 def neg(x):
     if x.is_zero:
         return x
-    n = len(x.digits)
-    return PAdicNumber._from_unit(x.p, x.valuation, x.p**n - x.unit, n)
+    return PAdicNumber(x.p, x.valuation, -x.unit, x.precision)
 
 
 def sub(x, y):
@@ -269,8 +248,8 @@ def mul(x, y):
     _check_same_prime(x, y)
     if x.is_zero or y.is_zero:
         return PAdicNumber.zero(x.p)
-    n = min(len(x.digits), len(y.digits))
-    return PAdicNumber._from_unit(x.p, x.valuation + y.valuation, x.unit * y.unit, n)
+    n = min(x.precision, y.precision)
+    return PAdicNumber(x.p, x.valuation + y.valuation, x.unit * y.unit, n)
 
 
 def div(x, y):
@@ -279,9 +258,9 @@ def div(x, y):
         raise errors.DivisionByZero("p-adic division by zero")
     if x.is_zero:
         return x
-    n = min(len(x.digits), len(y.digits))
-    inv = pow(y.unit % y.p**n, -1, y.p**n)
-    return PAdicNumber._from_unit(x.p, x.valuation - y.valuation, x.unit * inv, n)
+    n = min(x.precision, y.precision)
+    inv = pow(y.unit, -1, y.p**n)
+    return PAdicNumber(x.p, x.valuation - y.valuation, x.unit * inv, n)
 
 
 def is_square(x):
@@ -295,7 +274,7 @@ def is_square(x):
     if x.valuation % 2 != 0:
         return False
     if x.p == 2:
-        if len(x.digits) < 3:
+        if x.precision < 3:
             raise errors.InvalidArgument("need at least 3 digits to decide squareness in Q_2")
         return x.unit % 8 == 1
     u0 = x.unit % x.p
@@ -308,7 +287,7 @@ def hensel_sqrt(x):
         return x
     if not is_square(x):
         raise errors.InvalidArgument("not a square in Q_p")
-    p, n = x.p, len(x.digits)
+    p, n = x.p, x.precision
     u = x.unit
     if p == 2:
         # lift bit by bit: root of a unit = 1 mod 8 is determined mod 2**(n-1)
@@ -317,14 +296,14 @@ def hensel_sqrt(x):
             if (r * r - u) % 2 ** (k + 1) != 0:
                 r += 2 ** (k - 1)
         width = max(1, n - 1)
-        return PAdicNumber._from_unit(2, x.valuation // 2, r % 2**width, width)
+        return PAdicNumber(2, x.valuation // 2, r, width)
     r = next(c for c in range(1, p) if (c * c - u) % p == 0)
     k = 1
     while k < n:
         k = min(2 * k, n)
         mod = p**k
         r = (r - (r * r - u) * pow(2 * r, -1, mod)) % mod
-    return PAdicNumber._from_unit(p, x.valuation // 2, r, n)
+    return PAdicNumber(p, x.valuation // 2, r, n)
 
 
 def find_nonresidue(p, n=8):
@@ -351,7 +330,7 @@ def format_padic(x):
     if x.is_zero:
         return f"inf:@{x.p}^0"
     body = ".".join(str(d) for d in x.digits)
-    return f"{x.valuation}:{body}@{x.p}^{len(x.digits)}"
+    return f"{x.valuation}:{body}@{x.p}^{x.precision}"
 
 
 def parse_padic(text):
@@ -366,7 +345,14 @@ def parse_padic(text):
         digits = [int(d) for d in digit_s.split(".")] if digit_s else []
         if len(digits) != n:
             raise ValueError(f"{n} digits declared, {len(digits)} given")
-        return PAdicNumber(p, int(val_s), digits)
+        if any(not 0 <= d < p for d in digits):
+            raise errors.InvalidArgument(f"digits out of range for p={p}: {digit_s}")
+        if digits and digits[0] == 0:
+            raise errors.InvalidArgument("unit part must not start with digit 0")
+        unit = 0
+        for d in reversed(digits):
+            unit = unit * p + d
+        return PAdicNumber(p, int(val_s), unit, n)
     except errors.GTError:
         raise
     except Exception as exc:
@@ -445,7 +431,7 @@ class PAdicExtElement:
 
     def __mul__(self, other):
         self._check(other)
-        n = max(len(c.digits) for c in (self.x, self.y, other.x, other.y)) or DEFAULT_PRECISION
+        n = max(c.precision for c in (self.x, self.y, other.x, other.y)) or DEFAULT_PRECISION
         mu = self._mu_scalar(n)
         xx = add(mul(self.x, other.x), mul(mu, mul(self.y, other.y)))
         yy = add(mul(self.x, other.y), mul(self.y, other.x))
@@ -471,7 +457,7 @@ class PAdicExtElement:
 
     def field_norm(self):
         """z * conj(z) = x**2 - mu*y**2, an element of Q_p."""
-        n = max(len(self.x.digits), len(self.y.digits)) or DEFAULT_PRECISION
+        n = max(self.x.precision, self.y.precision) or DEFAULT_PRECISION
         return sub(mul(self.x, self.x), mul(self._mu_scalar(n), mul(self.y, self.y)))
 
     def __repr__(self):
@@ -522,9 +508,6 @@ class UltraNorm:
         if self.is_zero or other.is_zero:
             return UltraNorm.zero(self.p)
         return UltraNorm(self.p, self.exponent + other.exponent)
-
-    def _key(self):
-        return self.exponent if not self.is_zero else None
 
     def __lt__(self, other):
         if self.is_zero:

@@ -59,12 +59,7 @@ class PAdicHilbertSpace:
 
 
 def _component_precisions(elements):
-    out = set()
-    for z in elements:
-        for comp in (z.x, z.y):
-            if not comp.is_zero:
-                out.add(len(comp.digits))
-    return out
+    return {c.precision for z in elements for c in (z.x, z.y) if not c.is_zero}
 
 
 class PAdicVector:

@@ -5,6 +5,8 @@ import os
 from fractions import Fraction
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from gtkit import errors, gamefile
 from gtkit.cli import EXIT_OK, EXIT_PARSE, EXIT_SIZE, EXIT_VALIDATION, main
@@ -350,11 +352,65 @@ def test_padic_file_input(tmp_path):
     assert res[4]["mu"] == 2
 
 
-def test_padic_bad_expression(tmp_path):
+def test_padic_bad_expression(tmp_path, capsys):
     code = main(["padic", "--expr", "frobnicate 5 @ 7", "--out", str(tmp_path / "o")])
     assert code == EXIT_PARSE
     code2 = main(["padic", "--out", str(tmp_path / "o2")])
     assert code2 == EXIT_PARSE
+    bad = {
+        "add 1 @ 7": EXIT_PARSE,  # wrong arity
+        "dist 1 @ 7": EXIT_PARSE,
+        "sqrt @ 7": EXIT_PARSE,
+        "expand 1 2 @ 7": EXIT_PARSE,
+        "expand 1 @ x": EXIT_PARSE,  # site is not an integer
+        "expand 1 @ 7^x": EXIT_PARSE,
+        "expand 1 @ 7^": EXIT_PARSE,
+        "distcheck 1/2,x": EXIT_PARSE,
+        "nonresidue x": EXIT_PARSE,
+        "expand 1e5000 @ 7": EXIT_SIZE,  # beyond the int-to-string limit
+        "expand 1e999999999 @ 7": EXIT_SIZE,  # rejected before 10**exponent is built
+        "expand 1 @ 7^0": EXIT_VALIDATION,
+        "expand 1 @ 6": EXIT_VALIDATION,
+    }
+    for expr, want in bad.items():
+        capsys.readouterr()
+        assert main(["padic", "--expr", expr, "--out", str(tmp_path / "o3")]) == want, expr
+        assert "error" in capsys.readouterr().err, expr
+    # `--p` was never read; it is gone rather than silently taken as `--prec`
+    with pytest.raises(SystemExit) as exc:
+        main(["padic", "--p", "5", "--expr", "expand 1/5 @ 7", "--out", str(tmp_path / "o4")])
+    assert exc.value.code == EXIT_PARSE
+
+
+_PADIC_OPS = ("expand", "norm", "val", "dist", "add", "sub", "mul", "div", "sqrt",
+              "distcheck", "nonresidue", "frobnicate")
+_RATIONAL_TOKENS = st.one_of(
+    st.fractions(min_value=-10**6, max_value=10**6, max_denominator=10**6).map(str),
+    st.sampled_from(["0", "x", "1/0", "1/", "1e3", "1e-3", "1e5000", "-7/49"]),
+)
+_SITES = st.one_of(
+    st.builds("{}^{}".format, st.integers(-1, 14), st.integers(-1, 64)),
+    st.integers(-1, 14).map(str),
+    st.sampled_from(["x", "7^x", "7^", "^3", "7^3^2", "@"]),
+)
+
+
+@st.composite
+def padic_expressions(draw):
+    op = draw(st.sampled_from(_PADIC_OPS))
+    operands = draw(st.lists(_RATIONAL_TOKENS, max_size=3))
+    if op == "distcheck":
+        return f"{op} {','.join(operands)}"
+    site = draw(st.one_of(st.none(), _SITES))
+    return " ".join([op, *operands] + ([] if site is None else ["@", site]))
+
+
+@settings(max_examples=150, deadline=None)
+@given(padic_expressions())
+def test_padic_expressions_never_raise(tmp_path_factory, expr):
+    out = tmp_path_factory.mktemp("padic")
+    assert main(["padic", "--expr", expr, "--out", str(out)]) in (
+        EXIT_OK, EXIT_PARSE, EXIT_VALIDATION, EXIT_SIZE)
 
 
 def test_quantumize_finds_off_grid_interior_equilibrium(tmp_path):

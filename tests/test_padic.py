@@ -178,16 +178,16 @@ def test_division():
 def test_field_arithmetic_matches_rationals(a, c, b, d, p):
     n = 14
     x, y = padic_from_rational(a, b, p, n), padic_from_rational(c, d, p, n)
-    total = F(a, b) + F(c, d)
-    z = add(x, y)
-    if z.is_zero:
-        assert rational_valuation(total, p) is math.inf or rational_valuation(
-            total, p
-        ) >= min(x.absolute_precision, y.absolute_precision)
-    else:
-        want = padic_from_rational(total.numerator, total.denominator, p, len(z.digits))
-        assert z.valuation == want.valuation
-        assert z.digits == want.digits
+    for op, exact in ((add, F(a, b) + F(c, d)), (sub, F(a, b) - F(c, d))):
+        z = op(x, y)
+        if z.is_zero:
+            assert rational_valuation(exact, p) is math.inf or rational_valuation(
+                exact, p
+            ) >= min(x.absolute_precision, y.absolute_precision)
+        else:
+            want = padic_from_rational(exact.numerator, exact.denominator, p, len(z.digits))
+            assert z.valuation == want.valuation
+            assert z.digits == want.digits
     prod = F(a, b) * F(c, d)
     w = mul(x, y)
     if prod == 0:
@@ -195,6 +195,13 @@ def test_field_arithmetic_matches_rationals(a, c, b, d, p):
     else:
         want = padic_from_rational(prod.numerator, prod.denominator, p, len(w.digits))
         assert w == want
+    if c == 0:
+        with pytest.raises(errors.DivisionByZero):
+            div(x, y)
+    else:
+        quot = F(a, b) / F(c, d)
+        assert div(x, y) == padic_from_rational(quot.numerator, quot.denominator, p, n)
+    assert neg(x) == padic_from_rational(-a, b, p, n)
 
 
 def test_norm_multiplicativity_exact():
@@ -295,6 +302,13 @@ def test_literal_round_trip():
     assert parse_padic(format_padic(y)) == y
     with pytest.raises(errors.ParseError):
         parse_padic("nonsense")
+    for bad in ("0:0.1@7^2", "0:7.1@7^2"):  # leading zero digit, digit >= p
+        with pytest.raises(errors.InvalidArgument):
+            parse_padic(bad)
+    with pytest.raises(errors.InvalidPrime):
+        parse_padic("0:1.1@6^2")
+    with pytest.raises(errors.InvalidArgument):
+        parse_padic("0:@7^0")
 
 
 def test_to_rational_reconstruction():
