@@ -249,7 +249,7 @@ def _correlated_section(game, ce_path):
     try:
         with open(ce_path, "r", encoding="utf-8") as fh:
             doc = json.load(fh)
-    except OSError as exc:
+    except (OSError, UnicodeDecodeError) as exc:
         raise errors.ParseError(f"cannot read {ce_path}: {exc}") from exc
     except json.JSONDecodeError as exc:
         raise errors.ParseError(
@@ -607,7 +607,7 @@ def cmd_padic(args):
         try:
             with open(args.infile, "r", encoding="utf-8") as fh:
                 lines.extend(fh.read().splitlines())
-        except OSError as exc:
+        except (OSError, UnicodeDecodeError) as exc:
             raise errors.ParseError(f"cannot read {args.infile}: {exc}") from exc
     lines.extend(args.expr or [])
     expressions = [ln for ln in lines if ln.strip() and not ln.strip().startswith("#")]

@@ -202,7 +202,7 @@ def load_path(path):
     try:
         with open(path, "r", encoding="utf-8") as fh:
             text = fh.read()
-    except OSError as exc:
+    except (OSError, UnicodeDecodeError) as exc:
         raise errors.ParseError(f"cannot read {path}: {exc}") from exc
     return loads(text, source=str(path))
 

@@ -22,18 +22,37 @@ from . import errors
 DEFAULT_PRECISION = 32
 
 
+# Miller-Rabin with the first 13 prime bases is exact below this bound
+# (Sorenson & Webster 2017); larger moduli are refused rather than guessed.
+_MR_BASES = (2, 3, 5, 7, 11, 13, 17, 19, 23, 29, 31, 37, 41)
+_MR_LIMIT = 3_317_044_064_679_887_385_961_981
+
+
 def is_prime(p):
+    """Deterministic Miller-Rabin; raises InvalidPrime for p beyond _MR_LIMIT."""
     if not isinstance(p, int) or p < 2:
         return False
-    if p < 4:
+    if p in _MR_BASES:
         return True
-    if p % 2 == 0:
+    if any(p % b == 0 for b in _MR_BASES):
         return False
-    f = 3
-    while f * f <= p:
-        if p % f == 0:
+    if p >= _MR_LIMIT:
+        raise errors.InvalidPrime(
+            f"{p} is beyond the deterministic primality range p < {_MR_LIMIT}"
+        )
+    d, s = p - 1, 0
+    while d % 2 == 0:
+        d, s = d // 2, s + 1
+    for b in _MR_BASES:
+        x = pow(b, d, p)
+        if x in (1, p - 1):
+            continue
+        for _ in range(s - 1):
+            x = x * x % p
+            if x == p - 1:
+                break
+        else:
             return False
-        f += 2
     return True
 
 
@@ -281,6 +300,28 @@ def is_square(x):
     return pow(u0, (x.p - 1) // 2, x.p) == 1
 
 
+def _sqrt_mod_p(a, p):
+    """Smallest root r in 1..p-1 of r*r = a mod p, by Tonelli-Shanks.
+
+    p is an odd prime and a a nonzero quadratic residue mod p.
+    """
+    q, s = p - 1, 0
+    while q % 2 == 0:
+        q, s = q // 2, s + 1
+    z = 2
+    while pow(z, (p - 1) // 2, p) != p - 1:
+        z += 1
+    c, t, r = pow(z, q, p), pow(a, q, p), pow(a, (q + 1) // 2, p)
+    while t != 1:
+        i, t2 = 1, t * t % p
+        while t2 != 1:
+            i, t2 = i + 1, t2 * t2 % p
+        b = pow(c, 1 << (s - i - 1), p)
+        s, c = i, b * b % p
+        t, r = t * c % p, r * b % p
+    return min(r, p - r)
+
+
 def hensel_sqrt(x):
     """Square root by Hensel lifting; raises InvalidArgument for non-squares."""
     if x.is_zero:
@@ -297,7 +338,7 @@ def hensel_sqrt(x):
                 r += 2 ** (k - 1)
         width = max(1, n - 1)
         return PAdicNumber(2, x.valuation // 2, r, width)
-    r = next(c for c in range(1, p) if (c * c - u) % p == 0)
+    r = _sqrt_mod_p(u % p, p)
     k = 1
     while k < n:
         k = min(2 * k, n)

@@ -2,6 +2,7 @@
 
 import json
 import os
+import time
 from fractions import Fraction
 
 import pytest
@@ -157,6 +158,20 @@ def test_analyze_empty_file_exit_code(tmp_path):
     empty.write_text("")
     code = main(["analyze", "--in", str(empty), "--out", str(tmp_path / "o")])
     assert code == EXIT_PARSE
+
+
+def test_analyze_non_utf8_game_file(tmp_path):
+    bad = tmp_path / "bad.json"
+    bad.write_bytes(b"\xff{}")
+    with pytest.raises(errors.ParseError):
+        gamefile.load_path(str(bad))
+    assert main(["analyze", "--in", str(bad), "--out", str(tmp_path / "o")]) == EXIT_PARSE
+
+
+def test_analyze_non_utf8_ce_file(tmp_path):
+    bad = tmp_path / "ce.json"
+    bad.write_bytes(b'{"distribution": []}\xff')
+    assert run(tmp_path, "analyze", "--in", "bos", "--ce", str(bad))[0] == EXIT_PARSE
 
 
 def test_analyze_size_limit(tmp_path):
@@ -350,6 +365,24 @@ def test_padic_file_input(tmp_path):
     assert res[2]["rational"] == "1"
     assert res[3]["is_square"] is True
     assert res[4]["mu"] == 2
+
+
+def test_padic_non_utf8_expression_file(tmp_path):
+    bad = tmp_path / "exprs.txt"
+    bad.write_bytes(b"expand 1 @ 7\n\xff\n")
+    assert run(tmp_path, "padic", "--in", str(bad))[0] == EXIT_PARSE
+
+
+def test_padic_large_prime_is_fast(tmp_path):
+    start = time.perf_counter()
+    code, out = run(tmp_path, "padic", "--expr", "sqrt 2 @ 1000000007",
+                    "--expr", "nonresidue 1000000000000000003")
+    assert time.perf_counter() - start < 1.0
+    assert code == EXIT_OK
+    sqrt2, nonresidue = read_json(out / "padic.json")["results"]
+    assert sqrt2["is_square"] is True
+    assert sqrt2["literal"].startswith("0:59713600.595495017.")
+    assert nonresidue["mu"] == -1
 
 
 def test_padic_bad_expression(tmp_path, capsys):

@@ -6,7 +6,7 @@ from fractions import Fraction
 import numpy as np
 import pytest
 
-from gtkit import errors
+from gtkit import errors, gamefile
 from gtkit.evolution import (
     EvolutionGame,
     SimplexState,
@@ -414,3 +414,33 @@ def test_trajectory_csv_format():
     assert rows[1].split(",")[1] == f"{1 / 3:.17g}"
     # 17 significant digits round-trip binary64 exactly
     assert float(rows[1].split(",")[1]) == 1 / 3
+
+
+# ---------------------------------------------------------------------------
+# known defect of the sampled grid on american-values-10
+
+AV_NASH = [F(0), F(31, 85), F(2, 17), F(0), F(0), F(3, 85), F(0), F(0), F(31, 85), F(2, 17)]
+AV_INVADER = [F(0), F(603, 1700), F(2, 17), F(0), F(0), F(3, 85), F(0), F(0), F(637, 1700), F(2, 17)]
+
+
+def test_american_values_nash_state_has_an_equal_invader():
+    A = gamefile.load_scenario("american-values-10").game.exact
+    p, x = AV_NASH, AV_INVADER
+
+    def form(a, b):
+        return sum(a[i] * A[i][j] * b[j] for i in range(10) for j in range(10))
+
+    assert sum(x) == 1 and x != p
+    best = max(sum(A[i][j] * p[j] for j in range(10)) for i in range(10))
+    assert form(x, p) == form(p, p) == best  # x is a best reply to p
+    assert form(p, x) == form(x, x)  # ... and does as well against itself: p is no ESS
+
+
+@pytest.mark.xfail(
+    strict=True,
+    reason="the sampled grid holds no point of the invader's null direction; "
+    "an exact ESS test on large faces fixes it",
+)
+def test_ess_check_rejects_american_values_nash_state():
+    g = gamefile.load_scenario("american-values-10").game
+    assert ess_check(g, SimplexState(AV_NASH)).is_ess is False

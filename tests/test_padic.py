@@ -24,6 +24,7 @@ from gtkit.padic import (
     find_nonresidue,
     format_padic,
     hensel_sqrt,
+    is_prime,
     is_square,
     mul,
     neg,
@@ -286,6 +287,34 @@ def test_hensel_sqrt_roundtrip():
     half = padic_from_rational(1, 2, 7, 10)
     r = hensel_sqrt(half)
     assert sub(mul(r, r), half).is_zero
+
+
+def test_hensel_sqrt_lifts_the_smallest_root_mod_p():
+    # the lift is fixed by its residue mod p, so literals stay those of a scan over 1..p-1
+    for p in (3, 5, 7, 11, 13, 97, 101, 257):
+        for a in range(1, p):
+            x = padic_from_rational(a, 1, p, 6)
+            if not is_square(x):
+                continue
+            smallest = next(c for c in range(1, p) if (c * c - a) % p == 0)
+            assert hensel_sqrt(x).unit % p == smallest, (a, p)
+
+
+def test_is_prime_is_exact_and_bounded():
+    def trial_division(n):
+        return n >= 2 and all(n % f for f in range(2, math.isqrt(n) + 1))
+
+    assert [n for n in range(3000) if is_prime(n)] == [n for n in range(3000) if trial_division(n)]
+    # strong pseudoprimes to every prime base up to 11, 13, 17, 23, 37
+    for n in (2152302898747, 3474749660383, 341550071728321, 3825123056546413051,
+              318665857834031151167461):
+        assert not is_prime(n), n
+    assert is_prime(1000000007) and is_prime(2**61 - 1)
+    assert not is_prime(1.5) and not is_prime(-7)
+    # beyond the deterministic bases the answer is refused, not guessed
+    for n in (3317044064679887385961981, 2**89 - 1):
+        with pytest.raises(errors.InvalidPrime):
+            is_prime(n)
 
 
 # ---------------------------------------------------------------------------
