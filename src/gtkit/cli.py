@@ -21,11 +21,6 @@ EXIT_OK = 0
 EXIT_PARSE = 2
 EXIT_VALIDATION = 3
 EXIT_SIZE = 4
-PROFILE_CAP = 200_000
-# Decimal digits allowed in the numerator and denominator of a p-adic expression's
-# rationals: a sum or product of two such still prints under Python's default
-# 4300-digit int-to-string limit.
-RATIONAL_DIGITS = 1000
 
 
 # ---------------------------------------------------------------------------
@@ -63,11 +58,28 @@ def _parse_rational_vector(text):
         tok = tok.strip()
         if not tok:
             continue
-        try:
-            out.append(float(tok) if "." in tok or "e" in tok.lower() else Fraction(tok))
-        except (ValueError, ZeroDivisionError) as exc:
-            raise errors.ParseError(f"bad number {tok!r}") from exc
+        if "." in tok or "e" in tok.lower():
+            try:
+                value = float(tok)
+            except ValueError as exc:
+                raise errors.ParseError(f"bad number {tok!r}") from exc
+            if not math.isfinite(value):
+                raise errors.ParseError(f"number {tok!r} is not finite")
+        else:
+            value = gamefile.parse_rational(tok, "p0")
+        out.append(value)
     return out
+
+
+def _positive_real(text):
+    """argparse type: a finite number > 0 (NaN and infinities are refused)."""
+    try:
+        value = float(text)
+    except ValueError:
+        value = math.nan
+    if not 0 < value < math.inf:
+        raise argparse.ArgumentTypeError(f"expected a finite number > 0, got {text!r}")
+    return value
 
 
 def _mixed_to_json(mixed):
@@ -183,10 +195,12 @@ def _congestion_section(cg, game):
 
 
 def cmd_analyze(args):
+    eps = gamefile.parse_rational(args.epsilon, "--epsilon")
+    if eps < 0:
+        raise errors.InvalidArgument("--epsilon must be non-negative")
     scn = gamefile.resolve_input(args.infile)
     game, cg = _to_strategic(scn)
-    if math.prod(game.shape) > PROFILE_CAP:
-        raise errors.SizeLimit(f"{math.prod(game.shape)} profiles exceed the desk-scale cap")
+    gamefile.check_profile_count(game.shape, scn.name)
 
     ne = sorted(games.pure_nash(game))
     elim = games.iterated_elimination(game)
@@ -226,7 +240,7 @@ def cmd_analyze(args):
         "price_of_anarchy": poa,
         "metadata": {"poa_scope": "pure-strategy equilibria only"},
     }
-    report.update(_analyze_equilibria(game, Fraction(args.epsilon)))
+    report.update(_analyze_equilibria(game, eps))
     if cg is not None:
         report["congestion"] = _congestion_section(cg, game)
     if args.ce:
@@ -248,28 +262,34 @@ def cmd_analyze(args):
 def _correlated_section(game, ce_path):
     try:
         with open(ce_path, "r", encoding="utf-8") as fh:
-            doc = json.load(fh)
+            text = fh.read()
     except (OSError, UnicodeDecodeError) as exc:
         raise errors.ParseError(f"cannot read {ce_path}: {exc}") from exc
-    except json.JSONDecodeError as exc:
-        raise errors.ParseError(
-            f"{ce_path}:{exc.lineno}:{exc.colno}: {exc.msg}", line=exc.lineno, position=exc.colno
-        ) from exc
-    rows = doc.get("distribution")
+    doc = gamefile.parse_json(text, ce_path)
+    rows = doc.get("distribution") if isinstance(doc, dict) else None
     if not isinstance(rows, list):
-        raise errors.ParseError(f"{ce_path}: expected a 'distribution' list")
+        raise errors.ParseError(f"{ce_path}: expected an object with a 'distribution' list")
     dist = {}
-    for row in rows:
-        profile = row.get("profile")
+    for k, row in enumerate(rows):
+        where = f"{ce_path}: distribution[{k}]"
+        profile = row.get("profile") if isinstance(row, dict) else None
+        if not isinstance(profile, list) or len(profile) != game.n_players or "prob" not in row:
+            raise errors.ParseError(
+                f"{where}: expected an object with a {game.n_players}-entry 'profile' and a 'prob'"
+            )
         idx = []
         for player, s in enumerate(profile):
             if isinstance(s, str):
                 try:
                     s = game.strategy_names[player].index(s)
                 except ValueError as exc:
-                    raise errors.ParseError(f"{ce_path}: unknown strategy {s!r}") from exc
-            idx.append(int(s))
-        dist[tuple(idx)] = Fraction(str(row.get("prob")))
+                    raise errors.ParseError(f"{where}: unknown strategy {s!r}") from exc
+            elif not isinstance(s, int) or isinstance(s, bool):
+                raise errors.ParseError(f"{where}: strategy {s!r} is neither a name nor an index")
+            idx.append(s)
+        if tuple(idx) in dist:
+            raise errors.ParseError(f"{where}: profile {profile} listed twice")
+        dist[tuple(idx)] = gamefile.parse_rational(row["prob"], f"{where}.prob")
     check = games.is_correlated_equilibrium(game, dist)
     return {
         "is_correlated_equilibrium": bool(check.holds),
@@ -291,9 +311,9 @@ def cmd_evolve(args):
     raw = _parse_rational_vector(p0_text)
     if len(raw) != g.n:
         raise errors.InvalidState(f"p0 has {len(raw)} coordinates for an {g.n}-strategy game")
-    total = sum(Fraction(v) if not isinstance(v, float) else Fraction(v) for v in raw)
-    if abs(float(total) - 1.0) > 1e-9:
-        raise errors.InvalidState(f"p0 sums to {float(total)}, off the simplex beyond 1e-9")
+    total = sum(Fraction(v) for v in raw)
+    if abs(total - 1) > 1e-9:
+        raise errors.InvalidState("p0 does not sum to 1 within 1e-9")
     p0 = evolution.SimplexState([Fraction(v) / total for v in raw])
 
     traj = evolution.integrate(g, p0, t_end=args.t_end, h=args.h)
@@ -492,13 +512,6 @@ def _quantumize_padic(args, scn, game, out, grid):
 # padic expression evaluator
 
 
-def _bounded(q, what):
-    """q itself, or SizeLimit when its numerator or denominator has over RATIONAL_DIGITS digits."""
-    if max(abs(q.numerator), q.denominator) >= 10**RATIONAL_DIGITS:
-        raise errors.SizeLimit(f"{what} exceeds {RATIONAL_DIGITS} digits")
-    return q
-
-
 def _eval_padic_expr(line, default_prec):
     tokens = line.split()
     if not tokens:
@@ -513,20 +526,14 @@ def _eval_padic_expr(line, default_prec):
             raise errors.ParseError(f"bad site {tok!r}: expected p or p^N") from exc
 
     def rat(tok):
-        _, _, exponent = tok.lower().partition("e")
-        try:
-            if exponent and abs(int(exponent)) > RATIONAL_DIGITS:
-                raise errors.SizeLimit(f"rational {tok!r} exceeds {RATIONAL_DIGITS} digits")
-            return _bounded(Fraction(tok), f"rational {tok!r}")
-        except (ValueError, ZeroDivisionError) as exc:
-            raise errors.ParseError(f"bad rational {tok!r}") from exc
+        return gamefile.parse_rational(tok, "operand")
 
     if op == "distcheck":
         seq = [rat(t) for t in " ".join(tokens[1:]).split(",") if t.strip()]
         return {
             "op": "distcheck",
             "entries": [_frac(v) for v in seq],
-            "sum": _frac(_bounded(sum(seq, Fraction(0)), "distribution sum")),
+            "sum": _frac(gamefile.bounded(sum(seq, Fraction(0)), "distribution sum")),
             "is_distribution": padic.distribution_check(seq),
         }
     if op == "nonresidue":
@@ -658,10 +665,12 @@ def build_parser():
 
     e = sub.add_parser("evolve", help="replicator trajectory, rest points, recurrence")
     common(e)
-    e.add_argument("--h", dest="h", type=float, default=1e-3, help="RK4 step size")
-    e.add_argument("--t-end", dest="t_end", type=float, default=100.0, help="integration horizon")
+    e.add_argument("--h", dest="h", type=_positive_real, default=1e-3, help="RK4 step size")
+    e.add_argument("--t-end", dest="t_end", type=_positive_real, default=100.0,
+                   help="integration horizon")
     e.add_argument("--p0", help="initial state, e.g. 1/2,1/4,1/4")
-    e.add_argument("--tol", type=float, default=1e-3, help="recurrence detection tolerance")
+    e.add_argument("--tol", type=_positive_real, default=1e-3,
+                   help="recurrence detection tolerance")
     e.set_defaults(func=cmd_evolve)
 
     q = sub.add_parser("quantumize", help="entangled quantumization of a 2x2 game")

@@ -10,6 +10,7 @@ lists).  Every scenario serialized and re-parsed is value-identical.
 from __future__ import annotations
 
 import json
+import math
 from dataclasses import dataclass, field
 from fractions import Fraction
 from importlib import resources
@@ -27,6 +28,13 @@ SCENARIO_NAMES = (
     "congestion-2link",
     "american-values-10",
 )
+# Largest number of pure profiles a game file may declare.
+PROFILE_CAP = 200_000
+# Decimal digits allowed in the numerator and denominator of a rational read from
+# any input: a sum or product of two such still prints under Python's default
+# 4300-digit int-to-string limit.
+RATIONAL_DIGITS = 1000
+_RATIONAL_LIMIT = 10**RATIONAL_DIGITS
 
 
 @dataclass
@@ -54,11 +62,57 @@ class Scenario:
         )
 
 
-def _fraction(text, where):
+def bounded(q, what):
+    """q itself, or SizeLimit when its numerator or denominator has over RATIONAL_DIGITS digits."""
+    if max(abs(q.numerator), q.denominator) >= _RATIONAL_LIMIT:
+        raise errors.SizeLimit(f"{what} exceeds {RATIONAL_DIGITS} digits")
+    return q
+
+
+def parse_rational(text, where):
+    """Fraction from a literal such as "3", "-2/5", "0.25" or "1e-3" (JSON numbers too).
+
+    ParseError when malformed; SizeLimit beyond RATIONAL_DIGITS digits, with a
+    large exponent refused before 10**exponent is built.
+    """
+    text = str(text)
+    _, _, exponent = text.lower().partition("e")
     try:
-        return Fraction(str(text))
+        q = None if exponent and abs(int(exponent)) > RATIONAL_DIGITS else Fraction(text)
     except (ValueError, ZeroDivisionError) as exc:
-        raise errors.ParseError(f"bad rational {text!r} at {where}") from exc
+        raise errors.ParseError(f"bad rational {text!r} ({where})") from exc
+    if q is None or max(abs(q.numerator), q.denominator) >= _RATIONAL_LIMIT:
+        raise errors.SizeLimit(f"rational {text!r} ({where}) exceeds {RATIONAL_DIGITS} digits")
+    return q
+
+
+def check_profile_count(shape, where):
+    """SizeLimit when a game of this shape has more than PROFILE_CAP pure profiles."""
+    count = math.prod(shape)
+    if count > PROFILE_CAP:
+        raise errors.SizeLimit(
+            f"{where}: {count} profiles exceed the desk-scale cap of {PROFILE_CAP}"
+        )
+
+
+def _strings(value, where, length=None):
+    """value if it is a non-empty list of strings (of the given length); ParseError otherwise."""
+    if (
+        not isinstance(value, list)
+        or not value
+        or not all(isinstance(v, str) for v in value)
+        or length is not None and len(value) != length
+    ):
+        size = "a non-empty" if length is None else f"a {length}-entry"
+        raise errors.ParseError(f"{where}: expected {size} list of strings")
+    return value
+
+
+def _names(value, where, length=None):
+    """_strings, all distinct: a repeated strategy name would make labels ambiguous."""
+    if len(set(_strings(value, where, length))) != len(value):
+        raise errors.ParseError(f"{where}: strategy names must be distinct")
+    return value
 
 
 def _tensor_to_nested(game):
@@ -80,7 +134,7 @@ def _nested_to_table(nested, shape, n_players, where="payoffs"):
         if depth == n_players:
             if not isinstance(node, list) or len(node) != n_players:
                 raise errors.ParseError(f"{here}: expected {n_players} payoffs")
-            table[tuple(prefix)] = tuple(_fraction(v, here) for v in node)
+            table[tuple(prefix)] = tuple(parse_rational(v, here) for v in node)
             return
         if not isinstance(node, list) or len(node) != shape[depth]:
             raise errors.ParseError(
@@ -139,17 +193,29 @@ def parse_dict(doc, source="<dict>"):
     kind = doc.get("kind", "strategic")
     name = doc.get("name", "unnamed")
     description = doc.get("description", "")
-    metadata = doc.get("metadata", {}) or {}
+    metadata = doc.get("metadata")
+    metadata = {} if metadata is None else metadata
+    if not isinstance(name, str) or not isinstance(description, str):
+        raise errors.ParseError(f"{source}: name and description must be strings")
+    if not isinstance(metadata, dict):
+        raise errors.ParseError(f"{source}: metadata must be an object")
+    if "strategy_names" in metadata:
+        _names(metadata["strategy_names"], f"{source}: metadata.strategy_names")
+    if "default_p0" in metadata:
+        _strings(metadata["default_p0"], f"{source}: metadata.default_p0")
 
     if kind == "strategic":
         strategies = doc.get("strategies")
         if not isinstance(strategies, list) or not strategies:
             raise errors.ParseError(f"{source}: missing strategy name lists")
+        for i, names in enumerate(strategies):
+            _names(names, f"{source}: strategies[{i}]")
         shape = tuple(len(s) for s in strategies)
         n = len(strategies)
         declared = doc.get("players", n)
         if declared != n:
             raise errors.ParseError(f"{source}: players={declared} but {n} strategy lists")
+        check_profile_count(shape, source)
         table = _nested_to_table(doc.get("payoffs"), shape, n)
         game = StrategicGame(strategies, table)
     elif kind == "evolution":
@@ -160,23 +226,46 @@ def parse_dict(doc, source="<dict>"):
         for i, row in enumerate(matrix):
             if not isinstance(row, list) or len(row) != len(matrix):
                 raise errors.ParseError(f"{source}: matrix row {i} is not length {len(matrix)}")
-            rows.append([_fraction(v, f"matrix[{i}]") for v in row])
+            rows.append([parse_rational(v, f"matrix[{i}]") for v in row])
         game = EvolutionGame(rows)
         names = doc.get("strategies")
-        if names:
+        if names is not None:
+            if not isinstance(names, list) or len(names) != 1:
+                raise errors.ParseError(f"{source}: strategies must hold one list of names")
             metadata = dict(metadata)
+            _names(names[0], f"{source}: strategies[0]", len(rows))
             metadata.setdefault("strategy_names", list(names[0]))
     elif kind == "congestion":
         res = doc.get("resources")
         strategies = doc.get("strategies")
         if not isinstance(res, list) or not res or not isinstance(strategies, list):
             raise errors.ParseError(f"{source}: congestion scenario needs resources and strategies")
+        if not all(
+            isinstance(r, dict) and isinstance(r.get("name", ""), str)
+            and isinstance(r.get("costs", []), list)
+            for r in res
+        ):
+            raise errors.ParseError(
+                f"{source}: each resource must be an object with a string name and a costs list"
+            )
+        if not all(
+            isinstance(per, list) and all(
+                isinstance(s, list)
+                and all(isinstance(j, int) and not isinstance(j, bool) for j in s)
+                for s in per
+            )
+            for per in strategies
+        ):
+            raise errors.ParseError(
+                f"{source}: congestion strategies must be lists of resource-index lists"
+            )
+        check_profile_count([len(per) for per in strategies], source)
         names = tuple(r.get("name", f"r{i}") for i, r in enumerate(res))
         costs = tuple(
-            tuple(_fraction(c, f"resources[{i}].costs") for c in r.get("costs", []))
+            tuple(parse_rational(c, f"resources[{i}].costs") for c in r.get("costs", []))
             for i, r in enumerate(res)
         )
-        strat = tuple(tuple(tuple(int(j) for j in s) for s in per) for per in strategies)
+        strat = tuple(tuple(tuple(s) for s in per) for per in strategies)
         try:
             game = CongestionGame(names, costs, strat)
         except errors.GTError as exc:
@@ -189,13 +278,19 @@ def parse_dict(doc, source="<dict>"):
 def loads(text, source="<string>"):
     if not text.strip():
         raise errors.ParseError(f"{source}: empty game file", line=1, position=1)
+    return parse_dict(parse_json(text, source), source)
+
+
+def parse_json(text, source):
+    """json.loads with every decoding failure as a ParseError (with a position when known)."""
     try:
-        doc = json.loads(text)
+        return json.loads(text)
     except json.JSONDecodeError as exc:
         raise errors.ParseError(
             f"{source}:{exc.lineno}:{exc.colno}: {exc.msg}", line=exc.lineno, position=exc.colno
         ) from exc
-    return parse_dict(doc, source)
+    except (ValueError, RecursionError) as exc:  # e.g. an integer beyond the digit limit
+        raise errors.ParseError(f"{source}: {exc}") from exc
 
 
 def load_path(path):

@@ -196,6 +196,266 @@ def test_analyze_size_limit(tmp_path):
     assert code == EXIT_SIZE
 
 
+def test_analyze_refuses_a_large_game_before_reading_its_payoffs():
+    doc = {
+        "format": "gt-game/1",
+        "kind": "strategic",
+        "strategies": [[f"s{i}" for i in range(60)]] * 3,
+        "payoffs": "not even a list",
+    }
+    with pytest.raises(errors.SizeLimit):
+        gamefile.parse_dict(doc)
+
+
+# ---------------------------------------------------------------------------
+# input boundary: every malformed input exits 2, 3 or 4 with a message
+
+
+def bimatrix_doc():
+    return {
+        "format": "gt-game/1",
+        "kind": "strategic",
+        "name": "g",
+        "strategies": [["a", "b"], ["c", "d"]],
+        "payoffs": [[["3", "3"], ["0", "5"]], [["5", "0"], ["1", "1"]]],
+    }
+
+
+def congestion_doc():
+    return {
+        "format": "gt-game/1",
+        "kind": "congestion",
+        "name": "c",
+        "resources": [{"name": "x", "costs": ["1", "2"]}, {"name": "y", "costs": ["1", "2"]}],
+        "strategies": [[[0], [1]], [[0], [1]]],
+    }
+
+
+def evolution_doc():
+    return {
+        "format": "gt-game/1",
+        "kind": "evolution",
+        "name": "e",
+        "strategies": [["R", "P", "S"]],
+        "matrix": [["0", "-1", "1"], ["1", "0", "-1"], ["-1", "1", "0"]],
+        "metadata": {"default_p0": ["1/2", "1/4", "1/4"]},
+    }
+
+
+def _with(doc, path, value):
+    node = doc
+    for key in path[:-1]:
+        node = node[key]
+    node[path[-1]] = value
+    return doc
+
+
+BAD_GAME_FILES = {
+    "metadata is a list": (_with(bimatrix_doc(), ["metadata"], ["a", 1]), EXIT_PARSE),
+    "name is a list": (_with(bimatrix_doc(), ["name"], ["g"]), EXIT_PARSE),
+    "strategy names are strings": (_with(bimatrix_doc(), ["strategies"], ["ab", "cd"]),
+                                   EXIT_PARSE),
+    "strategy name is a number": (_with(bimatrix_doc(), ["strategies", 0, 1], 2), EXIT_PARSE),
+    "repeated strategy name": (_with(bimatrix_doc(), ["strategies", 0, 1], "a"), EXIT_PARSE),
+    "payoff beyond the digit bound": (
+        _with(bimatrix_doc(), ["payoffs", 0, 0, 0], "1e100000"), EXIT_SIZE),
+    "payoff with a long numerator": (
+        _with(bimatrix_doc(), ["payoffs", 0, 0, 0], "7" * 1001), EXIT_SIZE),
+    "payoff is not a number": (_with(bimatrix_doc(), ["payoffs", 0, 0, 0], [1]), EXIT_PARSE),
+    "resources are not objects": (_with(congestion_doc(), ["resources"], ["x", "y"]),
+                                  EXIT_PARSE),
+    "costs are not a list": (_with(congestion_doc(), ["resources", 0, "costs"], "12"),
+                             EXIT_PARSE),
+    "non-integer resource index": (_with(congestion_doc(), ["strategies", 0, 0, 0], 0.5),
+                                   EXIT_PARSE),
+    "string resource index": (_with(congestion_doc(), ["strategies", 0, 0, 0], "0"),
+                              EXIT_PARSE),
+    "evolution names of the wrong length": (
+        _with(evolution_doc(), ["strategies"], [["R", "P"]]), EXIT_PARSE),
+    "evolution names are a string": (_with(evolution_doc(), ["strategies"], "RPS"), EXIT_PARSE),
+    "default p0 holds numbers": (
+        _with(evolution_doc(), ["metadata", "default_p0"], [0.5, 0.25, 0.25]), EXIT_PARSE),
+    "evolution entry beyond binary64": (
+        _with(evolution_doc(), ["matrix", 0, 0], "1e400"), EXIT_VALIDATION),
+}
+
+
+@pytest.mark.parametrize("case", sorted(BAD_GAME_FILES))
+def test_malformed_game_files_exit_with_a_message(tmp_path, capsys, case):
+    doc, want = BAD_GAME_FILES[case]
+    path = tmp_path / "game.json"
+    path.write_text(json.dumps(doc))
+    for command in ("analyze", "evolve"):
+        if command == "evolve" and doc["kind"] != "evolution":
+            continue
+        argv = [command, "--in", str(path), "--out", str(tmp_path / "o")]
+        assert main(argv + (["--t-end", "0.1"] if command == "evolve" else [])) == want
+        assert "error" in capsys.readouterr().err
+
+
+def test_json_integer_beyond_the_digit_limit_is_a_parse_error(tmp_path):
+    path = tmp_path / "game.json"
+    path.write_text(json.dumps(bimatrix_doc()).replace('"3"', "1" + "0" * 5000, 1))
+    assert main(["analyze", "--in", str(path), "--out", str(tmp_path / "o")]) == EXIT_PARSE
+
+
+BAD_CE_FILES = {
+    "rows are not objects": [["a", "c"]],
+    "row without a profile": [{"prob": "1"}],
+    "row without a prob": [{"profile": ["a", "c"]}],
+    "profile is a string": [{"profile": "ac", "prob": "1"}],
+    "profile of the wrong length": [{"profile": ["a"], "prob": "1"}],
+    "non-integer strategy index": [{"profile": [0.0, 1], "prob": "1"}],
+    "boolean strategy index": [{"profile": [True, 1], "prob": "1"}],
+    "prob is not a rational": [{"profile": ["a", "c"], "prob": "x"}],
+    "prob overflows to infinity": [{"profile": ["a", "c"], "prob": 1.5e400}],
+    "profile listed twice": [{"profile": ["a", "c"], "prob": "1/2"},
+                             {"profile": [0, 0], "prob": "1/2"}],
+}
+
+
+@pytest.mark.parametrize("case", sorted(BAD_CE_FILES))
+def test_malformed_ce_files_exit_with_a_message(tmp_path, capsys, case):
+    game = tmp_path / "game.json"
+    game.write_text(json.dumps(bimatrix_doc()))
+    ce = tmp_path / "ce.json"
+    ce.write_text(json.dumps({"distribution": BAD_CE_FILES[case]}))
+    assert main(["analyze", "--in", str(game), "--ce", str(ce),
+                 "--out", str(tmp_path / "o")]) == EXIT_PARSE
+    assert "error" in capsys.readouterr().err
+    ce.write_text(json.dumps(BAD_CE_FILES[case]))  # no top-level object
+    assert main(["analyze", "--in", str(game), "--ce", str(ce),
+                 "--out", str(tmp_path / "o")]) == EXIT_PARSE
+
+
+@pytest.mark.parametrize(
+    "argv",
+    [
+        ["evolve", "--in", "rps", "--h", "nan"],
+        ["evolve", "--in", "rps", "--t-end", "nan"],
+        ["evolve", "--in", "rps", "--t-end", "inf"],
+        ["evolve", "--in", "rps", "--h", "0"],
+        ["evolve", "--in", "rps", "--tol", "nan"],
+        ["evolve", "--in", "rps", "--tol", "-1"],
+    ],
+)
+def test_non_finite_options_are_refused(tmp_path, capsys, argv):
+    with pytest.raises(SystemExit) as exc:
+        main(argv + ["--out", str(tmp_path / "o")])
+    assert exc.value.code == EXIT_PARSE
+    assert "finite number > 0" in capsys.readouterr().err
+    assert not (tmp_path / "o").exists()
+
+
+def test_bad_epsilon_and_p0_are_refused(tmp_path):
+    assert run(tmp_path, "analyze", "--in", "bos", "--epsilon", "x")[0] == EXIT_PARSE
+    assert run(tmp_path, "analyze", "--in", "bos", "--epsilon", "1e100000")[0] == EXIT_SIZE
+    assert run(tmp_path, "analyze", "--in", "bos", "--epsilon=-1/2")[0] == EXIT_VALIDATION
+    for p0, want in (("1e400,0,0", EXIT_PARSE), ("nan,0,0", EXIT_PARSE),
+                     ("1" + "0" * 1000 + ",0,0", EXIT_SIZE)):
+        assert run(tmp_path, "evolve", "--in", "rps", "--p0", p0, "--t-end", "0.1")[0] == want
+
+
+def test_evolve_refuses_a_trajectory_that_overflows(tmp_path):
+    path = tmp_path / "game.json"
+    path.write_text(json.dumps(_with(evolution_doc(), ["matrix", 0], ["1e300", "-1e300", "0"])))
+    assert run(tmp_path, "analyze", "--in", str(path))[0] == EXIT_OK
+    assert run(tmp_path, "evolve", "--in", str(path), "--t-end", "0.1", "--h", "0.01")[0] == (
+        EXIT_VALIDATION)
+
+
+_JUNK = st.one_of(
+    st.none(),
+    st.booleans(),
+    st.integers(-3, 3),
+    st.floats(),
+    st.sampled_from(["", "x", "ab", "1/2", "1/0", "1e100000", "-7/3", "0.5", "a"]),
+    st.lists(st.sampled_from([0, 1, "a", "c", None]), max_size=3),
+    st.dictionaries(st.sampled_from(["name", "costs", "profile", "prob"]),
+                    st.sampled_from([0, "1", [0], None]), max_size=2),
+)
+
+
+def _paths(node, prefix=()):
+    yield prefix
+    if isinstance(node, dict):
+        for key, child in node.items():
+            yield from _paths(child, (*prefix, key))
+    elif isinstance(node, list):
+        for i, child in enumerate(node):
+            yield from _paths(child, (*prefix, i))
+
+
+@st.composite
+def mutated(draw, doc):
+    """doc with up to three subtrees replaced by junk of another type, or deleted."""
+    for _ in range(draw(st.integers(0, 3))):
+        path = draw(st.sampled_from(list(_paths(doc))))
+        if not path:
+            return draw(_JUNK)
+        parent = doc
+        for key in path[:-1]:
+            parent = parent[key]
+        if isinstance(parent, dict) and draw(st.booleans()):
+            del parent[path[-1]]
+        else:
+            parent[path[-1]] = draw(_JUNK)
+    return doc
+
+
+_PAYOFF = st.one_of(st.integers(-9, 9), st.fractions(-9, 9, max_denominator=6).map(str))
+
+
+@st.composite
+def game_documents(draw):
+    kind = draw(st.sampled_from(["strategic", "evolution", "congestion"]))
+    if kind == "strategic":
+        rows, cols = draw(st.integers(1, 3)), draw(st.integers(1, 3))
+        doc = {
+            "format": "gt-game/1",
+            "kind": kind,
+            "name": "g",
+            "strategies": [[f"r{i}" for i in range(rows)], [f"c{j}" for j in range(cols)]],
+            "payoffs": [[[draw(_PAYOFF), draw(_PAYOFF)] for _ in range(cols)]
+                        for _ in range(rows)],
+        }
+    elif kind == "evolution":
+        doc = evolution_doc()
+        doc["matrix"] = [[draw(_PAYOFF) for _ in range(3)] for _ in range(3)]
+    else:
+        doc = congestion_doc()
+    return draw(mutated(doc))
+
+
+@st.composite
+def ce_documents(draw):
+    cells = st.tuples(st.integers(0, 1), st.integers(0, 1))
+    profiles = draw(st.lists(cells, min_size=1, max_size=4, unique=True))
+    rows = [
+        {"profile": [draw(st.sampled_from([f"r{i}", i])), draw(st.sampled_from([f"c{j}", j]))],
+         "prob": f"1/{len(profiles)}"}
+        for i, j in profiles
+    ]
+    return draw(mutated({"distribution": rows}))
+
+
+@settings(max_examples=200, deadline=None)
+@given(game_documents(), st.one_of(st.none(), ce_documents()))
+def test_game_and_ce_documents_never_raise(tmp_path_factory, game, ce):
+    work = tmp_path_factory.mktemp("fuzz")
+    path = work / "game.json"
+    path.write_text(json.dumps(game))
+    argv = ["analyze", "--in", str(path), "--out", str(work / "o")]
+    if ce is not None:
+        (work / "ce.json").write_text(json.dumps(ce))
+        argv += ["--ce", str(work / "ce.json")]
+    codes = (EXIT_OK, EXIT_PARSE, EXIT_VALIDATION, EXIT_SIZE)
+    assert main(argv) in codes
+    evolve = ["evolve", "--in", str(path), "--t-end", "0.1", "--h", "0.01",
+              "--out", str(work / "e")]
+    assert main(evolve) in codes
+
+
 # ---------------------------------------------------------------------------
 # evolve
 

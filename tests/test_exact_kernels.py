@@ -1,8 +1,10 @@
-"""The integer exact kernels against their Fraction reference implementations.
+"""The exact kernels against the reference implementations they replaced.
 
-`solve_exact` eliminates on integers and the sampled ESS grid tests signs of an
-integer quadratic form; the rational algorithms they replaced are kept here as
-oracles, and both must give identical statuses, solutions and verdicts.
+`solve_exact` eliminates on integers, the sampled ESS grid tests signs of an
+integer quadratic form, and the exact ESS face decision enumerates KKT
+supports; the rational algorithms and the vertex/edge/critical-line geometry
+they replaced are kept here as oracles, and both must give identical
+statuses, solutions and verdicts.
 """
 
 import itertools
@@ -14,7 +16,7 @@ from hypothesis import strategies as st
 from gtkit import gamefile
 from gtkit._linsolve import solve_exact
 from gtkit.evolution import (
-    _interior_critical_points_3,
+    _face_is_ess,
     _psi_coefficients,
     _sampled_face_is_ess,
     rest_point_reports,
@@ -58,6 +60,128 @@ def solve_exact_fraction(rows, rhs):
     if len(pivot_cols) < n:
         return "many", x
     return "unique", x
+
+
+# The exact ESS decision on faces of at most 3 strategies that `_face_is_ess`
+# replaced: candidate minima at vertices, edge-interior and face-interior
+# critical points of psi.
+
+
+def _edge_coefficients(c, M, k, l):
+    """psi restricted to the edge (1-t) e_k + t e_l as quad*t^2 + lin*t + const."""
+    s_kl = M[k][l] + M[l][k]
+    const = c[k] - M[k][k]
+    lin = (c[l] - c[k]) - (s_kl - 2 * M[k][k])
+    quad = -(M[k][k] + M[l][l] - s_kl)
+    return quad, lin, const
+
+
+def _ess_exact_face(c, M, x_star):
+    """Exact decision: min psi over the face simplex is 0 and attained only at x_star.
+
+    Candidate minima: face vertices, edge-interior critical points, and
+    face-interior critical points (quadratics are constant on degenerate
+    critical sets).  Supports faces of dimension <= 2.
+    """
+    m = len(c)
+    witnesses = []  # (value, point or ("line", data))
+    for k in range(m):
+        x = tuple(Fraction(int(k == i)) for i in range(m))
+        witnesses.append((c[k] - M[k][k], x))
+    for k in range(m):
+        for l in range(k + 1, m):
+            quad, lin, const = _edge_coefficients(c, M, k, l)
+            if quad == 0:
+                continue
+            t = -lin / (2 * quad)
+            if 0 < t < 1:
+                x = tuple(
+                    (1 - t) if i == k else (t if i == l else Fraction(0)) for i in range(m)
+                )
+                witnesses.append((quad * t * t + lin * t + const, x))
+    if m == 3:
+        witnesses.extend(_interior_critical_points_3(c, M))
+
+    min_val = min(v for v, _ in witnesses)
+    if min_val < 0:
+        return False
+    if min_val > 0:
+        # psi(x_star) = 0 always, so min over the face cannot exceed 0
+        raise AssertionError("invasion margin positive at the equilibrium itself")
+    for value, witness in witnesses:
+        if value != 0:
+            continue
+        if isinstance(witness, tuple) and witness and witness[0] == "line":
+            _, point, direction = witness
+            if _line_meets_simplex_beyond(point, direction, x_star):
+                return False
+            continue
+        if witness != x_star:
+            return False
+    return True
+
+
+def _interior_critical_points_3(c, M):
+    """Critical points of psi on the interior of a 2-simplex face (m = 3)."""
+    s12 = M[0][1] + M[1][0]
+    s13 = M[0][2] + M[2][0]
+    s23 = M[1][2] + M[2][1]
+    const = c[2] - M[2][2]
+    a1 = c[0] - c[2] - s13 + 2 * M[2][2]
+    a2 = c[1] - c[2] - s23 + 2 * M[2][2]
+    a11 = -M[0][0] - M[2][2] + s13
+    a22 = -M[1][1] - M[2][2] + s23
+    a12 = -s12 - 2 * M[2][2] + s13 + s23
+
+    def tilde(u, v):
+        return const + a1 * u + a2 * v + a11 * u * u + a22 * v * v + a12 * u * v
+
+    rows = [[2 * a11, a12], [a12, 2 * a22]]
+    rhs = [-a1, -a2]
+    det = rows[0][0] * rows[1][1] - rows[0][1] * rows[1][0]
+    out = []
+    if det != 0:
+        status, sol = solve_exact(rows, rhs)
+        u, v = sol
+        if u >= 0 and v >= 0 and u + v <= 1:
+            out.append((tilde(u, v), (u, v, 1 - u - v)))
+        return out
+    status, sol = solve_exact(rows, rhs)
+    if status == "none":
+        return out
+    # a line (or plane) of critical points; psi is constant along it
+    u0, v0 = sol
+    if rows[0] == [0, 0] and rows[1] == [0, 0]:
+        # gradient constant: critical only if a1 = a2 = 0, value covered by vertices
+        return out
+    # direction orthogonal to the (rank-1) gradient system
+    gu, gv = (rows[0] if rows[0] != [0, 0] else rows[1])
+    direction = (-gv, gu)
+    value = tilde(u0, v0)
+    out.append((value, ("line", (u0, v0, 1 - u0 - v0), (direction[0], direction[1], -direction[0] - direction[1]))))
+    return out
+
+
+def _line_meets_simplex_beyond(point, direction, x_star):
+    """Does {point + t*direction} intersect the simplex at any point != x_star?"""
+    lo, hi = None, None  # open = unbounded
+    for pk, dk in zip(point, direction):
+        if dk == 0:
+            if pk < 0:
+                return False
+        else:
+            bound = -pk / dk
+            if dk > 0:
+                lo = bound if lo is None else max(lo, bound)
+            else:
+                hi = bound if hi is None else min(hi, bound)
+    if lo is not None and hi is not None and lo > hi:
+        return False
+    if lo is None or hi is None or lo < hi:
+        return True  # a whole segment of critical points inside the simplex
+    t = lo
+    pt = tuple(pk + t * dk for pk, dk in zip(point, direction))
+    return pt != x_star
 
 
 def psi_value(c, M, x):
@@ -160,24 +284,13 @@ def test_sampled_grid_matches_fraction_grid(problem):
 
 
 def test_sampled_grid_matches_fraction_grid_on_american_values():
-    g = gamefile.load_scenario("american-values-10").game
-    reports, _ = rest_point_reports(g)
-    faces = 0
-    for rep in reports:
-        if not rep.is_nash:
-            continue
-        p = rep.point.exact
-        u = [sum(a * q for a, q in zip(row, p)) for row in g.exact]
-        face = [i for i in range(g.n) if u[i] == max(u)]
-        if len(face) < 4:
-            continue
-        faces += 1
-        c, M = _psi_coefficients(g.exact, p, face)
-        x_star = tuple(p[i] for i in face)
+    faces = american_values_nash_faces()
+    assert len(faces) == 4
+    for face, c, M, x_star in faces:
+        assert len(face) >= 4
         assert _sampled_face_is_ess(c, M, x_star, 8) == sampled_face_is_ess_fraction(
             c, M, x_star, 8
         )
-    assert faces == 4
 
 
 # ---------------------------------------------------------------------------
@@ -207,3 +320,73 @@ def test_interior_critical_point_values_are_psi(c, M):
         else:
             assert sum(witness) == 1
             assert psi_value(c, M, witness) == value
+
+
+# ---------------------------------------------------------------------------
+# exact ESS face decision
+
+
+@st.composite
+def reachable_faces(draw, min_m, max_m):
+    """(c, M, x_star) as `ess_check` builds them: every face strategy is a best reply.
+
+    The rows of M are shifted so that M x_star is constant, and c = x_star^T M.
+    A diagonal-dominant negative M makes ESS verdicts common.
+    """
+    m = draw(st.integers(min_m, max_m))
+    entries = st.builds(F, st.integers(-3, 3), st.sampled_from([1, 1, 2]))
+    M = [draw(st.lists(entries, min_size=m, max_size=m)) for _ in range(m)]
+    if draw(st.booleans()):
+        M = [[M[i][j] - (6 if i == j else 0) for j in range(m)] for i in range(m)]
+    if draw(st.booleans()):
+        M = [[M[min(i, j)][max(i, j)] for j in range(m)] for i in range(m)]
+    denominator = draw(st.sampled_from([1, 2, 3, 4, 6]))
+    cuts = sorted(draw(st.lists(st.integers(0, denominator), min_size=m - 1, max_size=m - 1)))
+    x_star = tuple(F(b - a, denominator) for a, b in zip([0, *cuts], [*cuts, denominator]))
+    Mx = [sum(M[i][j] * x_star[j] for j in range(m)) for i in range(m)]
+    M = [[M[i][j] - Mx[i] for j in range(m)] for i in range(m)]
+    c = [sum(x_star[i] * M[i][k] for i in range(m)) for k in range(m)]
+    return c, M, x_star
+
+
+@settings(max_examples=300, deadline=None)
+@example(([F(0)], [[F(0)]], (F(1),)))
+@example(  # psi = 0 on the whole face: not an ESS
+    ([F(0)] * 3, [[F(0)] * 3] * 3, (F(1, 3), F(1, 3), F(1, 3)))
+)
+@given(reachable_faces(1, 3))
+def test_face_kernel_matches_geometric_decision(face):
+    c, M, x_star = face
+    assert _face_is_ess(c, M, x_star) == _ess_exact_face(c, M, x_star)
+
+
+@settings(max_examples=200, deadline=None)
+@given(reachable_faces(4, 6), st.sampled_from([4, 8]))
+def test_face_kernel_is_never_ess_where_the_grid_finds_an_invader(face, resolution):
+    c, M, x_star = face
+    if not _sampled_face_is_ess(c, M, x_star, resolution):
+        assert not _face_is_ess(c, M, x_star)
+
+
+def american_values_nash_faces():
+    """(face, c, M, x_star) for each Nash rest point of american-values-10."""
+    g = gamefile.load_scenario("american-values-10").game
+    reports, _ = rest_point_reports(g)
+    out = []
+    for rep in reports:
+        if not rep.is_nash:
+            continue
+        p = rep.point.exact
+        u = [sum(a * q for a, q in zip(row, p)) for row in g.exact]
+        face = [i for i in range(g.n) if u[i] == max(u)]
+        c, M = _psi_coefficients(g.exact, p, face)
+        out.append((face, c, M, tuple(p[i] for i in face)))
+    return out
+
+
+def test_face_kernel_on_american_values_nash_faces():
+    # the fourth is the Nash state with an equal invader that the grid calls an ESS
+    faces = american_values_nash_faces()
+    assert [len(face) for face, *_ in faces] == [4, 5, 5, 5]
+    assert [_face_is_ess(c, M, x_star) for _, c, M, x_star in faces] == [
+        True, False, False, False]
