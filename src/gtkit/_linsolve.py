@@ -64,3 +64,18 @@ def solve_exact(rows, rhs):
     if len(pivot_cols) < n:
         return "many", x
     return "unique", x
+
+
+def equalizer(block):
+    """``(status, w, v)`` with ``block . w = v 1`` and ``sum(w) = 1``.
+
+    The system is the first row minus each other row, plus the normalisation,
+    and v is the first row times w; w and v are None unless status is "unique".
+    """
+    first = block[0]
+    rows = [[a - b for a, b in zip(first, row)] for row in block[1:]]
+    rows.append([1] * len(first))
+    status, w = solve_exact(rows, [0] * (len(block) - 1) + [1])
+    if status != "unique":
+        return status, None, None
+    return status, w, sum(a * b for a, b in zip(first, w))

@@ -52,25 +52,6 @@ def _outdir(args):
     return args.out
 
 
-def _parse_rational_vector(text):
-    out = []
-    for tok in text.split(","):
-        tok = tok.strip()
-        if not tok:
-            continue
-        if "." in tok or "e" in tok.lower():
-            try:
-                value = float(tok)
-            except ValueError as exc:
-                raise errors.ParseError(f"bad number {tok!r}") from exc
-            if not math.isfinite(value):
-                raise errors.ParseError(f"number {tok!r} is not finite")
-        else:
-            value = gamefile.parse_rational(tok, "p0")
-        out.append(value)
-    return out
-
-
 def _positive_real(text):
     """argparse type: a finite number > 0 (NaN and infinities are refused)."""
     try:
@@ -308,13 +289,13 @@ def cmd_evolve(args):
     p0_text = args.p0 or ",".join(scn.metadata.get("default_p0", []))
     if not p0_text:
         raise errors.InvalidArgument("no initial state: pass --p0 or use a scenario with default_p0")
-    raw = _parse_rational_vector(p0_text)
+    raw = [gamefile.parse_rational(tok, "p0") for tok in map(str.strip, p0_text.split(",")) if tok]
     if len(raw) != g.n:
         raise errors.InvalidState(f"p0 has {len(raw)} coordinates for an {g.n}-strategy game")
-    total = sum(Fraction(v) for v in raw)
+    total = sum(raw)
     if abs(total - 1) > 1e-9:
         raise errors.InvalidState("p0 does not sum to 1 within 1e-9")
-    p0 = evolution.SimplexState([Fraction(v) / total for v in raw])
+    p0 = evolution.SimplexState([v / total for v in raw])
 
     traj = evolution.integrate(g, p0, t_end=args.t_end, h=args.h)
     names = scn.metadata.get("strategy_names")
@@ -348,7 +329,7 @@ def cmd_evolve(args):
         "scenario": scn.name,
         "h": _float(args.h),
         "t_end": _float(args.t_end),
-        "p0": [_frac(Fraction(v)) for v in raw],
+        "p0": [_frac(v) for v in raw],
         "rest_points": rest,
         "rest_point_continua": [list(s) for s in continua],
         "time_average": [_float(v) for v in avg],
@@ -376,10 +357,7 @@ def _alpha_weight(text):
     """Exact (a, a2) from --alpha: 'max' -> (None, 1/2), a rational a -> (a, a^2)."""
     if text in (None, "max"):
         return None, Fraction(1, 2)
-    try:
-        a = Fraction(text)
-    except (ValueError, ZeroDivisionError) as exc:
-        raise errors.ParseError(f"bad --alpha {text!r}") from exc
+    a = gamefile.parse_rational(text, "--alpha")
     return a, a * a
 
 
@@ -392,6 +370,7 @@ def cmd_quantumize(args):
     grid = args.grid if args.grid is not None else (10 if args.padic else 100)
     if grid < 1:
         raise errors.InvalidArgument("--grid must be >= 1")
+    gamefile.check_profile_count((grid + 1, grid + 1), "--grid")
     if args.padic:
         return _quantumize_padic(args, scn, game, out, grid)
 
@@ -456,6 +435,7 @@ def _padic_alpha(a, a2, p, mu, prec):
 def _quantumize_padic(args, scn, game, out, grid):
     p = args.p
     prec = args.prec
+    gamefile.check_precision(p, prec, "--prec")
     mu = args.mu if args.mu is not None else padic.find_nonresidue(p)
     a, a2 = _alpha_weight(args.alpha)
     alpha, beta = _padic_alpha(a, a2, p, mu, prec)
@@ -521,9 +501,11 @@ def _eval_padic_expr(line, default_prec):
     def split_site(tok):
         p_s, caret, n_s = tok.partition("^")
         try:
-            return int(p_s), int(n_s) if caret else default_prec
+            p, n = int(p_s), int(n_s) if caret else default_prec
         except ValueError as exc:
             raise errors.ParseError(f"bad site {tok!r}: expected p or p^N") from exc
+        gamefile.check_precision(p, n, f"site {tok!r}")
+        return p, n
 
     def rat(tok):
         return gamefile.parse_rational(tok, "operand")

@@ -18,7 +18,8 @@ from typing import NamedTuple
 import numpy as np
 
 from . import errors
-from ._linsolve import solve_exact
+# solve_exact stays a name here because perfbench/tracing.py rebinds evolution.solve_exact.
+from ._linsolve import equalizer, solve_exact  # noqa: F401
 
 SUM_TOL = 1e-12
 CLAMP = 1e-12
@@ -260,37 +261,17 @@ class InteriorRestPoints(NamedTuple):
     continuum: bool
 
 
-def _face_rest_point(exact, support):
-    """Exact rest point of the subgame on `support`; (coords | None, continuum)."""
-    m = len(support)
-    if m == 1:
-        return (Fraction(1),), False
-    rows, rhs = [], []
-    base = support[0]
-    for i in support[1:]:
-        rows.append([exact[base][j] - exact[i][j] for j in support])
-        rhs.append(Fraction(0))
-    rows.append([Fraction(1)] * m)
-    rhs.append(Fraction(1))
-    status, sol = solve_exact(rows, rhs)
-    if status == "unique":
-        return tuple(sol), False
-    if status == "many":
-        return None, True
-    return None, False
-
-
 def interior_rest_points(g):
     """Exact solutions of (Ap)_1 = ... = (Ap)_n, sum p = 1 with all p_i > 0.
 
     The continuum flag reports an underdetermined system (a face of rest
     points rather than isolated ones).
     """
-    coords, continuum = _face_rest_point(g.exact, tuple(range(g.n)))
+    status, coords, _ = equalizer(g.exact)
     points = []
     if coords is not None and all(q > 0 for q in coords):
         points.append(SimplexState(coords))
-    return InteriorRestPoints(points, continuum)
+    return InteriorRestPoints(points, status == "many")
 
 
 def is_nash_state(g, state):
@@ -337,8 +318,8 @@ def rest_point_reports(g):
     continua = []
     for m in range(1, g.n + 1):
         for support in itertools.combinations(range(g.n), m):
-            coords, continuum = _face_rest_point(g.exact, support)
-            if continuum:
+            status, coords, _ = equalizer([[g.exact[i][j] for j in support] for i in support])
+            if status == "many":
                 continua.append(support)
                 continue
             if coords is None or any(q <= 0 for q in coords):
@@ -394,28 +375,25 @@ def _face_is_ess(c, M, x_star):
 
     On the face simplex psi(x) = x^T Q x with Q = c 1^T - M; S = Q + Q^T has
     the same quadratic form, doubled.  Every minimiser of psi is a KKT point:
-    on its support J it solves S_J w = lam 1, 1^T w = 1 with w > 0, and psi
-    there is lam / 2.  A system with many solutions has one lam along a
-    segment of minimisers whose ends lie on smaller supports, at least one
-    end away from x_star, and a single strategy always gives a unique
-    system.  So only unique solutions are tested: each needs lam > 0, or
-    lam = 0 at x_star itself (Bomze 1992, JOTA 75).
+    on its support J it solves S_J w = lam 1, 1^T w = 1 with w > 0 (the
+    `equalizer` system, lam its value), and psi there is lam / 2.  A system
+    with many solutions has one lam along a segment of minimisers whose ends
+    lie on smaller supports, at least one end away from x_star, and a single
+    strategy always gives a unique system.  So only unique solutions are
+    tested: each needs lam > 0, or lam = 0 at x_star itself (Bomze 1992, JOTA 75).
     """
     m = len(c)
     S = [[c[k] + c[l] - M[k][l] - M[l][k] for l in range(m)] for k in range(m)]
     for size in range(1, m + 1):
         for J in itertools.combinations(range(m), size):
-            rows = [[S[k][l] for l in J] + [-1] for k in J]
-            rows.append([1] * size + [0])
-            status, sol = solve_exact(rows, [0] * size + [1])
-            if status != "unique" or any(w <= 0 for w in sol[:size]):
+            status, w, lam = equalizer([[S[k][l] for l in J] for k in J])
+            if status != "unique" or min(w) <= 0:
                 continue
-            lam = sol[size]
             if lam < 0:
                 return False
             if lam == 0:
-                w = dict(zip(J, sol))
-                if tuple(w.get(k, 0) for k in range(m)) != x_star:
+                full = dict(zip(J, w))
+                if tuple(full.get(k, 0) for k in range(m)) != x_star:
                     return False
     return True
 

@@ -28,7 +28,8 @@ SCENARIO_NAMES = (
     "congestion-2link",
     "american-values-10",
 )
-# Largest number of pure profiles a game file may declare.
+# Largest number of pure profiles a game file may declare, and of (p, q) points
+# on a `gt quantumize` surface grid.
 PROFILE_CAP = 200_000
 # Decimal digits allowed in the numerator and denominator of a rational read from
 # any input: a sum or product of two such still prints under Python's default
@@ -93,6 +94,15 @@ def check_profile_count(shape, where):
         raise errors.SizeLimit(
             f"{where}: {count} profiles exceed the desk-scale cap of {PROFILE_CAP}"
         )
+
+
+def check_precision(p, n, where):
+    """SizeLimit when p**n would have more than RATIONAL_DIGITS digits, decided without it.
+
+    p < 2 is no prime and is left to the prime check.
+    """
+    if p > 1 and n >= RATIONAL_DIGITS / math.log10(p):
+        raise errors.SizeLimit(f"{where}: p^N exceeds {RATIONAL_DIGITS} digits")
 
 
 def _strings(value, where, length=None):

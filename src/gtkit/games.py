@@ -12,7 +12,8 @@ from dataclasses import dataclass
 from fractions import Fraction
 
 from . import errors
-from ._linsolve import solve_exact
+# solve_exact stays a name here because perfbench/tracing.py rebinds games.solve_exact.
+from ._linsolve import equalizer, solve_exact  # noqa: F401
 
 
 def as_fraction(value):
@@ -426,72 +427,52 @@ def mixed_ne_2x2(game):
     return [(m, expected_payoff(game, m)) for m in sorted(results)]
 
 
-def support_enumeration(game, max_support=None):
+def support_enumeration(game):
     """Equilibria of a 2-player game by exact support enumeration.
 
     Enumerates equal-size support pairs (a nondegenerate game has no
-    equilibrium with unequal supports), solves the rational indifference
-    system for each, and keeps solutions with positive support probabilities
-    and no profitable outside deviation.  Returns the full equilibrium list
-    for nondegenerate games, sorted canonically.
+    equilibrium with unequal supports), solves each player's `equalizer`
+    system for the opponent's mixture, and keeps solutions with positive
+    support probabilities and no profitable outside deviation.  Returns the
+    full equilibrium list for nondegenerate games, sorted canonically; the
+    first support pair whose system has many solutions raises DegenerateGame.
     """
     if game.n_players != 2:
         raise errors.UnsupportedShape("support enumeration handles 2-player games only")
     m, n = game.shape
     if m > 5 or n > 5:
         raise errors.SizeLimit("support enumeration is limited to 5 strategies per player")
-    if max_support is None:
-        max_support = min(m, n)
-    max_support = max(1, min(max_support, m, n))
+    A = [[game.payoff((i, j))[0] for j in range(n)] for i in range(m)]
+    Bt = [[game.payoff((i, j))[1] for i in range(m)] for j in range(n)]
 
-    def u(player, i, j):
-        return game.payoff((i, j))[player]
+    def solve(rows, own, opp, pair):
+        status, w, v = equalizer([[rows[i][j] for j in opp] for i in own])
+        if status == "many":
+            raise errors.DegenerateGame(
+                f"solution continuum on support pair {pair}: the game is degenerate"
+            )
+        return w, v
+
+    def beaten(rows, own, opp, w, v):
+        return any(sum(rows[i][j] * q for j, q in zip(opp, w)) > v
+                   for i in range(len(rows)) if i not in own)
 
     found = set()
-    for k in range(1, max_support + 1):
+    for k in range(1, min(m, n) + 1):
         for sup1 in itertools.combinations(range(m), k):
             for sup2 in itertools.combinations(range(n), k):
-                sigma2 = _solve_indifference(sup1, sup2, lambda i, j: u(0, i, j), (sup1, sup2))
+                sigma2, v1 = solve(A, sup1, sup2, (sup1, sup2))
                 if sigma2 is None:
                     continue
-                sigma1 = _solve_indifference(sup2, sup1, lambda j, i: u(1, i, j), (sup1, sup2))
-                if sigma1 is None:
+                sigma1, v2 = solve(Bt, sup2, sup1, (sup1, sup2))
+                if sigma1 is None or min(sigma1) <= 0 or min(sigma2) <= 0:
                     continue
-                if any(q <= 0 for q in sigma1.values()) or any(q <= 0 for q in sigma2.values()):
+                if beaten(A, sup1, sup2, sigma2, v1) or beaten(Bt, sup2, sup1, sigma1, v2):
                     continue
-                v1 = sum(sigma2[j] * u(0, sup1[0], j) for j in sup2)
-                v2 = sum(sigma1[i] * u(1, i, sup2[0]) for i in sup1)
-                if any(sum(sigma2[j] * u(0, i, j) for j in sup2) > v1 for i in range(m) if i not in sup1):
-                    continue
-                if any(sum(sigma1[i] * u(1, i, j) for i in sup1) > v2 for j in range(n) if j not in sup2):
-                    continue
-                full1 = tuple(sigma1.get(i, Fraction(0)) for i in range(m))
-                full2 = tuple(sigma2.get(j, Fraction(0)) for j in range(n))
-                found.add((full1, full2))
-    return [tuple(m_) for m_ in sorted(found)]
-
-
-def _solve_indifference(own_support, opp_support, u, pair):
-    """Opponent mixture on `opp_support` equalizing `u` across `own_support`.
-
-    Returns {index: Fraction} on success, None if inconsistent; raises
-    DegenerateGame on a consistent underdetermined system.
-    """
-    base = own_support[0]
-    rows, rhs = [], []
-    for i in own_support[1:]:
-        rows.append([u(base, j) - u(i, j) for j in opp_support])
-        rhs.append(Fraction(0))
-    rows.append([Fraction(1)] * len(opp_support))
-    rhs.append(Fraction(1))
-    status, sol = solve_exact(rows, rhs)
-    if status == "none":
-        return None
-    if status == "many":
-        raise errors.DegenerateGame(
-            f"solution continuum on support pair {pair}: the game is degenerate"
-        )
-    return dict(zip(opp_support, sol))
+                s1, s2 = dict(zip(sup1, sigma1)), dict(zip(sup2, sigma2))
+                found.add((tuple(s1.get(i, Fraction(0)) for i in range(m)),
+                           tuple(s2.get(j, Fraction(0)) for j in range(n))))
+    return sorted(found)
 
 
 def is_epsilon_nash(game, mixed, eps):

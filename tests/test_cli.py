@@ -351,7 +351,7 @@ def test_bad_epsilon_and_p0_are_refused(tmp_path):
     assert run(tmp_path, "analyze", "--in", "bos", "--epsilon", "x")[0] == EXIT_PARSE
     assert run(tmp_path, "analyze", "--in", "bos", "--epsilon", "1e100000")[0] == EXIT_SIZE
     assert run(tmp_path, "analyze", "--in", "bos", "--epsilon=-1/2")[0] == EXIT_VALIDATION
-    for p0, want in (("1e400,0,0", EXIT_PARSE), ("nan,0,0", EXIT_PARSE),
+    for p0, want in (("1e400,0,0", EXIT_VALIDATION), ("nan,0,0", EXIT_PARSE),
                      ("1" + "0" * 1000 + ",0,0", EXIT_SIZE)):
         assert run(tmp_path, "evolve", "--in", "rps", "--p0", p0, "--t-end", "0.1")[0] == want
 
@@ -502,6 +502,17 @@ def test_evolve_validates_p0(tmp_path):
         ["evolve", "--in", "rps", "--p0", "1/2,1/2,1/2", "--out", str(tmp_path / "o")]
     )
     assert code == EXIT_VALIDATION
+
+
+def test_evolve_reads_decimal_p0_exactly(tmp_path):
+    reports = []
+    for p0 in ("0.2,0.3,0.5", "1/5,3/10,1/2"):
+        out = tmp_path / p0.replace("/", "_")
+        argv = ["evolve", "--in", "rps", "--p0", p0, "--t-end", "0.5", "--h", "0.01"]
+        assert main([*argv, "--out", str(out)]) == EXIT_OK
+        reports.append([(out / f).read_bytes() for f in ("evolve.json", "trajectory.csv")])
+    assert read_json(tmp_path / "0.2,0.3,0.5" / "evolve.json")["p0"] == ["1/5", "3/10", "1/2"]
+    assert reports[0] == reports[1]
 
 
 def test_evolve_rejects_asymmetric_strategic(tmp_path):
@@ -707,6 +718,7 @@ def test_padic_expressions_never_raise(tmp_path_factory, expr):
 
 
 def test_quantumize_finds_off_grid_interior_equilibrium(tmp_path):
+    reports = []
     for alpha in ("3/5", "0.6"):
         code, out = run(tmp_path, "quantumize", "--in", "bos", "--alpha", alpha)
         assert code == EXIT_OK
@@ -715,6 +727,8 @@ def test_quantumize_finds_off_grid_interior_equilibrium(tmp_path):
         assert [(r["p"], r["q"]) for r in interior] == [(0.472, 0.528)]
         assert interior[0]["payoffs"] == [3894 / 3125, 3894 / 3125] == [1.24608, 1.24608]
         assert rep["best_equilibrium_payoffs"] == [2.64, 2.64]
+        reports.append([(out / f).read_bytes() for f in ("equilibria.json", "surface.csv")])
+    assert reports[0] == reports[1]
 
 
 def test_quantumize_exact_payoffs_at_max(tmp_path):
@@ -821,6 +835,76 @@ def test_quantumize_rejects_bad_grid_and_alpha(tmp_path):
     # 9/25 is beyond rational reconstruction modulo 7^2
     assert run(tmp_path, "quantumize", "--in", "bos", "--padic", "--prec", "2",
                "--alpha", "3/5")[0] == EXIT_VALIDATION
+
+
+@pytest.mark.parametrize("argv", [
+    ["quantumize", "--in", "bos", "--alpha", "1e30000000"],
+    ["quantumize", "--in", "bos", "--padic", "--prec", "50000000"],
+    ["quantumize", "--in", "bos", "--grid", "100000"],
+    ["quantumize", "--in", "bos", "--padic", "--grid", "100000"],
+    ["quantumize", "--in", "bos", "--grid", "447"],  # 448^2 points: just past the cap
+    ["padic", "--expr", "expand 1/3 @ 7^50000000"],
+    ["padic", "--prec", "100000000", "--expr", "expand 1/3 @ 7"],
+])
+def test_oversized_quantumize_and_padic_options_are_refused_at_once(tmp_path, capsys, argv):
+    start = time.perf_counter()
+    assert main([*argv, "--out", str(tmp_path / "o")]) == EXIT_SIZE
+    assert time.perf_counter() - start < 1
+    assert "error (size limit)" in capsys.readouterr().err
+
+
+def test_precision_bound_counts_the_digits_of_p_to_the_n():
+    for p in (2, 3, 7, 1000000007):
+        n = 1
+        while len(str(p**n)) <= gamefile.RATIONAL_DIGITS:
+            n += 1
+        gamefile.check_precision(p, n - 1, "site")
+        with pytest.raises(errors.SizeLimit):
+            gamefile.check_precision(p, n, "site")
+
+
+_PRIMES = st.one_of(st.integers(-2, 16), st.sampled_from([1000000007, 10**30 + 57]))
+# valid precisions stay small; the invalid ones are past the p^N digit bound
+_PRECISIONS = st.one_of(st.integers(-1, 40), st.sampled_from([3322, 10**8, 10**40]))
+_OPTION_VALUES = {
+    "--grid": st.one_of(st.integers(-1, 6), st.sampled_from([447, 10**5, 10**40])),
+    "--p": _PRIMES,
+    "--mu": st.one_of(st.integers(-3, 20), st.just(10**50)),
+    "--prec": _PRECISIONS,
+    "--alpha": st.one_of(
+        st.fractions(min_value=-2, max_value=2, max_denominator=50).map(str),
+        st.sampled_from(["max", "0.6", "1e-3", "", "x", "1/0", "nan", "1e30000000"])),
+}
+
+
+@st.composite
+def quantumize_and_padic_argvs(draw):
+    if draw(st.booleans()):
+        argv = ["quantumize", "--in", draw(st.sampled_from(["bos", "pd", "matching-pennies"]))]
+        if draw(st.booleans()):
+            argv.append("--padic")
+        for flag, values in _OPTION_VALUES.items():
+            if draw(st.booleans()):
+                argv.append(f"{flag}={draw(values)}")
+        return argv
+    site = draw(st.one_of(_PRIMES.map(str), st.builds("{}^{}".format, _PRIMES, _PRECISIONS)))
+    op = draw(st.sampled_from(["expand", "norm", "add", "sqrt"]))
+    operands = ["1/3", "-2"][:2 if op == "add" else 1]
+    argv = ["padic", "--expr", " ".join([op, *operands, "@", site])]
+    if draw(st.booleans()):
+        argv.append(f"--prec={draw(_PRECISIONS)}")
+    return argv
+
+
+@settings(max_examples=200, deadline=None)
+@given(quantumize_and_padic_argvs())
+def test_quantumize_and_padic_options_never_raise(tmp_path_factory, argv):
+    out = tmp_path_factory.mktemp("opts")
+    try:
+        code = main([*argv, "--out", str(out)])
+    except SystemExit as exc:  # argparse refuses a malformed integer
+        code = exc.code
+    assert code in (EXIT_OK, EXIT_PARSE, EXIT_VALIDATION, EXIT_SIZE), argv
 
 
 # ---------------------------------------------------------------------------

@@ -1,26 +1,37 @@
 """The exact kernels against the reference implementations they replaced.
 
 `solve_exact` eliminates on integers, the sampled ESS grid tests signs of an
-integer quadratic form, and the exact ESS face decision enumerates KKT
-supports; the rational algorithms and the vertex/edge/critical-line geometry
-they replaced are kept here as oracles, and both must give identical
-statuses, solutions and verdicts.
+integer quadratic form, the exact ESS face decision enumerates KKT supports,
+and support enumeration, rest points and the ESS kernel share one
+`equalizer` system; the rational algorithms, the vertex/edge/critical-line
+geometry and the per-caller indifference systems they replaced are kept here
+as oracles, and both must give identical statuses, solutions and verdicts.
 """
 
 import itertools
 from fractions import Fraction
 
+import numpy as np
 from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
-from gtkit import gamefile
-from gtkit._linsolve import solve_exact
+from gtkit import errors, gamefile
+from gtkit._linsolve import equalizer, solve_exact
 from gtkit.evolution import (
+    EvolutionGame,
+    InteriorRestPoints,
+    RestPointReport,
+    SimplexState,
     _face_is_ess,
     _psi_coefficients,
     _sampled_face_is_ess,
+    interior_rest_points,
+    is_nash_state,
+    replicator_rhs,
     rest_point_reports,
+    transversal_eigenvalues,
 )
+from gtkit.games import StrategicGame, support_enumeration
 
 F = Fraction
 
@@ -212,6 +223,169 @@ def sampled_face_is_ess_fraction(c, M, x_star, resolution):
     return True
 
 
+# The indifference systems that `_linsolve.equalizer` replaced: support
+# enumeration, face rest points and the lambda-augmented ESS KKT rows.
+
+
+def support_enumeration_reference(game, max_support=None):
+    """Equilibria of a 2-player game by exact support enumeration.
+
+    Enumerates equal-size support pairs (a nondegenerate game has no
+    equilibrium with unequal supports), solves the rational indifference
+    system for each, and keeps solutions with positive support probabilities
+    and no profitable outside deviation.  Returns the full equilibrium list
+    for nondegenerate games, sorted canonically.
+    """
+    if game.n_players != 2:
+        raise errors.UnsupportedShape("support enumeration handles 2-player games only")
+    m, n = game.shape
+    if m > 5 or n > 5:
+        raise errors.SizeLimit("support enumeration is limited to 5 strategies per player")
+    if max_support is None:
+        max_support = min(m, n)
+    max_support = max(1, min(max_support, m, n))
+
+    def u(player, i, j):
+        return game.payoff((i, j))[player]
+
+    found = set()
+    for k in range(1, max_support + 1):
+        for sup1 in itertools.combinations(range(m), k):
+            for sup2 in itertools.combinations(range(n), k):
+                sigma2 = _solve_indifference(sup1, sup2, lambda i, j: u(0, i, j), (sup1, sup2))
+                if sigma2 is None:
+                    continue
+                sigma1 = _solve_indifference(sup2, sup1, lambda j, i: u(1, i, j), (sup1, sup2))
+                if sigma1 is None:
+                    continue
+                if any(q <= 0 for q in sigma1.values()) or any(q <= 0 for q in sigma2.values()):
+                    continue
+                v1 = sum(sigma2[j] * u(0, sup1[0], j) for j in sup2)
+                v2 = sum(sigma1[i] * u(1, i, sup2[0]) for i in sup1)
+                if any(sum(sigma2[j] * u(0, i, j) for j in sup2) > v1 for i in range(m) if i not in sup1):
+                    continue
+                if any(sum(sigma1[i] * u(1, i, j) for i in sup1) > v2 for j in range(n) if j not in sup2):
+                    continue
+                full1 = tuple(sigma1.get(i, Fraction(0)) for i in range(m))
+                full2 = tuple(sigma2.get(j, Fraction(0)) for j in range(n))
+                found.add((full1, full2))
+    return [tuple(m_) for m_ in sorted(found)]
+
+
+def _solve_indifference(own_support, opp_support, u, pair):
+    """Opponent mixture on `opp_support` equalizing `u` across `own_support`.
+
+    Returns {index: Fraction} on success, None if inconsistent; raises
+    DegenerateGame on a consistent underdetermined system.
+    """
+    base = own_support[0]
+    rows, rhs = [], []
+    for i in own_support[1:]:
+        rows.append([u(base, j) - u(i, j) for j in opp_support])
+        rhs.append(Fraction(0))
+    rows.append([Fraction(1)] * len(opp_support))
+    rhs.append(Fraction(1))
+    status, sol = solve_exact(rows, rhs)
+    if status == "none":
+        return None
+    if status == "many":
+        raise errors.DegenerateGame(
+            f"solution continuum on support pair {pair}: the game is degenerate"
+        )
+    return dict(zip(opp_support, sol))
+
+
+def _face_rest_point(exact, support):
+    """Exact rest point of the subgame on `support`; (coords | None, continuum)."""
+    m = len(support)
+    if m == 1:
+        return (Fraction(1),), False
+    rows, rhs = [], []
+    base = support[0]
+    for i in support[1:]:
+        rows.append([exact[base][j] - exact[i][j] for j in support])
+        rhs.append(Fraction(0))
+    rows.append([Fraction(1)] * m)
+    rhs.append(Fraction(1))
+    status, sol = solve_exact(rows, rhs)
+    if status == "unique":
+        return tuple(sol), False
+    if status == "many":
+        return None, True
+    return None, False
+
+
+def interior_rest_points_reference(g):
+    """Exact solutions of (Ap)_1 = ... = (Ap)_n, sum p = 1 with all p_i > 0.
+
+    The continuum flag reports an underdetermined system (a face of rest
+    points rather than isolated ones).
+    """
+    coords, continuum = _face_rest_point(g.exact, tuple(range(g.n)))
+    points = []
+    if coords is not None and all(q > 0 for q in coords):
+        points.append(SimplexState(coords))
+    return InteriorRestPoints(points, continuum)
+
+
+def rest_point_reports_reference(g):
+    """Isolated rest points on every face, with Nash and transversal diagnostics.
+
+    Returns (reports, continuum_supports); supports whose indifference system
+    is underdetermined are listed rather than expanded.
+    """
+    reports = []
+    continua = []
+    for m in range(1, g.n + 1):
+        for support in itertools.combinations(range(g.n), m):
+            coords, continuum = _face_rest_point(g.exact, support)
+            if continuum:
+                continua.append(support)
+                continue
+            if coords is None or any(q <= 0 for q in coords):
+                continue
+            full = [Fraction(0)] * g.n
+            for idx, q in zip(support, coords):
+                full[idx] = q
+            state = SimplexState(full)
+            residual = float(np.max(np.abs(replicator_rhs(g, state))))
+            interior = m == g.n
+            trans = ()
+            if not interior:
+                trans = tuple(transversal_eigenvalues(g, state))
+            reports.append(
+                RestPointReport(
+                    point=state,
+                    residual=residual,
+                    classification="interior" if interior else "boundary",
+                    is_nash=is_nash_state(g, state),
+                    transversal_eigenvalues=trans,
+                )
+            )
+    return reports, continua
+
+
+def _face_is_ess_kkt(c, M, x_star):
+    """`_face_is_ess` with lambda as an unknown: S_J w - lam 1 = 0, 1^T w = 1."""
+    m = len(c)
+    S = [[c[k] + c[l] - M[k][l] - M[l][k] for l in range(m)] for k in range(m)]
+    for size in range(1, m + 1):
+        for J in itertools.combinations(range(m), size):
+            rows = [[S[k][l] for l in J] + [-1] for k in J]
+            rows.append([1] * size + [0])
+            status, sol = solve_exact(rows, [0] * size + [1])
+            if status != "unique" or any(w <= 0 for w in sol[:size]):
+                continue
+            lam = sol[size]
+            if lam < 0:
+                return False
+            if lam == 0:
+                w = dict(zip(J, sol))
+                if tuple(w.get(k, 0) for k in range(m)) != x_star:
+                    return False
+    return True
+
+
 # ---------------------------------------------------------------------------
 # solve_exact
 
@@ -390,3 +564,75 @@ def test_face_kernel_on_american_values_nash_faces():
     assert [len(face) for face, *_ in faces] == [4, 5, 5, 5]
     assert [_face_is_ess(c, M, x_star) for _, c, M, x_star in faces] == [
         True, False, False, False]
+
+
+@settings(max_examples=200, deadline=None)
+@given(reachable_faces(1, 6))
+def test_face_kernel_matches_lambda_augmented_kkt(face):
+    c, M, x_star = face
+    assert _face_is_ess(c, M, x_star) == _face_is_ess_kkt(c, M, x_star)
+
+
+# ---------------------------------------------------------------------------
+# one equalizer system: support enumeration and rest points
+
+
+def test_equalizer_statuses():
+    assert equalizer([[5]]) == ("unique", [F(1)], 5)
+    assert equalizer([[3, 0], [0, 2]]) == ("unique", [F(2, 5), F(3, 5)], F(6, 5))
+    assert equalizer([[1, 1], [1, 1]]) == ("many", None, None)
+    assert equalizer([[1, 1], [0, 0]]) == ("none", None, None)
+
+
+def outcome(fn, *args):
+    """fn(*args), or the type and message of the gtkit error it raised."""
+    try:
+        return fn(*args)
+    except errors.GTError as exc:
+        return type(exc).__name__, str(exc)
+
+
+@st.composite
+def small_bimatrix_games(draw):
+    """m x n games, m, n <= 5, with payoffs in {-2..2}: many are degenerate."""
+    m, n = draw(st.integers(1, 5)), draw(st.integers(1, 5))
+    cell = st.tuples(st.integers(-2, 2), st.integers(-2, 2))
+    cells = draw(st.lists(cell, min_size=m * n, max_size=m * n))
+    names = [[f"r{i}" for i in range(m)], [f"c{j}" for j in range(n)]]
+    return StrategicGame(names, [cells[i * n:(i + 1) * n] for i in range(m)])
+
+
+@settings(max_examples=200, deadline=None)
+@example(StrategicGame(  # a segment of equilibria whose system is never "many"
+    [["a", "b", "c"]] * 2,
+    [[(3, 1), (3, 1), (3, 0)], [(0, 0), (0, 1), (0, 2)], [(1, 2), (1, 0), (1, 1)]]))
+@given(small_bimatrix_games())
+def test_support_enumeration_matches_indifference_reference(game):
+    assert outcome(support_enumeration, game) == outcome(support_enumeration_reference, game)
+
+
+@st.composite
+def evolution_games(draw):
+    n = draw(st.integers(2, 5))
+    entry = st.one_of(st.integers(-2, 2), st.builds(F, st.integers(-3, 3), st.integers(1, 3)))
+    return EvolutionGame([draw(st.lists(entry, min_size=n, max_size=n)) for _ in range(n)])
+
+
+def rest_point_rows(rest_point_reports, g):
+    """The fields of every report (SimplexState has no equality), and the continua."""
+    reports, continua = rest_point_reports(g)
+    rows = [(r.point.exact, r.residual, r.classification, r.is_nash, r.transversal_eigenvalues)
+            for r in reports]
+    return rows, continua
+
+
+@settings(max_examples=200, deadline=None)
+@example(EvolutionGame([[0, 0], [0, 0]]))
+@example(EvolutionGame([[1, 1, 0], [1, 1, 0], [0, 0, 1]]))
+@given(evolution_games())
+def test_rest_points_match_face_reference(g):
+    new, old = interior_rest_points(g), interior_rest_points_reference(g)
+    assert [p.exact for p in new.points] == [p.exact for p in old.points]
+    assert new.continuum == old.continuum
+    assert outcome(rest_point_rows, rest_point_reports, g) == outcome(
+        rest_point_rows, rest_point_reports_reference, g)
