@@ -21,6 +21,7 @@ EXIT_OK = 0
 EXIT_PARSE = 2
 EXIT_VALIDATION = 3
 EXIT_SIZE = 4
+WRITE_CHUNK = 4096  # rows per write in _write_lines
 
 
 # ---------------------------------------------------------------------------
@@ -42,8 +43,14 @@ def _write_json(path, obj):
 
 
 def _write_lines(path, rows):
+    """Write rows as newline-terminated lines, WRITE_CHUNK rows per write.
+
+    Joining a slice at a time keeps the whole file from being held as text
+    twice (the joined rows plus the final newline) next to the rows.
+    """
     with open(path, "w", encoding="utf-8") as fh:
-        fh.write("\n".join(rows) + "\n")
+        for start in range(0, len(rows), WRITE_CHUNK):
+            fh.write("\n".join(rows[start:start + WRITE_CHUNK]) + "\n")
     return path
 
 
@@ -455,7 +462,7 @@ def _quantumize_padic(args, scn, game, out, grid):
         "p": p,
         "mu": mu,
         "precision": prec,
-        "alpha": args.alpha or "max",
+        "alpha": "max" if a is None else _frac(a),
         "grid": grid,
         "distribution": [_frac(v) for v in res.distribution.entries],
         "payoffs": [

@@ -10,7 +10,7 @@ from __future__ import annotations
 
 import itertools
 import math
-import operator
+from operator import mul
 from dataclasses import dataclass
 from fractions import Fraction
 from typing import NamedTuple
@@ -185,42 +185,51 @@ class Trajectory:
         """CSV with 17-significant-digit floats: t, p_1, ..., p_n."""
         n = self.states.shape[1]
         header = ",".join(["t"] + [names[i] if names else f"p_{i + 1}" for i in range(n)])
+        fmt = ",".join(["%.17g"] * (n + 1))
         rows = [header]
-        for t, row in zip(self.times, self.states):
-            rows.append(",".join(f"{v:.17g}" for v in [t, *row]))
+        rows.extend(
+            fmt % (t, *row)
+            for t, row in zip(self.times.tolist(), map(np.ndarray.tolist, self.states))
+        )
         return rows
 
 
-def _rhs_list(A_rows, x, n):
-    u = [sum(row[j] * x[j] for j in range(n)) for row in A_rows]
-    s = sum(x[j] * u[j] for j in range(n))
-    return [x[j] * (u[j] - s) for j in range(n)]
+def _step_list(A_rows, p, h):
+    """One RK4 step of the replicator flow plus the clamp/renormalize projection.
 
-
-def _step_list(A_rows, p, h, n):
-    """One RK4 step plus the clamp/renormalize projection, on plain floats.
-
-    Plain-float arithmetic keeps the 2e5-step desk runs fast; results are
-    deterministic (fixed evaluation order, no reductions over numpy views).
+    Works on plain float lists: A_rows is a tuple of row tuples of the payoff
+    matrix and p the state.  Each stage evaluates u = A x and s = x . u with
+    builtin `sum` over `map(mul, ...)`, so every float operation runs in one
+    fixed order and the result is deterministic for a given Python minor
+    version (builtin `sum` over floats is compensated from Python 3.12 on).
+    The fourth stage is folded into the final combination.
     """
-    k1 = _rhs_list(A_rows, p, n)
-    k2 = _rhs_list(A_rows, [p[j] + 0.5 * h * k1[j] for j in range(n)], n)
-    k3 = _rhs_list(A_rows, [p[j] + 0.5 * h * k2[j] for j in range(n)], n)
-    k4 = _rhs_list(A_rows, [p[j] + h * k3[j] for j in range(n)], n)
-    new = [p[j] + (h / 6.0) * (k1[j] + 2.0 * (k2[j] + k3[j]) + k4[j]) for j in range(n)]
+    hh = 0.5 * h
+    h6 = h / 6.0
+    u = [sum(map(mul, row, p)) for row in A_rows]
+    s = sum(map(mul, p, u))
+    k1 = [pj * (ui - s) for pj, ui in zip(p, u)]
+    x = [pj + hh * k for pj, k in zip(p, k1)]
+    u = [sum(map(mul, row, x)) for row in A_rows]
+    s = sum(map(mul, x, u))
+    k2 = [xj * (ui - s) for xj, ui in zip(x, u)]
+    x = [pj + hh * k for pj, k in zip(p, k2)]
+    u = [sum(map(mul, row, x)) for row in A_rows]
+    s = sum(map(mul, x, u))
+    k3 = [xj * (ui - s) for xj, ui in zip(x, u)]
+    x = [pj + h * k for pj, k in zip(p, k3)]
+    u = [sum(map(mul, row, x)) for row in A_rows]
+    s = sum(map(mul, x, u))
+    new = [
+        pj + h6 * (a + 2.0 * (b + c) + xj * (ui - s))
+        for pj, a, b, c, xj, ui in zip(p, k1, k2, k3, x, u)
+    ]
     low = min(new)
     if low < -DIVERGE_TOL:
         raise errors.IntegrationDiverged(f"state entry {low} below -{DIVERGE_TOL}")
     new = [0.0 if abs(v) < CLAMP or v < 0.0 else v for v in new]
     total = sum(new)
     return [v / total for v in new]
-
-
-def rk4_step(g, p, h):
-    """One RK4 step of the replicator flow plus the clamp/renormalize projection."""
-    x = [float(v) for v in np.asarray(p, dtype=float)]
-    rows = tuple(tuple(row) for row in g.matrix.tolist())
-    return np.asarray(_step_list(rows, x, h, g.n), dtype=float)
 
 
 def integrate(g, p0, t_end, h=1e-3):
@@ -235,12 +244,11 @@ def integrate(g, p0, t_end, h=1e-3):
     p = _state_array(g, p0 if isinstance(p0, SimplexState) else SimplexState(list(p0)))
     steps = max(1, int(round(t_end / h)))
     rows = tuple(tuple(row) for row in g.matrix.tolist())
-    n = g.n
-    states = np.empty((steps + 1, n), dtype=float)
+    states = np.empty((steps + 1, g.n), dtype=float)
     states[0] = p
-    x = [float(v) for v in p]
+    x = p.tolist()
     for k in range(steps):
-        x = _step_list(rows, x, h, n)
+        x = _step_list(rows, x, h)
         states[k + 1] = x
     times = np.arange(steps + 1, dtype=float) * h
     return Trajectory(times, states, h)
@@ -418,7 +426,7 @@ def _sampled_face_is_ess(c, M, x_star, resolution):
         k = [b - a - 1 for a, b in zip((-1, *combo), (*combo, bars))]
         if k == skip:
             continue
-        if sum(ki * sum(map(operator.mul, row, k)) for ki, row in zip(k, Qi) if ki) <= 0:
+        if sum(ki * sum(map(mul, row, k)) for ki, row in zip(k, Qi) if ki) <= 0:
             return False
     return True
 
@@ -530,12 +538,9 @@ def detect_recurrence(traj, tol=1e-3):
     ref = traj.states[0]
     dist = np.max(np.abs(traj.states - ref), axis=1)
     inside = dist < tol
-    episodes = []
-    for k in range(1, n):
-        if inside[k] and not inside[k - 1]:
-            episodes.append(traj.times[k])
+    episodes = traj.times[1:][inside[1:] & ~inside[:-1]]
     if len(episodes) >= 2:
-        spacings = np.diff(np.asarray(episodes))
+        spacings = np.diff(episodes)
         mean = float(spacings.mean())
         if mean > 0 and np.all(np.abs(spacings - mean) <= 0.10 * mean):
             return RecurrenceReport(

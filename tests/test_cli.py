@@ -10,7 +10,15 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from gtkit import errors, gamefile
-from gtkit.cli import EXIT_OK, EXIT_PARSE, EXIT_SIZE, EXIT_VALIDATION, main
+from gtkit.cli import (
+    EXIT_OK,
+    EXIT_PARSE,
+    EXIT_SIZE,
+    EXIT_VALIDATION,
+    WRITE_CHUNK,
+    _write_lines,
+    main,
+)
 
 F = Fraction
 
@@ -586,6 +594,17 @@ def test_quantumize_padic_classical_alpha(tmp_path):
     assert rep["distribution"] == ["1", "0", "0", "0"]
 
 
+def test_quantumize_padic_reports_the_parsed_alpha(tmp_path):
+    reports = []
+    for alpha in ("0.6", "3/5"):
+        code, out = run(tmp_path, "quantumize", "--in", "bos", "--padic", "--alpha", alpha,
+                        "--grid", "2")
+        assert code == EXIT_OK
+        reports.append((out / "equilibria.json").read_bytes())
+    assert reports[0] == reports[1]
+    assert json.loads(reports[0])["alpha"] == "3/5"
+
+
 def test_quantumize_rejects_non_2x2(tmp_path):
     code = main(["quantumize", "--in", "rps", "--out", str(tmp_path / "o")])
     assert code == EXIT_VALIDATION
@@ -922,3 +941,12 @@ def test_outputs_are_byte_identical(tmp_path):
         assert main(["quantumize", "--in", "bos", "--grid", "20", "--out", str(out)]) == EXIT_OK
     for name in ("analyze.json", "evolve.json", "trajectory.csv", "equilibria.json", "surface.csv"):
         assert (out1 / name).read_bytes() == (out2 / name).read_bytes(), name
+
+
+@pytest.mark.parametrize("count", [1, WRITE_CHUNK - 1, WRITE_CHUNK, WRITE_CHUNK + 1,
+                                   2 * WRITE_CHUNK + 1])
+def test_chunked_lines_equal_one_join(tmp_path, count):
+    rows = [f"{k},{k / 7!r},é" for k in range(count)]
+    path = _write_lines(str(tmp_path / "rows.csv"), rows)
+    with open(path, "rb") as fh:
+        assert fh.read() == ("\n".join(rows) + "\n").encode("utf-8")

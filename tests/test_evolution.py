@@ -11,6 +11,7 @@ from gtkit.evolution import (
     EvolutionGame,
     SimplexState,
     Trajectory,
+    _step_list,
     detect_recurrence,
     ess_check,
     excess,
@@ -24,7 +25,6 @@ from gtkit.evolution import (
     power_product_rate,
     replicator_rhs,
     rest_point_reports,
-    rk4_step,
     time_average,
     transversal_eigenvalues,
 )
@@ -35,6 +35,12 @@ RPS = [[0, -1, 1], [1, 0, -1], [-1, 1, 0]]
 DOMINANCE = [[2, 2], [1, 1]]
 HAWK_DOVE = [[-1, 2], [0, 1]]  # V=2, C=4 convention
 IDENTITY2 = [[1, 0], [0, 1]]
+
+
+def rk4_step(g, p, h):
+    """One RK4 step of the replicator flow plus the clamp/renormalize projection."""
+    rows = tuple(tuple(row) for row in g.matrix.tolist())
+    return np.asarray(_step_list(rows, np.asarray(p, dtype=float).tolist(), h))
 
 
 def centroid(n):

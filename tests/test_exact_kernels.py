@@ -6,25 +6,35 @@ and support enumeration, rest points and the ESS kernel share one
 `equalizer` system; the rational algorithms, the vertex/edge/critical-line
 geometry and the per-caller indifference systems they replaced are kept here
 as oracles, and both must give identical statuses, solutions and verdicts.
+The fused float RK4 step, the trajectory CSV formatter and the vectorised
+recurrence test are held to their loop forms bit for bit.
 """
 
 import itertools
+import math
 from fractions import Fraction
 
 import numpy as np
+import pytest
 from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from gtkit import errors, gamefile
 from gtkit._linsolve import equalizer, solve_exact
 from gtkit.evolution import (
+    CLAMP,
+    DIVERGE_TOL,
     EvolutionGame,
     InteriorRestPoints,
+    RecurrenceReport,
     RestPointReport,
     SimplexState,
+    Trajectory,
     _face_is_ess,
     _psi_coefficients,
     _sampled_face_is_ess,
+    detect_recurrence,
+    integrate,
     interior_rest_points,
     is_nash_state,
     replicator_rhs,
@@ -387,6 +397,87 @@ def _face_is_ess_kkt(c, M, x_star):
 
 
 # ---------------------------------------------------------------------------
+# reference implementations of the float trajectory path (the loop forms)
+
+
+def _rhs_list(A_rows, x, n):
+    u = [sum(row[j] * x[j] for j in range(n)) for row in A_rows]
+    s = sum(x[j] * u[j] for j in range(n))
+    return [x[j] * (u[j] - s) for j in range(n)]
+
+
+def _step_list_reference(A_rows, p, h, n):
+    """One RK4 step plus the clamp/renormalize projection, on plain floats.
+
+    Plain-float arithmetic keeps the 2e5-step desk runs fast; results are
+    deterministic (fixed evaluation order, no reductions over numpy views).
+    """
+    k1 = _rhs_list(A_rows, p, n)
+    k2 = _rhs_list(A_rows, [p[j] + 0.5 * h * k1[j] for j in range(n)], n)
+    k3 = _rhs_list(A_rows, [p[j] + 0.5 * h * k2[j] for j in range(n)], n)
+    k4 = _rhs_list(A_rows, [p[j] + h * k3[j] for j in range(n)], n)
+    new = [p[j] + (h / 6.0) * (k1[j] + 2.0 * (k2[j] + k3[j]) + k4[j]) for j in range(n)]
+    low = min(new)
+    if low < -DIVERGE_TOL:
+        raise errors.IntegrationDiverged(f"state entry {low} below -{DIVERGE_TOL}")
+    new = [0.0 if abs(v) < CLAMP or v < 0.0 else v for v in new]
+    total = sum(new)
+    return [v / total for v in new]
+
+
+def integrate_reference(g, p0, steps, h):
+    """`integrate` on the reference step, with the states stored the same way."""
+    p = SimplexState(p0).p
+    rows = tuple(tuple(row) for row in g.matrix.tolist())
+    states = np.empty((steps + 1, g.n), dtype=float)
+    states[0] = p
+    x = [float(v) for v in p]
+    for k in range(steps):
+        x = _step_list_reference(rows, x, h, g.n)
+        states[k + 1] = x
+    return Trajectory(np.arange(steps + 1, dtype=float) * h, states, h)
+
+
+def csv_rows_reference(traj, names=None):
+    """CSV with 17-significant-digit floats: t, p_1, ..., p_n."""
+    n = traj.states.shape[1]
+    header = ",".join(["t"] + [names[i] if names else f"p_{i + 1}" for i in range(n)])
+    rows = [header]
+    for t, row in zip(traj.times, traj.states):
+        rows.append(",".join(f"{v:.17g}" for v in [t, *row]))
+    return rows
+
+
+def detect_recurrence_reference(traj, tol=1e-3):
+    """Classify a trajectory as convergent, recurrent, or neither (episode loop)."""
+    if not 0 < tol < math.inf:
+        raise errors.InvalidArgument(f"tolerance must be finite and positive, got {tol!r}")
+    n = len(traj)
+    if n < 10:
+        raise errors.InsufficientData(f"need at least 10 samples, got {n}")
+    window = traj.states[-max(10, n // 10):]
+    diameter = float(np.max(window.max(axis=0) - window.min(axis=0)))
+    if diameter < tol:
+        return RecurrenceReport("convergent", detail=f"terminal window diameter {diameter:.3g}")
+
+    ref = traj.states[0]
+    dist = np.max(np.abs(traj.states - ref), axis=1)
+    inside = dist < tol
+    episodes = []
+    for k in range(1, n):
+        if inside[k] and not inside[k - 1]:
+            episodes.append(traj.times[k])
+    if len(episodes) >= 2:
+        spacings = np.diff(np.asarray(episodes))
+        mean = float(spacings.mean())
+        if mean > 0 and np.all(np.abs(spacings - mean) <= 0.10 * mean):
+            return RecurrenceReport(
+                "recurrent", period=mean, detail=f"{len(episodes)} returns to the start ball"
+            )
+    return RecurrenceReport("none")
+
+
+# ---------------------------------------------------------------------------
 # solve_exact
 
 small_rationals = st.one_of(
@@ -636,3 +727,53 @@ def test_rest_points_match_face_reference(g):
     assert new.continuum == old.continuum
     assert outcome(rest_point_rows, rest_point_reports, g) == outcome(
         rest_point_rows, rest_point_reports_reference, g)
+
+
+# ---------------------------------------------------------------------------
+# the float trajectory path
+
+
+@st.composite
+def replicator_runs(draw):
+    """n <= 10 strategies, payoffs in {-6..6}, start states with zero entries."""
+    n = draw(st.integers(2, 10))
+    A = [draw(st.lists(st.integers(-6, 6), min_size=n, max_size=n)) for _ in range(n)]
+    weights = draw(st.lists(st.integers(0, 3), min_size=n, max_size=n).filter(any))
+    p0 = [F(w, sum(weights)) for w in weights]
+    h = draw(st.sampled_from([1e-3, 1e-2, 5e-2]))
+    return EvolutionGame(A), p0, h, draw(st.integers(1, 500))
+
+
+@settings(max_examples=200, deadline=None)
+@example(  # an RK4 stage far below the simplex: both raise IntegrationDiverged
+    (EvolutionGame([[-10**7, -10**7], [0, 0]]), [F(1, 10**6), 1 - F(1, 10**6)], 1e-3, 1))
+@given(replicator_runs())
+def test_integrate_matches_the_reference_step_bit_for_bit(run):
+    g, p0, h, steps = run
+    new = outcome(integrate, g, p0, steps * h, h)
+    old = outcome(integrate_reference, g, p0, steps, h)
+    if not isinstance(old, Trajectory):
+        assert new == old
+        return
+    assert new.states.tobytes() == old.states.tobytes()
+    assert new.times.tobytes() == old.times.tobytes()
+    names = [f"s{i}" for i in range(g.n)]
+    assert new.csv_rows() == csv_rows_reference(new)
+    assert new.csv_rows(names) == csv_rows_reference(new, names)
+
+
+def _two_strategy_trajectory(inside_at):
+    """40 unit-spaced samples of (a, 1 - a): a = 1/2 at the given times, 0.6 or 0.7 elsewhere."""
+    a = [0.5 if k in inside_at else 0.6 + 0.1 * (k % 2) for k in range(40)]
+    return Trajectory(np.arange(40, dtype=float), np.array([[v, 1 - v] for v in a]), 1.0)
+
+
+@pytest.mark.parametrize("inside,kind", [
+    ({0, 1, 2, 3, 4, 15, 30}, "recurrent"),  # the start ball is held for five samples
+    ({0}, "none"),  # it is left and never re-entered
+    ({0, 20, 39}, "recurrent"),  # the second return is the last sample
+])
+def test_detect_recurrence_matches_the_episode_loop(inside, kind):
+    traj = _two_strategy_trajectory(inside)
+    assert detect_recurrence(traj) == detect_recurrence_reference(traj)
+    assert detect_recurrence(traj).kind == kind
