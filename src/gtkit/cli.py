@@ -134,19 +134,17 @@ def _analyze_equilibria(game, eps):
         report["mixed_ne_2x2"] = rows
     else:
         report["mixed_ne_2x2"] = None
-    if game.n_players == 2 and max(game.shape) <= 5:
-        try:
-            eqs = games.support_enumeration(game)
-            report["support_enumeration"] = {
-                "equilibria": [_mixed_to_json(sigma) for sigma in eqs]
-            }
-            found.extend(eqs)
-        except errors.DegenerateGame as exc:
-            report["support_enumeration"] = {"degenerate": str(exc)}
-    else:
+    try:
+        eqs = games.support_enumeration(game)
+    except (errors.UnsupportedShape, errors.SizeLimit):
         report["support_enumeration"] = {
             "skipped": "support enumeration runs on 2-player games with at most 5 strategies"
         }
+    except errors.DegenerateGame as exc:
+        report["support_enumeration"] = {"degenerate": str(exc)}
+    else:
+        report["support_enumeration"] = {"equilibria": [_mixed_to_json(sigma) for sigma in eqs]}
+        found.extend(eqs)
     all_pass = all(games.is_epsilon_nash(game, sigma, eps) for sigma in found)
     report["epsilon_check"] = {
         "epsilon": _frac(eps),
@@ -378,10 +376,20 @@ def cmd_quantumize(args):
     if grid < 1:
         raise errors.InvalidArgument("--grid must be >= 1")
     gamefile.check_profile_count((grid + 1, grid + 1), "--grid")
-    if args.padic:
-        return _quantumize_padic(args, scn, game, out, grid)
-
     a, a2 = _alpha_weight(args.alpha)
+    form = quantum.ClassicalForm(game, a2)
+    doc = _padic_report(args, scn, form, a) if args.padic else _complex_report(scn, form, a)
+    doc["grid"] = grid
+    surface = quantum.payoff_surface_rows(form, grid, exact=args.padic)
+    csv_path = _write_lines(os.path.join(out, "surface.csv"), surface)
+    json_path = _write_json(os.path.join(out, "equilibria.json"), doc)
+    print(f"surface         {csv_path}")
+    print(f"report          {json_path}")
+    return EXIT_OK
+
+
+def _complex_report(scn, form, a):
+    """equilibria.json of the complex mode, less the grid; prints its summary."""
     if a is None:
         alpha = beta = 1.0 / math.sqrt(2.0)
     elif 0 <= a <= 1:
@@ -389,8 +397,6 @@ def cmd_quantumize(args):
         beta = math.sqrt(max(0.0, 1.0 - alpha * alpha))
     else:
         raise errors.InvalidArgument("--alpha must lie in [0, 1] (amplitude of |00>)")
-    form = quantum.ClassicalForm(game, a2)
-    surface = quantum.payoff_surface_rows(form, grid)
     rep = quantum.equilibrium_report(form)
     classical_mixed = rep["classical_mixed_payoffs"]
     doc = {
@@ -399,12 +405,9 @@ def cmd_quantumize(args):
         "scenario": scn.name,
         "alpha": _float(alpha),
         "beta": _float(beta),
-        "grid": grid,
         **rep,
         "classical_mixed_payoffs": [_frac(v) for v in classical_mixed] if classical_mixed else None,
     }
-    csv_path = _write_lines(os.path.join(out, "surface.csv"), surface)
-    json_path = _write_json(os.path.join(out, "equilibria.json"), doc)
     print(f"scenario        {scn.name}")
     print(f"equilibria      {[(str(r['p']), str(r['q'])) for r in rep['equilibria']]}")
     if rep["continua"]:
@@ -412,9 +415,7 @@ def cmd_quantumize(args):
     print(f"best payoffs    {[str(v) for v in rep['best_equilibrium_payoffs']]}")
     if classical_mixed:
         print(f"classical mixed {doc['classical_mixed_payoffs']}")
-    print(f"surface         {csv_path}")
-    print(f"report          {json_path}")
-    return EXIT_OK
+    return doc
 
 
 def _padic_alpha(a, a2, p, mu, prec):
@@ -439,22 +440,14 @@ def _padic_alpha(a, a2, p, mu, prec):
     return alpha, root(rest, f"1 - alpha^2 = {rest} is not a square in Q_{p}")
 
 
-def _quantumize_padic(args, scn, game, out, grid):
+def _padic_report(args, scn, form, a):
+    """equilibria.json of the p-adic mode, less the grid; prints its summary."""
     p = args.p
     prec = args.prec
     gamefile.check_precision(p, prec, "--prec")
     mu = args.mu if args.mu is not None else padic.find_nonresidue(p)
-    a, a2 = _alpha_weight(args.alpha)
-    alpha, beta = _padic_alpha(a, a2, p, mu, prec)
-    res = padic_quantum.padic_quantumize_2x2(game, alpha, beta, Fraction(1), Fraction(1))
-
-    form = quantum.ClassicalForm(game, a2)
-    surface = ["p,q,payoff1,payoff2"]
-    for i in range(grid + 1):
-        for j in range(grid + 1):
-            pt, qt = Fraction(i, grid), Fraction(j, grid)
-            surface.append(",".join(_frac(v) for v in (pt, qt, *form.payoffs(pt, qt))))
-
+    alpha, beta = _padic_alpha(a, form.a2, p, mu, prec)
+    res = padic_quantum.padic_quantumize_2x2(form.base, alpha, beta, Fraction(1), Fraction(1))
     doc = {
         "command": "quantumize",
         "mode": "padic",
@@ -463,7 +456,6 @@ def _quantumize_padic(args, scn, game, out, grid):
         "mu": mu,
         "precision": prec,
         "alpha": "max" if a is None else _frac(a),
-        "grid": grid,
         "distribution": [_frac(v) for v in res.distribution.entries],
         "payoffs": [
             {
@@ -485,14 +477,10 @@ def _quantumize_padic(args, scn, game, out, grid):
         "note": "Q_p carries no canonical total order; payoffs and norms are reported "
         "without declaring a p-adic equilibrium",
     }
-    csv_path = _write_lines(os.path.join(out, "surface.csv"), surface)
-    json_path = _write_json(os.path.join(out, "equilibria.json"), doc)
     print(f"scenario        {scn.name} (p-adic mode, p={p}, mu={mu})")
     print(f"payoffs         {[e['value'] for e in doc['payoffs']]}")
     print(f"norms           {[e['norm'] for e in doc['payoffs']]}")
-    print(f"surface         {csv_path}")
-    print(f"report          {json_path}")
-    return EXIT_OK
+    return doc
 
 
 # ---------------------------------------------------------------------------

@@ -26,6 +26,7 @@ CLAMP = 1e-12
 DIVERGE_TOL = 1e-9
 NASH_TOL = 1e-10
 REST_TOL = 1e-9
+SAMPLE_CAP = 2_000_000  # samples x strategies that integrate stores
 
 _trapezoid = getattr(np, "trapezoid", None) or np.trapz
 
@@ -237,12 +238,17 @@ def integrate(g, p0, t_end, h=1e-3):
 
     After every step, entries of magnitude below 1e-12 are clamped to zero and
     the state renormalized to sum 1.  Deterministic; t_end is realized as
-    round(t_end / h) steps of exactly h.
+    round(t_end / h) steps of exactly h.  SizeLimit, before anything is
+    allocated, when the steps + 1 samples of g.n values exceed SAMPLE_CAP.
     """
     if not (0 < h < math.inf and 0 < t_end < math.inf):
         raise errors.InvalidArgument("need finite h > 0 and t_end > 0")
     p = _state_array(g, p0 if isinstance(p0, SimplexState) else SimplexState(list(p0)))
-    steps = max(1, int(round(t_end / h)))
+    # min() keeps an overflowing t_end / h convertible; the cap then refuses it
+    steps = max(1, int(round(min(t_end / h, SAMPLE_CAP))))
+    if (steps + 1) * g.n > SAMPLE_CAP:
+        raise errors.SizeLimit(f"t_end / h = {t_end / h:.6g} steps of {g.n} strategies "
+                               f"exceed the cap of {SAMPLE_CAP} stored values")
     rows = tuple(tuple(row) for row in g.matrix.tolist())
     states = np.empty((steps + 1, g.n), dtype=float)
     states[0] = p
@@ -282,9 +288,20 @@ def interior_rest_points(g):
     return InteriorRestPoints(points, status == "many")
 
 
+def _exact_payoffs(g, p):
+    """u = A p for an exact state p, in Fractions, summed over the support of p."""
+    support = [(j, q) for j, q in enumerate(p) if q]
+    return [sum(row[j] * q for j, q in support) for row in g.exact]
+
+
 def is_nash_state(g, state):
-    """Nash state test: every pure payoff against p is at most the mean (vertex check)."""
-    p = _state_array(g, state)
+    """Nash state test max (Ap)_i <= p^T A p: in Fractions for an exact state,
+    within 1e-10 for a float one."""
+    st = state if isinstance(state, SimplexState) else SimplexState(list(state))
+    p = _state_array(g, st)
+    if st.exact is not None:
+        u = _exact_payoffs(g, st.exact)
+        return max(u) <= sum(map(mul, st.exact, u))
     u = g.matrix @ p
     return bool(np.max(u) <= float(p @ u) + NASH_TOL)
 
@@ -434,6 +451,7 @@ def _sampled_face_is_ess(c, M, x_star, resolution):
 def ess_check(g, state):
     """Evolutionary stability of a Nash state.
 
+    Nash is decided by `is_nash_state`, exactly for an exact state.
     Best-reply faces of at most 3 strategies (always the case for n <= 3)
     get the exact decision of `_face_is_ess`, KKT support enumeration over
     the whole face, labelled "exact-face".  Larger faces are sampled on a
@@ -447,18 +465,17 @@ def ess_check(g, state):
     if not is_nash_state(g, st):
         raise errors.InvalidState("evolutionary stability is defined for Nash states only")
     p = _exact_state(st)
-    exact = g.exact
-    u = [sum(exact[i][j] * p[j] for j in range(g.n)) for i in range(g.n)]
+    u = _exact_payoffs(g, p)
     top = max(u)
     slack = 0 if st.exact is not None else Fraction(1, 10**9)
-    face = [i for i in range(g.n) if top - u[i] <= slack]
-    support = [i for i in range(g.n) if p[i] > 0]
-    if any(i not in face for i in support):
+    face = [i for i, ui in enumerate(u) if top - ui <= slack]
+    # holds for every exact Nash state; a float state is Nash only within 1e-10
+    if any(q > 0 and i not in face for i, q in enumerate(p)):
         raise errors.InvalidState(
             "state support is not contained in its best-reply set; "
             "use an exactly specified Nash state"
         )
-    c, M = _psi_coefficients(exact, p, face)
+    c, M = _psi_coefficients(g.exact, p, face)
     x_star = tuple(p[i] for i in face)
     if len(face) <= 3:
         return EssReport(_face_is_ess(c, M, x_star), "exact-face")

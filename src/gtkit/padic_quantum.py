@@ -177,15 +177,6 @@ class PAdicOperator:
             out.append(row)
         return PAdicOperator(out, _validate_uniform=False)
 
-    def scale(self, scalar):
-        """Multiply by an extension element (or embed a Fraction first)."""
-        if not isinstance(scalar, PAdicExtElement):
-            prec = max(_component_precisions([z for r in self.entries for z in r]) or {DEFAULT_PRECISION})
-            scalar = PAdicExtElement.from_rationals(Fraction(scalar), 0, self.p, self.mu, prec)
-        return PAdicOperator(
-            [[scalar * z for z in row] for row in self.entries], _validate_uniform=False
-        )
-
     def _check(self, other):
         if not isinstance(other, PAdicOperator):
             raise errors.InvalidArgument("operator arithmetic needs operator operands")

@@ -12,13 +12,14 @@ the classical 2x2 game `ClassicalForm`, solved exactly for both the complex
 and the p-adic mode.  The Kraus sum `mw_final_density` and the grid search
 `mw_nash_search` remain as reference oracles for tests and demos.
 
-Amplitudes, density operators and the payoff surface are binary64; the
-Kraus-sum payoffs reduce with math.fsum, independent of accumulation order.
+The payoff surface is that game's closed form at each grid point: Python
+floats added in one fixed order without numpy (its bits do not depend on the
+Python version), or Fractions in the p-adic mode.  The Kraus-sum payoffs
+reduce with math.fsum, independent of accumulation order.
 """
 
 from __future__ import annotations
 
-import itertools
 import math
 from dataclasses import dataclass
 from fractions import Fraction
@@ -245,19 +246,25 @@ def mw_expected_payoffs(qg, p, q):
     return tuple(math.fsum(d * float(x[i]) for d, x in zip(diag, u)) for i in (0, 1))
 
 
-def _payoff_surfaces(qg, grid_n):
-    """Binary64 payoffs of A' (for a QuantumizedGame or ClassicalForm) over the grid."""
+def _surface(qg, grid_n, exact=False):
+    """(p, q, payoff1, payoff2) at every (i/grid_n, j/grid_n), row-major, exact or float.
+
+    Each payoff is pq c00 + p(1-q) c01 + (1-p)q c10 + (1-p)(1-q) c11 for the
+    payoffs c of A', added left to right after a leading 0 (which turns a
+    -0.0 first term into 0.0)."""
     if grid_n < 1:
         raise errors.InvalidArgument("grid_n must be >= 1")
-    game = classical_form(qg).game
-    ps = np.array([i / grid_n for i in range(grid_n + 1)])
-    P, Q = np.meshgrid(ps, ps, indexing="ij")
-    rows, cols = (P, 1 - P), (Q, 1 - Q)
-    pay1, pay2 = (
-        sum(rows[s] * cols[t] * float(game.payoff((s, t))[player]) for s, t in PROFILES)
-        for player in (0, 1)
-    )
-    return ps, pay1, pay2
+    num = Fraction if exact else float
+    (x00, y00), (x01, y01), (x10, y10), (x11, y11) = (
+        map(num, classical_form(qg).game.payoff(s)) for s in PROFILES)
+    ps = [Fraction(i, grid_n) if exact else i / grid_n for i in range(grid_n + 1)]
+    for p in ps:
+        r = 1 - p
+        for q in ps:
+            s = 1 - q
+            w00, w01, w10, w11 = p * q, p * s, r * q, r * s
+            yield (p, q, 0 + w00 * x00 + w01 * x01 + w10 * x10 + w11 * x11,
+                   0 + w00 * y00 + w01 * y01 + w10 * y10 + w11 * y11)
 
 
 def mw_nash_search(qg, grid_n=100):
@@ -269,26 +276,18 @@ def mw_nash_search(qg, grid_n=100):
     weak equilibria are reported).  Returns ((p, q), (payoff1, payoff2)) rows
     in row-major grid order.
     """
-    ps, pay1, pay2 = _payoff_surfaces(qg, grid_n)
-    col_best = pay1.max(axis=0)
-    row_best = pay2.max(axis=1)
-    out = []
-    for i in range(grid_n + 1):
-        for j in range(grid_n + 1):
-            if pay1[i, j] >= col_best[j] - EQ_TOL and pay2[i, j] >= row_best[i] - EQ_TOL:
-                out.append(((ps[i], ps[j]), (pay1[i, j], pay2[i, j])))
-    return out
+    points = list(_surface(qg, grid_n))
+    n = grid_n + 1
+    col_best = [max(pt[2] for pt in points[j::n]) for j in range(n)]
+    row_best = [max(pt[3] for pt in points[i * n:(i + 1) * n]) for i in range(n)]
+    return [((p, q), (u1, u2)) for k, (p, q, u1, u2) in enumerate(points)
+            if u1 >= col_best[k % n] - EQ_TOL and u2 >= row_best[k // n] - EQ_TOL]
 
 
-def payoff_surface_rows(qg, grid_n=100):
-    """CSV-ready rows (p, q, payoff1, payoff2) over the full grid."""
-    ps, pay1, pay2 = _payoff_surfaces(qg, grid_n)
-    rows = ["p,q,payoff1,payoff2"]
-    for i, j in itertools.product(range(grid_n + 1), repeat=2):
-        rows.append(
-            ",".join(f"{v:.17g}" for v in (ps[i], ps[j], pay1[i, j], pay2[i, j]))
-        )
-    return rows
+def payoff_surface_rows(qg, grid_n=100, exact=False):
+    """CSV rows p,q,payoff1,payoff2 of `_surface`: exact rationals or 17 significant digits."""
+    fmt = ",".join(["%s" if exact else "%.17g"] * 4)
+    return ["p,q,payoff1,payoff2", *(fmt % pt for pt in _surface(qg, grid_n, exact))]
 
 
 def classical_product_payoffs(base, p, q):

@@ -81,16 +81,13 @@ def test_criterion_02_quantum_bos():
     ok = ok and abs(best - 2.5) <= 1e-9 and best > 6 / 5
 
     classical = quantum.QuantumizedGame(g, 1.0, 0.0)
-    _, pay1, pay2 = quantum._payoff_surfaces(classical, 100)
+    rows = quantum.payoff_surface_rows(classical, 100)[1:]
+    ok = ok and len(rows) == 101 * 101
     worst = 0.0
-    for i in range(101):
-        for j in range(101):
-            want = quantum.classical_product_payoffs(g, F(i, 100), F(j, 100))
-            worst = max(
-                worst,
-                abs(pay1[i, j] - float(want[0])),
-                abs(pay2[i, j] - float(want[1])),
-            )
+    for k, row in enumerate(rows):
+        _, _, pay1, pay2 = map(float, row.split(","))
+        want = quantum.classical_product_payoffs(g, F(k // 101, 100), F(k % 101, 100))
+        worst = max(worst, abs(pay1 - float(want[0])), abs(pay2 - float(want[1])))
     ok = ok and worst <= 1e-10
     elapsed = time.perf_counter() - t0
     ok = ok and elapsed < 5.0

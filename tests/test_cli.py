@@ -113,6 +113,23 @@ def test_analyze_every_scenario_passes(tmp_path):
         assert main(["analyze", "--in", name, "--out", str(out)]) == EXIT_OK
 
 
+def test_analyze_skips_support_enumeration_beyond_its_cap(tmp_path):
+    three = {
+        "format": "gt-game/1",
+        "kind": "strategic",
+        "name": "three",
+        "strategies": [["a", "b"]] * 3,
+        "payoffs": [[[["1", "0", "0"]] * 2] * 2] * 2,
+    }
+    path = tmp_path / "three.json"
+    path.write_text(json.dumps(three))
+    for source in ("american-values-10", str(path)):  # 10 strategies; 3 players
+        code, out = run(tmp_path, "analyze", "--in", source)
+        assert code == EXIT_OK
+        assert read_json(out / "analyze.json")["support_enumeration"] == {
+            "skipped": "support enumeration runs on 2-player games with at most 5 strategies"}
+
+
 def test_analyze_congestion_section(tmp_path):
     code, out = run(tmp_path, "analyze", "--in", "congestion-2link")
     rep = read_json(out / "analyze.json")
@@ -836,6 +853,31 @@ def test_quantumize_padic_reports_are_pinned(tmp_path, monkeypatch, name, alpha)
     assert digests == PADIC_DIGESTS[(name, alpha)]
 
 
+COMPLEX_DIGESTS = {
+    ("bos", "max"): ("4fe15f3324b14f8825e11eb05fb6f865def0f4efa5fa48cbeae94d422ce34fbf",
+                     "7e75158187217e2965c90f3b09922aec6ac9d6413cd83969afb5c6b796ed1bcd"),
+    ("pd", "max"): ("a1dcf13a83ea90ce3252c334bccc4549d41c5846164173d868f3e34ce136dc54",
+                    "44782d4d1159fb7b1539be6945326569be2686f15a90dc56050f1a1c14154c63"),
+    ("matching-pennies", "max"): (
+        "72d32502e2143d087934a6a206afa554e7241e47eae83918f5d3c1cdf36cd8e2",
+        "423d68696c8c4e252b77f133b57ec1ad3ad03c0ecb4a3362c352afa581548a94"),
+    ("bos", "3/5"): ("6f041fdfce156786ed5564c79d7b09af6cc16cd36f26e6ed7aa15de680bbc14d",
+                     "9bcc94c172dec61bf2e001b509c34a1e02e123ca2d2a8b0e022df1932843e3e6"),
+}
+
+
+@pytest.mark.parametrize("name,alpha", sorted(COMPLEX_DIGESTS))
+def test_quantumize_complex_reports_are_pinned(tmp_path, name, alpha):
+    # sha256 of the reports as the numpy meshgrid surface wrote them
+    import hashlib
+
+    code, out = run(tmp_path, "quantumize", "--in", name, "--grid", "100", "--alpha", alpha)
+    assert code == EXIT_OK
+    digests = tuple(hashlib.sha256((out / f).read_bytes()).hexdigest()
+                    for f in ("surface.csv", "equilibria.json"))
+    assert digests == COMPLEX_DIGESTS[(name, alpha)]
+
+
 def test_quantumize_complex_runs_no_oracle(tmp_path, monkeypatch):
     from gtkit import quantum
 
@@ -870,6 +912,29 @@ def test_oversized_quantumize_and_padic_options_are_refused_at_once(tmp_path, ca
     assert main([*argv, "--out", str(tmp_path / "o")]) == EXIT_SIZE
     assert time.perf_counter() - start < 1
     assert "error (size limit)" in capsys.readouterr().err
+
+
+@pytest.mark.parametrize("argv", [
+    ["evolve", "--in", "rps", "--t-end", "1e6", "--h", "1e-9"],
+    ["evolve", "--in", "rps", "--t-end", "666.667", "--h", "0.001"],  # just past the cap
+    ["evolve", "--in", "american-values-10", "--t-end", "1e300", "--h", "1e-300"],
+])
+def test_oversized_evolve_steps_are_refused_at_once(tmp_path, capsys, argv):
+    start = time.perf_counter()
+    assert main([*argv, "--out", str(tmp_path / "o")]) == EXIT_SIZE
+    assert time.perf_counter() - start < 1
+    assert "error (size limit)" in capsys.readouterr().err
+
+
+def test_evolve_decides_nash_exactly(tmp_path):
+    path = tmp_path / "near.json"
+    doc = _with(evolution_doc(), ["matrix"], [["0", "0"], ["1/100000000000", "1"]])
+    path.write_text(json.dumps(_with(doc, ["strategies"], [["A", "B"]])))
+    code, out = run(tmp_path, "evolve", "--in", str(path), "--p0", "1/2,1/2", "--t-end", "0.1")
+    assert code == EXIT_OK
+    rest = {tuple(r["point"]): r for r in read_json(out / "evolve.json")["rest_points"]}
+    assert rest[("1", "0")]["is_nash"] is False and "ess" not in rest[("1", "0")]
+    assert rest[("0", "1")]["ess"] == {"is_ess": True, "method": "exact-face"}
 
 
 def test_precision_bound_counts_the_digits_of_p_to_the_n():

@@ -131,6 +131,17 @@ def test_integrate_validates_arguments():
         integrate(g, centroid(2), t_end=-1.0, h=1e-3)
 
 
+def test_integrate_refuses_more_samples_than_the_cap(monkeypatch):
+    from gtkit import evolution
+
+    g = EvolutionGame(DOMINANCE)
+    monkeypatch.setattr(evolution, "SAMPLE_CAP", 30)
+    assert len(integrate(g, centroid(2), t_end=0.14, h=1e-2)) == 15  # 15 samples x 2 = 30
+    for t_end, h in ((0.15, 1e-2), (1e300, 1e-300)):
+        with pytest.raises(errors.SizeLimit):
+            integrate(g, centroid(2), t_end=t_end, h=h)
+
+
 def test_integration_divergence_detected():
     # violent payoffs and a long step push an RK4 stage far below the simplex
     g = EvolutionGame([[-1e7, -1e7], [0, 0]])
@@ -288,6 +299,18 @@ def test_ess_requires_nash_state():
     g = EvolutionGame(DOMINANCE)
     with pytest.raises(errors.InvalidState):
         is_ess(g, vertex(2, 1))
+
+
+def test_near_nash_vertex_is_decided_exactly():
+    # strategy 2 gains 1e-11 against the vertex (1, 0), within the float tolerance
+    g = EvolutionGame([["0", "0"], ["1/100000000000", "1"]])
+    reports, _ = rest_point_reports(g)
+    assert {r.point.exact: r.is_nash for r in reports} == {(1, 0): False, (0, 1): True}
+    assert not is_nash_state(g, vertex(2, 0))
+    assert is_nash_state(g, SimplexState([1.0, 0.0]))  # a float state keeps the tolerance
+    with pytest.raises(errors.InvalidState, match="Nash states only"):
+        ess_check(g, vertex(2, 0))
+    assert ess_check(g, vertex(2, 1)).is_ess
 
 
 def test_ess_coordination_game_vertices():

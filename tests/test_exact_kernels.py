@@ -7,7 +7,8 @@ and support enumeration, rest points and the ESS kernel share one
 geometry and the per-caller indifference systems they replaced are kept here
 as oracles, and both must give identical statuses, solutions and verdicts.
 The fused float RK4 step, the trajectory CSV formatter and the vectorised
-recurrence test are held to their loop forms bit for bit.
+recurrence test are held to their loop forms bit for bit, and the quantum
+payoff surface to the numpy grid and the Fraction loop it replaced.
 """
 
 import itertools
@@ -42,6 +43,13 @@ from gtkit.evolution import (
     transversal_eigenvalues,
 )
 from gtkit.games import StrategicGame, support_enumeration
+from gtkit.quantum import (
+    PROFILES,
+    ClassicalForm,
+    QuantumizedGame,
+    classical_form,
+    payoff_surface_rows,
+)
 
 F = Fraction
 
@@ -394,6 +402,46 @@ def _face_is_ess_kkt(c, M, x_star):
                 if tuple(w.get(k, 0) for k in range(m)) != x_star:
                     return False
     return True
+
+
+# ---------------------------------------------------------------------------
+# reference implementations of the quantum payoff surface (numpy grid, Fraction loop)
+
+
+def _payoff_surfaces(qg, grid_n):
+    """Binary64 payoffs of A' (for a QuantumizedGame or ClassicalForm) over the grid."""
+    if grid_n < 1:
+        raise errors.InvalidArgument("grid_n must be >= 1")
+    game = classical_form(qg).game
+    ps = np.array([i / grid_n for i in range(grid_n + 1)])
+    P, Q = np.meshgrid(ps, ps, indexing="ij")
+    rows, cols = (P, 1 - P), (Q, 1 - Q)
+    pay1, pay2 = (
+        sum(rows[s] * cols[t] * float(game.payoff((s, t))[player]) for s, t in PROFILES)
+        for player in (0, 1)
+    )
+    return ps, pay1, pay2
+
+
+def payoff_surface_rows_reference(qg, grid_n=100):
+    """CSV-ready rows (p, q, payoff1, payoff2) over the full grid."""
+    ps, pay1, pay2 = _payoff_surfaces(qg, grid_n)
+    rows = ["p,q,payoff1,payoff2"]
+    for i, j in itertools.product(range(grid_n + 1), repeat=2):
+        rows.append(
+            ",".join(f"{v:.17g}" for v in (ps[i], ps[j], pay1[i, j], pay2[i, j]))
+        )
+    return rows
+
+
+def padic_surface_rows_reference(form, grid):
+    """The p-adic mode's surface.csv rows, one `form.payoffs` call per grid point."""
+    surface = ["p,q,payoff1,payoff2"]
+    for i in range(grid + 1):
+        for j in range(grid + 1):
+            pt, qt = Fraction(i, grid), Fraction(j, grid)
+            surface.append(",".join(str(Fraction(v)) for v in (pt, qt, *form.payoffs(pt, qt))))
+    return surface
 
 
 # ---------------------------------------------------------------------------
@@ -777,3 +825,41 @@ def test_detect_recurrence_matches_the_episode_loop(inside, kind):
     traj = _two_strategy_trajectory(inside)
     assert detect_recurrence(traj) == detect_recurrence_reference(traj)
     assert detect_recurrence(traj).kind == kind
+
+
+# ---------------------------------------------------------------------------
+# the quantum payoff surface
+
+
+@st.composite
+def quantum_forms(draw):
+    """2x2 games with negative and zero payoffs, under an exact weight a2 (any
+    rational, as in the p-adic mode) or a float amplitude in [0, 1]."""
+    entry = st.one_of(st.integers(-4, 4), st.builds(F, st.integers(-9, 9), st.integers(1, 7)))
+    base = StrategicGame([["a", "b"], ["c", "d"]],
+                         {s: (draw(entry), draw(entry)) for s in PROFILES})
+    if draw(st.booleans()):
+        return ClassicalForm(base, draw(st.builds(F, st.integers(-9, 9), st.integers(1, 9))))
+    alpha = draw(st.floats(0, 1))
+    return QuantumizedGame(base, alpha, math.sqrt(1.0 - alpha * alpha))
+
+
+TINY = F(-1, 10**400)  # rounds to -0.0, so every term of a payoff is -0.0
+ALL_TINY = ClassicalForm(
+    StrategicGame([["a", "b"], ["c", "d"]], {s: (TINY, -1) for s in PROFILES}), F(1, 2))
+
+
+@settings(max_examples=50, deadline=None)
+@example(ALL_TINY, 3)
+@given(quantum_forms(), st.integers(1, 100))
+def test_payoff_surface_rows_match_the_numpy_grid_bit_for_bit(qg, grid):
+    assert payoff_surface_rows(qg, grid) == payoff_surface_rows_reference(qg, grid)
+
+
+# each example runs up to 10201 Fraction points twice, so there are few of them
+@settings(max_examples=8, deadline=None)
+@example(ALL_TINY, 3)
+@given(quantum_forms(), st.integers(1, 100))
+def test_exact_payoff_surface_rows_match_the_fraction_loop(qg, grid):
+    form = classical_form(qg)
+    assert payoff_surface_rows(form, grid, exact=True) == padic_surface_rows_reference(form, grid)

@@ -52,12 +52,15 @@ def test_payoffs_match_kraus_diagonal():
 
 def test_surface_is_the_exact_payoff_rounded():
     form = ClassicalForm(scenario("bos"), F(9, 25))
-    ps, pay1, pay2 = quantum._payoff_surfaces(form, 20)
-    for i in range(21):
-        for j in range(21):
-            want = form.payoffs(F(i, 20), F(j, 20))
-            assert abs(pay1[i, j] - float(want[0])) <= 1e-14
-            assert abs(pay2[i, j] - float(want[1])) <= 1e-14
+    rows = quantum.payoff_surface_rows(form, 20)[1:]
+    for k, row in enumerate(rows):
+        # 17 significant digits read back to the same binary64 values
+        p, q, pay1, pay2 = map(float, row.split(","))
+        want = form.payoffs(F(k // 21, 20), F(k % 21, 20))
+        assert (p, q) == ((k // 21) / 20, (k % 21) / 20)
+        assert abs(pay1 - float(want[0])) <= 1e-14
+        assert abs(pay2 - float(want[1])) <= 1e-14
+    assert len(rows) == 21 * 21
 
 
 @pytest.mark.parametrize("name", ["bos", "pd", "matching-pennies"])
