@@ -303,11 +303,11 @@ def cmd_evolve(args):
     p0 = evolution.SimplexState([v / total for v in raw])
 
     traj = evolution.integrate(g, p0, t_end=args.t_end, h=args.h)
+    reports, continua = evolution.rest_point_reports(g)
     names = scn.metadata.get("strategy_names")
     out = _outdir(args)
     csv_path = _write_lines(os.path.join(out, "trajectory.csv"), traj.csv_rows(names))
 
-    reports, continua = evolution.rest_point_reports(g)
     rest = []
     for rep in reports:
         entry = {
@@ -320,11 +320,8 @@ def cmd_evolve(args):
             ],
         }
         if rep.is_nash:
-            try:
-                ess = evolution.ess_check(g, rep.point)
-                entry["ess"] = {"is_ess": ess.is_ess, "method": ess.method}
-            except errors.GTError as exc:
-                entry["ess"] = {"error": str(exc)}
+            ess = evolution.ess_check(g, rep.point)
+            entry["ess"] = {"is_ess": ess.is_ess, "method": ess.method}
         rest.append(entry)
 
     avg = evolution.time_average(traj)

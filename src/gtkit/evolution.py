@@ -310,12 +310,20 @@ def transversal_eigenvalues(g, state):
     """Eigenvalues transversal to the support faces at a boundary rest point.
 
     Returns (index, h_i(p)) for every strategy outside the support; the point
-    is a Nash state iff all returned values are <= 1e-10.
+    is a Nash state iff all returned values are <= 1e-10.  An exact state is
+    a rest point when p_i ((Ap)_i - p^T A p) = 0 in Fractions, a float one
+    when the replicator field is within 1e-9 of 0.
     """
     st = state if isinstance(state, SimplexState) else SimplexState(list(state))
     p = _state_array(g, st)
-    if np.max(np.abs(_rhs(g.matrix, p))) > REST_TOL:
-        raise errors.InvalidArgument("not a rest point (residual above 1e-9)")
+    if st.exact is not None:
+        u = _exact_payoffs(g, st.exact)
+        mean = sum(map(mul, st.exact, u))
+        rest = all(ui == mean for q, ui in zip(st.exact, u) if q)
+    else:
+        rest = np.max(np.abs(_rhs(g.matrix, p))) <= REST_TOL
+    if not rest:
+        raise errors.InvalidArgument("not a rest point")
     support = st.support()
     outside = [i for i in range(g.n) if i not in support]
     if not outside:
@@ -337,13 +345,16 @@ def rest_point_reports(g):
     """Isolated rest points on every face, with Nash and transversal diagnostics.
 
     Returns (reports, continuum_supports); supports whose indifference system
-    is underdetermined are listed rather than expanded.
+    is underdetermined are listed rather than expanded.  A rest point is Nash
+    when no row outside its support pays more, in Fractions, than the payoff
+    v that every support row earns; the residual and the transversal values
+    come from one binary64 evaluation and must be finite (InvalidArgument).
     """
     reports = []
     continua = []
     for m in range(1, g.n + 1):
         for support in itertools.combinations(range(g.n), m):
-            status, coords, _ = equalizer([[g.exact[i][j] for j in support] for i in support])
+            status, coords, v = equalizer([[g.exact[i][j] for j in support] for i in support])
             if status == "many":
                 continua.append(support)
                 continue
@@ -353,17 +364,25 @@ def rest_point_reports(g):
             for idx, q in zip(support, coords):
                 full[idx] = q
             state = SimplexState(full)
-            residual = float(np.max(np.abs(replicator_rhs(g, state))))
-            interior = m == g.n
-            trans = ()
-            if not interior:
-                trans = tuple(transversal_eigenvalues(g, state))
+            outside = [i for i in range(g.n) if i not in support]
+            is_nash = all(sum(g.exact[i][j] * q for j, q in zip(support, coords)) <= v
+                          for i in outside)
+            p = state.p
+            with np.errstate(over="ignore", invalid="ignore"):
+                u = g.matrix @ p
+                h = u - p @ u
+                residual = float(np.max(np.abs(p * h)))
+            trans = tuple((i, float(h[i])) for i in outside)
+            if not all(map(math.isfinite, (residual, *(x for _, x in trans)))):
+                raise errors.InvalidArgument(
+                    f"rest point {[str(q) for q in full]}: its binary64 diagnostics "
+                    "are not finite (payoffs too large)")
             reports.append(
                 RestPointReport(
                     point=state,
                     residual=residual,
-                    classification="interior" if interior else "boundary",
-                    is_nash=is_nash_state(g, state),
+                    classification="boundary" if outside else "interior",
+                    is_nash=is_nash,
                     transversal_eigenvalues=trans,
                 )
             )
@@ -378,14 +397,6 @@ def rest_point_reports(g):
 class EssReport:
     is_ess: bool
     method: str
-
-
-def _exact_state(state):
-    if state.exact is not None:
-        return state.exact
-    vals = [Fraction(float(v)) for v in state.p]
-    total = sum(vals)
-    return tuple(q / total for q in vals)
 
 
 def _psi_coefficients(exact, p, face):
@@ -449,32 +460,29 @@ def _sampled_face_is_ess(c, M, x_star, resolution):
 
 
 def ess_check(g, state):
-    """Evolutionary stability of a Nash state.
+    """Evolutionary stability of an exact Nash state.
 
-    Nash is decided by `is_nash_state`, exactly for an exact state.
-    Best-reply faces of at most 3 strategies (always the case for n <= 3)
-    get the exact decision of `_face_is_ess`, KKT support enumeration over
-    the whole face, labelled "exact-face".  Larger faces are sampled on a
-    deterministic barycentric grid (resolution 1/64, coarsened on very
+    A float state raises InvalidState.  From the exact u = A p, the state is
+    Nash when p . u = max(u), and its best-reply face is the rows attaining
+    that max.  Best-reply faces of at most 3 strategies (always the case for
+    n <= 3) get the exact decision of `_face_is_ess`, KKT support enumeration
+    over the whole face, labelled "exact-face".  Larger faces are sampled on
+    a deterministic barycentric grid (resolution 1/64, coarsened on very
     high-dimensional faces) and the verdict, labelled "sampled-1/R", is not
     certified.  The kernel is exact on faces of any size; larger faces keep
     the grid only while `perfbench/expected/american-values-10.json` pins a
     sampled verdict that the exact decision overturns.
     """
     st = state if isinstance(state, SimplexState) else SimplexState(list(state))
-    if not is_nash_state(g, st):
-        raise errors.InvalidState("evolutionary stability is defined for Nash states only")
-    p = _exact_state(st)
+    _state_array(g, st)  # refuses a state of the wrong dimension
+    if st.exact is None:
+        raise errors.InvalidState("evolutionary stability is decided for exact states only")
+    p = st.exact
     u = _exact_payoffs(g, p)
     top = max(u)
-    slack = 0 if st.exact is not None else Fraction(1, 10**9)
-    face = [i for i, ui in enumerate(u) if top - ui <= slack]
-    # holds for every exact Nash state; a float state is Nash only within 1e-10
-    if any(q > 0 and i not in face for i, q in enumerate(p)):
-        raise errors.InvalidState(
-            "state support is not contained in its best-reply set; "
-            "use an exactly specified Nash state"
-        )
+    if sum(map(mul, p, u)) != top:
+        raise errors.InvalidState("evolutionary stability is defined for Nash states only")
+    face = [i for i, ui in enumerate(u) if ui == top]
     c, M = _psi_coefficients(g.exact, p, face)
     x_star = tuple(p[i] for i in face)
     if len(face) <= 3:

@@ -10,6 +10,7 @@ from __future__ import annotations
 import itertools
 from dataclasses import dataclass
 from fractions import Fraction
+from operator import ge
 
 from . import errors
 # solve_exact stays a name here because perfbench/tracing.py rebinds games.solve_exact.
@@ -497,18 +498,21 @@ def is_epsilon_nash(game, mixed, eps):
 
 
 def pareto_optimal_profiles(game):
-    """Profiles not weakly dominated (with one strict improvement) by any other profile."""
-    table = {s: game.payoff(s) for s in game.profiles()}
+    """Profiles not weakly dominated (with one strict improvement) by any other profile.
+
+    A maxima scan: a dominating payoff vector is lexicographically larger, and
+    each dominated vector is dominated by a maximal one, so after a descending
+    sort every profile is tested only against the maximal vectors kept so far.
+    """
+    ranked = sorted(((game.payoff(s), s) for s in game.profiles()), reverse=True)
+    maxima = []
     out = set()
-    for s, u in table.items():
-        dominated = any(
-            all(v[i] >= u[i] for i in range(game.n_players))
-            and any(v[i] > u[i] for i in range(game.n_players))
-            for t, v in table.items()
-            if t != s
-        )
-        if not dominated:
+    for u, s in ranked:
+        if maxima and maxima[-1] == u:  # ties with the maximal vector just kept
             out.add(s)
+        elif not any(all(map(ge, v, u)) for v in maxima):
+            out.add(s)
+            maxima.append(u)
     return out
 
 

@@ -251,12 +251,17 @@ def _surface(qg, grid_n, exact=False):
 
     Each payoff is pq c00 + p(1-q) c01 + (1-p)q c10 + (1-p)(1-q) c11 for the
     payoffs c of A', added left to right after a leading 0 (which turns a
-    -0.0 first term into 0.0)."""
+    -0.0 first term into 0.0).  A float surface needs every payoff of A' in
+    the binary64 range (InvalidArgument)."""
     if grid_n < 1:
         raise errors.InvalidArgument("grid_n must be >= 1")
     num = Fraction if exact else float
-    (x00, y00), (x01, y01), (x10, y10), (x11, y11) = (
-        map(num, classical_form(qg).game.payoff(s)) for s in PROFILES)
+    try:
+        (x00, y00), (x01, y01), (x10, y10), (x11, y11) = (
+            map(num, classical_form(qg).game.payoff(s)) for s in PROFILES)
+    except OverflowError as exc:
+        raise errors.InvalidArgument(
+            "payoff beyond the binary64 range; the p-adic mode (--padic) is exact") from exc
     ps = [Fraction(i, grid_n) if exact else i / grid_n for i in range(grid_n + 1)]
     for p in ps:
         r = 1 - p

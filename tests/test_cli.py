@@ -937,6 +937,44 @@ def test_evolve_decides_nash_exactly(tmp_path):
     assert rest[("0", "1")]["ess"] == {"is_ess": True, "method": "exact-face"}
 
 
+def _evolution_file(tmp_path, matrix):
+    path = tmp_path / "game.json"
+    path.write_text(json.dumps(_with(evolution_doc(), ["matrix"], matrix)))
+    return str(path)
+
+
+def test_evolve_decides_rest_points_of_large_payoffs_exactly(tmp_path):
+    # binary64 residuals of these exact rest points are far above 1e-9
+    path = _evolution_file(tmp_path, [
+        ["250412573173", "764576291551", "-859280659516"],
+        ["-741206449092", "672870155643", "37017667747"],
+        ["-163977774053", "-537050958314", "69849980556"]])
+    code, out = run(tmp_path, "evolve", "--in", path, "--t-end", "1e-13", "--h", "1e-14")
+    assert code == EXIT_OK
+    rest = read_json(out / "evolve.json")["rest_points"]
+    assert [r["is_nash"] for r in rest] == [True, False, True, True, True, True]
+    assert all(r["ess"]["method"] == "exact-face" for r in rest if r["is_nash"])
+
+
+def test_evolve_refuses_non_finite_rest_point_diagnostics(tmp_path, capsys):
+    path = _evolution_file(tmp_path, [
+        ["1e308", "-1e308", "0"], ["-1e308", "1e308", "0"], ["0", "0", "1e308"]])
+    code, out = run(tmp_path, "evolve", "--in", path, "--t-end", "1e-318", "--h", "1e-319")
+    assert code == EXIT_VALIDATION
+    assert "error (validation)" in capsys.readouterr().err
+    assert not out.exists()
+
+
+def test_quantumize_refuses_payoffs_beyond_binary64(tmp_path, capsys):
+    path = tmp_path / "huge.json"
+    path.write_text(json.dumps(_with(bimatrix_doc(), ["payoffs", 0, 0], ["1e400", "3"])))
+    code, out = run(tmp_path, "quantumize", "--in", str(path))
+    assert code == EXIT_VALIDATION
+    assert "binary64 range" in capsys.readouterr().err
+    assert list(out.iterdir()) == []
+    assert run(tmp_path / "padic", "quantumize", "--padic", "--in", str(path))[0] == EXIT_OK
+
+
 def test_precision_bound_counts_the_digits_of_p_to_the_n():
     for p in (2, 3, 7, 1000000007):
         n = 1

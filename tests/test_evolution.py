@@ -313,6 +313,49 @@ def test_near_nash_vertex_is_decided_exactly():
     assert ess_check(g, vertex(2, 1)).is_ess
 
 
+# payoffs near 1e11: binary64 puts the residual of an exact rest point far above 1e-9
+LARGE_PAYOFFS = [
+    [250412573173, 764576291551, -859280659516],
+    [-741206449092, 672870155643, 37017667747],
+    [-163977774053, -537050958314, 69849980556],
+]
+
+
+def test_rest_points_of_large_payoffs_are_decided_exactly():
+    g = EvolutionGame(LARGE_PAYOFFS)
+    reports, continua = rest_point_reports(g)
+    assert continua == [] and len(reports) == 6
+    assert max(r.residual for r in reports) > 1e-6
+    assert [r.is_nash for r in reports] == [is_nash_state(g, r.point) for r in reports]
+    assert [r.is_nash for r in reports] == [True, False, True, True, True, True]
+    for r in reports[:5]:
+        assert transversal_eigenvalues(g, r.point) == list(r.transversal_eigenvalues)
+
+
+def test_transversal_eigenvalues_decide_an_exact_rest_point_exactly():
+    g = EvolutionGame(LARGE_PAYOFFS)
+    rest = [F(464565320036, 671760493649), F(0), F(207195173613, 671760493649)]
+    assert transversal_eigenvalues(g, SimplexState(rest)) == [(1, -409317194901.45654)]
+    with pytest.raises(errors.InvalidArgument, match="not a rest point"):
+        transversal_eigenvalues(g, SimplexState([F(1, 2), F(0), F(1, 2)]))
+    # a float state keeps the binary64 tolerance
+    with pytest.raises(errors.InvalidArgument, match="not a rest point"):
+        transversal_eigenvalues(g, SimplexState([float(q) for q in rest]))
+
+
+def test_rest_point_reports_refuse_non_finite_diagnostics():
+    g = EvolutionGame([["1e308", "-1e308", "0"], ["-1e308", "1e308", "0"], ["0", "0", "1e308"]])
+    with pytest.raises(errors.InvalidArgument, match="not finite"):
+        rest_point_reports(g)
+
+
+def test_ess_check_takes_exact_states_only():
+    g = EvolutionGame(HAWK_DOVE)
+    with pytest.raises(errors.InvalidState, match="exact states only"):
+        ess_check(g, SimplexState([0.5, 0.5]))
+    assert ess_check(g, SimplexState([F(1, 2), F(1, 2)])).is_ess
+
+
 def test_ess_coordination_game_vertices():
     g = EvolutionGame(IDENTITY2)
     assert is_ess(g, vertex(2, 0))

@@ -8,7 +8,8 @@ geometry and the per-caller indifference systems they replaced are kept here
 as oracles, and both must give identical statuses, solutions and verdicts.
 The fused float RK4 step, the trajectory CSV formatter and the vectorised
 recurrence test are held to their loop forms bit for bit, and the quantum
-payoff surface to the numpy grid and the Fraction loop it replaced.
+payoff surface to the numpy grid and the Fraction loop it replaced.  The
+Pareto maxima scan is held to the pairwise dominance test.
 """
 
 import itertools
@@ -42,7 +43,7 @@ from gtkit.evolution import (
     rest_point_reports,
     transversal_eigenvalues,
 )
-from gtkit.games import StrategicGame, support_enumeration
+from gtkit.games import StrategicGame, pareto_optimal_profiles, support_enumeration
 from gtkit.quantum import (
     PROFILES,
     ClassicalForm,
@@ -402,6 +403,26 @@ def _face_is_ess_kkt(c, M, x_star):
                 if tuple(w.get(k, 0) for k in range(m)) != x_star:
                     return False
     return True
+
+
+# ---------------------------------------------------------------------------
+# reference implementation of the Pareto set (every pair of profiles)
+
+
+def pareto_optimal_profiles_pairwise(game):
+    """Profiles not weakly dominated (with one strict improvement) by any other profile."""
+    table = {s: game.payoff(s) for s in game.profiles()}
+    out = set()
+    for s, u in table.items():
+        dominated = any(
+            all(v[i] >= u[i] for i in range(game.n_players))
+            and any(v[i] > u[i] for i in range(game.n_players))
+            for t, v in table.items()
+            if t != s
+        )
+        if not dominated:
+            out.add(s)
+    return out
 
 
 # ---------------------------------------------------------------------------
@@ -863,3 +884,23 @@ def test_payoff_surface_rows_match_the_numpy_grid_bit_for_bit(qg, grid):
 def test_exact_payoff_surface_rows_match_the_fraction_loop(qg, grid):
     form = classical_form(qg)
     assert payoff_surface_rows(form, grid, exact=True) == padic_surface_rows_reference(form, grid)
+
+
+# ---------------------------------------------------------------------------
+# the Pareto set
+
+
+@st.composite
+def tied_games(draw):
+    """2 or 3 players, at most 4 strategies each, payoffs in {-1, 0, 1}: many ties."""
+    shape = draw(st.lists(st.integers(1, 4), min_size=2, max_size=3))
+    profiles = list(itertools.product(*(range(k) for k in shape)))
+    vector = st.tuples(*[st.integers(-1, 1)] * len(shape))
+    vectors = draw(st.lists(vector, min_size=len(profiles), max_size=len(profiles)))
+    return StrategicGame([[f"s{i}" for i in range(k)] for k in shape], dict(zip(profiles, vectors)))
+
+
+@settings(max_examples=300, deadline=None)
+@given(tied_games())
+def test_pareto_maxima_scan_matches_the_pairwise_test(game):
+    assert pareto_optimal_profiles(game) == pareto_optimal_profiles_pairwise(game)
