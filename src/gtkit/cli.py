@@ -32,10 +32,6 @@ def _frac(x):
     return str(Fraction(x))
 
 
-def _float(x):
-    return float(f"{x:.17g}")
-
-
 def _write_json(path, obj):
     with open(path, "w", encoding="utf-8") as fh:
         fh.write(json.dumps(obj, sort_keys=True, indent=2, default=float) + "\n")
@@ -312,11 +308,11 @@ def cmd_evolve(args):
     for rep in reports:
         entry = {
             "point": [_frac(q) for q in rep.point.exact],
-            "residual": _float(rep.residual),
+            "residual": float(rep.residual),
             "classification": rep.classification,
             "is_nash": rep.is_nash,
             "transversal_eigenvalues": [
-                {"strategy": i, "value": _float(v)} for i, v in rep.transversal_eigenvalues
+                {"strategy": i, "value": float(v)} for i, v in rep.transversal_eigenvalues
             ],
         }
         if rep.is_nash:
@@ -329,15 +325,15 @@ def cmd_evolve(args):
     analysis = {
         "command": "evolve",
         "scenario": scn.name,
-        "h": _float(args.h),
-        "t_end": _float(args.t_end),
+        "h": float(args.h),
+        "t_end": float(args.t_end),
         "p0": [_frac(v) for v in raw],
         "rest_points": rest,
         "rest_point_continua": [list(s) for s in continua],
-        "time_average": [_float(v) for v in avg],
+        "time_average": [float(v) for v in avg],
         "recurrence": {
             "kind": rec.kind,
-            "period": _float(rec.period) if rec.period else None,
+            "period": float(rec.period) if rec.period else None,
             "detail": rec.detail,
         },
         "samples": len(traj),
@@ -375,9 +371,13 @@ def cmd_quantumize(args):
     gamefile.check_profile_count((grid + 1, grid + 1), "--grid")
     a, a2 = _alpha_weight(args.alpha)
     form = quantum.ClassicalForm(game, a2)
-    doc = _padic_report(args, scn, form, a) if args.padic else _complex_report(scn, form, a)
+    if args.padic:
+        doc = _padic_report(args, scn, form, a)
+        surface = quantum.payoff_surface_rows(form, grid, exact=True)
+    else:  # the float surface refuses payoffs beyond binary64: build it before printing
+        surface = quantum.payoff_surface_rows(form, grid)
+        doc = _complex_report(scn, form, a)
     doc["grid"] = grid
-    surface = quantum.payoff_surface_rows(form, grid, exact=args.padic)
     csv_path = _write_lines(os.path.join(out, "surface.csv"), surface)
     json_path = _write_json(os.path.join(out, "equilibria.json"), doc)
     print(f"surface         {csv_path}")
@@ -400,8 +400,8 @@ def _complex_report(scn, form, a):
         "command": "quantumize",
         "mode": "complex",
         "scenario": scn.name,
-        "alpha": _float(alpha),
-        "beta": _float(beta),
+        "alpha": alpha,
+        "beta": beta,
         **rep,
         "classical_mixed_payoffs": [_frac(v) for v in classical_mixed] if classical_mixed else None,
     }

@@ -109,10 +109,10 @@ class SimplexState:
     def n(self):
         return self.p.size
 
-    def support(self, tol=CLAMP):
+    def support(self):
         if self.exact is not None:
             return tuple(i for i, q in enumerate(self.exact) if q > 0)
-        return tuple(i for i, v in enumerate(self.p) if v > tol)
+        return tuple(i for i, v in enumerate(self.p) if v > CLAMP)
 
     def __repr__(self):
         return f"SimplexState({np.array2string(self.p, precision=6)})"

@@ -11,6 +11,7 @@ from __future__ import annotations
 
 import json
 import math
+import os
 from dataclasses import dataclass, field
 from fractions import Fraction
 from importlib import resources
@@ -322,8 +323,6 @@ def load_scenario(name):
 
 def resolve_input(source):
     """Interpret --in as a packaged scenario name or a file path."""
-    import os
-
     if source in SCENARIO_NAMES and not os.path.exists(source):
         return load_scenario(source)
     return load_path(source)

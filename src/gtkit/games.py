@@ -8,9 +8,10 @@ after construction and all operations are pure functions.
 from __future__ import annotations
 
 import itertools
+import math
 from dataclasses import dataclass
 from fractions import Fraction
-from operator import ge
+from operator import ge, mul
 
 from . import errors
 # solve_exact stays a name here because perfbench/tracing.py rebinds games.solve_exact.
@@ -38,7 +39,7 @@ class StrategicGame:
 
     ``payoffs`` may be a nested sequence (one level per player, leaf = one
     rational per player) or a mapping from index-tuple profiles to payoff
-    sequences; it must be total over the product of the strategy sets.
+    sequences; a mapping must name exactly the profiles of the shape, each once.
     """
 
     def __init__(self, strategy_names, payoffs):
@@ -54,7 +55,10 @@ class StrategicGame:
         table = {}
         if hasattr(payoffs, "keys"):
             for profile, vector in payoffs.items():
-                table[tuple(profile)] = tuple(as_fraction(v) for v in vector)
+                try:
+                    table[self.validate_profile(profile)] = tuple(as_fraction(v) for v in vector)
+                except errors.InvalidProfile as exc:
+                    raise errors.InvalidArgument(f"payoff map key: {exc}") from exc
         else:
             for profile in itertools.product(*(range(k) for k in self._shape)):
                 cell = payoffs
@@ -89,7 +93,7 @@ class StrategicGame:
     def validate_profile(self, profile):
         profile = tuple(profile)
         if len(profile) != self.n_players or any(
-            not isinstance(s, int) or not (0 <= s < k)
+            not isinstance(s, int) or isinstance(s, bool) or not (0 <= s < k)
             for s, k in zip(profile, self._shape)
         ):
             raise errors.InvalidProfile(f"profile {profile} invalid for shape {self._shape}")
@@ -223,42 +227,28 @@ def payoff(game, profile):
     return game.payoff(profile)
 
 
+def _deviations(profile, i, k):
+    """The k profiles that differ from `profile` only in player i's strategy, in strategy order."""
+    head, tail = profile[:i], profile[i + 1:]
+    return [head + (s,) + tail for s in range(k)]
+
+
+def _strategy_values(game, player, mixed):
+    """Exact expected payoff of each pure strategy of `player` against the others' mixtures."""
+    values = [Fraction(0)] * game.shape[player]
+    for profile, u in game._table.items():
+        prob = math.prod(mixed[j][s] for j, s in enumerate(profile) if j != player)
+        if prob:
+            values[profile[player]] += prob * u[player]
+    return values
+
+
 def expected_payoff(game, mixed):
     """Expected payoff vector under independent mixing, exact."""
     mixed = validate_mixed(game, mixed)
-    totals = [Fraction(0)] * game.n_players
-    for profile in game.profiles():
-        prob = Fraction(1)
-        for j, s in enumerate(profile):
-            prob *= mixed[j][s]
-            if prob == 0:
-                break
-        if prob == 0:
-            continue
-        u = game.payoff(profile)
-        for i in range(game.n_players):
-            totals[i] += prob * u[i]
-    return tuple(totals)
-
-
-def _pure_vs_opponents(game, player, strategy, opponents):
-    """Expected payoff to `player` using `strategy` against independent opponents."""
-    others = [j for j in range(game.n_players) if j != player]
-    total = Fraction(0)
-    for combo in itertools.product(*(range(game.shape[j]) for j in others)):
-        prob = Fraction(1)
-        for j, s in zip(others, combo):
-            prob *= opponents[j][s]
-            if prob == 0:
-                break
-        if prob == 0:
-            continue
-        profile = [0] * game.n_players
-        profile[player] = strategy
-        for j, s in zip(others, combo):
-            profile[j] = s
-        total += prob * game.payoff(tuple(profile))[player]
-    return total
+    return tuple(
+        sum(map(mul, mixed[i], _strategy_values(game, i, mixed))) for i in range(game.n_players)
+    )
 
 
 def best_responses(game, player, opponents):
@@ -278,7 +268,7 @@ def best_responses(game, player, opponents):
         if len(vec) != game.shape[j] or any(q < 0 for q in vec) or sum(vec) != 1:
             raise errors.InvalidProfile(f"player {j}: not a probability vector")
         probs[j] = vec
-    values = [_pure_vs_opponents(game, player, s, probs) for s in range(game.shape[player])]
+    values = _strategy_values(game, player, probs)
     top = max(values)
     return {s for s, v in enumerate(values) if v == top}
 
@@ -289,23 +279,9 @@ def best_responses(game, player, opponents):
 
 def pure_nash(game):
     """All pure Nash equilibria (weak inequality) by full enumeration."""
-    out = set()
-    for profile in game.profiles():
-        u = game.payoff(profile)
-        stable = True
-        for i in range(game.n_players):
-            for dev in range(game.shape[i]):
-                if dev == profile[i]:
-                    continue
-                alt = profile[:i] + (dev,) + profile[i + 1:]
-                if game.payoff(alt)[i] > u[i]:
-                    stable = False
-                    break
-            if not stable:
-                break
-        if stable:
-            out.add(profile)
-    return out
+    table = game._table
+    return {s for s, u in table.items() if all(
+        table[alt][i] <= u[i] for i, k in enumerate(game.shape) for alt in _deviations(s, i, k))}
 
 
 @dataclass(frozen=True)
@@ -331,6 +307,7 @@ def iterated_elimination(game):
     profiles; passes repeat until a fixpoint.  The trace records eliminations
     in order with original strategy indices.
     """
+    table = game._table
     surviving = [list(range(k)) for k in game.shape]
     trace = []
     rnd = 0
@@ -338,25 +315,18 @@ def iterated_elimination(game):
     while changed:
         changed = False
         rnd += 1
-        for i in range(game.n_players):
+        for i, k in enumerate(game.shape):
             if len(surviving[i]) == 1:
                 continue
-            others = [j for j in range(game.n_players) if j != i]
-            opp_profiles = list(itertools.product(*(surviving[j] for j in others)))
-
-            def u_i(own, opp):
-                profile = [0] * game.n_players
-                profile[i] = own
-                for j, s in zip(others, opp):
-                    profile[j] = s
-                return game.payoff(tuple(profile))[i]
-
+            # one column of player i's payoffs per surviving opponent profile
+            contexts = itertools.product(*(s if j != i else (0,) for j, s in enumerate(surviving)))
+            columns = [[table[alt][i] for alt in _deviations(c, i, k)] for c in contexts]
             doomed = []
             for a in surviving[i]:
                 for b in surviving[i]:
                     if b == a:
                         continue
-                    if all(u_i(b, opp) > u_i(a, opp) for opp in opp_profiles):
+                    if all(col[b] > col[a] for col in columns):
                         doomed.append((a, b))
                         break
             for a, b in doomed:
@@ -365,11 +335,9 @@ def iterated_elimination(game):
                 changed = True
 
     names = tuple(tuple(game.strategy_names[i][s] for s in surviving[i]) for i in range(game.n_players))
-    table = {}
-    for new_profile in itertools.product(*(range(len(s)) for s in surviving)):
-        old = tuple(surviving[i][s] for i, s in enumerate(new_profile))
-        table[new_profile] = game.payoff(old)
-    reduced = StrategicGame(names, table)
+    # the surviving lists stay sorted, so old and new profiles enumerate in step
+    reduced = StrategicGame(names, dict(zip(itertools.product(*(range(len(s)) for s in surviving)),
+                                            map(table.__getitem__, itertools.product(*surviving)))))
     return EliminationResult(reduced, tuple(tuple(s) for s in surviving), tuple(trace))
 
 
@@ -401,7 +369,7 @@ def equilibrium_set_2x2(game):
     """
     if game.shape != (2, 2):
         raise errors.UnsupportedShape(f"needs a 2x2 game, got shape {game.shape}")
-    u = [game.payoff(s) for s in game.profiles()]
+    u = [game._table[s] for s in game.profiles()]
     rows = _best_reply_graph(u[1][0] - u[3][0], u[0][0] - u[2][0])
     cols = _best_reply_graph(u[2][1] - u[3][1], u[0][1] - u[1][1])
     found = set()
@@ -443,8 +411,9 @@ def support_enumeration(game):
     m, n = game.shape
     if m > 5 or n > 5:
         raise errors.SizeLimit("support enumeration is limited to 5 strategies per player")
-    A = [[game.payoff((i, j))[0] for j in range(n)] for i in range(m)]
-    Bt = [[game.payoff((i, j))[1] for i in range(m)] for j in range(n)]
+    table = game._table
+    A = [[table[i, j][0] for j in range(n)] for i in range(m)]
+    Bt = [[table[i, j][1] for i in range(m)] for j in range(n)]
 
     def solve(rows, own, opp, pair):
         status, w, v = equalizer([[rows[i][j] for j in opp] for i in own])
@@ -482,13 +451,9 @@ def is_epsilon_nash(game, mixed, eps):
     if eps < 0:
         raise errors.InvalidArgument("epsilon must be non-negative")
     mixed = validate_mixed(game, mixed)
-    current = expected_payoff(game, mixed)
     for i in range(game.n_players):
-        opponents = {j: mixed[j] for j in range(game.n_players) if j != i}
-        best = max(
-            _pure_vs_opponents(game, i, s, opponents) for s in range(game.shape[i])
-        )
-        if best - current[i] > eps:
+        values = _strategy_values(game, i, mixed)
+        if max(values) - sum(map(mul, mixed[i], values)) > eps:
             return False
     return True
 
@@ -504,7 +469,7 @@ def pareto_optimal_profiles(game):
     each dominated vector is dominated by a maximal one, so after a descending
     sort every profile is tested only against the maximal vectors kept so far.
     """
-    ranked = sorted(((game.payoff(s), s) for s in game.profiles()), reverse=True)
+    ranked = sorted(((u, s) for s, u in game._table.items()), reverse=True)
     maxima = []
     out = set()
     for u, s in ranked:
@@ -518,7 +483,7 @@ def pareto_optimal_profiles(game):
 
 def social_optimum(game):
     """Welfare-maximizing profiles and the maximal welfare, ties included."""
-    welfare = {s: sum(game.payoff(s)) for s in game.profiles()}
+    welfare = {s: sum(u) for s, u in game._table.items()}
     best = max(welfare.values())
     return {s for s, w in welfare.items() if w == best}, best
 
@@ -532,8 +497,8 @@ def price_of_anarchy(game):
     equilibria = pure_nash(game)
     if not equilibria:
         raise errors.NoEquilibrium("no pure Nash equilibrium")
-    best = max(sum(game.payoff(s)) for s in game.profiles())
-    worst_ne = min(sum(game.payoff(s)) for s in equilibria)
+    best = max(map(sum, game._table.values()))
+    worst_ne = min(sum(game._table[s]) for s in equilibria)
     if worst_ne <= 0:
         raise errors.UndefinedRatio(f"equilibrium welfare {worst_ne} is not positive")
     return Fraction(best) / worst_ne
@@ -553,28 +518,23 @@ def is_correlated_equilibrium(game, dist):
     Returns the truth value together with the most violated (minimal) margin
     over every player and recommended/deviation strategy pair, exact.
     """
-    table = {}
+    probs = {}
     for profile, q in dist.items():
-        table[game.validate_profile(profile)] = as_fraction(q)
-    if any(q < 0 for q in table.values()) or sum(table.values(), Fraction(0)) != 1:
+        probs[game.validate_profile(profile)] = as_fraction(q)
+    if any(q < 0 for q in probs.values()) or sum(probs.values(), Fraction(0)) != 1:
         raise errors.InvalidArgument("not a joint probability distribution")
 
-    worst = None
-    violations = []
-    for i in range(game.n_players):
-        for rec in range(game.shape[i]):
-            for dev in range(game.shape[i]):
-                margin = Fraction(0)
-                for profile, q in table.items():
-                    if profile[i] != rec or q == 0:
-                        continue
-                    alt = profile[:i] + (dev,) + profile[i + 1:]
-                    margin += q * (game.payoff(profile)[i] - game.payoff(alt)[i])
-                if worst is None or margin < worst:
-                    worst = margin
-                if margin < 0:
-                    violations.append((i, rec, dev, margin))
-    return CorrelatedCheck(worst >= 0, worst, tuple(violations))
+    table = game._table
+    margins = {(i, rec, dev): Fraction(0)  # keyed (player, recommended, deviation), in order
+               for i, k in enumerate(game.shape) for rec in range(k) for dev in range(k)}
+    for profile, q in probs.items():
+        u = table[profile]
+        for i, k in enumerate(game.shape):
+            for dev, alt in enumerate(_deviations(profile, i, k)):
+                margins[i, profile[i], dev] += q * (u[i] - table[alt][i])
+    worst = min(margins.values())
+    violations = tuple((*key, m) for key, m in margins.items() if m < 0)
+    return CorrelatedCheck(worst >= 0, worst, violations)
 
 
 # ---------------------------------------------------------------------------
@@ -699,23 +659,15 @@ def congestion_to_strategic(cg):
 
 def check_potential(game, potential):
     """True iff the map is an exact potential: unilateral differences match payoff differences."""
-    table = {}
+    phi = {}
     for profile, value in potential.items():
-        table[game.validate_profile(profile)] = as_fraction(value)
+        phi[game.validate_profile(profile)] = as_fraction(value)
     for profile in game.profiles():
-        if profile not in table:
+        if profile not in phi:
             raise errors.InvalidArgument(f"potential is not total: missing {profile}")
-    for profile in game.profiles():
-        for i in range(game.n_players):
-            for dev in range(game.shape[i]):
-                if dev == profile[i]:
-                    continue
-                alt = profile[:i] + (dev,) + profile[i + 1:]
-                lhs = table[profile] - table[alt]
-                rhs = game.payoff(profile)[i] - game.payoff(alt)[i]
-                if lhs != rhs:
-                    return False
-    return True
+    table = game._table
+    return all(phi[s] - phi[alt] == u[i] - table[alt][i] for s, u in table.items()
+               for i, k in enumerate(game.shape) for alt in _deviations(s, i, k))
 
 
 @dataclass(frozen=True)
@@ -739,6 +691,7 @@ def best_response_dynamics(game, start, max_steps=None):
     their lowest-index best response.  Stops at a fixed profile (returned with
     the step trace) or on a repeated profile (returned as a CycleReport).
     """
+    table = game._table
     current = game.validate_profile(start)
     trace = [current]
     seen = {current: 0}
@@ -748,11 +701,8 @@ def best_response_dynamics(game, start, max_steps=None):
             raise errors.StepLimit(f"no fixpoint or cycle within {max_steps} steps")
         mover = None
         target = None
-        for i in range(game.n_players):
-            values = [
-                game.payoff(current[:i] + (s,) + current[i + 1:])[i]
-                for s in range(game.shape[i])
-            ]
+        for i, k in enumerate(game.shape):
+            values = [table[alt][i] for alt in _deviations(current, i, k)]
             top = max(values)
             if top > values[current[i]]:
                 mover, target = i, values.index(top)
@@ -774,8 +724,8 @@ def affine_transform(game, player, a, b):
     if a <= 0:
         raise errors.InvalidArgument("affine payoff rescaling needs a > 0")
     table = {}
-    for profile in game.profiles():
-        u = list(game.payoff(profile))
+    for profile, u in game._table.items():
+        u = list(u)
         u[player] = a * u[player] + b
         table[profile] = tuple(u)
     return StrategicGame(game.strategy_names, table)

@@ -347,7 +347,7 @@ def hensel_sqrt(x):
     return PAdicNumber(p, x.valuation // 2, r, n)
 
 
-def find_nonresidue(p, n=8):
+def find_nonresidue(p):
     """A canonical non-square mu of Q_p: -1 for p = 3 mod 4, 3 for p = 2,
     else the smallest positive integer that fails is_square."""
     _check_prime(p)
@@ -357,7 +357,7 @@ def find_nonresidue(p, n=8):
         mu = -1
     else:
         mu = next(
-            c for c in range(2, p) if is_square(padic_from_rational(c, 1, p, n)) is False
+            c for c in range(2, p) if is_square(padic_from_rational(c, 1, p, 8)) is False
         )
     return mu
 

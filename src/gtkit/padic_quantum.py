@@ -24,8 +24,11 @@ from .padic import (
     ext_eq,
     ext_norm,
     ext_zero,
+    format_ext,
+    hensel_sqrt,
     is_square,
     padic_from_rational,
+    parse_ext,
     rational_norm,
     rational_valuation,
 )
@@ -264,8 +267,6 @@ class SOVM:
 
 def operator_to_json(m):
     """JSON-ready dict: a matrix of "x|y" extension-element literals."""
-    from .padic import format_ext
-
     return {
         "p": m.p,
         "mu": m.mu,
@@ -274,8 +275,6 @@ def operator_to_json(m):
 
 
 def operator_from_json(doc):
-    from .padic import parse_ext
-
     mu = doc["mu"]
     entries = [[parse_ext(text, mu) for text in row] for row in doc["entries"]]
     return PAdicOperator(entries, _validate_uniform=False)
@@ -331,8 +330,6 @@ def isotropic_witness(p, n=DEFAULT_PRECISION):
     mu = -1
     if is_square(padic_from_rational(mu, 1, p, 8)):
         raise errors.InvalidArgument(f"-1 is a square in Q_{p}; no mu=-1 extension")
-    from .padic import hensel_sqrt
-
     for b in range(1, p):
         if (-1 - b * b) % p == 0:
             continue

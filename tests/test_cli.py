@@ -970,7 +970,9 @@ def test_quantumize_refuses_payoffs_beyond_binary64(tmp_path, capsys):
     path.write_text(json.dumps(_with(bimatrix_doc(), ["payoffs", 0, 0], ["1e400", "3"])))
     code, out = run(tmp_path, "quantumize", "--in", str(path))
     assert code == EXIT_VALIDATION
-    assert "binary64 range" in capsys.readouterr().err
+    captured = capsys.readouterr()
+    assert "binary64 range" in captured.err
+    assert captured.out == ""
     assert list(out.iterdir()) == []
     assert run(tmp_path / "padic", "quantumize", "--padic", "--in", str(path))[0] == EXIT_OK
 

@@ -9,7 +9,8 @@ as oracles, and both must give identical statuses, solutions and verdicts.
 The fused float RK4 step, the trajectory CSV formatter and the vectorised
 recurrence test are held to their loop forms bit for bit, and the quantum
 payoff surface to the numpy grid and the Fraction loop it replaced.  The
-Pareto maxima scan is held to the pairwise dominance test.
+Pareto maxima scan is held to the pairwise dominance test, and the deviation
+walks and strategy values of `games` to the per-profile loops they replaced.
 """
 
 import itertools
@@ -21,7 +22,7 @@ import pytest
 from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
-from gtkit import errors, gamefile
+from gtkit import errors, gamefile, games
 from gtkit._linsolve import equalizer, solve_exact
 from gtkit.evolution import (
     CLAMP,
@@ -43,7 +44,16 @@ from gtkit.evolution import (
     rest_point_reports,
     transversal_eigenvalues,
 )
-from gtkit.games import StrategicGame, pareto_optimal_profiles, support_enumeration
+from gtkit.games import (
+    BRDResult,
+    CorrelatedCheck,
+    CycleReport,
+    StrategicGame,
+    as_fraction,
+    pareto_optimal_profiles,
+    support_enumeration,
+    validate_mixed,
+)
 from gtkit.quantum import (
     PROFILES,
     ClassicalForm,
@@ -423,6 +433,198 @@ def pareto_optimal_profiles_pairwise(game):
         if not dominated:
             out.add(s)
     return out
+
+
+# ---------------------------------------------------------------------------
+# reference implementations of the unilateral-deviation walks (one payoff lookup per step)
+
+
+def pure_nash_reference(game):
+    """All pure Nash equilibria (weak inequality) by full enumeration."""
+    out = set()
+    for profile in game.profiles():
+        u = game.payoff(profile)
+        stable = True
+        for i in range(game.n_players):
+            for dev in range(game.shape[i]):
+                if dev == profile[i]:
+                    continue
+                alt = profile[:i] + (dev,) + profile[i + 1:]
+                if game.payoff(alt)[i] > u[i]:
+                    stable = False
+                    break
+            if not stable:
+                break
+        if stable:
+            out.add(profile)
+    return out
+
+
+def expected_payoff_reference(game, mixed):
+    """Expected payoff vector under independent mixing, exact."""
+    mixed = validate_mixed(game, mixed)
+    totals = [Fraction(0)] * game.n_players
+    for profile in game.profiles():
+        prob = Fraction(1)
+        for j, s in enumerate(profile):
+            prob *= mixed[j][s]
+            if prob == 0:
+                break
+        if prob == 0:
+            continue
+        u = game.payoff(profile)
+        for i in range(game.n_players):
+            totals[i] += prob * u[i]
+    return tuple(totals)
+
+
+def _pure_vs_opponents_reference(game, player, strategy, opponents):
+    """Expected payoff to `player` using `strategy` against independent opponents."""
+    others = [j for j in range(game.n_players) if j != player]
+    total = Fraction(0)
+    for combo in itertools.product(*(range(game.shape[j]) for j in others)):
+        prob = Fraction(1)
+        for j, s in zip(others, combo):
+            prob *= opponents[j][s]
+            if prob == 0:
+                break
+        if prob == 0:
+            continue
+        profile = [0] * game.n_players
+        profile[player] = strategy
+        for j, s in zip(others, combo):
+            profile[j] = s
+        total += prob * game.payoff(tuple(profile))[player]
+    return total
+
+
+def best_responses_reference(game, player, opponents):
+    """Argmax set of pure strategies for `player` against the opponents' mixed profile.
+
+    `opponents` maps every other player's index to their probability vector.
+    """
+    if not (0 <= player < game.n_players):
+        raise errors.InvalidProfile(f"no player {player}")
+    probs = {}
+    for j in range(game.n_players):
+        if j == player:
+            continue
+        if j not in opponents:
+            raise errors.InvalidProfile(f"missing mixed strategy for player {j}")
+        vec = tuple(as_fraction(q) for q in opponents[j])
+        if len(vec) != game.shape[j] or any(q < 0 for q in vec) or sum(vec) != 1:
+            raise errors.InvalidProfile(f"player {j}: not a probability vector")
+        probs[j] = vec
+    values = [
+        _pure_vs_opponents_reference(game, player, s, probs) for s in range(game.shape[player])
+    ]
+    top = max(values)
+    return {s for s, v in enumerate(values) if v == top}
+
+
+def is_epsilon_nash_reference(game, mixed, eps):
+    """True iff no player's best unilateral pure deviation gains more than eps."""
+    eps = as_fraction(eps)
+    if eps < 0:
+        raise errors.InvalidArgument("epsilon must be non-negative")
+    mixed = validate_mixed(game, mixed)
+    current = expected_payoff_reference(game, mixed)
+    for i in range(game.n_players):
+        opponents = {j: mixed[j] for j in range(game.n_players) if j != i}
+        best = max(
+            _pure_vs_opponents_reference(game, i, s, opponents) for s in range(game.shape[i])
+        )
+        if best - current[i] > eps:
+            return False
+    return True
+
+
+def check_potential_reference(game, potential):
+    """True iff the map is an exact potential: unilateral differences match payoff differences."""
+    table = {}
+    for profile, value in potential.items():
+        table[game.validate_profile(profile)] = as_fraction(value)
+    for profile in game.profiles():
+        if profile not in table:
+            raise errors.InvalidArgument(f"potential is not total: missing {profile}")
+    for profile in game.profiles():
+        for i in range(game.n_players):
+            for dev in range(game.shape[i]):
+                if dev == profile[i]:
+                    continue
+                alt = profile[:i] + (dev,) + profile[i + 1:]
+                lhs = table[profile] - table[alt]
+                rhs = game.payoff(profile)[i] - game.payoff(alt)[i]
+                if lhs != rhs:
+                    return False
+    return True
+
+
+def is_correlated_equilibrium_reference(game, dist):
+    """Check the correlated-equilibrium inequalities for a joint distribution.
+
+    `dist` maps pure profiles to probabilities (missing profiles are 0).
+    Returns the truth value together with the most violated (minimal) margin
+    over every player and recommended/deviation strategy pair, exact.
+    """
+    table = {}
+    for profile, q in dist.items():
+        table[game.validate_profile(profile)] = as_fraction(q)
+    if any(q < 0 for q in table.values()) or sum(table.values(), Fraction(0)) != 1:
+        raise errors.InvalidArgument("not a joint probability distribution")
+
+    worst = None
+    violations = []
+    for i in range(game.n_players):
+        for rec in range(game.shape[i]):
+            for dev in range(game.shape[i]):
+                margin = Fraction(0)
+                for profile, q in table.items():
+                    if profile[i] != rec or q == 0:
+                        continue
+                    alt = profile[:i] + (dev,) + profile[i + 1:]
+                    margin += q * (game.payoff(profile)[i] - game.payoff(alt)[i])
+                if worst is None or margin < worst:
+                    worst = margin
+                if margin < 0:
+                    violations.append((i, rec, dev, margin))
+    return CorrelatedCheck(worst >= 0, worst, tuple(violations))
+
+
+def best_response_dynamics_reference(game, start, max_steps=None):
+    """Deterministic single-player best-response improvement path.
+
+    At each step the lowest-index player with a strict improvement moves to
+    their lowest-index best response.  Stops at a fixed profile (returned with
+    the step trace) or on a repeated profile (returned as a CycleReport).
+    """
+    current = game.validate_profile(start)
+    trace = [current]
+    seen = {current: 0}
+    steps = 0
+    while True:
+        if max_steps is not None and steps >= max_steps:
+            raise errors.StepLimit(f"no fixpoint or cycle within {max_steps} steps")
+        mover = None
+        target = None
+        for i in range(game.n_players):
+            values = [
+                game.payoff(current[:i] + (s,) + current[i + 1:])[i]
+                for s in range(game.shape[i])
+            ]
+            top = max(values)
+            if top > values[current[i]]:
+                mover, target = i, values.index(top)
+                break
+        if mover is None:
+            return BRDResult(current, tuple(trace), steps)
+        current = current[:mover] + (target,) + current[mover + 1:]
+        steps += 1
+        if current in seen:
+            cycle = tuple(trace[seen[current]:])
+            return CycleReport(cycle, tuple(trace + [current]), steps)
+        seen[current] = len(trace)
+        trace.append(current)
 
 
 # ---------------------------------------------------------------------------
@@ -904,3 +1106,62 @@ def tied_games(draw):
 @given(tied_games())
 def test_pareto_maxima_scan_matches_the_pairwise_test(game):
     assert pareto_optimal_profiles(game) == pareto_optimal_profiles_pairwise(game)
+
+
+# ---------------------------------------------------------------------------
+# the deviation walks and strategy values
+
+
+def _distribution(weights):
+    """Exact probabilities proportional to non-negative integer weights, not all zero."""
+    total = sum(weights)
+    return tuple(F(w, total) for w in weights)
+
+
+@st.composite
+def games_with_profiles(draw):
+    """A 2- or 3-player game with 1-3 strategies each and payoffs in {-1, 0, 1}, plus
+    a random exact mixed profile, a joint distribution and a potential over its profiles."""
+    shape = draw(st.lists(st.integers(1, 3), min_size=2, max_size=3))
+    profiles = list(itertools.product(*(range(k) for k in shape)))
+    vector = st.tuples(*[st.integers(-1, 1)] * len(shape))
+    vectors = draw(st.lists(vector, min_size=len(profiles), max_size=len(profiles)))
+    game = StrategicGame([[f"s{i}" for i in range(k)] for k in shape], dict(zip(profiles, vectors)))
+
+    def weights(k):
+        return st.lists(st.integers(0, 2), min_size=k, max_size=k).filter(any)
+
+    mixed = tuple(_distribution(draw(weights(k))) for k in shape)
+    dist = dict(zip(profiles, _distribution(draw(weights(len(profiles))))))
+    potential = dict(zip(profiles, draw(st.lists(
+        st.integers(-1, 1), min_size=len(profiles), max_size=len(profiles)))))
+    return game, mixed, dist, potential
+
+
+@settings(max_examples=300, deadline=None)
+@given(games_with_profiles())
+def test_deviation_walks_and_strategy_values_match_the_profile_loops(case):
+    game, mixed, dist, potential = case
+    n = game.n_players
+    assert games.pure_nash(game) == pure_nash_reference(game)
+    for i in range(n):
+        opponents = {j: mixed[j] for j in range(n) if j != i}
+        assert games.best_responses(game, i, opponents) == best_responses_reference(
+            game, i, opponents)
+    for eps in (0, F(1, 2)):
+        assert games.is_epsilon_nash(game, mixed, eps) == is_epsilon_nash_reference(
+            game, mixed, eps)
+    assert games.expected_payoff(game, mixed) == expected_payoff_reference(game, mixed)
+    # the potential's own identical-interest game has it as an exact potential
+    common = StrategicGame(game.strategy_names, {s: (v,) * n for s, v in potential.items()})
+    for g in (game, common):
+        assert games.check_potential(g, potential) == check_potential_reference(g, potential)
+    assert games.check_potential(common, potential)
+    check = games.is_correlated_equilibrium(game, dist)
+    reference = is_correlated_equilibrium_reference(game, dist)
+    assert (check.holds, check.worst_margin, check.violations) == (
+        reference.holds, reference.worst_margin, reference.violations)
+    limit = len(dist) + 1
+    for start in game.profiles():
+        assert outcome(games.best_response_dynamics, game, start, limit) == outcome(
+            best_response_dynamics_reference, game, start, limit)

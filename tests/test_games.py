@@ -94,6 +94,12 @@ def test_game_construction_validation():
         StrategicGame([["a"], []], [[(1, 1)]])  # empty strategy set
     with pytest.raises(errors.InvalidArgument):
         StrategicGame([["a", "b"], ["c"]], {(0, 0): (1, 1)})  # not total
+    for junk in ((7, 7), ("x",), (1, 0, 0)):
+        with pytest.raises(errors.InvalidArgument):  # a key outside the shape
+            StrategicGame([["a", "b"], ["c"]], {(0, 0): (1, 1), (1, 0): (2, 2), junk: (1, 1)})
+    for alias in ((1.0, 0), (True, 0)):
+        with pytest.raises(errors.InvalidArgument):  # equal to (1, 0), but not a profile
+            StrategicGame([["a", "b"], ["c"]], {(0, 0): (1, 1), alias: (2, 2)})
     with pytest.raises(errors.InvalidArgument):
         StrategicGame([["a"], ["c"]], {(0, 0): (1, 1, 1)})  # wrong payoff arity
     with pytest.raises(errors.InvalidArgument):

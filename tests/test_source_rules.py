@@ -33,3 +33,30 @@ def test_no_correctness_check_is_stripped_by_python_O():
 def test_the_rule_sees_both_forms():
     tree = ast.parse("assert x\nraise AssertionError\nraise AssertionError('m')\nraise ValueError")
     assert [line for line, _ in _assertion_checks(tree)] == [1, 2, 3]
+
+
+def _function_imports(tree):
+    for func in ast.walk(tree):
+        if isinstance(func, (ast.FunctionDef, ast.AsyncFunctionDef)):
+            for node in ast.walk(func):
+                if isinstance(node, (ast.Import, ast.ImportFrom)):
+                    yield node.lineno, f"import inside {func.name}"
+
+
+def test_every_import_is_at_module_level():
+    # an import inside a function body hides a module's dependencies and reruns on each call
+    found = sorted({
+        f"{path.name}:{line}: {what}"
+        for path in SOURCES
+        for line, what in _function_imports(ast.parse(path.read_text(encoding="utf-8")))
+    })
+    assert found == []
+
+
+def test_the_import_rule_sees_nested_functions_and_both_forms():
+    tree = ast.parse(
+        "import os\n"
+        "def f():\n    import json\n"
+        "class C:\n    def g(self):\n        def h():\n            from . import x\n"
+    )
+    assert sorted({line for line, _ in _function_imports(tree)}) == [3, 7]
