@@ -5,8 +5,6 @@ points, evolutionary stability, ergodic time averages and recurrence.
 
 from fractions import Fraction
 
-import numpy as np
-
 from gtkit import evolution as ev
 
 F = Fraction
@@ -32,18 +30,18 @@ print("is it an ESS?", ev.is_ess(rps, rest.points[0]),
 
 traj = ev.integrate(rps, [F(1, 2), F(1, 4), F(1, 4)], t_end=100.0, h=1e-3)
 avg = ev.time_average(traj)
-print(f"time average over T=100 from (1/2,1/4,1/4): {np.round(avg, 4)}")
+print(f"time average over T=100 from (1/2,1/4,1/4): {[round(v, 4) for v in avg]}")
 print("   (the ergodic average approaches the interior equilibrium)")
 rec = ev.detect_recurrence(traj)
 print(f"recurrence classification: {rec.kind}, period estimate {rec.period:.2f}")
 print("max |sum(p)-1| along the trajectory:",
-      float(np.max(np.abs(traj.states.sum(axis=1) - 1.0))))
+      max(abs(sum(p) - 1.0) for p in traj.rows()))
 
 header("Dominance: the inferior strategy goes extinct")
 dom = ev.EvolutionGame([[2, 2], [1, 1]])
 traj = ev.integrate(dom, [F(1, 2), F(1, 2)], t_end=30.0, h=1e-2)
-print("p(0)  =", traj.states[0])
-print("p(30) =", np.round(traj.final, 6))
+print("p(0)  =", traj.row(0))
+print("p(30) =", [round(v, 6) for v in traj.final])
 print("classification:", ev.detect_recurrence(traj).kind)
 for rep in ev.rest_point_reports(dom)[0]:
     print(f"rest point {[str(q) for q in rep.point.exact]}: {rep.classification}, "
@@ -63,9 +61,9 @@ state = ev.SimplexState([F(2, 5), F(3, 5)])
 print("identity residual |d(mean)/dt - 2 sum p h^2| =",
       ev.fisher_rate_check(sym, state))
 traj = ev.integrate(sym, state, t_end=10.0, h=1e-2)
-means = [ev.mean_fitness(sym, s) for s in traj.states]
+means = [ev.mean_fitness(sym, s) for s in traj.rows()]
 print("mean fitness is non-decreasing along trajectories:",
-      bool(np.all(np.diff(means) >= -1e-12)))
+      all(b - a >= -1e-12 for a, b in zip(means, means[1:])))
 
 header("Trajectory export")
 print("\n".join(ev.integrate(rps, centroid, t_end=0.002, h=1e-3).csv_rows(["R", "P", "S"])))

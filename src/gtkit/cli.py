@@ -189,7 +189,7 @@ def cmd_analyze(args):
     pareto = sorted(games.pareto_optimal_profiles(game))
     opt_profiles, welfare = games.social_optimum(game)
     try:
-        poa = {"value": _frac(games.price_of_anarchy(game)), "note": None}
+        poa = {"value": _frac(games.anarchy_ratio(game, ne, welfare)), "note": None}
     except errors.NoEquilibrium:
         poa = {"value": None, "note": "no pure Nash equilibrium"}
     except errors.UndefinedRatio as exc:
@@ -297,6 +297,7 @@ def cmd_evolve(args):
     if abs(total - 1) > 1e-9:
         raise errors.InvalidState("p0 does not sum to 1 within 1e-9")
     p0 = evolution.SimplexState([v / total for v in raw])
+    evolution.check_face_walk(g)
 
     traj = evolution.integrate(g, p0, t_end=args.t_end, h=args.h)
     reports, continua = evolution.rest_point_reports(g)

@@ -2,20 +2,20 @@
 
 Integration uses binary64 floats (fixed-step RK4 with clamp-and-renormalize
 projection); rest points, interior equilibria and the ESS face analysis use
-exact rational elimination.  Every operation is deterministic: there is no
-randomness anywhere in this module.
+exact rational elimination.  Floats are Python floats in tuples, lists and
+one flat `array('d')` per trajectory.  Every operation is deterministic:
+there is no randomness anywhere in this module.
 """
 
 from __future__ import annotations
 
 import itertools
 import math
-from operator import mul
+from array import array
 from dataclasses import dataclass
 from fractions import Fraction
+from operator import add, lt, mul, sub
 from typing import NamedTuple
-
-import numpy as np
 
 from . import errors
 # solve_exact stays a name here because perfbench/tracing.py rebinds evolution.solve_exact.
@@ -27,28 +27,36 @@ DIVERGE_TOL = 1e-9
 NASH_TOL = 1e-10
 REST_TOL = 1e-9
 SAMPLE_CAP = 2_000_000  # samples x strategies that integrate stores
-
-_trapezoid = getattr(np, "trapezoid", None) or np.trapz
+SUPPORT_CAP = 2 ** 12 - 1  # supports rest_point_reports solves: 2^n - 1, so n <= 12
 
 
 def _to_fraction(value):
-    if isinstance(value, float):
+    if isinstance(value, (int, float, Fraction, str)):
         return Fraction(value)
-    if isinstance(value, (int, Fraction, str)):
-        return Fraction(value)
-    if isinstance(value, np.floating):
-        return Fraction(float(value))
-    if isinstance(value, np.integer):
-        return Fraction(int(value))
     raise errors.InvalidArgument(f"not a real matrix entry: {value!r}")
+
+
+def _sum(values):
+    """Floats added left to right from 0.0 (builtin sum is compensated from Python 3.12)."""
+    total = 0.0
+    for v in values:
+        total += v
+    return total
+
+
+def _dot(a, b):
+    total = 0.0
+    for x, y in zip(a, b):
+        total += x * y
+    return total
 
 
 class EvolutionGame:
     """Symmetric evolution matrix game: an n x n payoff matrix A.
 
     Rational (or integer / string) entries are kept exactly alongside the
-    float matrix; float inputs are rationalized exactly (binary64 floats are
-    rationals), so the exact and float views always agree.
+    float matrix, a tuple of row tuples; float inputs are rationalized exactly
+    (binary64 floats are rationals), so the exact and float views always agree.
     """
 
     def __init__(self, matrix):
@@ -58,7 +66,7 @@ class EvolutionGame:
             raise errors.InvalidArgument("payoff matrix must be square with n >= 2")
         self.exact = exact
         try:
-            self.matrix = np.array([[float(v) for v in row] for row in exact], dtype=float)
+            self.matrix = tuple(tuple(map(float, row)) for row in exact)
         except OverflowError as exc:
             raise errors.InvalidArgument("payoff entry beyond the binary64 range") from exc
 
@@ -79,7 +87,7 @@ class EvolutionGame:
 
 
 class SimplexState:
-    """Point of the (n-1)-simplex.
+    """Point of the (n-1)-simplex; `p` is its tuple of floats.
 
     Exact entries (ints, Fractions, strings) are preserved for the rational
     solvers; float input is accepted when it sums to 1 within 1e-12.
@@ -87,27 +95,27 @@ class SimplexState:
 
     def __init__(self, probs):
         values = list(probs)
-        floaty = any(isinstance(v, (float, np.floating)) for v in values)
-        if floaty:
-            p = np.asarray([float(v) for v in values], dtype=float)
+        if any(isinstance(v, float) for v in values):
+            p = tuple(map(float, values))
             self.exact = None
         else:
             exact = tuple(_to_fraction(v) for v in values)
             if any(q < 0 for q in exact) or sum(exact) != 1:
                 raise errors.InvalidState(f"not an exact simplex point: {exact}")
             self.exact = exact
-            p = np.asarray([float(q) for q in exact], dtype=float)
-        if p.ndim != 1 or p.size < 2:
+            p = tuple(map(float, exact))
+        if len(p) < 2:
             raise errors.InvalidState("simplex state needs at least 2 coordinates")
-        if np.any(p < 0):
+        if any(v < 0 for v in p):
             raise errors.InvalidState(f"negative probability in {p}")
-        if abs(p.sum() - 1.0) > SUM_TOL:
-            raise errors.InvalidState(f"coordinates sum to {p.sum()!r}, not 1")
+        total = _sum(p)
+        if not abs(total - 1.0) <= SUM_TOL:
+            raise errors.InvalidState(f"coordinates sum to {total!r}, not 1")
         self.p = p
 
     @property
     def n(self):
-        return self.p.size
+        return len(self.p)
 
     def support(self):
         if self.exact is not None:
@@ -115,83 +123,104 @@ class SimplexState:
         return tuple(i for i, v in enumerate(self.p) if v > CLAMP)
 
     def __repr__(self):
-        return f"SimplexState({np.array2string(self.p, precision=6)})"
+        return f"SimplexState([{', '.join(f'{v:.6g}' for v in self.p)}])"
 
 
 def _state_array(g, state):
     p = state.p if isinstance(state, SimplexState) else SimplexState(list(state)).p
-    if p.size != g.n:
-        raise errors.InvalidArgument(f"state has {p.size} coordinates for an {g.n}-strategy game")
+    if len(p) != g.n:
+        raise errors.InvalidArgument(f"state has {len(p)} coordinates for an {g.n}-strategy game")
     return p
 
 
 def fitness(g, state):
-    """Per-strategy expected payoff u(p) = A p."""
-    return g.matrix @ _state_array(g, state)
+    """Per-strategy expected payoff u(p) = A p, as a list."""
+    p = _state_array(g, state)
+    return [_dot(row, p) for row in g.matrix]
 
 
 def mean_fitness(g, state):
     """Population average payoff p A p^T."""
     p = _state_array(g, state)
-    return float(p @ g.matrix @ p)
+    return _dot(p, fitness(g, p))
 
 
 def excess(g, state):
-    """Excess payoff h(p) = A p - (p A p^T) 1."""
+    """Excess payoff h(p) = A p - (p A p^T) 1, as a list."""
     p = _state_array(g, state)
-    u = g.matrix @ p
-    return u - float(p @ u)
-
-
-def _rhs(A, x):
-    u = A @ x
-    return x * (u - x @ u)
+    u = fitness(g, p)
+    s = _dot(p, u)
+    return [ui - s for ui in u]
 
 
 def replicator_rhs(g, state):
     """Replicator vector field p_i * (u_i(p) - mean); tangent to the simplex."""
     p = _state_array(g, state)
-    return _rhs(g.matrix, p)
+    return list(map(mul, p, excess(g, p)))
+
+
+def _floats(values):
+    return values if isinstance(values, array) and values.typecode == "d" else array("d", values)
 
 
 @dataclass(frozen=True)
 class Trajectory:
-    """Fixed-step trajectory: strictly increasing times and simplex states."""
+    """Fixed-step trajectory: strictly increasing times and one simplex state per time.
 
-    times: np.ndarray
-    states: np.ndarray
+    `values` holds the states row-major in one flat `array('d')`, so sample k
+    is `values[k * n:(k + 1) * n]` and strategy j is the slice `values[j::n]`.
+    """
+
+    times: array
+    values: array
     h: float
 
     def __post_init__(self):
-        t = np.asarray(self.times, dtype=float)
-        s = np.asarray(self.states, dtype=float)
+        t, v = _floats(self.times), _floats(self.values)
         object.__setattr__(self, "times", t)
-        object.__setattr__(self, "states", s)
-        if t.ndim != 1 or s.ndim != 2 or s.shape[0] != t.size:
+        object.__setattr__(self, "values", v)
+        if not t or not v or len(v) % len(t):
             raise errors.InvalidArgument("trajectory needs matching times and states")
-        if np.any(np.diff(t) <= 0):
+        if not all(map(lt, t, t[1:])):
             raise errors.InvalidArgument("times must be strictly increasing")
-        # written so that NaN entries fail the test too
-        if not (np.all(s >= 0) and np.max(np.abs(s.sum(axis=1) - 1.0)) <= SUM_TOL):
+        columns = [self.column(j) for j in range(self.n)]
+        # a NaN entry makes its row sum NaN, which fails the test too
+        if not (min(map(min, columns)) >= 0.0
+                and all(abs(s - 1.0) <= SUM_TOL for s in map(sum, zip(*columns)))):
             raise errors.InvalidState("trajectory left the simplex")
 
     def __len__(self):
-        return self.times.size
+        return len(self.times)
+
+    @property
+    def n(self):
+        """Strategies per state."""
+        return len(self.values) // len(self.times)
+
+    def row(self, k):
+        """State k (negative k counts from the end) as a list of floats."""
+        k, n = range(len(self))[k], self.n
+        return self.values[k * n:(k + 1) * n].tolist()
+
+    def rows(self):
+        return map(self.row, range(len(self)))
+
+    def column(self, j):
+        """Strategy j's share at every time, as an array('d')."""
+        n = self.n
+        return self.values[range(n)[j]::n]
 
     @property
     def final(self):
-        return self.states[-1]
+        return self.row(-1)
 
     def csv_rows(self, names=None):
         """CSV with 17-significant-digit floats: t, p_1, ..., p_n."""
-        n = self.states.shape[1]
+        n = self.n
         header = ",".join(["t"] + [names[i] if names else f"p_{i + 1}" for i in range(n)])
         fmt = ",".join(["%.17g"] * (n + 1))
         rows = [header]
-        rows.extend(
-            fmt % (t, *row)
-            for t, row in zip(self.times.tolist(), map(np.ndarray.tolist, self.states))
-        )
+        rows.extend(map(fmt.__mod__, zip(self.times, *map(self.column, range(n)))))
         return rows
 
 
@@ -238,8 +267,9 @@ def integrate(g, p0, t_end, h=1e-3):
 
     After every step, entries of magnitude below 1e-12 are clamped to zero and
     the state renormalized to sum 1.  Deterministic; t_end is realized as
-    round(t_end / h) steps of exactly h.  SizeLimit, before anything is
-    allocated, when the steps + 1 samples of g.n values exceed SAMPLE_CAP.
+    round(t_end / h) steps of exactly h, at times k * h.  SizeLimit, before
+    anything is stored, when the steps + 1 samples of g.n values exceed
+    SAMPLE_CAP.
     """
     if not (0 < h < math.inf and 0 < t_end < math.inf):
         raise errors.InvalidArgument("need finite h > 0 and t_end > 0")
@@ -249,21 +279,31 @@ def integrate(g, p0, t_end, h=1e-3):
     if (steps + 1) * g.n > SAMPLE_CAP:
         raise errors.SizeLimit(f"t_end / h = {t_end / h:.6g} steps of {g.n} strategies "
                                f"exceed the cap of {SAMPLE_CAP} stored values")
-    rows = tuple(tuple(row) for row in g.matrix.tolist())
-    states = np.empty((steps + 1, g.n), dtype=float)
-    states[0] = p
-    x = p.tolist()
-    for k in range(steps):
+    rows = g.matrix
+    values = array("d", p)
+    x = list(p)
+    for _ in range(steps):
         x = _step_list(rows, x, h)
-        states[k + 1] = x
-    times = np.arange(steps + 1, dtype=float) * h
-    return Trajectory(times, states, h)
+        values.extend(x)
+    return Trajectory(array("d", [k * h for k in range(steps + 1)]), values, h)
 
 
 def time_average(traj):
-    """Trapezoidal time average (1/T) * integral of p(t) dt over the trajectory."""
-    span = traj.times[-1] - traj.times[0]
-    return _trapezoid(traj.states, traj.times, axis=0) / span
+    """Trapezoidal time average (1/T) * integral of p(t) dt over the trajectory.
+
+    Per strategy, the terms d_k (y_k + y_(k+1)) are added left to right from
+    0.0 and the sum is halved.
+    """
+    t = traj.times
+    if len(t) < 2:
+        raise errors.InsufficientData("a time average needs at least 2 samples")
+    d = list(map(sub, t[1:], t))
+    span = t[-1] - t[0]
+    averages = []
+    for j in range(traj.n):
+        y = traj.column(j)
+        averages.append(_dot(d, map(add, y[1:], y)) / 2.0 / span)
+    return averages
 
 
 # ---------------------------------------------------------------------------
@@ -302,8 +342,20 @@ def is_nash_state(g, state):
     if st.exact is not None:
         u = _exact_payoffs(g, st.exact)
         return max(u) <= sum(map(mul, st.exact, u))
-    u = g.matrix @ p
-    return bool(np.max(u) <= float(p @ u) + NASH_TOL)
+    u = fitness(g, p)
+    return max(u) <= _dot(p, u) + NASH_TOL
+
+
+def _not_finite(point):
+    return errors.InvalidArgument(f"rest point {[str(q) for q in point]}: its binary64 "
+                                  "diagnostics are not finite (payoffs too large)")
+
+
+def _binary64(value, point):
+    try:
+        return float(value)
+    except OverflowError as exc:
+        raise _not_finite(point) from exc
 
 
 def transversal_eigenvalues(g, state):
@@ -311,8 +363,9 @@ def transversal_eigenvalues(g, state):
 
     Returns (index, h_i(p)) for every strategy outside the support; the point
     is a Nash state iff all returned values are <= 1e-10.  An exact state is
-    a rest point when p_i ((Ap)_i - p^T A p) = 0 in Fractions, a float one
-    when the replicator field is within 1e-9 of 0.
+    a rest point when p_i ((Ap)_i - p^T A p) = 0 in Fractions, and its values
+    are the exact h_i(p) correctly rounded; a float one is a rest point when
+    the replicator field is within 1e-9 of 0.
     """
     st = state if isinstance(state, SimplexState) else SimplexState(list(state))
     p = _state_array(g, st)
@@ -321,15 +374,25 @@ def transversal_eigenvalues(g, state):
         mean = sum(map(mul, st.exact, u))
         rest = all(ui == mean for q, ui in zip(st.exact, u) if q)
     else:
-        rest = np.max(np.abs(_rhs(g.matrix, p))) <= REST_TOL
+        rest = max(map(abs, replicator_rhs(g, p))) <= REST_TOL
     if not rest:
         raise errors.InvalidArgument("not a rest point")
     support = st.support()
     outside = [i for i in range(g.n) if i not in support]
     if not outside:
         raise errors.InvalidArgument("interior point has no transversal directions")
-    h = excess(g, st)
-    return [(i, float(h[i])) for i in outside]
+    if st.exact is not None:
+        return [(i, _binary64(u[i] - mean, st.exact)) for i in outside]
+    h = excess(g, p)
+    return [(i, h[i]) for i in outside]
+
+
+def check_face_walk(g):
+    """SizeLimit when the 2^n - 1 supports that rest_point_reports solves exceed SUPPORT_CAP."""
+    supports = 2 ** g.n - 1
+    if supports > SUPPORT_CAP:
+        raise errors.SizeLimit(f"{g.n} strategies give {supports} supports to solve, "
+                               f"beyond the cap of {SUPPORT_CAP}")
 
 
 @dataclass(frozen=True)
@@ -347,9 +410,12 @@ def rest_point_reports(g):
     Returns (reports, continuum_supports); supports whose indifference system
     is underdetermined are listed rather than expanded.  A rest point is Nash
     when no row outside its support pays more, in Fractions, than the payoff
-    v that every support row earns; the residual and the transversal values
-    come from one binary64 evaluation and must be finite (InvalidArgument).
+    v that every support row earns; its transversal values are those exact
+    margins (Ap)_i - v correctly rounded, and its residual max |p_i h_i(p)|
+    is evaluated in binary64 with left-to-right sums.  Every diagnostic must
+    be finite (InvalidArgument).  SizeLimit (check_face_walk) before any solve.
     """
+    check_face_walk(g)
     reports = []
     continua = []
     for m in range(1, g.n + 1):
@@ -365,24 +431,18 @@ def rest_point_reports(g):
                 full[idx] = q
             state = SimplexState(full)
             outside = [i for i in range(g.n) if i not in support]
-            is_nash = all(sum(g.exact[i][j] * q for j, q in zip(support, coords)) <= v
-                          for i in outside)
-            p = state.p
-            with np.errstate(over="ignore", invalid="ignore"):
-                u = g.matrix @ p
-                h = u - p @ u
-                residual = float(np.max(np.abs(p * h)))
-            trans = tuple((i, float(h[i])) for i in outside)
-            if not all(map(math.isfinite, (residual, *(x for _, x in trans)))):
-                raise errors.InvalidArgument(
-                    f"rest point {[str(q) for q in full]}: its binary64 diagnostics "
-                    "are not finite (payoffs too large)")
+            margins = [sum(g.exact[i][j] * q for j, q in zip(support, coords)) - v
+                       for i in outside]
+            trans = tuple((i, _binary64(x, full)) for i, x in zip(outside, margins))
+            terms = replicator_rhs(g, state)
+            if not all(map(math.isfinite, terms)):
+                raise _not_finite(full)
             reports.append(
                 RestPointReport(
                     point=state,
-                    residual=residual,
+                    residual=max(map(abs, terms)),
                     classification="boundary" if outside else "interior",
-                    is_nash=is_nash,
+                    is_nash=all(x <= 0 for x in margins),
                     transversal_eigenvalues=trans,
                 )
             )
@@ -512,23 +572,22 @@ def fisher_rate_check(g, state):
     if not g.is_symmetric:
         raise errors.UnsupportedMatrix("the rate identity holds for symmetric matrices only")
     p = _state_array(g, state)
-    A = g.matrix
-    r = _rhs(A, p)
-    lhs = float(r @ (A + A.T) @ p)
-    h = A @ p - float(p @ A @ p)
-    rhs_val = 2.0 * float(np.sum(p * h * h))
-    return abs(lhs - rhs_val)
+    h = excess(g, p)
+    r = list(map(mul, p, h))
+    # (A + A^T) p, row by row and column by column
+    both = [_dot(row, p) + _dot(col, p) for row, col in zip(g.matrix, zip(*g.matrix))]
+    return abs(_dot(r, both) - 2.0 * _dot(r, h))
 
 
 def power_product_rate(g, state, alphas):
     """Analytic derivative of V(p) = prod p_i**alpha_i along the replicator flow."""
     p = _state_array(g, state)
-    alphas = np.asarray(alphas, dtype=float)
-    if np.any(p <= 0):
+    alphas = tuple(map(float, alphas))
+    if len(alphas) != len(p):
+        raise errors.InvalidArgument(f"{len(alphas)} exponents for {len(p)} strategies")
+    if any(v <= 0 for v in p):
         raise errors.InvalidArgument("power product needs an interior state")
-    V = float(np.prod(p**alphas))
-    u = g.matrix @ p
-    return V * float(np.sum(alphas * (u - float(p @ u))))
+    return math.prod(map(pow, p, alphas)) * _dot(alphas, excess(g, p))
 
 
 # ---------------------------------------------------------------------------
@@ -546,28 +605,30 @@ def detect_recurrence(traj, tol=1e-3):
     """Classify a trajectory as convergent, recurrent, or neither.
 
     Convergent: the terminal window's diameter falls below tol.  Recurrent:
-    the state re-enters the tol-ball around the initial state in episodes
-    whose spacing is stable within +-10%; the period estimate is the mean
-    spacing.
+    the state re-enters the tol-ball (max norm) around the initial state in
+    episodes whose spacing is stable within +-10%; the period estimate is the
+    mean spacing.
     """
     if not 0 < tol < math.inf:
         raise errors.InvalidArgument(f"tolerance must be finite and positive, got {tol!r}")
-    n = len(traj)
-    if n < 10:
-        raise errors.InsufficientData(f"need at least 10 samples, got {n}")
-    window = traj.states[-max(10, n // 10):]
-    diameter = float(np.max(window.max(axis=0) - window.min(axis=0)))
+    m = len(traj)
+    if m < 10:
+        raise errors.InsufficientData(f"need at least 10 samples, got {m}")
+    columns = [traj.column(j) for j in range(traj.n)]
+    size = max(10, m // 10)
+    diameter = max(max(col[-size:]) - min(col[-size:]) for col in columns)
     if diameter < tol:
         return RecurrenceReport("convergent", detail=f"terminal window diameter {diameter:.3g}")
 
-    ref = traj.states[0]
-    dist = np.max(np.abs(traj.states - ref), axis=1)
-    inside = dist < tol
-    episodes = traj.times[1:][inside[1:] & ~inside[:-1]]
+    # samples inside the ball, narrowed one strategy at a time
+    inside = range(m)
+    for col, ref in zip(columns, traj.row(0)):
+        inside = [k for k in inside if abs(col[k] - ref) < tol]
+    episodes = [traj.times[k] for prev, k in zip(inside, inside[1:]) if k != prev + 1]
     if len(episodes) >= 2:
-        spacings = np.diff(episodes)
-        mean = float(spacings.mean())
-        if mean > 0 and np.all(np.abs(spacings - mean) <= 0.10 * mean):
+        spacings = list(map(sub, episodes[1:], episodes))
+        mean = _sum(spacings) / len(spacings)
+        if mean > 0 and all(abs(s - mean) <= 0.10 * mean for s in spacings):
             return RecurrenceReport(
                 "recurrent", period=mean, detail=f"{len(episodes)} returns to the start ball"
             )

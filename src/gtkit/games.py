@@ -74,6 +74,16 @@ class StrategicGame:
                 )
         self._table = table
 
+    @classmethod
+    def _checked(cls, names, table):
+        """A game from the name tuples and payoff table of games already checked:
+        every profile of the shape once, each with one Fraction per player."""
+        game = cls.__new__(cls)
+        game._names = names
+        game._shape = tuple(map(len, names))
+        game._table = table
+        return game
+
     @property
     def n_players(self):
         return len(self._names)
@@ -336,8 +346,9 @@ def iterated_elimination(game):
 
     names = tuple(tuple(game.strategy_names[i][s] for s in surviving[i]) for i in range(game.n_players))
     # the surviving lists stay sorted, so old and new profiles enumerate in step
-    reduced = StrategicGame(names, dict(zip(itertools.product(*(range(len(s)) for s in surviving)),
-                                            map(table.__getitem__, itertools.product(*surviving)))))
+    reduced = StrategicGame._checked(names, dict(zip(
+        itertools.product(*(range(len(s)) for s in surviving)),
+        map(table.__getitem__, itertools.product(*surviving)))))
     return EliminationResult(reduced, tuple(tuple(s) for s in surviving), tuple(trace))
 
 
@@ -494,10 +505,13 @@ def price_of_anarchy(game):
     Restricted to pure equilibria (mixed equilibria are not enumerable in
     general); reported as such by the CLI metadata.
     """
-    equilibria = pure_nash(game)
+    return anarchy_ratio(game, pure_nash(game), social_optimum(game)[1])
+
+
+def anarchy_ratio(game, equilibria, best):
+    """The price of anarchy from the pure equilibria and the maximal welfare in hand."""
     if not equilibria:
         raise errors.NoEquilibrium("no pure Nash equilibrium")
-    best = max(map(sum, game._table.values()))
     worst_ne = min(sum(game._table[s]) for s in equilibria)
     if worst_ne <= 0:
         raise errors.UndefinedRatio(f"equilibrium welfare {worst_ne} is not positive")
@@ -728,4 +742,4 @@ def affine_transform(game, player, a, b):
         u = list(u)
         u[player] = a * u[player] + b
         table[profile] = tuple(u)
-    return StrategicGame(game.strategy_names, table)
+    return StrategicGame._checked(game.strategy_names, table)

@@ -1,4 +1,4 @@
-"""Two-qubit state machinery and the entangled quantumization of 2x2 games.
+"""The entangled quantumization of 2x2 games, solved exactly.
 
 The quantumization follows the probabilistic identity/bit-flip scheme applied
 to a shared initial state alpha|00> + beta|11> (Marinatto & Weber 2000):
@@ -9,13 +9,15 @@ resulting density operator in the computational basis.
 The pure choice (s, t) of identity (0) or bit-flip (1) yields (s, t) with
 weight |alpha|^2 and (1-s, 1-t) with |beta|^2, so the quantum game is exactly
 the classical 2x2 game `ClassicalForm`, solved exactly for both the complex
-and the p-adic mode.  The Kraus sum `mw_final_density` and the grid search
-`mw_nash_search` remain as reference oracles for tests and demos.
+and the p-adic mode.  No state vector or density matrix is built: the
+two-qubit Kraus sum that this identity replaces lives in the tests as their
+oracle, and the grid search `mw_nash_search` remains as the oracle of the
+exact equilibrium set.
 
 The payoff surface is that game's closed form at each grid point: Python
-floats added in one fixed order without numpy (its bits do not depend on the
-Python version), or Fractions in the p-adic mode.  The Kraus-sum payoffs
-reduce with math.fsum, independent of accumulation order.
+floats added in one fixed order (its bits do not depend on the Python
+version), or in the p-adic mode one exact rational per payoff from an
+integer combination of the payoffs.
 """
 
 from __future__ import annotations
@@ -24,92 +26,12 @@ import math
 from dataclasses import dataclass
 from fractions import Fraction
 
-import numpy as np
-
 from . import errors, games
 
 NORM_TOL = 1e-10
-PSD_TOL = 1e-9
 EQ_TOL = 1e-9
 
-_X = np.array([[0.0, 1.0], [1.0, 0.0]], dtype=complex)
-_I = np.eye(2, dtype=complex)
-
 PROFILES = ((0, 0), (0, 1), (1, 0), (1, 1))
-
-
-class Ket:
-    """Unit state vector of a 1- or 2-qubit system (dimension 2 or 4)."""
-
-    def __init__(self, amplitudes):
-        v = np.asarray(amplitudes, dtype=complex)
-        if v.ndim != 1 or v.size not in (2, 4):
-            raise errors.InvalidState(f"ket dimension must be 2 or 4, got shape {v.shape}")
-        if not np.all(np.isfinite(v.view(float))):
-            raise errors.InvalidState("amplitudes must be finite")
-        if abs(math.fsum(float(a) for a in np.abs(v) ** 2) - 1.0) > NORM_TOL:
-            raise errors.InvalidState("state vector is not normalized")
-        self.v = v
-
-    @property
-    def dim(self):
-        return self.v.size
-
-    def __repr__(self):
-        return f"Ket({np.array2string(self.v, precision=6)})"
-
-
-def basis_ket(dim, index):
-    v = np.zeros(dim, dtype=complex)
-    v[index] = 1.0
-    return Ket(v)
-
-
-def tensor(a, b):
-    """Tensor (Kronecker) product of two kets; preserves normalization."""
-    return Ket(np.kron(a.v, b.v))
-
-
-def born_probabilities(psi, basis):
-    """Born-rule outcome probabilities |<b_i|psi>|^2 for an orthonormal basis."""
-    vecs = [b.v for b in basis]
-    if len(vecs) != psi.dim or any(v.size != psi.dim for v in vecs):
-        raise errors.InvalidBasis("basis size must match the state dimension")
-    gram = np.array([[np.vdot(u, w) for w in vecs] for u in vecs])
-    if np.max(np.abs(gram - np.eye(psi.dim))) > NORM_TOL:
-        raise errors.InvalidBasis("basis is not orthonormal within 1e-10")
-    return np.array([abs(np.vdot(v, psi.v)) ** 2 for v in vecs])
-
-
-class DensityOperator:
-    """Hermitian, PSD, trace-1 complex matrix."""
-
-    def __init__(self, matrix):
-        m = np.asarray(matrix, dtype=complex)
-        if m.ndim != 2 or m.shape[0] != m.shape[1]:
-            raise errors.InvalidState("density operator must be a square matrix")
-        if np.max(np.abs(m - m.conj().T)) > NORM_TOL:
-            raise errors.InvalidState("not Hermitian within 1e-10")
-        if abs(np.trace(m).real - 1.0) > NORM_TOL or abs(np.trace(m).imag) > NORM_TOL:
-            raise errors.InvalidState("trace is not 1 within 1e-10")
-        if np.min(np.linalg.eigvalsh(m)) < -PSD_TOL:
-            raise errors.InvalidState("not positive semidefinite (eigenvalue < -1e-9)")
-        self.matrix = m
-
-    @property
-    def dim(self):
-        return self.matrix.shape[0]
-
-    def diagonal(self):
-        return self.matrix.diagonal().real.copy()
-
-    def __repr__(self):
-        return f"DensityOperator(dim={self.dim})"
-
-
-def density_of(psi):
-    """Pure-state density operator psi psi^dagger."""
-    return DensityOperator(np.outer(psi.v, psi.v.conj()))
 
 
 @dataclass(frozen=True)
@@ -127,9 +49,6 @@ class QuantumizedGame:
         object.__setattr__(self, "beta", complex(self.beta))
         if abs(abs(self.alpha) ** 2 + abs(self.beta) ** 2 - 1.0) > NORM_TOL:
             raise errors.InvalidState("|alpha|^2 + |beta|^2 must be 1")
-
-    def initial_ket(self):
-        return Ket([self.alpha, 0.0, 0.0, self.beta])
 
 
 def maximally_entangled(base):
@@ -205,64 +124,40 @@ def equilibrium_report(form):
     return report
 
 
-def _check_prob(value, name):
-    if not (0.0 <= value <= 1.0):
-        raise errors.InvalidArgument(f"{name} must lie in [0, 1], got {value}")
-
-
-def mw_final_density(qg, p, q):
-    """Final state of the probabilistic identity/bit-flip channel.
-
-    rho' = sum over U, V in {I, X} of w_UV (U x V) rho (U x V)^dagger with
-    weights (pq, p(1-q), (1-p)q, (1-p)(1-q)); computed by explicit Kraus-sum
-    matrix products.  Reference oracle for the closed form; no report uses it.
-    """
-    _check_prob(p, "p")
-    _check_prob(q, "q")
-    rho = density_of(qg.initial_ket()).matrix
-    weights = {
-        (0, 0): p * q,
-        (0, 1): p * (1.0 - q),
-        (1, 0): (1.0 - p) * q,
-        (1, 1): (1.0 - p) * (1.0 - q),
-    }
-    total = np.zeros((4, 4), dtype=complex)
-    for (a, b), w in weights.items():
-        op = np.kron(_X if a else _I, _X if b else _I)
-        total += w * (op @ rho @ op.conj().T)
-    return DensityOperator(total)
-
-
-def mw_diagonal(qg, p, q):
-    """Diagonal of the channel output from the classical form (partner of mw_final_density)."""
-    dist = classical_form(qg).distribution(Fraction(p), Fraction(q))
-    return np.array([float(x) for x in dist])
-
-
-def mw_expected_payoffs(qg, p, q):
-    """Expected payoffs: payoff-weighted diagonal of the Kraus-sum final state."""
-    diag = mw_final_density(qg, p, q).diagonal().tolist()
-    u = [qg.base.payoff(s) for s in PROFILES]
-    return tuple(math.fsum(d * float(x[i]) for d, x in zip(diag, u)) for i in (0, 1))
-
-
 def _surface(qg, grid_n, exact=False):
     """(p, q, payoff1, payoff2) at every (i/grid_n, j/grid_n), row-major, exact or float.
 
     Each payoff is pq c00 + p(1-q) c01 + (1-p)q c10 + (1-p)(1-q) c11 for the
-    payoffs c of A', added left to right after a leading 0 (which turns a
-    -0.0 first term into 0.0).  A float surface needs every payoff of A' in
-    the binary64 range (InvalidArgument)."""
+    payoffs c of A'.  As floats the terms are added left to right after a
+    leading 0 (which turns a -0.0 first term into 0.0); a float surface needs
+    every payoff of A' in the binary64 range (InvalidArgument).  Exactly, with
+    C = D c on integers for the common denominator D, it is the one rational
+    (ij C00 + i(N-j) C01 + (N-i)j C10 + (N-i)(N-j) C11) / (D N^2), N = grid_n.
+    """
     if grid_n < 1:
         raise errors.InvalidArgument("grid_n must be >= 1")
-    num = Fraction if exact else float
-    try:
+    payoffs = [classical_form(qg).game.payoff(s) for s in PROFILES]
+    if exact:
+        scale = math.lcm(*(x.denominator for u in payoffs for x in u))
         (x00, y00), (x01, y01), (x10, y10), (x11, y11) = (
-            map(num, classical_form(qg).game.payoff(s)) for s in PROFILES)
+            [x.numerator * (scale // x.denominator) for x in u] for u in payoffs)
+        n = grid_n
+        den = scale * n * n
+        ps = [Fraction(i, n) for i in range(n + 1)]
+        for i, p in enumerate(ps):
+            r = n - i
+            for j, q in enumerate(ps):
+                s = n - j
+                w00, w01, w10, w11 = i * j, i * s, r * j, r * s
+                yield (p, q, Fraction(w00 * x00 + w01 * x01 + w10 * x10 + w11 * x11, den),
+                       Fraction(w00 * y00 + w01 * y01 + w10 * y10 + w11 * y11, den))
+        return
+    try:
+        (x00, y00), (x01, y01), (x10, y10), (x11, y11) = (map(float, u) for u in payoffs)
     except OverflowError as exc:
         raise errors.InvalidArgument(
             "payoff beyond the binary64 range; the p-adic mode (--padic) is exact") from exc
-    ps = [Fraction(i, grid_n) if exact else i / grid_n for i in range(grid_n + 1)]
+    ps = [i / grid_n for i in range(grid_n + 1)]
     for p in ps:
         r = 1 - p
         for q in ps:

@@ -113,8 +113,9 @@ def test_criterion_04_replicator_rps():
     traj = evolution.integrate(g, [F(1, 2), F(1, 4), F(1, 4)], t_end=200.0, h=1e-3)
     steps = len(traj) - 1
     avg = evolution.time_average(traj)
-    drift = float(np.max(np.abs(traj.states.sum(axis=1) - 1.0)))
-    avg_err = float(np.max(np.abs(avg - 1.0 / 3.0)))
+    states = np.frombuffer(traj.values).reshape(len(traj), traj.n)
+    drift = float(np.max(np.abs(states.sum(axis=1) - 1.0)))
+    avg_err = float(np.max(np.abs(np.asarray(avg) - 1.0 / 3.0)))
     elapsed = time.perf_counter() - t0
     ok = ok and steps == 200_000 and avg_err < 1e-2 and drift <= 1e-10 and elapsed < 10.0
     report(4, ok, f"RPS rest point exact, time average within {avg_err:.2e} of centroid, "

@@ -9,7 +9,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from gtkit import errors, gamefile
+from gtkit import errors, evolution, gamefile
 from gtkit.cli import (
     EXIT_OK,
     EXIT_PARSE,
@@ -842,8 +842,9 @@ def test_quantumize_padic_reports_are_pinned(tmp_path, monkeypatch, name, alpha)
     original = padic_quantum.padic_quantumize_2x2
     monkeypatch.setattr(padic_quantum, "padic_quantumize_2x2",
                         lambda *a: calls.append(a) or original(*a))
-    for oracle in ("mw_nash_search", "mw_final_density"):
-        monkeypatch.setattr(quantum, oracle, None)
+    # the Kraus-sum oracle lives in the tests only; the grid search is disabled
+    assert not hasattr(quantum, "mw_final_density")
+    monkeypatch.setattr(quantum, "mw_nash_search", None)
     code, out = run(tmp_path, "quantumize", "--in", name, "--padic", "--grid", "28",
                     "--p", "7", "--prec", "32", "--alpha", alpha)
     assert code == EXIT_OK
@@ -881,8 +882,8 @@ def test_quantumize_complex_reports_are_pinned(tmp_path, name, alpha):
 def test_quantumize_complex_runs_no_oracle(tmp_path, monkeypatch):
     from gtkit import quantum
 
-    for oracle in ("mw_nash_search", "mw_final_density"):
-        monkeypatch.setattr(quantum, oracle, None)
+    assert not hasattr(quantum, "mw_final_density")
+    monkeypatch.setattr(quantum, "mw_nash_search", None)
     assert run(tmp_path, "quantumize", "--in", "pd", "--grid", "5")[0] == EXIT_OK
 
 
@@ -924,6 +925,22 @@ def test_oversized_evolve_steps_are_refused_at_once(tmp_path, capsys, argv):
     assert main([*argv, "--out", str(tmp_path / "o")]) == EXIT_SIZE
     assert time.perf_counter() - start < 1
     assert "error (size limit)" in capsys.readouterr().err
+
+
+def test_evolve_past_the_face_walk_bound_is_refused_at_once(tmp_path, capsys):
+    n = evolution.SUPPORT_CAP.bit_length() + 1  # the smallest n with 2^n - 1 supports past it
+    doc = _with(evolution_doc(), ["matrix"],
+                [[str((i * j) % 5 - 2) for j in range(n)] for i in range(n)])
+    doc = _with(doc, ["strategies"], [[f"s{i}" for i in range(n)]])
+    doc = _with(doc, ["metadata", "default_p0"], [f"1/{n}"] * n)
+    path = tmp_path / "wide.json"
+    path.write_text(json.dumps(doc))
+    start = time.perf_counter()
+    code, out = run(tmp_path, "evolve", "--in", str(path))
+    assert code == EXIT_SIZE
+    assert time.perf_counter() - start < 1
+    assert "error (size limit)" in capsys.readouterr().err
+    assert not out.exists()
 
 
 def test_evolve_decides_nash_exactly(tmp_path):

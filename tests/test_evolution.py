@@ -39,8 +39,12 @@ IDENTITY2 = [[1, 0], [0, 1]]
 
 def rk4_step(g, p, h):
     """One RK4 step of the replicator flow plus the clamp/renormalize projection."""
-    rows = tuple(tuple(row) for row in g.matrix.tolist())
-    return np.asarray(_step_list(rows, np.asarray(p, dtype=float).tolist(), h))
+    return np.asarray(_step_list(g.matrix, np.asarray(p, dtype=float).tolist(), h))
+
+
+def states(traj):
+    """The trajectory's states as a (samples, n) view of its flat array."""
+    return np.frombuffer(traj.values).reshape(len(traj), traj.n)
 
 
 def centroid(n):
@@ -106,19 +110,19 @@ def test_tangency_property():
 def test_integrate_vertex_is_constant():
     g = EvolutionGame(DOMINANCE)
     traj = integrate(g, vertex(2, 0), t_end=1.0, h=1e-2)
-    assert np.all(traj.states == traj.states[0])
+    assert np.all(states(traj) == states(traj)[0])
 
 
 def test_integrate_rps_centroid_constant():
     g = EvolutionGame(RPS)
     traj = integrate(g, centroid(3), t_end=2.0, h=1e-3)
-    assert np.max(np.abs(traj.states - 1.0 / 3.0)) < 1e-10
+    assert np.max(np.abs(states(traj) - 1.0 / 3.0)) < 1e-10
 
 
 def test_integrate_dominance_monotone():
     g = EvolutionGame(DOMINANCE)
     traj = integrate(g, [F(1, 2), F(1, 2)], t_end=30.0, h=1e-2)
-    first = traj.states[:, 0]
+    first = states(traj)[:, 0]
     assert np.all(np.diff(first) >= -1e-15)
     assert traj.final[0] > 1 - 1e-6
 
@@ -153,9 +157,9 @@ def test_simplex_forward_invariance_and_face_invariance():
     g = EvolutionGame(RPS)
     p0 = SimplexState([F(2, 5), F(3, 5), F(0)])
     traj = integrate(g, p0, t_end=5.0, h=1e-3)
-    assert np.max(np.abs(traj.states.sum(axis=1) - 1.0)) <= 1e-12
-    assert np.all(traj.states >= 0)
-    assert np.all(traj.states[:, 2] == 0.0)  # faces are invariant, exactly
+    assert np.max(np.abs(states(traj).sum(axis=1) - 1.0)) <= 1e-12
+    assert np.all(states(traj) >= 0)
+    assert np.all(states(traj)[:, 2] == 0.0)  # faces are invariant, exactly
 
 
 def test_column_shift_invariance():
@@ -167,7 +171,7 @@ def test_column_shift_invariance():
     for k in range(1, 10):
         a, b = k / 11.0, (11 - k) / 23.0
         p = [a, b, 1.0 - a - b]
-        d = replicator_rhs(base, p) - replicator_rhs(shifted, p)
+        d = np.subtract(replicator_rhs(base, p), replicator_rhs(shifted, p))
         assert np.max(np.abs(d)) <= 1e-12
 
 
@@ -188,7 +192,7 @@ def test_one_step_map_gradient_order():
 def test_symmetric_mean_fitness_nondecreasing():
     g = EvolutionGame([[1, 0], [0, 2]])
     traj = integrate(g, [F(2, 5), F(3, 5)], t_end=10.0, h=1e-2)
-    means = np.array([mean_fitness(g, s) for s in traj.states])
+    means = np.array([mean_fitness(g, s) for s in traj.rows()])
     assert np.all(np.diff(means) >= -1e-12)
 
 
@@ -197,10 +201,10 @@ def test_power_product_rate_matches_finite_differences():
     alphas = [F(1, 3)] * 3
     traj = integrate(g, [F(1, 2), F(1, 4), F(1, 4)], t_end=1.0, h=1e-3)
     mid = 500
-    p = traj.states[mid]
+    p = traj.row(mid)
     analytic = power_product_rate(g, p, [float(a) for a in alphas])
-    before = float(np.prod(traj.states[mid - 1] ** np.array([1 / 3] * 3)))
-    after = float(np.prod(traj.states[mid + 1] ** np.array([1 / 3] * 3)))
+    before = float(np.prod(states(traj)[mid - 1] ** np.array([1 / 3] * 3)))
+    after = float(np.prod(states(traj)[mid + 1] ** np.array([1 / 3] * 3)))
     numeric = (after - before) / (2 * traj.h)
     assert abs(analytic - numeric) < 1e-6
     # the RPS invariant: V = prod p_i^(1/3) is conserved, so the rate is ~0
@@ -335,12 +339,26 @@ def test_rest_points_of_large_payoffs_are_decided_exactly():
 def test_transversal_eigenvalues_decide_an_exact_rest_point_exactly():
     g = EvolutionGame(LARGE_PAYOFFS)
     rest = [F(464565320036, 671760493649), F(0), F(207195173613, 671760493649)]
-    assert transversal_eigenvalues(g, SimplexState(rest)) == [(1, -409317194901.45654)]
+    # the exact margin (Ap)_1 - (Ap)_0, correctly rounded
+    u = [sum(a * q for a, q in zip(row, rest)) for row in LARGE_PAYOFFS]
+    assert u[0] == u[2] and float(u[1] - u[0]) == -409317194901.4565
+    assert transversal_eigenvalues(g, SimplexState(rest)) == [(1, -409317194901.4565)]
     with pytest.raises(errors.InvalidArgument, match="not a rest point"):
         transversal_eigenvalues(g, SimplexState([F(1, 2), F(0), F(1, 2)]))
-    # a float state keeps the binary64 tolerance
+    # a float state keeps the binary64 tolerance: the rounded interior rest point
+    # has a left-to-right residual far above 1e-9
+    interior = rest_point_reports(g)[0][-1].point.exact
     with pytest.raises(errors.InvalidArgument, match="not a rest point"):
-        transversal_eigenvalues(g, SimplexState([float(q) for q in rest]))
+        transversal_eigenvalues(g, SimplexState([float(q) for q in interior]))
+
+
+def test_rest_point_reports_refuse_more_supports_than_the_cap(monkeypatch):
+    from gtkit import evolution
+
+    monkeypatch.setattr(evolution, "SUPPORT_CAP", 6)
+    assert len(rest_point_reports(EvolutionGame(IDENTITY2))[0]) == 3  # 3 supports
+    with pytest.raises(errors.SizeLimit):
+        rest_point_reports(EvolutionGame(RPS))  # 7 supports
 
 
 def test_rest_point_reports_refuse_non_finite_diagnostics():
@@ -429,9 +447,9 @@ def test_ess_sampled_mode_for_large_faces():
 
 
 def test_time_average_constant_and_midpoint():
-    const = Trajectory(np.array([0.0, 1.0, 2.0]), np.array([[0.25, 0.75]] * 3), 1.0)
+    const = Trajectory(np.array([0.0, 1.0, 2.0]), np.array([[0.25, 0.75]] * 3).ravel(), 1.0)
     assert np.allclose(time_average(const), [0.25, 0.75])
-    two = Trajectory(np.array([0.0, 1.0]), np.array([[0.2, 0.8], [0.4, 0.6]]), 1.0)
+    two = Trajectory(np.array([0.0, 1.0]), np.array([[0.2, 0.8], [0.4, 0.6]]).ravel(), 1.0)
     assert np.allclose(time_average(two), [0.3, 0.7])
 
 
@@ -439,7 +457,7 @@ def test_time_average_rps_orbit():
     g = EvolutionGame(RPS)
     traj = integrate(g, [F(1, 2), F(1, 4), F(1, 4)], t_end=200.0, h=1e-3)
     avg = time_average(traj)
-    assert np.max(np.abs(avg - 1.0 / 3.0)) < 1e-2
+    assert np.max(np.abs(np.asarray(avg) - 1.0 / 3.0)) < 1e-2
 
 
 def test_fisher_rate_identity():
@@ -467,20 +485,37 @@ def test_detect_recurrence_rps_orbit():
 
 
 def test_detect_recurrence_constant_is_convergent():
-    states = np.array([[0.5, 0.5]] * 50)
-    traj = Trajectory(np.arange(50, dtype=float), states, 1.0)
+    values = np.array([[0.5, 0.5]] * 50).ravel()
+    traj = Trajectory(np.arange(50, dtype=float), values, 1.0)
     assert detect_recurrence(traj).kind == "convergent"
 
 
 def test_detect_recurrence_needs_data():
-    states = np.array([[0.5, 0.5]] * 5)
-    traj = Trajectory(np.arange(5, dtype=float), states, 1.0)
+    values = np.array([[0.5, 0.5]] * 5).ravel()
+    traj = Trajectory(np.arange(5, dtype=float), values, 1.0)
     with pytest.raises(errors.InsufficientData):
         detect_recurrence(traj)
 
 
+def test_trajectory_rows_and_columns_are_slices_of_one_array():
+    t = [0.0, 1.0]
+    traj = Trajectory(t, [0.5, 0.5, 0.25, 0.75], 1.0)
+    assert traj.n == 2 and len(traj) == 2
+    assert traj.row(-1) == traj.final == [0.25, 0.75]
+    assert list(traj.rows()) == [[0.5, 0.5], [0.25, 0.75]]
+    assert traj.column(1).tolist() == [0.5, 0.75]
+    with pytest.raises(errors.InvalidArgument, match="matching"):
+        Trajectory(t, [0.5, 0.5, 1.0], 1.0)
+    with pytest.raises(errors.InvalidArgument, match="increasing"):
+        Trajectory([0.0, 0.0], [0.5, 0.5, 0.5, 0.5], 1.0)
+    for bad in ([0.5, 0.5, -0.5, 1.5], [0.5, 0.5, 0.6, 0.6],
+                [math.nan, 0.5, 0.5, 0.5], [0.5, 0.5, 0.5, math.nan]):
+        with pytest.raises(errors.InvalidState, match="left the simplex"):
+            Trajectory(t, bad, 1.0)
+
+
 def test_trajectory_csv_format():
-    traj = Trajectory(np.array([0.0, 0.5]), np.array([[1 / 3, 2 / 3], [0.25, 0.75]]), 0.5)
+    traj = Trajectory(np.array([0.0, 0.5]), np.array([[1 / 3, 2 / 3], [0.25, 0.75]]).ravel(), 0.5)
     rows = traj.csv_rows()
     assert rows[0] == "t,p_1,p_2"
     assert rows[1].split(",")[1] == f"{1 / 3:.17g}"

@@ -6,15 +6,18 @@ and support enumeration, rest points and the ESS kernel share one
 `equalizer` system; the rational algorithms, the vertex/edge/critical-line
 geometry and the per-caller indifference systems they replaced are kept here
 as oracles, and both must give identical statuses, solutions and verdicts.
-The fused float RK4 step, the trajectory CSV formatter and the vectorised
-recurrence test are held to their loop forms bit for bit, and the quantum
-payoff surface to the numpy grid and the Fraction loop it replaced.  The
+The fused float RK4 step and the trajectory CSV formatter are held to their
+loop forms bit for bit, the time average and the recurrence test on the flat
+trajectory to the numpy forms they replaced, and the quantum payoff surface
+to the numpy grid and the Fraction loop it replaced.  The
 Pareto maxima scan is held to the pairwise dominance test, and the deviation
 walks and strategy values of `games` to the per-profile loops they replaced.
 """
 
+import functools
 import itertools
 import math
+import operator
 from fractions import Fraction
 
 import numpy as np
@@ -42,6 +45,7 @@ from gtkit.evolution import (
     is_nash_state,
     replicator_rhs,
     rest_point_reports,
+    time_average,
     transversal_eigenvalues,
 )
 from gtkit.games import (
@@ -697,26 +701,35 @@ def _step_list_reference(A_rows, p, h, n):
 
 
 def integrate_reference(g, p0, steps, h):
-    """`integrate` on the reference step, with the states stored the same way."""
-    p = SimplexState(p0).p
-    rows = tuple(tuple(row) for row in g.matrix.tolist())
-    states = np.empty((steps + 1, g.n), dtype=float)
-    states[0] = p
-    x = [float(v) for v in p]
-    for k in range(steps):
-        x = _step_list_reference(rows, x, h, g.n)
-        states[k + 1] = x
-    return Trajectory(np.arange(steps + 1, dtype=float) * h, states, h)
+    """`integrate` on the reference step, with numpy's sample times."""
+    x = list(SimplexState(p0).p)
+    values = list(x)
+    for _ in range(steps):
+        x = _step_list_reference(g.matrix, x, h, g.n)
+        values.extend(x)
+    return Trajectory(np.arange(steps + 1, dtype=float) * h, values, h)
+
+
+def states_of(traj):
+    """The trajectory's states as a (samples, n) view of its flat array."""
+    return np.frombuffer(traj.values).reshape(len(traj), traj.n)
 
 
 def csv_rows_reference(traj, names=None):
     """CSV with 17-significant-digit floats: t, p_1, ..., p_n."""
-    n = traj.states.shape[1]
+    n = traj.n
     header = ",".join(["t"] + [names[i] if names else f"p_{i + 1}" for i in range(n)])
     rows = [header]
-    for t, row in zip(traj.times, traj.states):
+    for t, row in zip(traj.times, traj.rows()):
         rows.append(",".join(f"{v:.17g}" for v in [t, *row]))
     return rows
+
+
+def time_average_reference(traj):
+    """numpy's trapezoid rule over the states, divided by the time span."""
+    trapezoid = getattr(np, "trapezoid", None) or np.trapz
+    times = np.asarray(traj.times)
+    return (trapezoid(states_of(traj), times, axis=0) / (times[-1] - times[0])).tolist()
 
 
 def detect_recurrence_reference(traj, tol=1e-3):
@@ -726,13 +739,14 @@ def detect_recurrence_reference(traj, tol=1e-3):
     n = len(traj)
     if n < 10:
         raise errors.InsufficientData(f"need at least 10 samples, got {n}")
-    window = traj.states[-max(10, n // 10):]
+    states = states_of(traj)
+    window = states[-max(10, n // 10):]
     diameter = float(np.max(window.max(axis=0) - window.min(axis=0)))
     if diameter < tol:
         return RecurrenceReport("convergent", detail=f"terminal window diameter {diameter:.3g}")
 
-    ref = traj.states[0]
-    dist = np.max(np.abs(traj.states - ref), axis=1)
+    ref = states[0]
+    dist = np.max(np.abs(states - ref), axis=1)
     inside = dist < tol
     episodes = []
     for k in range(1, n):
@@ -740,7 +754,7 @@ def detect_recurrence_reference(traj, tol=1e-3):
             episodes.append(traj.times[k])
     if len(episodes) >= 2:
         spacings = np.diff(np.asarray(episodes))
-        mean = float(spacings.mean())
+        mean = functools.reduce(operator.add, spacings.tolist(), 0.0) / len(spacings)
         if mean > 0 and np.all(np.abs(spacings - mean) <= 0.10 * mean):
             return RecurrenceReport(
                 "recurrent", period=mean, detail=f"{len(episodes)} returns to the start ball"
@@ -1026,17 +1040,29 @@ def test_integrate_matches_the_reference_step_bit_for_bit(run):
     if not isinstance(old, Trajectory):
         assert new == old
         return
-    assert new.states.tobytes() == old.states.tobytes()
+    assert new.values.tobytes() == old.values.tobytes()
     assert new.times.tobytes() == old.times.tobytes()
     names = [f"s{i}" for i in range(g.n)]
     assert new.csv_rows() == csv_rows_reference(new)
     assert new.csv_rows(names) == csv_rows_reference(new, names)
 
 
+@settings(max_examples=100, deadline=None)
+@given(replicator_runs(), st.sampled_from([1e-3, 1e-2, 1e-1]))
+def test_time_average_and_recurrence_match_numpy(run, tol):
+    g, p0, h, steps = run
+    traj = outcome(integrate, g, p0, steps * h, h)
+    if not isinstance(traj, Trajectory):
+        return
+    assert time_average(traj) == time_average_reference(traj)
+    if len(traj) >= 10:
+        assert detect_recurrence(traj, tol) == detect_recurrence_reference(traj, tol)
+
+
 def _two_strategy_trajectory(inside_at):
     """40 unit-spaced samples of (a, 1 - a): a = 1/2 at the given times, 0.6 or 0.7 elsewhere."""
     a = [0.5 if k in inside_at else 0.6 + 0.1 * (k % 2) for k in range(40)]
-    return Trajectory(np.arange(40, dtype=float), np.array([[v, 1 - v] for v in a]), 1.0)
+    return Trajectory(np.arange(40, dtype=float), np.array([[v, 1 - v] for v in a]).ravel(), 1.0)
 
 
 @pytest.mark.parametrize("inside,kind", [

@@ -9,19 +9,21 @@ import pytest
 from gtkit import errors
 from gtkit.games import StrategicGame
 from gtkit.quantum import (
+    QuantumizedGame,
+    classical_product_payoffs,
+    maximally_entangled,
+    mw_nash_search,
+    payoff_surface_rows,
+)
+from twoqubit import (
     DensityOperator,
     Ket,
-    QuantumizedGame,
     basis_ket,
     born_probabilities,
-    classical_product_payoffs,
     density_of,
-    maximally_entangled,
     mw_diagonal,
     mw_expected_payoffs,
     mw_final_density,
-    mw_nash_search,
-    payoff_surface_rows,
     tensor,
 )
 

@@ -10,6 +10,7 @@ import pytest
 from gtkit import errors, gamefile, quantum
 from gtkit.games import StrategicGame
 from gtkit.quantum import ClassicalForm, QuantumizedGame, classical_form, equilibrium_report
+import twoqubit
 
 F = Fraction
 R2 = 1.0 / math.sqrt(2.0)
@@ -41,10 +42,10 @@ def test_payoffs_match_kraus_diagonal():
         for p in grid:
             for q in grid:
                 p, q = float(p), float(q)
-                kraus = quantum.mw_final_density(qg, p, q).diagonal()
+                kraus = twoqubit.mw_final_density(qg, p, q).diagonal()
                 exact = form.distribution(F(p), F(q))
                 assert np.max(np.abs(kraus - [float(x) for x in exact])) <= 1e-12
-                want = quantum.mw_expected_payoffs(qg, p, q)
+                want = twoqubit.mw_expected_payoffs(qg, p, q)
                 got = form.payoffs(F(p), F(q))
                 assert abs(float(got[0]) - want[0]) <= 1e-12
                 assert abs(float(got[1]) - want[1]) <= 1e-12
