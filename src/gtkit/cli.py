@@ -11,6 +11,7 @@ from __future__ import annotations
 import argparse
 import json
 import math
+import operator
 import os
 import sys
 from fractions import Fraction
@@ -446,6 +447,10 @@ def _padic_report(args, scn, form, a):
     mu = args.mu if args.mu is not None else padic.find_nonresidue(p)
     alpha, beta = _padic_alpha(a, form.a2, p, mu, prec)
     res = padic_quantum.padic_quantumize_2x2(form.base, alpha, beta, Fraction(1), Fraction(1))
+    # the weight is read back from p-adic amplitudes: refuse a precision that cannot carry it
+    if res.distribution.entries != form.distribution(1, 1):
+        raise errors.InvalidArgument(
+            f"--prec {prec} cannot carry |alpha|^2 = {form.a2} exactly in Q_{p}; raise --prec")
     doc = {
         "command": "quantumize",
         "mode": "padic",
@@ -533,9 +538,12 @@ def _eval_padic_expr(line, default_prec):
             raise errors.ParseError(f"{op} takes {count} operand(s), {len(args)} given: {line!r}")
         return [rat(t) for t in args]
 
+    def embed(q):
+        return padic.padic_from_rational(q, 1, p, n)
+
     if op == "expand":
         (a,) = operands(1)
-        x = padic.padic_from_rational(a.numerator, a.denominator, p, n)
+        x = embed(a)
         return {
             "op": "expand",
             "input": _frac(a),
@@ -554,23 +562,22 @@ def _eval_padic_expr(line, default_prec):
         }
     if op == "dist":
         a, b = operands(2)
-        x = padic.padic_from_rational(a.numerator, a.denominator, p, n)
-        y = padic.padic_from_rational(b.numerator, b.denominator, p, n)
-        return {"op": "dist", "inputs": [_frac(a), _frac(b)], "distance": _frac(padic.distance(x, y))}
+        return {"op": "dist", "inputs": [_frac(a), _frac(b)],
+                "distance": _frac(padic.rational_norm(a - b, p))}
     if op in ("add", "sub", "mul", "div"):
         a, b = operands(2)
-        x = padic.padic_from_rational(a.numerator, a.denominator, p, n)
-        y = padic.padic_from_rational(b.numerator, b.denominator, p, n)
-        z = {"add": padic.add, "sub": padic.sub, "mul": padic.mul, "div": padic.div}[op](x, y)
+        apply = {"add": operator.add, "sub": operator.sub, "mul": operator.mul,
+                 "div": operator.truediv}[op]
+        z = apply(embed(a), embed(b))  # first, so `div a 0` is the p-adic DivisionByZero
         return {
             "op": op,
             "inputs": [_frac(a), _frac(b)],
             "literal": padic.format_padic(z),
-            "rational": _frac(z.to_rational()),
+            "rational": _frac(apply(a, b)),
         }
     if op == "sqrt":
         (a,) = operands(1)
-        x = padic.padic_from_rational(a.numerator, a.denominator, p, n)
+        x = embed(a)
         if not padic.is_square(x):
             return {"op": "sqrt", "input": _frac(a), "is_square": False}
         r = padic.hensel_sqrt(x)

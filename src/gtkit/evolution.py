@@ -259,6 +259,8 @@ def _step_list(A_rows, p, h):
         raise errors.IntegrationDiverged(f"state entry {low} below -{DIVERGE_TOL}")
     new = [0.0 if abs(v) < CLAMP or v < 0.0 else v for v in new]
     total = sum(new)
+    if not total < math.inf:  # False for inf and NaN alike
+        raise errors.IntegrationDiverged(f"RK4 step is not finite (state total {total})")
     return [v / total for v in new]
 
 

@@ -13,6 +13,7 @@ that cancels completely collapses to it.
 
 from __future__ import annotations
 
+import functools
 import math
 from dataclasses import dataclass
 from fractions import Fraction
@@ -56,7 +57,10 @@ def is_prime(p):
     return True
 
 
+@functools.lru_cache(maxsize=None, typed=True)
 def _check_prime(p):
+    """InvalidPrime unless p is a prime int, proved once per process: typed, so 7.0
+    and True never hit the entry of 7; a refusal raises and so is never cached."""
     if not is_prime(p):
         raise errors.InvalidPrime(f"{p} is not prime")
 
@@ -83,9 +87,7 @@ def rational_valuation(q, p):
 def rational_norm(q, p):
     """|q|_p as an exact Fraction: p**(-nu_p(q)), 0 for q = 0."""
     v = rational_valuation(q, p)
-    if v is math.inf:
-        return Fraction(0)
-    return Fraction(1, p**v) if v >= 0 else Fraction(p ** (-v))
+    return Fraction(0) if v is math.inf else Fraction(p) ** -v
 
 
 class PAdicNumber:
@@ -218,10 +220,7 @@ def valuation(x):
 
 def norm(x):
     """|x|_p = p**(-valuation), exact Fraction; 0 for zero."""
-    if x.is_zero:
-        return Fraction(0)
-    v = x.valuation
-    return Fraction(1, x.p**v) if v >= 0 else Fraction(x.p ** (-v))
+    return Fraction(0) if x.is_zero else Fraction(x.p) ** -x.valuation
 
 
 def distance(x, y):
@@ -349,17 +348,13 @@ def hensel_sqrt(x):
 
 def find_nonresidue(p):
     """A canonical non-square mu of Q_p: -1 for p = 3 mod 4, 3 for p = 2,
-    else the smallest positive integer that fails is_square."""
+    else the smallest positive integer that fails is_square (Euler's criterion)."""
     _check_prime(p)
     if p == 2:
-        mu = 3
-    elif p % 4 == 3:
-        mu = -1
-    else:
-        mu = next(
-            c for c in range(2, p) if is_square(padic_from_rational(c, 1, p, 8)) is False
-        )
-    return mu
+        return 3
+    if p % 4 == 3:
+        return -1
+    return next(c for c in range(2, p) if pow(c, (p - 1) // 2, p) != 1)
 
 
 # ---------------------------------------------------------------------------
@@ -427,7 +422,21 @@ def noncanonical_sort_key(x):
 # quadratic extension Q_p(sqrt(mu))
 
 
-_VERIFIED_NONSQUARES = set()
+@functools.lru_cache(maxsize=None, typed=True)
+def _check_nonresidue(p, mu):
+    """InvalidArgument unless mu is an integer non-square of Q_p; proved once per (p, mu)."""
+    if not isinstance(mu, int):
+        raise errors.InvalidArgument(f"mu={mu!r} must be an integer")
+    if is_square(padic_from_rational(mu, 1, p, 8)):
+        raise errors.InvalidArgument(f"mu={mu} is a square in Q_{p}")
+
+
+def _times_mu(x, mu):
+    """x * mu for the nonzero integer mu, at the relative precision of x."""
+    if x.is_zero:
+        return x
+    v = _int_valuation(mu, x.p)
+    return PAdicNumber(x.p, x.valuation + v, x.unit * (mu // x.p**v), x.precision)
 
 
 @dataclass(frozen=True)
@@ -441,11 +450,7 @@ class PAdicExtElement:
     def __post_init__(self):
         if self.x.p != self.y.p:
             raise errors.PrimeMismatch("extension components over different primes")
-        key = (self.x.p, self.mu)
-        if key not in _VERIFIED_NONSQUARES:
-            if is_square(padic_from_rational(self.mu, 1, self.x.p, 8)):
-                raise errors.InvalidArgument(f"mu={self.mu} is a square in Q_{self.x.p}")
-            _VERIFIED_NONSQUARES.add(key)
+        _check_nonresidue(self.x.p, self.mu)
 
     @property
     def p(self):
@@ -459,9 +464,6 @@ class PAdicExtElement:
     def from_rationals(cls, x, y, p, mu, n=DEFAULT_PRECISION):
         return cls(padic_from_rational(Fraction(x), 1, p, n), padic_from_rational(Fraction(y), 1, p, n), mu)
 
-    def _mu_scalar(self, n):
-        return padic_from_rational(self.mu, 1, self.p, n)
-
     def __add__(self, other):
         self._check(other)
         return PAdicExtElement(add(self.x, other.x), add(self.y, other.y), self.mu)
@@ -472,9 +474,7 @@ class PAdicExtElement:
 
     def __mul__(self, other):
         self._check(other)
-        n = max(c.precision for c in (self.x, self.y, other.x, other.y)) or DEFAULT_PRECISION
-        mu = self._mu_scalar(n)
-        xx = add(mul(self.x, other.x), mul(mu, mul(self.y, other.y)))
+        xx = add(mul(self.x, other.x), _times_mu(mul(self.y, other.y), self.mu))
         yy = add(mul(self.x, other.y), mul(self.y, other.x))
         return PAdicExtElement(xx, yy, self.mu)
 
@@ -498,8 +498,7 @@ class PAdicExtElement:
 
     def field_norm(self):
         """z * conj(z) = x**2 - mu*y**2, an element of Q_p."""
-        n = max(self.x.precision, self.y.precision) or DEFAULT_PRECISION
-        return sub(mul(self.x, self.x), mul(self._mu_scalar(n), mul(self.y, self.y)))
+        return sub(mul(self.x, self.x), _times_mu(mul(self.y, self.y), self.mu))
 
     def __repr__(self):
         return f"PAdicExtElement({format_padic(self.x)!r} | {format_padic(self.y)!r}, mu={self.mu})"

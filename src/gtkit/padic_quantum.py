@@ -11,6 +11,7 @@ distributions only.
 
 from __future__ import annotations
 
+import operator
 from dataclasses import dataclass
 from fractions import Fraction
 
@@ -20,6 +21,7 @@ from .padic import (
     PAdicDistribution,
     PAdicExtElement,
     PAdicValue,
+    _check_nonresidue,
     ext_conj,
     ext_eq,
     ext_norm,
@@ -57,31 +59,43 @@ class PAdicHilbertSpace:
             raise errors.InvalidArgument("dimension must be >= 1")
         if self.convention not in (SESQUILINEAR, BILINEAR):
             raise errors.InvalidArgument(f"unknown convention {self.convention!r}")
-        if is_square(padic_from_rational(self.mu, 1, self.p, 8)):
-            raise errors.InvalidArgument(f"mu={self.mu} is a square in Q_{self.p}")
+        _check_nonresidue(self.p, self.mu)
 
 
 def _component_precisions(elements):
     return {c.precision for z in elements for c in (z.x, z.y) if not c.is_zero}
 
 
+def _extension_of(elements, what, uniform=True):
+    """(p, mu) shared by the elements, whose non-zero components share one precision."""
+    p, mu = elements[0].p, elements[0].mu
+    if any(z.p != p or z.mu != mu for z in elements):
+        raise errors.PrimeMismatch(f"{what} from different extensions")
+    if uniform and len(_component_precisions(elements)) > 1:
+        raise errors.InvalidArgument(f"mixed-precision {what} are rejected rather than coerced")
+    return p, mu
+
+
+def _ext_entry(e, p, mu, n):
+    """A rational x, or a pair (x, y) meaning x + y*sqrt(mu), as an extension element."""
+    x, y = e if isinstance(e, tuple) else (e, 0)
+    return PAdicExtElement.from_rationals(x, y, p, mu, n)
+
+
+def _working_precision(m):
+    """The largest component precision of an operator; 8 when every entry is zero."""
+    return max(_component_precisions([z for row in m.entries for z in row]) or {8})
+
+
 class PAdicVector:
     """Vector of extension elements sharing p, mu and declared precision."""
 
-    def __init__(self, components, _validate_uniform=True):
+    def __init__(self, components):
         comps = tuple(components)
         if not comps:
             raise errors.InvalidArgument("empty vector")
-        p, mu = comps[0].p, comps[0].mu
-        if any(z.p != p or z.mu != mu for z in comps):
-            raise errors.PrimeMismatch("vector components from different extensions")
-        if _validate_uniform and len(_component_precisions(comps)) > 1:
-            raise errors.InvalidArgument(
-                "mixed-precision components are rejected rather than coerced"
-            )
+        self.p, self.mu = _extension_of(comps, "vector components")
         self.components = comps
-        self.p = p
-        self.mu = mu
 
     @property
     def n(self):
@@ -94,11 +108,7 @@ class PAdicVector:
     @classmethod
     def from_rationals(cls, entries, p, mu, n=DEFAULT_PRECISION):
         """Entries are rationals x or pairs (x, y) meaning x + y*sqrt(mu)."""
-        comps = []
-        for e in entries:
-            x, y = e if isinstance(e, tuple) else (e, 0)
-            comps.append(PAdicExtElement.from_rationals(x, y, p, mu, n))
-        return cls(comps)
+        return cls([_ext_entry(e, p, mu, n) for e in entries])
 
     def __repr__(self):
         return f"PAdicVector(n={self.n}, p={self.p}, mu={self.mu})"
@@ -113,16 +123,8 @@ class PAdicOperator:
         if n == 0 or any(len(row) != n for row in rows):
             raise errors.InvalidArgument("operator must be a non-empty square matrix")
         flat = [z for row in rows for z in row]
-        p, mu = flat[0].p, flat[0].mu
-        if any(z.p != p or z.mu != mu for z in flat):
-            raise errors.PrimeMismatch("operator entries from different extensions")
-        if _validate_uniform and len(_component_precisions(flat)) > 1:
-            raise errors.InvalidArgument(
-                "mixed-precision entries are rejected rather than coerced"
-            )
+        self.p, self.mu = _extension_of(flat, "operator entries", _validate_uniform)
         self.entries = rows
-        self.p = p
-        self.mu = mu
 
     @property
     def n(self):
@@ -131,14 +133,7 @@ class PAdicOperator:
     @classmethod
     def from_rationals(cls, rows, p, mu, n=DEFAULT_PRECISION):
         """Rational entries x, or pairs (x, y) meaning x + y*sqrt(mu)."""
-        out = []
-        for row in rows:
-            line = []
-            for e in row:
-                x, y = e if isinstance(e, tuple) else (e, 0)
-                line.append(PAdicExtElement.from_rationals(x, y, p, mu, n))
-            out.append(line)
-        return cls(out)
+        return cls([[_ext_entry(e, p, mu, n) for e in row] for row in rows])
 
     @classmethod
     def identity(cls, n, p, mu, prec=DEFAULT_PRECISION):
@@ -146,25 +141,16 @@ class PAdicOperator:
             [[1 if i == j else 0 for j in range(n)] for i in range(n)], p, mu, prec
         )
 
-    def __add__(self, other):
+    def _entrywise(self, other, op):
         self._check(other)
-        return PAdicOperator(
-            [
-                [a + b for a, b in zip(ra, rb)]
-                for ra, rb in zip(self.entries, other.entries)
-            ],
-            _validate_uniform=False,
-        )
+        rows = zip(self.entries, other.entries)
+        return PAdicOperator([list(map(op, ra, rb)) for ra, rb in rows], _validate_uniform=False)
+
+    def __add__(self, other):
+        return self._entrywise(other, operator.add)
 
     def __sub__(self, other):
-        self._check(other)
-        return PAdicOperator(
-            [
-                [a - b for a, b in zip(ra, rb)]
-                for ra, rb in zip(self.entries, other.entries)
-            ],
-            _validate_uniform=False,
-        )
+        return self._entrywise(other, operator.sub)
 
     def __matmul__(self, other):
         self._check(other)
@@ -206,17 +192,14 @@ def trace(m):
     return acc
 
 
-def is_self_adjoint(m):
-    adj = adjoint(m)
-    return all(
-        ext_eq(m.entries[i][j], adj.entries[i][j]) for i in range(m.n) for j in range(m.n)
-    )
-
-
 def operators_equal(a, b):
     return a.n == b.n and all(
         ext_eq(a.entries[i][j], b.entries[i][j]) for i in range(a.n) for j in range(a.n)
     )
+
+
+def is_self_adjoint(m):
+    return operators_equal(m, adjoint(m))
 
 
 class StatisticalOperator(PAdicOperator):
@@ -226,14 +209,9 @@ class StatisticalOperator(PAdicOperator):
         super().__init__(entries, _validate_uniform=_validate_uniform)
         if not is_self_adjoint(self):
             raise errors.InvalidState("statistical operator must be self-adjoint")
-        one = PAdicExtElement.from_rationals(1, 0, self.p, self.mu, 8)
+        one = PAdicExtElement.from_rationals(1, 0, self.p, self.mu, _working_precision(self))
         if not ext_eq(trace(self), one):
             raise errors.InvalidState("statistical operator must have trace 1")
-
-    @classmethod
-    def from_rationals(cls, rows, p, mu, n=DEFAULT_PRECISION):
-        base = PAdicOperator.from_rationals(rows, p, mu, n)
-        return cls(base.entries)
 
 
 class SOVM:
@@ -252,8 +230,7 @@ class SOVM:
         total = members[0]
         for m in members[1:]:
             total = total + m
-        prec = max(_component_precisions([z for r in first.entries for z in r]) or {8})
-        ident = PAdicOperator.identity(first.n, first.p, first.mu, prec)
+        ident = PAdicOperator.identity(first.n, first.p, first.mu, _working_precision(first))
         if not operators_equal(total, ident):
             raise errors.InvalidSOVM("SOVM members must sum to the identity")
         self.members = members
@@ -328,8 +305,7 @@ def isotropic_witness(p, n=DEFAULT_PRECISION):
     1 + a^2 + b^2 vanishes.  Deterministic.
     """
     mu = -1
-    if is_square(padic_from_rational(mu, 1, p, 8)):
-        raise errors.InvalidArgument(f"-1 is a square in Q_{p}; no mu=-1 extension")
+    _check_nonresidue(p, mu)
     for b in range(1, p):
         if (-1 - b * b) % p == 0:
             continue

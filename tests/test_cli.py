@@ -9,7 +9,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from gtkit import errors, evolution, gamefile
+from gtkit import errors, evolution, gamefile, padic
 from gtkit.cli import (
     EXIT_OK,
     EXIT_PARSE,
@@ -674,6 +674,59 @@ def test_padic_file_input(tmp_path):
     assert res[4]["mu"] == 2
 
 
+@pytest.mark.parametrize("expr,key,want", [
+    ("dist 1 8 @ 7^1", "distance", "1/7"),
+    ("dist 1 282475250 @ 7^5", "distance", "1/282475249"),
+    ("sub 3/5 1/7 @ 7^2", "rational", "16/35"),
+    ("add 1/999 1/998 @ 7^3", "rational", "1997/997002"),
+])
+def test_padic_reports_exact_values_at_any_precision(tmp_path, expr, key, want):
+    code, out = run(tmp_path, "padic", "--expr", expr)
+    assert code == EXIT_OK
+    assert read_json(out / "padic.json")["results"][0][key] == want
+
+
+def test_padic_division_by_zero_is_a_validation_error(tmp_path, capsys):
+    assert run(tmp_path, "padic", "--expr", "div 1 0 @ 7")[0] == EXIT_VALIDATION
+    assert "division by zero" in capsys.readouterr().err
+
+
+def _exact_norm(q, p):
+    """|q|_p by counting factors of p, independent of gtkit."""
+    if q == 0:
+        return F(0)
+    v = 0
+    for part, sign in ((q.numerator, 1), (q.denominator, -1)):
+        while part % p == 0:
+            part, v = part // p, v + sign
+    return F(p) ** -v
+
+
+_SMALL_RATIONALS = st.fractions(min_value=-10**4, max_value=10**4, max_denominator=10**4)
+
+
+@settings(max_examples=150, deadline=None)
+@given(st.sampled_from(["add", "sub", "mul", "div", "dist"]), _SMALL_RATIONALS,
+       _SMALL_RATIONALS, st.sampled_from([2, 3, 5, 7, 101]), st.integers(1, 8))
+def test_padic_arithmetic_reports_are_exact(tmp_path_factory, op, a, b, p, n):
+    out = tmp_path_factory.mktemp("arith")
+    code = main(["padic", f"--expr={op} {a} {b} @ {p}^{n}", "--out", str(out)])
+    if op == "div" and b == 0:
+        assert code == EXIT_VALIDATION
+        return
+    assert code == EXIT_OK
+    (res,) = read_json(out / "padic.json")["results"]
+    if op == "dist":
+        assert res["distance"] == str(_exact_norm(a - b, p))
+        return
+    exact = {"add": a + b, "sub": a - b, "mul": a * b, "div": a / b if b else None}[op]
+    assert res["rational"] == str(exact)
+    # the literal is still the fixed-precision p-adic result
+    x, y = (padic.padic_from_rational(q, 1, p, n) for q in (a, b))
+    z = {"add": padic.add, "sub": padic.sub, "mul": padic.mul, "div": padic.div}[op](x, y)
+    assert res["literal"] == padic.format_padic(z)
+
+
 def test_padic_non_utf8_expression_file(tmp_path):
     bad = tmp_path / "exprs.txt"
     bad.write_bytes(b"expand 1 @ 7\n\xff\n")
@@ -899,6 +952,49 @@ def test_quantumize_rejects_bad_grid_and_alpha(tmp_path):
                "--alpha", "3/5")[0] == EXIT_VALIDATION
 
 
+@pytest.mark.parametrize("alpha,prec", [
+    ("5/13", 3), ("5/13", 4), ("12/13", 4), ("8/17", 2), ("8/17", 3), ("8/17", 5)])
+def test_quantumize_padic_refuses_a_precision_that_cannot_carry_the_weight(
+        tmp_path, capsys, alpha, prec):
+    # the weight read back from the amplitudes was a wrong rational summing to 1
+    code, out = run(tmp_path, "quantumize", "--in", "bos", "--padic", "--alpha", alpha,
+                    "--prec", str(prec))
+    assert code == EXIT_VALIDATION
+    captured = capsys.readouterr()
+    assert "raise --prec" in captured.err and captured.out == ""
+    assert list(out.iterdir()) == []
+
+
+@pytest.mark.parametrize("alpha,prec", [("3/5", 4), ("5/13", 6)])
+def test_quantumize_padic_at_just_enough_precision_is_exact(tmp_path, alpha, prec):
+    a2 = F(alpha) ** 2
+    code, out = run(tmp_path, "quantumize", "--in", "bos", "--padic", "--alpha", alpha,
+                    "--prec", str(prec), "--grid", "1")
+    assert code == EXIT_OK
+    assert read_json(out / "equilibria.json")["distribution"] == [
+        str(a2), "0", "0", str(1 - a2)]
+
+
+@settings(max_examples=150, deadline=None)
+@given(st.integers(1, 50).flatmap(lambda d: st.tuples(st.integers(-2 * d, 2 * d), st.just(d))),
+       st.sampled_from([3, 5, 7, 11, 13]), st.integers(1, 12))
+def test_every_padic_quantumize_report_is_exact(tmp_path_factory, alpha, p, prec):
+    a = F(*alpha)
+    out = tmp_path_factory.mktemp("exact")
+    code = main(["quantumize", "--in", "bos", "--padic", f"--alpha={a}", "--p", str(p),
+                 "--prec", str(prec), "--grid", "1", "--out", str(out)])
+    assert code in (EXIT_OK, EXIT_VALIDATION)
+    if code != EXIT_OK:
+        assert list(out.iterdir()) == []
+        return
+    rep = read_json(out / "equilibria.json")
+    a2 = a * a
+    assert rep["distribution"] == [str(a2), "0", "0", str(1 - a2)]
+    # bos pays (3, 2) on 00 and (2, 3) on 11
+    assert [e["value"] for e in rep["payoffs"]] == [str(3 * a2 + 2 * (1 - a2)),
+                                                    str(2 * a2 + 3 * (1 - a2))]
+
+
 @pytest.mark.parametrize("argv", [
     ["quantumize", "--in", "bos", "--alpha", "1e30000000"],
     ["quantumize", "--in", "bos", "--padic", "--prec", "50000000"],
@@ -979,6 +1075,17 @@ def test_evolve_refuses_non_finite_rest_point_diagnostics(tmp_path, capsys):
     code, out = run(tmp_path, "evolve", "--in", path, "--t-end", "1e-318", "--h", "1e-319")
     assert code == EXIT_VALIDATION
     assert "error (validation)" in capsys.readouterr().err
+    assert not out.exists()
+
+
+def test_evolve_refuses_a_non_finite_step_at_once(tmp_path, capsys):
+    path = _evolution_file(tmp_path, [
+        ["1e308", "-1e308", "0"], ["-1e308", "1e308", "0"], ["0", "0", "1e308"]])
+    start = time.perf_counter()
+    code, out = run(tmp_path, "evolve", "--in", path, "--p0", "1/3,1/3,1/3")
+    assert time.perf_counter() - start < 1
+    assert code == EXIT_VALIDATION
+    assert "RK4 step is not finite" in capsys.readouterr().err
     assert not out.exists()
 
 

@@ -153,6 +153,15 @@ def test_integration_divergence_detected():
         rk4_step(g, [1e-6, 1 - 1e-6], 1e-3)
 
 
+def test_a_non_finite_step_is_refused_at_once():
+    # inf - inf in an RK4 stage gives NaN, which passes the below-the-simplex test
+    huge = ((1e308, -1e308, 0.0), (-1e308, 1e308, 0.0), (0.0, 0.0, 1e308))
+    with pytest.raises(errors.IntegrationDiverged, match="not finite"):
+        _step_list(huge, [1 / 3] * 3, 1e-3)
+    with pytest.raises(errors.IntegrationDiverged, match="not finite"):
+        integrate(EvolutionGame([list(row) for row in huge]), centroid(3), t_end=100.0)
+
+
 def test_simplex_forward_invariance_and_face_invariance():
     g = EvolutionGame(RPS)
     p0 = SimplexState([F(2, 5), F(3, 5), F(0)])

@@ -10,8 +10,10 @@ The fused float RK4 step and the trajectory CSV formatter are held to their
 loop forms bit for bit, the time average and the recurrence test on the flat
 trajectory to the numpy forms they replaced, and the quantum payoff surface
 to the numpy grid and the Fraction loop it replaced.  The
-Pareto maxima scan is held to the pairwise dominance test, and the deviation
-walks and strategy values of `games` to the per-profile loops they replaced.
+Pareto maxima scan is held to the pairwise dominance test, the deviation
+walks and strategy values of `games` to the per-profile loops they replaced,
+and the extension product and field norm, which multiply by the integer mu,
+to the forms that embedded mu as a p-adic number on every call.
 """
 
 import functools
@@ -25,7 +27,7 @@ import pytest
 from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
-from gtkit import errors, gamefile, games
+from gtkit import errors, gamefile, games, padic
 from gtkit._linsolve import equalizer, solve_exact
 from gtkit.evolution import (
     CLAMP,
@@ -1191,3 +1193,47 @@ def test_deviation_walks_and_strategy_values_match_the_profile_loops(case):
     for start in game.profiles():
         assert outcome(games.best_response_dynamics, game, start, limit) == outcome(
             best_response_dynamics_reference, game, start, limit)
+
+
+# ---------------------------------------------------------------------------
+# the extension product
+
+
+def _mu_embedded(z, n):
+    return padic.padic_from_rational(z.mu, 1, z.p, n or padic.DEFAULT_PRECISION)
+
+
+def ext_mul_reference(z, w):
+    """(x, y) of z * w with mu embedded at the largest component precision."""
+    mu = _mu_embedded(z, max(c.precision for c in (z.x, z.y, w.x, w.y)))
+    return (padic.add(padic.mul(z.x, w.x), padic.mul(mu, padic.mul(z.y, w.y))),
+            padic.add(padic.mul(z.x, w.y), padic.mul(z.y, w.x)))
+
+
+def field_norm_reference(z):
+    mu = _mu_embedded(z, max(z.x.precision, z.y.precision))
+    return padic.sub(padic.mul(z.x, z.x), padic.mul(mu, padic.mul(z.y, z.y)))
+
+
+@st.composite
+def extension_pairs(draw):
+    """Two elements of Q_p(sqrt(mu)), p <= 13, mu of valuation 0, 1 or 2, components
+    small rationals (zero included) at independent precisions 1-12."""
+    p = draw(st.sampled_from([2, 3, 5, 7, 11, 13]))
+    base = padic.find_nonresidue(p)
+    mu = draw(st.sampled_from([base, p, -p, base * p * p]))
+
+    def component():
+        q = draw(st.fractions(min_value=-50, max_value=50, max_denominator=50))
+        return padic.padic_from_rational(q, 1, p, draw(st.integers(1, 12)))
+
+    return [padic.PAdicExtElement(component(), component(), mu) for _ in range(2)]
+
+
+@settings(max_examples=150, deadline=None)
+@given(extension_pairs())
+def test_extension_product_and_norm_match_the_embedded_mu(pair):
+    z, w = pair
+    product = z * w
+    assert (product.x, product.y) == ext_mul_reference(z, w)
+    assert z.field_norm() == field_norm_reference(z)

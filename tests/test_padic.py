@@ -7,7 +7,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from gtkit import errors
+from gtkit import errors, padic
 from gtkit.padic import (
     PAdicDistribution,
     PAdicExtElement,
@@ -449,3 +449,50 @@ def test_padic_expected_payoff():
     assert res2.value == F(1, 2) + F(9, 2)
     with pytest.raises(errors.InvalidArgument):
         padic_expected_payoff([1, 2], d)
+
+
+# ---------------------------------------------------------------------------
+# each prime and each non-residue is proved once
+
+
+def test_a_chain_of_operations_proves_its_prime_once(monkeypatch):
+    calls = []
+    original = padic.is_prime
+    monkeypatch.setattr(padic, "is_prime", lambda p: calls.append(p) or original(p))
+    padic._check_prime.cache_clear()
+    p, mu = 101, 2  # 101 = 5 mod 8, so 2 is a non-residue
+    x = padic_from_rational(3, 7, p, 12)
+    z = PAdicExtElement.from_rationals(F(1, 3), 2, p, mu, 12)
+    w = PAdicExtElement.from_rationals(5, F(-1, 4), p, mu, 12)
+    for k in range(250):  # 1,250 operations
+        c = padic_from_rational(k + 2, 1, p, 12)
+        x = div(mul(add(x, c), c), neg(c))
+        z = z * w
+    assert calls == [101]
+    assert not x.is_zero and not z.is_zero
+
+
+def test_the_prime_cache_is_typed_and_caches_no_refusal():
+    padic_from_rational(1, 3, 7, 5)
+    for fake in (7.0, True, F(7)):
+        with pytest.raises(errors.InvalidPrime):
+            padic_from_rational(1, 3, fake, 5)
+        with pytest.raises(errors.InvalidPrime):
+            PAdicNumber(fake, 0, 1, 5)
+    for refused in (9, 3317044064679887385961981):
+        for _ in range(2):
+            with pytest.raises(errors.InvalidPrime):
+                PAdicNumber(refused, 0, 1, 5)
+
+
+def test_one_nonresidue_check_refuses_every_time():
+    for _ in range(2):
+        with pytest.raises(errors.InvalidArgument, match="square"):
+            PAdicExtElement.from_rationals(1, 1, 7, 2, 8)  # 3^2 = 2 mod 7
+        with pytest.raises(errors.InvalidArgument, match="integer"):
+            PAdicExtElement.from_rationals(1, 1, 7, F(1, 3), 8)
+    assert not hasattr(padic, "_VERIFIED_NONSQUARES")
+    # a non-residue divisible by p: the product scales the valuation
+    z = PAdicExtElement.from_rationals(0, 1, 7, 7, 8)
+    zz = z * z
+    assert zz.y.is_zero and zz.x == padic_from_rational(7, 1, 7, 8)

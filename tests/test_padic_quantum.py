@@ -1,5 +1,6 @@
 """Tests for p-adic Hilbert spaces, SOVM measurement, and p-adic quantumization."""
 
+import inspect
 from fractions import Fraction
 
 import pytest
@@ -165,6 +166,26 @@ def test_statistical_operator_validation():
         StatisticalOperator.from_rationals([[1, (1, 1)], [0, 0]], P, MU, N)  # not self-adjoint
 
 
+def test_statistical_operator_trace_is_checked_at_its_own_precision():
+    # 1 + 7^10 agrees with 1 to 10 digits, below the operator's 20
+    with pytest.raises(errors.InvalidState, match="trace 1"):
+        StatisticalOperator.from_rationals([[1 + 7**10, 0], [0, 0]], 7, -1, 20)
+    rho = StatisticalOperator.from_rationals([[1 + 7**20, 0], [0, 0]], 7, -1, 20)
+    assert ext_eq(trace(rho), ext(1))
+    # an entry of valuation -2 knows the trace only to 18 digits
+    StatisticalOperator.from_rationals([[F(1, 49), 0], [0, F(48, 49)]], 7, -1, 20)
+
+
+def test_the_nonresidue_is_checked_wherever_mu_enters():
+    for _ in range(2):
+        with pytest.raises(errors.InvalidArgument, match="square"):
+            PAdicHilbertSpace(2, 7, 2)  # 3^2 = 2 mod 7
+        with pytest.raises(errors.InvalidArgument, match="square"):
+            isotropic_witness(5)  # 2^2 = -1 mod 5
+        with pytest.raises(errors.InvalidPrime):
+            PAdicHilbertSpace(2, 9, -1)
+
+
 def test_mixed_precision_rejected():
     a = ext(1, 0, n=10)
     b = ext(1, 0, n=20)
@@ -172,6 +193,10 @@ def test_mixed_precision_rejected():
         PAdicVector([a, b])
     with pytest.raises(errors.InvalidArgument):
         PAdicOperator([[a, a], [a, b]])
+
+
+def test_a_vector_always_checks_its_precisions():
+    assert list(inspect.signature(PAdicVector).parameters) == ["components"]
 
 
 # ---------------------------------------------------------------------------

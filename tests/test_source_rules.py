@@ -100,3 +100,115 @@ def test_importing_the_cli_does_not_load_numpy():
     out = subprocess.run([sys.executable, "-c", code], env=env, capture_output=True,
                          text=True, check=True)
     assert out.stdout.strip() == "False"
+
+
+_MUTABLE_CALLS = ("list", "dict", "set", "bytearray")
+_MUTABLE_DISPLAYS = (ast.List, ast.Dict, ast.Set, ast.ListComp, ast.DictComp, ast.SetComp)
+
+
+def _is_mutable_container(value):
+    if isinstance(value, _MUTABLE_DISPLAYS):
+        return True
+    return (isinstance(value, ast.Call) and isinstance(value.func, ast.Name)
+            and value.func.id in _MUTABLE_CALLS)
+
+
+def _bindings(target, value):
+    """(name, value) for each module name the assignment binds, tuples unpacked pairwise."""
+    if isinstance(target, ast.Name):
+        yield target.id, value
+    elif isinstance(target, (ast.Tuple, ast.List)):
+        values = value.elts if isinstance(value, (ast.Tuple, ast.List)) else [None] * len(target.elts)
+        for t, v in zip(target.elts, values):
+            yield from _bindings(t, v)
+
+
+def _module_level_statements(body):
+    for node in body:
+        yield node
+        if isinstance(node, (ast.If, ast.Try, ast.With, ast.For, ast.While)):
+            for field in ("body", "orelse", "finalbody", "handlers"):
+                for child in getattr(node, field, []):
+                    yield from _module_level_statements(
+                        child.body if isinstance(child, ast.ExceptHandler) else [child])
+
+
+def _module_level_containers(tree):
+    for node in _module_level_statements(tree.body):
+        if isinstance(node, ast.Assign):
+            pairs = [b for t in node.targets for b in _bindings(t, node.value)]
+        elif isinstance(node, (ast.AnnAssign, ast.AugAssign)) and node.value is not None:
+            pairs = list(_bindings(node.target, node.value))
+        else:
+            continue
+        for name, value in pairs:
+            if name != "__all__" and value is not None and _is_mutable_container(value):
+                yield node.lineno, f"module-level mutable {name}"
+
+
+def test_no_module_level_mutable_container():
+    # module state shared by every caller belongs in a memoised function or a constant tuple
+    found = [
+        f"{path.name}:{line}: {what}"
+        for path in SOURCES
+        for line, what in _module_level_containers(ast.parse(path.read_text(encoding="utf-8")))
+    ]
+    assert found == []
+
+
+def test_the_container_rule_sees_every_form():
+    tree = ast.parse(
+        "__all__ = ['a']\n"
+        "A = []\n"
+        "B = {}\n"
+        "C = {1}\n"
+        "D = list()\n"
+        "E = dict(a=1)\n"
+        "F = set()\n"
+        "G = bytearray(3)\n"
+        "H: dict = {}\n"
+        "I = J = [1]\n"
+        "K, L = (), {}\n"
+        "M = [x for x in ()]\n"
+        "N = {x: x for x in ()}\n"
+        "O = {x for x in ()}\n"
+        "if True:\n    P = []\n"
+        "try:\n    Q = set()\nexcept Exception:\n    R = {}\n"
+        "S = ()\n"
+        "T = frozenset()\n"
+        "U = tuple([1])\n"
+        "def f():\n    V = []\n"
+        "class C:\n    W = []\n"
+    )
+    found = [what.split()[-1] for _, what in _module_level_containers(tree)]
+    assert found == ["A", "B", "C", "D", "E", "F", "G", "H", "I", "J", "L", "M", "N", "O",
+                     "P", "Q", "R"]
+
+
+def _to_rational_uses(tree):
+    for node in ast.walk(tree):
+        if isinstance(node, ast.Attribute) and node.attr == "to_rational":
+            yield node.lineno, "reads .to_rational"
+        elif (isinstance(node, ast.Call) and isinstance(node.func, ast.Name)
+              and node.func.id == "getattr" and len(node.args) > 1
+              and isinstance(node.args[1], ast.Constant) and node.args[1].value == "to_rational"):
+            yield node.lineno, "reads to_rational through getattr"
+
+
+def test_the_cli_reads_no_exact_value_back_from_a_padic():
+    # the CLI holds every operand as an exact rational; reconstruction from p^N is
+    # silently wrong once the result outgrows the precision
+    (cli,) = [path for path in SOURCES if path.name == "cli.py"]
+    assert list(_to_rational_uses(ast.parse(cli.read_text(encoding="utf-8")))) == []
+
+
+def test_the_to_rational_rule_sees_every_form():
+    tree = ast.parse(
+        "z.to_rational()\n"
+        "padic.PAdicNumber.to_rational(z)\n"
+        "f = z.to_rational\n"
+        "getattr(z, 'to_rational')()\n"
+        "to_rational(z)\n"
+        "z.to_rationals()\n"
+    )
+    assert sorted(line for line, _ in _to_rational_uses(tree)) == [1, 2, 3, 4]
