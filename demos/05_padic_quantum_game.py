@@ -9,6 +9,7 @@ from fractions import Fraction
 from gtkit import padic as pa
 from gtkit import padic_quantum as pq
 from gtkit.gamefile import load_scenario
+from gtkit.quantum import ClassicalForm
 
 F = Fraction
 P, MU, N = 7, -1, 20
@@ -51,9 +52,11 @@ print("omega_rho(I) =", pq.omega(rho, ident).x.to_rational(), "(normalization)")
 header("p-adically quantumizing the Battle of the Sexes in Q_7")
 bos = load_scenario("bos").game
 half = pa.padic_from_rational(1, 2, P, N)
-alpha = pa.PAdicExtElement(pa.hensel_sqrt(half), pa.PAdicNumber.zero(P), MU)
-print("alpha = beta = sqrt(1/2) in Q_7 (1/2 = 4 mod 7 is a square)")
-res = pq.padic_quantumize_2x2(bos, alpha, alpha, F(1), F(1))
+print("alpha = beta = sqrt(1/2) lies in Q_7, so the state is admissible:", pa.is_square(half))
+print("   (1/2 = 4 mod 7 is a square; Hensel lifting gives",
+      pa.format_padic(pa.hensel_sqrt(half)) + ")")
+print("the state enters the outcome only through its weight |alpha|^2 = 1/2")
+res = pq.padic_quantumize_2x2(ClassicalForm(bos, F(1, 2)), P, 1, 1)
 print("final-state distribution over (OO, OF, FO, FF):",
       tuple(map(str, res.distribution.entries)))
 print("exact payoffs:", [str(v.value) for v in res.payoffs],
@@ -67,9 +70,7 @@ print("\nQ_7 carries no canonical total order, so no p-adic equilibrium is decla
 print("the norms expose the hierarchy of the payoff gaps instead.")
 
 header("Classical limit check")
-one = pa.PAdicExtElement.from_rationals(1, 0, P, MU, N)
-zero = pa.ext_zero(P, MU)
-classical = pq.padic_quantumize_2x2(bos, one, zero, F(3, 5), F(2, 5))
+classical = pq.padic_quantumize_2x2(ClassicalForm(bos, 1), P, F(3, 5), F(2, 5))
 print("alpha = 1 at the classical mixed point (3/5, 2/5):",
       [str(v.value) for v in classical.payoffs],
       "- exactly the classical mixed-equilibrium payoffs")

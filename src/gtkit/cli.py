@@ -9,6 +9,7 @@ error, 4 size limit.
 from __future__ import annotations
 
 import argparse
+import contextlib
 import json
 import math
 import operator
@@ -33,8 +34,17 @@ def _frac(x):
     return str(Fraction(x))
 
 
+@contextlib.contextmanager
+def _writing(path):
+    """An OSError on an output path becomes a validation error that names the path."""
+    try:
+        yield
+    except OSError as exc:
+        raise errors.InvalidArgument(f"cannot write {path}: {exc.strerror or exc}") from exc
+
+
 def _write_json(path, obj):
-    with open(path, "w", encoding="utf-8") as fh:
+    with _writing(path), open(path, "w", encoding="utf-8") as fh:
         fh.write(json.dumps(obj, sort_keys=True, indent=2, default=float) + "\n")
     return path
 
@@ -45,14 +55,15 @@ def _write_lines(path, rows):
     Joining a slice at a time keeps the whole file from being held as text
     twice (the joined rows plus the final newline) next to the rows.
     """
-    with open(path, "w", encoding="utf-8") as fh:
+    with _writing(path), open(path, "w", encoding="utf-8") as fh:
         for start in range(0, len(rows), WRITE_CHUNK):
             fh.write("\n".join(rows[start:start + WRITE_CHUNK]) + "\n")
     return path
 
 
 def _outdir(args):
-    os.makedirs(args.out, exist_ok=True)
+    with _writing(args.out):
+        os.makedirs(args.out, exist_ok=True)
     return args.out
 
 
@@ -417,40 +428,21 @@ def _complex_report(scn, form, a):
     return doc
 
 
-def _padic_alpha(a, a2, p, mu, prec):
-    """Amplitudes in Q_p(sqrt(mu)) for the parsed --alpha: sqrt(1/2) each for 'max'."""
-
-    def ext(x):
-        return padic.PAdicExtElement(x, padic.PAdicNumber.zero(p), mu)
-
-    def root(r, message):
-        square = padic.padic_from_rational(r.numerator, r.denominator, p, prec)
-        if not padic.is_square(square):
-            raise errors.InvalidArgument(message)
-        return ext(padic.hensel_sqrt(square))
-
-    if a is None:
-        alpha = root(a2, f"1/2 is not a square in Q_{p}; pass an explicit rational --alpha")
-        return alpha, alpha
-    alpha = ext(padic.padic_from_rational(a.numerator, a.denominator, p, prec))
-    rest = 1 - a2
-    if rest == 0:
-        return alpha, padic.ext_zero(p, mu)
-    return alpha, root(rest, f"1 - alpha^2 = {rest} is not a square in Q_{p}")
-
-
 def _padic_report(args, scn, form, a):
     """equilibria.json of the p-adic mode, less the grid; prints its summary."""
     p = args.p
-    prec = args.prec
+    prec = args.prec  # recorded in the report; every value is exact at any precision
     gamefile.check_precision(p, prec, "--prec")
+    if prec < 1:
+        raise errors.InvalidArgument("--prec must be >= 1")
     mu = args.mu if args.mu is not None else padic.find_nonresidue(p)
-    alpha, beta = _padic_alpha(a, form.a2, p, mu, prec)
-    res = padic_quantum.padic_quantumize_2x2(form.base, alpha, beta, Fraction(1), Fraction(1))
-    # the weight is read back from p-adic amplitudes: refuse a precision that cannot carry it
-    if res.distribution.entries != form.distribution(1, 1):
-        raise errors.InvalidArgument(
-            f"--prec {prec} cannot carry |alpha|^2 = {form.a2} exactly in Q_{p}; raise --prec")
+    padic._check_nonresidue(p, mu)
+    # the state needs amplitudes in Q_p: both weights squares (3 digits decide Q_2 too)
+    for w in (form.a2, 1 - form.a2):
+        if not padic.is_square(padic.padic_from_rational(w, 1, p, 3)):
+            raise errors.InvalidArgument(
+                f"{w} is not a square in Q_{p}: |alpha|^2 = {form.a2} has no amplitudes in Q_{p}")
+    res = padic_quantum.padic_quantumize_2x2(form, p, 1, 1)
     doc = {
         "command": "quantumize",
         "mode": "padic",
@@ -663,7 +655,9 @@ def build_parser():
                    help="initial-state amplitude of |00>: 'max' (maximally entangled) or a number")
     q.add_argument("--padic", action="store_true", help="run over Q_p(sqrt(mu)) instead of C")
     q.add_argument("--p", type=int, default=7, help="prime for the p-adic mode")
-    q.add_argument("--prec", type=int, default=32, help="p-adic relative precision")
+    q.add_argument("--prec", type=int, default=32,
+                   help="p-adic precision N, >= 1: recorded in the report; it changes no value, "
+                        "every value is exact")
     q.add_argument("--mu", type=int, default=None, help="non-residue override")
     q.set_defaults(func=cmd_quantumize)
 

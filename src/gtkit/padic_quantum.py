@@ -341,6 +341,13 @@ def measurement_distribution(rho, sovm):
 
     Completeness of the SOVM and tr(rho) = 1 force the values to sum to
     exactly 1; individual entries may be negative or exceed 1.
+
+    Each value is read back from its p-adic expansion by rational
+    reconstruction (`PAdicNumber.to_rational`), which is exact only when the
+    value's numerator and denominator (its power of p aside) are at most
+    sqrt(p^N / 2) for the precision N.  Past that bound the distribution is
+    wrong and still sums to 1: rho = diag(25/169, 144/169) at p = 7 under
+    the projective SOVM reads (-10, 11) at N = 3 and (33/31, -2/31) at N = 4.
     """
     if not isinstance(sovm, SOVM):
         raise errors.InvalidSOVM("expected a SOVM")
@@ -370,36 +377,22 @@ class QuantumizeResult:
     hierarchy: tuple
 
 
-def padic_quantumize_2x2(game, alpha, beta, p_one, q_two):
-    """Identity/bit-flip quantumization with all scalars in Q_p(sqrt(mu)).
+def padic_quantumize_2x2(form, p, p_one, q_two):
+    """Identity/bit-flip quantumization of a 2x2 game, read in Q_p.
 
-    `alpha`, `beta` are extension elements normalizing alpha conj(alpha) +
-    beta conj(beta) = 1; `p_one`, `q_two` are exact rational identity
+    `form` is the `quantum.ClassicalForm` of the base game at the exact weight
+    a2 = |alpha|^2 of the initial state alpha|00> + beta|11>.  The state enters
+    the outcome only through that weight, so no amplitude is built and nothing
+    is read back from finite precision; a2 is any rational (in Q_p it need not
+    lie in [0, 1]), and whether the state has amplitudes in Q_p is the
+    caller's question.  `p_one`, `q_two` are exact rational identity
     probabilities.  Returns the diagonal of the final state as a p-adic
     distribution over the four pure profiles, the players' exact expected
-    payoffs with their p-adic norms, and the norm hierarchy of payoff gaps
-    against the classical equilibria of the base game.  The distribution and
-    payoffs are those of `quantum.ClassicalForm` at the weight alpha conj(alpha).
+    payoffs with their p-adic valuations and norms, and the norm hierarchy of
+    payoff gaps against the classical equilibria of the base game.
     """
-    if game.shape != (2, 2):
-        raise errors.UnsupportedShape("p-adic quantumization needs a 2x2 game")
-    if not isinstance(alpha, PAdicExtElement) or not isinstance(beta, PAdicExtElement):
-        raise errors.InvalidArgument("alpha and beta must be extension elements")
-    if alpha.p != beta.p or alpha.mu != beta.mu:
-        raise errors.PrimeMismatch("alpha and beta from different extensions")
-    p, mu = alpha.p, alpha.mu
-    prec = max(_component_precisions([alpha, beta]) or {DEFAULT_PRECISION})
-
-    one = PAdicExtElement.from_rationals(1, 0, p, mu, prec)
-    a2, b2 = (z * ext_conj(z) for z in (alpha, beta))
-    if not ext_eq(a2 + b2, one):
-        raise errors.InvalidState("alpha conj(alpha) + beta conj(beta) must equal 1")
-    a2, b2 = _ext_to_rational(a2), _ext_to_rational(b2)
-    if a2 + b2 != 1:  # the precision is too low to read the weights back as rationals
-        raise errors.InvalidArgument(f"|alpha|^2, |beta|^2 read back as {a2}, {b2}; "
-                                     "raise the precision")
-
-    form = quantum.ClassicalForm(game, a2)
+    if not isinstance(form, quantum.ClassicalForm):
+        raise errors.InvalidArgument("expected a quantum.ClassicalForm")
     p_one, q_two = Fraction(p_one), Fraction(q_two)
     dist = PAdicDistribution(form.distribution(p_one, q_two), p)
     payoffs = [
@@ -409,7 +402,7 @@ def padic_quantumize_2x2(game, alpha, beta, p_one, q_two):
 
     hierarchy = []
     quantum_pay = (payoffs[0].value, payoffs[1].value)
-    for label, pay in _classical_candidates(game):
+    for label, pay in _classical_candidates(form.base):
         gap = (quantum_pay[0] - pay[0], quantum_pay[1] - pay[1])
         hierarchy.append(
             GapReport(

@@ -313,14 +313,10 @@ def test_criterion_10_padic_quantum():
     ok = ok and dist.entries == (2, -1) and sum(dist.entries) == 1 and count == 100
 
     g = bos()
-    half = padic.padic_from_rational(1, 2, P, N)
-    root = padic.hensel_sqrt(half)
-    alpha = padic.PAdicExtElement(root, padic.PAdicNumber.zero(P), MU)
-    res = padic_quantum.padic_quantumize_2x2(g, alpha, alpha, F(1), F(1))
+    # alpha = beta = sqrt(1/2) in Q_7: the weight 1/2; alpha = 1: the weight 1
+    res = padic_quantum.padic_quantumize_2x2(quantum.ClassicalForm(g, F(1, 2)), P, F(1), F(1))
     ok = ok and (res.payoffs[0].value, res.payoffs[1].value) == (F(5, 2), F(5, 2))
-    one = padic.PAdicExtElement.from_rationals(1, 0, P, MU, N)
-    zero = padic.ext_zero(P, MU)
-    classical = padic_quantum.padic_quantumize_2x2(g, one, zero, F(1), F(1))
+    classical = padic_quantum.padic_quantumize_2x2(quantum.ClassicalForm(g, 1), P, F(1), F(1))
     ok = ok and (classical.payoffs[0].value, classical.payoffs[1].value) == (F(3), F(2))
 
     space = padic_quantum.PAdicHilbertSpace(2, 3, -1, padic_quantum.BILINEAR)

@@ -947,48 +947,80 @@ def test_quantumize_rejects_bad_grid_and_alpha(tmp_path):
     assert run(tmp_path, "quantumize", "--in", "bos", "--padic", "--alpha", "1/2")[0] == (
         EXIT_VALIDATION
     )
-    # 9/25 is beyond rational reconstruction modulo 7^2
-    assert run(tmp_path, "quantumize", "--in", "bos", "--padic", "--prec", "2",
-               "--alpha", "3/5")[0] == EXIT_VALIDATION
 
 
-@pytest.mark.parametrize("alpha,prec", [
-    ("5/13", 3), ("5/13", 4), ("12/13", 4), ("8/17", 2), ("8/17", 3), ("8/17", 5)])
-def test_quantumize_padic_refuses_a_precision_that_cannot_carry_the_weight(
-        tmp_path, capsys, alpha, prec):
-    # the weight read back from the amplitudes was a wrong rational summing to 1
-    code, out = run(tmp_path, "quantumize", "--in", "bos", "--padic", "--alpha", alpha,
-                    "--prec", str(prec))
-    assert code == EXIT_VALIDATION
-    captured = capsys.readouterr()
-    assert "raise --prec" in captured.err and captured.out == ""
-    assert list(out.iterdir()) == []
+def _padic_report_at(out, alpha, p, prec):
+    """(exit code, equilibria.json less its precision) of a p-adic bos run on a grid of 1."""
+    code = main(["quantumize", "--in", "bos", "--padic", f"--alpha={alpha}", "--p", str(p),
+                 "--prec", str(prec), "--grid", "1", "--out", str(out)])
+    if code != EXIT_OK:
+        return code, None
+    rep = read_json(out / "equilibria.json")
+    assert rep.pop("precision") == prec
+    return code, rep
 
 
-@pytest.mark.parametrize("alpha,prec", [("3/5", 4), ("5/13", 6)])
-def test_quantumize_padic_at_just_enough_precision_is_exact(tmp_path, alpha, prec):
-    a2 = F(alpha) ** 2
-    code, out = run(tmp_path, "quantumize", "--in", "bos", "--padic", "--alpha", alpha,
-                    "--prec", str(prec), "--grid", "1")
+@pytest.mark.parametrize("alpha,p,prec", [
+    # precisions too low to read |alpha|^2 back from p-adic amplitudes, then two just enough
+    ("5/13", 7, 3), ("5/13", 7, 4), ("12/13", 7, 4), ("8/17", 7, 2), ("8/17", 7, 3),
+    ("8/17", 7, 5), ("3/5", 7, 2), ("3/5", 2, 2), ("3/5", 2, 3),
+    ("3/5", 7, 4), ("5/13", 7, 6)])
+def test_quantumize_padic_report_does_not_depend_on_the_precision(tmp_path, alpha, p, prec):
+    code, rep = _padic_report_at(tmp_path / "low", alpha, p, prec)
     assert code == EXIT_OK
-    assert read_json(out / "equilibria.json")["distribution"] == [
-        str(a2), "0", "0", str(1 - a2)]
+    assert rep == _padic_report_at(tmp_path / "high", alpha, p, 32)[1]
+    a2 = F(alpha) ** 2
+    assert rep["distribution"] == [str(a2), "0", "0", str(1 - a2)]
+
+
+def test_quantumize_padic_works_from_the_exact_weight(tmp_path, monkeypatch):
+    # no amplitude is lifted into Q_p(sqrt(mu)) and nothing is read back from p^N
+    from gtkit import padic_quantum
+
+    def refuse(*args):
+        raise AssertionError("called on the p-adic quantumize path")
+
+    monkeypatch.setattr(padic.PAdicExtElement, "__post_init__", refuse)
+    monkeypatch.setattr(padic.PAdicNumber, "to_rational", refuse)
+    for module in (padic, padic_quantum):
+        monkeypatch.setattr(module, "hensel_sqrt", refuse)
+    for alpha in ("max", "3/5", "5/13"):
+        assert run(tmp_path, "quantumize", "--in", "bos", "--padic", "--alpha", alpha,
+                   "--mu", "3")[0] == EXIT_OK
+
+
+def _is_square_in_qp(q, p):
+    """Squareness in Q_p by the Legendre symbol (p odd) or the unit mod 8 (p = 2)."""
+    if q == 0:
+        return True
+    num, den, v = q.numerator, q.denominator, 0
+    while num % p == 0:
+        num, v = num // p, v + 1
+    while den % p == 0:
+        den, v = den // p, v - 1
+    if v % 2:
+        return False
+    if p == 2:
+        return num * den % 8 == 1  # den is odd, so den^2 = 1 mod 8 and num/den = num*den
+    return pow(num * den, (p - 1) // 2, p) == 1
 
 
 @settings(max_examples=150, deadline=None)
 @given(st.integers(1, 50).flatmap(lambda d: st.tuples(st.integers(-2 * d, 2 * d), st.just(d))),
-       st.sampled_from([3, 5, 7, 11, 13]), st.integers(1, 12))
+       st.sampled_from([2, 3, 5, 7, 11, 13]), st.integers(1, 12))
 def test_every_padic_quantumize_report_is_exact(tmp_path_factory, alpha, p, prec):
+    # exit 3 exactly when the state has no amplitudes in Q_p; otherwise the report is
+    # the closed form, the same at every precision
     a = F(*alpha)
+    a2 = a * a
     out = tmp_path_factory.mktemp("exact")
-    code = main(["quantumize", "--in", "bos", "--padic", f"--alpha={a}", "--p", str(p),
-                 "--prec", str(prec), "--grid", "1", "--out", str(out)])
-    assert code in (EXIT_OK, EXIT_VALIDATION)
-    if code != EXIT_OK:
+    code, rep = _padic_report_at(out, a, p, prec)
+    if not (_is_square_in_qp(a2, p) and _is_square_in_qp(1 - a2, p)):
+        assert code == EXIT_VALIDATION
         assert list(out.iterdir()) == []
         return
-    rep = read_json(out / "equilibria.json")
-    a2 = a * a
+    assert code == EXIT_OK
+    assert rep == _padic_report_at(tmp_path_factory.mktemp("exact32"), a, p, 32)[1]
     assert rep["distribution"] == [str(a2), "0", "0", str(1 - a2)]
     # bos pays (3, 2) on 00 and (2, 3) on 11
     assert [e["value"] for e in rep["payoffs"]] == [str(3 * a2 + 2 * (1 - a2)),
@@ -1153,6 +1185,22 @@ def test_quantumize_and_padic_options_never_raise(tmp_path_factory, argv):
     except SystemExit as exc:  # argparse refuses a malformed integer
         code = exc.code
     assert code in (EXIT_OK, EXIT_PARSE, EXIT_VALIDATION, EXIT_SIZE), argv
+
+
+@pytest.mark.parametrize("argv", [
+    ["analyze", "--in", "bos"],
+    ["evolve", "--in", "rps", "--t-end", "1", "--h", "0.01"],
+    ["quantumize", "--in", "bos", "--grid", "2"],
+    ["padic", "--expr", "expand 1/3 @ 7^4"],
+], ids=lambda argv: argv[0])
+def test_an_unusable_out_is_a_validation_error(tmp_path, capsys, argv):
+    blocker = tmp_path / "file"
+    blocker.write_text("")
+    for out in (blocker, blocker / "sub"):  # an existing file, then a path through it
+        assert main([*argv, "--out", str(out)]) == EXIT_VALIDATION
+        err = capsys.readouterr().err
+        assert "error (validation)" in err and str(out) in err
+        assert "Traceback" not in err
 
 
 # ---------------------------------------------------------------------------

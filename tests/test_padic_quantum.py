@@ -12,8 +12,6 @@ from gtkit.padic import (
     UltraNorm,
     ext_conj,
     ext_eq,
-    hensel_sqrt,
-    padic_from_rational,
 )
 from gtkit.padic_quantum import (
     BILINEAR,
@@ -38,6 +36,7 @@ from gtkit.padic_quantum import (
     trace,
     ultranorm,
 )
+from gtkit.quantum import ClassicalForm
 
 F = Fraction
 P, MU, N = 7, -1, 20
@@ -293,18 +292,14 @@ def test_measurement_sum_is_one_for_operator_family():
 
 
 def test_quantumize_classical_limit():
-    alpha, beta = ext(1), ext(0)
-    res = padic_quantumize_2x2(bos(), alpha, beta, F(1), F(1))
+    res = padic_quantumize_2x2(ClassicalForm(bos(), 1), P, F(1), F(1))
     assert res.distribution.entries == (1, 0, 0, 0)
     assert res.payoffs[0].value == 3 and res.payoffs[1].value == 2
 
 
 def test_quantumize_entangled_exact_payoffs():
-    # alpha = beta = sqrt(1/2) in Q_7 (1/2 = 4 mod 7 is a square)
-    half = padic_from_rational(1, 2, P, N)
-    root = hensel_sqrt(half)
-    alpha = PAdicExtElement(root, padic_from_rational(0, 1, P, N), MU)
-    res = padic_quantumize_2x2(bos(), alpha, alpha, F(1), F(1))
+    # alpha = beta = sqrt(1/2) in Q_7 (1/2 = 4 mod 7 is a square): the weight 1/2
+    res = padic_quantumize_2x2(ClassicalForm(bos(), F(1, 2)), P, F(1), F(1))
     assert res.distribution.entries == (F(1, 2), 0, 0, F(1, 2))
     assert res.payoffs[0].value == F(5, 2)
     assert res.payoffs[1].value == F(5, 2)
@@ -317,15 +312,14 @@ def test_quantumize_entangled_exact_payoffs():
 
 
 def test_quantumize_rejects_bad_state():
-    alpha = ext(1)
-    with pytest.raises(errors.InvalidState):
-        padic_quantumize_2x2(bos(), alpha, alpha, F(1), F(1))
     three = StrategicGame(
         [["a", "b", "c"], ["x", "y"]],
         {(i, j): (0, 0) for i in range(3) for j in range(2)},
     )
     with pytest.raises(errors.UnsupportedShape):
-        padic_quantumize_2x2(three, alpha, ext(0), F(1), F(1))
+        padic_quantumize_2x2(ClassicalForm(three, 1), P, F(1), F(1))
+    with pytest.raises(errors.InvalidArgument):  # the game, not its ClassicalForm
+        padic_quantumize_2x2(bos(), P, F(1), F(1))
 
 
 def test_operator_json_round_trip():
@@ -342,18 +336,16 @@ def test_operator_json_round_trip():
 def test_quantumize_classical_limit_full_tenth_grid():
     from gtkit.games import expected_payoff
 
-    alpha, beta = ext(1), ext(0)
     for i in range(11):
         for j in range(11):
             pt, qt = F(i, 10), F(j, 10)
-            res = padic_quantumize_2x2(bos(), alpha, beta, pt, qt)
+            res = padic_quantumize_2x2(ClassicalForm(bos(), 1), P, pt, qt)
             want = expected_payoff(bos(), ((pt, 1 - pt), (qt, 1 - qt)))
             assert (res.payoffs[0].value, res.payoffs[1].value) == want
 
 
 def test_quantumize_hierarchy_reports(capsys=None):
-    alpha, beta = ext(1), ext(0)
-    res = padic_quantumize_2x2(bos(), alpha, beta, F(1), F(1))
+    res = padic_quantumize_2x2(ClassicalForm(bos(), 1), P, F(1), F(1))
     labels = {g.label for g in res.hierarchy}
     assert "pure O/O" in labels and "pure F/F" in labels and "mixed interior" in labels
     pure_oo = next(g for g in res.hierarchy if g.label == "pure O/O")

@@ -185,14 +185,30 @@ def test_the_container_rule_sees_every_form():
                      "P", "Q", "R"]
 
 
+def _in_functions(tree, func=None):
+    """(node, name of the innermost function holding it, None at module level)."""
+    for child in ast.iter_child_nodes(tree):
+        inner = child.name if isinstance(child, (ast.FunctionDef, ast.AsyncFunctionDef)) else func
+        yield child, inner
+        yield from _in_functions(child, inner)
+
+
 def _to_rational_uses(tree):
-    for node in ast.walk(tree):
+    for node, func in _in_functions(tree):
         if isinstance(node, ast.Attribute) and node.attr == "to_rational":
-            yield node.lineno, "reads .to_rational"
+            yield node.lineno, func, "reads .to_rational"
         elif (isinstance(node, ast.Call) and isinstance(node.func, ast.Name)
               and node.func.id == "getattr" and len(node.args) > 1
               and isinstance(node.args[1], ast.Constant) and node.args[1].value == "to_rational"):
-            yield node.lineno, "reads to_rational through getattr"
+            yield node.lineno, func, "reads to_rational through getattr"
+
+
+def _callers(tree, name):
+    """Functions (None at module level) that name `name`, as a plain name or an attribute."""
+    for node, func in _in_functions(tree):
+        if (isinstance(node, ast.Name) and node.id == name
+                or isinstance(node, ast.Attribute) and node.attr == name):
+            yield func
 
 
 def test_the_cli_reads_no_exact_value_back_from_a_padic():
@@ -200,6 +216,32 @@ def test_the_cli_reads_no_exact_value_back_from_a_padic():
     # silently wrong once the result outgrows the precision
     (cli,) = [path for path in SOURCES if path.name == "cli.py"]
     assert list(_to_rational_uses(ast.parse(cli.read_text(encoding="utf-8")))) == []
+
+
+def test_only_measurement_distribution_reads_a_padic_back():
+    # padic.py defines to_rational; the library reads a value back through it only in
+    # padic_quantum._ext_to_rational, for the p-adic values of measurement_distribution
+    trees = {path.name: ast.parse(path.read_text(encoding="utf-8")) for path in SOURCES}
+    found = [
+        f"{name}:{line}: {what} in {func}"
+        for name, tree in trees.items() if name != "padic.py"
+        for line, func, what in _to_rational_uses(tree)
+        if (name, func) != ("padic_quantum.py", "_ext_to_rational")
+    ]
+    assert found == []
+    callers = {(name, func) for name, tree in trees.items()
+               for func in _callers(tree, "_ext_to_rational")}
+    assert callers == {("padic_quantum.py", "measurement_distribution")}
+
+
+def test_the_caller_rule_names_the_innermost_function():
+    tree = ast.parse(
+        "x = f\n"
+        "def g():\n    return m.f()\n"
+        "class C:\n    def h(self):\n        def k():\n            f()\n        return k\n"
+        "def f():\n    pass\n"
+    )
+    assert list(_callers(tree, "f")) == [None, "g", "k"]
 
 
 def test_the_to_rational_rule_sees_every_form():
@@ -211,4 +253,4 @@ def test_the_to_rational_rule_sees_every_form():
         "to_rational(z)\n"
         "z.to_rationals()\n"
     )
-    assert sorted(line for line, _ in _to_rational_uses(tree)) == [1, 2, 3, 4]
+    assert sorted(line for line, _, _ in _to_rational_uses(tree)) == [1, 2, 3, 4]
