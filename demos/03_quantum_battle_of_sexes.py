@@ -45,7 +45,7 @@ print("outcome distribution over OO, OF, FO, FF at (p, q) = (1, 1):",
       [str(x) for x in form.distribution(F(1), F(1))])
 
 header("Classical limit: alpha = 1 reproduces the classical game")
-classical = qt.classical_form(qt.QuantumizedGame(bos, 1.0, 0.0))
+classical = qt.ClassicalForm(bos, 1)
 for p, q in ((F(1), F(1)), (F(3, 5), F(2, 5)), (F(0), F(0))):
     got = classical.payoffs(p, q)
     want = qt.classical_product_payoffs(bos, p, q)
@@ -67,5 +67,5 @@ print("'play the same thing', and the symmetric payoff beats every classical one
 header("Partial entanglement alpha = 3/5: an equilibrium off every grid")
 print("exact equilibria:")
 show_equilibria(Fraction(9, 25))
-grid = qt.mw_nash_search(qt.QuantumizedGame(bos, 0.6, 0.8), grid_n=100)
+grid = qt.mw_nash_search(qt.ClassicalForm(bos, Fraction(9, 25)), grid_n=100)
 print("the 101 x 101 grid search finds only", [(float(p), float(q)) for (p, q), _ in grid])

@@ -302,7 +302,7 @@ def cmd_evolve(args):
     p0_text = args.p0 or ",".join(scn.metadata.get("default_p0", []))
     if not p0_text:
         raise errors.InvalidArgument("no initial state: pass --p0 or use a scenario with default_p0")
-    raw = [gamefile.parse_rational(tok, "p0") for tok in map(str.strip, p0_text.split(",")) if tok]
+    raw = [gamefile.parse_rational(tok.strip(), "p0") for tok in p0_text.split(",")]
     if len(raw) != g.n:
         raise errors.InvalidState(f"p0 has {len(raw)} coordinates for an {g.n}-strategy game")
     total = sum(raw)
@@ -313,10 +313,6 @@ def cmd_evolve(args):
 
     traj = evolution.integrate(g, p0, t_end=args.t_end, h=args.h)
     reports, continua = evolution.rest_point_reports(g)
-    names = scn.metadata.get("strategy_names")
-    out = _outdir(args)
-    csv_path = _write_lines(os.path.join(out, "trajectory.csv"), traj.csv_rows(names))
-
     rest = []
     for rep in reports:
         entry = {
@@ -335,6 +331,9 @@ def cmd_evolve(args):
 
     avg = evolution.time_average(traj)
     rec = evolution.detect_recurrence(traj, tol=args.tol)
+    names = scn.metadata.get("strategy_names")
+    out = _outdir(args)
+    csv_path = _write_lines(os.path.join(out, "trajectory.csv"), traj.csv_rows(names))
     analysis = {
         "command": "evolve",
         "scenario": scn.name,

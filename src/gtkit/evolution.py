@@ -31,8 +31,13 @@ SUPPORT_CAP = 2 ** 12 - 1  # supports rest_point_reports solves: 2^n - 1, so n <
 
 
 def _to_fraction(value):
-    if isinstance(value, (int, float, Fraction, str)):
-        return Fraction(value)
+    """Fraction of an int, float, Fraction or string; booleans and non-finite
+    or malformed values are InvalidArgument."""
+    if isinstance(value, (int, float, Fraction, str)) and not isinstance(value, bool):
+        try:
+            return Fraction(value)
+        except (ValueError, OverflowError, ZeroDivisionError):
+            pass
     raise errors.InvalidArgument(f"not a real matrix entry: {value!r}")
 
 
@@ -90,20 +95,23 @@ class SimplexState:
     """Point of the (n-1)-simplex; `p` is its tuple of floats.
 
     Exact entries (ints, Fractions, strings) are preserved for the rational
-    solvers; float input is accepted when it sums to 1 within 1e-12.
+    solvers; float input is accepted when it sums to 1 within 1e-12.  Booleans
+    and non-finite or malformed entries are InvalidArgument.
     """
 
     def __init__(self, probs):
         values = list(probs)
+        exact = tuple(_to_fraction(v) for v in values)
         if any(isinstance(v, float) for v in values):
-            p = tuple(map(float, values))
             self.exact = None
+        elif any(q < 0 for q in exact) or sum(exact) != 1:
+            raise errors.InvalidState(f"not an exact simplex point: {exact}")
         else:
-            exact = tuple(_to_fraction(v) for v in values)
-            if any(q < 0 for q in exact) or sum(exact) != 1:
-                raise errors.InvalidState(f"not an exact simplex point: {exact}")
             self.exact = exact
+        try:
             p = tuple(map(float, exact))
+        except OverflowError as exc:
+            raise errors.InvalidArgument("probability beyond the binary64 range") from exc
         if len(p) < 2:
             raise errors.InvalidState("simplex state needs at least 2 coordinates")
         if any(v < 0 for v in p):

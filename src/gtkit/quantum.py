@@ -8,11 +8,12 @@ resulting density operator in the computational basis.
 
 The pure choice (s, t) of identity (0) or bit-flip (1) yields (s, t) with
 weight |alpha|^2 and (1-s, 1-t) with |beta|^2, so the quantum game is exactly
-the classical 2x2 game `ClassicalForm`, solved exactly for both the complex
-and the p-adic mode.  No state vector or density matrix is built: the
-two-qubit Kraus sum that this identity replaces lives in the tests as their
-oracle, and the grid search `mw_nash_search` remains as the oracle of the
-exact equilibrium set.
+the classical 2x2 game `ClassicalForm(base, |alpha|^2)`, solved exactly for
+both the complex and the p-adic mode.  The library takes that weight as an
+exact rational and holds no amplitude, state vector or density matrix:
+complex amplitudes and the two-qubit Kraus sum that this identity replaces
+live in the tests as their oracle, and the grid search `mw_nash_search`
+remains as the oracle of the exact equilibrium set.
 
 The payoff surface is that game's closed form at each grid point: Python
 floats added in one fixed order (its bits do not depend on the Python
@@ -23,37 +24,13 @@ integer combination of the payoffs.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
 from fractions import Fraction
 
 from . import errors, games
 
-NORM_TOL = 1e-10
 EQ_TOL = 1e-9
 
 PROFILES = ((0, 0), (0, 1), (1, 0), (1, 1))
-
-
-@dataclass(frozen=True)
-class QuantumizedGame:
-    """A 2x2 base game plus the shared entangled initial state alpha|00> + beta|11>."""
-
-    base: games.StrategicGame
-    alpha: complex
-    beta: complex
-
-    def __post_init__(self):
-        if self.base.shape != (2, 2):
-            raise errors.UnsupportedShape("quantumization needs a 2x2 base game")
-        object.__setattr__(self, "alpha", complex(self.alpha))
-        object.__setattr__(self, "beta", complex(self.beta))
-        if abs(abs(self.alpha) ** 2 + abs(self.beta) ** 2 - 1.0) > NORM_TOL:
-            raise errors.InvalidState("|alpha|^2 + |beta|^2 must be 1")
-
-
-def maximally_entangled(base):
-    r = 1.0 / math.sqrt(2.0)
-    return QuantumizedGame(base, r, r)
 
 
 class ClassicalForm:
@@ -89,13 +66,6 @@ class ClassicalForm:
         return games.equilibrium_set_2x2(self.game)
 
 
-def classical_form(qg):
-    """The ClassicalForm of a QuantumizedGame; a ClassicalForm passes through."""
-    if isinstance(qg, ClassicalForm):
-        return qg
-    return ClassicalForm(qg.base, Fraction(abs(qg.alpha) ** 2))
-
-
 def equilibrium_report(form):
     """The exact equilibrium section of a `gt quantumize` report.
 
@@ -124,7 +94,7 @@ def equilibrium_report(form):
     return report
 
 
-def _surface(qg, grid_n, exact=False):
+def _surface(form, grid_n, exact=False):
     """(p, q, payoff1, payoff2) at every (i/grid_n, j/grid_n), row-major, exact or float.
 
     Each payoff is pq c00 + p(1-q) c01 + (1-p)q c10 + (1-p)(1-q) c11 for the
@@ -134,9 +104,11 @@ def _surface(qg, grid_n, exact=False):
     C = D c on integers for the common denominator D, it is the one rational
     (ij C00 + i(N-j) C01 + (N-i)j C10 + (N-i)(N-j) C11) / (D N^2), N = grid_n.
     """
+    if not isinstance(form, ClassicalForm):
+        raise errors.InvalidArgument("expected a quantum.ClassicalForm")
     if grid_n < 1:
         raise errors.InvalidArgument("grid_n must be >= 1")
-    payoffs = [classical_form(qg).game.payoff(s) for s in PROFILES]
+    payoffs = [form.game.payoff(s) for s in PROFILES]
     if exact:
         scale = math.lcm(*(x.denominator for u in payoffs for x in u))
         (x00, y00), (x01, y01), (x10, y10), (x11, y11) = (
@@ -167,7 +139,7 @@ def _surface(qg, grid_n, exact=False):
                    0 + w00 * y00 + w01 * y01 + w10 * y10 + w11 * y11)
 
 
-def mw_nash_search(qg, grid_n=100):
+def mw_nash_search(form, grid_n=100):
     """Exhaustive equilibrium search on the (p, q) grid: the reference oracle
     for `ClassicalForm.equilibria`.
 
@@ -176,7 +148,7 @@ def mw_nash_search(qg, grid_n=100):
     weak equilibria are reported).  Returns ((p, q), (payoff1, payoff2)) rows
     in row-major grid order.
     """
-    points = list(_surface(qg, grid_n))
+    points = list(_surface(form, grid_n))
     n = grid_n + 1
     col_best = [max(pt[2] for pt in points[j::n]) for j in range(n)]
     row_best = [max(pt[3] for pt in points[i * n:(i + 1) * n]) for i in range(n)]
@@ -184,10 +156,10 @@ def mw_nash_search(qg, grid_n=100):
             if u1 >= col_best[k % n] - EQ_TOL and u2 >= row_best[k // n] - EQ_TOL]
 
 
-def payoff_surface_rows(qg, grid_n=100, exact=False):
+def payoff_surface_rows(form, grid_n=100, exact=False):
     """CSV rows p,q,payoff1,payoff2 of `_surface`: exact rationals or 17 significant digits."""
     fmt = ",".join(["%s" if exact else "%.17g"] * 4)
-    return ["p,q,payoff1,payoff2", *(fmt % pt for pt in _surface(qg, grid_n, exact))]
+    return ["p,q,payoff1,payoff2", *(fmt % pt for pt in _surface(form, grid_n, exact))]
 
 
 def classical_product_payoffs(base, p, q):

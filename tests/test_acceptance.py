@@ -70,8 +70,7 @@ def test_criterion_01_battle_of_the_sexes(tmp_path):
 def test_criterion_02_quantum_bos():
     t0 = time.perf_counter()
     g = bos()
-    qg = quantum.maximally_entangled(g)
-    found = quantum.mw_nash_search(qg, grid_n=100)
+    found = quantum.mw_nash_search(quantum.ClassicalForm(g, F(1, 2)), grid_n=100)
     payoffs = {pq: pay for pq, pay in found}
     ok = (0.0, 0.0) in payoffs and (1.0, 1.0) in payoffs
     for corner in ((0.0, 0.0), (1.0, 1.0)):
@@ -80,7 +79,7 @@ def test_criterion_02_quantum_bos():
     best = max(pay[0] for pay in payoffs.values())
     ok = ok and abs(best - 2.5) <= 1e-9 and best > 6 / 5
 
-    classical = quantum.QuantumizedGame(g, 1.0, 0.0)
+    classical = quantum.ClassicalForm(g, 1)
     rows = quantum.payoff_surface_rows(classical, 100)[1:]
     ok = ok and len(rows) == 101 * 101
     worst = 0.0

@@ -529,6 +529,22 @@ def test_evolve_validates_p0(tmp_path):
     assert code == EXIT_VALIDATION
 
 
+@pytest.mark.parametrize("p0", ["1/2,,1/2", ",1/2,1/2,"])
+def test_evolve_refuses_an_empty_p0_entry(tmp_path, capsys, p0):
+    code, out = run(tmp_path, "evolve", "--in", "pd", "--p0", p0, "--t-end", "0.1")
+    assert code == EXIT_PARSE
+    assert "p0" in capsys.readouterr().err
+    assert not out.exists()
+
+
+def test_evolve_that_exits_3_writes_no_file(tmp_path, capsys):
+    # 6 samples are too few for the recurrence verdict, which comes before any write
+    code, out = run(tmp_path, "evolve", "--in", "rps", "--t-end", "0.005", "--h", "0.001")
+    assert code == EXIT_VALIDATION
+    assert "need at least 10 samples, got 6" in capsys.readouterr().err
+    assert not out.exists()
+
+
 def test_evolve_reads_decimal_p0_exactly(tmp_path):
     reports = []
     for p0 in ("0.2,0.3,0.5", "1/5,3/10,1/2"):

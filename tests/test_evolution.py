@@ -56,6 +56,26 @@ def vertex(n, i):
 
 
 # ---------------------------------------------------------------------------
+# input validation
+
+
+@pytest.mark.parametrize("make", [
+    lambda v: EvolutionGame([[v, 0], [0, 1]]),
+    lambda v: SimplexState([v, 0]),
+    lambda v: SimplexState([v, 0.0]),
+], ids=["EvolutionGame", "SimplexState", "SimplexState-float"])
+@pytest.mark.parametrize("entry", [True, False, math.nan, math.inf, -math.inf, "nan", "1/0"])
+def test_booleans_and_non_finite_entries_are_invalid_arguments(make, entry):
+    with pytest.raises(errors.InvalidArgument):
+        make(entry)
+
+
+def test_a_float_state_beyond_binary64_is_an_invalid_argument():
+    with pytest.raises(errors.InvalidArgument):
+        SimplexState([10**400, 0.5])
+
+
+# ---------------------------------------------------------------------------
 # pointwise quantities
 
 

@@ -63,8 +63,6 @@ from gtkit.games import (
 from gtkit.quantum import (
     PROFILES,
     ClassicalForm,
-    QuantumizedGame,
-    classical_form,
     payoff_surface_rows,
 )
 
@@ -637,11 +635,11 @@ def best_response_dynamics_reference(game, start, max_steps=None):
 # reference implementations of the quantum payoff surface (numpy grid, Fraction loop)
 
 
-def _payoff_surfaces(qg, grid_n):
-    """Binary64 payoffs of A' (for a QuantumizedGame or ClassicalForm) over the grid."""
+def _payoff_surfaces(form, grid_n):
+    """Binary64 payoffs of A' (of a ClassicalForm) over the grid."""
     if grid_n < 1:
         raise errors.InvalidArgument("grid_n must be >= 1")
-    game = classical_form(qg).game
+    game = form.game
     ps = np.array([i / grid_n for i in range(grid_n + 1)])
     P, Q = np.meshgrid(ps, ps, indexing="ij")
     rows, cols = (P, 1 - P), (Q, 1 - Q)
@@ -652,9 +650,9 @@ def _payoff_surfaces(qg, grid_n):
     return ps, pay1, pay2
 
 
-def payoff_surface_rows_reference(qg, grid_n=100):
+def payoff_surface_rows_reference(form, grid_n=100):
     """CSV-ready rows (p, q, payoff1, payoff2) over the full grid."""
-    ps, pay1, pay2 = _payoff_surfaces(qg, grid_n)
+    ps, pay1, pay2 = _payoff_surfaces(form, grid_n)
     rows = ["p,q,payoff1,payoff2"]
     for i, j in itertools.product(range(grid_n + 1), repeat=2):
         rows.append(
@@ -1085,14 +1083,15 @@ def test_detect_recurrence_matches_the_episode_loop(inside, kind):
 @st.composite
 def quantum_forms(draw):
     """2x2 games with negative and zero payoffs, under an exact weight a2 (any
-    rational, as in the p-adic mode) or a float amplitude in [0, 1]."""
+    rational, as in the p-adic mode) or the weight |alpha|^2 of a float
+    amplitude alpha in [0, 1], read exactly from its binary64 square."""
     entry = st.one_of(st.integers(-4, 4), st.builds(F, st.integers(-9, 9), st.integers(1, 7)))
     base = StrategicGame([["a", "b"], ["c", "d"]],
                          {s: (draw(entry), draw(entry)) for s in PROFILES})
     if draw(st.booleans()):
         return ClassicalForm(base, draw(st.builds(F, st.integers(-9, 9), st.integers(1, 9))))
     alpha = draw(st.floats(0, 1))
-    return QuantumizedGame(base, alpha, math.sqrt(1.0 - alpha * alpha))
+    return ClassicalForm(base, F(abs(alpha) ** 2))
 
 
 TINY = F(-1, 10**400)  # rounds to -0.0, so every term of a payoff is -0.0
@@ -1103,16 +1102,15 @@ ALL_TINY = ClassicalForm(
 @settings(max_examples=50, deadline=None)
 @example(ALL_TINY, 3)
 @given(quantum_forms(), st.integers(1, 100))
-def test_payoff_surface_rows_match_the_numpy_grid_bit_for_bit(qg, grid):
-    assert payoff_surface_rows(qg, grid) == payoff_surface_rows_reference(qg, grid)
+def test_payoff_surface_rows_match_the_numpy_grid_bit_for_bit(form, grid):
+    assert payoff_surface_rows(form, grid) == payoff_surface_rows_reference(form, grid)
 
 
 # each example runs up to 10201 Fraction points twice, so there are few of them
 @settings(max_examples=8, deadline=None)
 @example(ALL_TINY, 3)
 @given(quantum_forms(), st.integers(1, 100))
-def test_exact_payoff_surface_rows_match_the_fraction_loop(qg, grid):
-    form = classical_form(qg)
+def test_exact_payoff_surface_rows_match_the_fraction_loop(form, grid):
     assert payoff_surface_rows(form, grid, exact=True) == padic_surface_rows_reference(form, grid)
 
 

@@ -9,19 +9,18 @@ import pytest
 from gtkit import errors
 from gtkit.games import StrategicGame
 from gtkit.quantum import (
-    QuantumizedGame,
+    ClassicalForm,
     classical_product_payoffs,
-    maximally_entangled,
     mw_nash_search,
     payoff_surface_rows,
 )
 from twoqubit import (
+    AMPLITUDES,
     DensityOperator,
     Ket,
     basis_ket,
     born_probabilities,
     density_of,
-    mw_diagonal,
     mw_expected_payoffs,
     mw_final_density,
     tensor,
@@ -92,15 +91,13 @@ def test_density_operator_validation():
 
 
 def test_channel_classical_corners():
-    qg = QuantumizedGame(bos(), 1.0, 0.0)
-    assert np.allclose(mw_final_density(qg, 1.0, 1.0).matrix, np.diag([1, 0, 0, 0]))
-    assert np.allclose(mw_final_density(qg, 0.0, 0.0).matrix, np.diag([0, 0, 0, 1]))
+    assert np.allclose(mw_final_density(1.0, 0.0, 1.0, 1.0).matrix, np.diag([1, 0, 0, 0]))
+    assert np.allclose(mw_final_density(1.0, 0.0, 0.0, 0.0).matrix, np.diag([0, 0, 0, 1]))
 
 
 def test_channel_maximally_entangled_diagonal():
-    qg = maximally_entangled(bos())
     for p, q in ((0.3, 0.8), (0.0, 1.0), (0.5, 0.5)):
-        diag = mw_final_density(qg, p, q).diagonal()
+        diag = mw_final_density(R2, R2, p, q).diagonal()
         coord = (p * q + (1 - p) * (1 - q)) / 2.0
         mis = (p * (1 - q) + (1 - p) * q) / 2.0
         assert np.allclose(diag, [coord, mis, mis, coord], atol=1e-12)
@@ -108,23 +105,24 @@ def test_channel_maximally_entangled_diagonal():
 
 def test_channel_closed_form_matches_kraus_sum():
     # trace preservation and oracle equivalence on the full 21x21 grid for
-    # several amplitude pairs, including a complex-phase one
+    # several amplitude pairs, including a complex-phase one, each against the
+    # classical form at the exact weight |alpha|^2
     grid = np.linspace(0.0, 1.0, 21)
-    for alpha, beta in ((1.0, 0.0), (R2, R2), (0.6, 0.8), (0.6 + 0.0j, 0.8j)):
-        qg = QuantumizedGame(bos(), alpha, beta)
+    for alpha, beta, a2 in AMPLITUDES:
+        form = ClassicalForm(bos(), a2)
         for p in grid:
             for q in grid:
-                kraus = mw_final_density(qg, float(p), float(q))
+                kraus = mw_final_density(alpha, beta, float(p), float(q))
                 assert abs(np.trace(kraus.matrix).real - 1.0) <= 1e-10
-                assert np.max(np.abs(kraus.diagonal() - mw_diagonal(qg, float(p), float(q)))) <= 1e-12
+                closed = [float(x) for x in form.distribution(F(float(p)), F(float(q)))]
+                assert np.max(np.abs(kraus.diagonal() - closed)) <= 1e-12
 
 
 def test_channel_rejects_bad_probabilities():
-    qg = maximally_entangled(bos())
     with pytest.raises(errors.InvalidArgument):
-        mw_final_density(qg, -0.1, 0.5)
+        mw_final_density(R2, R2, -0.1, 0.5)
     with pytest.raises(errors.InvalidArgument):
-        mw_final_density(qg, 0.5, 1.5)
+        mw_final_density(R2, R2, 0.5, 1.5)
 
 
 # ---------------------------------------------------------------------------
@@ -132,29 +130,25 @@ def test_channel_rejects_bad_probabilities():
 
 
 def test_expected_payoffs_examples():
-    classical = QuantumizedGame(bos(), 1.0, 0.0)
-    assert mw_expected_payoffs(classical, 1.0, 1.0) == pytest.approx((3.0, 2.0))
-    entangled = maximally_entangled(bos())
-    assert mw_expected_payoffs(entangled, 1.0, 1.0) == pytest.approx((2.5, 2.5))
-    assert mw_expected_payoffs(entangled, 1.0, 0.0) == pytest.approx((0.0, 0.0), abs=1e-12)
+    assert mw_expected_payoffs(bos(), 1.0, 0.0, 1.0, 1.0) == pytest.approx((3.0, 2.0))
+    assert mw_expected_payoffs(bos(), R2, R2, 1.0, 1.0) == pytest.approx((2.5, 2.5))
+    assert mw_expected_payoffs(bos(), R2, R2, 1.0, 0.0) == pytest.approx((0.0, 0.0), abs=1e-12)
 
 
 def test_classical_limit_matches_game_core():
-    qg = QuantumizedGame(bos(), 1.0, 0.0)
     for i in range(11):
         for j in range(11):
             p, q = i / 10, j / 10
-            got = mw_expected_payoffs(qg, p, q)
+            got = mw_expected_payoffs(bos(), 1.0, 0.0, p, q)
             want = classical_product_payoffs(bos(), F(i, 10), F(j, 10))
             assert abs(got[0] - float(want[0])) <= 1e-10
             assert abs(got[1] - float(want[1])) <= 1e-10
 
 
 def test_symmetry_of_entangled_payoffs():
-    qg = maximally_entangled(bos())
     for p, q in ((0.2, 0.7), (0.0, 0.4), (0.9, 0.9)):
-        a = mw_expected_payoffs(qg, p, q)
-        b = mw_expected_payoffs(qg, 1 - p, 1 - q)
+        a = mw_expected_payoffs(bos(), R2, R2, p, q)
+        b = mw_expected_payoffs(bos(), R2, R2, 1 - p, 1 - q)
         assert a[0] == pytest.approx(b[0], abs=1e-12)
         assert a[1] == pytest.approx(b[1], abs=1e-12)
 
@@ -164,8 +158,7 @@ def test_symmetry_of_entangled_payoffs():
 
 
 def test_nash_search_entangled_bos():
-    qg = maximally_entangled(bos())
-    found = mw_nash_search(qg, grid_n=100)
+    found = mw_nash_search(ClassicalForm(bos(), F(1, 2)), grid_n=100)
     points = {pq for pq, _ in found}
     payoffs = {pq: pay for pq, pay in found}
     assert (0.0, 0.0) in points and (1.0, 1.0) in points
@@ -181,8 +174,7 @@ def test_nash_search_entangled_bos():
 
 
 def test_nash_search_classical_limit_structure():
-    qg = QuantumizedGame(bos(), 1.0, 0.0)
-    found = mw_nash_search(qg, grid_n=100)
+    found = mw_nash_search(ClassicalForm(bos(), 1), grid_n=100)
     points = {pq for pq, _ in found}
     # p, q are identity probabilities = probabilities of playing O
     assert points == {(0.0, 0.0), (1.0, 1.0), (0.6, 0.4)}
@@ -190,19 +182,17 @@ def test_nash_search_classical_limit_structure():
 
 def test_nash_search_constant_game():
     const = StrategicGame([["a", "b"], ["a", "b"]], [[(1, 1), (1, 1)], [(1, 1), (1, 1)]])
-    qg = maximally_entangled(const)
-    found = mw_nash_search(qg, grid_n=10)
+    found = mw_nash_search(ClassicalForm(const, F(1, 2)), grid_n=10)
     assert len(found) == 121  # every grid point is a (weak) equilibrium
 
 
 def test_nash_search_validates_grid():
     with pytest.raises(errors.InvalidArgument):
-        mw_nash_search(maximally_entangled(bos()), grid_n=0)
+        mw_nash_search(ClassicalForm(bos(), F(1, 2)), grid_n=0)
 
 
 def test_payoff_surface_rows():
-    qg = maximally_entangled(bos())
-    rows = payoff_surface_rows(qg, grid_n=2)
+    rows = payoff_surface_rows(ClassicalForm(bos(), F(1, 2)), grid_n=2)
     assert rows[0] == "p,q,payoff1,payoff2"
     assert len(rows) == 1 + 9
     p, q, u1, u2 = (float(x) for x in rows[1].split(","))

@@ -7,9 +7,9 @@ from fractions import Fraction
 import numpy as np
 import pytest
 
-from gtkit import errors, gamefile, quantum
+from gtkit import errors, gamefile, padic_quantum, quantum
 from gtkit.games import StrategicGame
-from gtkit.quantum import ClassicalForm, QuantumizedGame, classical_form, equilibrium_report
+from gtkit.quantum import ClassicalForm, equilibrium_report
 import twoqubit
 
 F = Fraction
@@ -36,16 +36,15 @@ def test_form_is_the_flip_mixture():
 
 def test_payoffs_match_kraus_diagonal():
     grid = np.linspace(0.0, 1.0, 21)
-    for alpha, beta in ((1.0, 0.0), (R2, R2), (0.6, 0.8), (0.6 + 0.0j, 0.8j)):
-        qg = QuantumizedGame(scenario("bos"), alpha, beta)
-        form = classical_form(qg)
+    for alpha, beta, a2 in twoqubit.AMPLITUDES:
+        form = ClassicalForm(scenario("bos"), a2)
         for p in grid:
             for q in grid:
                 p, q = float(p), float(q)
-                kraus = twoqubit.mw_final_density(qg, p, q).diagonal()
+                kraus = twoqubit.mw_final_density(alpha, beta, p, q).diagonal()
                 exact = form.distribution(F(p), F(q))
                 assert np.max(np.abs(kraus - [float(x) for x in exact])) <= 1e-12
-                want = twoqubit.mw_expected_payoffs(qg, p, q)
+                want = twoqubit.mw_expected_payoffs(form.base, alpha, beta, p, q)
                 got = form.payoffs(F(p), F(q))
                 assert abs(float(got[0]) - want[0]) <= 1e-12
                 assert abs(float(got[1]) - want[1]) <= 1e-12
@@ -67,11 +66,10 @@ def test_surface_is_the_exact_payoff_rounded():
 @pytest.mark.parametrize("name", ["bos", "pd", "matching-pennies"])
 @pytest.mark.parametrize("alpha", ["max", "3/5", "4/5", "1"])
 def test_grid_equilibria_lie_in_the_exact_set(name, alpha):
-    a = R2 if alpha == "max" else float(F(alpha))
-    qg = QuantumizedGame(scenario(name), a, math.sqrt(max(0.0, 1.0 - a * a)))
     a2 = F(1, 2) if alpha == "max" else F(alpha) ** 2
-    boxes = ClassicalForm(qg.base, a2).equilibria()
-    found = quantum.mw_nash_search(qg, 100)
+    form = ClassicalForm(scenario(name), a2)
+    boxes = form.equilibria()
+    found = quantum.mw_nash_search(form, 100)
     assert found
     for (p, q), _ in found:
         p, q = F(round(p * 100), 100), F(round(q * 100), 100)
@@ -91,9 +89,9 @@ def test_off_grid_interior_equilibrium():
     assert rep["classical_mixed_payoffs"] == (F(6, 5), F(6, 5))
     assert rep["continua"] == []
     # the grid misses it at every density
-    qg = QuantumizedGame(scenario("bos"), 0.6, 0.8)
+    form = ClassicalForm(scenario("bos"), F(9, 25))
     for grid in (7, 100, 101):
-        assert {pq for pq, _ in quantum.mw_nash_search(qg, grid)} == {(0.0, 0.0), (1.0, 1.0)}
+        assert {pq for pq, _ in quantum.mw_nash_search(form, grid)} == {(0.0, 0.0), (1.0, 1.0)}
 
 
 def test_constant_game_is_one_continuum():
@@ -121,3 +119,19 @@ def test_continuum_flags_use_its_best_pair():
         ((F(2, 3), 1), (1, 1)): False,
     }
     assert rep["best_equilibrium_payoffs"] == [0, 2]
+
+
+@pytest.mark.parametrize("solve", [
+    lambda form: quantum.payoff_surface_rows(form, 2),
+    lambda form: quantum.payoff_surface_rows(form, 2, exact=True),
+    lambda form: quantum.mw_nash_search(form, 2),
+    lambda form: padic_quantum.padic_quantumize_2x2(form, 7, F(1), F(1)),
+], ids=["surface", "exact-surface", "grid-search", "padic"])
+@pytest.mark.parametrize("form", [
+    scenario("bos"),
+    (scenario("bos"), R2, R2),
+    None,
+], ids=["game", "amplitudes", "none"])
+def test_the_quantum_layer_takes_a_classical_form_only(solve, form):
+    with pytest.raises(errors.InvalidArgument, match="expected a quantum.ClassicalForm"):
+        solve(form)

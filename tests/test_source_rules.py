@@ -102,6 +102,48 @@ def test_importing_the_cli_does_not_load_numpy():
     assert out.stdout.strip() == "False"
 
 
+def _amplitude_uses(tree):
+    for node in ast.walk(tree):
+        if isinstance(node, ast.Name) and node.id == "complex":
+            yield node.lineno, "names complex"
+        elif isinstance(node, ast.Constant) and isinstance(node.value, complex):
+            yield node.lineno, "complex literal"
+        elif isinstance(node, ast.Import) and any(
+                alias.name == "cmath" for alias in node.names):
+            yield node.lineno, "imports cmath"
+        elif isinstance(node, ast.ImportFrom) and node.level == 0 and node.module == "cmath":
+            yield node.lineno, "imports cmath"
+
+
+def test_the_library_holds_no_complex_amplitude():
+    # the quantum layer takes the exact weight |alpha|^2; amplitudes belong to the
+    # tests' two-qubit Kraus oracle
+    found = [
+        f"{path.name}:{line}: {what}"
+        for path in SOURCES
+        for line, what in _amplitude_uses(ast.parse(path.read_text(encoding="utf-8")))
+    ]
+    assert found == []
+
+
+def test_the_amplitude_rule_sees_every_form():
+    tree = ast.parse(
+        "complex(a)\n"
+        "x: complex = 1\n"
+        "z = 1j\n"
+        "z = 2 + 0.5J\n"
+        "import cmath\n"
+        "from cmath import sqrt\n"
+        "import cmath as cm, os\n"
+        "_complex_report(x)\n"
+        "mode = 'complex'\n"
+        "from . import cmath\n"
+        "import cmathish\n"
+        "obj.complex\n"
+    )
+    assert sorted(line for line, _ in _amplitude_uses(tree)) == [1, 2, 3, 4, 5, 6, 7]
+
+
 _MUTABLE_CALLS = ("list", "dict", "set", "bytearray")
 _MUTABLE_DISPLAYS = (ast.List, ast.Dict, ast.Set, ast.ListComp, ast.DictComp, ast.SetComp)
 

@@ -2,8 +2,9 @@
 
 Kets, tensor products, the Born rule and density operators, plus the explicit
 Kraus sum of the probabilistic identity/bit-flip channel on alpha|00> + beta|11>.
-`gtkit.quantum` decides everything from `ClassicalForm`; these functions check
-that closed form against the channel it replaces.
+`gtkit.quantum` decides everything from `ClassicalForm(base, |alpha|^2)` and
+holds no amplitude; these functions take the amplitudes alpha and beta as plain
+(complex) numbers and check that closed form against the channel it replaces.
 """
 
 import math
@@ -12,9 +13,15 @@ from fractions import Fraction
 import numpy as np
 
 from gtkit import errors
-from gtkit.quantum import NORM_TOL, PROFILES, classical_form
+from gtkit.quantum import PROFILES
 
+NORM_TOL = 1e-10
 PSD_TOL = 1e-9
+_R2 = 1.0 / math.sqrt(2.0)
+# amplitudes (alpha, beta) of alpha|00> + beta|11>, one with a complex phase, and
+# the exact weight |alpha|^2 of each, as the library takes it
+AMPLITUDES = ((1.0, 0.0, Fraction(1)), (_R2, _R2, Fraction(1, 2)),
+              (0.6, 0.8, Fraction(9, 25)), (0.6 + 0.0j, 0.8j, Fraction(9, 25)))
 
 _X = np.array([[0.0, 1.0], [1.0, 0.0]], dtype=complex)
 _I = np.eye(2, dtype=complex)
@@ -94,9 +101,9 @@ def density_of(psi):
     return DensityOperator(np.outer(psi.v, psi.v.conj()))
 
 
-def initial_ket(qg):
-    """The shared state alpha|00> + beta|11> of a QuantumizedGame."""
-    return Ket([qg.alpha, 0.0, 0.0, qg.beta])
+def initial_ket(alpha, beta):
+    """The shared state alpha|00> + beta|11>; InvalidState unless |alpha|^2 + |beta|^2 = 1."""
+    return Ket([alpha, 0.0, 0.0, beta])
 
 
 def _check_prob(value, name):
@@ -104,7 +111,7 @@ def _check_prob(value, name):
         raise errors.InvalidArgument(f"{name} must lie in [0, 1], got {value}")
 
 
-def mw_final_density(qg, p, q):
+def mw_final_density(alpha, beta, p, q):
     """Final state of the probabilistic identity/bit-flip channel.
 
     rho' = sum over U, V in {I, X} of w_UV (U x V) rho (U x V)^dagger with
@@ -113,7 +120,7 @@ def mw_final_density(qg, p, q):
     """
     _check_prob(p, "p")
     _check_prob(q, "q")
-    rho = density_of(initial_ket(qg)).matrix
+    rho = density_of(initial_ket(alpha, beta)).matrix
     weights = {
         (0, 0): p * q,
         (0, 1): p * (1.0 - q),
@@ -127,14 +134,8 @@ def mw_final_density(qg, p, q):
     return DensityOperator(total)
 
 
-def mw_diagonal(qg, p, q):
-    """Diagonal of the channel output from the classical form (partner of mw_final_density)."""
-    dist = classical_form(qg).distribution(Fraction(p), Fraction(q))
-    return np.array([float(x) for x in dist])
-
-
-def mw_expected_payoffs(qg, p, q):
+def mw_expected_payoffs(base, alpha, beta, p, q):
     """Expected payoffs: payoff-weighted diagonal of the Kraus-sum final state."""
-    diag = mw_final_density(qg, p, q).diagonal().tolist()
-    u = [qg.base.payoff(s) for s in PROFILES]
+    diag = mw_final_density(alpha, beta, p, q).diagonal().tolist()
+    u = [base.payoff(s) for s in PROFILES]
     return tuple(math.fsum(d * float(x[i]) for d, x in zip(diag, u)) for i in (0, 1))
