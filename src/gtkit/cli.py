@@ -312,6 +312,8 @@ def cmd_evolve(args):
     evolution.check_face_walk(g)
 
     traj = evolution.integrate(g, p0, t_end=args.t_end, h=args.h)
+    avg = evolution.time_average(traj)
+    rec = evolution.detect_recurrence(traj, tol=args.tol)
     reports, continua = evolution.rest_point_reports(g)
     rest = []
     for rep in reports:
@@ -329,8 +331,6 @@ def cmd_evolve(args):
             entry["ess"] = {"is_ess": ess.is_ess, "method": ess.method}
         rest.append(entry)
 
-    avg = evolution.time_average(traj)
-    rec = evolution.detect_recurrence(traj, tol=args.tol)
     names = scn.metadata.get("strategy_names")
     out = _outdir(args)
     csv_path = _write_lines(os.path.join(out, "trajectory.csv"), traj.csv_rows(names))

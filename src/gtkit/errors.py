@@ -57,10 +57,6 @@ class InsufficientData(GTError):
     """A trajectory is too short for the requested analysis."""
 
 
-class InvalidBasis(GTError):
-    """A measurement basis is not orthonormal within tolerance."""
-
-
 class InvalidPrime(GTError):
     """The modulus passed to a p-adic constructor is not prime."""
 

@@ -2,9 +2,11 @@
 
 Integration uses binary64 floats (fixed-step RK4 with clamp-and-renormalize
 projection); rest points, interior equilibria and the ESS face analysis use
-exact rational elimination.  Floats are Python floats in tuples, lists and
-one flat `array('d')` per trajectory.  Every operation is deterministic:
-there is no randomness anywhere in this module.
+exact rational elimination.  Every verdict (Nash state, rest point, ESS) is
+decided in Fractions on an exact `SimplexState`; the float diagnostics are
+reported, never compared against a tolerance.  Floats are Python floats in
+tuples, lists and one flat `array('d')` per trajectory.  Every operation is
+deterministic: there is no randomness anywhere in this module.
 """
 
 from __future__ import annotations
@@ -24,8 +26,6 @@ from ._linsolve import equalizer, solve_exact  # noqa: F401
 SUM_TOL = 1e-12
 CLAMP = 1e-12
 DIVERGE_TOL = 1e-9
-NASH_TOL = 1e-10
-REST_TOL = 1e-9
 SAMPLE_CAP = 2_000_000  # samples x strategies that integrate stores
 SUPPORT_CAP = 2 ** 12 - 1  # supports rest_point_reports solves: 2^n - 1, so n <= 12
 
@@ -91,51 +91,55 @@ class EvolutionGame:
         return f"EvolutionGame(n={self.n})"
 
 
-class SimplexState:
-    """Point of the (n-1)-simplex; `p` is its tuple of floats.
+def _entries(values):
+    """(Fractions, binary64 values) of at least 2 entries, each as `_to_fraction` takes it."""
+    exact = tuple(map(_to_fraction, values))
+    try:
+        p = tuple(map(float, exact))
+    except OverflowError as exc:
+        raise errors.InvalidArgument("probability beyond the binary64 range") from exc
+    if len(p) < 2:
+        raise errors.InvalidState("simplex state needs at least 2 coordinates")
+    return exact, p
 
-    Exact entries (ints, Fractions, strings) are preserved for the rational
-    solvers; float input is accepted when it sums to 1 within 1e-12.  Booleans
-    and non-finite or malformed entries are InvalidArgument.
+
+class SimplexState:
+    """Exact point of the (n-1)-simplex: `exact` is its tuple of Fractions and
+    `p` their binary64 values.
+
+    Entries are ints, Fractions, strings or floats; a float is rationalized
+    exactly (binary64 floats are rationals), so the exact and float views
+    always agree.  At least 2 entries, each >= 0, summing to exactly 1
+    (InvalidState).  Booleans, non-finite or malformed entries and entries
+    beyond the binary64 range are InvalidArgument.
     """
 
     def __init__(self, probs):
-        values = list(probs)
-        exact = tuple(_to_fraction(v) for v in values)
-        if any(isinstance(v, float) for v in values):
-            self.exact = None
-        elif any(q < 0 for q in exact) or sum(exact) != 1:
+        exact, p = _entries(probs)
+        if any(q < 0 for q in exact) or sum(exact) != 1:
             raise errors.InvalidState(f"not an exact simplex point: {exact}")
-        else:
-            self.exact = exact
-        try:
-            p = tuple(map(float, exact))
-        except OverflowError as exc:
-            raise errors.InvalidArgument("probability beyond the binary64 range") from exc
-        if len(p) < 2:
-            raise errors.InvalidState("simplex state needs at least 2 coordinates")
-        if any(v < 0 for v in p):
-            raise errors.InvalidState(f"negative probability in {p}")
-        total = _sum(p)
-        if not abs(total - 1.0) <= SUM_TOL:
-            raise errors.InvalidState(f"coordinates sum to {total!r}, not 1")
-        self.p = p
+        self.exact, self.p = exact, p
 
     @property
     def n(self):
         return len(self.p)
 
     def support(self):
-        if self.exact is not None:
-            return tuple(i for i, q in enumerate(self.exact) if q > 0)
-        return tuple(i for i, v in enumerate(self.p) if v > CLAMP)
+        return tuple(i for i, q in enumerate(self.exact) if q > 0)
 
     def __repr__(self):
         return f"SimplexState([{', '.join(f'{v:.6g}' for v in self.p)}])"
 
 
 def _state_array(g, state):
-    p = state.p if isinstance(state, SimplexState) else SimplexState(list(state)).p
+    """The binary64 entries of a SimplexState, or of a sequence of at least 2
+    finite numbers >= 0 (no booleans) that sum to 1 within SUM_TOL."""
+    if isinstance(state, SimplexState):
+        p = state.p
+    else:
+        p = _entries(state)[1]
+        if min(p) < 0 or not abs(_sum(p) - 1.0) <= SUM_TOL:
+            raise errors.InvalidState(f"{p} is not a simplex point within {SUM_TOL}")
     if len(p) != g.n:
         raise errors.InvalidArgument(f"state has {len(p)} coordinates for an {g.n}-strategy game")
     return p
@@ -283,7 +287,7 @@ def integrate(g, p0, t_end, h=1e-3):
     """
     if not (0 < h < math.inf and 0 < t_end < math.inf):
         raise errors.InvalidArgument("need finite h > 0 and t_end > 0")
-    p = _state_array(g, p0 if isinstance(p0, SimplexState) else SimplexState(list(p0)))
+    p = _state_array(g, p0)
     # min() keeps an overflowing t_end / h convertible; the cap then refuses it
     steps = max(1, int(round(min(t_end / h, SAMPLE_CAP))))
     if (steps + 1) * g.n > SAMPLE_CAP:
@@ -344,16 +348,19 @@ def _exact_payoffs(g, p):
     return [sum(row[j] * q for j, q in support) for row in g.exact]
 
 
+def _exact_state(g, state):
+    """The exact entries of a SimplexState, or of the entries SimplexState accepts,
+    checked against g's dimension."""
+    st = state if isinstance(state, SimplexState) else SimplexState(state)
+    _state_array(g, st)  # refuses a state of the wrong dimension
+    return st.exact
+
+
 def is_nash_state(g, state):
-    """Nash state test max (Ap)_i <= p^T A p: in Fractions for an exact state,
-    within 1e-10 for a float one."""
-    st = state if isinstance(state, SimplexState) else SimplexState(list(state))
-    p = _state_array(g, st)
-    if st.exact is not None:
-        u = _exact_payoffs(g, st.exact)
-        return max(u) <= sum(map(mul, st.exact, u))
-    u = fitness(g, p)
-    return max(u) <= _dot(p, u) + NASH_TOL
+    """Nash state test max (Ap)_i <= p^T A p, in Fractions."""
+    p = _exact_state(g, state)
+    u = _exact_payoffs(g, p)
+    return max(u) <= sum(map(mul, p, u))
 
 
 def _not_finite(point):
@@ -371,30 +378,20 @@ def _binary64(value, point):
 def transversal_eigenvalues(g, state):
     """Eigenvalues transversal to the support faces at a boundary rest point.
 
-    Returns (index, h_i(p)) for every strategy outside the support; the point
-    is a Nash state iff all returned values are <= 1e-10.  An exact state is
-    a rest point when p_i ((Ap)_i - p^T A p) = 0 in Fractions, and its values
-    are the exact h_i(p) correctly rounded; a float one is a rest point when
-    the replicator field is within 1e-9 of 0.
+    Returns (index, h_i(p)) for every strategy outside the support: the exact
+    h_i(p) correctly rounded, so the point is a Nash state iff all returned
+    values are <= 0.  The state is a rest point when p_i ((Ap)_i - p^T A p) = 0
+    in Fractions (InvalidArgument otherwise).
     """
-    st = state if isinstance(state, SimplexState) else SimplexState(list(state))
-    p = _state_array(g, st)
-    if st.exact is not None:
-        u = _exact_payoffs(g, st.exact)
-        mean = sum(map(mul, st.exact, u))
-        rest = all(ui == mean for q, ui in zip(st.exact, u) if q)
-    else:
-        rest = max(map(abs, replicator_rhs(g, p))) <= REST_TOL
-    if not rest:
+    p = _exact_state(g, state)
+    u = _exact_payoffs(g, p)
+    mean = sum(map(mul, p, u))
+    if any(q and ui != mean for q, ui in zip(p, u)):
         raise errors.InvalidArgument("not a rest point")
-    support = st.support()
-    outside = [i for i in range(g.n) if i not in support]
+    outside = [i for i, q in enumerate(p) if not q]
     if not outside:
         raise errors.InvalidArgument("interior point has no transversal directions")
-    if st.exact is not None:
-        return [(i, _binary64(u[i] - mean, st.exact)) for i in outside]
-    h = excess(g, p)
-    return [(i, h[i]) for i in outside]
+    return [(i, _binary64(u[i] - mean, p)) for i in outside]
 
 
 def check_face_walk(g):
@@ -532,7 +529,7 @@ def _sampled_face_is_ess(c, M, x_star, resolution):
 def ess_check(g, state):
     """Evolutionary stability of an exact Nash state.
 
-    A float state raises InvalidState.  From the exact u = A p, the state is
+    A float entry is its exact value.  From the exact u = A p, the state is
     Nash when p . u = max(u), and its best-reply face is the rows attaining
     that max.  Best-reply faces of at most 3 strategies (always the case for
     n <= 3) get the exact decision of `_face_is_ess`, KKT support enumeration
@@ -543,11 +540,7 @@ def ess_check(g, state):
     the grid only while `perfbench/expected/american-values-10.json` pins a
     sampled verdict that the exact decision overturns.
     """
-    st = state if isinstance(state, SimplexState) else SimplexState(list(state))
-    _state_array(g, st)  # refuses a state of the wrong dimension
-    if st.exact is None:
-        raise errors.InvalidState("evolutionary stability is decided for exact states only")
-    p = st.exact
+    p = _exact_state(g, state)
     u = _exact_payoffs(g, p)
     top = max(u)
     if sum(map(mul, p, u)) != top:

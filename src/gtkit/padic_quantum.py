@@ -254,7 +254,7 @@ def operator_to_json(m):
 def operator_from_json(doc):
     mu = doc["mu"]
     entries = [[parse_ext(text, mu) for text in row] for row in doc["entries"]]
-    return PAdicOperator(entries, _validate_uniform=False)
+    return PAdicOperator(entries)
 
 
 # ---------------------------------------------------------------------------

@@ -545,6 +545,19 @@ def test_evolve_that_exits_3_writes_no_file(tmp_path, capsys):
     assert not out.exists()
 
 
+def test_evolve_refuses_a_too_short_run_before_any_rest_point(tmp_path, capsys, monkeypatch):
+    # the recurrence verdict needs only the trajectory: the 2^10 - 1 faces are never solved
+    def unreachable(g):
+        raise AssertionError("rest_point_reports ran on a run too short to report")
+
+    monkeypatch.setattr(evolution, "rest_point_reports", unreachable)
+    code, out = run(tmp_path, "evolve", "--in", "american-values-10",
+                    "--t-end", "0.005", "--h", "0.001")
+    assert code == EXIT_VALIDATION
+    assert "need at least 10 samples, got 6" in capsys.readouterr().err
+    assert not out.exists()
+
+
 def test_evolve_reads_decimal_p0_exactly(tmp_path):
     reports = []
     for p0 in ("0.2,0.3,0.5", "1/5,3/10,1/2"):

@@ -5,6 +5,8 @@ from fractions import Fraction
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from gtkit import errors, gamefile
 from gtkit.evolution import (
@@ -63,7 +65,8 @@ def vertex(n, i):
     lambda v: EvolutionGame([[v, 0], [0, 1]]),
     lambda v: SimplexState([v, 0]),
     lambda v: SimplexState([v, 0.0]),
-], ids=["EvolutionGame", "SimplexState", "SimplexState-float"])
+    lambda v: fitness(EvolutionGame(IDENTITY2), [v, 0.0]),
+], ids=["EvolutionGame", "SimplexState", "SimplexState-float", "float-sequence"])
 @pytest.mark.parametrize("entry", [True, False, math.nan, math.inf, -math.inf, "nan", "1/0"])
 def test_booleans_and_non_finite_entries_are_invalid_arguments(make, entry):
     with pytest.raises(errors.InvalidArgument):
@@ -73,6 +76,24 @@ def test_booleans_and_non_finite_entries_are_invalid_arguments(make, entry):
 def test_a_float_state_beyond_binary64_is_an_invalid_argument():
     with pytest.raises(errors.InvalidArgument):
         SimplexState([10**400, 0.5])
+
+
+# weights k / total rounded to binary64: their exact values sum to 1 for some totals only
+_ROUNDED_WEIGHTS = st.lists(st.integers(0, 50), min_size=2, max_size=5).filter(any).map(
+    lambda ks: [k / sum(ks) for k in ks])
+
+
+@settings(max_examples=300, deadline=None)
+@given(st.one_of(_ROUNDED_WEIGHTS,
+                 st.lists(st.floats(0.0, 1.0), min_size=2, max_size=5)))
+def test_a_float_state_is_accepted_exactly_when_its_binary_values_sum_to_1(values):
+    exact = tuple(map(F, values))
+    if sum(exact) == 1:
+        state = SimplexState(values)
+        assert state.exact == exact and state.p == tuple(values)
+    else:
+        with pytest.raises(errors.InvalidState, match="not an exact simplex point"):
+            SimplexState(values)
 
 
 # ---------------------------------------------------------------------------
@@ -293,6 +314,21 @@ def test_transversal_sign_classifies_nash():
                 assert all_nonpos == rep.is_nash
 
 
+@settings(max_examples=100, deadline=None)
+@given(st.integers(2, 4).flatmap(lambda n: st.lists(
+    st.lists(st.integers(-4, 4), min_size=n, max_size=n), min_size=n, max_size=n)))
+def test_exact_state_verdicts_agree_with_rest_point_reports(matrix):
+    g = EvolutionGame(matrix)
+    for rep in rest_point_reports(g)[0]:
+        assert is_nash_state(g, rep.point) == rep.is_nash
+        assert is_nash_state(g, list(rep.point.exact)) == rep.is_nash
+        if rep.classification == "boundary":
+            assert transversal_eigenvalues(g, rep.point) == list(rep.transversal_eigenvalues)
+        else:
+            with pytest.raises(errors.InvalidArgument, match="interior"):
+                transversal_eigenvalues(g, rep.point)
+
+
 def test_rest_point_reports_folk_audit():
     for matrix in (RPS, DOMINANCE, HAWK_DOVE, IDENTITY2):
         g = EvolutionGame(matrix)
@@ -335,12 +371,12 @@ def test_ess_requires_nash_state():
 
 
 def test_near_nash_vertex_is_decided_exactly():
-    # strategy 2 gains 1e-11 against the vertex (1, 0), within the float tolerance
+    # strategy 2 gains 1e-11 against the vertex (1, 0), below any float tolerance of 1e-10
     g = EvolutionGame([["0", "0"], ["1/100000000000", "1"]])
     reports, _ = rest_point_reports(g)
     assert {r.point.exact: r.is_nash for r in reports} == {(1, 0): False, (0, 1): True}
     assert not is_nash_state(g, vertex(2, 0))
-    assert is_nash_state(g, SimplexState([1.0, 0.0]))  # a float state keeps the tolerance
+    assert not is_nash_state(g, [1.0, 0.0])  # a float state is rationalized exactly
     with pytest.raises(errors.InvalidState, match="Nash states only"):
         ess_check(g, vertex(2, 0))
     assert ess_check(g, vertex(2, 1)).is_ess
@@ -374,11 +410,14 @@ def test_transversal_eigenvalues_decide_an_exact_rest_point_exactly():
     assert transversal_eigenvalues(g, SimplexState(rest)) == [(1, -409317194901.4565)]
     with pytest.raises(errors.InvalidArgument, match="not a rest point"):
         transversal_eigenvalues(g, SimplexState([F(1, 2), F(0), F(1, 2)]))
-    # a float state keeps the binary64 tolerance: the rounded interior rest point
-    # has a left-to-right residual far above 1e-9
-    interior = rest_point_reports(g)[0][-1].point.exact
+    # a float state is rationalized exactly: the binary64 rounding of the rest point
+    # sums to 1 - 2^-54, and a float point one rounding away from it is no rest point
+    with pytest.raises(errors.InvalidState, match="not an exact simplex point"):
+        transversal_eigenvalues(g, [float(q) for q in rest])
+    near = [float(rest[0]), 0.0, 1.0 - float(rest[0])]
+    assert sum(map(F, near)) == 1
     with pytest.raises(errors.InvalidArgument, match="not a rest point"):
-        transversal_eigenvalues(g, SimplexState([float(q) for q in interior]))
+        transversal_eigenvalues(g, near)
 
 
 def test_rest_point_reports_refuse_more_supports_than_the_cap(monkeypatch):
@@ -397,10 +436,12 @@ def test_rest_point_reports_refuse_non_finite_diagnostics():
 
 
 def test_ess_check_takes_exact_states_only():
+    # a float state is the exact point of its binary64 values
     g = EvolutionGame(HAWK_DOVE)
-    with pytest.raises(errors.InvalidState, match="exact states only"):
-        ess_check(g, SimplexState([0.5, 0.5]))
-    assert ess_check(g, SimplexState([F(1, 2), F(1, 2)])).is_ess
+    assert ess_check(g, SimplexState([0.5, 0.5])) == ess_check(g, SimplexState([F(1, 2), F(1, 2)]))
+    assert ess_check(g, [0.5, 0.5]).is_ess
+    with pytest.raises(errors.InvalidState, match="not an exact simplex point"):
+        ess_check(g, [0.1, 0.9])  # the binary64 values sum to 1 + 2^-55
 
 
 def test_ess_coordination_game_vertices():

@@ -333,6 +333,15 @@ def test_operator_json_round_trip():
     assert "|" in doc["entries"][0][0]
 
 
+def test_operator_from_json_refuses_mixed_precisions():
+    # a document comes from outside the program: it gets the constructor's precision check
+    doc = operator_to_json(PAdicOperator.identity(2, P, MU, 5))
+    doc["entries"][1][1] = operator_to_json(PAdicOperator.identity(2, P, MU, 9))["entries"][1][1]
+    assert "@7^5|" in doc["entries"][0][0] and "@7^9|" in doc["entries"][1][1]
+    with pytest.raises(errors.InvalidArgument, match="mixed-precision"):
+        operator_from_json(doc)
+
+
 def test_quantumize_classical_limit_full_tenth_grid():
     from gtkit.games import expected_payoff
 

@@ -17,6 +17,7 @@ from gtkit.quantum import (
 from twoqubit import (
     AMPLITUDES,
     DensityOperator,
+    InvalidBasis,
     Ket,
     basis_ket,
     born_probabilities,
@@ -61,7 +62,7 @@ def test_born_probabilities():
     bell = Ket([R2, 0, 0, R2])
     product_basis = [basis_ket(4, i) for i in range(4)]
     assert np.allclose(born_probabilities(bell, product_basis), [0.5, 0, 0, 0.5], atol=1e-12)
-    with pytest.raises(errors.InvalidBasis):
+    with pytest.raises(InvalidBasis):
         born_probabilities(plus, [k0, Ket([R2, R2])])
 
 

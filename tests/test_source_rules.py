@@ -7,6 +7,7 @@ import sys
 from pathlib import Path
 
 import gtkit
+from gtkit import errors
 
 SOURCES = sorted(Path(gtkit.__file__).parent.rglob("*.py"))
 
@@ -296,3 +297,54 @@ def test_the_to_rational_rule_sees_every_form():
         "z.to_rationals()\n"
     )
     assert sorted(line for line, _, _ in _to_rational_uses(tree)) == [1, 2, 3, 4]
+
+
+def _raised_names(tree):
+    """Names a module raises (`raise X`, `raise m.X(...)`) or calls, as an error helper does."""
+    for node in ast.walk(tree):
+        if isinstance(node, ast.Raise) and node.exc is not None:
+            target = node.exc.func if isinstance(node.exc, ast.Call) else node.exc
+        elif isinstance(node, ast.Call):
+            target = node.func
+        else:
+            continue
+        if isinstance(target, ast.Name):
+            yield target.id
+        elif isinstance(target, ast.Attribute):
+            yield target.attr
+
+
+def _unraised(classes, trees):
+    raised = {name for tree in trees for name in _raised_names(tree)}
+    return sorted(name for name in classes if name not in raised)
+
+
+def _library_trees():
+    return [ast.parse(path.read_text(encoding="utf-8")) for path in SOURCES
+            if path.name != "errors.py"]
+
+
+ERROR_CLASSES = sorted(
+    name for name, obj in vars(errors).items()
+    if isinstance(obj, type) and issubclass(obj, errors.GTError) and obj is not errors.GTError
+)
+
+
+def test_every_gtkit_error_is_raised_by_the_library():
+    # an error class the library never raises names a failure it does not have;
+    # an error only a test oracle raises belongs to that oracle
+    assert len(ERROR_CLASSES) >= 15
+    assert _unraised(ERROR_CLASSES, _library_trees()) == []
+
+
+def test_the_raise_rule_catches_an_unraised_class():
+    assert _unraised([*ERROR_CLASSES, "Unraised"], _library_trees()) == ["Unraised"]
+    tree = ast.parse(
+        "raise errors.A('m')\n"
+        "raise B\n"
+        "exc = errors.C('m')\n"
+        "try:\n    f()\nexcept errors.D:\n    pass\n"
+        "isinstance(x, errors.E)\n"
+        "raise\n"
+    )
+    assert _unraised(["A", "B", "C", "D", "E"], [tree]) == ["D", "E"]

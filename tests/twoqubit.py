@@ -23,6 +23,11 @@ _R2 = 1.0 / math.sqrt(2.0)
 AMPLITUDES = ((1.0, 0.0, Fraction(1)), (_R2, _R2, Fraction(1, 2)),
               (0.6, 0.8, Fraction(9, 25)), (0.6 + 0.0j, 0.8j, Fraction(9, 25)))
 
+
+class InvalidBasis(errors.GTError):
+    """A measurement basis is not orthonormal within tolerance."""
+
+
 _X = np.array([[0.0, 1.0], [1.0, 0.0]], dtype=complex)
 _I = np.eye(2, dtype=complex)
 
@@ -63,10 +68,10 @@ def born_probabilities(psi, basis):
     """Born-rule outcome probabilities |<b_i|psi>|^2 for an orthonormal basis."""
     vecs = [b.v for b in basis]
     if len(vecs) != psi.dim or any(v.size != psi.dim for v in vecs):
-        raise errors.InvalidBasis("basis size must match the state dimension")
+        raise InvalidBasis("basis size must match the state dimension")
     gram = np.array([[np.vdot(u, w) for w in vecs] for u in vecs])
     if np.max(np.abs(gram - np.eye(psi.dim))) > NORM_TOL:
-        raise errors.InvalidBasis("basis is not orthonormal within 1e-10")
+        raise InvalidBasis("basis is not orthonormal within 1e-10")
     return np.array([abs(np.vdot(v, psi.v)) ** 2 for v in vecs])
 
 
