@@ -14,6 +14,7 @@ from __future__ import annotations
 import itertools
 import math
 from array import array
+from functools import reduce
 from dataclasses import dataclass
 from fractions import Fraction
 from operator import add, lt, mul, sub
@@ -41,19 +42,9 @@ def _to_fraction(value):
     raise errors.InvalidArgument(f"not a real matrix entry: {value!r}")
 
 
-def _sum(values):
-    """Floats added left to right from 0.0 (builtin sum is compensated from Python 3.12)."""
-    total = 0.0
-    for v in values:
-        total += v
-    return total
-
-
 def _dot(a, b):
-    total = 0.0
-    for x, y in zip(a, b):
-        total += x * y
-    return total
+    """Products added left to right from 0.0 (builtin sum is compensated from Python 3.12)."""
+    return reduce(add, map(mul, a, b), 0.0)
 
 
 class EvolutionGame:
@@ -124,9 +115,6 @@ class SimplexState:
     def n(self):
         return len(self.p)
 
-    def support(self):
-        return tuple(i for i, q in enumerate(self.exact) if q > 0)
-
     def __repr__(self):
         return f"SimplexState([{', '.join(f'{v:.6g}' for v in self.p)}])"
 
@@ -138,37 +126,39 @@ def _state_array(g, state):
         p = state.p
     else:
         p = _entries(state)[1]
-        if min(p) < 0 or not abs(_sum(p) - 1.0) <= SUM_TOL:
+        if min(p) < 0 or not abs(reduce(add, p, 0.0) - 1.0) <= SUM_TOL:
             raise errors.InvalidState(f"{p} is not a simplex point within {SUM_TOL}")
     if len(p) != g.n:
         raise errors.InvalidArgument(f"state has {len(p)} coordinates for an {g.n}-strategy game")
     return p
 
 
+def _payoffs(g, p):
+    """u = A p, the mean s = p . u and h = u - s 1, for a checked binary64 tuple p."""
+    u = [_dot(row, p) for row in g.matrix]
+    s = _dot(p, u)
+    return u, s, [ui - s for ui in u]
+
+
 def fitness(g, state):
     """Per-strategy expected payoff u(p) = A p, as a list."""
-    p = _state_array(g, state)
-    return [_dot(row, p) for row in g.matrix]
+    return _payoffs(g, _state_array(g, state))[0]
 
 
 def mean_fitness(g, state):
     """Population average payoff p A p^T."""
-    p = _state_array(g, state)
-    return _dot(p, fitness(g, p))
+    return _payoffs(g, _state_array(g, state))[1]
 
 
 def excess(g, state):
     """Excess payoff h(p) = A p - (p A p^T) 1, as a list."""
-    p = _state_array(g, state)
-    u = fitness(g, p)
-    s = _dot(p, u)
-    return [ui - s for ui in u]
+    return _payoffs(g, _state_array(g, state))[2]
 
 
 def replicator_rhs(g, state):
     """Replicator vector field p_i * (u_i(p) - mean); tangent to the simplex."""
     p = _state_array(g, state)
-    return list(map(mul, p, excess(g, p)))
+    return list(map(mul, p, _payoffs(g, p)[2]))
 
 
 def _floats(values):
@@ -236,54 +226,65 @@ class Trajectory:
         return rows
 
 
-def _step_list(A_rows, p, h):
-    """One RK4 step of the replicator flow plus the clamp/renormalize projection.
+def _step_source(rows, h):
+    """Source of `step(state)`: one RK4 step of the replicator flow for the payoff
+    rows and step h, then the clamp/renormalize projection, as straight-line code.
 
-    Works on plain float lists: A_rows is a tuple of row tuples of the payoff
-    matrix and p the state.  Each stage evaluates u = A x and s = x . u with
-    builtin `sum` over `map(mul, ...)`, so every float operation runs in one
-    fixed order and the result is deterministic for a given Python minor
-    version (builtin `sum` over floats is compensated from Python 3.12 on).
-    The fourth stage is folded into the final combination.
+    Payoffs, 0.5*h, h and h/6.0 are float literals; the fourth stage is folded
+    into the final combination.  Dot products and the total add left to right
+    from 0.0 by explicit `+`, as `_dot` does, at most 64 terms per statement:
+    CPython cannot compile one sum of about 3000 terms.
     """
-    hh = 0.5 * h
-    h6 = h / 6.0
-    u = [sum(map(mul, row, p)) for row in A_rows]
-    s = sum(map(mul, p, u))
-    k1 = [pj * (ui - s) for pj, ui in zip(p, u)]
-    x = [pj + hh * k for pj, k in zip(p, k1)]
-    u = [sum(map(mul, row, x)) for row in A_rows]
-    s = sum(map(mul, x, u))
-    k2 = [xj * (ui - s) for xj, ui in zip(x, u)]
-    x = [pj + hh * k for pj, k in zip(p, k2)]
-    u = [sum(map(mul, row, x)) for row in A_rows]
-    s = sum(map(mul, x, u))
-    k3 = [xj * (ui - s) for xj, ui in zip(x, u)]
-    x = [pj + h * k for pj, k in zip(p, k3)]
-    u = [sum(map(mul, row, x)) for row in A_rows]
-    s = sum(map(mul, x, u))
-    new = [
-        pj + h6 * (a + 2.0 * (b + c) + xj * (ui - s))
-        for pj, a, b, c, xj, ui in zip(p, k1, k2, k3, x, u)
-    ]
-    low = min(new)
+    n = len(rows)
+    p, x, new = ([f"{v}{j}" for j in range(n)] for v in "pxn")
+
+    def total(name, terms):
+        return [f"{name} = {prev} + {' + '.join(terms[i:i + 64])}"
+                for prev, i in zip(["0.0"] + [name] * n, range(0, n, 64))]
+
+    lines, y = [f"{', '.join(p)}, = state"], p
+    for k, c in enumerate((0.5 * h, 0.5 * h, h, None)):
+        for i, row in enumerate(rows):
+            lines += total(f"u{i}", [f"{a!r}*{yj}" for a, yj in zip(row, y)])
+        lines += total("s", [f"{yj}*u{j}" for j, yj in enumerate(y)])
+        if c is None:
+            break
+        lines += [f"k{k}_{j} = {y[j]}*(u{j} - s)" for j in range(n)]
+        lines += [f"x{j} = p{j} + {c!r}*k{k}_{j}" for j in range(n)]
+        y = x
+    lines += [f"n{j} = p{j} + {h / 6.0!r}*(k0_{j} + 2.0*(k1_{j} + k2_{j}) + x{j}*(u{j} - s))"
+              for j in range(n)] + [f"low = min({', '.join(new)})"]
+    lines += [f"{v} = 0.0 if abs({v}) < CLAMP or {v} < 0.0 else {v}" for v in new]
+    lines += total("total", new) + [
+        "if low < -DIVERGE_TOL or not total < math.inf: raise _diverged(low, total)",
+        f"return [{', '.join(v + ' / total' for v in new)}]"]
+    return "def step(state):\n    " + "\n    ".join(lines) + "\n"
+
+
+def _diverged(low, total):
+    """The refusal of a step below the simplex, or else of one whose total is inf or NaN."""
     if low < -DIVERGE_TOL:
-        raise errors.IntegrationDiverged(f"state entry {low} below -{DIVERGE_TOL}")
-    new = [0.0 if abs(v) < CLAMP or v < 0.0 else v for v in new]
-    total = sum(new)
-    if not total < math.inf:  # False for inf and NaN alike
-        raise errors.IntegrationDiverged(f"RK4 step is not finite (state total {total})")
-    return [v / total for v in new]
+        return errors.IntegrationDiverged(f"state entry {low} below -{DIVERGE_TOL}")
+    return errors.IntegrationDiverged(f"RK4 step is not finite (state total {total})")
+
+
+def _step_function(rows, h):
+    """`step(state)` compiled from `_step_source(rows, h)`: floats in, the next state out."""
+    namespace = {}
+    exec(compile(_step_source(rows, h), "<rk4 step>", "exec"), globals(), namespace)
+    return namespace["step"]
 
 
 def integrate(g, p0, t_end, h=1e-3):
     """Classical fixed-step RK4 on the replicator equation.
 
     After every step, entries of magnitude below 1e-12 are clamped to zero and
-    the state renormalized to sum 1.  Deterministic; t_end is realized as
-    round(t_end / h) steps of exactly h, at times k * h.  SizeLimit, before
-    anything is stored, when the steps + 1 samples of g.n values exceed
-    SAMPLE_CAP.
+    the state renormalized to sum 1.  Deterministic, with the same bits on
+    every Python version: each call compiles one straight-line step for g and
+    h (`_step_source`), at a cost that grows as g.n ** 2.  t_end is realized
+    as round(t_end / h) steps of exactly h, at times k * h.  SizeLimit, before
+    anything is compiled or stored, when the steps + 1 samples of g.n values
+    exceed SAMPLE_CAP.
     """
     if not (0 < h < math.inf and 0 < t_end < math.inf):
         raise errors.InvalidArgument("need finite h > 0 and t_end > 0")
@@ -293,12 +294,11 @@ def integrate(g, p0, t_end, h=1e-3):
     if (steps + 1) * g.n > SAMPLE_CAP:
         raise errors.SizeLimit(f"t_end / h = {t_end / h:.6g} steps of {g.n} strategies "
                                f"exceed the cap of {SAMPLE_CAP} stored values")
-    rows = g.matrix
+    step = _step_function(g.matrix, h)
     values = array("d", p)
-    x = list(p)
     for _ in range(steps):
-        x = _step_list(rows, x, h)
-        values.extend(x)
+        p = step(p)
+        values.extend(p)
     return Trajectory(array("d", [k * h for k in range(steps + 1)]), values, h)
 
 
@@ -441,7 +441,7 @@ def rest_point_reports(g):
             margins = [sum(g.exact[i][j] * q for j, q in zip(support, coords)) - v
                        for i in outside]
             trans = tuple((i, _binary64(x, full)) for i, x in zip(outside, margins))
-            terms = replicator_rhs(g, state)
+            terms = list(map(mul, state.p, _payoffs(g, state.p)[2]))
             if not all(map(math.isfinite, terms)):
                 raise _not_finite(full)
             reports.append(
@@ -575,10 +575,10 @@ def fisher_rate_check(g, state):
     if not g.is_symmetric:
         raise errors.UnsupportedMatrix("the rate identity holds for symmetric matrices only")
     p = _state_array(g, state)
-    h = excess(g, p)
+    u, _, h = _payoffs(g, p)
     r = list(map(mul, p, h))
     # (A + A^T) p, row by row and column by column
-    both = [_dot(row, p) + _dot(col, p) for row, col in zip(g.matrix, zip(*g.matrix))]
+    both = [ui + _dot(col, p) for ui, col in zip(u, zip(*g.matrix))]
     return abs(_dot(r, both) - 2.0 * _dot(r, h))
 
 
@@ -590,7 +590,7 @@ def power_product_rate(g, state, alphas):
         raise errors.InvalidArgument(f"{len(alphas)} exponents for {len(p)} strategies")
     if any(v <= 0 for v in p):
         raise errors.InvalidArgument("power product needs an interior state")
-    return math.prod(map(pow, p, alphas)) * _dot(alphas, excess(g, p))
+    return math.prod(map(pow, p, alphas)) * _dot(alphas, _payoffs(g, p)[2])
 
 
 # ---------------------------------------------------------------------------
@@ -630,7 +630,7 @@ def detect_recurrence(traj, tol=1e-3):
     episodes = [traj.times[k] for prev, k in zip(inside, inside[1:]) if k != prev + 1]
     if len(episodes) >= 2:
         spacings = list(map(sub, episodes[1:], episodes))
-        mean = _sum(spacings) / len(spacings)
+        mean = reduce(add, spacings, 0.0) / len(spacings)
         if mean > 0 and all(abs(s - mean) <= 0.10 * mean for s in spacings):
             return RecurrenceReport(
                 "recurrent", period=mean, detail=f"{len(episodes)} returns to the start ball"

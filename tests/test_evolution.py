@@ -13,7 +13,7 @@ from gtkit.evolution import (
     EvolutionGame,
     SimplexState,
     Trajectory,
-    _step_list,
+    _step_function,
     detect_recurrence,
     ess_check,
     excess,
@@ -41,7 +41,7 @@ IDENTITY2 = [[1, 0], [0, 1]]
 
 def rk4_step(g, p, h):
     """One RK4 step of the replicator flow plus the clamp/renormalize projection."""
-    return np.asarray(_step_list(g.matrix, np.asarray(p, dtype=float).tolist(), h))
+    return np.asarray(_step_function(g.matrix, h)(np.asarray(p, dtype=float).tolist()))
 
 
 def states(traj):
@@ -198,7 +198,7 @@ def test_a_non_finite_step_is_refused_at_once():
     # inf - inf in an RK4 stage gives NaN, which passes the below-the-simplex test
     huge = ((1e308, -1e308, 0.0), (-1e308, 1e308, 0.0), (0.0, 0.0, 1e308))
     with pytest.raises(errors.IntegrationDiverged, match="not finite"):
-        _step_list(huge, [1 / 3] * 3, 1e-3)
+        _step_function(huge, 1e-3)([1 / 3] * 3)
     with pytest.raises(errors.IntegrationDiverged, match="not finite"):
         integrate(EvolutionGame([list(row) for row in huge]), centroid(3), t_end=100.0)
 

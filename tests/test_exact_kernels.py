@@ -6,11 +6,11 @@ and support enumeration, rest points and the ESS kernel share one
 `equalizer` system; the rational algorithms, the vertex/edge/critical-line
 geometry and the per-caller indifference systems they replaced are kept here
 as oracles, and both must give identical statuses, solutions and verdicts.
-The fused float RK4 step and the trajectory CSV formatter are held to their
-loop forms bit for bit, the time average and the recurrence test on the flat
-trajectory to the numpy forms they replaced, and the quantum payoff surface
-to the numpy grid and the Fraction loop it replaced.  The
-Pareto maxima scan is held to the pairwise dominance test, the deviation
+The compiled straight-line RK4 step and the trajectory CSV formatter are
+held to their loop forms bit for bit, the time average and the recurrence
+test on the flat trajectory to the numpy forms they replaced, and the
+quantum payoff surface to the numpy grid and the Fraction loop it replaced.
+The Pareto maxima scan is held to the pairwise dominance test, the deviation
 walks and strategy values of `games` to the per-profile loops they replaced,
 and the extension product and field norm, which multiply by the integer mu,
 to the forms that embedded mu as a p-adic number on every call.
@@ -41,6 +41,7 @@ from gtkit.evolution import (
     _face_is_ess,
     _psi_coefficients,
     _sampled_face_is_ess,
+    _step_source,
     detect_recurrence,
     integrate,
     interior_rest_points,
@@ -675,9 +676,15 @@ def padic_surface_rows_reference(form, grid):
 # reference implementations of the float trajectory path (the loop forms)
 
 
+def _sum(values):
+    """Floats added left to right from 0.0, on every Python version (builtin `sum`
+    over floats is compensated from 3.12 on; on 3.11 the bits are the same)."""
+    return functools.reduce(operator.add, values, 0.0)
+
+
 def _rhs_list(A_rows, x, n):
-    u = [sum(row[j] * x[j] for j in range(n)) for row in A_rows]
-    s = sum(x[j] * u[j] for j in range(n))
+    u = [_sum(row[j] * x[j] for j in range(n)) for row in A_rows]
+    s = _sum(x[j] * u[j] for j in range(n))
     return [x[j] * (u[j] - s) for j in range(n)]
 
 
@@ -696,7 +703,7 @@ def _step_list_reference(A_rows, p, h, n):
     if low < -DIVERGE_TOL:
         raise errors.IntegrationDiverged(f"state entry {low} below -{DIVERGE_TOL}")
     new = [0.0 if abs(v) < CLAMP or v < 0.0 else v for v in new]
-    total = sum(new)
+    total = _sum(new)
     return [v / total for v in new]
 
 
@@ -1045,6 +1052,19 @@ def test_integrate_matches_the_reference_step_bit_for_bit(run):
     names = [f"s{i}" for i in range(g.n)]
     assert new.csv_rows() == csv_rows_reference(new)
     assert new.csv_rows(names) == csv_rows_reference(new, names)
+
+
+def test_integrate_matches_the_reference_step_past_one_64_term_chunk():
+    # at n = 70 every dot product and the total are two chained statements
+    n = 70
+    g = EvolutionGame([[(7 * i + 3 * j) % 13 - 6 for j in range(n)] for i in range(n)])
+    weights = [j % 4 for j in range(n)]
+    p0 = [F(w, sum(weights)) for w in weights]
+    assert "u0 = u0 + " in _step_source(g.matrix, 1e-2)
+    new, old = integrate(g, p0, 20 * 1e-2, 1e-2), integrate_reference(g, p0, 20, 1e-2)
+    assert len(new) == 21
+    assert new.values.tobytes() == old.values.tobytes()
+    assert new.times.tobytes() == old.times.tobytes()
 
 
 @settings(max_examples=100, deadline=None)

@@ -7,7 +7,7 @@ import sys
 from pathlib import Path
 
 import gtkit
-from gtkit import errors
+from gtkit import errors, evolution
 
 SOURCES = sorted(Path(gtkit.__file__).parent.rglob("*.py"))
 
@@ -348,3 +348,49 @@ def test_the_raise_rule_catches_an_unraised_class():
         "raise\n"
     )
     assert _unraised(["A", "B", "C", "D", "E"], [tree]) == ["D", "E"]
+
+
+def _code_runners(tree):
+    """(line, innermost function, name) of every `compile`, `exec` or `eval` named as a builtin."""
+    for node, func in _in_functions(tree):
+        if isinstance(node, ast.Name) and node.id in ("compile", "exec", "eval"):
+            yield node.lineno, func, node.id
+
+
+def test_only_the_rk4_step_builder_compiles_code():
+    # generated code is read by no source rule, so it is confined to one builder
+    found = {
+        (path.name, func, name)
+        for path in SOURCES
+        for _, func, name in _code_runners(ast.parse(path.read_text(encoding="utf-8")))
+    }
+    assert found == {("evolution.py", "_step_function", "compile"),
+                     ("evolution.py", "_step_function", "exec")}
+
+
+def test_the_code_runner_rule_sees_every_form():
+    tree = ast.parse(
+        "exec(s)\n"
+        "def f():\n    return compile(s, 'f', 'exec')\n"
+        "run = eval\n"
+        "re.compile('x')\n"
+    )
+    assert list(_code_runners(tree)) == [(1, None, "exec"), (3, "f", "compile"), (4, None, "eval")]
+
+
+def _generated_steps():
+    # games of 2, 5 and 70 strategies: the last needs two 64-term statements per sum
+    for n in (2, 5, 70):
+        rows = tuple(tuple(float((7 * i + 3 * j) % 13 - 6) for j in range(n)) for i in range(n))
+        yield evolution._step_source(rows, 1e-3)
+
+
+def test_the_generated_rk4_step_keeps_the_source_rules():
+    # no check that `python -O` strips, no import, and no builtin sum, which is
+    # compensated from Python 3.12 on; no statement adds more than 64 products
+    for source in _generated_steps():
+        tree = ast.parse(source)
+        assert list(_assertion_checks(tree)) == []
+        assert not [node for node in ast.walk(tree) if isinstance(node, (ast.Import, ast.ImportFrom))]
+        assert "sum(" not in source
+        assert max(line.count("*") for line in source.splitlines()) <= 64
