@@ -2,11 +2,13 @@
 
 Integration uses binary64 floats (fixed-step RK4 with clamp-and-renormalize
 projection); rest points, interior equilibria and the ESS face analysis use
-exact rational elimination.  Every verdict (Nash state, rest point, ESS) is
-decided in Fractions on an exact `SimplexState`; the float diagnostics are
-reported, never compared against a tolerance.  Floats are Python floats in
-tuples, lists and one flat `array('d')` per trajectory.  Every operation is
-deterministic: there is no randomness anywhere in this module.
+exact elimination on the payoff matrix scaled once to integers.  Every
+verdict (Nash state, rest point, ESS) is decided exactly, in Fractions or on
+that integer scaling, and every reported state is an exact `SimplexState`;
+the float diagnostics are reported, never compared against a tolerance.
+Floats are Python floats in tuples, lists and one flat `array('d')` per
+trajectory.  Every operation is deterministic: there is no randomness
+anywhere in this module.
 """
 
 from __future__ import annotations
@@ -22,13 +24,14 @@ from typing import NamedTuple
 
 from . import errors
 # solve_exact stays a name here because perfbench/tracing.py rebinds evolution.solve_exact.
-from ._linsolve import equalizer, solve_exact  # noqa: F401
+from ._linsolve import equalizer, scaled, solve_exact  # noqa: F401
 
 SUM_TOL = 1e-12
 CLAMP = 1e-12
 DIVERGE_TOL = 1e-9
 SAMPLE_CAP = 2_000_000  # samples x strategies that integrate stores
 SUPPORT_CAP = 2 ** 12 - 1  # supports rest_point_reports solves: 2^n - 1, so n <= 12
+STRATEGY_CAP = 80  # strategies integrate compiles an RK4 step for; the step grows as n^2
 
 
 def _to_fraction(value):
@@ -187,9 +190,18 @@ class Trajectory:
             raise errors.InvalidArgument("times must be strictly increasing")
         columns = [self.column(j) for j in range(self.n)]
         # a NaN entry makes its row sum NaN, which fails the test too
-        if not (min(map(min, columns)) >= 0.0
-                and all(abs(s - 1.0) <= SUM_TOL for s in map(sum, zip(*columns)))):
+        if not (min(map(min, columns)) >= 0.0 and all(
+                abs(reduce(add, row, 0.0) - 1.0) <= SUM_TOL for row in zip(*columns))):
             raise errors.InvalidState("trajectory left the simplex")
+
+    @classmethod
+    def _checked(cls, times, values, h):
+        """A trajectory from `integrate`'s own arrays: times strictly increasing
+        and every row a state that each step already kept on the simplex."""
+        traj = cls.__new__(cls)
+        for name, value in (("times", times), ("values", values), ("h", h)):
+            object.__setattr__(traj, name, value)
+        return traj
 
     def __len__(self):
         return len(self.times)
@@ -283,14 +295,17 @@ def integrate(g, p0, t_end, h=1e-3):
     every Python version: each call compiles one straight-line step for g and
     h (`_step_source`), at a cost that grows as g.n ** 2.  t_end is realized
     as round(t_end / h) steps of exactly h, at times k * h.  SizeLimit, before
-    anything is compiled or stored, when the steps + 1 samples of g.n values
-    exceed SAMPLE_CAP.
+    anything is compiled or stored, when g.n exceeds STRATEGY_CAP or the
+    steps + 1 samples of g.n values exceed SAMPLE_CAP.
     """
     if not (0 < h < math.inf and 0 < t_end < math.inf):
         raise errors.InvalidArgument("need finite h > 0 and t_end > 0")
     p = _state_array(g, p0)
     # min() keeps an overflowing t_end / h convertible; the cap then refuses it
     steps = max(1, int(round(min(t_end / h, SAMPLE_CAP))))
+    if g.n > STRATEGY_CAP:
+        raise errors.SizeLimit(f"{g.n} strategies exceed the cap of {STRATEGY_CAP} "
+                               "for a compiled RK4 step")
     if (steps + 1) * g.n > SAMPLE_CAP:
         raise errors.SizeLimit(f"t_end / h = {t_end / h:.6g} steps of {g.n} strategies "
                                f"exceed the cap of {SAMPLE_CAP} stored values")
@@ -299,7 +314,7 @@ def integrate(g, p0, t_end, h=1e-3):
     for _ in range(steps):
         p = step(p)
         values.extend(p)
-    return Trajectory(array("d", [k * h for k in range(steps + 1)]), values, h)
+    return Trajectory._checked(array("d", [k * h for k in range(steps + 1)]), values, h)
 
 
 def time_average(traj):
@@ -335,10 +350,10 @@ def interior_rest_points(g):
     The continuum flag reports an underdetermined system (a face of rest
     points rather than isolated ones).
     """
-    status, coords, _ = equalizer(g.exact)
+    status, num, den = equalizer(scaled(g.exact)[1])
     points = []
-    if coords is not None and all(q > 0 for q in coords):
-        points.append(SimplexState(coords))
+    if num is not None and min(num) > 0:
+        points.append(SimplexState([Fraction(q, den) for q in num]))
     return InteriorRestPoints(points, status == "many")
 
 
@@ -415,32 +430,36 @@ def rest_point_reports(g):
     """Isolated rest points on every face, with Nash and transversal diagnostics.
 
     Returns (reports, continuum_supports); supports whose indifference system
-    is underdetermined are listed rather than expanded.  A rest point is Nash
-    when no row outside its support pays more, in Fractions, than the payoff
-    v that every support row earns; its transversal values are those exact
-    margins (Ap)_i - v correctly rounded, and its residual max |p_i h_i(p)|
+    is underdetermined are listed rather than expanded.  The systems are
+    solved on A scaled once to integers, and a rest point is Nash when no
+    row outside its support pays more, decided on those integers, than the
+    payoff v that every support row earns; its transversal values are those
+    exact margins (Ap)_i - v correctly rounded, and its residual max |p_i h_i(p)|
     is evaluated in binary64 with left-to-right sums.  Every diagnostic must
     be finite (InvalidArgument).  SizeLimit (check_face_walk) before any solve.
     """
     check_face_walk(g)
+    scale, E = scaled(g.exact)
     reports = []
     continua = []
     for m in range(1, g.n + 1):
         for support in itertools.combinations(range(g.n), m):
-            status, coords, v = equalizer([[g.exact[i][j] for j in support] for i in support])
+            status, num, den = equalizer([[E[i][j] for j in support] for i in support])
             if status == "many":
                 continua.append(support)
                 continue
-            if coords is None or any(q <= 0 for q in coords):
+            if num is None or min(num) <= 0:
                 continue
             full = [Fraction(0)] * g.n
-            for idx, q in zip(support, coords):
-                full[idx] = q
+            for idx, q in zip(support, num):
+                full[idx] = Fraction(q, den)
             state = SimplexState(full)
             outside = [i for i in range(g.n) if i not in support]
-            margins = [sum(g.exact[i][j] * q for j, q in zip(support, coords)) - v
-                       for i in outside]
-            trans = tuple((i, _binary64(x, full)) for i, x in zip(outside, margins))
+            # (A p)_i - v times scale * den, where v is the first support row's payoff
+            value = sum(E[support[0]][j] * q for j, q in zip(support, num))
+            margins = [sum(E[i][j] * q for j, q in zip(support, num)) - value for i in outside]
+            trans = tuple((i, _binary64(Fraction(x, scale * den), full))
+                          for i, x in zip(outside, margins))
             terms = list(map(mul, state.p, _payoffs(g, state.p)[2]))
             if not all(map(math.isfinite, terms)):
                 raise _not_finite(full)
@@ -484,19 +503,22 @@ def _face_is_ess(c, M, x_star):
     lie on smaller supports, at least one end away from x_star, and a single
     strategy always gives a unique system.  So only unique solutions are
     tested: each needs lam > 0, or lam = 0 at x_star itself (Bomze 1992, JOTA 75).
+    S is scaled once to integers, which changes no w and no sign of lam.
     """
     m = len(c)
-    S = [[c[k] + c[l] - M[k][l] - M[l][k] for l in range(m)] for k in range(m)]
+    _, S = scaled([[c[k] + c[l] - M[k][l] - M[l][k] for l in range(m)] for k in range(m)])
     for size in range(1, m + 1):
         for J in itertools.combinations(range(m), size):
-            status, w, lam = equalizer([[S[k][l] for l in J] for k in J])
-            if status != "unique" or min(w) <= 0:
+            status, num, den = equalizer([[S[k][l] for l in J] for k in J])
+            if status != "unique" or min(num) <= 0:
                 continue
+            # lam times the scale and den, both positive
+            lam = sum(S[J[0]][l] * q for l, q in zip(J, num))
             if lam < 0:
                 return False
             if lam == 0:
-                full = dict(zip(J, w))
-                if tuple(full.get(k, 0) for k in range(m)) != x_star:
+                full = dict(zip(J, num))
+                if tuple(Fraction(full.get(k, 0), den) for k in range(m)) != x_star:
                     return False
     return True
 
@@ -511,11 +533,9 @@ def _sampled_face_is_ess(c, M, x_star, resolution):
     walk stops at the first point with psi <= 0.
     """
     m = len(c)
-    Q = [[ck - mkl for mkl in row] for ck, row in zip(c, M)]
-    scale = math.lcm(*(q.denominator for row in Q for q in row))
-    Qi = [[q.numerator * (scale // q.denominator) for q in row] for row in Q]
-    scaled = [q * resolution for q in x_star]
-    skip = [int(q) for q in scaled] if all(q.denominator == 1 for q in scaled) else None
+    _, Qi = scaled([[ck - mkl for mkl in row] for ck, row in zip(c, M)])
+    on_grid = [q * resolution for q in x_star]
+    skip = [int(q) for q in on_grid] if all(q.denominator == 1 for q in on_grid) else None
     bars = resolution + m - 1
     for combo in itertools.combinations(range(bars), m - 1):
         k = [b - a - 1 for a, b in zip((-1, *combo), (*combo, bars))]

@@ -1,8 +1,10 @@
 """Exact-rational normal-form games: equilibria, dominance, welfare, bargaining.
 
 All payoffs are ``fractions.Fraction``; no floats enter any equilibrium
-decision, so every result here is bit-reproducible.  Games are immutable
-after construction and all operations are pure functions.
+decision, so every result here is bit-reproducible.  Equilibrium systems are
+solved on the per-game integer scaling of the payoffs (`_linsolve.scaled`),
+and the results are the same exact rationals.  Games are immutable after
+construction and all operations are pure functions.
 """
 
 from __future__ import annotations
@@ -15,7 +17,7 @@ from operator import ge, mul
 
 from . import errors
 # solve_exact stays a name here because perfbench/tracing.py rebinds games.solve_exact.
-from ._linsolve import equalizer, solve_exact  # noqa: F401
+from ._linsolve import equalizer, scaled, solve_exact  # noqa: F401
 
 
 def as_fraction(value):
@@ -232,11 +234,6 @@ def pure_to_mixed(game, profile):
     )
 
 
-def payoff(game, profile):
-    """Payoff vector of a pure profile (tensor lookup)."""
-    return game.payoff(profile)
-
-
 def _deviations(profile, i, k):
     """The k profiles that differ from `profile` only in player i's strategy, in strategy order."""
     head, tail = profile[:i], profile[i + 1:]
@@ -423,36 +420,41 @@ def support_enumeration(game):
     if m > 5 or n > 5:
         raise errors.SizeLimit("support enumeration is limited to 5 strategies per player")
     table = game._table
-    A = [[table[i, j][0] for j in range(n)] for i in range(m)]
-    Bt = [[table[i, j][1] for i in range(m)] for j in range(n)]
+    _, A = scaled([[table[i, j][0] for j in range(n)] for i in range(m)])
+    _, Bt = scaled([[table[i, j][1] for i in range(m)] for j in range(n)])
 
     def solve(rows, own, opp, pair):
-        status, w, v = equalizer([[rows[i][j] for j in opp] for i in own])
+        status, num, den = equalizer([[rows[i][j] for j in opp] for i in own])
         if status == "many":
             raise errors.DegenerateGame(
                 f"solution continuum on support pair {pair}: the game is degenerate"
             )
-        return w, v
+        return num, den
 
-    def beaten(rows, own, opp, w, v):
-        return any(sum(rows[i][j] * q for j, q in zip(opp, w)) > v
-                   for i in range(len(rows)) if i not in own)
+    def beaten(rows, own, opp, num):
+        # each row's payoff times den > 0; the first support row earns v
+        pays = [sum(row[j] * q for j, q in zip(opp, num)) for row in rows]
+        return any(pays[i] > pays[own[0]] for i in range(len(rows)) if i not in own)
+
+    def mixture(size, sup, num, den):
+        sigma = [Fraction(0)] * size
+        for i, q in zip(sup, num):
+            sigma[i] = Fraction(q, den)
+        return tuple(sigma)
 
     found = set()
     for k in range(1, min(m, n) + 1):
         for sup1 in itertools.combinations(range(m), k):
             for sup2 in itertools.combinations(range(n), k):
-                sigma2, v1 = solve(A, sup1, sup2, (sup1, sup2))
-                if sigma2 is None:
+                num2, den2 = solve(A, sup1, sup2, (sup1, sup2))
+                if num2 is None:
                     continue
-                sigma1, v2 = solve(Bt, sup2, sup1, (sup1, sup2))
-                if sigma1 is None or min(sigma1) <= 0 or min(sigma2) <= 0:
+                num1, den1 = solve(Bt, sup2, sup1, (sup1, sup2))
+                if num1 is None or min(num1) <= 0 or min(num2) <= 0:
                     continue
-                if beaten(A, sup1, sup2, sigma2, v1) or beaten(Bt, sup2, sup1, sigma1, v2):
+                if beaten(A, sup1, sup2, num2) or beaten(Bt, sup2, sup1, num1):
                     continue
-                s1, s2 = dict(zip(sup1, sigma1)), dict(zip(sup2, sigma2))
-                found.add((tuple(s1.get(i, Fraction(0)) for i in range(m)),
-                           tuple(s2.get(j, Fraction(0)) for j in range(n))))
+                found.add((mixture(m, sup1, num1, den1), mixture(n, sup2, num2, den2)))
     return sorted(found)
 
 

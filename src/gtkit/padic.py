@@ -409,15 +409,6 @@ def parse_ext(text, mu):
     return PAdicExtElement(parse_padic(x_s), parse_padic(y_s), mu)
 
 
-def noncanonical_sort_key(x):
-    """Sort key by (norm, digit sequence).
-
-    Q_p carries no canonical total order; this comparator is provided for
-    deterministic reporting only and is explicitly non-canonical.
-    """
-    return (norm(x), x.digits)
-
-
 # ---------------------------------------------------------------------------
 # quadratic extension Q_p(sqrt(mu))
 

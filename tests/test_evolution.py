@@ -10,6 +10,7 @@ from hypothesis import strategies as st
 
 from gtkit import errors, gamefile
 from gtkit.evolution import (
+    SUM_TOL,
     EvolutionGame,
     SimplexState,
     Trajectory,
@@ -185,6 +186,18 @@ def test_integrate_refuses_more_samples_than_the_cap(monkeypatch):
     for t_end, h in ((0.15, 1e-2), (1e300, 1e-300)):
         with pytest.raises(errors.SizeLimit):
             integrate(g, centroid(2), t_end=t_end, h=h)
+
+
+def test_integrate_refuses_more_strategies_than_the_cap_before_compiling(monkeypatch):
+    from gtkit import evolution
+
+    compiled = []
+    monkeypatch.setattr(evolution, "_step_function", lambda *args: compiled.append(args))
+    n = evolution.STRATEGY_CAP + 1
+    g = EvolutionGame([[int(i == j) for j in range(n)] for i in range(n)])
+    with pytest.raises(errors.SizeLimit, match="strategies exceed the cap"):
+        integrate(g, centroid(n), t_end=1.0, h=0.1)
+    assert compiled == []
 
 
 def test_integration_divergence_detected():
@@ -578,7 +591,10 @@ def test_trajectory_rows_and_columns_are_slices_of_one_array():
         Trajectory(t, [0.5, 0.5, 1.0], 1.0)
     with pytest.raises(errors.InvalidArgument, match="increasing"):
         Trajectory([0.0, 0.0], [0.5, 0.5, 0.5, 0.5], 1.0)
+    # a hand-built row is still checked: within SUM_TOL of 1 passes, 3 * SUM_TOL off does not
+    assert Trajectory(t, [0.5, 0.5, 0.25, 0.75 + SUM_TOL / 2], 1.0).n == 2
     for bad in ([0.5, 0.5, -0.5, 1.5], [0.5, 0.5, 0.6, 0.6],
+                [0.5, 0.5, 0.25, 0.75 + 3 * SUM_TOL], [0.5, 0.5, 0.25, 0.75 - 3 * SUM_TOL],
                 [math.nan, 0.5, 0.5, 0.5], [0.5, 0.5, 0.5, math.nan]):
         with pytest.raises(errors.InvalidState, match="left the simplex"):
             Trajectory(t, bad, 1.0)

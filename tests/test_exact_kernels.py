@@ -1,11 +1,13 @@
 """The exact kernels against the reference implementations they replaced.
 
-`solve_exact` eliminates on integers, the sampled ESS grid tests signs of an
-integer quadratic form, the exact ESS face decision enumerates KKT supports,
-and support enumeration, rest points and the ESS kernel share one
-`equalizer` system; the rational algorithms, the vertex/edge/critical-line
-geometry and the per-caller indifference systems they replaced are kept here
-as oracles, and both must give identical statuses, solutions and verdicts.
+`solve_exact` eliminates on integer rows, the sampled ESS grid tests signs of
+an integer quadratic form, the exact ESS face decision enumerates KKT
+supports, and support enumeration, rest points and the ESS kernel share one
+`equalizer` system on blocks scaled once to integers; the rational
+algorithms, the vertex/edge/critical-line geometry and the per-caller
+indifference systems they replaced are kept here as oracles, each solving
+with this file's own `solve_exact_fraction` rather than the kernel it checks,
+and both must give identical statuses, solutions and verdicts.
 The compiled straight-line RK4 step and the trajectory CSV formatter are
 held to their loop forms bit for bit, the time average and the recurrence
 test on the flat trajectory to the numpy forms they replaced, and the
@@ -28,7 +30,7 @@ from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from gtkit import errors, gamefile, games, padic
-from gtkit._linsolve import equalizer, solve_exact
+from gtkit._linsolve import equalizer, scaled, solve_exact
 from gtkit.evolution import (
     CLAMP,
     DIVERGE_TOL,
@@ -186,12 +188,12 @@ def _interior_critical_points_3(c, M):
     det = rows[0][0] * rows[1][1] - rows[0][1] * rows[1][0]
     out = []
     if det != 0:
-        status, sol = solve_exact(rows, rhs)
+        status, sol = solve_exact_fraction(rows, rhs)
         u, v = sol
         if u >= 0 and v >= 0 and u + v <= 1:
             out.append((tilde(u, v), (u, v, 1 - u - v)))
         return out
-    status, sol = solve_exact(rows, rhs)
+    status, sol = solve_exact_fraction(rows, rhs)
     if status == "none":
         return out
     # a line (or plane) of critical points; psi is constant along it
@@ -319,7 +321,7 @@ def _solve_indifference(own_support, opp_support, u, pair):
         rhs.append(Fraction(0))
     rows.append([Fraction(1)] * len(opp_support))
     rhs.append(Fraction(1))
-    status, sol = solve_exact(rows, rhs)
+    status, sol = solve_exact_fraction(rows, rhs)
     if status == "none":
         return None
     if status == "many":
@@ -341,7 +343,7 @@ def _face_rest_point(exact, support):
         rhs.append(Fraction(0))
     rows.append([Fraction(1)] * m)
     rhs.append(Fraction(1))
-    status, sol = solve_exact(rows, rhs)
+    status, sol = solve_exact_fraction(rows, rhs)
     if status == "unique":
         return tuple(sol), False
     if status == "many":
@@ -407,7 +409,7 @@ def _face_is_ess_kkt(c, M, x_star):
         for J in itertools.combinations(range(m), size):
             rows = [[S[k][l] for l in J] + [-1] for k in J]
             rows.append([1] * size + [0])
-            status, sol = solve_exact(rows, [0] * size + [1])
+            status, sol = solve_exact_fraction(rows, [0] * size + [1])
             if status != "unique" or any(w <= 0 for w in sol[:size]):
                 continue
             lam = sol[size]
@@ -794,18 +796,45 @@ def linear_systems(draw):
     return rows, rhs
 
 
+def integer_system(rows, rhs):
+    """Each augmented row times the lcm of its own denominators: the same solutions."""
+    scaled_rows = [scaled([[F(v) for v in [*row, b]]])[1][0] for row, b in zip(rows, rhs)]
+    return [row[:-1] for row in scaled_rows], [row[-1] for row in scaled_rows]
+
+
+def solve_exact_fractions(rows, rhs):
+    """`solve_exact` on the row-scaled integer system, read back as Fractions, with
+    its integer contract checked: int numerators over one den > 0 in lowest terms."""
+    status, num, den = solve_exact(*integer_system(rows, rhs))
+    if num is None:
+        assert den is None
+        return status, None
+    assert type(den) is int and den > 0 and all(type(q) is int for q in num)
+    assert math.gcd(den, *num) == 1
+    return status, [F(q, den) for q in num]
+
+
 @settings(max_examples=200, deadline=None)
 @given(linear_systems())
 def test_solve_exact_matches_fraction_elimination(system):
     rows, rhs = system
-    assert solve_exact(rows, rhs) == solve_exact_fraction(rows, rhs)
+    assert solve_exact_fractions(rows, rhs) == solve_exact_fraction(rows, rhs)
 
 
-def test_solve_exact_accepts_ints_and_strings():
+def test_solve_exact_takes_and_returns_ints():
+    # 2x + y/2 = 3/4 and 4x + y = 3/2, each row times its own lcm: one equation twice
     rows, rhs = [[2, "1/2"], [4, 1]], ["3/4", "3/2"]
-    assert solve_exact(rows, rhs) == solve_exact_fraction(rows, rhs) == ("many", [F(3, 8), 0])
-    assert solve_exact([[1, 1], [1, -1]], [2, 0]) == ("unique", [F(1), F(1)])
-    assert solve_exact([[1, 1], [2, 2]], [1, 3]) == ("none", None)
+    assert integer_system(rows, rhs) == ([[8, 2], [8, 2]], [3, 3])
+    assert solve_exact([[8, 2], [8, 2]], [3, 3]) == ("many", [3, 0], 8)
+    assert solve_exact_fraction(rows, rhs) == ("many", [F(3, 8), 0])
+    assert solve_exact([[1, 1], [1, -1]], [2, 0]) == ("unique", [1, 1], 1)
+    assert solve_exact([[2, 0], [0, -3]], [1, 2]) == ("unique", [3, -4], 6)
+    assert solve_exact([[1, 1], [2, 2]], [1, 3]) == ("none", None, None)
+
+
+def test_scaled_multiplies_by_the_lcm_of_the_denominators():
+    assert scaled([[F(1, 2), 2], [F(-1, 3), 0]]) == (6, [[3, 12], [-2, 0]])
+    assert scaled([[4, -1]]) == (1, [[4, -1]])
 
 
 # ---------------------------------------------------------------------------
@@ -961,10 +990,25 @@ def test_face_kernel_matches_lambda_augmented_kkt(face):
 
 
 def test_equalizer_statuses():
-    assert equalizer([[5]]) == ("unique", [F(1)], 5)
-    assert equalizer([[3, 0], [0, 2]]) == ("unique", [F(2, 5), F(3, 5)], F(6, 5))
+    assert equalizer([[5]]) == ("unique", [1], 1)
+    assert equalizer([[3, 0], [0, 2]]) == ("unique", [2, 3], 5)  # value (3, 0) . w = 6/5
     assert equalizer([[1, 1], [1, 1]]) == ("many", None, None)
     assert equalizer([[1, 1], [0, 0]]) == ("none", None, None)
+
+
+@settings(max_examples=200, deadline=None)
+@given(st.integers(1, 5).flatmap(lambda k: st.lists(
+    st.lists(st.integers(-9, 9), min_size=k, max_size=k), min_size=k, max_size=k)),
+    st.integers(1, 10**6))
+def test_scaling_a_block_leaves_its_equalizer_solution_alone(block, factor):
+    status, num, den = equalizer(block)
+    assert equalizer([[factor * a for a in row] for row in block]) == (status, num, den)
+    if num is not None:
+        assert sum(num) == den
+        oracle = solve_exact_fraction(
+            [[a - b for a, b in zip(block[0], row)] for row in block[1:]] + [[1] * len(num)],
+            [0] * (len(block) - 1) + [1])
+        assert oracle == ("unique", [F(q, den) for q in num])
 
 
 def outcome(fn, *args):
@@ -985,11 +1029,33 @@ def small_bimatrix_games(draw):
     return StrategicGame(names, [cells[i * n:(i + 1) * n] for i in range(m)])
 
 
+WIDE_PAYOFFS = st.one_of(
+    st.integers(-999, 999),
+    st.builds(F, st.integers(-999, 999), st.sampled_from([2, 3, 4, 6, 7, 9, 10, 12])),
+)
+
+
+@st.composite
+def wide_bimatrix_games(draw):
+    """m x n games, m, n <= 5, with payoffs up to +-999 and rationals of mixed
+    denominators, so that each game is scaled by its own lcm; a copied row or
+    column keeps some of them degenerate."""
+    m, n = draw(st.integers(1, 5)), draw(st.integers(1, 5))
+    cells = [[(draw(WIDE_PAYOFFS), draw(WIDE_PAYOFFS)) for _ in range(n)] for _ in range(m)]
+    if m >= 2 and draw(st.booleans()):
+        cells[1] = list(cells[0])
+    if n >= 2 and draw(st.booleans()):
+        for row in cells:
+            row[1] = row[0]
+    names = [[f"r{i}" for i in range(m)], [f"c{j}" for j in range(n)]]
+    return StrategicGame(names, cells)
+
+
 @settings(max_examples=200, deadline=None)
 @example(StrategicGame(  # a segment of equilibria whose system is never "many"
     [["a", "b", "c"]] * 2,
     [[(3, 1), (3, 1), (3, 0)], [(0, 0), (0, 1), (0, 2)], [(1, 2), (1, 0), (1, 1)]]))
-@given(small_bimatrix_games())
+@given(st.one_of(small_bimatrix_games(), wide_bimatrix_games()))
 def test_support_enumeration_matches_indifference_reference(game):
     assert outcome(support_enumeration, game) == outcome(support_enumeration_reference, game)
 
@@ -999,6 +1065,13 @@ def evolution_games(draw):
     n = draw(st.integers(2, 5))
     entry = st.one_of(st.integers(-2, 2), st.builds(F, st.integers(-3, 3), st.integers(1, 3)))
     return EvolutionGame([draw(st.lists(entry, min_size=n, max_size=n)) for _ in range(n)])
+
+
+@st.composite
+def wide_evolution_games(draw):
+    """n <= 5 strategies with payoffs up to +-999 and rationals of mixed denominators."""
+    n = draw(st.integers(2, 5))
+    return EvolutionGame([[draw(WIDE_PAYOFFS) for _ in range(n)] for _ in range(n)])
 
 
 def rest_point_rows(rest_point_reports, g):
@@ -1012,7 +1085,7 @@ def rest_point_rows(rest_point_reports, g):
 @settings(max_examples=200, deadline=None)
 @example(EvolutionGame([[0, 0], [0, 0]]))
 @example(EvolutionGame([[1, 1, 0], [1, 1, 0], [0, 0, 1]]))
-@given(evolution_games())
+@given(st.one_of(evolution_games(), wide_evolution_games()))
 def test_rest_points_match_face_reference(g):
     new, old = interior_rest_points(g), interior_rest_points_reference(g)
     assert [p.exact for p in new.points] == [p.exact for p in old.points]

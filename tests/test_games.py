@@ -71,7 +71,6 @@ def test_payoff_lookup():
     assert g.payoff((0, 0)) == (3, 2)
     pd = prisoners_dilemma()
     assert pd.payoff((1, 1)) == (1, 1)
-    assert g.payoff((0, 0)) == games.payoff(g, (0, 0))
     with pytest.raises(errors.InvalidProfile):
         g.payoff((0, 2))
 

@@ -28,7 +28,6 @@ from gtkit.padic import (
     is_square,
     mul,
     neg,
-    noncanonical_sort_key,
     norm,
     padic_expected_payoff,
     padic_from_rational,
@@ -344,13 +343,6 @@ def test_to_rational_reconstruction():
     for value in (F(-1), F(1, 2), F(5, 3), F(-7, 10), F(242)):
         x = padic_from_rational(value.numerator, value.denominator, 7, 20)
         assert x.to_rational() == value
-
-
-def test_noncanonical_sort_key_is_deterministic():
-    xs = [P(a) for a in (49, 7, 3, 10, 1)]
-    k1 = sorted(xs, key=noncanonical_sort_key)
-    k2 = sorted(xs, key=noncanonical_sort_key)
-    assert [format_padic(x) for x in k1] == [format_padic(x) for x in k2]
 
 
 # ---------------------------------------------------------------------------

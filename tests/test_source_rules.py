@@ -94,6 +94,29 @@ def test_the_numpy_rule_sees_every_form():
     assert [line for line, _ in _numpy_imports(tree)] == [1, 2, 3, 4]
 
 
+def _module_imports(tree):
+    """Every module an import statement names, a relative one with its leading dots."""
+    for node in ast.walk(tree):
+        if isinstance(node, ast.Import):
+            yield from (alias.name for alias in node.names)
+        elif isinstance(node, ast.ImportFrom):
+            yield "." * node.level + (node.module or "")
+
+
+def test_the_elimination_kernel_imports_math_alone():
+    # solve_exact and equalizer take and return ints, so no Fraction enters the loop
+    tree = ast.parse((Path(gtkit.__file__).parent / "_linsolve.py").read_text(encoding="utf-8"))
+    assert set(_module_imports(tree)) == {"__future__", "math"}
+
+
+def test_the_module_import_rule_sees_every_form():
+    tree = ast.parse("import math, fractions as f\nfrom fractions import Fraction\n"
+                     "from . import errors\nfrom .games import as_fraction\n"
+                     "def g():\n    import numbers\n")
+    assert list(_module_imports(tree)) == [
+        "math", "fractions", "fractions", ".", ".games", "numbers"]
+
+
 def test_importing_the_cli_does_not_load_numpy():
     code = "import sys, gtkit.cli; print('numpy' in sys.modules)"
     src = str(Path(gtkit.__file__).resolve().parent.parent)
