@@ -10,6 +10,8 @@ from __future__ import annotations
 
 import argparse
 import contextlib
+import functools
+import itertools
 import json
 import math
 import operator
@@ -50,14 +52,15 @@ def _write_json(path, obj):
 
 
 def _write_lines(path, rows):
-    """Write rows as newline-terminated lines, WRITE_CHUNK rows per write.
+    """Write an iterable of rows as newline-terminated lines, WRITE_CHUNK rows per write.
 
-    Joining a slice at a time keeps the whole file from being held as text
-    twice (the joined rows plus the final newline) next to the rows.
+    Rows are taken from the iterable a chunk at a time, so a report streamed
+    from an iterator is never held whole, neither as rows nor as text.
     """
+    rows = iter(rows)
     with _writing(path), open(path, "w", encoding="utf-8") as fh:
-        for start in range(0, len(rows), WRITE_CHUNK):
-            fh.write("\n".join(rows[start:start + WRITE_CHUNK]) + "\n")
+        while chunk := list(itertools.islice(rows, WRITE_CHUNK)):
+            fh.write("\n".join(chunk) + "\n")
     return path
 
 
@@ -386,7 +389,7 @@ def cmd_quantumize(args):
     if args.padic:
         doc = _padic_report(args, scn, form, a)
         surface = quantum.payoff_surface_rows(form, grid, exact=True)
-    else:  # the float surface refuses payoffs beyond binary64: build it before printing
+    else:  # the float surface refuses payoffs beyond binary64 at the call: before printing
         surface = quantum.payoff_surface_rows(form, grid)
         doc = _complex_report(scn, form, a)
     doc["grid"] = grid
@@ -616,7 +619,9 @@ def cmd_padic(args):
 # parser / entry point
 
 
+@functools.cache
 def build_parser():
+    """The `gt` argument parser, built once per process: parsing leaves it unchanged."""
     parser = argparse.ArgumentParser(
         prog="gt",
         description="Game-theory batch toolkit: classical, evolutionary, quantum and p-adic analysis",

@@ -229,13 +229,14 @@ class Trajectory:
         return self.row(-1)
 
     def csv_rows(self, names=None):
-        """CSV with 17-significant-digit floats: t, p_1, ..., p_n."""
+        """An iterator over the CSV lines, header first, with 17-significant-digit
+        floats: t, p_1, ..., p_n."""
         n = self.n
         header = ",".join(["t"] + [names[i] if names else f"p_{i + 1}" for i in range(n)])
         fmt = ",".join(["%.17g"] * (n + 1))
-        rows = [header]
-        rows.extend(map(fmt.__mod__, zip(self.times, *map(self.column, range(n)))))
-        return rows
+        # n references to one iterator over the flat values: zip reads a row per time
+        states = zip(self.times, *[iter(self.values)] * n)
+        return itertools.chain((header,), map(fmt.__mod__, states))
 
 
 def _step_source(rows, h):

@@ -18,11 +18,14 @@ remains as the oracle of the exact equilibrium set.
 The payoff surface is that game's closed form at each grid point: Python
 floats added in one fixed order (its bits do not depend on the Python
 version), or in the p-adic mode one exact rational per payoff from an
-integer combination of the payoffs.
+integer combination of the payoffs.  `payoff_surface_rows` returns its CSV
+lines as an iterator, checking its input at the call, so the surface is
+never held whole.
 """
 
 from __future__ import annotations
 
+import itertools
 import math
 from fractions import Fraction
 
@@ -103,6 +106,9 @@ def _surface(form, grid_n, exact=False):
     every payoff of A' in the binary64 range (InvalidArgument).  Exactly, with
     C = D c on integers for the common denominator D, it is the one rational
     (ij C00 + i(N-j) C01 + (N-i)j C10 + (N-i)(N-j) C11) / (D N^2), N = grid_n.
+
+    The form, grid_n and the float conversion are checked here, at the call;
+    the returned iterator computes the points as it is consumed.
     """
     if not isinstance(form, ClassicalForm):
         raise errors.InvalidArgument("expected a quantum.ClassicalForm")
@@ -111,24 +117,31 @@ def _surface(form, grid_n, exact=False):
     payoffs = [form.game.payoff(s) for s in PROFILES]
     if exact:
         scale = math.lcm(*(x.denominator for u in payoffs for x in u))
-        (x00, y00), (x01, y01), (x10, y10), (x11, y11) = (
-            [x.numerator * (scale // x.denominator) for x in u] for u in payoffs)
-        n = grid_n
-        den = scale * n * n
-        ps = [Fraction(i, n) for i in range(n + 1)]
-        for i, p in enumerate(ps):
-            r = n - i
-            for j, q in enumerate(ps):
-                s = n - j
-                w00, w01, w10, w11 = i * j, i * s, r * j, r * s
-                yield (p, q, Fraction(w00 * x00 + w01 * x01 + w10 * x10 + w11 * x11, den),
-                       Fraction(w00 * y00 + w01 * y01 + w10 * y10 + w11 * y11, den))
-        return
+        return _exact_points([[x.numerator * (scale // x.denominator) for x in u]
+                              for u in payoffs], scale, grid_n)
     try:
-        (x00, y00), (x01, y01), (x10, y10), (x11, y11) = (map(float, u) for u in payoffs)
+        floats = [[float(x) for x in u] for u in payoffs]
     except OverflowError as exc:
         raise errors.InvalidArgument(
             "payoff beyond the binary64 range; the p-adic mode (--padic) is exact") from exc
+    return _float_points(floats, grid_n)
+
+
+def _exact_points(payoffs, scale, n):
+    (x00, y00), (x01, y01), (x10, y10), (x11, y11) = payoffs
+    den = scale * n * n
+    ps = [Fraction(i, n) for i in range(n + 1)]
+    for i, p in enumerate(ps):
+        r = n - i
+        for j, q in enumerate(ps):
+            s = n - j
+            w00, w01, w10, w11 = i * j, i * s, r * j, r * s
+            yield (p, q, Fraction(w00 * x00 + w01 * x01 + w10 * x10 + w11 * x11, den),
+                   Fraction(w00 * y00 + w01 * y01 + w10 * y10 + w11 * y11, den))
+
+
+def _float_points(payoffs, grid_n):
+    (x00, y00), (x01, y01), (x10, y10), (x11, y11) = payoffs
     ps = [i / grid_n for i in range(grid_n + 1)]
     for p in ps:
         r = 1 - p
@@ -157,9 +170,21 @@ def mw_nash_search(form, grid_n=100):
 
 
 def payoff_surface_rows(form, grid_n=100, exact=False):
-    """CSV rows p,q,payoff1,payoff2 of `_surface`: exact rationals or 17 significant digits."""
-    fmt = ",".join(["%s" if exact else "%.17g"] * 4)
-    return ["p,q,payoff1,payoff2", *(fmt % pt for pt in _surface(form, grid_n, exact))]
+    """An iterator over the CSV lines of `_surface`, header first: p,q,payoff1,payoff2 as
+    exact rationals or 17 significant digits.
+
+    The form, grid_n and the payoffs are checked at the call, so a payoff
+    beyond binary64 raises before any line is made.  Each grid label is
+    formatted once; a line is one `%` of its column's template.
+    """
+    points = _surface(form, grid_n, exact)
+    labels = [str(Fraction(i, grid_n)) if exact else "%.17g" % (i / grid_n)
+              for i in range(grid_n + 1)]
+    number = "%s" if exact else "%.17g"
+    templates = [f"%s,{q},{number},{number}" for q in labels]
+    lines = (template % (p, u1, u2)
+             for p in labels for template, (_, _, u1, u2) in zip(templates, points))
+    return itertools.chain(("p,q,payoff1,payoff2",), lines)
 
 
 def classical_product_payoffs(base, p, q):

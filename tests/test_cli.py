@@ -2,13 +2,18 @@
 
 import json
 import os
+import subprocess
+import sys
 import time
+import tracemalloc
 from fractions import Fraction
+from pathlib import Path
 
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+import gtkit
 from gtkit import errors, evolution, gamefile, padic
 from gtkit.cli import (
     EXIT_OK,
@@ -17,6 +22,7 @@ from gtkit.cli import (
     EXIT_VALIDATION,
     WRITE_CHUNK,
     _write_lines,
+    build_parser,
     main,
 )
 
@@ -1249,10 +1255,43 @@ def test_outputs_are_byte_identical(tmp_path):
         assert (out1 / name).read_bytes() == (out2 / name).read_bytes(), name
 
 
-@pytest.mark.parametrize("count", [1, WRITE_CHUNK - 1, WRITE_CHUNK, WRITE_CHUNK + 1,
+@pytest.mark.parametrize("count", [0, 1, WRITE_CHUNK - 1, WRITE_CHUNK, WRITE_CHUNK + 1,
                                    2 * WRITE_CHUNK + 1])
 def test_chunked_lines_equal_one_join(tmp_path, count):
     rows = [f"{k},{k / 7!r},é" for k in range(count)]
-    path = _write_lines(str(tmp_path / "rows.csv"), rows)
-    with open(path, "rb") as fh:
-        assert fh.read() == ("\n".join(rows) + "\n").encode("utf-8")
+    for source in (rows, iter(rows)):
+        path = _write_lines(str(tmp_path / "rows.csv"), source)
+        with open(path, "rb") as fh:
+            assert fh.read() == "".join(row + "\n" for row in rows).encode("utf-8")
+
+
+def test_quantumize_streams_its_surface(tmp_path):
+    # the 40,401 lines of grid 200, held in a list, took the traced peak to 5.5 MiB
+    tracemalloc.start()
+    try:
+        code = main(["quantumize", "--in", "bos", "--grid", "200", "--out", str(tmp_path)])
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert code == EXIT_OK
+    assert len((tmp_path / "surface.csv").read_text().splitlines()) == 1 + 201 * 201
+    assert peak < 3 * 2**20
+
+
+def test_the_parser_is_built_once():
+    assert build_parser() is build_parser()
+
+
+def test_one_parser_serves_runs_with_different_options(tmp_path):
+    # a p-adic run, then a complex one, in one process and in two fresh processes
+    env = dict(os.environ, PYTHONPATH=str(Path(gtkit.__file__).resolve().parent.parent))
+    for where, mode in (("padic", ["--padic"]), ("complex", [])):
+        argv = ["quantumize", "--in", "bos", "--grid", "12", *mode]
+        assert main([*argv, "--out", str(tmp_path / "here" / where)]) == EXIT_OK
+        subprocess.run([sys.executable, "-m", "gtkit.cli", *argv,
+                        "--out", str(tmp_path / "fresh" / where)],
+                       env=env, capture_output=True, check=True)
+    for where in ("padic", "complex"):
+        for name in ("surface.csv", "equilibria.json"):
+            here, fresh = (tmp_path / side / where / name for side in ("here", "fresh"))
+            assert here.read_bytes() == fresh.read_bytes(), (where, name)

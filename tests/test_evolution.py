@@ -602,7 +602,7 @@ def test_trajectory_rows_and_columns_are_slices_of_one_array():
 
 def test_trajectory_csv_format():
     traj = Trajectory(np.array([0.0, 0.5]), np.array([[1 / 3, 2 / 3], [0.25, 0.75]]).ravel(), 0.5)
-    rows = traj.csv_rows()
+    rows = list(traj.csv_rows())
     assert rows[0] == "t,p_1,p_2"
     assert rows[1].split(",")[1] == f"{1 / 3:.17g}"
     # 17 significant digits round-trip binary64 exactly

@@ -1123,8 +1123,8 @@ def test_integrate_matches_the_reference_step_bit_for_bit(run):
     assert new.values.tobytes() == old.values.tobytes()
     assert new.times.tobytes() == old.times.tobytes()
     names = [f"s{i}" for i in range(g.n)]
-    assert new.csv_rows() == csv_rows_reference(new)
-    assert new.csv_rows(names) == csv_rows_reference(new, names)
+    assert list(new.csv_rows()) == csv_rows_reference(new)
+    assert list(new.csv_rows(names)) == csv_rows_reference(new, names)
 
 
 def test_integrate_matches_the_reference_step_past_one_64_term_chunk():
@@ -1196,7 +1196,7 @@ ALL_TINY = ClassicalForm(
 @example(ALL_TINY, 3)
 @given(quantum_forms(), st.integers(1, 100))
 def test_payoff_surface_rows_match_the_numpy_grid_bit_for_bit(form, grid):
-    assert payoff_surface_rows(form, grid) == payoff_surface_rows_reference(form, grid)
+    assert list(payoff_surface_rows(form, grid)) == payoff_surface_rows_reference(form, grid)
 
 
 # each example runs up to 10201 Fraction points twice, so there are few of them
@@ -1204,7 +1204,8 @@ def test_payoff_surface_rows_match_the_numpy_grid_bit_for_bit(form, grid):
 @example(ALL_TINY, 3)
 @given(quantum_forms(), st.integers(1, 100))
 def test_exact_payoff_surface_rows_match_the_fraction_loop(form, grid):
-    assert payoff_surface_rows(form, grid, exact=True) == padic_surface_rows_reference(form, grid)
+    assert list(payoff_surface_rows(form, grid, exact=True)) == padic_surface_rows_reference(
+        form, grid)
 
 
 # ---------------------------------------------------------------------------

@@ -1,6 +1,7 @@
 """Tests for the exact classical form of the identity/bit-flip quantumization,
 against the Kraus-sum channel and the grid search as reference oracles."""
 
+import itertools
 import math
 from fractions import Fraction
 
@@ -52,7 +53,7 @@ def test_payoffs_match_kraus_diagonal():
 
 def test_surface_is_the_exact_payoff_rounded():
     form = ClassicalForm(scenario("bos"), F(9, 25))
-    rows = quantum.payoff_surface_rows(form, 20)[1:]
+    rows = list(quantum.payoff_surface_rows(form, 20))[1:]
     for k, row in enumerate(rows):
         # 17 significant digits read back to the same binary64 values
         p, q, pay1, pay2 = map(float, row.split(","))
@@ -61,6 +62,30 @@ def test_surface_is_the_exact_payoff_rounded():
         assert abs(pay1 - float(want[0])) <= 1e-14
         assert abs(pay2 - float(want[1])) <= 1e-14
     assert len(rows) == 21 * 21
+
+
+@pytest.mark.parametrize("exact", [False, True], ids=["float", "exact"])
+def test_surface_rows_are_made_as_they_are_read(exact):
+    # built whole, this grid would hold 10^10 rows
+    form = ClassicalForm(scenario("bos"), F(1, 2))
+    head = list(itertools.islice(quantum.payoff_surface_rows(form, 10**5, exact), 3))
+    assert head[0] == "p,q,payoff1,payoff2"
+    for j, row in enumerate(head[1:]):
+        p, q, pay1, pay2 = map(F, row.split(","))
+        want = form.payoffs(F(0), F(j, 10**5))
+        if exact:
+            assert (p, q, pay1, pay2) == (0, F(j, 10**5), *want)
+        else:
+            assert (float(p), float(q)) == (0.0, j / 10**5)
+            assert abs(pay1 - want[0]) <= 1e-14 and abs(pay2 - want[1]) <= 1e-14
+
+
+def test_a_payoff_beyond_binary64_is_refused_at_the_call():
+    huge = StrategicGame([["a", "b"], ["c", "d"]], [[(F(10) ** 400, 3), (0, 0)], [(0, 0), (1, 1)]])
+    form = ClassicalForm(huge, F(1, 2))
+    with pytest.raises(errors.InvalidArgument, match="binary64 range"):
+        quantum.payoff_surface_rows(form, 2)
+    assert next(quantum.payoff_surface_rows(form, 2, exact=True)) == "p,q,payoff1,payoff2"
 
 
 @pytest.mark.parametrize("name", ["bos", "pd", "matching-pennies"])
