@@ -307,7 +307,7 @@ def cmd_evolve(args):
         raise errors.InvalidArgument("no initial state: pass --p0 or use a scenario with default_p0")
     raw = [gamefile.parse_rational(tok.strip(), "p0") for tok in p0_text.split(",")]
     if len(raw) != g.n:
-        raise errors.InvalidState(f"p0 has {len(raw)} coordinates for an {g.n}-strategy game")
+        raise errors.InvalidState(f"p0 has {len(raw)} coordinates for a game of {g.n} strategies")
     total = sum(raw)
     if abs(total - 1) > 1e-9:
         raise errors.InvalidState("p0 does not sum to 1 within 1e-9")

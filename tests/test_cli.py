@@ -528,11 +528,14 @@ def test_evolve_american_values(tmp_path):
     assert len(rep["time_average"]) == 10
 
 
-def test_evolve_validates_p0(tmp_path):
+def test_evolve_validates_p0(tmp_path, capsys):
     code = main(
         ["evolve", "--in", "rps", "--p0", "1/2,1/2,1/2", "--out", str(tmp_path / "o")]
     )
     assert code == EXIT_VALIDATION
+    code = main(["evolve", "--in", "rps", "--p0", "1/2,1/2", "--out", str(tmp_path / "o")])
+    assert code == EXIT_VALIDATION
+    assert "p0 has 2 coordinates for a game of 3 strategies" in capsys.readouterr().err
 
 
 @pytest.mark.parametrize("p0", ["1/2,,1/2", ",1/2,1/2,"])

@@ -11,6 +11,7 @@ from hypothesis import strategies as st
 from gtkit import errors, gamefile
 from gtkit.evolution import (
     SUM_TOL,
+    EssReport,
     EvolutionGame,
     SimplexState,
     Trajectory,
@@ -135,6 +136,8 @@ def test_replicator_rhs():
     assert np.allclose(r, [0.25, -0.25], atol=1e-15)
     with pytest.raises(errors.InvalidState):
         replicator_rhs(g2, [0.5, 0.6])
+    with pytest.raises(errors.InvalidArgument, match="2 coordinates for a game of 3 strategies"):
+        replicator_rhs(g, [0.5, 0.5])
 
 
 def test_tangency_property():
@@ -627,6 +630,18 @@ def test_american_values_nash_state_has_an_equal_invader():
     best = max(sum(A[i][j] * p[j] for j in range(10)) for i in range(10))
     assert form(x, p) == form(p, p) == best  # x is a best reply to p
     assert form(p, x) == form(x, x)  # ... and does as well against itself: p is no ESS
+
+
+def test_american_values_ess_reports_are_pinned():
+    # verdicts and resolutions of the sampled grid, in rest-point order
+    g = gamefile.load_scenario("american-values-10").game
+    reports, _ = rest_point_reports(g)
+    assert [ess_check(g, rep.point) for rep in reports if rep.is_nash] == [
+        EssReport(True, "sampled-1/64"),
+        EssReport(False, "sampled-1/32"),
+        EssReport(False, "sampled-1/32"),
+        EssReport(True, "sampled-1/32"),
+    ]
 
 
 @pytest.mark.xfail(

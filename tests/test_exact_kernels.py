@@ -1,13 +1,15 @@
 """The exact kernels against the reference implementations they replaced.
 
-`solve_exact` eliminates on integer rows, the sampled ESS grid tests signs of
-an integer quadratic form, the exact ESS face decision enumerates KKT
-supports, and support enumeration, rest points and the ESS kernel share one
-`equalizer` system on blocks scaled once to integers; the rational
-algorithms, the vertex/edge/critical-line geometry and the per-caller
-indifference systems they replaced are kept here as oracles, each solving
-with this file's own `solve_exact_fraction` rather than the kernel it checks,
-and both must give identical statuses, solutions and verdicts.
+`solve_exact` eliminates on integer rows, the sampled ESS grid decides each
+grid line from the closed-form minimum of an integer quadratic, the exact
+ESS face decision enumerates KKT supports, and support enumeration, rest
+points and the ESS kernel share one `equalizer` system on blocks scaled once
+to integers; the rational algorithms, the vertex/edge/critical-line geometry
+and the per-caller indifference systems they replaced are kept here as
+oracles, each solving with this file's own `solve_exact_fraction` rather than
+the kernel it checks, and both must give identical statuses, solutions and
+verdicts.  The line-by-line grid is also held to the point-by-point integer
+walk it replaced.
 The compiled straight-line RK4 step and the trajectory CSV formatter are
 held to their loop forms bit for bit, the time average and the recurrence
 test on the flat trajectory to the numpy forms they replaced, and the
@@ -23,6 +25,7 @@ import itertools
 import math
 import operator
 from fractions import Fraction
+from operator import mul
 
 import numpy as np
 import pytest
@@ -255,6 +258,33 @@ def sampled_face_is_ess_fraction(c, M, x_star, resolution):
         if x == x_star:
             continue
         if psi_value(c, M, x) <= 0:
+            return False
+    return True
+
+
+# The point-by-point integer walk that the line-by-line `_sampled_face_is_ess`
+# replaced, one quadratic form per grid point.
+
+
+def sampled_walk_reference(c, M, x_star, resolution):
+    """psi > 0 at every grid point k/resolution of the face other than x_star.
+
+    On the face simplex c . x = x^T (c 1^T) x, so psi(x) = x^T Q x with
+    Q = c 1^T - M.  Scaled by the lcm D of its denominators, Q becomes the
+    integer matrix Qi, and psi(k/R) = k^T Qi k / (D R^2): the sign test runs
+    on integers.  Compositions k of R are walked in a fixed order and the
+    walk stops at the first point with psi <= 0.
+    """
+    m = len(c)
+    _, Qi = scaled([[ck - mkl for mkl in row] for ck, row in zip(c, M)])
+    on_grid = [q * resolution for q in x_star]
+    skip = [int(q) for q in on_grid] if all(q.denominator == 1 for q in on_grid) else None
+    bars = resolution + m - 1
+    for combo in itertools.combinations(range(bars), m - 1):
+        k = [b - a - 1 for a, b in zip((-1, *combo), (*combo, bars))]
+        if k == skip:
+            continue
+        if sum(ki * sum(map(mul, row, k)) for ki, row in zip(k, Qi) if ki) <= 0:
             return False
     return True
 
@@ -877,6 +907,69 @@ def test_sampled_grid_matches_fraction_grid_on_american_values():
         assert _sampled_face_is_ess(c, M, x_star, 8) == sampled_face_is_ess_fraction(
             c, M, x_star, 8
         )
+        # the resolution ess_check samples these faces at
+        resolution = 64 if len(face) == 4 else 32
+        assert _sampled_face_is_ess(c, M, x_star, resolution) == sampled_walk_reference(
+            c, M, x_star, resolution
+        )
+
+
+@st.composite
+def grid_line_problems(draw):
+    """(c, M, x_star, resolution) with the curvature of the grid lines and the
+    place of x_star on them chosen.
+
+    A grid line trades units between the last two coordinates a, b, and along
+    it k^T Q k has curvature M[a][b] + M[b][a] - M[a][a] - M[b][b] whatever c
+    is; M[b][b] is set to make it negative, zero or positive.  x_star lies on
+    the grid at t = 0 or t = r of its line, at a vertex or anywhere, or off it.
+    """
+    m = draw(st.integers(2, 6))
+    resolution = draw(st.sampled_from([1, 2, 3, 4, 5, 8, 16]))
+    entries = st.builds(F, st.integers(-3, 3), st.sampled_from([1, 1, 2, 3]))
+    M = [draw(st.lists(entries, min_size=m, max_size=m)) for _ in range(m)]
+    if draw(st.booleans()):
+        M = [[M[i][j] - (6 if i == j else 0) for j in range(m)] for i in range(m)]
+    a, b = m - 2, m - 1
+    curvature = draw(st.sampled_from([F(-2), F(-1, 2), F(0), F(1, 3), F(4)]))
+    M[b][b] = M[a][b] + M[b][a] - M[a][a] - curvature
+    cuts = sorted(draw(st.lists(st.integers(0, resolution), min_size=m - 1, max_size=m - 1)))
+    k = [y - x for x, y in zip([0, *cuts], [*cuts, resolution])]
+    place = draw(st.sampled_from(["t = 0", "t = r", "vertex", "on the grid", "off the grid"]))
+    if place == "t = 0":
+        k[a], k[b] = 0, k[a] + k[b]
+    elif place == "t = r":
+        k[a], k[b] = k[a] + k[b], 0
+    elif place == "vertex":
+        i = draw(st.integers(0, m - 1))
+        k = [resolution * (j == i) for j in range(m)]
+    x_star = [F(q, resolution) for q in k]
+    if place == "off the grid":
+        i = draw(st.sampled_from([j for j in range(m) if k[j]]))
+        j = draw(st.sampled_from([j for j in range(m) if j != i]))
+        x_star[i] -= F(1, 2 * resolution)
+        x_star[j] += F(1, 2 * resolution)
+    x_star = tuple(x_star)
+    if draw(st.booleans()):
+        c = [sum(x_star[i] * M[i][k] for i in range(m)) for k in range(m)]
+    else:
+        c = draw(st.lists(entries, min_size=m, max_size=m))
+    return c, M, x_star, resolution
+
+
+@settings(max_examples=300, deadline=None)
+@example(  # k^T Q k on the line (t, 4 - t): 16, -2, -8, -2, 16; the minimum is at -h/g
+    ([F(0), F(0)], [[F(-1), F(2)], [F(2), F(-1)]], (F(1, 3), F(2, 3)), 4)
+)
+@example(  # 6688, 2848, 608, -32, 928, ...: -h/g = 2.9, so only the integer after it is <= 0
+    ([F(0), F(0)], [[F(-649, 2), F(371, 2)], [F(371, 2), F(-209, 2)]], (F(1, 3), F(2, 3)), 8)
+)
+@given(grid_line_problems())
+def test_line_by_line_grid_matches_the_point_walk(problem):
+    c, M, x_star, resolution = problem
+    assert _sampled_face_is_ess(c, M, x_star, resolution) == sampled_walk_reference(
+        c, M, x_star, resolution
+    )
 
 
 # ---------------------------------------------------------------------------
