@@ -3,7 +3,9 @@
 Small dense systems only; everything downstream is desk scale (n <= 10).
 A caller scales its rational matrix to integers once (`scaled`) and hands the
 kernel integer rows; solutions come back as integer numerators over one
-common positive denominator.
+common positive denominator.  `support_equalizers` solves the equalizer
+systems of many sub-blocks of one matrix from a shared table of minors and
+eliminates only the singular ones.
 """
 
 from __future__ import annotations
@@ -101,3 +103,69 @@ def equalizer(block):
     rows.append([1] * len(first))
     status, num, den = solve_exact(rows, [0] * (len(block) - 1) + [1])
     return (status, num, den) if status == "unique" else (status, None, None)
+
+
+def support_equalizers(rows):
+    """A solver ``(own, opp) -> equalizer(rows[own][opp])`` for the equal-size
+    sub-blocks of one integer matrix, with the same ``(status, num, den)``.
+
+    Cramer's rule on the bordered system ``[[block, 1], [1ᵀ, 0]]``: the
+    weight on the b-th of k columns is ``(-1)^(k-1-b) det[block without
+    column b | 1]``, and the common denominator ``-det [[block, 1], [1ᵀ, 0]]``
+    is, expanded along its ones row, the sum of those weights.  Each such
+    determinant is a minor of ``[rows | 1]``.  The minors are memoised by
+    (row bitmask, column bitmask) and expanded along the lowest row of their
+    row set, so the blocks of one matrix share their sub-minors; the table
+    is filled only as far as the blocks asked for need it.  A block whose
+    denominator is 0 has no unique solution, and `equalizer` on that block
+    decides between "none" and "many".
+    """
+    n = len(rows[0])
+    ext = [[*row, 1] for row in rows]  # column n is the ones column
+    ones = 1 << n
+    shift = n + 1
+    memo = {}
+
+    def minor(rmask, cmask):
+        key = rmask << shift | cmask
+        det = memo.get(key)
+        if det is None:
+            low = rmask & -rmask
+            row = ext[low.bit_length() - 1]
+            rest = rmask ^ low
+            if not rest:
+                det = row[cmask.bit_length() - 1]
+            else:
+                det = 0
+                negate = False
+                c = cmask
+                while c:
+                    bit = c & -c
+                    c ^= bit
+                    a = row[bit.bit_length() - 1]
+                    if a:
+                        sub = a * minor(rest, cmask ^ bit)
+                        det = det - sub if negate else det + sub
+                    negate = not negate
+            memo[key] = det
+        return det
+
+    def solve(own, opp):
+        rmask = 0
+        for i in own:
+            rmask |= 1 << i
+        cmask = ones
+        for j in opp:
+            cmask |= 1 << j
+        num = [minor(rmask, cmask ^ (1 << j)) for j in opp]
+        for b in range(len(num) - 2, -1, -2):  # (-1)^(k-1-b) is -1 at b = k-2, k-4, ...
+            num[b] = -num[b]
+        den = sum(num)
+        if not den:
+            return equalizer([[rows[i][j] for j in opp] for i in own])
+        g = math.gcd(den, *num)
+        if den < 0:
+            g = -g
+        return "unique", [v // g for v in num], den // g
+
+    return solve

@@ -17,7 +17,7 @@ from operator import ge, mul
 
 from . import errors
 # solve_exact stays a name here because perfbench/tracing.py rebinds games.solve_exact.
-from ._linsolve import equalizer, scaled, solve_exact  # noqa: F401
+from ._linsolve import scaled, solve_exact, support_equalizers  # noqa: F401
 
 
 def as_fraction(value):
@@ -408,11 +408,15 @@ def support_enumeration(game):
     """Equilibria of a 2-player game by exact support enumeration.
 
     Enumerates equal-size support pairs (a nondegenerate game has no
-    equilibrium with unequal supports), solves each player's `equalizer`
+    equilibrium with unequal supports), solves each player's equalizer
     system for the opponent's mixture, and keeps solutions with positive
-    support probabilities and no profitable outside deviation.  Returns the
-    full equilibrium list for nondegenerate games, sorted canonically; the
-    first support pair whose system has many solutions raises DegenerateGame.
+    support probabilities and no profitable outside deviation.  The systems
+    of all pairs are solved by Cramer's rule from one memoised table of
+    minors per payoff matrix (`_linsolve.support_equalizers`); only a
+    singular bordered system goes to Bareiss elimination, which tells "none"
+    from "many".  Returns the full equilibrium list for nondegenerate games,
+    sorted canonically; the first support pair whose system has many
+    solutions raises DegenerateGame.
     """
     if game.n_players != 2:
         raise errors.UnsupportedShape("support enumeration handles 2-player games only")
@@ -423,8 +427,10 @@ def support_enumeration(game):
     _, A = scaled([[table[i, j][0] for j in range(n)] for i in range(m)])
     _, Bt = scaled([[table[i, j][1] for i in range(m)] for j in range(n)])
 
-    def solve(rows, own, opp, pair):
-        status, num, den = equalizer([[rows[i][j] for j in opp] for i in own])
+    solve_a, solve_bt = support_equalizers(A), support_equalizers(Bt)
+
+    def solve(solver, own, opp, pair):
+        status, num, den = solver(own, opp)
         if status == "many":
             raise errors.DegenerateGame(
                 f"solution continuum on support pair {pair}: the game is degenerate"
@@ -446,10 +452,10 @@ def support_enumeration(game):
     for k in range(1, min(m, n) + 1):
         for sup1 in itertools.combinations(range(m), k):
             for sup2 in itertools.combinations(range(n), k):
-                num2, den2 = solve(A, sup1, sup2, (sup1, sup2))
+                num2, den2 = solve(solve_a, sup1, sup2, (sup1, sup2))
                 if num2 is None:
                     continue
-                num1, den1 = solve(Bt, sup2, sup1, (sup1, sup2))
+                num1, den1 = solve(solve_bt, sup2, sup1, (sup1, sup2))
                 if num1 is None or min(num1) <= 0 or min(num2) <= 0:
                     continue
                 if beaten(A, sup1, sup2, num2) or beaten(Bt, sup2, sup1, num1):
@@ -733,15 +739,3 @@ def best_response_dynamics(game, start, max_steps=None):
         seen[current] = len(trace)
         trace.append(current)
 
-
-def affine_transform(game, player, a, b):
-    """Rescale one player's payoffs u <- a*u + b (a > 0 preserves all argmax structure)."""
-    a, b = as_fraction(a), as_fraction(b)
-    if a <= 0:
-        raise errors.InvalidArgument("affine payoff rescaling needs a > 0")
-    table = {}
-    for profile, u in game._table.items():
-        u = list(u)
-        u[player] = a * u[player] + b
-        table[profile] = tuple(u)
-    return StrategicGame._checked(game.strategy_names, table)

@@ -9,7 +9,8 @@ and the per-caller indifference systems they replaced are kept here as
 oracles, each solving with this file's own `solve_exact_fraction` rather than
 the kernel it checks, and both must give identical statuses, solutions and
 verdicts.  The line-by-line grid is also held to the point-by-point integer
-walk it replaced.
+walk it replaced, and the memoised minor table of support enumeration to
+`equalizer` on every block.
 The compiled straight-line RK4 step and the trajectory CSV formatter are
 held to their loop forms bit for bit, the time average and the recurrence
 test on the flat trajectory to the numpy forms they replaced, and the
@@ -24,6 +25,7 @@ import functools
 import itertools
 import math
 import operator
+import random
 from fractions import Fraction
 from operator import mul
 
@@ -32,8 +34,8 @@ import pytest
 from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
-from gtkit import errors, gamefile, games, padic
-from gtkit._linsolve import equalizer, scaled, solve_exact
+from gtkit import _linsolve, errors, gamefile, games, padic
+from gtkit._linsolve import equalizer, scaled, solve_exact, support_equalizers
 from gtkit.evolution import (
     CLAMP,
     DIVERGE_TOL,
@@ -1104,6 +1106,31 @@ def test_scaling_a_block_leaves_its_equalizer_solution_alone(block, factor):
         assert oracle == ("unique", [F(q, den) for q in num])
 
 
+@st.composite
+def integer_matrices(draw):
+    """m x n integer rows, m, n <= 5, with entries in {-1, 0, 1}, where singular
+    bordered systems are common, or up to +-999."""
+    m, n = draw(st.integers(1, 5)), draw(st.integers(1, 5))
+    entry = draw(st.sampled_from([st.integers(-1, 1), st.integers(-999, 999)]))
+    return [draw(st.lists(entry, min_size=n, max_size=n)) for _ in range(m)]
+
+
+@settings(max_examples=300, deadline=None)
+@example([[1] * 5 for _ in range(5)], random.Random(0))  # every block of size 2 or more is "many"
+@example([[3, -1, 2], [0, 0, 0], [1, 4, -2]], random.Random(0))  # a zero row
+@example([[2, -7, 0, 5, 1]], random.Random(0))  # one row: only 1 x 1 blocks
+@given(integer_matrices(), st.randoms(use_true_random=False))
+def test_support_equalizers_match_equalizer_on_every_block(rows, rnd):
+    m, n = len(rows), len(rows[0])
+    blocks = [(own, opp) for k in range(1, min(m, n) + 1)
+              for own in itertools.combinations(range(m), k)
+              for opp in itertools.combinations(range(n), k)]
+    rnd.shuffle(blocks)  # the table is filled in whatever order the blocks are asked for
+    solve = support_equalizers(rows)
+    for own, opp in blocks:
+        assert solve(own, opp) == equalizer([[rows[i][j] for j in opp] for i in own])
+
+
 def outcome(fn, *args):
     """fn(*args), or the type and message of the gtkit error it raised."""
     try:
@@ -1151,6 +1178,66 @@ def wide_bimatrix_games(draw):
 @given(st.one_of(small_bimatrix_games(), wide_bimatrix_games()))
 def test_support_enumeration_matches_indifference_reference(game):
     assert outcome(support_enumeration, game) == outcome(support_enumeration_reference, game)
+
+
+def bimatrix_5x5(seed, equal_rows=False, equal_b_columns=False):
+    """A seeded 5 x 5 game with payoffs in [-999, 999]; rows 0 and 1 equal for
+    both players (the benchmark's degenerate games), or player 2's columns 0
+    and 1 equal."""
+    rnd = random.Random(seed)
+    cells = [[[rnd.randint(-999, 999), rnd.randint(-999, 999)] for _ in range(5)] for _ in range(5)]
+    if equal_rows:
+        cells[1] = [list(cell) for cell in cells[0]]
+    if equal_b_columns:
+        for row in cells:
+            row[1][1] = row[0][1]
+    names = [[f"r{i}" for i in range(5)], [f"c{j}" for j in range(5)]]
+    return StrategicGame(names, [[tuple(cell) for cell in row] for row in cells])
+
+
+def counted_solve_exact(monkeypatch):
+    """Record each `_linsolve.solve_exact` call, as `equalizer` makes it."""
+    calls = []
+    real = _linsolve.solve_exact
+
+    def counted(rows, rhs):
+        calls.append(len(rows))
+        return real(rows, rhs)
+
+    monkeypatch.setattr(_linsolve, "solve_exact", counted)
+    return calls
+
+
+def test_a_nondegenerate_game_makes_no_elimination(monkeypatch):
+    game = bimatrix_5x5(1)
+    calls = counted_solve_exact(monkeypatch)
+    found = support_enumeration(game)
+    assert calls == []
+    assert found and found == support_enumeration_reference(game)
+
+
+DEGENERATE_AT_FIRST_2_SUPPORTS = (
+    "DegenerateGame",
+    "solution continuum on support pair ((0, 1), (0, 1)): the game is degenerate",
+)
+
+
+def test_equal_rows_are_degenerate_at_the_first_pair_of_2_supports(monkeypatch):
+    game = bimatrix_5x5(2, equal_rows=True)
+    calls = counted_solve_exact(monkeypatch)
+    assert outcome(support_enumeration, game) == DEGENERATE_AT_FIRST_2_SUPPORTS
+    assert calls == [2]  # player 1's block of the pair goes to Bareiss; no other block does
+    assert outcome(support_enumeration_reference, game) == DEGENERATE_AT_FIRST_2_SUPPORTS
+
+
+def test_equal_columns_of_player_2_take_the_fallback_on_the_transposed_side(monkeypatch):
+    game = bimatrix_5x5(3, equal_b_columns=True)
+    block = [[game.payoff((i, j))[0].numerator for j in (0, 1)] for i in (0, 1)]
+    assert equalizer(block)[0] == "unique"  # so the pair reaches player 2's system
+    calls = counted_solve_exact(monkeypatch)
+    assert outcome(support_enumeration, game) == DEGENERATE_AT_FIRST_2_SUPPORTS
+    assert calls == [2]  # its B^T block, two equal rows, goes to Bareiss
+    assert outcome(support_enumeration_reference, game) == DEGENERATE_AT_FIRST_2_SUPPORTS
 
 
 @st.composite

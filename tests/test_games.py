@@ -12,7 +12,7 @@ from gtkit.games import (
     CongestionGame,
     CycleReport,
     StrategicGame,
-    affine_transform,
+    as_fraction,
     best_response_dynamics,
     best_responses,
     check_potential,
@@ -499,6 +499,19 @@ def test_best_response_dynamics_cycle_and_fixpoint():
 
 # ---------------------------------------------------------------------------
 # invariance properties
+
+
+def affine_transform(game, player, a, b):
+    """Rescale one player's payoffs u <- a*u + b (a > 0 preserves all argmax structure)."""
+    a, b = as_fraction(a), as_fraction(b)
+    if a <= 0:
+        raise errors.InvalidArgument("affine payoff rescaling needs a > 0")
+    table = {}
+    for profile, u in game._table.items():
+        u = list(u)
+        u[player] = a * u[player] + b
+        table[profile] = tuple(u)
+    return StrategicGame._checked(game.strategy_names, table)
 
 
 @settings(max_examples=30, deadline=None)
