@@ -42,12 +42,17 @@ proj = pq.SOVM([
     pq.PAdicOperator.from_rationals([[0, 0], [0, 1]], P, MU, N),
 ])
 dist = pq.measurement_distribution(rho, proj)
-print("rho = diag(2, -1) is self-adjoint with trace 1; measuring it gives",
-      tuple(map(str, dist.entries)))
-print("   entries outside [0,1], yet they sum to", sum(dist.entries),
-      "- a legitimate p-adic probability distribution")
+print("rho = diag(2, -1) is self-adjoint with trace 1; measuring it gives the 7-adic values")
+for value in dist:
+    print("   ", pa.format_padic(value))
+print("   these are the expansions of 2 and -1:",
+      dist == tuple(pa.padic_from_rational(v, 1, P, N) for v in (2, -1)))
+print("   read as rationals they lie outside [0,1], yet they sum to",
+      pa.format_padic(dist[0] + dist[1]), "= 1 - a legitimate p-adic probability distribution")
 ident = pq.PAdicOperator.identity(2, P, MU, N)
-print("omega_rho(I) =", pq.omega(rho, ident).x.to_rational(), "(normalization)")
+norm = pq.omega(rho, ident).x
+print("omega_rho(I) =", pa.format_padic(norm), "(normalization);",
+      "its rational reconstruction is", norm.to_rational())
 
 header("p-adically quantumizing the Battle of the Sexes in Q_7")
 bos = load_scenario("bos").game

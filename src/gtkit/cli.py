@@ -308,10 +308,7 @@ def cmd_evolve(args):
     raw = [gamefile.parse_rational(tok.strip(), "p0") for tok in p0_text.split(",")]
     if len(raw) != g.n:
         raise errors.InvalidState(f"p0 has {len(raw)} coordinates for a game of {g.n} strategies")
-    total = sum(raw)
-    if abs(total - 1) > 1e-9:
-        raise errors.InvalidState("p0 does not sum to 1 within 1e-9")
-    p0 = evolution.SimplexState([v / total for v in raw])
+    p0 = evolution.SimplexState(raw)
     evolution.check_face_walk(g)
 
     traj = evolution.integrate(g, p0, t_end=args.t_end, h=args.h)

@@ -111,7 +111,7 @@ class SimplexState:
     def __init__(self, probs):
         exact, p = _entries(probs)
         if any(q < 0 for q in exact) or sum(exact) != 1:
-            raise errors.InvalidState(f"not an exact simplex point: {exact}")
+            raise errors.InvalidState(f"not an exact simplex point: ({', '.join(map(str, exact))})")
         self.exact, self.p = exact, p
 
     @property
@@ -636,17 +636,6 @@ def fisher_rate_check(g, state):
     # (A + A^T) p, row by row and column by column
     both = [ui + _dot(col, p) for ui, col in zip(u, zip(*g.matrix))]
     return abs(_dot(r, both) - 2.0 * _dot(r, h))
-
-
-def power_product_rate(g, state, alphas):
-    """Analytic derivative of V(p) = prod p_i**alpha_i along the replicator flow."""
-    p = _state_array(g, state)
-    alphas = tuple(map(float, alphas))
-    if len(alphas) != len(p):
-        raise errors.InvalidArgument(f"{len(alphas)} exponents for {len(p)} strategies")
-    if any(v <= 0 for v in p):
-        raise errors.InvalidArgument("power product needs an interior state")
-    return math.prod(map(pow, p, alphas)) * _dot(alphas, _payoffs(g, p)[2])
 
 
 # ---------------------------------------------------------------------------

@@ -258,28 +258,6 @@ def expected_payoff(game, mixed):
     )
 
 
-def best_responses(game, player, opponents):
-    """Argmax set of pure strategies for `player` against the opponents' mixed profile.
-
-    `opponents` maps every other player's index to their probability vector.
-    """
-    if not (0 <= player < game.n_players):
-        raise errors.InvalidProfile(f"no player {player}")
-    probs = {}
-    for j in range(game.n_players):
-        if j == player:
-            continue
-        if j not in opponents:
-            raise errors.InvalidProfile(f"missing mixed strategy for player {j}")
-        vec = tuple(as_fraction(q) for q in opponents[j])
-        if len(vec) != game.shape[j] or any(q < 0 for q in vec) or sum(vec) != 1:
-            raise errors.InvalidProfile(f"player {j}: not a probability vector")
-        probs[j] = vec
-    values = _strategy_values(game, player, probs)
-    top = max(values)
-    return {s for s, v in enumerate(values) if v == top}
-
-
 # ---------------------------------------------------------------------------
 # equilibria
 

@@ -395,20 +395,6 @@ def parse_padic(text):
         raise errors.ParseError(f"bad p-adic literal {text!r}: {exc}") from exc
 
 
-def format_ext(z):
-    """Extension-element literal "x|y" meaning x + y*sqrt(mu), components in literal form."""
-    return f"{format_padic(z.x)}|{format_padic(z.y)}"
-
-
-def parse_ext(text, mu):
-    """Parse the "x|y" literal produced by format_ext."""
-    try:
-        x_s, y_s = text.split("|")
-    except ValueError as exc:
-        raise errors.ParseError(f"bad extension literal {text!r}: expected 'x|y'") from exc
-    return PAdicExtElement(parse_padic(x_s), parse_padic(y_s), mu)
-
-
 # ---------------------------------------------------------------------------
 # quadratic extension Q_p(sqrt(mu))
 

@@ -3,10 +3,10 @@ quantumization of 2x2 games.
 
 States are statistical operators (self-adjoint, trace 1); measurements are
 self-adjoint operator-valued measures (SOVMs) whose outcome values form
-p-adic probability distributions: rational sequences summing to exactly 1
-whose entries may be negative or exceed 1.  No sampling is ever performed;
-p-adic probabilities are not frequencies, so the module reports
-distributions only.
+p-adic probability distributions: elements of Q_p, known to the precision
+the arithmetic leaves them, that sum to 1, while the rationals they expand
+may be negative or exceed 1.  No sampling is ever performed; p-adic
+probabilities are not frequencies, so the module reports distributions only.
 """
 
 from __future__ import annotations
@@ -26,11 +26,9 @@ from .padic import (
     ext_eq,
     ext_norm,
     ext_zero,
-    format_ext,
     hensel_sqrt,
     is_square,
     padic_from_rational,
-    parse_ext,
     rational_norm,
     rational_valuation,
 )
@@ -66,12 +64,12 @@ def _component_precisions(elements):
     return {c.precision for z in elements for c in (z.x, z.y) if not c.is_zero}
 
 
-def _extension_of(elements, what, uniform=True):
+def _extension_of(elements, what):
     """(p, mu) shared by the elements, whose non-zero components share one precision."""
     p, mu = elements[0].p, elements[0].mu
     if any(z.p != p or z.mu != mu for z in elements):
         raise errors.PrimeMismatch(f"{what} from different extensions")
-    if uniform and len(_component_precisions(elements)) > 1:
+    if len(_component_precisions(elements)) > 1:
         raise errors.InvalidArgument(f"mixed-precision {what} are rejected rather than coerced")
     return p, mu
 
@@ -117,14 +115,21 @@ class PAdicVector:
 class PAdicOperator:
     """Square matrix of extension elements over one space."""
 
-    def __init__(self, entries, _validate_uniform=True):
+    def __init__(self, entries):
         rows = tuple(tuple(row) for row in entries)
         n = len(rows)
         if n == 0 or any(len(row) != n for row in rows):
             raise errors.InvalidArgument("operator must be a non-empty square matrix")
         flat = [z for row in rows for z in row]
-        self.p, self.mu = _extension_of(flat, "operator entries", _validate_uniform)
+        self.p, self.mu = _extension_of(flat, "operator entries")
         self.entries = rows
+
+    @classmethod
+    def _checked(cls, rows, p, mu):
+        """Rows that arithmetic built from checked operators; cancellation may mix precisions."""
+        m = cls.__new__(cls)
+        m.p, m.mu, m.entries = p, mu, tuple(map(tuple, rows))
+        return m
 
     @property
     def n(self):
@@ -144,7 +149,7 @@ class PAdicOperator:
     def _entrywise(self, other, op):
         self._check(other)
         rows = zip(self.entries, other.entries)
-        return PAdicOperator([list(map(op, ra, rb)) for ra, rb in rows], _validate_uniform=False)
+        return PAdicOperator._checked([map(op, ra, rb) for ra, rb in rows], self.p, self.mu)
 
     def __add__(self, other):
         return self._entrywise(other, operator.add)
@@ -164,7 +169,7 @@ class PAdicOperator:
                     acc = acc + self.entries[i][k] * other.entries[k][j]
                 row.append(acc)
             out.append(row)
-        return PAdicOperator(out, _validate_uniform=False)
+        return PAdicOperator._checked(out, self.p, self.mu)
 
     def _check(self, other):
         if not isinstance(other, PAdicOperator):
@@ -178,11 +183,8 @@ class PAdicOperator:
 
 def adjoint(m):
     """Conjugate transpose under the extension involution."""
-    n = m.n
-    return PAdicOperator(
-        [[ext_conj(m.entries[j][i]) for j in range(n)] for i in range(n)],
-        _validate_uniform=False,
-    )
+    return PAdicOperator._checked(
+        [map(ext_conj, column) for column in zip(*m.entries)], m.p, m.mu)
 
 
 def trace(m):
@@ -202,16 +204,21 @@ def is_self_adjoint(m):
     return operators_equal(m, adjoint(m))
 
 
+def _check_state(m):
+    """InvalidState unless the operator is self-adjoint with trace 1 at its working precision."""
+    if not is_self_adjoint(m):
+        raise errors.InvalidState("statistical operator must be self-adjoint")
+    one = PAdicExtElement.from_rationals(1, 0, m.p, m.mu, _working_precision(m))
+    if not ext_eq(trace(m), one):
+        raise errors.InvalidState("statistical operator must have trace 1")
+
+
 class StatisticalOperator(PAdicOperator):
     """Self-adjoint operator of trace 1: a p-adic quantum state."""
 
-    def __init__(self, entries, _validate_uniform=True):
-        super().__init__(entries, _validate_uniform=_validate_uniform)
-        if not is_self_adjoint(self):
-            raise errors.InvalidState("statistical operator must be self-adjoint")
-        one = PAdicExtElement.from_rationals(1, 0, self.p, self.mu, _working_precision(self))
-        if not ext_eq(trace(self), one):
-            raise errors.InvalidState("statistical operator must have trace 1")
+    def __init__(self, entries):
+        super().__init__(entries)
+        _check_state(self)
 
 
 class SOVM:
@@ -240,21 +247,6 @@ class SOVM:
 
     def __len__(self):
         return len(self.members)
-
-
-def operator_to_json(m):
-    """JSON-ready dict: a matrix of "x|y" extension-element literals."""
-    return {
-        "p": m.p,
-        "mu": m.mu,
-        "entries": [[format_ext(z) for z in row] for row in m.entries],
-    }
-
-
-def operator_from_json(doc):
-    mu = doc["mu"]
-    entries = [[parse_ext(text, mu) for text in row] for row in doc["entries"]]
-    return PAdicOperator(entries)
 
 
 # ---------------------------------------------------------------------------
@@ -323,38 +315,29 @@ def isotropic_witness(p, n=DEFAULT_PRECISION):
 
 
 def omega(rho, sigma):
-    """The state functional omega_rho(sigma) = tr(rho sigma)."""
+    """The state functional tr(rho sigma); a rho built as a plain operator is checked as a state."""
     if not isinstance(rho, StatisticalOperator):
-        rho = StatisticalOperator(rho.entries, _validate_uniform=False)
+        _check_state(rho)
     return trace(rho @ sigma)
 
 
-def _ext_to_rational(z):
-    """Exact rational view of an extension element with vanishing sqrt(mu) part."""
-    if not z.y.is_zero:
-        raise errors.InvalidState("value has a nonzero sqrt(mu) part")
-    return z.x.to_rational()
-
-
 def measurement_distribution(rho, sovm):
-    """Outcome values {tr(rho M_i)}: a p-adic probability distribution.
+    """Outcome values (tr(rho M_i)) as a tuple of `PAdicNumber`s.
 
-    Completeness of the SOVM and tr(rho) = 1 force the values to sum to
-    exactly 1; individual entries may be negative or exceed 1.
-
-    Each value is read back from its p-adic expansion by rational
-    reconstruction (`PAdicNumber.to_rational`), which is exact only when the
-    value's numerator and denominator (its power of p aside) are at most
-    sqrt(p^N / 2) for the precision N.  Past that bound the distribution is
-    wrong and still sums to 1: rho = diag(25/169, 144/169) at p = 7 under
-    the projective SOVM reads (-10, 11) at N = 3 and (33/31, -2/31) at N = 4.
+    Each value is the Q_p part of the trace, at the precision the arithmetic
+    leaves it; no value is read back as a rational.  A trace with a nonzero
+    sqrt(mu) part is InvalidState.  Completeness of the SOVM and tr(rho) = 1
+    make the values sum to 1 at that precision, while the rationals they
+    expand may be negative or exceed 1.
     """
     if not isinstance(sovm, SOVM):
         raise errors.InvalidSOVM("expected a SOVM")
     if rho.n != sovm.n:
         raise errors.InvalidArgument("state and SOVM dimensions differ")
-    values = [_ext_to_rational(omega(rho, m)) for m in sovm.members]
-    return PAdicDistribution(tuple(values), rho.p)
+    values = tuple(omega(rho, m) for m in sovm.members)
+    if any(not z.y.is_zero for z in values):
+        raise errors.InvalidState("value has a nonzero sqrt(mu) part")
+    return tuple(z.x for z in values)
 
 
 # ---------------------------------------------------------------------------

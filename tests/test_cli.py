@@ -538,6 +538,16 @@ def test_evolve_validates_p0(tmp_path, capsys):
     assert "p0 has 2 coordinates for a game of 3 strategies" in capsys.readouterr().err
 
 
+def test_evolve_refuses_a_p0_whose_exact_sum_is_not_1(tmp_path, capsys):
+    # p0 is read exactly, so a sum off 1 by 1e-10 is refused rather than rescaled
+    code, out = run(tmp_path, "evolve", "--in", "rps", "--p0", "0.5,0.25,0.2500000001",
+                    "--t-end", "0.1")
+    assert code == EXIT_VALIDATION
+    assert "not an exact simplex point: (1/2, 1/4, 2500000001/10000000000)" in (
+        capsys.readouterr().err)
+    assert not out.exists()
+
+
 @pytest.mark.parametrize("p0", ["1/2,,1/2", ",1/2,1/2,"])
 def test_evolve_refuses_an_empty_p0_entry(tmp_path, capsys, p0):
     code, out = run(tmp_path, "evolve", "--in", "pd", "--p0", p0, "--t-end", "0.1")

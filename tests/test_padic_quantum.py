@@ -4,6 +4,8 @@ import inspect
 from fractions import Fraction
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from gtkit import errors
 from gtkit.games import StrategicGame
@@ -12,6 +14,9 @@ from gtkit.padic import (
     UltraNorm,
     ext_conj,
     ext_eq,
+    format_padic,
+    padic_from_rational,
+    parse_padic,
 )
 from gtkit.padic_quantum import (
     BILINEAR,
@@ -29,8 +34,6 @@ from gtkit.padic_quantum import (
     isotropic_witness,
     measurement_distribution,
     omega,
-    operator_from_json,
-    operator_to_json,
     operators_equal,
     padic_quantumize_2x2,
     trace,
@@ -198,6 +201,11 @@ def test_a_vector_always_checks_its_precisions():
     assert list(inspect.signature(PAdicVector).parameters) == ["components"]
 
 
+def test_an_operator_always_checks_its_precisions():
+    for cls in (PAdicOperator, StatisticalOperator):
+        assert list(inspect.signature(cls).parameters) == ["entries"]
+
+
 # ---------------------------------------------------------------------------
 # omega functional and measurement
 
@@ -225,34 +233,118 @@ def test_omega_preserves_involution():
     assert ext_eq(omega(rho, adjoint(sigma)), ext_conj(omega(rho, sigma)))
 
 
-def projective_sovm(n=2):
+def test_omega_checks_a_plain_operator_as_a_state():
+    sigma = PAdicOperator.from_rationals([[F(5, 2), 0], [0, 9]], P, MU, N)
+    rho = PAdicOperator.from_rationals([[F(1, 3), (0, 2)], [(0, -2), F(2, 3)]], P, MU, N)
+    # tr(rho sigma) = 5/6 + 6
+    assert ext_eq(omega(rho, sigma), ext(F(41, 6)))
+    for bad in ([[1, (0, 2)], [(0, 2), 0]], [[1, 0], [0, 1]]):  # not self-adjoint; trace 2
+        with pytest.raises(errors.InvalidState):
+            omega(PAdicOperator.from_rationals(bad, P, MU, N), sigma)
+
+
+def projective_sovm(n=2, prec=N):
     members = []
     for i in range(n):
         members.append(
             PAdicOperator.from_rationals(
-                [[1 if (r == c == i) else 0 for c in range(n)] for r in range(n)], P, MU, N
+                [[1 if (r == c == i) else 0 for c in range(n)] for r in range(n)], P, MU, prec
             )
         )
     return SOVM(members)
 
 
+def padic(value, prec=N):
+    return padic_from_rational(value, 1, P, prec)
+
+
+def sums_to_one(values):
+    """The p-adic sum of the values is 1 at the precision it is known to."""
+    total = values[0]
+    for x in values[1:]:
+        total = total + x
+    return (total - padic(1)).is_zero
+
+
+def _pair_product(a, b):
+    """(x, y) of (a_x + a_y sqrt(mu)) (b_x + b_y sqrt(mu)), exact."""
+    return a[0] * b[0] + MU * a[1] * b[1], a[0] * b[1] + a[1] * b[0]
+
+
+def _pair_trace_of_product(rho, m):
+    terms = [_pair_product(rho[i][k], m[k][i]) for i in range(2) for k in range(2)]
+    return sum(t[0] for t in terms), sum(t[1] for t in terms)
+
+
+def _self_adjoint(a, c, d, b):
+    """The 2x2 self-adjoint matrix [[a, c + d sqrt(mu)], [c - d sqrt(mu), b]] as pairs."""
+    return [[(a, F(0)), (c, d)], [(c, -d), (b, F(0))]]
+
+
+def agrees(value, x):
+    """The p-adic value is the rational x at the precision it is known to, and knows
+    it to p^(N - 4) at least: no operator entry here has valuation below -2."""
+    if x == 0:
+        return value.is_zero
+    return value == padic(x, value.precision) and value.absolute_precision >= N - 4
+
+
 def test_measurement_projective():
     rho = StatisticalOperator.from_rationals([[1, 0], [0, 0]], P, MU, N)
-    dist = measurement_distribution(rho, projective_sovm())
-    assert dist.entries == (1, 0)
+    assert measurement_distribution(rho, projective_sovm()) == (padic(1), padic(0))
 
 
 def test_measurement_nonclassical():
     rho = StatisticalOperator.from_rationals([[2, 0], [0, -1]], P, MU, N)
     dist = measurement_distribution(rho, projective_sovm())
-    assert dist.entries == (2, -1)
-    assert sum(dist.entries) == 1
+    assert dist == (padic(2), padic(-1))
+    assert sums_to_one(dist)
 
 
 def test_measurement_identity_sovm():
     rho = StatisticalOperator.from_rationals([[F(1, 2), (0, 3)], [(0, -3), F(1, 2)]], P, MU, N)
     only = SOVM([PAdicOperator.identity(2, P, MU, N)])
-    assert measurement_distribution(rho, only).entries == (1,)
+    assert measurement_distribution(rho, only) == (padic(1),)
+
+
+@pytest.mark.parametrize("prec", [3, 4, 20])
+def test_measurement_reads_no_value_back(prec):
+    # 25/169 and 144/169 outgrow rational reconstruction from 7^3 and 7^4, which
+    # turns them into (-10, 11) and (33/31, -2/31), each pair still summing to 1
+    values = (F(25, 169), F(144, 169))
+    rho = StatisticalOperator.from_rationals([[values[0], 0], [0, values[1]]], P, MU, prec)
+    dist = measurement_distribution(rho, projective_sovm(prec=prec))
+    assert dist == (padic(values[0], prec), padic(values[1], prec))
+
+
+def test_measurement_refuses_a_value_with_a_root_part():
+    # at one binary digit, 2y vanishes for any y: the diagonal sqrt(3) parts pass the
+    # self-adjoint and trace checks, yet tr(rho M_0) keeps its sqrt(3) part
+    rho = StatisticalOperator.from_rationals([[(1, 1), 0], [0, (0, -1)]], 2, 3, 1)
+    proj = SOVM([PAdicOperator.from_rationals([[1, 0], [0, 0]], 2, 3, 1),
+                 PAdicOperator.from_rationals([[0, 0], [0, 1]], 2, 3, 1)])
+    with pytest.raises(errors.InvalidState, match="sqrt"):
+        measurement_distribution(rho, proj)
+
+
+_rationals = st.fractions(-5, 5, max_denominator=60)
+
+
+@settings(max_examples=200, deadline=None)
+@given(st.tuples(*[_rationals] * 3), st.tuples(*[_rationals] * 4))
+def test_measurement_values_are_the_exact_traces(state, member):
+    a, c, d = state
+    rho = _self_adjoint(a, c, d, 1 - a)
+    m = _self_adjoint(*member)
+    rest = _self_adjoint(1 - member[0], -member[1], -member[2], 1 - member[3])
+    ops = [PAdicOperator.from_rationals(x, P, MU, N) for x in (m, rest)]
+    dist = measurement_distribution(
+        StatisticalOperator.from_rationals(rho, P, MU, N), SOVM(ops))
+    for value, op in zip(dist, (m, rest)):
+        x, y = _pair_trace_of_product(rho, op)
+        assert y == 0
+        assert agrees(value, x)
+    assert sums_to_one(dist)
 
 
 def test_sovm_validation():
@@ -275,16 +367,15 @@ def test_sovm_validation():
 def test_measurement_sum_is_one_for_operator_family():
     # deterministic family of non-commuting self-adjoint decompositions
     for k in range(1, 8):
-        m1 = PAdicOperator.from_rationals(
-            [[F(k, 7), (2, k)], [(2, -k), F(3 - k, 5)]], P, MU, N
-        )
-        m2 = PAdicOperator.identity(2, P, MU, N) - m1
-        sovm = SOVM([m1, m2])
-        rho = StatisticalOperator.from_rationals(
-            [[F(1 + k, 9), (0, k)], [(0, -k), 1 - F(1 + k, 9)]], P, MU, N
-        )
-        dist = measurement_distribution(rho, sovm)
-        assert sum(dist.entries) == 1
+        m = _self_adjoint(F(k, 7), F(2), F(k), F(3 - k, 5))
+        rho = _self_adjoint(F(1 + k, 9), F(0), F(k), 1 - F(1 + k, 9))
+        m1 = PAdicOperator.from_rationals(m, P, MU, N)
+        sovm = SOVM([m1, PAdicOperator.identity(2, P, MU, N) - m1])
+        dist = measurement_distribution(StatisticalOperator.from_rationals(rho, P, MU, N), sovm)
+        x, y = _pair_trace_of_product(rho, m)
+        assert y == 0
+        assert agrees(dist[0], x) and agrees(dist[1], 1 - x)
+        assert sums_to_one(dist)
 
 
 # ---------------------------------------------------------------------------
@@ -320,6 +411,20 @@ def test_quantumize_rejects_bad_state():
         padic_quantumize_2x2(ClassicalForm(three, 1), P, F(1), F(1))
     with pytest.raises(errors.InvalidArgument):  # the game, not its ClassicalForm
         padic_quantumize_2x2(bos(), P, F(1), F(1))
+
+
+def operator_to_json(m):
+    """JSON-ready dict: a matrix of "x|y" literals meaning x + y*sqrt(mu)."""
+    entries = [[f"{format_padic(z.x)}|{format_padic(z.y)}" for z in row] for row in m.entries]
+    return {"p": m.p, "mu": m.mu, "entries": entries}
+
+
+def operator_from_json(doc):
+    def entry(text):
+        x, y = text.split("|")
+        return PAdicExtElement(parse_padic(x), parse_padic(y), doc["mu"])
+
+    return PAdicOperator([[entry(text) for text in row] for row in doc["entries"]])
 
 
 def test_operator_json_round_trip():
