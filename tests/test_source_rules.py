@@ -269,9 +269,17 @@ def _to_rational_uses(tree):
             yield node.lineno, func, "reads to_rational through getattr"
 
 
-def test_the_library_reads_no_padic_back():
-    # padic.py defines to_rational, and nothing in the library calls it: rational
-    # reconstruction from p^N is silently wrong once a value outgrows the precision
+def test_the_cli_reads_no_exact_value_back_from_a_padic():
+    # the CLI holds every operand as an exact rational; reconstruction from p^N is
+    # silently wrong once the result outgrows the precision
+    (cli,) = [path for path in SOURCES if path.name == "cli.py"]
+    assert list(_to_rational_uses(ast.parse(cli.read_text(encoding="utf-8")))) == []
+
+
+def test_only_measurement_distribution_reads_a_padic_back():
+    # measurement_distribution was the one function that read a p-adic value back
+    # through to_rational; it now returns PAdicNumbers, so no function in the library,
+    # padic.py included (its definition is not a use), reads one back at all
     found = [
         f"{path.name}:{line}: {what} in {func}"
         for path in SOURCES
