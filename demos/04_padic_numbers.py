@@ -58,7 +58,7 @@ print("check: root^2 - 1/2 =", "0" if pa.sub(pa.mul(root, root), half).is_zero e
 header("The quadratic extension Q_7(sqrt(-1))")
 z = pa.PAdicExtElement.from_rationals(1, 1, 7, -1, 8)  # 1 + sqrt(-1)
 print("z z-bar for z = 1 + sqrt(mu):",
-      (pa.ext_conj(z) * z).x.to_rational(), "(equals 1 - mu = 2)")
+      pa.format_padic((pa.ext_conj(z) * z).x), "(the 7-adic literal of 1 - mu = 2)")
 print("|z|_{7,mu} exponent:", pa.ext_norm(z).exponent)
 root7 = pa.PAdicExtElement.from_rationals(0, 1, 7, 7, 8)  # sqrt(7), ramified
 print("|sqrt(7)|_{7,7} = 7^(", pa.ext_norm(root7).exponent, ") : a genuine half power")

@@ -18,7 +18,7 @@ from importlib import resources
 
 from . import errors
 from .evolution import EvolutionGame
-from .games import CongestionGame, StrategicGame
+from .games import RATIONAL_DIGITS, CongestionGame, StrategicGame
 
 FORMAT = "gt-game/1"
 SCENARIO_NAMES = (
@@ -32,10 +32,7 @@ SCENARIO_NAMES = (
 # Largest number of pure profiles a game file may declare, and of (p, q) points
 # on a `gt quantumize` surface grid.
 PROFILE_CAP = 200_000
-# Decimal digits allowed in the numerator and denominator of a rational read from
-# any input: a sum or product of two such still prints under Python's default
-# 4300-digit int-to-string limit.
-RATIONAL_DIGITS = 1000
+# RATIONAL_DIGITS, from games, bounds every rational read from any input.
 _RATIONAL_LIMIT = 10**RATIONAL_DIGITS
 
 
@@ -88,6 +85,19 @@ def parse_rational(text, where):
     return q
 
 
+def _payoff(value, where, prefix):
+    """parse_rational(value, f"{where}{list(prefix)}"), but a plain integer literal
+    (ASCII digits with an optional "-", or a JSON int) goes straight to int; the
+    location is built only for the general parse, where a message may need it."""
+    if type(value) is str:
+        digits = value[1:] if value[:1] == "-" else value
+        if digits.isascii() and digits.isdigit() and len(digits) <= RATIONAL_DIGITS:
+            return int(value)
+    elif type(value) is int and -_RATIONAL_LIMIT < value < _RATIONAL_LIMIT:
+        return value
+    return parse_rational(value, f"{where}{list(prefix)}")
+
+
 def check_profile_count(shape, where):
     """SizeLimit when a game of this shape has more than PROFILE_CAP pure profiles."""
     count = math.prod(shape)
@@ -136,27 +146,24 @@ def _tensor_to_nested(game):
     return build([])
 
 
-def _nested_to_table(nested, shape, n_players, where="payoffs"):
-    table = {}
+def _parse_payoffs(nested, shape, n_players, where="payoffs"):
+    """The nested payoff arrays checked against the shape, with each literal
+    parsed once, to an int or a Fraction."""
 
     def walk(node, prefix):
         depth = len(prefix)
-        here = f"{where}{list(prefix)}"
         if depth == n_players:
             if not isinstance(node, list) or len(node) != n_players:
-                raise errors.ParseError(f"{here}: expected {n_players} payoffs")
-            table[tuple(prefix)] = tuple(parse_rational(v, here) for v in node)
-            return
+                raise errors.ParseError(f"{where}{list(prefix)}: expected {n_players} payoffs")
+            return [_payoff(v, where, prefix) for v in node]
         if not isinstance(node, list) or len(node) != shape[depth]:
             raise errors.ParseError(
-                f"{here}: expected {shape[depth]} entries, got "
+                f"{where}{list(prefix)}: expected {shape[depth]} entries, got "
                 f"{len(node) if isinstance(node, list) else type(node).__name__}"
             )
-        for i, child in enumerate(node):
-            walk(child, prefix + (i,))
+        return [walk(child, prefix + (i,)) for i, child in enumerate(node)]
 
-    walk(nested, ())
-    return table
+    return walk(nested, ())
 
 
 def scenario_to_dict(scn):
@@ -227,8 +234,7 @@ def parse_dict(doc, source="<dict>"):
         if declared != n:
             raise errors.ParseError(f"{source}: players={declared} but {n} strategy lists")
         check_profile_count(shape, source)
-        table = _nested_to_table(doc.get("payoffs"), shape, n)
-        game = StrategicGame(strategies, table)
+        game = StrategicGame(strategies, _parse_payoffs(doc.get("payoffs"), shape, n))
     elif kind == "evolution":
         matrix = doc.get("matrix")
         if not isinstance(matrix, list) or not matrix:

@@ -1,10 +1,14 @@
 """Exact-rational normal-form games: equilibria, dominance, welfare, bargaining.
 
-All payoffs are ``fractions.Fraction``; no floats enter any equilibrium
-decision, so every result here is bit-reproducible.  Equilibrium systems are
-solved on the per-game integer scaling of the payoffs (`_linsolve.scaled`),
-and the results are the same exact rationals.  Games are immutable after
-construction and all operations are pure functions.
+A strategic game keeps its payoffs as one table of Python ints over one
+common denominator D > 0, the lcm of the payoff denominators: player i's
+payoff at profile s is ``table[s][i] / D``.  Scaling every payoff by the same
+D > 0 keeps every argmax, dominance, Pareto, best-reply and equilibrium
+relation, so equilibria, dominance and welfare are decided by comparing and
+summing integers; a value leaves this module as an exact
+``fractions.Fraction``, divided by D only there.  No floats enter any
+decision, so every result here is bit-reproducible.  Games are immutable
+after construction and all operations are pure functions.
 """
 
 from __future__ import annotations
@@ -17,7 +21,13 @@ from operator import ge, mul
 
 from . import errors
 # solve_exact stays a name here because perfbench/tracing.py rebinds games.solve_exact.
-from ._linsolve import scaled, solve_exact, support_equalizers  # noqa: F401
+from ._linsolve import solve_exact, support_equalizers  # noqa: F401
+
+# Decimal digits allowed in the numerator and denominator of a rational read from
+# any input, and in a game's common payoff denominator D: a sum or product of two
+# such still prints under Python's default 4300-digit int-to-string limit.
+RATIONAL_DIGITS = 1000
+_RATIONAL_LIMIT = 10**RATIONAL_DIGITS
 
 
 def as_fraction(value):
@@ -36,12 +46,32 @@ def as_fraction(value):
     )
 
 
+def _rational(value):
+    """An int or a Fraction as it is; anything else through `as_fraction`."""
+    return value if type(value) is int or type(value) is Fraction else as_fraction(value)
+
+
+def _common_denominator(values):
+    """The lcm D of the rationals' denominators; SizeLimit once it reaches
+    10**RATIONAL_DIGITS, before any larger multiple is built."""
+    scale = 1
+    for den in {v.denominator for v in values}:
+        scale = math.lcm(scale, den)
+        if scale >= _RATIONAL_LIMIT:
+            raise errors.SizeLimit(
+                f"the payoff denominators have a common multiple over {RATIONAL_DIGITS} digits")
+    return scale
+
+
 class StrategicGame:
-    """Finite n-player normal-form game with an exact-rational payoff tensor.
+    """Finite n-player normal-form game with exact-rational payoffs.
 
     ``payoffs`` may be a nested sequence (one level per player, leaf = one
     rational per player) or a mapping from index-tuple profiles to payoff
     sequences; a mapping must name exactly the profiles of the shape, each once.
+    A payoff is an int, a Fraction or a string like "2/5".  The game keeps
+    them as one integer table over their common denominator D (see the
+    module docstring); a D of over RATIONAL_DIGITS digits is SizeLimit.
     """
 
     def __init__(self, strategy_names, payoffs):
@@ -54,35 +84,47 @@ class StrategicGame:
         self._shape = tuple(len(per_player) for per_player in names)
         n = len(names)
 
-        table = {}
+        rows = {}
         if hasattr(payoffs, "keys"):
             for profile, vector in payoffs.items():
                 try:
-                    table[self.validate_profile(profile)] = tuple(as_fraction(v) for v in vector)
+                    rows[self.validate_profile(profile)] = tuple(map(_rational, vector))
                 except errors.InvalidProfile as exc:
                     raise errors.InvalidArgument(f"payoff map key: {exc}") from exc
         else:
-            for profile in itertools.product(*(range(k) for k in self._shape)):
+            for profile in self.profiles():
                 cell = payoffs
                 for idx in profile:
                     cell = cell[idx]
-                table[profile] = tuple(as_fraction(v) for v in cell)
-        for profile in itertools.product(*(range(k) for k in self._shape)):
-            if profile not in table:
+                rows[profile] = tuple(map(_rational, cell))
+        for profile in self.profiles():
+            if profile not in rows:
                 raise errors.InvalidArgument(f"payoff map is not total: missing {profile}")
-            if len(table[profile]) != n:
+            if len(rows[profile]) != n:
                 raise errors.InvalidArgument(
-                    f"profile {profile}: expected {n} payoffs, got {len(table[profile])}"
+                    f"profile {profile}: expected {n} payoffs, got {len(rows[profile])}"
                 )
-        self._table = table
+        scale = _common_denominator(v for u in rows.values() for v in u)
+        for s, u in rows.items():  # in place: the rational rows are not kept
+            rows[s] = tuple(v.numerator * (scale // v.denominator) for v in u)
+        self._scale = scale
+        self._table = rows
 
     @classmethod
-    def _checked(cls, names, table):
-        """A game from the name tuples and payoff table of games already checked:
-        every profile of the shape once, each with one Fraction per player."""
+    def _checked(cls, names, scale, table):
+        """A game from the name tuples of games already checked and an integer
+        table over the denominator scale > 0: every profile of the shape once,
+        each with one int per player.  Table and scale are divided by their
+        gcd, so that the scale is the lcm of the payoff denominators, as
+        `__init__` makes it and as `==` needs."""
+        g = math.gcd(scale, *(v for u in table.values() for v in u))
+        if g > 1:
+            scale //= g
+            table = {s: tuple(v // g for v in u) for s, u in table.items()}
         game = cls.__new__(cls)
         game._names = names
         game._shape = tuple(map(len, names))
+        game._scale = scale
         game._table = table
         return game
 
@@ -113,7 +155,8 @@ class StrategicGame:
 
     def payoff(self, profile):
         """Payoff vector u(s), one Fraction per player."""
-        return self._table[self.validate_profile(profile)]
+        scale = self._scale
+        return tuple(Fraction(v, scale) for v in self._table[self.validate_profile(profile)])
 
     def labels(self, profile):
         return tuple(self._names[i][s] for i, s in enumerate(profile))
@@ -122,11 +165,12 @@ class StrategicGame:
         return (
             isinstance(other, StrategicGame)
             and self._names == other._names
+            and self._scale == other._scale
             and self._table == other._table
         )
 
     def __hash__(self):
-        return hash((self._names, tuple(sorted(self._table.items()))))
+        return hash((self._names, self._scale, tuple(sorted(self._table.items()))))
 
     def __repr__(self):
         return f"StrategicGame(shape={self._shape})"
@@ -181,13 +225,6 @@ class CongestionGame:
                 counts[j] += 1
         return tuple(counts)
 
-    def player_cost(self, profile, player):
-        counts = self.usage(profile)
-        return sum(
-            (self.costs[j][counts[j] - 1] for j in self.strategies[player][profile[player]]),
-            Fraction(0),
-        )
-
 
 @dataclass(frozen=True)
 class BargainingProblem:
@@ -240,11 +277,23 @@ def _deviations(profile, i, k):
     return [head + (s,) + tail for s in range(k)]
 
 
-def _strategy_values(game, player, mixed):
-    """Exact expected payoff of each pure strategy of `player` against the others' mixtures."""
-    values = [Fraction(0)] * game.shape[player]
+def _weights(mixed):
+    """Each player's mixture as integer weights over its common denominator,
+    which, the mixture summing to 1, is the sum of the weights."""
+    out = []
+    for vec in mixed:
+        den = math.lcm(*(q.denominator for q in vec))
+        out.append([q.numerator * (den // q.denominator) for q in vec])
+    return out
+
+
+def _strategy_values(game, player, weights):
+    """The expected payoff of each pure strategy of `player` against the others'
+    integer weights, as integers in one scale: D times the product of the
+    others' weight sums."""
+    values = [0] * game.shape[player]
     for profile, u in game._table.items():
-        prob = math.prod(mixed[j][s] for j, s in enumerate(profile) if j != player)
+        prob = math.prod(weights[j][s] for j, s in enumerate(profile) if j != player)
         if prob:
             values[profile[player]] += prob * u[player]
     return values
@@ -252,10 +301,10 @@ def _strategy_values(game, player, mixed):
 
 def expected_payoff(game, mixed):
     """Expected payoff vector under independent mixing, exact."""
-    mixed = validate_mixed(game, mixed)
-    return tuple(
-        sum(map(mul, mixed[i], _strategy_values(game, i, mixed))) for i in range(game.n_players)
-    )
+    weights = _weights(validate_mixed(game, mixed))
+    scale = game._scale * math.prod(map(sum, weights))
+    return tuple(Fraction(sum(map(mul, own, _strategy_values(game, i, weights))), scale)
+                 for i, own in enumerate(weights))
 
 
 # ---------------------------------------------------------------------------
@@ -321,7 +370,7 @@ def iterated_elimination(game):
 
     names = tuple(tuple(game.strategy_names[i][s] for s in surviving[i]) for i in range(game.n_players))
     # the surviving lists stay sorted, so old and new profiles enumerate in step
-    reduced = StrategicGame._checked(names, dict(zip(
+    reduced = StrategicGame._checked(names, game._scale, dict(zip(
         itertools.product(*(range(len(s)) for s in surviving)),
         map(table.__getitem__, itertools.product(*surviving)))))
     return EliminationResult(reduced, tuple(tuple(s) for s in surviving), tuple(trace))
@@ -332,13 +381,14 @@ def _best_reply_graph(d0, d1):
 
     Both are probabilities of strategy 0, whose payoff advantage over strategy
     1 is d0 + (d1 - d0) y at the opponent's y: own x is 1 where it is >= 0, 0
-    where it is <= 0, and anything where it vanishes.
+    where it is <= 0, and anything where it vanishes.  d0 and d1 may carry any
+    common factor > 0, such as the game's D.
     """
     zero, one = Fraction(0), Fraction(1)
     graph = []
     for x, a, b in (((one, one), d0, d1), ((zero, zero), -d0, -d1)):
         if a >= 0 or b >= 0:
-            root = a / (a - b) if (a < 0) != (b < 0) else None
+            root = Fraction(a, a - b) if (a < 0) != (b < 0) else None
             graph.append((x, (zero if a >= 0 else root, one if b >= 0 else root)))
     if len(graph) == 2:  # the advantage changes sign, so it vanishes where both hold
         (_, up), (_, down) = graph
@@ -389,12 +439,12 @@ def support_enumeration(game):
     equilibrium with unequal supports), solves each player's equalizer
     system for the opponent's mixture, and keeps solutions with positive
     support probabilities and no profitable outside deviation.  The systems
-    of all pairs are solved by Cramer's rule from one memoised table of
-    minors per payoff matrix (`_linsolve.support_equalizers`); only a
-    singular bordered system goes to Bareiss elimination, which tells "none"
-    from "many".  Returns the full equilibrium list for nondegenerate games,
-    sorted canonically; the first support pair whose system has many
-    solutions raises DegenerateGame.
+    of all pairs are solved on the game's integer table, by Cramer's rule
+    from one memoised table of minors per payoff matrix
+    (`_linsolve.support_equalizers`); only a singular bordered system goes
+    to Bareiss elimination, which tells "none" from "many".  Returns the
+    full equilibrium list for nondegenerate games, sorted canonically; the
+    first support pair whose system has many solutions raises DegenerateGame.
     """
     if game.n_players != 2:
         raise errors.UnsupportedShape("support enumeration handles 2-player games only")
@@ -402,8 +452,8 @@ def support_enumeration(game):
     if m > 5 or n > 5:
         raise errors.SizeLimit("support enumeration is limited to 5 strategies per player")
     table = game._table
-    _, A = scaled([[table[i, j][0] for j in range(n)] for i in range(m)])
-    _, Bt = scaled([[table[i, j][1] for i in range(m)] for j in range(n)])
+    A = [[table[i, j][0] for j in range(n)] for i in range(m)]
+    Bt = [[table[i, j][1] for i in range(m)] for j in range(n)]
 
     solve_a, solve_bt = support_equalizers(A), support_equalizers(Bt)
 
@@ -447,10 +497,13 @@ def is_epsilon_nash(game, mixed, eps):
     eps = as_fraction(eps)
     if eps < 0:
         raise errors.InvalidArgument("epsilon must be non-negative")
-    mixed = validate_mixed(game, mixed)
-    for i in range(game.n_players):
-        values = _strategy_values(game, i, mixed)
-        if max(values) - sum(map(mul, mixed[i], values)) > eps:
+    weights = _weights(validate_mixed(game, mixed))
+    scale = game._scale * math.prod(map(sum, weights))
+    for i, own in enumerate(weights):
+        values = _strategy_values(game, i, weights)
+        # the best pure deviation's gain, times the scale of the values and sum(own)
+        gain = sum(own) * max(values) - sum(map(mul, own, values))
+        if Fraction(gain, scale) > eps:
             return False
     return True
 
@@ -482,7 +535,7 @@ def social_optimum(game):
     """Welfare-maximizing profiles and the maximal welfare, ties included."""
     welfare = {s: sum(u) for s, u in game._table.items()}
     best = max(welfare.values())
-    return {s for s, w in welfare.items() if w == best}, best
+    return {s for s, w in welfare.items() if w == best}, Fraction(best, game._scale)
 
 
 def price_of_anarchy(game):
@@ -498,7 +551,7 @@ def anarchy_ratio(game, equilibria, best):
     """The price of anarchy from the pure equilibria and the maximal welfare in hand."""
     if not equilibria:
         raise errors.NoEquilibrium("no pure Nash equilibrium")
-    worst_ne = min(sum(game._table[s]) for s in equilibria)
+    worst_ne = Fraction(min(sum(game._table[s]) for s in equilibria), game._scale)
     if worst_ne <= 0:
         raise errors.UndefinedRatio(f"equilibrium welfare {worst_ne} is not positive")
     return Fraction(best) / worst_ne
@@ -524,17 +577,22 @@ def is_correlated_equilibrium(game, dist):
     if any(q < 0 for q in probs.values()) or sum(probs.values(), Fraction(0)) != 1:
         raise errors.InvalidArgument("not a joint probability distribution")
 
+    # margins are summed in integers: probabilities over their common denominator
+    # P, payoffs over D, so each margin is P * D times its value
+    den = math.lcm(*(q.denominator for q in probs.values()))
     table = game._table
-    margins = {(i, rec, dev): Fraction(0)  # keyed (player, recommended, deviation), in order
+    margins = {(i, rec, dev): 0  # keyed (player, recommended, deviation), in order
                for i, k in enumerate(game.shape) for rec in range(k) for dev in range(k)}
     for profile, q in probs.items():
+        w = q.numerator * (den // q.denominator)
         u = table[profile]
         for i, k in enumerate(game.shape):
             for dev, alt in enumerate(_deviations(profile, i, k)):
-                margins[i, profile[i], dev] += q * (u[i] - table[alt][i])
+                margins[i, profile[i], dev] += w * (u[i] - table[alt][i])
+    scale = den * game._scale
     worst = min(margins.values())
-    violations = tuple((*key, m) for key, m in margins.items() if m < 0)
-    return CorrelatedCheck(worst >= 0, worst, violations)
+    violations = tuple((*key, Fraction(m, scale)) for key, m in margins.items() if m < 0)
+    return CorrelatedCheck(worst >= 0, Fraction(worst, scale), violations)
 
 
 # ---------------------------------------------------------------------------
@@ -651,10 +709,16 @@ def congestion_to_strategic(cg):
         tuple("+".join(cg.resource_names[j] for j in strat) for strat in per_player)
         for per_player in cg.strategies
     )
+    n = cg.n_players
+    scale = _common_denominator(c for per_res in cg.costs for c in per_res[:n])
+    costs = [[c.numerator * (scale // c.denominator) for c in per_res[:n]]
+             for per_res in cg.costs]
     table = {}
     for profile in itertools.product(*(range(len(s)) for s in cg.strategies)):
-        table[profile] = tuple(-cg.player_cost(profile, i) for i in range(cg.n_players))
-    return StrategicGame(names, table)
+        counts = cg.usage(profile)
+        table[profile] = tuple(-sum(costs[j][counts[j] - 1] for j in cg.strategies[i][s])
+                               for i, s in enumerate(profile))
+    return StrategicGame._checked(names, scale, table)
 
 
 def check_potential(game, potential):
@@ -665,8 +729,12 @@ def check_potential(game, potential):
     for profile in game.profiles():
         if profile not in phi:
             raise errors.InvalidArgument(f"potential is not total: missing {profile}")
+    # phi over its common denominator P and payoffs over D: compare the
+    # differences times P * D in integers
+    den = math.lcm(*(v.denominator for v in phi.values()))
+    phi = {s: v.numerator * (den // v.denominator) * game._scale for s, v in phi.items()}
     table = game._table
-    return all(phi[s] - phi[alt] == u[i] - table[alt][i] for s, u in table.items()
+    return all(phi[s] - phi[alt] == (u[i] - table[alt][i]) * den for s, u in table.items()
                for i, k in enumerate(game.shape) for alt in _deviations(s, i, k))
 
 

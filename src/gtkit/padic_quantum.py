@@ -334,7 +334,9 @@ def measurement_distribution(rho, sovm):
         raise errors.InvalidSOVM("expected a SOVM")
     if rho.n != sovm.n:
         raise errors.InvalidArgument("state and SOVM dimensions differ")
-    values = tuple(omega(rho, m) for m in sovm.members)
+    if not isinstance(rho, StatisticalOperator):  # one state check serves every member
+        _check_state(rho)
+    values = tuple(trace(rho @ m) for m in sovm.members)
     if any(not z.y.is_zero for z in values):
         raise errors.InvalidState("value has a nonzero sqrt(mu) part")
     return tuple(z.x for z in values)

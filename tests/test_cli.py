@@ -15,6 +15,7 @@ from hypothesis import strategies as st
 
 import gtkit
 from gtkit import errors, evolution, gamefile, padic
+from gtkit.games import StrategicGame
 from gtkit.cli import (
     EXIT_OK,
     EXIT_PARSE,
@@ -84,6 +85,62 @@ def test_parse_rejects_bad_shapes(tmp_path):
         gamefile.parse_dict(doc)
     with pytest.raises(errors.ParseError):
         gamefile.parse_dict({"format": "other/9"})
+
+
+def _one_payoff_game(value):
+    """A 1 x 1 two-player game document whose first payoff is `value`."""
+    return {"format": "gt-game/1", "kind": "strategic", "name": "x",
+            "strategies": [["a"], ["b"]], "payoffs": [[[value, "0"]]]}
+
+
+PAYOFF_LITERALS = st.one_of(
+    st.sampled_from([
+        "1_000", " 12 ", "+5", "007", "-0", "١٢", "2/4", "1e3", "-", "", "--5", "1/0", "²",
+        "0x10", "1.5e-3", "inf", "9" * 1000, "-" + "9" * 1000, "1" + "0" * 1000,
+        "0" * 1001 + "7", "1" * 5000, "1e1001", True, None, [1],
+        10**1000 - 1, -10**1000 + 1, 10**1000, -10**1000,
+    ]),
+    st.integers(-10**30, 10**30),
+    st.integers(-10**6, 10**6).map(str),
+    st.floats(),
+    st.text(alphabet="0123456789-+/._ e", max_size=8),
+    st.text(max_size=4),
+)
+
+
+def _outcome(fn):
+    try:
+        return fn()
+    except errors.GTError as exc:
+        return type(exc).__name__, str(exc)
+
+
+@settings(max_examples=300, deadline=None)
+@given(PAYOFF_LITERALS)
+def test_a_game_file_payoff_parses_as_parse_rational_does(value):
+    # the game-file parse reads a plain integer literal straight to int; it must
+    # accept the same literals, with the same values and the same errors
+    parsed = _outcome(lambda: gamefile.parse_dict(_one_payoff_game(value)).game.payoff((0, 0))[0])
+    assert parsed == _outcome(lambda: gamefile.parse_rational(value, "payoffs[0, 0]"))
+
+
+def test_a_game_whose_common_denominator_is_too_long_is_refused(tmp_path):
+    # each denominator has about 600 digits, well inside the limit, but they are
+    # coprime, so their lcm has over 1000 digits
+    a, b = 2**1994, 3**1258
+    assert 590 < len(str(a)) < 610 and 590 < len(str(b)) < 610
+    doc = _one_payoff_game(f"1/{a}")
+    doc["payoffs"][0][0][1] = f"1/{b}"
+    with pytest.raises(errors.SizeLimit, match="common multiple"):
+        gamefile.parse_dict(doc)
+    with pytest.raises(errors.SizeLimit):
+        StrategicGame([["a"], ["b"]], [[(F(1, a), F(1, b))]])
+    path = tmp_path / "game.json"
+    path.write_text(json.dumps(doc))
+    assert main(["analyze", "--in", str(path), "--out", str(tmp_path / "o")]) == EXIT_SIZE
+    # one such denominator alone, or two that share it, is accepted
+    doc["payoffs"][0][0][1] = f"3/{a}"
+    assert gamefile.parse_dict(doc).game.payoff((0, 0)) == (F(1, a), F(3, a))
 
 
 # ---------------------------------------------------------------------------

@@ -1115,11 +1115,18 @@ def outcome(fn, *args):
         return type(exc).__name__, str(exc)
 
 
+def rationals_over(top, denominators):
+    """k/d for k in -top..top and d drawn from the denominators: with small
+    numerators ties stay common, while a game's D is usually > 1."""
+    return st.builds(F, st.integers(-top, top), st.sampled_from(denominators))
+
+
 @st.composite
 def small_bimatrix_games(draw):
-    """m x n games, m, n <= 5, with payoffs in {-2..2}: many are degenerate."""
+    """m x n games, m, n <= 5, with payoffs k/d for k in {-2..2} and d in {1, 2, 3, 4}:
+    many are degenerate."""
     m, n = draw(st.integers(1, 5)), draw(st.integers(1, 5))
-    cell = st.tuples(st.integers(-2, 2), st.integers(-2, 2))
+    cell = st.tuples(*[rationals_over(2, [1, 2, 3, 4])] * 2)
     cells = draw(st.lists(cell, min_size=m * n, max_size=m * n))
     names = [[f"r{i}" for i in range(m)], [f"c{j}" for j in range(n)]]
     return StrategicGame(names, [cells[i * n:(i + 1) * n] for i in range(m)])
@@ -1370,10 +1377,11 @@ def test_exact_payoff_surface_rows_match_the_fraction_loop(form, grid):
 
 @st.composite
 def tied_games(draw):
-    """2 or 3 players, at most 4 strategies each, payoffs in {-1, 0, 1}: many ties."""
+    """2 or 3 players, at most 4 strategies each, payoffs k/d for k in {-2..2} and
+    d in {1, 2, 3, 4}: many ties."""
     shape = draw(st.lists(st.integers(1, 4), min_size=2, max_size=3))
     profiles = list(itertools.product(*(range(k) for k in shape)))
-    vector = st.tuples(*[st.integers(-1, 1)] * len(shape))
+    vector = st.tuples(*[rationals_over(2, [1, 2, 3, 4])] * len(shape))
     vectors = draw(st.lists(vector, min_size=len(profiles), max_size=len(profiles)))
     return StrategicGame([[f"s{i}" for i in range(k)] for k in shape], dict(zip(profiles, vectors)))
 
@@ -1396,11 +1404,12 @@ def _distribution(weights):
 
 @st.composite
 def games_with_profiles(draw):
-    """A 2- or 3-player game with 1-3 strategies each and payoffs in {-1, 0, 1}, plus
-    a random exact mixed profile, a joint distribution and a potential over its profiles."""
+    """A 2- or 3-player game with 1-3 strategies each and payoffs k/d for k in
+    {-2..2} and d in {1, 2, 3, 6, 7}, plus a random exact mixed profile, a joint
+    distribution and a potential over its profiles, with rational values too."""
     shape = draw(st.lists(st.integers(1, 3), min_size=2, max_size=3))
     profiles = list(itertools.product(*(range(k) for k in shape)))
-    vector = st.tuples(*[st.integers(-1, 1)] * len(shape))
+    vector = st.tuples(*[rationals_over(2, [1, 2, 3, 6, 7])] * len(shape))
     vectors = draw(st.lists(vector, min_size=len(profiles), max_size=len(profiles)))
     game = StrategicGame([[f"s{i}" for i in range(k)] for k in shape], dict(zip(profiles, vectors)))
 
@@ -1410,7 +1419,7 @@ def games_with_profiles(draw):
     mixed = tuple(_distribution(draw(weights(k))) for k in shape)
     dist = dict(zip(profiles, _distribution(draw(weights(len(profiles))))))
     potential = dict(zip(profiles, draw(st.lists(
-        st.integers(-1, 1), min_size=len(profiles), max_size=len(profiles)))))
+        rationals_over(2, [1, 2, 3, 6, 7]), min_size=len(profiles), max_size=len(profiles)))))
     return game, mixed, dist, potential
 
 
@@ -1420,7 +1429,7 @@ def test_deviation_walks_and_strategy_values_match_the_profile_loops(case):
     game, mixed, dist, potential = case
     n = game.n_players
     assert games.pure_nash(game) == pure_nash_reference(game)
-    for eps in (0, F(1, 2)):
+    for eps in (0, F(1, 7), F(1, 2)):
         assert games.is_epsilon_nash(game, mixed, eps) == is_epsilon_nash_reference(
             game, mixed, eps)
     assert games.expected_payoff(game, mixed) == expected_payoff_reference(game, mixed)

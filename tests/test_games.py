@@ -202,6 +202,28 @@ def test_iterated_elimination_no_change():
     assert iterated_elimination(tiny).game == tiny
 
 
+@pytest.mark.parametrize("top, low", [
+    ((3, F(5, 2)), (F(1, 3), 2)),  # B held the only 3: D goes from 6 to 2
+    ((3, 2), (F(1, 3), F(7, 6))),  # B held every non-unit denominator: D goes to 1
+])
+def test_the_reduced_game_is_the_game_of_its_fraction_payoffs(top, low):
+    # T strictly dominates B for the row player; the column player is indifferent
+    g = StrategicGame([["T", "B"], ["L", "R"]],
+                      [[(top[0], 1), (top[1], 1)], [(low[0], 1), (low[1], 1)]])
+    reduced = iterated_elimination(g).game
+    built = StrategicGame([["T"], ["L", "R"]], [[(F(top[0]), F(1)), (F(top[1]), F(1))]])
+    assert reduced == built and hash(reduced) == hash(built)
+    assert [reduced.payoff((0, j)) for j in range(2)] == [built.payoff((0, j)) for j in range(2)]
+
+
+def test_equal_games_are_equal_however_their_payoffs_are_written():
+    as_ints = StrategicGame([["a", "b"], ["c"]], [[(1, -2)], [(0, 4)]])
+    for payoffs in ([[(F(1), F(-2))], [(F(0), F(4))]], [[("1", "-4/2")], [("0/3", "8/2")]]):
+        other = StrategicGame([["a", "b"], ["c"]], payoffs)
+        assert other == as_ints and hash(other) == hash(as_ints)
+    assert StrategicGame([["a", "b"], ["c"]], [[(1, -2)], [(0, F(9, 2))]]) != as_ints
+
+
 # ---------------------------------------------------------------------------
 # mixed equilibria
 
@@ -518,11 +540,11 @@ def affine_transform(game, player, a, b):
     if a <= 0:
         raise errors.InvalidArgument("affine payoff rescaling needs a > 0")
     table = {}
-    for profile, u in game._table.items():
-        u = list(u)
+    for profile in game.profiles():
+        u = list(game.payoff(profile))
         u[player] = a * u[player] + b
         table[profile] = tuple(u)
-    return StrategicGame._checked(game.strategy_names, table)
+    return StrategicGame(game.strategy_names, table)
 
 
 @settings(max_examples=30, deadline=None)
@@ -556,7 +578,9 @@ def _mixed_ne_2x2_by_indifference(g):
     return sorted(out)
 
 
-small_2x2 = st.lists(st.integers(-2, 2), min_size=8, max_size=8).map(
+# payoffs k/d for k in {-2..2} and d in {1, 2, 3}: ties stay common, and D is usually > 1
+small_2x2 = st.lists(st.builds(F, st.integers(-2, 2), st.sampled_from([1, 2, 3])),
+                     min_size=8, max_size=8).map(
     lambda v: StrategicGame(
         [["a", "b"], ["c", "d"]],
         [[(v[0], v[1]), (v[2], v[3])], [(v[4], v[5]), (v[6], v[7])]],

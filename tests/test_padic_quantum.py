@@ -7,7 +7,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from gtkit import errors
+from gtkit import errors, padic_quantum
 from gtkit.games import StrategicGame
 from gtkit.padic import (
     PAdicExtElement,
@@ -325,6 +325,21 @@ def test_measurement_refuses_a_value_with_a_root_part():
                  PAdicOperator.from_rationals([[0, 0], [0, 1]], 2, 3, 1)])
     with pytest.raises(errors.InvalidState, match="sqrt"):
         measurement_distribution(rho, proj)
+
+
+def test_measurement_checks_a_plain_state_once(monkeypatch):
+    calls = []
+    check = padic_quantum._check_state
+    monkeypatch.setattr(padic_quantum, "_check_state", lambda m: calls.append(m) or check(m))
+    diagonal = [[F(1, 4) if r == c else 0 for c in range(4)] for r in range(4)]
+    rho = PAdicOperator.from_rationals(diagonal, P, MU, N)
+    dist = measurement_distribution(rho, projective_sovm(4))
+    assert dist == (padic(F(1, 4)),) * 4
+    assert len(calls) == 1
+    bad = PAdicOperator.from_rationals([[1 if r == c else 0 for c in range(4)] for r in range(4)],
+                                       P, MU, N)  # trace 4
+    with pytest.raises(errors.InvalidState):
+        measurement_distribution(bad, projective_sovm(4))
 
 
 _rationals = st.fractions(-5, 5, max_denominator=60)
