@@ -166,28 +166,23 @@ def _analyze_equilibria(game, eps):
 
 
 def _congestion_section(cg, game):
+    """The Rosenthal potential, an exact potential of the costs (Rosenthal 1973),
+    and the end and length of every best-response path.  A strict improvement
+    lowers the potential, so in ascending potential each successor is settled."""
     phi = {s: games.rosenthal_potential(cg, s) for s in game.profiles()}
-    potential_ok = games.check_potential(game, {s: -v for s, v in phi.items()})
-    dynamics = []
-    n_profiles = len(list(game.profiles()))
-    for start in game.profiles():
-        res = games.best_response_dynamics(game, start, max_steps=n_profiles + 1)
-        if isinstance(res, games.CycleReport):
-            dynamics.append({"start": _profile_labels(game, start), "cycle": True})
-        else:
-            dynamics.append(
-                {
-                    "start": _profile_labels(game, start),
-                    "equilibrium": _profile_labels(game, res.profile),
-                    "steps": res.steps,
-                }
-            )
+    ends = {}
+    for s in sorted(phi, key=phi.__getitem__):
+        nxt = games.best_response_step(game, s)
+        ends[s] = (s, 0) if nxt is None else (ends[nxt][0], ends[nxt][1] + 1)
     return {
         "rosenthal_potential": {
             "/".join(_profile_labels(game, s)): _frac(v) for s, v in phi.items()
         },
-        "negated_potential_is_exact_potential": bool(potential_ok),
-        "best_response_dynamics": dynamics,
+        "best_response_dynamics": [
+            {"start": _profile_labels(game, s),
+             "equilibrium": _profile_labels(game, ends[s][0]), "steps": ends[s][1]}
+            for s in phi
+        ],
     }
 
 

@@ -752,14 +752,22 @@ class CycleReport:
     steps: int
 
 
-def best_response_dynamics(game, start, max_steps=None):
-    """Deterministic single-player best-response improvement path.
-
-    At each step the lowest-index player with a strict improvement moves to
-    their lowest-index best response.  Stops at a fixed profile (returned with
-    the step trace) or on a repeated profile (returned as a CycleReport).
-    """
+def best_response_step(game, profile):
+    """The next profile of a best-response path from a valid profile, or None
+    at a fixed profile: the lowest-index player with a strict improvement
+    moves to their lowest-index best response."""
     table = game._table
+    for i, k in enumerate(game.shape):
+        values = [table[alt][i] for alt in _deviations(profile, i, k)]
+        top = max(values)
+        if top > values[profile[i]]:
+            return profile[:i] + (values.index(top),) + profile[i + 1:]
+    return None
+
+
+def best_response_dynamics(game, start, max_steps=None):
+    """The path of `best_response_step` from start, to a fixed profile (returned
+    with the step trace) or to a repeated profile (returned as a CycleReport)."""
     current = game.validate_profile(start)
     trace = [current]
     seen = {current: 0}
@@ -767,21 +775,13 @@ def best_response_dynamics(game, start, max_steps=None):
     while True:
         if max_steps is not None and steps >= max_steps:
             raise errors.StepLimit(f"no fixpoint or cycle within {max_steps} steps")
-        mover = None
-        target = None
-        for i, k in enumerate(game.shape):
-            values = [table[alt][i] for alt in _deviations(current, i, k)]
-            top = max(values)
-            if top > values[current[i]]:
-                mover, target = i, values.index(top)
-                break
-        if mover is None:
+        nxt = best_response_step(game, current)
+        if nxt is None:
             return BRDResult(current, tuple(trace), steps)
-        current = current[:mover] + (target,) + current[mover + 1:]
+        current = nxt
         steps += 1
         if current in seen:
             cycle = tuple(trace[seen[current]:])
             return CycleReport(cycle, tuple(trace + [current]), steps)
         seen[current] = len(trace)
         trace.append(current)
-

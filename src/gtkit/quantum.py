@@ -26,7 +26,6 @@ never held whole.
 from __future__ import annotations
 
 import itertools
-import math
 from fractions import Fraction
 
 from . import errors, games
@@ -114,11 +113,10 @@ def _surface(form, grid_n, exact=False):
         raise errors.InvalidArgument("expected a quantum.ClassicalForm")
     if grid_n < 1:
         raise errors.InvalidArgument("grid_n must be >= 1")
+    if exact:  # the game's own integer table over its denominator D
+        game = form.game
+        return _exact_points([game._table[s] for s in PROFILES], game._scale, grid_n)
     payoffs = [form.game.payoff(s) for s in PROFILES]
-    if exact:
-        scale = math.lcm(*(x.denominator for u in payoffs for x in u))
-        return _exact_points([[x.numerator * (scale // x.denominator) for x in u]
-                              for u in payoffs], scale, grid_n)
     try:
         floats = [[float(x) for x in u] for u in payoffs]
     except OverflowError as exc:

@@ -197,9 +197,18 @@ def test_analyze_congestion_section(tmp_path):
     code, out = run(tmp_path, "analyze", "--in", "congestion-2link")
     rep = read_json(out / "analyze.json")
     assert code == EXIT_OK
-    cong = rep["congestion"]
-    assert cong["negated_potential_is_exact_potential"] is True
-    assert all("cycle" not in row or not row["cycle"] for row in cong["best_response_dynamics"])
+    # the potential's exactness is a theorem, held by tests, not a report key
+    assert "negated_potential_is_exact_potential" not in rep["congestion"]
+    assert rep["congestion"] == {
+        "rosenthal_potential": {
+            "link1/link1": "3", "link1/link2": "2", "link2/link1": "2", "link2/link2": "3"},
+        "best_response_dynamics": [
+            {"start": ["link1", "link1"], "equilibrium": ["link2", "link1"], "steps": 1},
+            {"start": ["link1", "link2"], "equilibrium": ["link1", "link2"], "steps": 0},
+            {"start": ["link2", "link1"], "equilibrium": ["link2", "link1"], "steps": 0},
+            {"start": ["link2", "link2"], "equilibrium": ["link1", "link2"], "steps": 1},
+        ],
+    }
     assert rep["pure_nash"] == [["link1", "link2"], ["link2", "link1"]]
 
 

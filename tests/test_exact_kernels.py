@@ -17,7 +17,8 @@ test on the flat trajectory to the numpy forms they replaced, and the
 quantum payoff surface to the numpy grid and the Fraction loop it replaced.
 The Pareto maxima scan is held to the pairwise dominance test, the deviation
 walks and strategy values of `games` to the per-profile loops they replaced,
-and the extension product and field norm, which multiply by the integer mu,
+the congestion section of `gt analyze` to `best_response_dynamics` from every
+start, and the extension product and field norm, which multiply by the integer mu,
 to the forms that embedded mu as a p-adic number on every call.
 """
 
@@ -34,7 +35,7 @@ import pytest
 from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
-from gtkit import _linsolve, errors, gamefile, games, padic
+from gtkit import _linsolve, cli, errors, gamefile, games, padic
 from gtkit._linsolve import equalizer, scaled, solve_exact, support_equalizers
 from gtkit.evolution import (
     CLAMP,
@@ -1423,29 +1424,96 @@ def games_with_profiles(draw):
     return game, mixed, dist, potential
 
 
+# One test per kernel, each drawing from `games_with_profiles`, so that a
+# failure shrinks the one check that failed.
+
+
 @settings(max_examples=300, deadline=None)
 @given(games_with_profiles())
-def test_deviation_walks_and_strategy_values_match_the_profile_loops(case):
-    game, mixed, dist, potential = case
-    n = game.n_players
+def test_pure_nash_matches_the_profile_loop(case):
+    game = case[0]
     assert games.pure_nash(game) == pure_nash_reference(game)
+
+
+@settings(max_examples=300, deadline=None)
+@given(games_with_profiles())
+def test_is_epsilon_nash_matches_the_profile_loop(case):
+    game, mixed = case[:2]
     for eps in (0, F(1, 7), F(1, 2)):
         assert games.is_epsilon_nash(game, mixed, eps) == is_epsilon_nash_reference(
             game, mixed, eps)
+
+
+@settings(max_examples=300, deadline=None)
+@given(games_with_profiles())
+def test_expected_payoff_matches_the_profile_loop(case):
+    game, mixed = case[:2]
     assert games.expected_payoff(game, mixed) == expected_payoff_reference(game, mixed)
+
+
+@settings(max_examples=300, deadline=None)
+@given(games_with_profiles())
+def test_check_potential_matches_the_profile_loop_on_both_games(case):
+    game, _, _, potential = case
     # the potential's own identical-interest game has it as an exact potential
-    common = StrategicGame(game.strategy_names, {s: (v,) * n for s, v in potential.items()})
+    common = StrategicGame(game.strategy_names,
+                           {s: (v,) * game.n_players for s, v in potential.items()})
     for g in (game, common):
         assert games.check_potential(g, potential) == check_potential_reference(g, potential)
     assert games.check_potential(common, potential)
+
+
+@settings(max_examples=300, deadline=None)
+@given(games_with_profiles())
+def test_is_correlated_equilibrium_matches_the_profile_loop(case):
+    game, _, dist, _ = case
     check = games.is_correlated_equilibrium(game, dist)
     reference = is_correlated_equilibrium_reference(game, dist)
     assert (check.holds, check.worst_margin, check.violations) == (
         reference.holds, reference.worst_margin, reference.violations)
-    limit = len(dist) + 1
+
+
+@settings(max_examples=300, deadline=None)
+@given(games_with_profiles())
+def test_best_response_dynamics_matches_the_profile_loop(case):
+    game = case[0]
+    limit = math.prod(game.shape) + 1
     for start in game.profiles():
         assert outcome(games.best_response_dynamics, game, start, limit) == outcome(
             best_response_dynamics_reference, game, start, limit)
+
+
+# ---------------------------------------------------------------------------
+# congestion games: the potential and the best-response paths of `gt analyze`
+
+
+@st.composite
+def congestion_games(draw):
+    """2-4 players, 1-4 resources and 1-3 strategies each, with rational cost
+    ladders in any order (not only increasing), negative costs included."""
+    n = draw(st.integers(2, 4))
+    m = draw(st.integers(1, 4))
+    ladder = st.lists(rationals_over(4, [1, 2, 3, 5]), min_size=n, max_size=n)
+    strategy = st.lists(st.integers(0, m - 1), min_size=1, max_size=m)
+    return games.CongestionGame(
+        tuple(f"r{j}" for j in range(m)),
+        tuple(draw(ladder) for _ in range(m)),
+        tuple(draw(st.lists(strategy, min_size=1, max_size=3)) for _ in range(n)))
+
+
+@settings(max_examples=200, deadline=None)
+@given(congestion_games())
+def test_congestion_section_is_best_response_dynamics_from_every_start(cg):
+    game = games.congestion_to_strategic(cg)
+    assert games.check_potential(
+        game, {s: -games.rosenthal_potential(cg, s) for s in game.profiles()})
+    rows = cli._congestion_section(cg, game)["best_response_dynamics"]
+    assert [row["start"] for row in rows] == [list(game.labels(s)) for s in game.profiles()]
+    limit = math.prod(game.shape) + 1
+    for start, row in zip(game.profiles(), rows):
+        res = games.best_response_dynamics(game, start, limit)
+        assert not isinstance(res, CycleReport)
+        assert (row["equilibrium"], row["steps"]) == (list(game.labels(res.profile)), res.steps)
 
 
 # ---------------------------------------------------------------------------
