@@ -1,9 +1,10 @@
 """Exact Gauss-Jordan elimination on integer systems.
 
 Small dense systems only; everything downstream is desk scale (n <= 10).
-A caller scales its rational matrix to integers once (`scaled`) and hands the
-kernel integer rows; solutions come back as integer numerators over one
-common positive denominator.  `support_equalizers` solves the equalizer
+Callers hand the kernel integer rows, read off a game's integer payoff table
+(payoffs over one common denominator, kept by `games.StrategicGame` and
+`evolution.EvolutionGame`); solutions come back as integer numerators over
+one common positive denominator.  `support_equalizers` solves the equalizer
 systems of many sub-blocks of one matrix from a shared table of minors and
 eliminates only the singular ones.
 """
@@ -11,18 +12,6 @@ eliminates only the singular ones.
 from __future__ import annotations
 
 import math
-
-
-def scaled(matrix):
-    """``(D, rows)``: the rational matrix times the lcm D > 0 of its entries'
-    denominators, as integer rows.
-
-    Entries are ints or rationals with ``numerator`` and ``denominator``.
-    Scaling a system by D > 0 changes no `equalizer` solution w, no status
-    and no sign of a value row . w.
-    """
-    scale = math.lcm(*(v.denominator for row in matrix for v in row))
-    return scale, [[v.numerator * (scale // v.denominator) for v in row] for row in matrix]
 
 
 def solve_exact(rows, rhs):

@@ -99,13 +99,10 @@ def _to_strategic(scn):
         return scn.game, None
     if scn.kind == "evolution":
         g = scn.game
-        names = scn.metadata.get("strategy_names") or [f"s{i + 1}" for i in range(g.n)]
-        cells = {
-            (i, j): (g.exact[i][j], g.exact[j][i])
-            for i in range(g.n)
-            for j in range(g.n)
-        }
-        return games.StrategicGame([names, names], cells), None
+        names = tuple(scn.metadata.get("strategy_names") or (f"s{i + 1}" for i in range(g.n)))
+        t = g.table
+        cells = {(i, j): (t[i][j], t[j][i]) for i in range(g.n) for j in range(g.n)}
+        return games.StrategicGame._checked((names, names), g.scale, cells), None
     if scn.kind == "congestion":
         return games.congestion_to_strategic(scn.game), scn.game
     raise errors.InvalidArgument(f"unknown scenario kind {scn.kind!r}")
@@ -168,15 +165,17 @@ def _analyze_equilibria(game, eps):
 def _congestion_section(cg, game):
     """The Rosenthal potential, an exact potential of the costs (Rosenthal 1973),
     and the end and length of every best-response path.  A strict improvement
-    lowers the potential, so in ascending potential each successor is settled."""
-    phi = {s: games.rosenthal_potential(cg, s) for s in game.profiles()}
+    lowers the potential, so in ascending potential each successor is settled.
+    The potential is summed and sorted in ints over cg.scale."""
+    phi = {s: games.integer_potential(cg, s) for s in game.profiles()}
     ends = {}
     for s in sorted(phi, key=phi.__getitem__):
         nxt = games.best_response_step(game, s)
         ends[s] = (s, 0) if nxt is None else (ends[nxt][0], ends[nxt][1] + 1)
     return {
         "rosenthal_potential": {
-            "/".join(_profile_labels(game, s)): _frac(v) for s, v in phi.items()
+            "/".join(_profile_labels(game, s)): str(Fraction(v, cg.scale))
+            for s, v in phi.items()
         },
         "best_response_dynamics": [
             {"start": _profile_labels(game, s),

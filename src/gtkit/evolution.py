@@ -1,11 +1,12 @@
 """Replicator dynamics on the probability simplex for evolution matrix games.
 
 Integration uses binary64 floats (fixed-step RK4 with clamp-and-renormalize
-projection); rest points, interior equilibria and the ESS face analysis use
-exact elimination on the payoff matrix scaled once to integers.  Every
-verdict (Nash state, rest point, ESS) is decided exactly, in Fractions or on
-that integer scaling, and every reported state is an exact `SimplexState`;
-the float diagnostics are reported, never compared against a tolerance.
+projection).  Every verdict (Nash state, rest point, ESS) is decided exactly
+on the game's integer payoff table: a state enters as integer weights over
+its own denominator, so A p, p^T A p and the ESS form are ints in one
+positive scale, which changes no sign and no solution.  Every reported state
+is an exact `SimplexState`; the float diagnostics are reported, never
+compared against a tolerance.
 Floats are Python floats in tuples, lists and one flat `array('d')` per
 trajectory.  Every operation is deterministic: there is no randomness
 anywhere in this module.
@@ -24,7 +25,8 @@ from typing import NamedTuple
 
 from . import errors
 # solve_exact stays a name here because perfbench/tracing.py rebinds evolution.solve_exact.
-from ._linsolve import equalizer, scaled, solve_exact  # noqa: F401
+from ._linsolve import equalizer, solve_exact  # noqa: F401
+from .games import _common_denominator, _weights
 
 SUM_TOL = 1e-12
 CLAMP = 1e-12
@@ -53,33 +55,46 @@ def _dot(a, b):
 class EvolutionGame:
     """Symmetric evolution matrix game: an n x n payoff matrix A.
 
-    Rational (or integer / string) entries are kept exactly alongside the
-    float matrix, a tuple of row tuples; float inputs are rationalized exactly
-    (binary64 floats are rationals), so the exact and float views always agree.
+    Entries are ints, Fractions, strings or floats (rationalized exactly).  A
+    is kept as `table`, int rows over `scale` D, the lcm of the entries'
+    denominators, as `games` keeps a strategic game (SizeLimit over
+    RATIONAL_DIGITS digits), and as `matrix`, its binary64 values.  Equal
+    matrices give equal games.
     """
 
     def __init__(self, matrix):
-        exact = tuple(tuple(_to_fraction(v) for v in row) for row in matrix)
+        exact = [[_to_fraction(v) for v in row] for row in matrix]
         n = len(exact)
         if n < 2 or any(len(row) != n for row in exact):
             raise errors.InvalidArgument("payoff matrix must be square with n >= 2")
-        self.exact = exact
         try:
             self.matrix = tuple(tuple(map(float, row)) for row in exact)
         except OverflowError as exc:
             raise errors.InvalidArgument("payoff entry beyond the binary64 range") from exc
+        self.scale = scale = _common_denominator(v for row in exact for v in row)
+        self.table = tuple(tuple(v.numerator * (scale // v.denominator) for v in row)
+                           for row in exact)
+
+    @property
+    def exact(self):
+        """A as rows of Fractions, table / scale: the view a game file writes."""
+        scale = self.scale
+        return tuple(tuple(Fraction(v, scale) for v in row) for row in self.table)
 
     @property
     def n(self):
-        return len(self.exact)
+        return len(self.table)
 
     @property
     def is_symmetric(self):
-        return all(
-            self.exact[i][j] == self.exact[j][i]
-            for i in range(self.n)
-            for j in range(i + 1, self.n)
-        )
+        return self.table == tuple(zip(*self.table))
+
+    def __eq__(self, other):
+        return (isinstance(other, EvolutionGame)
+                and self.scale == other.scale and self.table == other.table)
+
+    def __hash__(self):
+        return hash((self.scale, self.table))
 
     def __repr__(self):
         return f"EvolutionGame(n={self.n})"
@@ -352,32 +367,28 @@ def interior_rest_points(g):
     The continuum flag reports an underdetermined system (a face of rest
     points rather than isolated ones).
     """
-    status, num, den = equalizer(scaled(g.exact)[1])
+    status, num, den = equalizer(g.table)
     points = []
     if num is not None and min(num) > 0:
         points.append(SimplexState([Fraction(q, den) for q in num]))
     return InteriorRestPoints(points, status == "many")
 
 
-def _exact_payoffs(g, p):
-    """u = A p for an exact state p, in Fractions, summed over the support of p."""
-    support = [(j, q) for j, q in enumerate(p) if q]
-    return [sum(row[j] * q for j, q in support) for row in g.exact]
-
-
-def _exact_state(g, state):
-    """The exact entries of a SimplexState, or of the entries SimplexState accepts,
-    checked against g's dimension."""
+def _exact_payoffs(g, state):
+    """(p, w, u) for a SimplexState, or the entries SimplexState accepts, checked
+    against g's dimension: its entries p, their integer weights w over their
+    common denominator sum(w), and u = A p times D * sum(w)."""
     st = state if isinstance(state, SimplexState) else SimplexState(state)
     _state_array(g, st)  # refuses a state of the wrong dimension
-    return st.exact
+    w = _weights((st.exact,))[0]
+    support = [(j, q) for j, q in enumerate(w) if q]
+    return st.exact, w, [sum(row[j] * q for j, q in support) for row in g.table]
 
 
 def is_nash_state(g, state):
-    """Nash state test max (Ap)_i <= p^T A p, in Fractions."""
-    p = _exact_state(g, state)
-    u = _exact_payoffs(g, p)
-    return max(u) <= sum(map(mul, p, u))
+    """Nash state test max (Ap)_i <= p^T A p, decided on integers."""
+    _, w, u = _exact_payoffs(g, state)
+    return max(u) * sum(w) <= sum(map(mul, w, u))
 
 
 def _not_finite(point):
@@ -385,9 +396,10 @@ def _not_finite(point):
                                   "diagnostics are not finite (payoffs too large)")
 
 
-def _binary64(value, point):
+def _binary64(num, den, point):
+    """num / den correctly rounded (int true division), as float(Fraction(num, den)) is."""
     try:
-        return float(value)
+        return num / den
     except OverflowError as exc:
         raise _not_finite(point) from exc
 
@@ -398,17 +410,18 @@ def transversal_eigenvalues(g, state):
     Returns (index, h_i(p)) for every strategy outside the support: the exact
     h_i(p) correctly rounded, so the point is a Nash state iff all returned
     values are <= 0.  The state is a rest point when p_i ((Ap)_i - p^T A p) = 0
-    in Fractions (InvalidArgument otherwise).
+    exactly, decided on integers (InvalidArgument otherwise).
     """
-    p = _exact_state(g, state)
-    u = _exact_payoffs(g, p)
-    mean = sum(map(mul, p, u))
-    if any(q and ui != mean for q, ui in zip(p, u)):
+    p, w, u = _exact_payoffs(g, state)
+    den = sum(w)
+    # u_i * den - mean is h_i(p) times D * den^2
+    mean = sum(map(mul, w, u))
+    if any(q and ui * den != mean for q, ui in zip(w, u)):
         raise errors.InvalidArgument("not a rest point")
-    outside = [i for i, q in enumerate(p) if not q]
+    outside = [i for i, q in enumerate(w) if not q]
     if not outside:
         raise errors.InvalidArgument("interior point has no transversal directions")
-    return [(i, _binary64(u[i] - mean, p)) for i in outside]
+    return [(i, _binary64(u[i] * den - mean, g.scale * den * den, p)) for i in outside]
 
 
 def check_face_walk(g):
@@ -433,7 +446,7 @@ def rest_point_reports(g):
 
     Returns (reports, continuum_supports); supports whose indifference system
     is underdetermined are listed rather than expanded.  The systems are
-    solved on A scaled once to integers, and a rest point is Nash when no
+    solved on g's integer table, and a rest point is Nash when no
     row outside its support pays more, decided on those integers, than the
     payoff v that every support row earns; its transversal values are those
     exact margins (Ap)_i - v correctly rounded, and its residual max |p_i h_i(p)|
@@ -441,7 +454,7 @@ def rest_point_reports(g):
     be finite (InvalidArgument).  SizeLimit (check_face_walk) before any solve.
     """
     check_face_walk(g)
-    scale, E = scaled(g.exact)
+    scale, E = g.scale, g.table
     reports = []
     continua = []
     for m in range(1, g.n + 1):
@@ -460,7 +473,7 @@ def rest_point_reports(g):
             # (A p)_i - v times scale * den, where v is the first support row's payoff
             value = sum(E[support[0]][j] * q for j, q in zip(support, num))
             margins = [sum(E[i][j] * q for j, q in zip(support, num)) - value for i in outside]
-            trans = tuple((i, _binary64(Fraction(x, scale * den), full))
+            trans = tuple((i, _binary64(x, scale * den, full))
                           for i, x in zip(outside, margins))
             terms = list(map(mul, state.p, _payoffs(g, state.p)[2]))
             if not all(map(math.isfinite, terms)):
@@ -487,16 +500,21 @@ class EssReport:
     method: str
 
 
-def _psi_coefficients(exact, p, face):
-    """psi(x) = c . x - x^T M x on the face simplex: best-reply invasion margin."""
-    c = [sum(p[i] * exact[i][k] for i in range(len(p))) for k in face]
-    M = [[exact[k][l] for l in face] for k in face]
+def _psi_coefficients(table, w, face):
+    """psi(x) = c . x - x^T M x on the face simplex, the best-reply invasion
+    margin at the state of integer weights w, for the integer payoff table
+    of A over D: c = p^T A and M = A on the face, both times D * sum(w)."""
+    support = [(i, q) for i, q in enumerate(w) if q]
+    den = sum(w)
+    c = [sum(q * table[i][k] for i, q in support) for k in face]
+    M = [[den * table[k][l] for l in face] for k in face]
     return c, M
 
 
 def _face_is_ess(c, M, x_star):
     """Exact decision: min psi over the face simplex is 0 and attained only at x_star.
 
+    c and M are ints (psi in any positive scale), x_star integer weights.
     On the face simplex psi(x) = x^T Q x with Q = c 1^T - M; S = Q + Q^T has
     the same quadratic form, doubled.  Every minimiser of psi is a KKT point:
     on its support J it solves S_J w = lam 1, 1^T w = 1 with w > 0 (the
@@ -505,22 +523,23 @@ def _face_is_ess(c, M, x_star):
     lie on smaller supports, at least one end away from x_star, and a single
     strategy always gives a unique system.  So only unique solutions are
     tested: each needs lam > 0, or lam = 0 at x_star itself (Bomze 1992, JOTA 75).
-    S is scaled once to integers, which changes no w and no sign of lam.
     """
     m = len(c)
-    _, S = scaled([[c[k] + c[l] - M[k][l] - M[l][k] for l in range(m)] for k in range(m)])
+    total = sum(x_star)
+    S = [[c[k] + c[l] - M[k][l] - M[l][k] for l in range(m)] for k in range(m)]
     for size in range(1, m + 1):
         for J in itertools.combinations(range(m), size):
             status, num, den = equalizer([[S[k][l] for l in J] for k in J])
             if status != "unique" or min(num) <= 0:
                 continue
-            # lam times the scale and den, both positive
+            # lam times the scale of psi and den, both positive
             lam = sum(S[J[0]][l] * q for l, q in zip(J, num))
             if lam < 0:
                 return False
             if lam == 0:
                 full = dict(zip(J, num))
-                if tuple(Fraction(full.get(k, 0), den) for k in range(m)) != x_star:
+                # num / den and x_star / total both sum to 1
+                if any(full.get(k, 0) * total != x * den for k, x in enumerate(x_star)):
                     return False
     return True
 
@@ -547,9 +566,10 @@ def _line_prefixes(S, head, d, r, w, psp):
 def _sampled_face_is_ess(c, M, x_star, resolution):
     """psi > 0 at every grid point k/resolution of the face other than x_star.
 
-    On the face simplex c . x = x^T (c 1^T) x, so psi(x) = x^T Q x with
-    Q = c 1^T - M.  Scaled by the lcm D of its denominators, Q becomes the
-    integer matrix Qi, and psi(k/R) = k^T S k / (2 D R^2) with S = Qi + Qi^T:
+    c and M are ints (psi in any positive scale L), x_star integer weights.
+    On the face simplex
+    c . x = x^T (c 1^T) x, so psi(x) = x^T Q x with the integer matrix
+    Q = c 1^T - M, and psi(k/R) = k^T S k / (2 L R^2) with S = Q + Q^T:
     the sign test runs on integers.  The grid (faces of m >= 2 strategies) is
     decided one line at a time: a prefix P of the first m - 2 coordinates
     leaves r = R - sum(P), and its line k = (P, t, r - t), t = 0..r, has
@@ -561,11 +581,12 @@ def _sampled_face_is_ess(c, M, x_star, resolution):
     candidate where psi <= 0.
     """
     m = len(c)
-    _, Qi = scaled([[ck - mkl for mkl in row] for ck, row in zip(c, M)])
-    S = [list(map(add, row, col)) for row, col in zip(Qi, zip(*Qi))]
+    Q = [[ck - mkl for mkl in row] for ck, row in zip(c, M)]
+    S = [list(map(add, row, col)) for row, col in zip(Q, zip(*Q))]
     a, b = m - 2, m - 1
-    on_grid = [q * resolution for q in x_star]
-    skip = [int(q) for q in on_grid] if all(q.denominator == 1 for q in on_grid) else None
+    total = sum(x_star)
+    on_grid = [divmod(x * resolution, total) for x in x_star]
+    skip = [k for k, _ in on_grid] if not any(r for _, r in on_grid) else None
     g = S[a][a] - 2 * S[a][b] + S[b][b]
     for r, psp, w, on in _line_prefixes(S, skip, 0, resolution, [0] * m, 0):
         alpha = psp + r * (2 * w[b] + r * S[b][b])
@@ -583,27 +604,27 @@ def _sampled_face_is_ess(c, M, x_star, resolution):
 def ess_check(g, state):
     """Evolutionary stability of an exact Nash state.
 
-    A float entry is its exact value.  From the exact u = A p, the state is
-    Nash when p . u = max(u), and its best-reply face is the rows attaining
-    that max.  Best-reply faces of at most 3 strategies (always the case for
-    n <= 3) get the exact decision of `_face_is_ess`, KKT support enumeration
-    over the whole face, labelled "exact-face".  Larger faces are sampled on
-    a deterministic barycentric grid (resolution 1/64, halved down to 1/4
-    while the grid would exceed 200,000 points), which `_sampled_face_is_ess`
-    decides exactly one grid line at a time; the verdict, labelled
+    A float entry is its exact value.  From u = A p, in integers (see the
+    module docstring), the state is Nash when p . u = max(u), and its
+    best-reply face is the rows attaining that max.  Best-reply faces of at
+    most 3 strategies (always the case for n <= 3) get the exact decision of
+    `_face_is_ess`, KKT support enumeration over the whole face, labelled
+    "exact-face".  Larger faces are sampled on a deterministic barycentric
+    grid (resolution 1/64, halved down to 1/4 while the grid would exceed
+    200,000 points), which `_sampled_face_is_ess` decides exactly one grid
+    line at a time; the verdict, labelled
     "sampled-1/R", is not certified.  `_face_is_ess` is exact on faces of any
     size; larger faces keep the grid only while
     `perfbench/expected/american-values-10.json` pins a sampled verdict that
     the exact decision overturns.
     """
-    p = _exact_state(g, state)
-    u = _exact_payoffs(g, p)
+    _, w, u = _exact_payoffs(g, state)
     top = max(u)
-    if sum(map(mul, p, u)) != top:
+    if sum(map(mul, w, u)) != top * sum(w):
         raise errors.InvalidState("evolutionary stability is defined for Nash states only")
     face = [i for i, ui in enumerate(u) if ui == top]
-    c, M = _psi_coefficients(g.exact, p, face)
-    x_star = tuple(p[i] for i in face)
+    c, M = _psi_coefficients(g.table, w, face)
+    x_star = tuple(w[i] for i in face)
     if len(face) <= 3:
         return EssReport(_face_is_ess(c, M, x_star), "exact-face")
 

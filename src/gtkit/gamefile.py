@@ -44,22 +44,6 @@ class Scenario:
     game: object
     metadata: dict = field(default_factory=dict)
 
-    def __eq__(self, other):
-        if not isinstance(other, Scenario):
-            return NotImplemented
-        same_game = (
-            self.game.exact == other.game.exact
-            if isinstance(self.game, EvolutionGame)
-            else self.game == other.game
-        )
-        return (
-            self.kind == other.kind
-            and self.name == other.name
-            and self.description == other.description
-            and same_game
-            and self.metadata == other.metadata
-        )
-
 
 def bounded(q, what):
     """q itself, or SizeLimit when its numerator or denominator has over RATIONAL_DIGITS digits."""
@@ -188,7 +172,7 @@ def scenario_to_dict(scn):
     elif scn.kind == "congestion":
         doc["players"] = g.n_players
         doc["resources"] = [
-            {"name": name, "costs": [str(c) for c in costs[: g.n_players]]}
+            {"name": name, "costs": [str(Fraction(c, g.scale)) for c in costs]}
             for name, costs in zip(g.resource_names, g.costs)
         ]
         doc["strategies"] = [[list(s) for s in per_player] for per_player in g.strategies]
@@ -285,6 +269,8 @@ def parse_dict(doc, source="<dict>"):
         strat = tuple(tuple(tuple(s) for s in per) for per in strategies)
         try:
             game = CongestionGame(names, costs, strat)
+        except errors.SizeLimit:
+            raise
         except errors.GTError as exc:
             raise errors.ParseError(f"{source}: {exc}") from exc
     else:

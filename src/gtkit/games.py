@@ -15,7 +15,7 @@ from __future__ import annotations
 
 import itertools
 import math
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 from fractions import Fraction
 from operator import ge, mul
 
@@ -180,20 +180,20 @@ class StrategicGame:
 class CongestionGame:
     """Players pick resource subsets; per-resource cost depends on the user count.
 
-    ``costs[j][k-1]`` is the cost of resource j when k players use it and must
-    be defined for every k in 1..player_count.  ``strategies[i]`` lists player
-    i's allowable strategies, each a tuple of resource indices.
+    ``costs[j][k-1]`` is the cost of resource j when k players use it, for
+    every k in 1..player_count (entries past it are dropped), kept as ints over
+    ``scale`` D as `StrategicGame` keeps its payoffs.  ``strategies[i]`` lists
+    player i's allowable strategies, each a tuple of resource indices.
     """
 
     resource_names: tuple
     costs: tuple
     strategies: tuple
+    scale: int = field(init=False)
 
     def __post_init__(self):
         n = len(self.strategies)
-        object.__setattr__(
-            self, "costs", tuple(tuple(as_fraction(c) for c in per_res) for per_res in self.costs)
-        )
+        ladders = tuple(tuple(as_fraction(c) for c in per_res) for per_res in self.costs)
         object.__setattr__(
             self,
             "strategies",
@@ -201,17 +201,21 @@ class CongestionGame:
         )
         if n < 2:
             raise errors.InvalidArgument("congestion game needs at least 2 players")
-        for per_res in self.costs:
-            if len(per_res) < n:
-                raise errors.InvalidArgument("cost function must be total on counts 1..player_count")
+        if any(len(per_res) < n for per_res in ladders):
+            raise errors.InvalidArgument("cost function must be total on counts 1..player_count")
         for per_player in self.strategies:
             if not per_player:
                 raise errors.InvalidArgument("every player needs at least one strategy")
             for strat in per_player:
                 if not strat:
                     raise errors.InvalidArgument("allowable strategies must be non-empty")
-                if any(not (0 <= j < len(self.costs)) for j in strat):
+                if any(not (0 <= j < len(ladders)) for j in strat):
                     raise errors.InvalidArgument("strategy references an unknown resource")
+        scale = _common_denominator(c for per_res in ladders for c in per_res[:n])
+        object.__setattr__(self, "scale", scale)
+        object.__setattr__(self, "costs", tuple(
+            tuple(c.numerator * (scale // c.denominator) for c in per_res[:n])
+            for per_res in ladders))
 
     @property
     def n_players(self):
@@ -688,6 +692,12 @@ def nash_bargaining(problem):
 # potential / congestion games
 
 
+def integer_potential(cg, profile):
+    """The Rosenthal potential of a valid profile times cg.scale, an int: per
+    resource, the int cost ladder summed up to its usage count."""
+    return sum(sum(ladder[:x]) for ladder, x in zip(cg.costs, cg.usage(profile)))
+
+
 def rosenthal_potential(cg, profile):
     """Rosenthal potential: per resource, sum the cost ladder up to its usage count."""
     profile = tuple(profile)
@@ -695,12 +705,7 @@ def rosenthal_potential(cg, profile):
         not (0 <= s < len(cg.strategies[i])) for i, s in enumerate(profile)
     ):
         raise errors.InvalidProfile(f"profile {profile} invalid for this congestion game")
-    counts = cg.usage(profile)
-    total = Fraction(0)
-    for j, x in enumerate(counts):
-        for k in range(1, x + 1):
-            total += cg.costs[j][k - 1]
-    return total
+    return Fraction(integer_potential(cg, profile), cg.scale)
 
 
 def congestion_to_strategic(cg):
@@ -709,16 +714,12 @@ def congestion_to_strategic(cg):
         tuple("+".join(cg.resource_names[j] for j in strat) for strat in per_player)
         for per_player in cg.strategies
     )
-    n = cg.n_players
-    scale = _common_denominator(c for per_res in cg.costs for c in per_res[:n])
-    costs = [[c.numerator * (scale // c.denominator) for c in per_res[:n]]
-             for per_res in cg.costs]
     table = {}
     for profile in itertools.product(*(range(len(s)) for s in cg.strategies)):
         counts = cg.usage(profile)
-        table[profile] = tuple(-sum(costs[j][counts[j] - 1] for j in cg.strategies[i][s])
+        table[profile] = tuple(-sum(cg.costs[j][counts[j] - 1] for j in cg.strategies[i][s])
                                for i, s in enumerate(profile))
-    return StrategicGame._checked(names, scale, table)
+    return StrategicGame._checked(names, cg.scale, table)
 
 
 def check_potential(game, potential):

@@ -51,6 +51,13 @@ def test_scenarios_load_and_round_trip():
         text = gamefile.dumps(scn)
         again = gamefile.loads(text, source=name)
         assert again == scn, name
+    # a cost ladder longer than the player count: no usage count reaches the
+    # entries past it, so the game drops them and the file it writes round-trips
+    doc = congestion_doc()
+    doc["resources"][0]["costs"] = ["1", "2", "3"]
+    scn = gamefile.parse_dict(doc)
+    assert gamefile.loads(gamefile.dumps(scn)) == scn
+    assert scn.game.costs == ((1, 2), (1, 2))
 
 
 def test_unknown_scenario():
@@ -141,6 +148,41 @@ def test_a_game_whose_common_denominator_is_too_long_is_refused(tmp_path):
     # one such denominator alone, or two that share it, is accepted
     doc["payoffs"][0][0][1] = f"3/{a}"
     assert gamefile.parse_dict(doc).game.payoff((0, 0)) == (F(1, a), F(3, a))
+
+
+def test_every_command_refuses_an_evolution_matrix_whose_denominator_is_too_long(
+        tmp_path, capsys):
+    # coprime diagonal denominators of about 600 digits each: an lcm of about 1800
+    diagonal = [f"1/{2**1994}", f"1/{3**1258}", f"1/{5**860}"]
+    doc = evolution_doc()
+    doc["matrix"] = [[diagonal[i] if i == j else "0" for j in range(3)] for i in range(3)]
+    with pytest.raises(errors.SizeLimit, match="common multiple"):
+        gamefile.parse_dict(doc)
+    path = tmp_path / "game.json"
+    path.write_text(json.dumps(doc))
+    messages = []
+    for command, *options in (["analyze"], ["evolve", "--t-end", "0.2", "--h", "0.01"]):
+        argv = [command, "--in", str(path), *options, "--out", str(tmp_path / command)]
+        assert main(argv) == EXIT_SIZE
+        messages.append(capsys.readouterr().err)
+    assert messages[0] == messages[1]
+    assert "common multiple over 1000 digits" in messages[0]
+
+
+def test_a_congestion_game_whose_denominator_is_too_long_exits_4(tmp_path):
+    a, b = 2**1994, 3**1258
+    doc = congestion_doc()
+    doc["resources"][0]["costs"] = [f"1/{a}", "2"]
+    doc["resources"][1]["costs"] = [f"1/{b}", "2"]
+    # the refusal is a size limit, not wrapped as a parse error of the resources
+    with pytest.raises(errors.SizeLimit, match="common multiple"):
+        gamefile.parse_dict(doc)
+    path = tmp_path / "game.json"
+    path.write_text(json.dumps(doc))
+    assert main(["analyze", "--in", str(path), "--out", str(tmp_path / "o")]) == EXIT_SIZE
+    # a ladder entry past the player count is dropped before D is taken
+    doc["resources"][1]["costs"] = ["1", "2", f"1/{b}"]
+    assert gamefile.parse_dict(doc).game.scale == a
 
 
 # ---------------------------------------------------------------------------
@@ -1044,6 +1086,93 @@ def test_quantumize_complex_reports_are_pinned(tmp_path, name, alpha):
     digests = tuple(hashlib.sha256((out / f).read_bytes()).hexdigest()
                     for f in ("surface.csv", "equilibria.json"))
     assert digests == COMPLEX_DIGESTS[(name, alpha)]
+
+
+# Reports pinned by sha256 over the exact-decision paths of evolve and analyze:
+# (exit code, digest per report file, in the order named).  bos and
+# matching-pennies do not have symmetric roles, so evolve refuses them with
+# exit 3 and writes no file.
+MIXED_EVOLUTION = [["1/2", "-1/3", "2/7", "0"], ["-5/7", "1/3", "1/2", "1"],
+                   ["2/3", "-1/2", "3/7", "-1/3"], ["1/7", "2/3", "-3/2", "5/7"]]
+MIXED_CONGESTION = {
+    "players": 3,
+    "resources": [{"name": "x", "costs": ["1/2", "4/3", "17/7"]},
+                  {"name": "y", "costs": ["2/3", "5/7", "3"]},
+                  {"name": "z", "costs": ["1/7", "3/2", "7/3"]}],
+    "strategies": [[[0], [1], [0, 2]], [[1], [2], [0, 1]], [[0], [2]]],
+}
+
+
+def _mixed_denominator_input(tmp_path, kind):
+    body = ({"kind": "evolution", "matrix": MIXED_EVOLUTION} if kind == "evolution"
+            else {"kind": "congestion", **MIXED_CONGESTION})
+    path = tmp_path / f"{kind}.json"
+    path.write_text(json.dumps({"format": "gt-game/1", "name": f"mixed-{kind}", **body}))
+    return str(path)
+
+
+EVOLVE_FILES = ("evolve.json", "trajectory.csv")
+REPORT_JOBS = {
+    **{("analyze", name): () for name in gamefile.SCENARIO_NAMES},
+    ("evolve", "rps"): ("--t-end", "20", "--h", "0.01"),
+    ("evolve", "american-values-10"): ("--t-end", "20", "--h", "0.01"),
+    **{("evolve", name): ("--t-end", "20", "--h", "0.01", "--p0", "1/3,2/3")
+       for name in ("bos", "pd", "matching-pennies")},
+    ("analyze", "mixed-evolution"): (),
+    ("evolve", "mixed-evolution"): ("--t-end", "5", "--h", "0.01", "--p0", "1/7,2/7,1/2,1/14"),
+    ("analyze", "mixed-congestion"): (),
+}
+REPORT_DIGESTS = {
+    ("analyze", "american-values-10"): (
+        0,
+        "87a850312ed99015aadb0a231d7fbc05925fb3487bf6666500db79aab069133a"),
+    ("analyze", "bos"): (0, "c953ac7c29cbac3b8ad3bc0f20c2a677ff4c20e3c6ce7cfb4ddc44e210803a12"),
+    ("analyze", "congestion-2link"): (
+        0,
+        "4ef1cd2455c1cf4c7f1eea846012b510f6ce3a31c5c403828a3350a168cb132c"),
+    ("analyze", "matching-pennies"): (
+        0,
+        "def88ab4fd9ac1ad69b00353c0b362c1c867517e4ef6f3167b8ce8d534e3f18f"),
+    ("analyze", "mixed-congestion"): (
+        0,
+        "2cf3aca3faaabfb769e996720b0cecc03e40ecc84bcf1cbbb0b92dc6ba4f09de"),
+    ("analyze", "mixed-evolution"): (
+        0,
+        "9e2ca6731c3b3182211587ba6b96c49bd7ff10fd4c2f2985f7b2477d16508f25"),
+    ("analyze", "pd"): (0, "897ddfed24654102fa472d72c815fb812e1b45dda09a3ee118d0415b9236de5e"),
+    ("analyze", "rps"): (0, "b87020520db85d429d9db19b32ea42a537e102030d924b3d67adc3a1c6b096a9"),
+    ("evolve", "american-values-10"): (
+        0,
+        "e301f72e9d1f7a810c1b40210326a462169d73c368baf571c091fb02792546f5",
+        "bc5aa043ed8299c01e32d6b325b541d43d25d89058d424e0ffafbf4873ab7782"),
+    ("evolve", "bos"): (3,),
+    ("evolve", "matching-pennies"): (3,),
+    ("evolve", "mixed-evolution"): (
+        0,
+        "66f3d7ec74f193208d53a78f886fe2bdf8615501ae93ebb880ae6ad7cb271b22",
+        "3f0739c8fc84f96f1be1f9589bd5b9ad01914f261319cb3657aa31ae6bc3a756"),
+    ("evolve", "pd"): (
+        0,
+        "f3291d1c10b5bcb8d9710e7af5dbd6c9227e95baa830f7df51b183f5b8a3be96",
+        "8966c30e746bc84a5726f51bbce3b6561ae532cc1e97a6c89ed77f0830507249"),
+    ("evolve", "rps"): (
+        0,
+        "e2bbd51487552296a52c1ead76d579dc03f2f74566beaef408fc2985b10e315d",
+        "958d891e2638a041851257ee6c2721d793afd1fae9f158a03c08dbee53a119ca"),
+}
+
+
+@pytest.mark.parametrize("command,name", sorted(REPORT_JOBS))
+def test_reports_are_pinned(tmp_path, command, name):
+    import hashlib
+
+    source = (_mixed_denominator_input(tmp_path, name.removeprefix("mixed-"))
+              if name.startswith("mixed-") else name)
+    code, out = run(tmp_path, command, "--in", source, *REPORT_JOBS[command, name])
+    files = ("analyze.json",) if command == "analyze" else EVOLVE_FILES
+    digests = tuple(hashlib.sha256((out / f).read_bytes()).hexdigest()
+                    for f in files if (out / f).exists())
+    assert (code, *digests) == REPORT_DIGESTS[command, name]
 
 
 def test_quantumize_complex_runs_no_oracle(tmp_path, monkeypatch):

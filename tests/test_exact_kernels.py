@@ -3,8 +3,9 @@
 `solve_exact` eliminates on integer rows, the sampled ESS grid decides each
 grid line from the closed-form minimum of an integer quadratic, the exact
 ESS face decision enumerates KKT supports, and support enumeration, rest
-points and the ESS kernel share one `equalizer` system on blocks scaled once
-to integers; the rational algorithms, the vertex/edge/critical-line geometry
+points and the ESS kernel share one `equalizer` system on blocks of the
+games' integer tables (the kernel tests scale their rational problems to
+integers first); the rational algorithms, the vertex/edge/critical-line geometry
 and the per-caller indifference systems they replaced are kept here as
 oracles, each solving with this file's own `solve_exact_fraction` rather than
 the kernel it checks, and both must give identical statuses, solutions and
@@ -36,7 +37,7 @@ from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from gtkit import _linsolve, cli, errors, gamefile, games, padic
-from gtkit._linsolve import equalizer, scaled, solve_exact, support_equalizers
+from gtkit._linsolve import equalizer, solve_exact, support_equalizers
 from gtkit.evolution import (
     CLAMP,
     DIVERGE_TOL,
@@ -51,6 +52,7 @@ from gtkit.evolution import (
     _sampled_face_is_ess,
     _step_source,
     detect_recurrence,
+    ess_check,
     integrate,
     interior_rest_points,
     is_nash_state,
@@ -76,6 +78,26 @@ from gtkit.quantum import (
 )
 
 F = Fraction
+
+
+# ---------------------------------------------------------------------------
+# rational problems scaled to the integers the kernels take
+
+
+def lcm_scaled(matrix):
+    """``(D, rows)``: the rational matrix times the lcm D > 0 of its entries'
+    denominators, as integer rows."""
+    scale = math.lcm(*(F(v).denominator for row in matrix for v in row))
+    return scale, [[int(F(v) * scale) for v in row] for row in matrix]
+
+
+def integer_face(c, M, x_star):
+    """A Fraction face problem (c, M, x_star) as the ESS kernels take it: c and M
+    times the lcm of their denominators (psi times a positive constant), and
+    x_star, which sums to 1, as integer weights over its common denominator."""
+    _, (ci, *Mi) = lcm_scaled([c, *M])
+    _, (xi,) = lcm_scaled([x_star])
+    return ci, Mi, tuple(xi)
 
 
 # ---------------------------------------------------------------------------
@@ -279,7 +301,7 @@ def sampled_walk_reference(c, M, x_star, resolution):
     walk stops at the first point with psi <= 0.
     """
     m = len(c)
-    _, Qi = scaled([[ck - mkl for mkl in row] for ck, row in zip(c, M)])
+    _, Qi = lcm_scaled([[ck - mkl for mkl in row] for ck, row in zip(c, M)])
     on_grid = [q * resolution for q in x_star]
     skip = [int(q) for q in on_grid] if all(q.denominator == 1 for q in on_grid) else None
     bars = resolution + m - 1
@@ -807,7 +829,7 @@ def linear_systems(draw):
 
 def integer_system(rows, rhs):
     """Each augmented row times the lcm of its own denominators: the same solutions."""
-    scaled_rows = [scaled([[F(v) for v in [*row, b]]])[1][0] for row, b in zip(rows, rhs)]
+    scaled_rows = [lcm_scaled([[*row, b]])[1][0] for row, b in zip(rows, rhs)]
     return [row[:-1] for row in scaled_rows], [row[-1] for row in scaled_rows]
 
 
@@ -841,11 +863,6 @@ def test_solve_exact_takes_and_returns_ints():
     assert solve_exact([[1, 1], [2, 2]], [1, 3]) == ("none", None, None)
 
 
-def test_scaled_multiplies_by_the_lcm_of_the_denominators():
-    assert scaled([[F(1, 2), 2], [F(-1, 3), 0]]) == (6, [[3, 12], [-2, 0]])
-    assert scaled([[4, -1]]) == (1, [[4, -1]])
-
-
 # ---------------------------------------------------------------------------
 # sampled ESS grid
 
@@ -873,9 +890,8 @@ def face_problems(draw):
 @given(face_problems())
 def test_sampled_grid_matches_fraction_grid(problem):
     c, M, x_star, resolution = problem
-    assert _sampled_face_is_ess(c, M, x_star, resolution) == sampled_face_is_ess_fraction(
-        c, M, x_star, resolution
-    )
+    assert _sampled_face_is_ess(*integer_face(c, M, x_star), resolution) == (
+        sampled_face_is_ess_fraction(c, M, x_star, resolution))
 
 
 def test_sampled_grid_matches_fraction_grid_on_american_values():
@@ -883,14 +899,12 @@ def test_sampled_grid_matches_fraction_grid_on_american_values():
     assert len(faces) == 4
     for face, c, M, x_star in faces:
         assert len(face) >= 4
-        assert _sampled_face_is_ess(c, M, x_star, 8) == sampled_face_is_ess_fraction(
-            c, M, x_star, 8
-        )
+        assert _sampled_face_is_ess(*integer_face(c, M, x_star), 8) == (
+            sampled_face_is_ess_fraction(c, M, x_star, 8))
         # the resolution ess_check samples these faces at
         resolution = 64 if len(face) == 4 else 32
-        assert _sampled_face_is_ess(c, M, x_star, resolution) == sampled_walk_reference(
-            c, M, x_star, resolution
-        )
+        assert _sampled_face_is_ess(*integer_face(c, M, x_star), resolution) == (
+            sampled_walk_reference(c, M, x_star, resolution))
 
 
 @st.composite
@@ -946,9 +960,8 @@ def grid_line_problems(draw):
 @given(grid_line_problems())
 def test_line_by_line_grid_matches_the_point_walk(problem):
     c, M, x_star, resolution = problem
-    assert _sampled_face_is_ess(c, M, x_star, resolution) == sampled_walk_reference(
-        c, M, x_star, resolution
-    )
+    assert _sampled_face_is_ess(*integer_face(c, M, x_star), resolution) == (
+        sampled_walk_reference(c, M, x_star, resolution))
 
 
 # ---------------------------------------------------------------------------
@@ -1015,29 +1028,37 @@ def reachable_faces(draw, min_m, max_m):
 @given(reachable_faces(1, 3))
 def test_face_kernel_matches_geometric_decision(face):
     c, M, x_star = face
-    assert _face_is_ess(c, M, x_star) == _ess_exact_face(c, M, x_star)
+    assert _face_is_ess(*integer_face(c, M, x_star)) == _ess_exact_face(c, M, x_star)
 
 
 @settings(max_examples=200, deadline=None)
 @given(reachable_faces(4, 6), st.sampled_from([4, 8]))
 def test_face_kernel_is_never_ess_where_the_grid_finds_an_invader(face, resolution):
     c, M, x_star = face
-    if not _sampled_face_is_ess(c, M, x_star, resolution):
-        assert not _face_is_ess(c, M, x_star)
+    if not _sampled_face_is_ess(*integer_face(c, M, x_star), resolution):
+        assert not _face_is_ess(*integer_face(c, M, x_star))
 
 
 def american_values_nash_faces():
-    """(face, c, M, x_star) for each Nash rest point of american-values-10."""
+    """(face, c, M, x_star) in Fractions for each Nash rest point of
+    american-values-10, with `_psi_coefficients` held to them: its integer c
+    and M are these times D and the state's common denominator."""
     g = gamefile.load_scenario("american-values-10").game
+    A = g.exact
     reports, _ = rest_point_reports(g)
     out = []
     for rep in reports:
         if not rep.is_nash:
             continue
         p = rep.point.exact
-        u = [sum(a * q for a, q in zip(row, p)) for row in g.exact]
+        u = [sum(a * q for a, q in zip(row, p)) for row in A]
         face = [i for i in range(g.n) if u[i] == max(u)]
-        c, M = _psi_coefficients(g.exact, p, face)
+        c = [sum(p[i] * A[i][k] for i in range(g.n)) for k in face]
+        M = [[A[k][l] for l in face] for k in face]
+        _, (w,) = lcm_scaled([p])
+        scale = g.scale * sum(w)
+        assert _psi_coefficients(g.table, w, face) == (
+            [v * scale for v in c], [[v * scale for v in row] for row in M])
         out.append((face, c, M, tuple(p[i] for i in face)))
     return out
 
@@ -1046,7 +1067,7 @@ def test_face_kernel_on_american_values_nash_faces():
     # the fourth is the Nash state with an equal invader that the grid calls an ESS
     faces = american_values_nash_faces()
     assert [len(face) for face, *_ in faces] == [4, 5, 5, 5]
-    assert [_face_is_ess(c, M, x_star) for _, c, M, x_star in faces] == [
+    assert [_face_is_ess(*integer_face(c, M, x_star)) for _, c, M, x_star in faces] == [
         True, False, False, False]
 
 
@@ -1054,7 +1075,7 @@ def test_face_kernel_on_american_values_nash_faces():
 @given(reachable_faces(1, 6))
 def test_face_kernel_matches_lambda_augmented_kkt(face):
     c, M, x_star = face
-    assert _face_is_ess(c, M, x_star) == _face_is_ess_kkt(c, M, x_star)
+    assert _face_is_ess(*integer_face(c, M, x_star)) == _face_is_ess_kkt(c, M, x_star)
 
 
 # ---------------------------------------------------------------------------
@@ -1256,6 +1277,36 @@ def test_rest_points_match_face_reference(g):
     assert new.continuum == old.continuum
     assert outcome(rest_point_rows, rest_point_reports, g) == outcome(
         rest_point_rows, rest_point_reports_reference, g)
+
+
+def exact_verdicts(g):
+    """Every exact verdict on g that scaling A by r > 0 keeps: each rest point
+    with its class, Nash verdict, transversal signs and ESS report, the
+    continua, the interior rest points, and `is_nash_state` at the vertices
+    and the barycentre."""
+    reports, continua = rest_point_reports(g)
+    rows = [(rep.point.exact, rep.classification, rep.is_nash,
+             [(i, (v > 0) - (v < 0)) for i, v in rep.transversal_eigenvalues],
+             [(i, (v > 0) - (v < 0)) for i, v in transversal_eigenvalues(g, rep.point)]
+             if rep.classification == "boundary" else None,
+             ess_check(g, rep.point) if rep.is_nash else None)
+            for rep in reports]
+    interior = interior_rest_points(g)
+    states = [[int(i == k) for i in range(g.n)] for k in range(g.n)] + [[F(1, g.n)] * g.n]
+    return (rows, continua, [p.exact for p in interior.points], interior.continuum,
+            [is_nash_state(g, p) for p in states])
+
+
+@settings(max_examples=200, deadline=None)
+@given(evolution_games(), st.sampled_from([F(1, 7), F(5, 2)]))
+def test_scaling_the_matrix_keeps_every_exact_verdict(g, r):
+    scaled_game = EvolutionGame([[r * v for v in row] for row in g.exact])
+    assert exact_verdicts(scaled_game) == exact_verdicts(g)
+    # equal matrices, however written, give equal games and scenarios
+    same = EvolutionGame([[str(v) for v in row] for row in g.exact])
+    assert same == g and hash(same) == hash(g)
+    assert gamefile.Scenario("evolution", "e", "", same) == gamefile.Scenario("evolution", "e", "", g)
+    assert (scaled_game == g) == all(v == 0 for row in g.exact for v in row)
 
 
 # ---------------------------------------------------------------------------
