@@ -115,14 +115,11 @@ def _to_evolution(scn):
         g = scn.game
         if g.n_players != 2 or g.shape[0] != g.shape[1]:
             raise errors.InvalidArgument("evolve needs a square symmetric-role game")
-        n = g.shape[0]
-        for i in range(n):
-            for j in range(n):
-                if g.payoff((i, j))[1] != g.payoff((j, i))[0]:
-                    raise errors.InvalidArgument(
-                        "evolve needs symmetric roles: u2(i,j) must equal u1(j,i)"
-                    )
-        return evolution.EvolutionGame([[g.payoff((i, j))[0] for j in range(n)] for i in range(n)])
+        n, t = g.shape[0], g._table  # both players' payoffs in ints over one D
+        if any(t[i, j][1] != t[j, i][0] for i in range(n) for j in range(n)):
+            raise errors.InvalidArgument("evolve needs symmetric roles: u2(i,j) must equal u1(j,i)")
+        return evolution.EvolutionGame._checked(
+            g._scale, [[t[i, j][0] for j in range(n)] for i in range(n)])
     raise errors.InvalidArgument(f"cannot evolve a {scn.kind!r} scenario")
 
 
@@ -168,18 +165,17 @@ def _congestion_section(cg, game):
     lowers the potential, so in ascending potential each successor is settled.
     The potential is summed and sorted in ints over cg.scale."""
     phi = {s: games.integer_potential(cg, s) for s in game.profiles()}
+    labels = {s: _profile_labels(game, s) for s in phi}
     ends = {}
     for s in sorted(phi, key=phi.__getitem__):
         nxt = games.best_response_step(game, s)
         ends[s] = (s, 0) if nxt is None else (ends[nxt][0], ends[nxt][1] + 1)
     return {
         "rosenthal_potential": {
-            "/".join(_profile_labels(game, s)): str(Fraction(v, cg.scale))
-            for s, v in phi.items()
+            "/".join(labels[s]): str(Fraction(v, cg.scale)) for s, v in phi.items()
         },
         "best_response_dynamics": [
-            {"start": _profile_labels(game, s),
-             "equilibrium": _profile_labels(game, ends[s][0]), "steps": ends[s][1]}
+            {"start": labels[s], "equilibrium": labels[ends[s][0]], "steps": ends[s][1]}
             for s in phi
         ],
     }

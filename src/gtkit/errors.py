@@ -1,4 +1,5 @@
-"""Exception hierarchy shared by all gtkit modules."""
+"""Exception hierarchy shared by all gtkit modules, and the base of their
+immutable value classes."""
 
 
 class GTError(Exception):
@@ -87,3 +88,34 @@ class ParseError(GTError):
 
 class SizeLimit(GTError):
     """The input exceeds the desk-scale enumeration limits."""
+
+
+class Frozen:
+    """Base of an immutable value class: the subclass names its fields in
+    ``__slots__`` and sets them once in ``__init__`` (`_set_fields`, or
+    ``object.__setattr__``).  Assigning or deleting a field afterwards raises
+    AttributeError; two instances of one class are equal, and hash alike,
+    when their fields are."""
+
+    __slots__ = ()
+
+    def _set_fields(self, *values):
+        for name, value in zip(self.__slots__, values):
+            object.__setattr__(self, name, value)
+
+    def __setattr__(self, name, value):
+        raise AttributeError(f"cannot assign to field {name!r}")
+
+    def __delattr__(self, name):
+        raise AttributeError(f"cannot delete field {name!r}")
+
+    def _values(self):
+        return tuple(map(self.__getattribute__, self.__slots__))
+
+    def __eq__(self, other):
+        if other.__class__ is self.__class__:
+            return self._values() == other._values()
+        return NotImplemented
+
+    def __hash__(self):
+        return hash(self._values())

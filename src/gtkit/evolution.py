@@ -18,7 +18,6 @@ import itertools
 import math
 from array import array
 from functools import reduce
-from dataclasses import dataclass
 from fractions import Fraction
 from operator import add, lt, mul, sub
 from typing import NamedTuple
@@ -74,6 +73,24 @@ class EvolutionGame:
         self.scale = scale = _common_denominator(v for row in exact for v in row)
         self.table = tuple(tuple(v.numerator * (scale // v.denominator) for v in row)
                            for row in exact)
+
+    @classmethod
+    def _checked(cls, scale, table):
+        """A game from n x n int rows over the denominator scale > 0 of a game
+        already checked.  Table and scale are divided by their gcd, so that the
+        scale is the lcm of the entries' denominators, as `__init__` makes it
+        and as `==` needs; `matrix` holds the same correctly rounded values."""
+        if len(table) < 2:
+            raise errors.InvalidArgument("payoff matrix must be square with n >= 2")
+        g = math.gcd(scale, *(v for row in table for v in row))
+        game = cls.__new__(cls)
+        game.scale = scale = scale // g
+        game.table = table = tuple(tuple(v // g for v in row) for row in table)
+        try:
+            game.matrix = tuple(tuple(v / scale for v in row) for row in table)
+        except OverflowError as exc:
+            raise errors.InvalidArgument("payoff entry beyond the binary64 range") from exc
+        return game
 
     @property
     def exact(self):
@@ -184,22 +201,18 @@ def _floats(values):
     return values if isinstance(values, array) and values.typecode == "d" else array("d", values)
 
 
-@dataclass(frozen=True)
-class Trajectory:
+class Trajectory(errors.Frozen):
     """Fixed-step trajectory: strictly increasing times and one simplex state per time.
 
     `values` holds the states row-major in one flat `array('d')`, so sample k
     is `values[k * n:(k + 1) * n]` and strategy j is the slice `values[j::n]`.
     """
 
-    times: array
-    values: array
-    h: float
+    __slots__ = ("times", "values", "h")
 
-    def __post_init__(self):
-        t, v = _floats(self.times), _floats(self.values)
-        object.__setattr__(self, "times", t)
-        object.__setattr__(self, "values", v)
+    def __init__(self, times, values, h):
+        t, v = _floats(times), _floats(values)
+        self._set_fields(t, v, h)
         if not t or not v or len(v) % len(t):
             raise errors.InvalidArgument("trajectory needs matching times and states")
         if not all(map(lt, t, t[1:])):
@@ -215,8 +228,7 @@ class Trajectory:
         """A trajectory from `integrate`'s own arrays: times strictly increasing
         and every row a state that each step already kept on the simplex."""
         traj = cls.__new__(cls)
-        for name, value in (("times", times), ("values", values), ("h", h)):
-            object.__setattr__(traj, name, value)
+        traj._set_fields(times, values, h)
         return traj
 
     def __len__(self):
@@ -432,8 +444,7 @@ def check_face_walk(g):
                                f"beyond the cap of {SUPPORT_CAP}")
 
 
-@dataclass(frozen=True)
-class RestPointReport:
+class RestPointReport(NamedTuple):
     point: SimplexState
     residual: float
     classification: str
@@ -494,8 +505,7 @@ def rest_point_reports(g):
 # evolutionary stability
 
 
-@dataclass(frozen=True)
-class EssReport:
+class EssReport(NamedTuple):
     is_ess: bool
     method: str
 
@@ -663,8 +673,7 @@ def fisher_rate_check(g, state):
 # recurrence detection
 
 
-@dataclass(frozen=True)
-class RecurrenceReport:
+class RecurrenceReport(NamedTuple):
     kind: str  # "none" | "convergent" | "recurrent"
     period: float | None = None
     detail: str = ""

@@ -12,7 +12,6 @@ from __future__ import annotations
 import json
 import math
 import os
-from dataclasses import dataclass, field
 from fractions import Fraction
 from importlib import resources
 
@@ -36,13 +35,21 @@ PROFILE_CAP = 200_000
 _RATIONAL_LIMIT = 10**RATIONAL_DIGITS
 
 
-@dataclass
 class Scenario:
-    kind: str  # "strategic" | "evolution" | "congestion"
-    name: str
-    description: str
-    game: object
-    metadata: dict = field(default_factory=dict)
+    """A parsed game file of kind "strategic", "evolution" or "congestion";
+    mutable, so unhashable (it defines __eq__ alone), and equal when every field is."""
+
+    __slots__ = ("kind", "name", "description", "game", "metadata")
+
+    def __init__(self, kind, name, description, game, metadata=None):
+        self.kind, self.name, self.description, self.game = kind, name, description, game
+        self.metadata = {} if metadata is None else metadata
+
+    def __eq__(self, other):
+        if other.__class__ is self.__class__:
+            return ([getattr(self, f) for f in self.__slots__]
+                    == [getattr(other, f) for f in self.__slots__])
+        return NotImplemented
 
 
 def bounded(q, what):

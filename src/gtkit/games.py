@@ -15,9 +15,9 @@ from __future__ import annotations
 
 import itertools
 import math
-from dataclasses import dataclass, field
 from fractions import Fraction
 from operator import ge, mul
+from typing import NamedTuple
 
 from . import errors
 # solve_exact stays a name here because perfbench/tracing.py rebinds games.solve_exact.
@@ -176,8 +176,7 @@ class StrategicGame:
         return f"StrategicGame(shape={self._shape})"
 
 
-@dataclass(frozen=True)
-class CongestionGame:
+class CongestionGame(errors.Frozen):
     """Players pick resource subsets; per-resource cost depends on the user count.
 
     ``costs[j][k-1]`` is the cost of resource j when k players use it, for
@@ -186,24 +185,18 @@ class CongestionGame:
     player i's allowable strategies, each a tuple of resource indices.
     """
 
-    resource_names: tuple
-    costs: tuple
-    strategies: tuple
-    scale: int = field(init=False)
+    __slots__ = ("resource_names", "costs", "strategies", "scale")
 
-    def __post_init__(self):
-        n = len(self.strategies)
-        ladders = tuple(tuple(as_fraction(c) for c in per_res) for per_res in self.costs)
-        object.__setattr__(
-            self,
-            "strategies",
-            tuple(tuple(tuple(sorted(set(s))) for s in per_player) for per_player in self.strategies),
-        )
+    def __init__(self, resource_names, costs, strategies):
+        n = len(strategies)
+        ladders = tuple(tuple(as_fraction(c) for c in per_res) for per_res in costs)
+        strategies = tuple(tuple(tuple(sorted(set(s))) for s in per_player)
+                           for per_player in strategies)
         if n < 2:
             raise errors.InvalidArgument("congestion game needs at least 2 players")
         if any(len(per_res) < n for per_res in ladders):
             raise errors.InvalidArgument("cost function must be total on counts 1..player_count")
-        for per_player in self.strategies:
+        for per_player in strategies:
             if not per_player:
                 raise errors.InvalidArgument("every player needs at least one strategy")
             for strat in per_player:
@@ -212,10 +205,9 @@ class CongestionGame:
                 if any(not (0 <= j < len(ladders)) for j in strat):
                     raise errors.InvalidArgument("strategy references an unknown resource")
         scale = _common_denominator(c for per_res in ladders for c in per_res[:n])
-        object.__setattr__(self, "scale", scale)
-        object.__setattr__(self, "costs", tuple(
-            tuple(c.numerator * (scale // c.denominator) for c in per_res[:n])
-            for per_res in ladders))
+        costs = tuple(tuple(c.numerator * (scale // c.denominator) for c in per_res[:n])
+                      for per_res in ladders)
+        self._set_fields(resource_names, costs, strategies, scale)
 
     @property
     def n_players(self):
@@ -230,20 +222,16 @@ class CongestionGame:
         return tuple(counts)
 
 
-@dataclass(frozen=True)
-class BargainingProblem:
+class BargainingProblem(errors.Frozen):
     """Finite utility-point set (its convex hull is the feasible set) plus a disagreement point."""
 
-    points: tuple
-    disagreement: tuple
+    __slots__ = ("points", "disagreement")
 
-    def __post_init__(self):
-        pts = tuple(sorted({(as_fraction(x), as_fraction(y)) for x, y in self.points}))
+    def __init__(self, points, disagreement):
+        pts = tuple(sorted({(as_fraction(x), as_fraction(y)) for x, y in points}))
         if not pts:
             raise errors.InvalidArgument("bargaining problem needs at least one utility point")
-        object.__setattr__(self, "points", pts)
-        d = self.disagreement
-        object.__setattr__(self, "disagreement", (as_fraction(d[0]), as_fraction(d[1])))
+        self._set_fields(pts, (as_fraction(disagreement[0]), as_fraction(disagreement[1])))
 
 
 # ---------------------------------------------------------------------------
@@ -322,8 +310,7 @@ def pure_nash(game):
         table[alt][i] <= u[i] for i, k in enumerate(game.shape) for alt in _deviations(s, i, k))}
 
 
-@dataclass(frozen=True)
-class EliminationStep:
+class EliminationStep(NamedTuple):
     round: int
     player: int
     strategy: int
@@ -331,8 +318,7 @@ class EliminationStep:
     dominated_by: int
 
 
-@dataclass(frozen=True)
-class EliminationResult:
+class EliminationResult(NamedTuple):
     game: StrategicGame
     surviving: tuple
     trace: tuple
@@ -561,8 +547,7 @@ def anarchy_ratio(game, equilibria, best):
     return Fraction(best) / worst_ne
 
 
-@dataclass(frozen=True)
-class CorrelatedCheck:
+class CorrelatedCheck(NamedTuple):
     holds: bool
     worst_margin: Fraction
     violations: tuple
@@ -739,15 +724,13 @@ def check_potential(game, potential):
                for i, k in enumerate(game.shape) for alt in _deviations(s, i, k))
 
 
-@dataclass(frozen=True)
-class BRDResult:
+class BRDResult(NamedTuple):
     profile: tuple
     trace: tuple
     steps: int
 
 
-@dataclass(frozen=True)
-class CycleReport:
+class CycleReport(NamedTuple):
     cycle: tuple
     trace: tuple
     steps: int

@@ -15,8 +15,8 @@ from __future__ import annotations
 
 import functools
 import math
-from dataclasses import dataclass
 from fractions import Fraction
+from typing import NamedTuple
 
 from . import errors
 
@@ -416,18 +416,18 @@ def _times_mu(x, mu):
     return PAdicNumber(x.p, x.valuation + v, x.unit * (mu // x.p**v), x.precision)
 
 
-@dataclass(frozen=True)
-class PAdicExtElement:
+class PAdicExtElement(errors.Frozen):
     """z = x + y*sqrt(mu) with x, y in Q_p and mu a verified non-square."""
 
-    x: PAdicNumber
-    y: PAdicNumber
-    mu: int
+    __slots__ = ("x", "y", "mu")
 
-    def __post_init__(self):
-        if self.x.p != self.y.p:
+    def __init__(self, x, y, mu):
+        if x.p != y.p:
             raise errors.PrimeMismatch("extension components over different primes")
-        _check_nonresidue(self.x.p, self.mu)
+        _check_nonresidue(x.p, mu)
+        object.__setattr__(self, "x", x)
+        object.__setattr__(self, "y", y)
+        object.__setattr__(self, "mu", mu)
 
     @property
     def p(self):
@@ -495,16 +495,17 @@ def ext_eq(a, b):
     return (a - b).is_zero
 
 
-@dataclass(frozen=True, order=False)
-class UltraNorm:
+class UltraNorm(errors.Frozen):
     """Value of the extension norm sqrt(|z conj(z)|_p): zero or an exact power p**exponent.
 
     The exponent is an exact Fraction with denominator 1 or 2, so half-integer
     powers stay exact; `exponent is None` encodes the value 0.
     """
 
-    p: int
-    exponent: object  # Fraction | None
+    __slots__ = ("p", "exponent")
+
+    def __init__(self, p, exponent):
+        self._set_fields(p, exponent)  # exponent: Fraction | None
 
     @classmethod
     def zero(cls, p):
@@ -549,20 +550,18 @@ def ext_norm(z):
 # p-adic probability
 
 
-@dataclass(frozen=True)
-class PAdicDistribution:
+class PAdicDistribution(errors.Frozen):
     """Sequence of exact rationals (read in Q_p) summing to exactly 1.
 
     Entries may be negative or exceed 1: any rational sequence with total 1 is
     a legitimate p-adic probability distribution.
     """
 
-    entries: tuple
-    p: int
+    __slots__ = ("entries", "p")
 
-    def __post_init__(self):
-        _check_prime(self.p)
-        object.__setattr__(self, "entries", tuple(Fraction(e) for e in self.entries))
+    def __init__(self, entries, p):
+        _check_prime(p)
+        self._set_fields(tuple(Fraction(e) for e in entries), p)
         if sum(self.entries, Fraction(0)) != 1:
             raise errors.InvalidArgument("p-adic distribution entries must sum to exactly 1")
 
@@ -576,8 +575,7 @@ def distribution_check(entries):
     return sum((Fraction(e) for e in seq), Fraction(0)) == 1
 
 
-@dataclass(frozen=True)
-class PAdicValue:
+class PAdicValue(NamedTuple):
     """An exact rational read in Q_p, reported with its valuation and norm."""
 
     value: Fraction

@@ -12,8 +12,8 @@ probabilities are not frequencies, so the module reports distributions only.
 from __future__ import annotations
 
 import operator
-from dataclasses import dataclass
 from fractions import Fraction
+from typing import NamedTuple
 
 from . import errors, games, quantum
 from .padic import (
@@ -37,8 +37,7 @@ SESQUILINEAR = "sesquilinear"
 BILINEAR = "bilinear"
 
 
-@dataclass(frozen=True)
-class PAdicHilbertSpace:
+class PAdicHilbertSpace(errors.Frozen):
     """Dimension, prime, non-residue and the inner-product convention.
 
     The sesquilinear convention sum conj(u_i) v_i carries the involution the
@@ -47,17 +46,15 @@ class PAdicHilbertSpace:
     one; both are exposed because the two disagree on isotropy.
     """
 
-    dimension: int
-    p: int
-    mu: int
-    convention: str = SESQUILINEAR
+    __slots__ = ("dimension", "p", "mu", "convention")
 
-    def __post_init__(self):
-        if self.dimension < 1:
+    def __init__(self, dimension, p, mu, convention=SESQUILINEAR):
+        if dimension < 1:
             raise errors.InvalidArgument("dimension must be >= 1")
-        if self.convention not in (SESQUILINEAR, BILINEAR):
-            raise errors.InvalidArgument(f"unknown convention {self.convention!r}")
-        _check_nonresidue(self.p, self.mu)
+        if convention not in (SESQUILINEAR, BILINEAR):
+            raise errors.InvalidArgument(f"unknown convention {convention!r}")
+        _check_nonresidue(p, mu)
+        self._set_fields(dimension, p, mu, convention)
 
 
 def _component_precisions(elements):
@@ -346,8 +343,7 @@ def measurement_distribution(rho, sovm):
 # p-adic quantumization of 2x2 games
 
 
-@dataclass(frozen=True)
-class GapReport:
+class GapReport(NamedTuple):
     label: str
     payoffs: tuple
     gap: tuple
@@ -355,8 +351,7 @@ class GapReport:
     gap_valuations: tuple
 
 
-@dataclass(frozen=True)
-class QuantumizeResult:
+class QuantumizeResult(NamedTuple):
     distribution: PAdicDistribution
     payoffs: tuple  # per-player PAdicValue
     hierarchy: tuple

@@ -696,6 +696,31 @@ def test_evolve_reads_decimal_p0_exactly(tmp_path):
     assert reports[0] == reports[1]
 
 
+def test_the_evolution_view_of_a_strategic_game_equals_the_game_of_its_fractions():
+    # u2(i, j) = u1(j, i), so at each profile the two players' payoffs have
+    # different denominators; the view is built from the integer table
+    from gtkit.cli import _to_evolution
+
+    a = [[F(1, 2), F(2, 3), F(0)], [F(5, 7), F(1), F(-3, 4)], [F(2), F(1, 6), F(9, 5)]]
+    n = len(a)
+    game = StrategicGame((("x", "y", "z"),) * 2,
+                         [[(a[i][j], a[j][i]) for j in range(n)] for i in range(n)])
+    assert any(game.payoff((i, j))[0].denominator != game.payoff((i, j))[1].denominator
+               for i in range(n) for j in range(n))
+    view = _to_evolution(gamefile.Scenario("strategic", "s", "", game))
+    expected = evolution.EvolutionGame(a)
+    assert view == expected and hash(view) == hash(expected)
+    assert (view.scale, view.table) == (expected.scale, expected.table) and view.scale == 420
+    assert [x.hex() for row in view.matrix for x in row] == [
+        x.hex() for row in expected.matrix for x in row]
+    assert view.exact == tuple(map(tuple, a))
+    # a table over a multiple of D is reduced, so the game stays value-equal
+    doubled = evolution.EvolutionGame._checked(
+        2 * view.scale, [[2 * v for v in row] for row in view.table])
+    assert doubled == expected and hash(doubled) == hash(expected)
+    assert doubled.matrix == expected.matrix
+
+
 def test_evolve_rejects_asymmetric_strategic(tmp_path):
     # BoS and the (matcher vs mismatcher) Matching Pennies are not symmetric-role games
     for name in ("bos", "matching-pennies"):
@@ -1223,7 +1248,7 @@ def test_quantumize_padic_works_from_the_exact_weight(tmp_path, monkeypatch):
     def refuse(*args):
         raise AssertionError("called on the p-adic quantumize path")
 
-    monkeypatch.setattr(padic.PAdicExtElement, "__post_init__", refuse)
+    monkeypatch.setattr(padic.PAdicExtElement, "__init__", refuse)
     monkeypatch.setattr(padic.PAdicNumber, "to_rational", refuse)
     for module in (padic, padic_quantum):
         monkeypatch.setattr(module, "hensel_sqrt", refuse)

@@ -66,7 +66,7 @@ def test_the_import_rule_sees_nested_functions_and_both_forms():
     assert sorted({line for line, _ in _function_imports(tree)}) == [3, 7]
 
 
-def _numpy_imports(tree):
+def _imports_of(tree, module):
     for node in ast.walk(tree):
         if isinstance(node, ast.Import):
             names = [alias.name for alias in node.names]
@@ -74,8 +74,8 @@ def _numpy_imports(tree):
             names = [node.module or ""]
         else:
             continue
-        if any(name == "numpy" or name.startswith("numpy.") for name in names):
-            yield node.lineno, "imports numpy"
+        if any(name == module or name.startswith(module + ".") for name in names):
+            yield node.lineno, f"imports {module}"
 
 
 def test_the_library_does_not_import_numpy():
@@ -83,7 +83,7 @@ def test_the_library_does_not_import_numpy():
     found = [
         f"{path.name}:{line}: {what}"
         for path in SOURCES
-        for line, what in _numpy_imports(ast.parse(path.read_text(encoding="utf-8")))
+        for line, what in _imports_of(ast.parse(path.read_text(encoding="utf-8")), "numpy")
     ]
     assert found == []
 
@@ -91,7 +91,26 @@ def test_the_library_does_not_import_numpy():
 def test_the_numpy_rule_sees_every_form():
     tree = ast.parse("import numpy\nimport numpy as np\nfrom numpy import linalg\n"
                      "import numpy.linalg\nfrom . import numpy\nimport numpyish\n")
-    assert [line for line, _ in _numpy_imports(tree)] == [1, 2, 3, 4]
+    assert [line for line, _ in _imports_of(tree, "numpy")] == [1, 2, 3, 4]
+
+
+def test_the_library_does_not_import_dataclasses():
+    # every `gt` run is a fresh process, and importing dataclasses loads inspect:
+    # value classes are NamedTuples or slotted classes (errors.Frozen)
+    found = [
+        f"{path.name}:{line}: {what}"
+        for path in SOURCES
+        for line, what in _imports_of(ast.parse(path.read_text(encoding="utf-8")), "dataclasses")
+    ]
+    assert found == []
+
+
+def test_the_dataclasses_rule_sees_every_form():
+    tree = ast.parse("import dataclasses\nfrom dataclasses import dataclass, field\n"
+                     "import dataclasses as dc\nimport os, dataclasses\n"
+                     "from . import dataclasses\nimport dataclasses_json\n"
+                     "def f():\n    from dataclasses import replace\n")
+    assert [line for line, _ in _imports_of(tree, "dataclasses")] == [1, 2, 3, 4, 8]
 
 
 def _module_imports(tree):
@@ -117,13 +136,23 @@ def test_the_module_import_rule_sees_every_form():
         "math", "fractions", "fractions", ".", ".games", "numbers"]
 
 
-def test_importing_the_cli_does_not_load_numpy():
-    code = "import sys, gtkit.cli; print('numpy' in sys.modules)"
+def _loaded_by_the_cli(*modules):
+    """Which of the modules a fresh interpreter has loaded after `import gtkit.cli`."""
+    code = f"import sys, gtkit.cli; print(*[m in sys.modules for m in {modules!r}])"
     src = str(Path(gtkit.__file__).resolve().parent.parent)
     env = dict(os.environ, PYTHONPATH=src)
     out = subprocess.run([sys.executable, "-c", code], env=env, capture_output=True,
                          text=True, check=True)
-    assert out.stdout.strip() == "False"
+    return out.stdout.split()
+
+
+def test_importing_the_cli_does_not_load_numpy():
+    assert _loaded_by_the_cli("numpy") == ["False"]
+
+
+def test_importing_the_cli_loads_neither_dataclasses_nor_inspect():
+    # each `gt` call starts a fresh interpreter; the two cost about 9 ms of its start
+    assert _loaded_by_the_cli("dataclasses", "inspect") == ["False", "False"]
 
 
 def _amplitude_uses(tree):
