@@ -494,7 +494,7 @@ def _eval_padic_expr(line, default_prec):
         return {
             "op": "distcheck",
             "entries": [_frac(v) for v in seq],
-            "sum": _frac(gamefile.bounded(sum(seq, Fraction(0)), "distribution sum")),
+            "sum": _frac(games.bounded(sum(seq, Fraction(0)), "distribution sum")),
             "is_distribution": padic.distribution_check(seq),
         }
     if op == "nonresidue":

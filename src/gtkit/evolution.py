@@ -25,7 +25,7 @@ from typing import NamedTuple
 from . import errors
 # solve_exact stays a name here because perfbench/tracing.py rebinds evolution.solve_exact.
 from ._linsolve import equalizer, solve_exact  # noqa: F401
-from .games import _common_denominator, _weights
+from .games import _common_denominator, _weights, parse_fraction
 
 SUM_TOL = 1e-12
 CLAMP = 1e-12
@@ -36,13 +36,16 @@ STRATEGY_CAP = 80  # strategies integrate compiles an RK4 step for; the step gro
 
 
 def _to_fraction(value):
-    """Fraction of an int, float, Fraction or string; booleans and non-finite
-    or malformed values are InvalidArgument."""
-    if isinstance(value, (int, float, Fraction, str)) and not isinstance(value, bool):
-        try:
+    """Fraction of an int, float, Fraction or string, a string read by
+    `games.parse_fraction` (SizeLimit past its digit bound); booleans and
+    non-finite or malformed values are InvalidArgument."""
+    try:
+        if isinstance(value, str):
+            return parse_fraction(value, f"rational {value!r}")
+        if isinstance(value, (int, float, Fraction)) and not isinstance(value, bool):
             return Fraction(value)
-        except (ValueError, OverflowError, ZeroDivisionError):
-            pass
+    except (ValueError, OverflowError, ZeroDivisionError):
+        pass
     raise errors.InvalidArgument(f"not a real matrix entry: {value!r}")
 
 

@@ -17,7 +17,7 @@ from importlib import resources
 
 from . import errors
 from .evolution import EvolutionGame
-from .games import RATIONAL_DIGITS, CongestionGame, StrategicGame
+from .games import RATIONAL_DIGITS, CongestionGame, StrategicGame, parse_fraction
 
 FORMAT = "gt-game/1"
 SCENARIO_NAMES = (
@@ -52,13 +52,6 @@ class Scenario:
         return NotImplemented
 
 
-def bounded(q, what):
-    """q itself, or SizeLimit when its numerator or denominator has over RATIONAL_DIGITS digits."""
-    if max(abs(q.numerator), q.denominator) >= _RATIONAL_LIMIT:
-        raise errors.SizeLimit(f"{what} exceeds {RATIONAL_DIGITS} digits")
-    return q
-
-
 def parse_rational(text, where):
     """Fraction from a literal such as "3", "-2/5", "0.25" or "1e-3" (JSON numbers too).
 
@@ -66,14 +59,10 @@ def parse_rational(text, where):
     large exponent refused before 10**exponent is built.
     """
     text = str(text)
-    _, _, exponent = text.lower().partition("e")
     try:
-        q = None if exponent and abs(int(exponent)) > RATIONAL_DIGITS else Fraction(text)
+        return parse_fraction(text, f"rational {text!r} ({where})")
     except (ValueError, ZeroDivisionError) as exc:
         raise errors.ParseError(f"bad rational {text!r} ({where})") from exc
-    if q is None or max(abs(q.numerator), q.denominator) >= _RATIONAL_LIMIT:
-        raise errors.SizeLimit(f"rational {text!r} ({where}) exceeds {RATIONAL_DIGITS} digits")
-    return q
 
 
 def _payoff(value, where, prefix):

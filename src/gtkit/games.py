@@ -16,12 +16,13 @@ from __future__ import annotations
 import itertools
 import math
 from fractions import Fraction
-from operator import ge, mul
+from functools import cache
+from operator import and_, eq, ge, mul
 from typing import NamedTuple
 
 from . import errors
 # solve_exact stays a name here because perfbench/tracing.py rebinds games.solve_exact.
-from ._linsolve import solve_exact, support_equalizers  # noqa: F401
+from ._linsolve import equalizer, minor_layout, solve_exact, support_equalizers  # noqa: F401
 
 # Decimal digits allowed in the numerator and denominator of a rational read from
 # any input, and in a game's common payoff denominator D: a sum or product of two
@@ -30,15 +31,34 @@ RATIONAL_DIGITS = 1000
 _RATIONAL_LIMIT = 10**RATIONAL_DIGITS
 
 
+def bounded(q, what):
+    """q itself, or SizeLimit when its numerator or denominator has over RATIONAL_DIGITS digits."""
+    if max(abs(q.numerator), q.denominator) >= _RATIONAL_LIMIT:
+        raise errors.SizeLimit(f"{what} exceeds {RATIONAL_DIGITS} digits")
+    return q
+
+
+def parse_fraction(text, what):
+    """Fraction(text) for a literal such as "3", "-2/5", "0.25" or "1e-3",
+    within the bound of `bounded` (SizeLimit naming `what` past it).  An
+    exponent past RATIONAL_DIGITS is refused before 10**exponent is built.
+    A malformed literal raises ValueError or ZeroDivisionError."""
+    _, _, exponent = text.lower().partition("e")
+    if exponent and abs(int(exponent)) > RATIONAL_DIGITS:
+        raise errors.SizeLimit(f"{what} exceeds {RATIONAL_DIGITS} digits")
+    return bounded(Fraction(text), what)
+
+
 def as_fraction(value):
-    """Convert ints, Fractions and strings like "2/5" to Fraction; floats are rejected."""
+    """Convert ints, Fractions and strings like "2/5" to Fraction; floats are
+    rejected, and a string is read by `parse_fraction`."""
     if isinstance(value, bool):
         raise errors.InvalidArgument(f"not a rational payoff: {value!r}")
     if isinstance(value, (int, Fraction)):
         return Fraction(value)
     if isinstance(value, str):
         try:
-            return Fraction(value)
+            return parse_fraction(value, f"rational {value!r}")
         except (ValueError, ZeroDivisionError) as exc:
             raise errors.InvalidArgument(f"not a rational: {value!r}") from exc
     raise errors.InvalidArgument(
@@ -304,10 +324,31 @@ def expected_payoff(game, mixed):
 
 
 def pure_nash(game):
-    """All pure Nash equilibria (weak inequality) by full enumeration."""
-    table = game._table
-    return {s for s, u in table.items() if all(
-        table[alt][i] <= u[i] for i, k in enumerate(game.shape) for alt in _deviations(s, i, k))}
+    """All pure Nash equilibria (weak inequality), by per-context maxima.
+
+    For each player, one maximum of its payoff per opponent context (the
+    profile without its own strategy); a profile is an equilibrium when each
+    player's payoff there equals its context's maximum, which is the weak
+    inequality against every unilateral deviation.  O(N n) comparisons for N
+    profiles of n players.  In lexicographic profile order player i's
+    strategies are ``stride`` apart, so each block of ``k * stride``
+    profiles holds ``stride`` contexts side by side.
+    """
+    profiles = list(game.profiles())
+    rows = list(map(game._table.__getitem__, profiles))
+    stable = [True] * len(rows)
+    stride = len(rows)
+    for i, k in enumerate(game.shape):
+        block, stride = stride, stride // k
+        if k == 1:
+            continue
+        pay = [u[i] for u in rows]
+        best = []  # per profile, the maximum of its context
+        for start in range(0, len(pay), block):
+            runs = [pay[at:at + stride] for at in range(start, start + block, stride)]
+            best += list(map(max, *runs)) * k
+        stable = list(map(and_, stable, map(eq, pay, best)))
+    return {s for s, ok in zip(profiles, stable) if ok}
 
 
 class EliminationStep(NamedTuple):
@@ -422,6 +463,10 @@ def mixed_ne_2x2(game):
     return [(m, expected_payoff(game, m)) for m in sorted(results)]
 
 
+# The minor table's bitmask bookkeeping depends on the shape alone: made once per shape.
+_minor_layout = cache(minor_layout)
+
+
 def support_enumeration(game):
     """Equilibria of a 2-player game by exact support enumeration.
 
@@ -429,12 +474,17 @@ def support_enumeration(game):
     equilibrium with unequal supports), solves each player's equalizer
     system for the opponent's mixture, and keeps solutions with positive
     support probabilities and no profitable outside deviation.  The systems
-    of all pairs are solved on the game's integer table, by Cramer's rule
-    from one memoised table of minors per payoff matrix
-    (`_linsolve.support_equalizers`); only a singular bordered system goes
-    to Bareiss elimination, which tells "none" from "many".  Returns the
-    full equilibrium list for nondegenerate games, sorted canonically; the
-    first support pair whose system has many solutions raises DegenerateGame.
+    of all pairs are read off the game's integer table by Cramer's rule, as
+    signed numerators over their sum, from one table of minors per payoff
+    matrix filled bottom-up (`_linsolve.support_equalizers`); only a
+    singular bordered system goes to Bareiss elimination, which tells "none"
+    from "many".  Pairs are taken by size, then player 1's support, then
+    player 2's.  Player 1's system of a pair is read whenever player 2's has
+    a solution, whatever its signs, so "many" in either raises at the first
+    such pair; signs and outside deviations are tested only after both, and
+    only the equilibria found are put in lowest terms.  Returns the full
+    equilibrium list for nondegenerate games, sorted canonically; the first
+    support pair whose system has many solutions raises DegenerateGame.
     """
     if game.n_players != 2:
         raise errors.UnsupportedShape("support enumeration handles 2-player games only")
@@ -445,10 +495,12 @@ def support_enumeration(game):
     A = [[table[i, j][0] for j in range(n)] for i in range(m)]
     Bt = [[table[i, j][1] for i in range(m)] for j in range(n)]
 
-    solve_a, solve_bt = support_equalizers(A), support_equalizers(Bt)
+    nums_a = support_equalizers(A, _minor_layout(m, n))
+    nums_bt = support_equalizers(Bt, _minor_layout(n, m))
 
-    def solve(solver, own, opp, pair):
-        status, num, den = solver(own, opp)
+    def singular(rows, own, opp, pair):
+        # a block whose Cramer denominator is 0: "many" raises, "none" is (None, None)
+        status, num, den = equalizer([[rows[i][j] for j in opp] for i in own])
         if status == "many":
             raise errors.DegenerateGame(
                 f"solution continuum on support pair {pair}: the game is degenerate"
@@ -456,9 +508,9 @@ def support_enumeration(game):
         return num, den
 
     def beaten(rows, own, opp, num):
-        # each row's payoff times den > 0; the first support row earns v
-        pays = [sum(row[j] * q for j, q in zip(opp, num)) for row in rows]
-        return any(pays[i] > pays[own[0]] for i in range(len(rows)) if i not in own)
+        # each row's payoff times den > 0; every support row earns the same
+        pays = [sum(map(mul, map(row.__getitem__, opp), num)) for row in rows]
+        return max(pays) > pays[own[0]]
 
     def mixture(size, sup, num, den):
         sigma = [Fraction(0)] * size
@@ -469,13 +521,27 @@ def support_enumeration(game):
     found = set()
     for k in range(1, min(m, n) + 1):
         for sup1 in itertools.combinations(range(m), k):
+            by_sup2 = nums_a[sup1]
             for sup2 in itertools.combinations(range(n), k):
-                num2, den2 = solve(solve_a, sup1, sup2, (sup1, sup2))
-                if num2 is None:
+                num2 = by_sup2[sup2]
+                den2 = sum(num2)
+                if not den2:
+                    num2, den2 = singular(A, sup1, sup2, (sup1, sup2))
+                    if num2 is None:
+                        continue
+                num1 = nums_bt[sup2][sup1]
+                den1 = sum(num1)
+                if not den1:
+                    num1, den1 = singular(Bt, sup2, sup1, (sup1, sup2))
+                    if num1 is None:
+                        continue
+                # every weight num / den is > 0 exactly when the nums share one sign
+                if not (min(num2) > 0 or max(num2) < 0) or not (min(num1) > 0 or max(num1) < 0):
                     continue
-                num1, den1 = solve(solve_bt, sup2, sup1, (sup1, sup2))
-                if num1 is None or min(num1) <= 0 or min(num2) <= 0:
-                    continue
+                if den2 < 0:
+                    num2, den2 = [-q for q in num2], -den2
+                if den1 < 0:
+                    num1, den1 = [-q for q in num1], -den1
                 if beaten(A, sup1, sup2, num2) or beaten(Bt, sup2, sup1, num1):
                     continue
                 found.add((mixture(m, sup1, num1, den1), mixture(n, sup2, num2, den2)))

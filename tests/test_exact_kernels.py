@@ -10,14 +10,15 @@ and the per-caller indifference systems they replaced are kept here as
 oracles, each solving with this file's own `solve_exact_fraction` rather than
 the kernel it checks, and both must give identical statuses, solutions and
 verdicts.  The line-by-line grid is also held to the point-by-point integer
-walk it replaced, and the memoised minor table of support enumeration to
-`equalizer` on every block.
+walk it replaced, and the bottom-up minor table of support enumeration to
+`equalizer` on every block and to Leibniz determinants.
 The compiled straight-line RK4 step and the trajectory CSV formatter are
 held to their loop forms bit for bit, the time average and the recurrence
 test on the flat trajectory to the numpy forms they replaced, and the
 quantum payoff surface to the numpy grid and the Fraction loop it replaced.
-The Pareto maxima scan is held to the pairwise dominance test, the deviation
-walks and strategy values of `games` to the per-profile loops they replaced,
+The Pareto maxima scan is held to the pairwise dominance test, the
+per-context maxima of `pure_nash`, the deviation walks and strategy values of
+`games` to the per-profile loops they replaced,
 the congestion section of `gt analyze` to `best_response_dynamics` from every
 start, and the extension product and field norm, which multiply by the integer mu,
 to the forms that embedded mu as a p-adic number on every call.
@@ -37,7 +38,13 @@ from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from gtkit import _linsolve, cli, errors, gamefile, games, padic
-from gtkit._linsolve import equalizer, solve_exact, support_equalizers
+from gtkit._linsolve import (
+    bordered_minors,
+    equalizer,
+    minor_layout,
+    solve_exact,
+    support_equalizers,
+)
 from gtkit.evolution import (
     CLAMP,
     DIVERGE_TOL,
@@ -1113,20 +1120,53 @@ def integer_matrices(draw):
     return [draw(st.lists(entry, min_size=n, max_size=n)) for _ in range(m)]
 
 
+def leibniz_det(matrix):
+    """The determinant of a square integer matrix as a sum over permutations."""
+    total = 0
+    for perm in itertools.permutations(range(len(matrix))):
+        inversions = sum(a > b for a, b in itertools.combinations(perm, 2))
+        total += (-1) ** inversions * math.prod(row[j] for row, j in zip(matrix, perm))
+    return total
+
+
 @settings(max_examples=300, deadline=None)
-@example([[1] * 5 for _ in range(5)], random.Random(0))  # every block of size 2 or more is "many"
-@example([[3, -1, 2], [0, 0, 0], [1, 4, -2]], random.Random(0))  # a zero row
-@example([[2, -7, 0, 5, 1]], random.Random(0))  # one row: only 1 x 1 blocks
-@given(integer_matrices(), st.randoms(use_true_random=False))
-def test_support_equalizers_match_equalizer_on_every_block(rows, rnd):
+@example([[1] * 5 for _ in range(5)])  # every block of size 2 or more is "many"
+@example([[3, -1, 2], [0, 0, 0], [1, 4, -2]])  # a zero row
+@example([[2, -7, 0, 5, 1]])  # one row: only 1 x 1 blocks
+@given(integer_matrices())
+def test_support_equalizers_match_equalizer_on_every_block(rows):
     m, n = len(rows), len(rows[0])
-    blocks = [(own, opp) for k in range(1, min(m, n) + 1)
-              for own in itertools.combinations(range(m), k)
-              for opp in itertools.combinations(range(n), k)]
-    rnd.shuffle(blocks)  # the table is filled in whatever order the blocks are asked for
-    solve = support_equalizers(rows)
-    for own, opp in blocks:
-        assert solve(own, opp) == equalizer([[rows[i][j] for j in opp] for i in own])
+    blocks = support_equalizers(rows, minor_layout(m, n))
+    sizes = range(1, min(m, n) + 1)
+    assert sorted(blocks) == sorted(own for k in sizes for own in itertools.combinations(range(m), k))
+    for own, by_opp in blocks.items():
+        assert sorted(by_opp) == list(itertools.combinations(range(n), len(own)))
+        for opp, num in by_opp.items():
+            expected = equalizer([[rows[i][j] for j in opp] for i in own])
+            den = sum(num)
+            if den:  # normalised: lowest terms over a positive den
+                g = math.gcd(den, *num) if den > 0 else -math.gcd(den, *num)
+                assert ("unique", [q // g for q in num], den // g) == expected
+            else:
+                assert expected[0] in ("none", "many")
+
+
+@settings(max_examples=200, deadline=None)
+@example([[1] * 5 for _ in range(5)])
+@example([[2, -7, 0, 5, 1]])
+@given(integer_matrices())
+def test_bordered_minors_hold_every_minor_with_the_ones_column(rows):
+    m, n = len(rows), len(rows[0])
+    ext = [[*row, 1] for row in rows]
+    table = bordered_minors(rows, minor_layout(m, n))
+    assert len(table) == 1 << (m + n + 1)
+    for k in range(1, min(m, n) + 1):
+        for own in itertools.combinations(range(m), k):
+            for cols in itertools.combinations(range(n), k - 1):
+                rmask = sum(1 << i for i in own)
+                cmask = sum(1 << j for j in cols) | 1 << n
+                minor = leibniz_det([[ext[i][j] for j in (*cols, n)] for i in own])
+                assert table[rmask << (n + 1) | cmask] == minor
 
 
 def outcome(fn, *args):
@@ -1176,7 +1216,15 @@ def wide_bimatrix_games(draw):
     return StrategicGame(names, cells)
 
 
+# Player 2's system on ((0, 1), (0, 1)) is unique, with weights [2, -1]; player
+# 1's is "many", since player 2's two columns are equal.  A pair loop that skipped
+# player 1's system after a non-positive player-2 solution would return equilibria.
+MANY_BEHIND_A_NEGATIVE_SOLUTION = StrategicGame(
+    [["a", "b"]] * 2, [[(1, 5), (0, 5)], [(2, 7), (2, 7)]])
+
+
 @settings(max_examples=200, deadline=None)
+@example(MANY_BEHIND_A_NEGATIVE_SOLUTION)
 @example(StrategicGame(  # a segment of equilibria whose system is never "many"
     [["a", "b", "c"]] * 2,
     [[(3, 1), (3, 1), (3, 0)], [(0, 0), (0, 1), (0, 2)], [(1, 2), (1, 0), (1, 1)]]))
@@ -1232,6 +1280,14 @@ def test_equal_rows_are_degenerate_at_the_first_pair_of_2_supports(monkeypatch):
     calls = counted_solve_exact(monkeypatch)
     assert outcome(support_enumeration, game) == DEGENERATE_AT_FIRST_2_SUPPORTS
     assert calls == [2]  # player 1's block of the pair goes to Bareiss; no other block does
+    assert outcome(support_enumeration_reference, game) == DEGENERATE_AT_FIRST_2_SUPPORTS
+
+
+def test_many_behind_a_negative_solution_is_degenerate_at_that_pair():
+    game = MANY_BEHIND_A_NEGATIVE_SOLUTION
+    block = [[game.payoff((i, j))[0].numerator for j in (0, 1)] for i in (0, 1)]
+    assert equalizer(block) == ("unique", [2, -1], 1)
+    assert outcome(support_enumeration, game) == DEGENERATE_AT_FIRST_2_SUPPORTS
     assert outcome(support_enumeration_reference, game) == DEGENERATE_AT_FIRST_2_SUPPORTS
 
 
@@ -1479,10 +1535,25 @@ def games_with_profiles(draw):
 # failure shrinks the one check that failed.
 
 
+@st.composite
+def pure_nash_games(draw):
+    """A 2- to 4-player game with 1-3 strategies each and payoffs k/d for k in
+    {-2..2} and d in {1, 2, 3}; in about half of them the payoffs of every
+    profile sum to one constant, the last player's being the rest."""
+    shape = draw(st.lists(st.integers(1, 3), min_size=2, max_size=4))
+    profiles = list(itertools.product(*(range(k) for k in shape)))
+    payoff = rationals_over(2, [1, 2, 3])
+    constant = draw(st.one_of(st.none(), payoff))
+    width = len(shape) - (constant is not None)
+    vectors = [draw(st.lists(payoff, min_size=width, max_size=width)) for _ in profiles]
+    if constant is not None:
+        vectors = [[*u, constant - sum(u)] for u in vectors]
+    return StrategicGame([[f"s{i}" for i in range(k)] for k in shape], dict(zip(profiles, vectors)))
+
+
 @settings(max_examples=300, deadline=None)
-@given(games_with_profiles())
-def test_pure_nash_matches_the_profile_loop(case):
-    game = case[0]
+@given(pure_nash_games())
+def test_pure_nash_matches_the_profile_loop(game):
     assert games.pure_nash(game) == pure_nash_reference(game)
 
 

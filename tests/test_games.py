@@ -645,3 +645,31 @@ def test_determinism_bit_identical():
     b = support_enumeration(bos())
     assert a == b
     assert mixed_ne_2x2(bos()) == mixed_ne_2x2(bos())
+
+
+@pytest.mark.parametrize("text", ["1e10000000", "-2.5E-10000000", "1e1001", "7" * 1001])
+def test_a_literal_past_the_digit_bound_is_refused_before_it_is_built(text, monkeypatch):
+    from gtkit import evolution
+
+    class Unbuilt(Fraction):
+        def __new__(cls, *args):
+            raise AssertionError("Fraction built from an exponent past the bound")
+
+    if "e" in text.lower():  # refused on the exponent alone, so 10**exponent is never built
+        monkeypatch.setattr(games, "Fraction", Unbuilt)
+    for read in (as_fraction, evolution._to_fraction,
+                 lambda t: StrategicGame([["a"], ["b"]], [[(t, 0)]]),
+                 lambda t: evolution.EvolutionGame([[t, 0], [0, 0]])):
+        with pytest.raises(errors.SizeLimit, match="exceeds 1000 digits"):
+            read(text)
+
+
+def test_a_literal_within_the_digit_bound_still_reads():
+    from gtkit import evolution
+
+    for text, value in (("1e999", F(10) ** 999), ("-1e-999", -F(1, 10 ** 999)),
+                        ("9" * 1000, F(10) ** 1000 - 1), ("2/5", F(2, 5)), ("0.25", F(1, 4))):
+        assert as_fraction(text) == evolution._to_fraction(text) == value
+    for read in (as_fraction, evolution._to_fraction):
+        with pytest.raises(errors.InvalidArgument):
+            read("1e5x")
