@@ -424,8 +424,7 @@ def _padic_report(args, scn, form, a):
     gamefile.check_precision(p, prec, "--prec")
     if prec < 1:
         raise errors.InvalidArgument("--prec must be >= 1")
-    mu = args.mu if args.mu is not None else padic.find_nonresidue(p)
-    padic._check_nonresidue(p, mu)
+    mu = padic.find_nonresidue(p)
     # the state needs amplitudes in Q_p: both weights squares (3 digits decide Q_2 too)
     for w in (form.a2, 1 - form.a2):
         if not padic.is_square(padic.padic_from_rational(w, 1, p, 3)):
@@ -644,12 +643,11 @@ def build_parser():
                    help="grid density (default 100 complex, 10 p-adic)")
     q.add_argument("--alpha", default="max",
                    help="initial-state amplitude of |00>: 'max' (maximally entangled) or a number")
-    q.add_argument("--padic", action="store_true", help="run over Q_p(sqrt(mu)) instead of C")
+    q.add_argument("--padic", action="store_true", help="run over Q_p instead of C")
     q.add_argument("--p", type=int, default=7, help="prime for the p-adic mode")
     q.add_argument("--prec", type=int, default=32,
                    help="p-adic precision N, >= 1: recorded in the report; it changes no value, "
                         "every value is exact")
-    q.add_argument("--mu", type=int, default=None, help="non-residue override")
     q.set_defaults(func=cmd_quantumize)
 
     # no abbreviations: the removed `--p` would otherwise silently mean `--prec`

@@ -13,11 +13,10 @@ import json
 import math
 import os
 from fractions import Fraction
-from importlib import resources
 
 from . import errors
 from .evolution import EvolutionGame
-from .games import RATIONAL_DIGITS, CongestionGame, StrategicGame, parse_fraction
+from .games import RATIONAL_DIGITS, _RATIONAL_LIMIT, CongestionGame, StrategicGame, parse_fraction
 
 FORMAT = "gt-game/1"
 SCENARIO_NAMES = (
@@ -31,8 +30,6 @@ SCENARIO_NAMES = (
 # Largest number of pure profiles a game file may declare, and of (p, q) points
 # on a `gt quantumize` surface grid.
 PROFILE_CAP = 200_000
-# RATIONAL_DIGITS, from games, bounds every rational read from any input.
-_RATIONAL_LIMIT = 10**RATIONAL_DIGITS
 
 
 class Scenario:
@@ -305,8 +302,9 @@ def load_scenario(name):
     """Load one of the packaged scenarios by name."""
     if name not in SCENARIO_NAMES:
         raise errors.ParseError(f"unknown scenario {name!r}; choices: {', '.join(SCENARIO_NAMES)}")
-    ref = resources.files("gtkit").joinpath("scenarios", f"{name}.json")
-    return loads(ref.read_text(encoding="utf-8"), source=f"scenario:{name}")
+    path = os.path.join(os.path.dirname(__file__), "scenarios", f"{name}.json")
+    with open(path, "r", encoding="utf-8") as fh:
+        return loads(fh.read(), source=f"scenario:{name}")
 
 
 def resolve_input(source):

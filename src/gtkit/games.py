@@ -679,64 +679,45 @@ def _convex_hull(points):
 def nash_bargaining(problem):
     """Maximize the Nash product over the hull of the utility points.
 
-    Exact evaluation at hull vertices plus closed-form maximization of the
-    quadratic product on each edge.  Raises InfeasibleBargain when no hull
-    point weakly dominates the disagreement point.
+    One pass over the hull's cyclic edges: a 1-point hull is its own
+    zero-length edge and a 2-point hull its segment taken both ways.  Each
+    edge a + t*(b - a) is clipped to the t-interval in [0, 1] where both
+    coordinates weakly dominate the disagreement point; its two clipped ends,
+    and the stationary point of the quadratic product when it lies inside,
+    are the candidates (each feasible vertex is the t = 0 end of its outgoing
+    edge).  The largest product wins, ties going to the larger point.  Raises
+    InfeasibleBargain when no hull point weakly dominates the disagreement
+    point.
     """
     lam = problem.disagreement
     hull = _convex_hull(problem.points)
-    edges = []
-    if len(hull) == 1:
-        edges = []
-    elif len(hull) == 2:
-        edges = [(hull[0], hull[1])]
-    else:
-        edges = [(hull[i], hull[(i + 1) % len(hull)]) for i in range(len(hull))]
-
-    def product(pt):
-        return (pt[0] - lam[0]) * (pt[1] - lam[1])
-
-    def feasible(pt):
-        return pt[0] >= lam[0] and pt[1] >= lam[1]
-
-    candidates = [p for p in hull if feasible(p)]
-    for a, b in edges:
+    candidates = []
+    for a, b in zip(hull, hull[1:] + hull[:1]):
         d = (b[0] - a[0], b[1] - a[1])
-        # t-interval within [0,1] where both coordinates stay >= disagreement
-        t_lo, t_hi = Fraction(0), Fraction(1)
-        empty = False
-        for coord in (0, 1):
-            if d[coord] == 0:
-                if a[coord] < lam[coord]:
-                    empty = True
-                    break
-            else:
-                bound = (lam[coord] - a[coord]) / d[coord]
-                if d[coord] > 0:
-                    t_lo = max(t_lo, bound)
-                else:
-                    t_hi = min(t_hi, bound)
-        if empty or t_lo > t_hi:
+        lo, hi = Fraction(0), Fraction(1)
+        for ai, di, li in zip(a, d, lam):
+            if di > 0:
+                lo = max(lo, (li - ai) / di)
+            elif di < 0:
+                hi = min(hi, (li - ai) / di)
+            elif ai < li:
+                hi = -1  # a constant coordinate below the disagreement point
+        if lo > hi:
             continue
-
-        def at(t):
-            return (a[0] + t * d[0], a[1] + t * d[1])
-
-        candidates.extend([at(t_lo), at(t_hi)])
+        ts = [lo, hi]
         # stationary point of the quadratic (x(t)-l1)(y(t)-l2)
         quad = 2 * d[0] * d[1]
-        lin = d[0] * (a[1] - lam[1]) + d[1] * (a[0] - lam[0])
         if quad != 0:
-            t_star = -lin / quad
-            if t_lo <= t_star <= t_hi:
-                candidates.append(at(t_star))
+            t_star = -(d[0] * (a[1] - lam[1]) + d[1] * (a[0] - lam[0])) / quad
+            if lo <= t_star <= hi:
+                ts.append(t_star)
+        candidates.extend((a[0] + t * d[0], a[1] + t * d[1]) for t in ts)
 
     if not candidates:
         raise errors.InfeasibleBargain(
             f"no feasible utility point dominates the disagreement point {lam}"
         )
-
-    return max(candidates, key=lambda pt: (product(pt), pt))
+    return max(candidates, key=lambda pt: ((pt[0] - lam[0]) * (pt[1] - lam[1]), pt))
 
 
 # ---------------------------------------------------------------------------

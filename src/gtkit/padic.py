@@ -300,17 +300,15 @@ def is_square(x):
 
 
 def _sqrt_mod_p(a, p):
-    """Smallest root r in 1..p-1 of r*r = a mod p, by Tonelli-Shanks.
+    """Smallest root r in 1..p-1 of r*r = a mod p, by Tonelli-Shanks from the
+    non-residue of find_nonresidue.
 
     p is an odd prime and a a nonzero quadratic residue mod p.
     """
     q, s = p - 1, 0
     while q % 2 == 0:
         q, s = q // 2, s + 1
-    z = 2
-    while pow(z, (p - 1) // 2, p) != p - 1:
-        z += 1
-    c, t, r = pow(z, q, p), pow(a, q, p), pow(a, (q + 1) // 2, p)
+    c, t, r = pow(find_nonresidue(p), q, p), pow(a, q, p), pow(a, (q + 1) // 2, p)
     while t != 1:
         i, t2 = 1, t * t % p
         while t2 != 1:

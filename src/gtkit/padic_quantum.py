@@ -348,7 +348,6 @@ class GapReport(NamedTuple):
     payoffs: tuple
     gap: tuple
     gap_norms: tuple
-    gap_valuations: tuple
 
 
 class QuantumizeResult(NamedTuple):
@@ -390,7 +389,6 @@ def padic_quantumize_2x2(form, p, p_one, q_two):
                 payoffs=pay,
                 gap=gap,
                 gap_norms=tuple(rational_norm(gv, p) for gv in gap),
-                gap_valuations=tuple(rational_valuation(gv, p) for gv in gap),
             )
         )
     return QuantumizeResult(dist, tuple(payoffs), tuple(hierarchy))

@@ -1,5 +1,6 @@
 """Tests for the gt-game/1 schema and the gt command-line interface."""
 
+import copy
 import json
 import os
 import subprocess
@@ -527,7 +528,10 @@ def _paths(node, prefix=()):
 
 @st.composite
 def mutated(draw, doc):
-    """doc with up to three subtrees replaced by junk of another type, or deleted."""
+    """doc with up to three subtrees replaced by junk of another type, or deleted.
+
+    Each junk value is a copy: `sampled_from` hands out one shared `[0]`, and a
+    later mutation inside it would change other examples or make a cycle."""
     for _ in range(draw(st.integers(0, 3))):
         path = draw(st.sampled_from(list(_paths(doc))))
         if not path:
@@ -538,7 +542,7 @@ def mutated(draw, doc):
         if isinstance(parent, dict) and draw(st.booleans()):
             del parent[path[-1]]
         else:
-            parent[path[-1]] = draw(_JUNK)
+            parent[path[-1]] = copy.deepcopy(draw(_JUNK))
     return doc
 
 
@@ -1253,8 +1257,15 @@ def test_quantumize_padic_works_from_the_exact_weight(tmp_path, monkeypatch):
     for module in (padic, padic_quantum):
         monkeypatch.setattr(module, "hensel_sqrt", refuse)
     for alpha in ("max", "3/5", "5/13"):
-        assert run(tmp_path, "quantumize", "--in", "bos", "--padic", "--alpha", alpha,
-                   "--mu", "3")[0] == EXIT_OK
+        assert run(tmp_path, "quantumize", "--in", "bos", "--padic", "--alpha", alpha)[0] == EXIT_OK
+
+
+def test_quantumize_has_no_mu_option(tmp_path):
+    # the report's mu is find_nonresidue(p); nothing is computed in Q_p(sqrt(mu))
+    with pytest.raises(SystemExit) as exc:
+        main(["quantumize", "--in", "bos", "--padic", "--mu", "3", "--out", str(tmp_path / "o")])
+    assert exc.value.code == EXIT_PARSE
+    assert not (tmp_path / "o").exists()
 
 
 def _is_square_in_qp(q, p):
@@ -1417,7 +1428,6 @@ _PRECISIONS = st.one_of(st.integers(-1, 40), st.sampled_from([3322, 10**8, 10**4
 _OPTION_VALUES = {
     "--grid": st.one_of(st.integers(-1, 6), st.sampled_from([447, 10**5, 10**40])),
     "--p": _PRIMES,
-    "--mu": st.one_of(st.integers(-3, 20), st.just(10**50)),
     "--prec": _PRECISIONS,
     "--alpha": st.one_of(
         st.fractions(min_value=-2, max_value=2, max_denominator=50).map(str),

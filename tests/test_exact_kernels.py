@@ -20,8 +20,10 @@ The Pareto maxima scan is held to the pairwise dominance test, the
 per-context maxima of `pure_nash`, the deviation walks and strategy values of
 `games` to the per-profile loops they replaced,
 the congestion section of `gt analyze` to `best_response_dynamics` from every
-start, and the extension product and field norm, which multiply by the integer mu,
-to the forms that embedded mu as a p-adic number on every call.
+start, the extension product and field norm, which multiply by the integer mu,
+to the forms that embedded mu as a p-adic number on every call, and Nash
+bargaining, one clipped loop over the hull's cyclic edges, to the vertex pass
+and separately built edge list it replaced.
 """
 
 import functools
@@ -69,11 +71,14 @@ from gtkit.evolution import (
     transversal_eigenvalues,
 )
 from gtkit.games import (
+    BargainingProblem,
     BRDResult,
     CorrelatedCheck,
     CycleReport,
     StrategicGame,
+    _convex_hull,
     as_fraction,
+    nash_bargaining,
     pareto_optimal_profiles,
     support_enumeration,
     validate_mixed,
@@ -1680,3 +1685,119 @@ def test_extension_product_and_norm_match_the_embedded_mu(pair):
     product = z * w
     assert (product.x, product.y) == ext_mul_reference(z, w)
     assert z.field_norm() == field_norm_reference(z)
+
+
+# ---------------------------------------------------------------------------
+# Nash bargaining
+
+
+def nash_bargaining_reference(problem):
+    """Maximize the Nash product over the hull of the utility points.
+
+    Exact evaluation at hull vertices plus closed-form maximization of the
+    quadratic product on each edge.  Raises InfeasibleBargain when no hull
+    point weakly dominates the disagreement point.
+    """
+    lam = problem.disagreement
+    hull = _convex_hull(problem.points)
+    edges = []
+    if len(hull) == 1:
+        edges = []
+    elif len(hull) == 2:
+        edges = [(hull[0], hull[1])]
+    else:
+        edges = [(hull[i], hull[(i + 1) % len(hull)]) for i in range(len(hull))]
+
+    def product(pt):
+        return (pt[0] - lam[0]) * (pt[1] - lam[1])
+
+    def feasible(pt):
+        return pt[0] >= lam[0] and pt[1] >= lam[1]
+
+    candidates = [p for p in hull if feasible(p)]
+    for a, b in edges:
+        d = (b[0] - a[0], b[1] - a[1])
+        # t-interval within [0,1] where both coordinates stay >= disagreement
+        t_lo, t_hi = Fraction(0), Fraction(1)
+        empty = False
+        for coord in (0, 1):
+            if d[coord] == 0:
+                if a[coord] < lam[coord]:
+                    empty = True
+                    break
+            else:
+                bound = (lam[coord] - a[coord]) / d[coord]
+                if d[coord] > 0:
+                    t_lo = max(t_lo, bound)
+                else:
+                    t_hi = min(t_hi, bound)
+        if empty or t_lo > t_hi:
+            continue
+
+        def at(t):
+            return (a[0] + t * d[0], a[1] + t * d[1])
+
+        candidates.extend([at(t_lo), at(t_hi)])
+        # stationary point of the quadratic (x(t)-l1)(y(t)-l2)
+        quad = 2 * d[0] * d[1]
+        lin = d[0] * (a[1] - lam[1]) + d[1] * (a[0] - lam[0])
+        if quad != 0:
+            t_star = -lin / quad
+            if t_lo <= t_star <= t_hi:
+                candidates.append(at(t_star))
+
+    if not candidates:
+        raise errors.InfeasibleBargain(
+            f"no feasible utility point dominates the disagreement point {lam}"
+        )
+
+    return max(candidates, key=lambda pt: (product(pt), pt))
+
+
+@st.composite
+def bargaining_problems(draw):
+    """(points, disagreement): 1-7 utility points with coordinates of denominator
+    at most 3, scattered or collinear, with up to two repeated, and a disagreement
+    point inside their hull, on a segment between two of them, or anywhere."""
+    coords = st.fractions(min_value=-3, max_value=3, max_denominator=3)
+    unit = st.fractions(min_value=0, max_value=1, max_denominator=3)
+    k = draw(st.integers(1, 7))
+    if draw(st.integers(0, 4)) == 0:
+        (ax, ay), (bx, by) = draw(st.tuples(coords, coords)), draw(st.tuples(coords, coords))
+        ts = draw(st.lists(st.fractions(min_value=-2, max_value=2, max_denominator=3),
+                           min_size=k, max_size=k))
+        points = [(ax + t * (bx - ax), ay + t * (by - ay)) for t in ts]
+    else:
+        points = draw(st.lists(st.tuples(coords, coords), min_size=k, max_size=k))
+    points += draw(st.lists(st.sampled_from(points), max_size=2))
+    where = draw(st.sampled_from(["inside", "on", "anywhere"]))
+    if where == "inside":
+        weights = draw(st.lists(st.integers(0, 3), min_size=len(points),
+                                max_size=len(points)).filter(any))
+        d = tuple(sum(w * pt[i] for w, pt in zip(weights, points)) / sum(weights)
+                  for i in (0, 1))
+    elif where == "on":
+        (ax, ay), (bx, by) = draw(st.sampled_from(points)), draw(st.sampled_from(points))
+        t = draw(unit)
+        d = (ax + t * (bx - ax), ay + t * (by - ay))
+    else:
+        d = draw(st.tuples(coords, coords))
+    return points, d
+
+
+def _bargain(solve, problem):
+    try:
+        return "point", solve(problem)
+    except errors.InfeasibleBargain as exc:
+        return "infeasible", str(exc)
+
+
+@settings(max_examples=500, deadline=None)
+@given(bargaining_problems())
+@example(([(1, 2)], (0, 0)))  # a feasible single point
+@example(([(1, 2)], (2, 0)))  # an infeasible single point
+@example(([(0, 3), (3, 0)], (0, 0)))  # a segment whose product peaks at (3/2, 3/2)
+@example(([(0, 0), (2, 0)], (0, 0)))  # product 0 along the segment: the larger end wins
+def test_nash_bargaining_matches_the_vertex_and_edge_reference(case):
+    problem = BargainingProblem(*case)
+    assert _bargain(nash_bargaining, problem) == _bargain(nash_bargaining_reference, problem)
