@@ -9,6 +9,10 @@ systems of every equal-size sub-block of one matrix, by Cramer's rule, off
 one table of minors filled bottom-up (`bordered_minors`); it returns their
 signed numerators as they are, and leaves lowest terms, and the singular
 blocks, to its caller (`equalizer` tells "none" from "many").
+`principal_equalizers` walks the principal blocks of one square matrix
+instead, support by support, each bordered from its parent's determinant
+and integer adjugate in O(k^2), and yields exactly what `equalizer` gives on
+each block; only singular blocks, and those below one, are eliminated.
 """
 
 from __future__ import annotations
@@ -94,6 +98,61 @@ def equalizer(block):
     rows.append([1] * len(first))
     status, num, den = solve_exact(rows, [0] * (len(block) - 1) + [1])
     return (status, num, den) if status == "unique" else (status, None, None)
+
+
+def principal_equalizers(rows):
+    """Yield ``(support, (status, num, den))`` for every nonempty support of the
+    n x n integer matrix rows, in `itertools.combinations` order by size, where
+    the triple is what `equalizer` gives on the principal block ``rows[S][S]``.
+
+    The block's system is the bordered ``B_S = [[0, 1ᵀ], [1, A_SS]]`` times
+    ``(-v, w) = e_0``, so a nonsingular B_S has ``w = adj(B_S)[1:, 0] /
+    det(B_S)``.  Level by level, S borders its parent P = S[:-1] by the new
+    column c and row d of j = S[-1]: from the parent's determinant D and
+    integer adjugate Â, ``u = Âc``, ``wᵀ = dᵀÂ``, ``D' = a_jj D - d.u`` and
+    ``adj(B_S) = [[(D'Â + u wᵀ) / D, -u], [-wᵀ, D]]``, every division exact:
+    O(k²) per support where elimination takes O(k³).  A singular B_S
+    (D' = 0), or a support whose parent has no adjugate, goes to `equalizer`,
+    which tells "none" from "many", and has no adjugate to hand down.
+    """
+    n = len(rows)
+    columns = list(zip(*rows))
+    level = []  # (support, D, Â) of the supports with children, Â None when unknown
+    for i in range(n):
+        yield (i,), ("unique", [1], 1)
+        if i < n - 1:
+            level.append(((i,), -1, [[rows[i][i], -1], [-1, 0]]))
+    while level:
+        children = []
+        for parent, D, adj in level:
+            for j in range(parent[-1] + 1, n):
+                support = parent + (j,)
+                last = j == n - 1  # no child of support to border
+                if adj is not None:
+                    row = rows[j]
+                    c = [1, *map(columns[j].__getitem__, parent)]
+                    d = [1, *map(row.__getitem__, parent)]
+                    # int.__mul__ where operator.mul would do: this kernel imports math alone
+                    u = [sum(map(int.__mul__, a, c)) for a in adj]
+                    det = row[j] * D - sum(map(int.__mul__, d, u))
+                    if det:
+                        w = [sum(map(int.__mul__, d, a)) for a in zip(*adj)]
+                        num = [(det * a[0] + ui * w[0]) // D for a, ui in zip(adj[1:], u[1:])]
+                        num.append(-w[0])
+                        g = math.gcd(*num)  # num sums to det, so g > 0
+                        if det < 0:
+                            g = -g
+                        yield support, ("unique", [q // g for q in num], det // g)
+                        if not last:
+                            bordered = [[(det * a + ui * wl) // D for a, wl in zip(ar, w)] + [-ui]
+                                        for ar, ui in zip(adj, u)]
+                            bordered.append([-wl for wl in w] + [D])
+                            children.append((support, det, bordered))
+                        continue
+                yield support, equalizer([[rows[i][l] for l in support] for i in support])
+                if not last:
+                    children.append((support, None, None))
+        level = children
 
 
 def support_equalizers(rows, layout):

@@ -24,7 +24,7 @@ from typing import NamedTuple
 
 from . import errors
 # solve_exact stays a name here because perfbench/tracing.py rebinds evolution.solve_exact.
-from ._linsolve import equalizer, solve_exact  # noqa: F401
+from ._linsolve import equalizer, principal_equalizers, solve_exact  # noqa: F401
 from .games import _common_denominator, _weights, parse_fraction
 
 SUM_TOL = 1e-12
@@ -32,7 +32,7 @@ CLAMP = 1e-12
 DIVERGE_TOL = 1e-9
 SAMPLE_CAP = 2_000_000  # samples x strategies that integrate stores
 SUPPORT_CAP = 2 ** 12 - 1  # supports rest_point_reports solves: 2^n - 1, so n <= 12
-STRATEGY_CAP = 80  # strategies integrate compiles an RK4 step for; the step grows as n^2
+STRATEGY_CAP = 80  # strategies integrate compiles an RK4 run for; its code grows as n^2
 
 
 def _to_fraction(value):
@@ -148,6 +148,14 @@ class SimplexState:
         if any(q < 0 for q in exact) or sum(exact) != 1:
             raise errors.InvalidState(f"not an exact simplex point: ({', '.join(map(str, exact))})")
         self.exact, self.p = exact, p
+
+    @classmethod
+    def _checked(cls, exact, p):
+        """A state from Fractions already known to be a simplex point and their
+        correctly rounded binary64 values."""
+        state = cls.__new__(cls)
+        state.exact, state.p = exact, p
+        return state
 
     @property
     def n(self):
@@ -271,52 +279,76 @@ class Trajectory(errors.Frozen):
 
 
 def _step_source(rows, h):
-    """Source of `step(state)`: one RK4 step of the replicator flow for the payoff
-    rows and step h, then the clamp/renormalize projection, as straight-line code.
+    """Source of `run(state, steps, values)`: from the state, `steps` RK4 steps of
+    the replicator flow for the payoff rows and step h, each followed by the
+    clamp/renormalize projection and by extending values with the new state as
+    one tuple.  The state stays in local variables and each step is
+    straight-line code.
 
     Payoffs, 0.5*h, h and h/6.0 are float literals; the fourth stage is folded
     into the final combination.  Dot products and the total add left to right
     from 0.0 by explicit `+`, as `_dot` does, at most 64 terms per statement:
-    CPython cannot compile one sum of about 3000 terms.
+    CPython cannot compile one sum of about 3000 terms.  A payoff of 1.0 or
+    -1.0 adds or subtracts the entry itself, which is exact.  A 0.0 payoff
+    drops its term: a sum from 0.0 is never -0.0, so that is exact while the
+    entry is finite.  The state always is; a stage entry xk_l that is not
+    finite leaves every new entry non-finite, so the step is refused, and
+    `_diverged` is handed the stage entries of the columns with a 0.0 payoff
+    to report what the unfolded step, NaN throughout, would have.
     """
     n = len(rows)
-    p, x, new = ([f"{v}{j}" for j in range(n)] for v in "pxn")
+    p, new = ([f"{v}{j}" for j in range(n)] for v in "pn")
+    zero_columns = [j for j in range(n) if any(row[j] == 0.0 for row in rows)]
 
     def total(name, terms):
-        return [f"{name} = {prev} + {' + '.join(terms[i:i + 64])}"
-                for prev, i in zip(["0.0"] + [name] * n, range(0, n, 64))]
+        return [f"{name} = {prev} {' '.join(terms[i:i + 64])}"
+                for prev, i in zip(["0.0"] + [name] * n, range(0, len(terms), 64))
+                ] or [f"{name} = 0.0"]
 
-    lines, y = [f"{', '.join(p)}, = state"], p
+    def product(a, y):
+        return f"+ {y}" if a == 1.0 else f"- {y}" if a == -1.0 else f"+ {a!r}*{y}"
+
+    lines, y = [], p
     for k, c in enumerate((0.5 * h, 0.5 * h, h, None)):
         for i, row in enumerate(rows):
-            lines += total(f"u{i}", [f"{a!r}*{yj}" for a, yj in zip(row, y)])
-        lines += total("s", [f"{yj}*u{j}" for j, yj in enumerate(y)])
+            lines += total(f"u{i}", [product(a, yj) for a, yj in zip(row, y) if a != 0.0])
+        lines += total("s", [f"+ {yj}*u{j}" for j, yj in enumerate(y)])
         if c is None:
             break
         lines += [f"k{k}_{j} = {y[j]}*(u{j} - s)" for j in range(n)]
-        lines += [f"x{j} = p{j} + {c!r}*k{k}_{j}" for j in range(n)]
-        y = x
-    lines += [f"n{j} = p{j} + {h / 6.0!r}*(k0_{j} + 2.0*(k1_{j} + k2_{j}) + x{j}*(u{j} - s))"
+        y = [f"x{k + 1}_{j}" for j in range(n)]
+        lines += [f"{y[j]} = p{j} + {c!r}*k{k}_{j}" for j in range(n)]
+    lines += [f"n{j} = p{j} + {h / 6.0!r}*(k0_{j} + 2.0*(k1_{j} + k2_{j}) + x3_{j}*(u{j} - s))"
               for j in range(n)] + [f"low = min({', '.join(new)})"]
-    lines += [f"{v} = 0.0 if abs({v}) < CLAMP or {v} < 0.0 else {v}" for v in new]
-    lines += total("total", new) + [
-        "if low < -DIVERGE_TOL or not total < math.inf: raise _diverged(low, total)",
-        f"return [{', '.join(v + ' / total' for v in new)}]"]
-    return "def step(state):\n    " + "\n    ".join(lines) + "\n"
+    # equal to `0.0 if abs(v) < CLAMP or v < 0.0 else v` for every float v, NaN and -0.0 included
+    lines += [f"{v} = 0.0 if {v} < clamp else {v}" for v in new]
+    dropped = "".join(f"x{k}_{j}, " for k in (1, 2, 3) for j in zero_columns)
+    lines += total("total", [f"+ {v}" for v in new]) + [
+        f"if low < lowest or not total < inf: raise _diverged(low, total, ({dropped}))"]
+    lines += [f"p{j} = n{j} / total" for j in range(n)] + [f"values.extend(({', '.join(p)},))"]
+    return ("def run(state, steps, values):\n"
+            f"    {', '.join(p)}, = state\n"
+            "    clamp, lowest, inf = CLAMP, -DIVERGE_TOL, math.inf\n"
+            "    for _ in range(steps):\n        " + "\n        ".join(lines) + "\n")
 
 
-def _diverged(low, total):
-    """The refusal of a step below the simplex, or else of one whose total is inf or NaN."""
+def _diverged(low, total, dropped):
+    """The refusal of a step below the simplex, or else of one whose total is inf
+    or NaN.  dropped holds the stage entries whose 0.0 payoff terms the step
+    left out; if one is not finite, the unfolded step has NaN for low and total."""
+    if not all(map(math.isfinite, dropped)):
+        low = total = math.nan
     if low < -DIVERGE_TOL:
         return errors.IntegrationDiverged(f"state entry {low} below -{DIVERGE_TOL}")
     return errors.IntegrationDiverged(f"RK4 step is not finite (state total {total})")
 
 
 def _step_function(rows, h):
-    """`step(state)` compiled from `_step_source(rows, h)`: floats in, the next state out."""
+    """`run(state, steps, values)` compiled from `_step_source(rows, h)`: a state of
+    floats in, and each of the next `steps` states appended to values."""
     namespace = {}
-    exec(compile(_step_source(rows, h), "<rk4 step>", "exec"), globals(), namespace)
-    return namespace["step"]
+    exec(compile(_step_source(rows, h), "<rk4 run>", "exec"), globals(), namespace)
+    return namespace["run"]
 
 
 def integrate(g, p0, t_end, h=1e-3):
@@ -324,8 +356,8 @@ def integrate(g, p0, t_end, h=1e-3):
 
     After every step, entries of magnitude below 1e-12 are clamped to zero and
     the state renormalized to sum 1.  Deterministic, with the same bits on
-    every Python version: each call compiles one straight-line step for g and
-    h (`_step_source`), at a cost that grows as g.n ** 2.  t_end is realized
+    every Python version: each call compiles one run of straight-line steps
+    for g and h (`_step_source`), at a cost that grows as g.n ** 2.  t_end is realized
     as round(t_end / h) steps of exactly h, at times k * h.  SizeLimit, before
     anything is compiled or stored, when g.n exceeds STRATEGY_CAP or the
     steps + 1 samples of g.n values exceed SAMPLE_CAP.
@@ -341,11 +373,8 @@ def integrate(g, p0, t_end, h=1e-3):
     if (steps + 1) * g.n > SAMPLE_CAP:
         raise errors.SizeLimit(f"t_end / h = {t_end / h:.6g} steps of {g.n} strategies "
                                f"exceed the cap of {SAMPLE_CAP} stored values")
-    step = _step_function(g.matrix, h)
     values = array("d", p)
-    for _ in range(steps):
-        p = step(p)
-        values.extend(p)
+    _step_function(g.matrix, h)(p, steps, values)
     return Trajectory._checked(array("d", [k * h for k in range(steps + 1)]), values, h)
 
 
@@ -460,7 +489,8 @@ def rest_point_reports(g):
 
     Returns (reports, continuum_supports); supports whose indifference system
     is underdetermined are listed rather than expanded.  The systems are
-    solved on g's integer table, and a rest point is Nash when no
+    solved on g's integer table by one walk over its principal blocks
+    (`principal_equalizers`), and a rest point is Nash when no
     row outside its support pays more, decided on those integers, than the
     payoff v that every support row earns; its transversal values are those
     exact margins (Ap)_i - v correctly rounded, and its residual max |p_i h_i(p)|
@@ -471,36 +501,35 @@ def rest_point_reports(g):
     scale, E = g.scale, g.table
     reports = []
     continua = []
-    for m in range(1, g.n + 1):
-        for support in itertools.combinations(range(g.n), m):
-            status, num, den = equalizer([[E[i][j] for j in support] for i in support])
-            if status == "many":
-                continua.append(support)
-                continue
-            if num is None or min(num) <= 0:
-                continue
-            full = [Fraction(0)] * g.n
-            for idx, q in zip(support, num):
-                full[idx] = Fraction(q, den)
-            state = SimplexState(full)
-            outside = [i for i in range(g.n) if i not in support]
-            # (A p)_i - v times scale * den, where v is the first support row's payoff
-            value = sum(E[support[0]][j] * q for j, q in zip(support, num))
-            margins = [sum(E[i][j] * q for j, q in zip(support, num)) - value for i in outside]
-            trans = tuple((i, _binary64(x, scale * den, full))
-                          for i, x in zip(outside, margins))
-            terms = list(map(mul, state.p, _payoffs(g, state.p)[2]))
-            if not all(map(math.isfinite, terms)):
-                raise _not_finite(full)
-            reports.append(
-                RestPointReport(
-                    point=state,
-                    residual=max(map(abs, terms)),
-                    classification="boundary" if outside else "interior",
-                    is_nash=all(x <= 0 for x in margins),
-                    transversal_eigenvalues=trans,
-                )
+    zero = Fraction(0)
+    for support, (status, num, den) in principal_equalizers(E):
+        if status == "many":
+            continua.append(support)
+            continue
+        if num is None or min(num) <= 0:
+            continue
+        full, p = [zero] * g.n, [0.0] * g.n
+        for idx, q in zip(support, num):
+            full[idx], p[idx] = Fraction(q, den), q / den
+        state = SimplexState._checked(tuple(full), tuple(p))
+        outside = [i for i in range(g.n) if i not in support]
+        # (A p)_i - v times scale * den, where v is the first support row's payoff
+        value = sum(E[support[0]][j] * q for j, q in zip(support, num))
+        margins = [sum(E[i][j] * q for j, q in zip(support, num)) - value for i in outside]
+        trans = tuple((i, _binary64(x, scale * den, full))
+                      for i, x in zip(outside, margins))
+        terms = list(map(mul, state.p, _payoffs(g, state.p)[2]))
+        if not all(map(math.isfinite, terms)):
+            raise _not_finite(full)
+        reports.append(
+            RestPointReport(
+                point=state,
+                residual=max(map(abs, terms)),
+                classification="boundary" if outside else "interior",
+                is_nash=all(x <= 0 for x in margins),
+                transversal_eigenvalues=trans,
             )
+        )
     return reports, continua
 
 
@@ -531,7 +560,8 @@ def _face_is_ess(c, M, x_star):
     On the face simplex psi(x) = x^T Q x with Q = c 1^T - M; S = Q + Q^T has
     the same quadratic form, doubled.  Every minimiser of psi is a KKT point:
     on its support J it solves S_J w = lam 1, 1^T w = 1 with w > 0 (the
-    `equalizer` system, lam its value), and psi there is lam / 2.  A system
+    `equalizer` system of `principal_equalizers`, in support order, lam its
+    value), and psi there is lam / 2.  A system
     with many solutions has one lam along a segment of minimisers whose ends
     lie on smaller supports, at least one end away from x_star, and a single
     strategy always gives a unique system.  So only unique solutions are
@@ -540,20 +570,18 @@ def _face_is_ess(c, M, x_star):
     m = len(c)
     total = sum(x_star)
     S = [[c[k] + c[l] - M[k][l] - M[l][k] for l in range(m)] for k in range(m)]
-    for size in range(1, m + 1):
-        for J in itertools.combinations(range(m), size):
-            status, num, den = equalizer([[S[k][l] for l in J] for k in J])
-            if status != "unique" or min(num) <= 0:
-                continue
-            # lam times the scale of psi and den, both positive
-            lam = sum(S[J[0]][l] * q for l, q in zip(J, num))
-            if lam < 0:
+    for J, (status, num, den) in principal_equalizers(S):
+        if status != "unique" or min(num) <= 0:
+            continue
+        # lam times the scale of psi and den, both positive
+        lam = sum(S[J[0]][l] * q for l, q in zip(J, num))
+        if lam < 0:
+            return False
+        if lam == 0:
+            full = dict(zip(J, num))
+            # num / den and x_star / total both sum to 1
+            if any(full.get(k, 0) * total != x * den for k, x in enumerate(x_star)):
                 return False
-            if lam == 0:
-                full = dict(zip(J, num))
-                # num / den and x_star / total both sum to 1
-                if any(full.get(k, 0) * total != x * den for k, x in enumerate(x_star)):
-                    return False
     return True
 
 

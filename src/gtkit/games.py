@@ -574,10 +574,20 @@ def pareto_optimal_profiles(game):
     A maxima scan: a dominating payoff vector is lexicographically larger, and
     each dominated vector is dominated by a maximal one, so after a descending
     sort every profile is tested only against the maximal vectors kept so far.
+    With 2 players that is a sweep: each vector kept has a larger second
+    payoff than the one kept before it, so a vector is maximal exactly when
+    it equals the last one kept or beats its second payoff.
     """
     ranked = sorted(((u, s) for s, u in game._table.items()), reverse=True)
-    maxima = []
     out = set()
+    if game.n_players == 2:
+        last = None
+        for u, s in ranked:
+            if last is None or u[1] > last[1] or u == last:
+                out.add(s)
+                last = u
+        return out
+    maxima = []
     for u, s in ranked:
         if maxima and maxima[-1] == u:  # ties with the maximal vector just kept
             out.add(s)

@@ -3,6 +3,7 @@
 import copy
 import json
 import os
+import random
 import subprocess
 import sys
 import time
@@ -217,6 +218,21 @@ def test_analyze_every_scenario_passes(tmp_path):
     for i, name in enumerate(gamefile.SCENARIO_NAMES):
         out = tmp_path / f"out{i}"
         assert main(["analyze", "--in", name, "--out", str(out)]) == EXIT_OK
+
+
+def test_analyze_lists_every_profile_of_a_200_by_200_zero_sum_game(tmp_path):
+    # no profile of a zero-sum game dominates another, so every one is Pareto optimal:
+    # the worst case of a maxima scan, which the 2-player sweep passes over once
+    rng = random.Random(7)
+    names = [f"s{i}" for i in range(200)]
+    payoffs = [[[str(a), str(-a)] for a in (rng.randint(-10**6, 10**6) for _ in names)]
+               for _ in names]
+    path = tmp_path / "zero-sum-200.json"
+    path.write_text(json.dumps({"format": "gt-game/1", "kind": "strategic", "name": "z",
+                                "strategies": [names, names], "payoffs": payoffs}))
+    code, out = run(tmp_path, "analyze", "--in", str(path))
+    assert code == EXIT_OK
+    assert len(read_json(out / "analyze.json")["pareto_optimal"]) == 200 * 200
 
 
 def test_analyze_skips_support_enumeration_beyond_its_cap(tmp_path):

@@ -41,8 +41,11 @@ IDENTITY2 = [[1, 0], [0, 1]]
 
 
 def rk4_step(g, p, h):
-    """One RK4 step of the replicator flow plus the clamp/renormalize projection."""
-    return np.asarray(_step_function(g.matrix, h)(np.asarray(p, dtype=float).tolist()))
+    """One RK4 step of the replicator flow plus the clamp/renormalize projection:
+    a compiled run of one step."""
+    values = []
+    _step_function(g.matrix, h)(np.asarray(p, dtype=float).tolist(), 1, values)
+    return np.asarray(values)
 
 
 def states(traj):
@@ -213,7 +216,7 @@ def test_a_non_finite_step_is_refused_at_once():
     # inf - inf in an RK4 stage gives NaN, which passes the below-the-simplex test
     huge = ((1e308, -1e308, 0.0), (-1e308, 1e308, 0.0), (0.0, 0.0, 1e308))
     with pytest.raises(errors.IntegrationDiverged, match="not finite"):
-        _step_function(huge, 1e-3)([1 / 3] * 3)
+        _step_function(huge, 1e-3)([1 / 3] * 3, 1, [])
     with pytest.raises(errors.IntegrationDiverged, match="not finite"):
         integrate(EvolutionGame([list(row) for row in huge]), centroid(3), t_end=100.0)
 

@@ -10,13 +10,15 @@ and the per-caller indifference systems they replaced are kept here as
 oracles, each solving with this file's own `solve_exact_fraction` rather than
 the kernel it checks, and both must give identical statuses, solutions and
 verdicts.  The line-by-line grid is also held to the point-by-point integer
-walk it replaced, and the bottom-up minor table of support enumeration to
-`equalizer` on every block and to Leibniz determinants.
-The compiled straight-line RK4 step and the trajectory CSV formatter are
+walk it replaced, the bottom-up minor table of support enumeration to
+`equalizer` on every block and to Leibniz determinants, and the bordered
+walk over principal blocks of rest points and the ESS face to `equalizer` on
+every block.
+The compiled RK4 run and the trajectory CSV formatter are
 held to their loop forms bit for bit, the time average and the recurrence
 test on the flat trajectory to the numpy forms they replaced, and the
 quantum payoff surface to the numpy grid and the Fraction loop it replaced.
-The Pareto maxima scan is held to the pairwise dominance test, the
+The Pareto maxima scan and its 2-player sweep are held to the pairwise dominance test, the
 per-context maxima of `pure_nash`, the deviation walks and strategy values of
 `games` to the per-profile loops they replaced,
 the congestion section of `gt analyze` to `best_response_dynamics` from every
@@ -44,6 +46,7 @@ from gtkit._linsolve import (
     bordered_minors,
     equalizer,
     minor_layout,
+    principal_equalizers,
     solve_exact,
     support_equalizers,
 )
@@ -749,6 +752,8 @@ def _step_list_reference(A_rows, p, h, n):
         raise errors.IntegrationDiverged(f"state entry {low} below -{DIVERGE_TOL}")
     new = [0.0 if abs(v) < CLAMP or v < 0.0 else v for v in new]
     total = _sum(new)
+    if not total < math.inf:
+        raise errors.IntegrationDiverged(f"RK4 step is not finite (state total {total})")
     return [v / total for v in new]
 
 
@@ -1156,6 +1161,41 @@ def test_support_equalizers_match_equalizer_on_every_block(rows):
                 assert expected[0] in ("none", "many")
 
 
+@st.composite
+def square_integer_matrices(draw):
+    """n x n integer rows, n <= 7, with entries in {-1, 0, 1}, where singular
+    blocks and singular parents are common, or up to +-999 (long minors)."""
+    n = draw(st.integers(1, 7))
+    entry = draw(st.sampled_from([st.integers(-1, 1), st.integers(-999, 999)]))
+    return [draw(st.lists(entry, min_size=n, max_size=n)) for _ in range(n)]
+
+
+def principal_equalizers_reference(rows):
+    """`equalizer` on every principal block, supports in combinations order by size."""
+    n = len(rows)
+    return [(support, equalizer([[rows[i][j] for j in support] for i in support]))
+            for k in range(1, n + 1) for support in itertools.combinations(range(n), k)]
+
+
+@settings(max_examples=300, deadline=None)
+@example([[0, 0, 1], [0, 0, 0], [0, 1, 0]])  # (0, 1) is "many", its child (0, 1, 2) "unique"
+@example([[4] * 6 for _ in range(6)])  # every block of size 2 or more is "many"
+@example([list(row) for row in gamefile.load_scenario("american-values-10").game.table])
+@given(square_integer_matrices())
+def test_principal_equalizers_match_equalizer_on_every_block(rows):
+    assert list(principal_equalizers(rows)) == principal_equalizers_reference(rows)
+
+
+def test_a_nondegenerate_matrix_borders_every_block_without_elimination(monkeypatch):
+    rng = random.Random(1)
+    rows = [[rng.randint(-999, 999) for _ in range(6)] for _ in range(6)]
+    expected = principal_equalizers_reference(rows)
+    calls = []
+    monkeypatch.setattr(_linsolve, "solve_exact", lambda *args: calls.append(args))
+    assert list(principal_equalizers(rows)) == expected
+    assert calls == []
+
+
 @settings(max_examples=200, deadline=None)
 @example([[1] * 5 for _ in range(5)])
 @example([[2, -7, 0, 5, 1]])
@@ -1376,9 +1416,12 @@ def test_scaling_the_matrix_keeps_every_exact_verdict(g, r):
 
 @st.composite
 def replicator_runs(draw):
-    """n <= 10 strategies, payoffs in {-6..6}, start states with zero entries."""
+    """n <= 10 strategies, start states with zero entries, and payoffs in {-6..6},
+    in {-1, 0, 1} (every coefficient the compiled step folds) or in {-1, 0, 1,
+    -1e308, 1e308} (stages that overflow, so most runs are refused)."""
     n = draw(st.integers(2, 10))
-    A = [draw(st.lists(st.integers(-6, 6), min_size=n, max_size=n)) for _ in range(n)]
+    pool = draw(st.sampled_from([range(-6, 7), [-1, 0, 1], [-1, 0, 1, -10**308, 10**308]]))
+    A = [draw(st.lists(st.sampled_from(pool), min_size=n, max_size=n)) for _ in range(n)]
     weights = draw(st.lists(st.integers(0, 3), min_size=n, max_size=n).filter(any))
     p0 = [F(w, sum(weights)) for w in weights]
     h = draw(st.sampled_from([1e-3, 1e-2, 5e-2]))
@@ -1388,6 +1431,8 @@ def replicator_runs(draw):
 @settings(max_examples=200, deadline=None)
 @example(  # an RK4 stage far below the simplex: both raise IntegrationDiverged
     (EvolutionGame([[-10**7, -10**7], [0, 0]]), [F(1, 10**6), 1 - F(1, 10**6)], 1e-3, 1))
+@example(  # a stage entry overflows in a column of 0 payoffs: the unfolded step is NaN
+    (EvolutionGame([[0, 1], [0, -10**300]]), [F(1, 10**300), 1 - F(1, 10**300)], 1.0, 1))
 @given(replicator_runs())
 def test_integrate_matches_the_reference_step_bit_for_bit(run):
     g, p0, h, steps = run
@@ -1404,12 +1449,14 @@ def test_integrate_matches_the_reference_step_bit_for_bit(run):
 
 
 def test_integrate_matches_the_reference_step_past_one_64_term_chunk():
-    # at n = 70 every dot product and the total are two chained statements
+    # at n = 70 the mean, the total and the dot products of rows with more than
+    # 64 nonzero payoffs (row 2 has 65) are two chained statements
     n = 70
     g = EvolutionGame([[(7 * i + 3 * j) % 13 - 6 for j in range(n)] for i in range(n)])
     weights = [j % 4 for j in range(n)]
     p0 = [F(w, sum(weights)) for w in weights]
-    assert "u0 = u0 + " in _step_source(g.matrix, 1e-2)
+    source = _step_source(g.matrix, 1e-2)
+    assert all(chained in source for chained in ("u2 = u2 ", "s = s + ", "total = total + "))
     new, old = integrate(g, p0, 20 * 1e-2, 1e-2), integrate_reference(g, p0, 20, 1e-2)
     assert len(new) == 21
     assert new.values.tobytes() == old.values.tobytes()
@@ -1499,8 +1546,24 @@ def tied_games(draw):
     return StrategicGame([[f"s{i}" for i in range(k)] for k in shape], dict(zip(profiles, vectors)))
 
 
+@st.composite
+def pure_nash_games(draw):
+    """A 2- to 4-player game with 1-3 strategies each and payoffs k/d for k in
+    {-2..2} and d in {1, 2, 3}; in about half of them the payoffs of every
+    profile sum to one constant, the last player's being the rest."""
+    shape = draw(st.lists(st.integers(1, 3), min_size=2, max_size=4))
+    profiles = list(itertools.product(*(range(k) for k in shape)))
+    payoff = rationals_over(2, [1, 2, 3])
+    constant = draw(st.one_of(st.none(), payoff))
+    width = len(shape) - (constant is not None)
+    vectors = [draw(st.lists(payoff, min_size=width, max_size=width)) for _ in profiles]
+    if constant is not None:
+        vectors = [[*u, constant - sum(u)] for u in vectors]
+    return StrategicGame([[f"s{i}" for i in range(k)] for k in shape], dict(zip(profiles, vectors)))
+
+
 @settings(max_examples=300, deadline=None)
-@given(tied_games())
+@given(st.one_of(tied_games(), pure_nash_games()))
 def test_pareto_maxima_scan_matches_the_pairwise_test(game):
     assert pareto_optimal_profiles(game) == pareto_optimal_profiles_pairwise(game)
 
@@ -1538,22 +1601,6 @@ def games_with_profiles(draw):
 
 # One test per kernel, each drawing from `games_with_profiles`, so that a
 # failure shrinks the one check that failed.
-
-
-@st.composite
-def pure_nash_games(draw):
-    """A 2- to 4-player game with 1-3 strategies each and payoffs k/d for k in
-    {-2..2} and d in {1, 2, 3}; in about half of them the payoffs of every
-    profile sum to one constant, the last player's being the rest."""
-    shape = draw(st.lists(st.integers(1, 3), min_size=2, max_size=4))
-    profiles = list(itertools.product(*(range(k) for k in shape)))
-    payoff = rationals_over(2, [1, 2, 3])
-    constant = draw(st.one_of(st.none(), payoff))
-    width = len(shape) - (constant is not None)
-    vectors = [draw(st.lists(payoff, min_size=width, max_size=width)) for _ in profiles]
-    if constant is not None:
-        vectors = [[*u, constant - sum(u)] for u in vectors]
-    return StrategicGame([[f"s{i}" for i in range(k)] for k in shape], dict(zip(profiles, vectors)))
 
 
 @settings(max_examples=300, deadline=None)
