@@ -247,12 +247,7 @@ def cmd_analyze(args):
 
 
 def _correlated_section(game, ce_path):
-    try:
-        with open(ce_path, "r", encoding="utf-8") as fh:
-            text = fh.read()
-    except (OSError, UnicodeDecodeError) as exc:
-        raise errors.ParseError(f"cannot read {ce_path}: {exc}") from exc
-    doc = gamefile.parse_json(text, ce_path)
+    doc = gamefile.parse_json(gamefile.read_text(ce_path), ce_path)
     rows = doc.get("distribution") if isinstance(doc, dict) else None
     if not isinstance(rows, list):
         raise errors.ParseError(f"{ce_path}: expected an object with a 'distribution' list")
@@ -571,13 +566,7 @@ def _eval_padic_expr(line, default_prec):
 
 
 def cmd_padic(args):
-    lines = []
-    if args.infile:
-        try:
-            with open(args.infile, "r", encoding="utf-8") as fh:
-                lines.extend(fh.read().splitlines())
-        except (OSError, UnicodeDecodeError) as exc:
-            raise errors.ParseError(f"cannot read {args.infile}: {exc}") from exc
+    lines = gamefile.read_text(args.infile).splitlines() if args.infile else []
     lines.extend(args.expr or [])
     expressions = [ln for ln in lines if ln.strip() and not ln.strip().startswith("#")]
     if not expressions:

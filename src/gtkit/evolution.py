@@ -25,7 +25,7 @@ from typing import NamedTuple
 from . import errors
 # solve_exact stays a name here because perfbench/tracing.py rebinds evolution.solve_exact.
 from ._linsolve import equalizer, principal_equalizers, solve_exact  # noqa: F401
-from .games import _common_denominator, _weights, parse_fraction
+from .games import _common_denominator, _vector, _weights, parse_fraction
 
 SUM_TOL = 1e-12
 CLAMP = 1e-12
@@ -57,15 +57,17 @@ def _dot(a, b):
 class EvolutionGame:
     """Symmetric evolution matrix game: an n x n payoff matrix A.
 
-    Entries are ints, Fractions, strings or floats (rationalized exactly).  A
-    is kept as `table`, int rows over `scale` D, the lcm of the entries'
+    Rows are vectors as `games._vector` takes them (never strings); entries
+    are ints, Fractions, strings or floats (rationalized exactly).  A is kept
+    as `table`, int rows over `scale` D, the lcm of the entries'
     denominators, as `games` keeps a strategic game (SizeLimit over
     RATIONAL_DIGITS digits), and as `matrix`, its binary64 values.  Equal
     matrices give equal games.
     """
 
     def __init__(self, matrix):
-        exact = [[_to_fraction(v) for v in row] for row in matrix]
+        exact = [list(map(_to_fraction, _vector(row, "matrix", (i,))))
+                 for i, row in enumerate(_vector(matrix, "matrix"))]
         n = len(exact)
         if n < 2 or any(len(row) != n for row in exact):
             raise errors.InvalidArgument("payoff matrix must be square with n >= 2")
@@ -121,8 +123,9 @@ class EvolutionGame:
 
 
 def _entries(values):
-    """(Fractions, binary64 values) of at least 2 entries, each as `_to_fraction` takes it."""
-    exact = tuple(map(_to_fraction, values))
+    """(Fractions, binary64 values) of at least 2 entries, each as `_to_fraction`
+    takes it, from a vector as `games._vector` takes it."""
+    exact = tuple(map(_to_fraction, _vector(values, "state")))
     try:
         p = tuple(map(float, exact))
     except OverflowError as exc:
@@ -542,23 +545,24 @@ class EssReport(NamedTuple):
     method: str
 
 
-def _psi_coefficients(table, w, face):
-    """psi(x) = c . x - x^T M x on the face simplex, the best-reply invasion
-    margin at the state of integer weights w, for the integer payoff table
-    of A over D: c = p^T A and M = A on the face, both times D * sum(w)."""
+def _psi_form(table, w, face):
+    """The one integer form of the best-reply invasion margin at the state of
+    integer weights w, for the integer table of A over D: psi(x) = c . x -
+    x^T A x = x^T Q x on the face simplex, with c = p^T A and Q = c 1^T - A,
+    and S = Q + Q^T times D * sum(w), so S_kl = c_k + c_l - D sum(w) (A_kl +
+    A_lk) with c in that scale, and x^T S x = 2 D sum(w) psi(x)."""
     support = [(i, q) for i, q in enumerate(w) if q]
     den = sum(w)
     c = [sum(q * table[i][k] for i, q in support) for k in face]
-    M = [[den * table[k][l] for l in face] for k in face]
-    return c, M
+    return [[ck + cl - den * (table[k][l] + table[l][k]) for l, cl in zip(face, c)]
+            for k, ck in zip(face, c)]
 
 
-def _face_is_ess(c, M, x_star):
+def _face_is_ess(S, x_star):
     """Exact decision: min psi over the face simplex is 0 and attained only at x_star.
 
-    c and M are ints (psi in any positive scale), x_star integer weights.
-    On the face simplex psi(x) = x^T Q x with Q = c 1^T - M; S = Q + Q^T has
-    the same quadratic form, doubled.  Every minimiser of psi is a KKT point:
+    S is `_psi_form` (psi in any positive scale), x_star integer weights.
+    Every minimiser of psi is a KKT point:
     on its support J it solves S_J w = lam 1, 1^T w = 1 with w > 0 (the
     `equalizer` system of `principal_equalizers`, in support order, lam its
     value), and psi there is lam / 2.  A system
@@ -567,9 +571,7 @@ def _face_is_ess(c, M, x_star):
     strategy always gives a unique system.  So only unique solutions are
     tested: each needs lam > 0, or lam = 0 at x_star itself (Bomze 1992, JOTA 75).
     """
-    m = len(c)
     total = sum(x_star)
-    S = [[c[k] + c[l] - M[k][l] - M[l][k] for l in range(m)] for k in range(m)]
     for J, (status, num, den) in principal_equalizers(S):
         if status != "unique" or min(num) <= 0:
             continue
@@ -604,16 +606,14 @@ def _line_prefixes(S, head, d, r, w, psp):
         w = list(map(add, w, row))
 
 
-def _sampled_face_is_ess(c, M, x_star, resolution):
+def _sampled_face_is_ess(S, x_star, resolution):
     """psi > 0 at every grid point k/resolution of the face other than x_star.
 
-    c and M are ints (psi in any positive scale L), x_star integer weights.
-    On the face simplex
-    c . x = x^T (c 1^T) x, so psi(x) = x^T Q x with the integer matrix
-    Q = c 1^T - M, and psi(k/R) = k^T S k / (2 L R^2) with S = Q + Q^T:
-    the sign test runs on integers.  The grid (faces of m >= 2 strategies) is
-    decided one line at a time: a prefix P of the first m - 2 coordinates
-    leaves r = R - sum(P), and its line k = (P, t, r - t), t = 0..r, has
+    S is `_psi_form` (psi in any positive scale L), x_star integer weights,
+    so psi(k/R) = k^T S k / (2 L R^2) and the sign test runs on integers.
+    The grid (faces of m >= 2 strategies) is decided one line at a time: a
+    prefix P of the first m - 2 coordinates leaves r = R - sum(P), and its
+    line k = (P, t, r - t), t = 0..r, has
     k^T S k = alpha + 2 h t + g t^2 with g = S[a][a] - 2 S[a][b] + S[b][b]
     for the last two coordinates a, b.  On the integers of [0, r], less
     x_star's t when P is x_star's prefix, the minimum lies at an end, next to
@@ -621,9 +621,7 @@ def _sampled_face_is_ess(c, M, x_star, resolution):
     candidates decide the line.  The walk stops at the first line with a
     candidate where psi <= 0.
     """
-    m = len(c)
-    Q = [[ck - mkl for mkl in row] for ck, row in zip(c, M)]
-    S = [list(map(add, row, col)) for row, col in zip(Q, zip(*Q))]
+    m = len(S)
     a, b = m - 2, m - 1
     total = sum(x_star)
     on_grid = [divmod(x * resolution, total) for x in x_star]
@@ -647,8 +645,10 @@ def ess_check(g, state):
 
     A float entry is its exact value.  From u = A p, in integers (see the
     module docstring), the state is Nash when p . u = max(u), and its
-    best-reply face is the rows attaining that max.  Best-reply faces of at
-    most 3 strategies (always the case for n <= 3) get the exact decision of
+    best-reply face is the rows attaining that max.  Both decisions below
+    read one integer form of the invasion margin there, `_psi_form`.
+    Best-reply faces of at most 3 strategies (always the case for n <= 3)
+    get the exact decision of
     `_face_is_ess`, KKT support enumeration over the whole face, labelled
     "exact-face".  Larger faces are sampled on a deterministic barycentric
     grid (resolution 1/64, halved down to 1/4 while the grid would exceed
@@ -664,15 +664,15 @@ def ess_check(g, state):
     if sum(map(mul, w, u)) != top * sum(w):
         raise errors.InvalidState("evolutionary stability is defined for Nash states only")
     face = [i for i, ui in enumerate(u) if ui == top]
-    c, M = _psi_coefficients(g.table, w, face)
+    S = _psi_form(g.table, w, face)
     x_star = tuple(w[i] for i in face)
     if len(face) <= 3:
-        return EssReport(_face_is_ess(c, M, x_star), "exact-face")
+        return EssReport(_face_is_ess(S, x_star), "exact-face")
 
     resolution = 64
     while math.comb(resolution + len(face) - 1, len(face) - 1) > 200_000 and resolution > 4:
         resolution //= 2
-    return EssReport(_sampled_face_is_ess(c, M, x_star, resolution), f"sampled-1/{resolution}")
+    return EssReport(_sampled_face_is_ess(S, x_star, resolution), f"sampled-1/{resolution}")
 
 
 def is_ess(g, state):

@@ -289,13 +289,19 @@ def parse_json(text, source):
         raise errors.ParseError(f"{source}: {exc}") from exc
 
 
-def load_path(path):
+def read_text(path):
+    """The whole UTF-8 text of the file at path: every outside text file that
+    gtkit reads comes through here.  ParseError naming the path when it cannot
+    be opened or read (missing, a directory, unreadable) or is not UTF-8."""
     try:
         with open(path, "r", encoding="utf-8") as fh:
-            text = fh.read()
+            return fh.read()
     except (OSError, UnicodeDecodeError) as exc:
         raise errors.ParseError(f"cannot read {path}: {exc}") from exc
-    return loads(text, source=str(path))
+
+
+def load_path(path):
+    return loads(read_text(path), source=str(path))
 
 
 def load_scenario(name):
@@ -303,8 +309,7 @@ def load_scenario(name):
     if name not in SCENARIO_NAMES:
         raise errors.ParseError(f"unknown scenario {name!r}; choices: {', '.join(SCENARIO_NAMES)}")
     path = os.path.join(os.path.dirname(__file__), "scenarios", f"{name}.json")
-    with open(path, "r", encoding="utf-8") as fh:
-        return loads(fh.read(), source=f"scenario:{name}")
+    return loads(read_text(path), source=f"scenario:{name}")
 
 
 def resolve_input(source):

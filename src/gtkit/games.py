@@ -83,19 +83,55 @@ def _common_denominator(values):
     return scale
 
 
+def _vector(values, what, at=None, length=None):
+    """The entries of a vector argument: a list or tuple as it is, another
+    iterable (a numpy array) as a tuple, of the given length when there is
+    one.  A str or bytes, which would be read as its characters, and a
+    non-iterable are refused, as is a wrong length: InvalidArgument naming
+    `what`, followed by the index `at` when there is one, e.g. "payoffs[0, 1]"."""
+    if type(values) is not list and type(values) is not tuple:
+        if isinstance(values, (str, bytes)):
+            raise _shape_error(what, at, length, type(values).__name__)
+        try:
+            values = tuple(values)
+        except TypeError:
+            raise _shape_error(what, at, length, type(values).__name__) from None
+    if length is not None and len(values) != length:
+        raise _shape_error(what, at, length, len(values))
+    return values
+
+
+def _shape_error(what, at, length, got):
+    where = what if at is None else f"{what}{list(at)}"
+    expected = "a sequence" if length is None else f"{length} entries"
+    return errors.InvalidArgument(f"{where}: expected {expected}, got {got}")
+
+
+def _is_profile(profile, shape):
+    """True when the tuple holds one strategy index per entry of shape: an int,
+    not a bool, in range(k) for its k."""
+    return len(profile) == len(shape) and all(
+        isinstance(s, int) and not isinstance(s, bool) and 0 <= s < k
+        for s, k in zip(profile, shape))
+
+
 class StrategicGame:
     """Finite n-player normal-form game with exact-rational payoffs.
 
     ``payoffs`` may be a nested sequence (one level per player, leaf = one
     rational per player) or a mapping from index-tuple profiles to payoff
     sequences; a mapping must name exactly the profiles of the shape, each once.
+    Every list must have the length of its level (InvalidArgument naming its
+    position, as "payoffs[0, 1]"), and neither a name list nor a payoff
+    vector may be a string.
     A payoff is an int, a Fraction or a string like "2/5".  The game keeps
     them as one integer table over their common denominator D (see the
     module docstring); a D of over RATIONAL_DIGITS digits is SizeLimit.
     """
 
     def __init__(self, strategy_names, payoffs):
-        names = tuple(tuple(str(s) for s in per_player) for per_player in strategy_names)
+        names = tuple(tuple(str(s) for s in _vector(per_player, "strategy_names", (i,)))
+                      for i, per_player in enumerate(_vector(strategy_names, "strategy_names")))
         if len(names) < 2:
             raise errors.InvalidArgument("a strategic game needs at least 2 players")
         if any(len(per_player) == 0 for per_player in names):
@@ -108,22 +144,22 @@ class StrategicGame:
         if hasattr(payoffs, "keys"):
             for profile, vector in payoffs.items():
                 try:
-                    rows[self.validate_profile(profile)] = tuple(map(_rational, vector))
+                    profile = self.validate_profile(profile)
                 except errors.InvalidProfile as exc:
                     raise errors.InvalidArgument(f"payoff map key: {exc}") from exc
-        else:
+                rows[profile] = tuple(map(_rational, _vector(vector, "payoffs", profile, n)))
             for profile in self.profiles():
-                cell = payoffs
-                for idx in profile:
-                    cell = cell[idx]
-                rows[profile] = tuple(map(_rational, cell))
-        for profile in self.profiles():
-            if profile not in rows:
-                raise errors.InvalidArgument(f"payoff map is not total: missing {profile}")
-            if len(rows[profile]) != n:
-                raise errors.InvalidArgument(
-                    f"profile {profile}: expected {n} payoffs, got {len(rows[profile])}"
-                )
+                if profile not in rows:
+                    raise errors.InvalidArgument(f"payoff map is not total: missing {profile}")
+        else:
+            # one level per player, each prefix's children in order: the
+            # profiles come out in lexicographic order
+            cells = [((), payoffs)]
+            for k in self._shape:
+                cells = [(prefix + (i,), child) for prefix, node in cells
+                         for i, child in enumerate(_vector(node, "payoffs", prefix, k))]
+            for profile, cell in cells:
+                rows[profile] = tuple(map(_rational, _vector(cell, "payoffs", profile, n)))
         scale = _common_denominator(v for u in rows.values() for v in u)
         for s, u in rows.items():  # in place: the rational rows are not kept
             rows[s] = tuple(v.numerator * (scale // v.denominator) for v in u)
@@ -165,11 +201,10 @@ class StrategicGame:
         return itertools.product(*(range(k) for k in self._shape))
 
     def validate_profile(self, profile):
+        """The profile as a tuple, when `_is_profile` holds for the game's shape;
+        InvalidProfile otherwise."""
         profile = tuple(profile)
-        if len(profile) != self.n_players or any(
-            not isinstance(s, int) or isinstance(s, bool) or not (0 <= s < k)
-            for s, k in zip(profile, self._shape)
-        ):
+        if not _is_profile(profile, self._shape):
             raise errors.InvalidProfile(f"profile {profile} invalid for shape {self._shape}")
         return profile
 
@@ -209,7 +244,8 @@ class CongestionGame(errors.Frozen):
 
     def __init__(self, resource_names, costs, strategies):
         n = len(strategies)
-        ladders = tuple(tuple(as_fraction(c) for c in per_res) for per_res in costs)
+        ladders = tuple(tuple(map(as_fraction, _vector(per_res, "costs", (j,))))
+                        for j, per_res in enumerate(costs))
         strategies = tuple(tuple(tuple(sorted(set(s))) for s in per_player)
                            for per_player in strategies)
         if n < 2:
@@ -248,10 +284,12 @@ class BargainingProblem(errors.Frozen):
     __slots__ = ("points", "disagreement")
 
     def __init__(self, points, disagreement):
-        pts = tuple(sorted({(as_fraction(x), as_fraction(y)) for x, y in points}))
+        pts = tuple(sorted({tuple(map(as_fraction, _vector(pt, "points", (k,), 2)))
+                            for k, pt in enumerate(_vector(points, "points"))}))
         if not pts:
             raise errors.InvalidArgument("bargaining problem needs at least one utility point")
-        self._set_fields(pts, (as_fraction(disagreement[0]), as_fraction(disagreement[1])))
+        lam = _vector(disagreement, "disagreement", None, 2)
+        self._set_fields(pts, tuple(map(as_fraction, lam)))
 
 
 # ---------------------------------------------------------------------------
@@ -260,11 +298,12 @@ class BargainingProblem(errors.Frozen):
 
 def validate_mixed(game, mixed):
     """Normalize a mixed profile to tuples of Fractions; entries >= 0 and exact sum 1."""
+    mixed = _vector(mixed, "mixed")
     if len(mixed) != game.n_players:
         raise errors.InvalidProfile("one probability vector per player required")
     out = []
     for i, probs in enumerate(mixed):
-        vec = tuple(as_fraction(q) for q in probs)
+        vec = tuple(map(as_fraction, _vector(probs, "mixed", (i,))))
         if len(vec) != game.shape[i]:
             raise errors.InvalidProfile(
                 f"player {i}: {len(vec)} probabilities for {game.shape[i]} strategies"
@@ -743,9 +782,7 @@ def integer_potential(cg, profile):
 def rosenthal_potential(cg, profile):
     """Rosenthal potential: per resource, sum the cost ladder up to its usage count."""
     profile = tuple(profile)
-    if len(profile) != cg.n_players or any(
-        not (0 <= s < len(cg.strategies[i])) for i, s in enumerate(profile)
-    ):
+    if not _is_profile(profile, tuple(map(len, cg.strategies))):
         raise errors.InvalidProfile(f"profile {profile} invalid for this congestion game")
     return Fraction(integer_potential(cg, profile), cg.scale)
 

@@ -330,6 +330,25 @@ def test_analyze_non_utf8_ce_file(tmp_path):
     assert run(tmp_path, "analyze", "--in", "bos", "--ce", str(bad))[0] == EXIT_PARSE
 
 
+@pytest.mark.parametrize("argv", [
+    ["analyze", "--in", "{path}"],
+    ["analyze", "--in", "bos", "--ce", "{path}"],
+    ["padic", "--in", "{path}"],
+], ids=["game", "ce", "padic"])
+@pytest.mark.parametrize("kind", ["missing", "directory", "non-utf8"])
+def test_an_unreadable_input_file_is_a_parse_error_naming_it(tmp_path, capsys, argv, kind):
+    path = tmp_path / "input"
+    if kind == "directory":
+        path.mkdir()
+    elif kind == "non-utf8":
+        path.write_bytes(b'{"distribution": []}\xff')
+    argv = [arg.replace("{path}", str(path)) for arg in argv]
+    assert main([*argv, "--out", str(tmp_path / "out")]) == EXIT_PARSE
+    err = capsys.readouterr().err
+    assert err.startswith(f"error (parse): cannot read {path}: ")
+    assert "Traceback" not in err
+
+
 def test_analyze_size_limit(tmp_path):
     # 3 players x 60 strategies = 216000 profiles > cap
     doc = {

@@ -1,6 +1,7 @@
 """Tests for replicator dynamics, rest points, ESS and recurrence detection."""
 
 import math
+import re
 from fractions import Fraction
 
 import numpy as np
@@ -75,6 +76,27 @@ def vertex(n, i):
 def test_booleans_and_non_finite_entries_are_invalid_arguments(make, entry):
     with pytest.raises(errors.InvalidArgument):
         make(entry)
+
+
+@pytest.mark.parametrize("make,message", [
+    (lambda: SimplexState("01"), "state: expected a sequence, got str"),
+    (lambda: fitness(EvolutionGame(IDENTITY2), "01"), "state: expected a sequence, got str"),
+    (lambda: EvolutionGame(["12", "34"]), "matrix[0]: expected a sequence, got str"),
+    (lambda: EvolutionGame("1234"), "matrix: expected a sequence, got str"),
+    (lambda: EvolutionGame([5, 6]), "matrix[0]: expected a sequence, got int"),
+], ids=["SimplexState", "float-sequence", "EvolutionGame-rows", "EvolutionGame", "int-rows"])
+def test_a_string_is_never_read_as_a_vector(make, message):
+    # "01" would otherwise be the state (0, 1), and ["12", "34"] the table ((1, 2), (3, 4))
+    with pytest.raises(errors.InvalidArgument, match=rf"^{re.escape(message)}$"):
+        make()
+
+
+def test_vectors_of_every_sequence_type_still_read():
+    game = EvolutionGame(IDENTITY2)
+    for rows in ([[1, 0], [0, 1]], ((1, 0), (0, 1)), np.eye(2), [np.array([1.0, 0.0]), (0, 1)]):
+        assert EvolutionGame(rows) == game
+    for probs in ([F(1, 2), F(1, 2)], ("1/2", 0.5), np.array([0.5, 0.5])):
+        assert SimplexState(probs).exact == (F(1, 2), F(1, 2))
 
 
 def test_a_float_state_beyond_binary64_is_an_invalid_argument():

@@ -60,7 +60,7 @@ from gtkit.evolution import (
     SimplexState,
     Trajectory,
     _face_is_ess,
-    _psi_coefficients,
+    _psi_form,
     _sampled_face_is_ess,
     _step_source,
     detect_recurrence,
@@ -106,13 +106,19 @@ def lcm_scaled(matrix):
     return scale, [[int(F(v) * scale) for v in row] for row in matrix]
 
 
+def fraction_form(c, M):
+    """S = Q + Q^T for psi(x) = x^T Q x, Q = c 1^T - M, in Fractions."""
+    return [[ck + cl - M[k][l] - M[l][k] for l, cl in enumerate(c)] for k, ck in enumerate(c)]
+
+
 def integer_face(c, M, x_star):
-    """A Fraction face problem (c, M, x_star) as the ESS kernels take it: c and M
-    times the lcm of their denominators (psi times a positive constant), and
-    x_star, which sums to 1, as integer weights over its common denominator."""
-    _, (ci, *Mi) = lcm_scaled([c, *M])
+    """A Fraction face problem (c, M, x_star) as the ESS kernels take it: the form
+    S of `fraction_form` times the lcm of its denominators (psi times a positive
+    constant), and x_star, which sums to 1, as integer weights over its common
+    denominator."""
+    _, S = lcm_scaled(fraction_form(c, M))
     _, (xi,) = lcm_scaled([x_star])
-    return ci, Mi, tuple(xi)
+    return S, tuple(xi)
 
 
 # ---------------------------------------------------------------------------
@@ -1058,8 +1064,8 @@ def test_face_kernel_is_never_ess_where_the_grid_finds_an_invader(face, resoluti
 
 def american_values_nash_faces():
     """(face, c, M, x_star) in Fractions for each Nash rest point of
-    american-values-10, with `_psi_coefficients` held to them: its integer c
-    and M are these times D and the state's common denominator."""
+    american-values-10, with `_psi_form` held to them: its integer S is their
+    Fraction form times D and the state's common denominator."""
     g = gamefile.load_scenario("american-values-10").game
     A = g.exact
     reports, _ = rest_point_reports(g)
@@ -1074,8 +1080,8 @@ def american_values_nash_faces():
         M = [[A[k][l] for l in face] for k in face]
         _, (w,) = lcm_scaled([p])
         scale = g.scale * sum(w)
-        assert _psi_coefficients(g.table, w, face) == (
-            [v * scale for v in c], [[v * scale for v in row] for row in M])
+        assert _psi_form(g.table, w, face) == [
+            [v * scale for v in row] for row in fraction_form(c, M)]
         out.append((face, c, M, tuple(p[i] for i in face)))
     return out
 

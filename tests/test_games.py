@@ -1,5 +1,6 @@
 """Tests for the exact-rational game core."""
 
+import re
 from fractions import Fraction
 
 import pytest
@@ -102,6 +103,58 @@ def test_game_construction_validation():
         StrategicGame([["a"], ["c"]], {(0, 0): (1, 1, 1)})  # wrong payoff arity
     with pytest.raises(errors.InvalidArgument):
         StrategicGame([["a"], ["c"]], {(0, 0): (1.5, 1)})  # floats rejected
+
+
+TWO_BY_TWO = [["a", "b"], ["c", "d"]]
+CELLS = [[(1, 1), (0, 0)], [(0, 0), (1, 1)]]
+
+
+@pytest.mark.parametrize("make,message", [
+    (lambda: StrategicGame([["a"], ["b"]], [["12"]]), "payoffs[0, 0]: expected 2 entries, got str"),
+    (lambda: StrategicGame([["a"], ["b"]], {(0, 0): "12"}),
+     "payoffs[0, 0]: expected 2 entries, got str"),
+    (lambda: StrategicGame(["ab", "cd"], CELLS), "strategy_names[0]: expected a sequence, got str"),
+    (lambda: StrategicGame("ab", [[(1, 1)]]), "strategy_names: expected a sequence, got str"),
+    (lambda: games.validate_mixed(StrategicGame(TWO_BY_TWO, CELLS), ["10", "01"]),
+     "mixed[0]: expected a sequence, got str"),
+    (lambda: BargainingProblem(["12", "30"], (0, 0)), "points[0]: expected 2 entries, got str"),
+    (lambda: BargainingProblem([(1, 2), (3, 0)], "00"), "disagreement: expected 2 entries, got str"),
+    (lambda: CongestionGame(("r",), ("12",), (((0,),), ((0,),))),
+     "costs[0]: expected a sequence, got str"),
+], ids=["nested-payoffs", "payoff-map", "names", "name-lists", "mixed", "points", "disagreement",
+        "cost-ladder"])
+def test_a_string_is_never_read_as_a_vector(make, message):
+    # each string would otherwise be split into its characters: "12" read as (1, 2)
+    with pytest.raises(errors.InvalidArgument, match=rf"^{re.escape(message)}$"):
+        make()
+
+
+@pytest.mark.parametrize("payoffs,message", [
+    ([*CELLS, [(2, 2), (2, 2)]], "payoffs[]: expected 2 entries, got 3"),
+    ([CELLS[0], [*CELLS[1], (2, 2)]], "payoffs[1]: expected 2 entries, got 3"),
+    ([[(1, 1), (0, 0, 0)], CELLS[1]], "payoffs[0, 1]: expected 2 entries, got 3"),
+    ([CELLS[0]], "payoffs[]: expected 2 entries, got 1"),
+    ([CELLS[0], [(0, 0)]], "payoffs[1]: expected 2 entries, got 1"),
+    ([[(1, 1), 5], CELLS[1]], "payoffs[0, 1]: expected 2 entries, got int"),
+    ([CELLS[0], 7], "payoffs[1]: expected 2 entries, got int"),
+], ids=["extra-row", "extra-column", "extra-payoff", "short-rows", "short-row", "leaf",
+        "row"])
+def test_nested_payoffs_must_have_the_shape(payoffs, message):
+    # extra entries were dropped, a short list raised IndexError, a leaf TypeError
+    with pytest.raises(errors.InvalidArgument, match=rf"^{re.escape(message)}$"):
+        StrategicGame(TWO_BY_TWO, payoffs)
+
+
+@pytest.mark.parametrize("points,disagreement,message", [
+    ([(1, 2), (3, 0)], (0, 0, 0), "disagreement: expected 2 entries, got 3"),
+    ([(1, 2), (3, 0)], 0, "disagreement: expected 2 entries, got int"),
+    ([(1, 2), (3, 0, 0)], (0, 0), "points[1]: expected 2 entries, got 3"),
+    ([(1, 2), 3], (0, 0), "points[1]: expected 2 entries, got int"),
+], ids=["3-coordinate-disagreement", "scalar-disagreement", "3-coordinate-point", "scalar-point"])
+def test_bargaining_points_must_have_two_coordinates(points, disagreement, message):
+    # a third disagreement coordinate was dropped, a third point coordinate a ValueError
+    with pytest.raises(errors.InvalidArgument, match=rf"^{re.escape(message)}$"):
+        BargainingProblem(points, disagreement)
 
 
 def test_expected_payoff_bos_mixed():
@@ -488,6 +541,14 @@ def test_rosenthal_potential_values():
     assert rosenthal_potential(cg, (0, 0)) == 3
     assert rosenthal_potential(cg, (0, 1)) == 2
     assert rosenthal_potential(cg, (1, 0)) == 2
+
+
+@pytest.mark.parametrize("alias", [(True, 0), (1.0, 0)])
+def test_rosenthal_potential_refuses_what_is_not_a_profile(alias):
+    # both equal (1, 0); True was read as 1 and 1.0 raised a raw TypeError
+    with pytest.raises(errors.InvalidProfile,
+                       match=rf"^profile {re.escape(str(alias))} invalid for this congestion game$"):
+        rosenthal_potential(two_link_congestion(), alias)
 
 
 def test_check_potential_rosenthal():

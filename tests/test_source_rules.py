@@ -381,6 +381,47 @@ def test_the_raise_rule_catches_an_unraised_class():
     assert _unraised(["A", "B", "C", "D", "E"], [tree]) == ["D", "E"]
 
 
+def _file_reads(tree):
+    """(line, call) of every `open` or `io.open` whose mode does not write: no
+    mode, or a mode that holds none of "w", "a", "x" or is not a literal."""
+    for node in ast.walk(tree):
+        if not isinstance(node, ast.Call):
+            continue
+        func = node.func
+        if not (isinstance(func, ast.Name) and func.id == "open" or isinstance(func, ast.Attribute)
+                and func.attr == "open" and isinstance(func.value, ast.Name)
+                and func.value.id == "io"):
+            continue
+        mode = node.args[1] if len(node.args) > 1 else next(
+            (kw.value for kw in node.keywords if kw.arg == "mode"), ast.Constant("r"))
+        if not (isinstance(mode, ast.Constant) and isinstance(mode.value, str)
+                and set(mode.value) & set("wax")):
+            yield node.lineno, ast.unparse(node)
+
+
+def test_the_cli_opens_files_only_to_write():
+    # every text file the CLI reads goes through gamefile.read_text, the one
+    # place that turns a failed read into a parse error naming the path
+    (cli,) = [path for path in SOURCES if path.name == "cli.py"]
+    assert list(_file_reads(ast.parse(cli.read_text(encoding="utf-8")))) == []
+
+
+def test_the_file_read_rule_sees_every_form():
+    tree = ast.parse(
+        "open(p)\n"
+        "open(p, 'r')\n"
+        "open(p, mode='rb')\n"
+        "io.open(p)\n"
+        "open(p, m)\n"
+        "open(p, 'w')\n"
+        "open(p, mode='a', encoding='utf-8')\n"
+        "io.open(p, 'xb')\n"
+        "gamefile.read_text(p)\n"
+        "webbrowser.open(url)\n"
+    )
+    assert [line for line, _ in _file_reads(tree)] == [1, 2, 3, 4, 5]
+
+
 def _code_runners(tree):
     """(line, innermost function, name) of every `compile`, `exec` or `eval` named as a builtin."""
     for node, func in _in_functions(tree):
