@@ -25,7 +25,7 @@ from typing import NamedTuple
 from . import errors
 # solve_exact stays a name here because perfbench/tracing.py rebinds evolution.solve_exact.
 from ._linsolve import equalizer, principal_equalizers, solve_exact  # noqa: F401
-from .games import _common_denominator, _vector, _weights, parse_fraction
+from .games import _common_denominator, _index, _vector, _weights, parse_fraction
 
 SUM_TOL = 1e-12
 CLAMP = 1e-12
@@ -36,14 +36,17 @@ STRATEGY_CAP = 80  # strategies integrate compiles an RK4 run for; its code grow
 
 
 def _to_fraction(value):
-    """Fraction of an int, float, Fraction or string, a string read by
-    `games.parse_fraction` (SizeLimit past its digit bound); booleans and
-    non-finite or malformed values are InvalidArgument."""
+    """Fraction of an integer (`games._index`: an int or a numpy integer),
+    float, Fraction or string, a string read by `games.parse_fraction`
+    (SizeLimit past its digit bound); booleans and non-finite or malformed
+    values are InvalidArgument."""
     try:
         if isinstance(value, str):
             return parse_fraction(value, f"rational {value!r}")
-        if isinstance(value, (int, float, Fraction)) and not isinstance(value, bool):
+        if isinstance(value, (float, Fraction)):
             return Fraction(value)
+        if (integer := _index(value)) is not None:
+            return Fraction(integer)
     except (ValueError, OverflowError, ZeroDivisionError):
         pass
     raise errors.InvalidArgument(f"not a real matrix entry: {value!r}")
@@ -58,9 +61,9 @@ class EvolutionGame:
     """Symmetric evolution matrix game: an n x n payoff matrix A.
 
     Rows are vectors as `games._vector` takes them (never strings); entries
-    are ints, Fractions, strings or floats (rationalized exactly).  A is kept
-    as `table`, int rows over `scale` D, the lcm of the entries'
-    denominators, as `games` keeps a strategic game (SizeLimit over
+    are integers (numpy ones too), Fractions, strings or floats (rationalized
+    exactly).  A is kept as `table`, int rows over `scale` D, the lcm of the
+    entries' denominators, as `games` keeps a strategic game (SizeLimit over
     RATIONAL_DIGITS digits), and as `matrix`, its binary64 values.  Equal
     matrices give equal games.
     """

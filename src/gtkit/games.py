@@ -17,7 +17,7 @@ import itertools
 import math
 from fractions import Fraction
 from functools import cache
-from operator import and_, eq, ge, mul
+from operator import and_, eq, ge, index, mul
 from typing import NamedTuple
 
 from . import errors
@@ -107,12 +107,25 @@ def _shape_error(what, at, length, got):
     return errors.InvalidArgument(f"{where}: expected {expected}, got {got}")
 
 
-def _is_profile(profile, shape):
-    """True when the tuple holds one strategy index per entry of shape: an int,
-    not a bool, in range(k) for its k."""
-    return len(profile) == len(shape) and all(
-        isinstance(s, int) and not isinstance(s, bool) and 0 <= s < k
-        for s, k in zip(profile, shape))
+def _index(value):
+    """The int of an integer index: any value with `__index__` (an int, a numpy
+    integer) but a bool; None for anything else."""
+    if type(value) is int:  # the common case, first
+        return value
+    if isinstance(value, bool) or not hasattr(type(value), "__index__"):
+        return None
+    return index(value)
+
+
+def _profile(profile, shape):
+    """The tuple as a tuple of ints when it holds one strategy index per entry
+    of shape, each an `_index` in range(k) for its k; None otherwise."""
+    if len(profile) != len(shape):
+        return None
+    ints = tuple(map(_index, profile))
+    if all(s is not None and 0 <= s < k for s, k in zip(ints, shape)):
+        return ints
+    return None
 
 
 class StrategicGame:
@@ -201,12 +214,13 @@ class StrategicGame:
         return itertools.product(*(range(k) for k in self._shape))
 
     def validate_profile(self, profile):
-        """The profile as a tuple, when `_is_profile` holds for the game's shape;
-        InvalidProfile otherwise."""
+        """The profile as a tuple of ints, when `_profile` reads it for the
+        game's shape; InvalidProfile otherwise."""
         profile = tuple(profile)
-        if not _is_profile(profile, self._shape):
+        checked = _profile(profile, self._shape)
+        if checked is None:
             raise errors.InvalidProfile(f"profile {profile} invalid for shape {self._shape}")
-        return profile
+        return checked
 
     def payoff(self, profile):
         """Payoff vector u(s), one Fraction per player."""
@@ -236,18 +250,24 @@ class CongestionGame(errors.Frozen):
 
     ``costs[j][k-1]`` is the cost of resource j when k players use it, for
     every k in 1..player_count (entries past it are dropped), kept as ints over
-    ``scale`` D as `StrategicGame` keeps its payoffs.  ``strategies[i]`` lists
-    player i's allowable strategies, each a tuple of resource indices.
+    ``scale`` D as `StrategicGame` keeps its payoffs.  ``resource_names`` has
+    one name per cost ladder.  ``strategies[i]`` lists player i's allowable
+    strategies, each a set of resource indices, kept as a sorted tuple of
+    ints.  Every list is read by `_vector`, so none may be a string, and a
+    resource index is an integer (`_index`): InvalidArgument naming its
+    position, as "strategies[0, 1]".
     """
 
     __slots__ = ("resource_names", "costs", "strategies", "scale")
 
     def __init__(self, resource_names, costs, strategies):
-        n = len(strategies)
         ladders = tuple(tuple(map(as_fraction, _vector(per_res, "costs", (j,))))
-                        for j, per_res in enumerate(costs))
-        strategies = tuple(tuple(tuple(sorted(set(s))) for s in per_player)
-                           for per_player in strategies)
+                        for j, per_res in enumerate(_vector(costs, "costs")))
+        names = tuple(map(str, _vector(resource_names, "resource_names", None, len(ladders))))
+        strategies = tuple(tuple(_resource_set(s, (i, k))
+                                 for k, s in enumerate(_vector(per_player, "strategies", (i,))))
+                           for i, per_player in enumerate(_vector(strategies, "strategies")))
+        n = len(strategies)
         if n < 2:
             raise errors.InvalidArgument("congestion game needs at least 2 players")
         if any(len(per_res) < n for per_res in ladders):
@@ -263,7 +283,7 @@ class CongestionGame(errors.Frozen):
         scale = _common_denominator(c for per_res in ladders for c in per_res[:n])
         costs = tuple(tuple(c.numerator * (scale // c.denominator) for c in per_res[:n])
                       for per_res in ladders)
-        self._set_fields(resource_names, costs, strategies, scale)
+        self._set_fields(names, costs, strategies, scale)
 
     @property
     def n_players(self):
@@ -276,6 +296,16 @@ class CongestionGame(errors.Frozen):
             for j in self.strategies[i][s]:
                 counts[j] += 1
         return tuple(counts)
+
+
+def _resource_set(strategy, at):
+    """A strategy's resource indices as a sorted tuple of distinct ints;
+    InvalidArgument naming "strategies[at]" for a non-vector or a non-integer."""
+    ints = set(map(_index, _vector(strategy, "strategies", at)))
+    if None in ints:
+        raise errors.InvalidArgument(
+            f"strategies{list(at)}: resource indices must be integers, got {strategy!r}")
+    return tuple(sorted(ints))
 
 
 class BargainingProblem(errors.Frozen):
@@ -782,9 +812,10 @@ def integer_potential(cg, profile):
 def rosenthal_potential(cg, profile):
     """Rosenthal potential: per resource, sum the cost ladder up to its usage count."""
     profile = tuple(profile)
-    if not _is_profile(profile, tuple(map(len, cg.strategies))):
+    checked = _profile(profile, tuple(map(len, cg.strategies)))
+    if checked is None:
         raise errors.InvalidProfile(f"profile {profile} invalid for this congestion game")
-    return Fraction(integer_potential(cg, profile), cg.scale)
+    return Fraction(integer_potential(cg, checked), cg.scale)
 
 
 def congestion_to_strategic(cg):

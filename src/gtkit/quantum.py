@@ -15,18 +15,20 @@ complex amplitudes and the two-qubit Kraus sum that this identity replaces
 live in the tests as their oracle, and the grid search `mw_nash_search`
 remains as the oracle of the exact equilibrium set.
 
-The payoff surface is that game's closed form at each grid point: Python
-floats added in one fixed order (its bits do not depend on the Python
-version), or in the p-adic mode one exact rational per payoff from an
-integer combination of the payoffs.  `payoff_surface_rows` returns its CSV
-lines as an iterator, checking its input at the call, so the surface is
-never held whole.
+The payoff surface is that game's closed form on the grid, made one grid
+row (one value of p) at a time: Python floats added in one fixed order (its
+bits do not depend on the Python version), or in the p-adic mode one exact
+rational per payoff, an integer numerator over the game's denominator times
+grid^2 printed as a reduced integer ratio, with no Fraction built.
+`payoff_surface_rows` returns its CSV lines as an iterator, checking its
+input at the call, so at most one grid row of the surface is held.
 """
 
 from __future__ import annotations
 
 import itertools
 from fractions import Fraction
+from math import gcd
 
 from . import errors, games
 
@@ -97,17 +99,20 @@ def equilibrium_report(form):
 
 
 def _surface(form, grid_n, exact=False):
-    """(p, q, payoff1, payoff2) at every (i/grid_n, j/grid_n), row-major, exact or float.
+    """The payoffs of the grid (i/grid_n, j/grid_n), one row of p = i/grid_n at a time.
 
     Each payoff is pq c00 + p(1-q) c01 + (1-p)q c10 + (1-p)(1-q) c11 for the
-    payoffs c of A'.  As floats the terms are added left to right after a
-    leading 0 (which turns a -0.0 first term into 0.0); a float surface needs
-    every payoff of A' in the binary64 range (InvalidArgument).  Exactly, with
-    C = D c on integers for the common denominator D, it is the one rational
-    (ij C00 + i(N-j) C01 + (N-i)j C10 + (N-i)(N-j) C11) / (D N^2), N = grid_n.
+    payoffs c of A'.  A float row is the list u1, u2, u1, u2, ... over q, each
+    payoff's terms added left to right after a leading 0 (which turns a
+    -0.0 first term into 0.0); a float surface needs every payoff of A' in
+    the binary64 range (InvalidArgument).  Exactly, with C = D c on integers
+    for the common denominator D, the payoff at (i, j) is the one rational
+    (ij C00 + i(N-j) C01 + (N-i)j C10 + (N-i)(N-j) C11) / (D N^2), N = grid_n;
+    an exact row is that list as strings, each numerator read as a j + b and
+    printed over D N^2 in lowest terms, as `str(Fraction)` prints it.
 
     The form, grid_n and the float conversion are checked here, at the call;
-    the returned iterator computes the points as it is consumed.
+    the returned iterator computes each row as it is consumed.
     """
     if not isinstance(form, ClassicalForm):
         raise errors.InvalidArgument("expected a quantum.ClassicalForm")
@@ -115,39 +120,43 @@ def _surface(form, grid_n, exact=False):
         raise errors.InvalidArgument("grid_n must be >= 1")
     if exact:  # the game's own integer table over its denominator D
         game = form.game
-        return _exact_points([game._table[s] for s in PROFILES], game._scale, grid_n)
+        return _exact_rows([game._table[s] for s in PROFILES], game._scale, grid_n)
     payoffs = [form.game.payoff(s) for s in PROFILES]
     try:
         floats = [[float(x) for x in u] for u in payoffs]
     except OverflowError as exc:
         raise errors.InvalidArgument(
             "payoff beyond the binary64 range; the p-adic mode (--padic) is exact") from exc
-    return _float_points(floats, grid_n)
+    return _float_rows(floats, grid_n)
 
 
-def _exact_points(payoffs, scale, n):
+def _exact_rows(payoffs, scale, n):
     (x00, y00), (x01, y01), (x10, y10), (x11, y11) = payoffs
     den = scale * n * n
-    ps = [Fraction(i, n) for i in range(n + 1)]
-    for i, p in enumerate(ps):
+    for i in range(n + 1):
         r = n - i
-        for j, q in enumerate(ps):
-            s = n - j
-            w00, w01, w10, w11 = i * j, i * s, r * j, r * s
-            yield (p, q, Fraction(w00 * x00 + w01 * x01 + w10 * x10 + w11 * x11, den),
-                   Fraction(w00 * y00 + w01 * y01 + w10 * y10 + w11 * y11, den))
+        # the numerators at (i, j) are a j + b, one pair (a, b) per player
+        a1, b1 = i * (x00 - x01) + r * (x10 - x11), n * (i * x01 + r * x11)
+        a2, b2 = i * (y00 - y01) + r * (y10 - y11), n * (i * y01 + r * y11)
+        row = []
+        for j in range(n + 1):
+            for num in (a1 * j + b1, a2 * j + b2):
+                g = gcd(num, den)
+                row.append(str(num // g) if g == den else f"{num // g}/{den // g}")
+        yield row
 
 
-def _float_points(payoffs, grid_n):
+def _float_rows(payoffs, n):
     (x00, y00), (x01, y01), (x10, y10), (x11, y11) = payoffs
-    ps = [i / grid_n for i in range(grid_n + 1)]
-    for p in ps:
-        r = 1 - p
-        for q in ps:
-            s = 1 - q
+    qs = [(q, 1 - q) for q in (j / n for j in range(n + 1))]
+    for p, r in qs:
+        row = []
+        add = row.append
+        for q, s in qs:
             w00, w01, w10, w11 = p * q, p * s, r * q, r * s
-            yield (p, q, 0 + w00 * x00 + w01 * x01 + w10 * x10 + w11 * x11,
-                   0 + w00 * y00 + w01 * y01 + w10 * y10 + w11 * y11)
+            add(0 + w00 * x00 + w01 * x01 + w10 * x10 + w11 * x11)
+            add(0 + w00 * y00 + w01 * y01 + w10 * y10 + w11 * y11)
+        yield row
 
 
 def mw_nash_search(form, grid_n=100):
@@ -159,12 +168,16 @@ def mw_nash_search(form, grid_n=100):
     weak equilibria are reported).  Returns ((p, q), (payoff1, payoff2)) rows
     in row-major grid order.
     """
-    points = list(_surface(form, grid_n))
-    n = grid_n + 1
-    col_best = [max(pt[2] for pt in points[j::n]) for j in range(n)]
-    row_best = [max(pt[3] for pt in points[i * n:(i + 1) * n]) for i in range(n)]
-    return [((p, q), (u1, u2)) for k, (p, q, u1, u2) in enumerate(points)
-            if u1 >= col_best[k % n] - EQ_TOL and u2 >= row_best[k // n] - EQ_TOL]
+    rows = list(_surface(form, grid_n))
+    ps = [i / grid_n for i in range(grid_n + 1)]
+    col_best = [max(col) for col in zip(*(row[0::2] for row in rows))]
+    found = []
+    for p, row in zip(ps, rows):
+        u1s, u2s = row[0::2], row[1::2]
+        row_best = max(u2s)
+        found += [((p, q), (u1, u2)) for q, u1, u2, best in zip(ps, u1s, u2s, col_best)
+                  if u1 >= best - EQ_TOL and u2 >= row_best - EQ_TOL]
+    return found
 
 
 def payoff_surface_rows(form, grid_n=100, exact=False):
@@ -172,17 +185,18 @@ def payoff_surface_rows(form, grid_n=100, exact=False):
     exact rationals or 17 significant digits.
 
     The form, grid_n and the payoffs are checked at the call, so a payoff
-    beyond binary64 raises before any line is made.  Each grid label is
-    formatted once; a line is one `%` of its column's template.
+    beyond binary64 raises before any line is made.  The lines are made one
+    grid row at a time: each grid label is formatted once, into a row
+    template that takes a row's 2(grid_n + 1) payoffs in one `%`.
     """
-    points = _surface(form, grid_n, exact)
+    rows = _surface(form, grid_n, exact)
     labels = [str(Fraction(i, grid_n)) if exact else "%.17g" % (i / grid_n)
               for i in range(grid_n + 1)]
     number = "%s" if exact else "%.17g"
-    templates = [f"%s,{q},{number},{number}" for q in labels]
-    lines = (template % (p, u1, u2)
-             for p in labels for template, (_, _, u1, u2) in zip(templates, points))
-    return itertools.chain(("p,q,payoff1,payoff2",), lines)
+    template = "\n".join(f"\0,{q},{number},{number}" for q in labels)
+    lines = ((template.replace("\0", p) % tuple(row)).split("\n")
+             for p, row in zip(labels, rows))
+    return itertools.chain(("p,q,payoff1,payoff2",), itertools.chain.from_iterable(lines))
 
 
 def classical_product_payoffs(base, p, q):

@@ -1544,16 +1544,19 @@ def test_chunked_lines_equal_one_join(tmp_path, count):
 
 
 def test_quantumize_streams_its_surface(tmp_path):
-    # the 40,401 lines of grid 200, held in a list, took the traced peak to 5.5 MiB
-    tracemalloc.start()
-    try:
-        code = main(["quantumize", "--in", "bos", "--grid", "200", "--out", str(tmp_path)])
-        peak = tracemalloc.get_traced_memory()[1]
-    finally:
-        tracemalloc.stop()
-    assert code == EXIT_OK
-    assert len((tmp_path / "surface.csv").read_text().splitlines()) == 1 + 201 * 201
-    assert peak < 3 * 2**20
+    # the 40,401 lines of grid 200, held in a list, took the traced peak to 5.5 MiB;
+    # both modes are measured, each from its own start
+    for mode in ([], ["--padic"]):
+        out = tmp_path / "".join(mode or ["complex"])
+        tracemalloc.start()
+        try:
+            code = main(["quantumize", "--in", "bos", "--grid", "200", *mode, "--out", str(out)])
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert code == EXIT_OK, mode
+        assert len((out / "surface.csv").read_text().splitlines()) == 1 + 201 * 201
+        assert peak < 3 * 2**20, mode
 
 
 def test_the_parser_is_built_once():

@@ -99,6 +99,16 @@ def test_vectors_of_every_sequence_type_still_read():
         assert SimplexState(probs).exact == (F(1, 2), F(1, 2))
 
 
+def test_numpy_integers_are_matrix_entries():
+    game = EvolutionGame(IDENTITY2)
+    for rows in (np.array([[1, 0], [0, 1]]), np.array([[1, 0], [0, 1]], dtype=np.uint8),
+                 [[np.int32(1), 0], [0, np.int64(1)]]):
+        assert EvolutionGame(rows) == game
+    for bad in (True, np.True_, np.array([True])[0]):
+        with pytest.raises(errors.InvalidArgument, match="not a real matrix entry"):
+            EvolutionGame([[bad, 0], [0, 1]])
+
+
 def test_a_float_state_beyond_binary64_is_an_invalid_argument():
     with pytest.raises(errors.InvalidArgument):
         SimplexState([10**400, 0.5])

@@ -17,7 +17,8 @@ every block.
 The compiled RK4 run and the trajectory CSV formatter are
 held to their loop forms bit for bit, the time average and the recurrence
 test on the flat trajectory to the numpy forms they replaced, and the
-quantum payoff surface to the numpy grid and the Fraction loop it replaced.
+quantum payoff surface to the numpy grid and the Fraction loop it replaced
+(the exact surface also to a count of the Fractions it builds).
 The Pareto maxima scan and its 2-player sweep are held to the pairwise dominance test, the
 per-context maxima of `pure_nash`, the deviation walks and strategy values of
 `games` to the per-profile loops they replaced,
@@ -41,7 +42,7 @@ import pytest
 from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
-from gtkit import _linsolve, cli, errors, gamefile, games, padic
+from gtkit import _linsolve, cli, errors, gamefile, games, padic, quantum
 from gtkit._linsolve import (
     bordered_minors,
     equalizer,
@@ -1528,13 +1529,44 @@ def test_payoff_surface_rows_match_the_numpy_grid_bit_for_bit(form, grid):
     assert list(payoff_surface_rows(form, grid)) == payoff_surface_rows_reference(form, grid)
 
 
-# each example runs up to 10201 Fraction points twice, so there are few of them
+BOS = gamefile.load_scenario("bos").game
+ALL_ZERO = StrategicGame([["a", "b"], ["c", "d"]], {s: (0, 0) for s in PROFILES})
+
+
+# each example runs up to 10201 Fraction points in the reference, so there are few of them
 @settings(max_examples=8, deadline=None)
 @example(ALL_TINY, 3)
+@example(ClassicalForm(BOS, F(25, 9)), 10)  # gt quantumize --padic --p 5 --alpha=5/3
+@example(ClassicalForm(ALL_ZERO, F(1, 2)), 6)  # every numerator is 0 and prints as 0
+@example(ClassicalForm(BOS, F(1, 2)), 1)
 @given(quantum_forms(), st.integers(1, 100))
 def test_exact_payoff_surface_rows_match_the_fraction_loop(form, grid):
     assert list(payoff_surface_rows(form, grid, exact=True)) == padic_surface_rows_reference(
         form, grid)
+
+
+@settings(max_examples=150, deadline=None)
+@given(quantum_forms(), st.integers(1, 30))
+def test_exact_payoff_surface_rows_match_the_fraction_loop_on_small_grids(form, grid):
+    assert list(payoff_surface_rows(form, grid, exact=True)) == padic_surface_rows_reference(
+        form, grid)
+
+
+def test_the_exact_surface_builds_a_fraction_per_grid_label_only(monkeypatch):
+    built = []
+
+    class CountingFraction(Fraction):
+        def __new__(cls, *args, **kwargs):
+            built.append(args)
+            return super().__new__(cls, *args, **kwargs)
+
+    monkeypatch.setattr(quantum, "Fraction", CountingFraction)
+    form = ClassicalForm(BOS, F(25, 9))
+    for grid in (1, 10, 28):
+        built.clear()
+        lines = list(payoff_surface_rows(form, grid, exact=True))
+        assert len(lines) == 1 + (grid + 1) ** 2
+        assert 0 < len(built) <= grid + 1
 
 
 # ---------------------------------------------------------------------------

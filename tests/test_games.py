@@ -3,6 +3,7 @@
 import re
 from fractions import Fraction
 
+import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
@@ -484,6 +485,41 @@ def test_congestion_game_validation():
         rosenthal_potential(two_link_congestion(), (0, 5))
 
 
+LADDERS = ((1, 2), (2, 3))
+ONE_EACH = (((0,),), ((1,),))
+
+
+@pytest.mark.parametrize("names,strategies,message", [
+    (("x", "y"), (("0",), ((0,),)), "strategies[0, 0]: expected a sequence, got str"),
+    (("x", "y"), ("01", ((0,),)), "strategies[0]: expected a sequence, got str"),
+    (("x", "y"), "01", "strategies: expected a sequence, got str"),
+    (("x", "y"), ((("0",),), ((0,),)),
+     "strategies[0, 0]: resource indices must be integers, got ('0',)"),
+    (("x", "y"), (((0, 1.0),), ((0,),)),
+     "strategies[0, 0]: resource indices must be integers, got (0, 1.0)"),
+    ("ab", ONE_EACH, "resource_names: expected 2 entries, got str"),
+    (("x",), ONE_EACH, "resource_names: expected 2 entries, got 1"),
+    (("x", "y", "z"), ONE_EACH, "resource_names: expected 2 entries, got 3"),
+], ids=["strategy-string", "strategy-list-string", "strategies-string", "string-index",
+        "float-index", "names-string", "one-name-two-ladders", "three-names-two-ladders"])
+def test_congestion_inputs_are_read_as_vectors(names, strategies, message):
+    # the first four ended in a raw TypeError, "ab" was kept as two names and
+    # one name was accepted for two ladders
+    with pytest.raises(errors.InvalidArgument, match=rf"^{re.escape(message)}$"):
+        CongestionGame(names, LADDERS, strategies)
+
+
+def test_congestion_inputs_of_every_sequence_type_still_read():
+    game = CongestionGame(("x", "y"), LADDERS, ONE_EACH)
+    assert game.resource_names == ("x", "y")
+    for names, strategies in ((["x", "y"], [[[0]], [[1]]]),
+                              (np.array(["x", "y"]), [np.array([[0]]), (np.array([1]),)]),
+                              (("x", "y"), (((np.int64(0), 0),), ((np.uint8(1),),)))):
+        read = CongestionGame(names, LADDERS, strategies)
+        assert read == game
+        assert all(type(j) is int for per in read.strategies for s in per for j in s)
+
+
 # ---------------------------------------------------------------------------
 # bargaining
 
@@ -549,6 +585,17 @@ def test_rosenthal_potential_refuses_what_is_not_a_profile(alias):
     with pytest.raises(errors.InvalidProfile,
                        match=rf"^profile {re.escape(str(alias))} invalid for this congestion game$"):
         rosenthal_potential(two_link_congestion(), alias)
+
+
+def test_numpy_integers_are_strategy_indices():
+    g, cg = bos(), two_link_congestion()
+    assert g.payoff(np.array([0, 1])) == g.payoff((0, 1))
+    assert g.validate_profile(np.array([1, 1])) == (1, 1)
+    assert type(g.validate_profile((np.int64(1), np.uint8(0)))[0]) is int
+    assert rosenthal_potential(cg, np.array([0, 1])) == rosenthal_potential(cg, (0, 1))
+    for alias in ((True, 0), (np.True_, 0), (np.float64(1.0), 0), np.array([0.0, 1.0])):
+        with pytest.raises(errors.InvalidProfile):
+            g.payoff(alias)
 
 
 def test_check_potential_rosenthal():
