@@ -25,7 +25,7 @@ from typing import NamedTuple
 from . import errors
 # solve_exact stays a name here because perfbench/tracing.py rebinds evolution.solve_exact.
 from ._linsolve import equalizer, principal_equalizers, solve_exact  # noqa: F401
-from .games import _common_denominator, _index, _vector, _weights, parse_fraction
+from .games import _common_denominator, _vector, _weights, as_fraction
 
 SUM_TOL = 1e-12
 CLAMP = 1e-12
@@ -35,21 +35,15 @@ SUPPORT_CAP = 2 ** 12 - 1  # supports rest_point_reports solves: 2^n - 1, so n <
 STRATEGY_CAP = 80  # strategies integrate compiles an RK4 run for; its code grows as n^2
 
 
-def _to_fraction(value):
-    """Fraction of an integer (`games._index`: an int or a numpy integer),
-    float, Fraction or string, a string read by `games.parse_fraction`
-    (SizeLimit past its digit bound); booleans and non-finite or malformed
-    values are InvalidArgument."""
+def _to_fraction(value, what="matrix entry"):
+    """A float as its exact value (binary64 floats are rationals), anything
+    else as `games.as_fraction` reads it (SizeLimit past its digit bound); a
+    non-finite float or a value `as_fraction` refuses is InvalidArgument,
+    "not a real <what>: <value>"."""
     try:
-        if isinstance(value, str):
-            return parse_fraction(value, f"rational {value!r}")
-        if isinstance(value, (float, Fraction)):
-            return Fraction(value)
-        if (integer := _index(value)) is not None:
-            return Fraction(integer)
-    except (ValueError, OverflowError, ZeroDivisionError):
-        pass
-    raise errors.InvalidArgument(f"not a real matrix entry: {value!r}")
+        return Fraction(value) if isinstance(value, float) else as_fraction(value)
+    except (ValueError, OverflowError, errors.InvalidArgument):
+        raise errors.InvalidArgument(f"not a real {what}: {value!r}") from None
 
 
 def _dot(a, b):
@@ -78,7 +72,7 @@ class EvolutionGame:
             self.matrix = tuple(tuple(map(float, row)) for row in exact)
         except OverflowError as exc:
             raise errors.InvalidArgument("payoff entry beyond the binary64 range") from exc
-        self.scale = scale = _common_denominator(v for row in exact for v in row)
+        self.scale = scale = _common_denominator((v for row in exact for v in row), "payoff")
         self.table = tuple(tuple(v.numerator * (scale // v.denominator) for v in row)
                            for row in exact)
 
@@ -128,7 +122,7 @@ class EvolutionGame:
 def _entries(values):
     """(Fractions, binary64 values) of at least 2 entries, each as `_to_fraction`
     takes it, from a vector as `games._vector` takes it."""
-    exact = tuple(map(_to_fraction, _vector(values, "state")))
+    exact = tuple(_to_fraction(v, "state entry") for v in _vector(values, "state"))
     try:
         p = tuple(map(float, exact))
     except OverflowError as exc:

@@ -242,30 +242,18 @@ def parse_dict(doc, source="<dict>"):
             raise errors.ParseError(
                 f"{source}: each resource must be an object with a string name and a costs list"
             )
-        if not all(
-            isinstance(per, list) and all(
-                isinstance(s, list)
-                and all(isinstance(j, int) and not isinstance(j, bool) for j in s)
-                for s in per
-            )
-            for per in strategies
-        ):
-            raise errors.ParseError(
-                f"{source}: congestion strategies must be lists of resource-index lists"
-            )
-        check_profile_count([len(per) for per in strategies], source)
         names = tuple(r.get("name", f"r{i}") for i, r in enumerate(res))
         costs = tuple(
             tuple(parse_rational(c, f"resources[{i}].costs") for c in r.get("costs", []))
             for i, r in enumerate(res)
         )
-        strat = tuple(tuple(tuple(s) for s in per) for per in strategies)
-        try:
-            game = CongestionGame(names, costs, strat)
+        try:  # CongestionGame checks the strategy lists, naming each position
+            game = CongestionGame(names, costs, strategies)
         except errors.SizeLimit:
             raise
         except errors.GTError as exc:
             raise errors.ParseError(f"{source}: {exc}") from exc
+        check_profile_count(tuple(map(len, game.strategies)), source)
     else:
         raise errors.ParseError(f"{source}: unknown kind {kind!r}")
     return Scenario(kind, name, description, game, dict(metadata))

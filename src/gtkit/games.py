@@ -50,17 +50,21 @@ def parse_fraction(text, what):
 
 
 def as_fraction(value):
-    """Convert ints, Fractions and strings like "2/5" to Fraction; floats are
-    rejected, and a string is read by `parse_fraction`."""
-    if isinstance(value, bool):
-        raise errors.InvalidArgument(f"not a rational payoff: {value!r}")
-    if isinstance(value, (int, Fraction)):
+    """The Fraction of an integer (`_index`: an int or a numpy integer, never a
+    bool), a Fraction, or a string like "2/5" read by `parse_fraction`; every
+    other value, a float among them, is InvalidArgument.  The one reader of a
+    rational that a library caller hands in."""
+    if isinstance(value, Fraction):
         return Fraction(value)
     if isinstance(value, str):
         try:
             return parse_fraction(value, f"rational {value!r}")
         except (ValueError, ZeroDivisionError) as exc:
             raise errors.InvalidArgument(f"not a rational: {value!r}") from exc
+    if (integer := _index(value)) is not None:
+        return Fraction(integer)
+    if isinstance(value, bool):
+        raise errors.InvalidArgument(f"not a rational: {value!r}")
     raise errors.InvalidArgument(
         f"exact rational required, got {type(value).__name__}: {value!r}"
     )
@@ -71,15 +75,18 @@ def _rational(value):
     return value if type(value) is int or type(value) is Fraction else as_fraction(value)
 
 
-def _common_denominator(values):
-    """The lcm D of the rationals' denominators; SizeLimit once it reaches
-    10**RATIONAL_DIGITS, before any larger multiple is built."""
+def _common_denominator(values, what, bounded=True):
+    """The lcm D of the rationals' denominators; SizeLimit, naming the `what`
+    denominators, once it reaches 10**RATIONAL_DIGITS, before any larger
+    multiple is built.  `bounded=False` for a point gtkit computed itself
+    (an equilibrium or rest point), which may need more digits than its
+    bounded inputs.  The one place gtkit takes an lcm."""
     scale = 1
     for den in {v.denominator for v in values}:
         scale = math.lcm(scale, den)
-        if scale >= _RATIONAL_LIMIT:
+        if bounded and scale >= _RATIONAL_LIMIT:
             raise errors.SizeLimit(
-                f"the payoff denominators have a common multiple over {RATIONAL_DIGITS} digits")
+                f"the {what} denominators have a common multiple over {RATIONAL_DIGITS} digits")
     return scale
 
 
@@ -137,7 +144,8 @@ class StrategicGame:
     Every list must have the length of its level (InvalidArgument naming its
     position, as "payoffs[0, 1]"), and neither a name list nor a payoff
     vector may be a string.
-    A payoff is an int, a Fraction or a string like "2/5".  The game keeps
+    A payoff is read by `as_fraction`: an int (numpy ones too), a Fraction
+    or a string like "2/5".  The game keeps
     them as one integer table over their common denominator D (see the
     module docstring); a D of over RATIONAL_DIGITS digits is SizeLimit.
     """
@@ -173,7 +181,7 @@ class StrategicGame:
                          for i, child in enumerate(_vector(node, "payoffs", prefix, k))]
             for profile, cell in cells:
                 rows[profile] = tuple(map(_rational, _vector(cell, "payoffs", profile, n)))
-        scale = _common_denominator(v for u in rows.values() for v in u)
+        scale = _common_denominator((v for u in rows.values() for v in u), "payoff")
         for s, u in rows.items():  # in place: the rational rows are not kept
             rows[s] = tuple(v.numerator * (scale // v.denominator) for v in u)
         self._scale = scale
@@ -280,7 +288,7 @@ class CongestionGame(errors.Frozen):
                     raise errors.InvalidArgument("allowable strategies must be non-empty")
                 if any(not (0 <= j < len(ladders)) for j in strat):
                     raise errors.InvalidArgument("strategy references an unknown resource")
-        scale = _common_denominator(c for per_res in ladders for c in per_res[:n])
+        scale = _common_denominator((c for per_res in ladders for c in per_res[:n]), "cost")
         costs = tuple(tuple(c.numerator * (scale // c.denominator) for c in per_res[:n])
                       for per_res in ladders)
         self._set_fields(names, costs, strategies, scale)
@@ -360,10 +368,11 @@ def _deviations(profile, i, k):
 
 def _weights(mixed):
     """Each player's mixture as integer weights over its common denominator,
-    which, the mixture summing to 1, is the sum of the weights."""
+    which, the mixture summing to 1, is the sum of the weights.  Unbounded:
+    the mixtures include equilibria and rest points gtkit computed."""
     out = []
     for vec in mixed:
-        den = math.lcm(*(q.denominator for q in vec))
+        den = _common_denominator(vec, "probability", bounded=False)
         out.append([q.numerator * (den // q.denominator) for q in vec])
     return out
 
@@ -708,17 +717,18 @@ def is_correlated_equilibrium(game, dist):
     probs = {}
     for profile, q in dist.items():
         probs[game.validate_profile(profile)] = as_fraction(q)
-    if any(q < 0 for q in probs.values()) or sum(probs.values(), Fraction(0)) != 1:
+    # probabilities as integer weights over their common denominator P, which
+    # they sum to exactly when they sum to 1; payoffs over D, so each margin is
+    # P * D times its value
+    den = _common_denominator(probs.values(), "probability")
+    weights = {s: q.numerator * (den // q.denominator) for s, q in probs.items()}
+    if any(w < 0 for w in weights.values()) or sum(weights.values()) != den:
         raise errors.InvalidArgument("not a joint probability distribution")
 
-    # margins are summed in integers: probabilities over their common denominator
-    # P, payoffs over D, so each margin is P * D times its value
-    den = math.lcm(*(q.denominator for q in probs.values()))
     table = game._table
     margins = {(i, rec, dev): 0  # keyed (player, recommended, deviation), in order
                for i, k in enumerate(game.shape) for rec in range(k) for dev in range(k)}
-    for profile, q in probs.items():
-        w = q.numerator * (den // q.denominator)
+    for profile, w in weights.items():
         u = table[profile]
         for i, k in enumerate(game.shape):
             for dev, alt in enumerate(_deviations(profile, i, k)):
@@ -842,7 +852,7 @@ def check_potential(game, potential):
             raise errors.InvalidArgument(f"potential is not total: missing {profile}")
     # phi over its common denominator P and payoffs over D: compare the
     # differences times P * D in integers
-    den = math.lcm(*(v.denominator for v in phi.values()))
+    den = _common_denominator(phi.values(), "potential")
     phi = {s: v.numerator * (den // v.denominator) * game._scale for s, v in phi.items()}
     table = game._table
     return all(phi[s] - phi[alt] == (u[i] - table[alt][i]) * den for s, u in table.items()

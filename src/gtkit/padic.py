@@ -19,6 +19,7 @@ from fractions import Fraction
 from typing import NamedTuple
 
 from . import errors
+from .games import _vector, as_fraction
 
 DEFAULT_PRECISION = 32
 
@@ -78,7 +79,7 @@ def _int_valuation(n, p):
 def rational_valuation(q, p):
     """nu_p of an exact rational; +inf for zero."""
     _check_prime(p)
-    q = Fraction(q)
+    q = as_fraction(q)
     if q == 0:
         return math.inf
     return _int_valuation(q.numerator, p) - _int_valuation(q.denominator, p)
@@ -202,7 +203,7 @@ def padic_from_rational(a, b, p, n=DEFAULT_PRECISION):
     _check_prime(p)
     if n < 1:
         raise errors.InvalidArgument("precision must be >= 1")
-    a, b = Fraction(a), Fraction(b)
+    a, b = as_fraction(a), as_fraction(b)
     if b == 0:
         raise errors.DivisionByZero("denominator is zero")
     q = a / b
@@ -437,7 +438,7 @@ class PAdicExtElement(errors.Frozen):
 
     @classmethod
     def from_rationals(cls, x, y, p, mu, n=DEFAULT_PRECISION):
-        return cls(padic_from_rational(Fraction(x), 1, p, n), padic_from_rational(Fraction(y), 1, p, n), mu)
+        return cls(padic_from_rational(x, 1, p, n), padic_from_rational(y, 1, p, n), mu)
 
     def __add__(self, other):
         self._check(other)
@@ -559,7 +560,7 @@ class PAdicDistribution(errors.Frozen):
 
     def __init__(self, entries, p):
         _check_prime(p)
-        self._set_fields(tuple(Fraction(e) for e in entries), p)
+        self._set_fields(tuple(map(as_fraction, _vector(entries, "entries"))), p)
         if sum(self.entries, Fraction(0)) != 1:
             raise errors.InvalidArgument("p-adic distribution entries must sum to exactly 1")
 
@@ -570,7 +571,7 @@ class PAdicDistribution(errors.Frozen):
 def distribution_check(entries):
     """True iff the exact rational sum of the sequence equals 1."""
     seq = entries.entries if isinstance(entries, PAdicDistribution) else entries
-    return sum((Fraction(e) for e in seq), Fraction(0)) == 1
+    return sum(map(as_fraction, _vector(seq, "entries")), Fraction(0)) == 1
 
 
 class PAdicValue(NamedTuple):
@@ -586,7 +587,7 @@ def padic_expected_payoff(payoffs, dist):
     """Exact weighted sum of rational payoffs under a p-adic distribution."""
     if not isinstance(dist, PAdicDistribution):
         raise errors.InvalidArgument("expected a PAdicDistribution")
-    payoffs = [Fraction(u) for u in payoffs]
+    payoffs = tuple(map(as_fraction, _vector(payoffs, "payoffs")))
     if len(payoffs) != len(dist.entries):
         raise errors.InvalidArgument(
             f"{len(payoffs)} payoffs against {len(dist.entries)} probabilities"

@@ -12,7 +12,6 @@ probabilities are not frequencies, so the module reports distributions only.
 from __future__ import annotations
 
 import operator
-from fractions import Fraction
 from typing import NamedTuple
 
 from . import errors, games, quantum
@@ -102,8 +101,9 @@ class PAdicVector:
 
     @classmethod
     def from_rationals(cls, entries, p, mu, n=DEFAULT_PRECISION):
-        """Entries are rationals x or pairs (x, y) meaning x + y*sqrt(mu)."""
-        return cls([_ext_entry(e, p, mu, n) for e in entries])
+        """Entries are rationals x or pairs (x, y) meaning x + y*sqrt(mu), read
+        as vectors by `games._vector` (so neither may be a string)."""
+        return cls([_ext_entry(e, p, mu, n) for e in games._vector(entries, "entries")])
 
     def __repr__(self):
         return f"PAdicVector(n={self.n}, p={self.p}, mu={self.mu})"
@@ -134,8 +134,10 @@ class PAdicOperator:
 
     @classmethod
     def from_rationals(cls, rows, p, mu, n=DEFAULT_PRECISION):
-        """Rational entries x, or pairs (x, y) meaning x + y*sqrt(mu)."""
-        return cls([[_ext_entry(e, p, mu, n) for e in row] for row in rows])
+        """Rational entries x, or pairs (x, y) meaning x + y*sqrt(mu); the rows
+        and each row are vectors as `games._vector` reads them."""
+        return cls([[_ext_entry(e, p, mu, n) for e in games._vector(row, "rows", (i,))]
+                    for i, row in enumerate(games._vector(rows, "rows"))])
 
     @classmethod
     def identity(cls, n, p, mu, prec=DEFAULT_PRECISION):
@@ -372,7 +374,7 @@ def padic_quantumize_2x2(form, p, p_one, q_two):
     """
     if not isinstance(form, quantum.ClassicalForm):
         raise errors.InvalidArgument("expected a quantum.ClassicalForm")
-    p_one, q_two = Fraction(p_one), Fraction(q_two)
+    p_one, q_two = games.as_fraction(p_one), games.as_fraction(q_two)
     dist = PAdicDistribution(form.distribution(p_one, q_two), p)
     payoffs = [
         PAdicValue(v, p, rational_valuation(v, p), rational_norm(v, p))

@@ -201,4 +201,4 @@ def payoff_surface_rows(form, grid_n=100, exact=False):
 
 def classical_product_payoffs(base, p, q):
     """Exact classical expected payoffs under the product profile ((p,1-p),(q,1-q))."""
-    return ClassicalForm(base, 1).payoffs(Fraction(p), Fraction(q))
+    return ClassicalForm(base, 1).payoffs(games.as_fraction(p), games.as_fraction(q))

@@ -177,7 +177,7 @@ def test_a_congestion_game_whose_denominator_is_too_long_exits_4(tmp_path):
     doc["resources"][0]["costs"] = [f"1/{a}", "2"]
     doc["resources"][1]["costs"] = [f"1/{b}", "2"]
     # the refusal is a size limit, not wrapped as a parse error of the resources
-    with pytest.raises(errors.SizeLimit, match="common multiple"):
+    with pytest.raises(errors.SizeLimit, match="^the cost denominators have a common multiple"):
         gamefile.parse_dict(doc)
     path = tmp_path / "game.json"
     path.write_text(json.dumps(doc))
@@ -307,6 +307,69 @@ def test_analyze_ce_check(tmp_path):
     code2, out2 = run(tmp_path / "2", "analyze", "--in", "bos", "--ce", str(bad))
     rep2 = read_json(out2 / "analyze.json")
     assert rep2["correlated_check"]["is_correlated_equilibrium"] is False
+
+
+def test_analyze_ce_with_a_too_long_common_denominator_exits_4(tmp_path, capsys):
+    # 40 probabilities 1/40 +- 1/d_k with distinct d_k of about 300 digits: each is
+    # within the digit bound and they sum to 1, but their lcm has about 6000 digits,
+    # and the worst margin over it ended in a ValueError when it was printed
+    doc = bimatrix_doc()
+    doc["strategies"] = [[f"r{k}" for k in range(20)], ["a", "b"]]
+    doc["payoffs"] = [[["0", str(-j * (k + 1))] for j in range(2)] for k in range(20)]
+    rows = [{"profile": [k, j], "prob": str(F(1, 40) + (-1) ** j * F(1, 10**300 + k))}
+            for k in range(20) for j in range(2)]
+    game, ce = tmp_path / "game.json", tmp_path / "ce.json"
+    game.write_text(json.dumps(doc))
+    ce.write_text(json.dumps({"distribution": rows}))
+    argv = ["analyze", "--in", str(game), "--ce", str(ce), "--out", str(tmp_path / "o")]
+    assert main(argv) == EXIT_SIZE
+    assert capsys.readouterr().err == ("error (size limit): the probability denominators have "
+                                       "a common multiple over 1000 digits\n")
+
+
+def _denominator_digits(point):
+    return max(len(str(F(q).denominator)) for q in point)
+
+
+def test_computed_equilibria_and_rest_points_are_not_held_to_the_input_bound(tmp_path):
+    # the 1000-digit bound on common denominators holds for what a caller hands
+    # in; a point gtkit solves for from such input may need more digits, and its
+    # exact checks must still run on it
+    rng = random.Random(5)
+    big, pennies, rps = 10**600, [[5, -5], [-5, 5]], [[0, -1, 1], [1, 0, -1], [-1, 1, 0]]
+    # 3x3 payoffs of about 600 digits: a full-support equilibrium of ~1200-digit denominators
+    doc = _with(bimatrix_doc(), ["strategies"], [["a", "b", "c"], ["d", "e", "f"]])
+    doc["payoffs"] = [[[str(big * rps[i][j] + rng.randrange(big // 10)),
+                        str(-big * rps[i][j] + rng.randrange(big // 10))]
+                       for j in range(3)] for i in range(3)]
+    path = tmp_path / "g3.json"
+    path.write_text(json.dumps(doc))
+    code, out = run(tmp_path / "g3", "analyze", "--in", str(path))
+    assert code == EXIT_OK
+    rep = read_json(out / "analyze.json")
+    (eq,) = rep["support_enumeration"]["equilibria"]
+    assert _denominator_digits(eq[0]) > 1000
+    assert rep["epsilon_check"] == {"all_pass": True, "epsilon": "0", "equilibria_checked": 1}
+    # 2x2 payoffs over a 1000-digit D: a mixture of mixed_ne_2x2 has over 1000 digits
+    d = 10**999
+    doc["strategies"] = [["a", "b"], ["c", "d"]]
+    doc["payoffs"] = [[[str(pennies[i][j] + F(rng.randrange(d), d)),
+                        str(-pennies[i][j] + F(rng.randrange(d), d))]
+                       for j in range(2)] for i in range(2)]
+    path.write_text(json.dumps(doc))
+    code, out = run(tmp_path / "g2", "analyze", "--in", str(path))
+    assert code == EXIT_OK
+    (eq,) = read_json(out / "analyze.json")["mixed_ne_2x2"]
+    assert _denominator_digits(eq["profile"][0] + eq["profile"][1]) > 1000
+    # an evolution matrix over a 601-digit D: its interior Nash rest point has ~1200
+    path = _evolution_file(tmp_path, [[str(rps[i][j] + F(rng.randrange(big // 10), big))
+                                       for j in range(3)] for i in range(3)])
+    code, out = run(tmp_path / "e", "evolve", "--in", path, "--t-end", "0.2", "--h", "0.01")
+    assert code == EXIT_OK
+    (interior,) = [r for r in read_json(out / "evolve.json")["rest_points"]
+                   if r["classification"] == "interior"]
+    assert interior["is_nash"] and _denominator_digits(interior["point"]) > 1000
+    assert interior["ess"] == {"is_ess": False, "method": "exact-face"}
 
 
 def test_analyze_empty_file_exit_code(tmp_path):
@@ -466,6 +529,23 @@ def test_malformed_game_files_exit_with_a_message(tmp_path, capsys, case):
         argv = [command, "--in", str(path), "--out", str(tmp_path / "o")]
         assert main(argv + (["--t-end", "0.1"] if command == "evolve" else [])) == want
         assert "error" in capsys.readouterr().err
+
+
+def test_malformed_congestion_strategies_exit_2_naming_their_position(tmp_path, capsys):
+    # CongestionGame checks the lists the file holds; the parse wraps its message
+    path = tmp_path / "game.json"
+    for strategies, message in (
+            ([[0]], "strategies[0, 0]: expected a sequence, got int"),
+            ([[[0]], None], "strategies[1]: expected a sequence, got NoneType"),
+            ([[[0]], [[True]]], "strategies[1, 0]: resource indices must be integers, got [True]"),
+            ([[[0]], [[1.0]]], "strategies[1, 0]: resource indices must be integers, got [1.0]"),
+            ([[[0]], [["0"]]], "strategies[1, 0]: resource indices must be integers, got ['0']"),
+            ([[[0]], [{"a": 1}]],
+             "strategies[1, 0]: resource indices must be integers, got {'a': 1}"),
+            ([[[0]], {"0": [0]}], "strategies[1, 0]: expected a sequence, got str")):
+        path.write_text(json.dumps(_with(congestion_doc(), ["strategies"], strategies)))
+        assert main(["analyze", "--in", str(path), "--out", str(tmp_path / "o")]) == EXIT_PARSE
+        assert capsys.readouterr().err == f"error (parse): {path}: {message}\n"
 
 
 def test_json_integer_beyond_the_digit_limit_is_a_parse_error(tmp_path):

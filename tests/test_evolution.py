@@ -109,6 +109,13 @@ def test_numpy_integers_are_matrix_entries():
             EvolutionGame([[bad, 0], [0, 1]])
 
 
+def test_a_refused_state_entry_is_named_as_one():
+    for bad in ("x", True, None, float("nan")):
+        message = f"not a real state entry: {bad!r}"
+        with pytest.raises(errors.InvalidArgument, match=rf"^{re.escape(message)}$"):
+            SimplexState([bad, 1])
+
+
 def test_a_float_state_beyond_binary64_is_an_invalid_argument():
     with pytest.raises(errors.InvalidArgument):
         SimplexState([10**400, 0.5])

@@ -598,6 +598,31 @@ def test_numpy_integers_are_strategy_indices():
             g.payoff(alias)
 
 
+def test_numpy_integers_are_payoffs():
+    # as_fraction reads any non-bool integer with __index__, as _index does
+    payoffs = np.array([[[1, 2], [3, 4]], [[5, 6], [7, 8]]])
+    game = StrategicGame([["a", "b"], ["c", "d"]], payoffs)
+    assert game == StrategicGame([["a", "b"], ["c", "d"]], payoffs.tolist())
+    assert all(type(v) is F for s in game.profiles() for v in game.payoff(s))
+    assert as_fraction(np.uint8(3)) == 3
+    for bad in (True, np.True_, np.float64(1.0)):
+        with pytest.raises(errors.InvalidArgument):
+            as_fraction(bad)
+
+
+def test_numpy_integers_are_congestion_costs():
+    game = CongestionGame(("x", "y"), (np.array([1, 2]), np.array([2, 3])), ONE_EACH)
+    assert game == CongestionGame(("x", "y"), LADDERS, ONE_EACH)
+    assert all(type(c) is int for ladder in game.costs for c in ladder)
+
+
+def test_a_refused_rational_is_named_neutrally():
+    # a bool may be a probability, a cost or a p-adic value, not only a payoff
+    for bad in (True, "x"):
+        with pytest.raises(errors.InvalidArgument, match=rf"^not a rational: {bad!r}$"):
+            as_fraction(bad)
+
+
 def test_check_potential_rosenthal():
     cg = two_link_congestion()
     g = congestion_to_strategic(cg)

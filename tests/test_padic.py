@@ -488,3 +488,46 @@ def test_one_nonresidue_check_refuses_every_time():
     z = PAdicExtElement.from_rationals(0, 1, 7, 7, 8)
     zz = z * z
     assert zz.y.is_zero and zz.x == padic_from_rational(7, 1, 7, 8)
+
+
+# ---------------------------------------------------------------------------
+# one intake rule: every rational is read by games.as_fraction
+
+
+# each reader takes one rational v and accepts the value 1
+RATIONAL_READERS = {
+    "rational_valuation": lambda v: rational_valuation(v, 7),
+    "padic_from_rational-a": lambda v: padic_from_rational(v, 1, 7, 4),
+    "padic_from_rational-b": lambda v: padic_from_rational(1, v, 7, 4),
+    "PAdicDistribution": lambda v: PAdicDistribution([v, 0], 7),
+    "distribution_check": lambda v: distribution_check([v, 0]),
+    "padic_expected_payoff": lambda v: padic_expected_payoff([v], PAdicDistribution([1], 7)),
+    "PAdicExtElement.from_rationals": lambda v: PAdicExtElement.from_rationals(v, v, 7, -1, 4),
+}
+
+
+@pytest.mark.parametrize("name", sorted(RATIONAL_READERS))
+def test_padic_readers_take_exact_rationals_only(name, check_exact_rational_reader):
+    check_exact_rational_reader(RATIONAL_READERS[name])
+
+
+def test_binary64_one_tenth_is_refused_not_expanded():
+    # 1/10 is 0:5.0.2.6@7^4, while the binary64 value of 0.1 expands to 0:3.2.6.3@7^4
+    assert format_padic(padic_from_rational(F(1, 10), 1, 7, 4)) == "0:5.0.2.6@7^4"
+    assert format_padic(padic_from_rational("0.1", 1, 7, 4)) == "0:5.0.2.6@7^4"
+    with pytest.raises(errors.InvalidArgument, match="float"):
+        padic_from_rational(0.1, 1, 7, 4)
+    with pytest.raises(errors.InvalidArgument, match="^not a rational: True$"):
+        padic_from_rational(True, 1, 7, 4)
+
+
+@pytest.mark.parametrize("read", [
+    lambda v: distribution_check(v),
+    lambda v: PAdicDistribution(v, 7),
+    lambda v: padic_expected_payoff(v, PAdicDistribution([1], 7)),
+], ids=["distribution_check", "PAdicDistribution", "padic_expected_payoff"])
+def test_a_string_is_never_read_as_a_padic_vector(read):
+    # distribution_check("1") read the string's one character and called it a distribution
+    with pytest.raises(errors.InvalidArgument, match="expected a sequence, got str"):
+        read("1")
+    assert read(["1"]) is not None

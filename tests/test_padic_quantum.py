@@ -39,7 +39,7 @@ from gtkit.padic_quantum import (
     trace,
     ultranorm,
 )
-from gtkit.quantum import ClassicalForm
+from gtkit.quantum import ClassicalForm, classical_product_payoffs
 
 F = Fraction
 P, MU, N = 7, -1, 20
@@ -480,3 +480,45 @@ def test_quantumize_hierarchy_reports(capsys=None):
     pure_oo = next(g for g in res.hierarchy if g.label == "pure O/O")
     assert isinstance(pure_oo, GapReport)
     assert pure_oo.gap == (0, 0)
+
+
+# ---------------------------------------------------------------------------
+# one intake rule: every rational is read by games.as_fraction
+
+
+# each reader takes one rational v and accepts the value 1
+RATIONAL_READERS = {
+    "padic_quantumize_2x2-p": lambda v: padic_quantumize_2x2(ClassicalForm(bos(), 1), P, v, 1),
+    "padic_quantumize_2x2-q": lambda v: padic_quantumize_2x2(ClassicalForm(bos(), 1), P, 1, v),
+    "PAdicVector.from_rationals": lambda v: PAdicVector.from_rationals(
+        [v, (0, v)], P, MU, 4).components,
+    "PAdicOperator.from_rationals": lambda v: PAdicOperator.from_rationals(
+        [[v, 0], [(0, v), v]], P, MU, 4).entries,
+    "classical_product_payoffs": lambda v: classical_product_payoffs(bos(), v, 1),
+}
+
+
+@pytest.mark.parametrize("name", sorted(RATIONAL_READERS))
+def test_quantum_readers_take_exact_rationals_only(name, check_exact_rational_reader):
+    check_exact_rational_reader(RATIONAL_READERS[name])
+
+
+def test_classical_product_payoffs_refuses_floats_as_the_form_does():
+    # 0.3 was read as 5404319552844595/18014398509481984, giving 41433116571808563/36028797018963968
+    form = ClassicalForm(bos(), 1)
+    for read in (form.payoffs, lambda p, q: classical_product_payoffs(bos(), p, q)):
+        with pytest.raises(errors.InvalidArgument, match="float"):
+            read(0.3, 0.5)
+    assert classical_product_payoffs(bos(), "0.3", "1/2") == form.payoffs(F(3, 10), F(1, 2))
+
+
+def test_a_string_is_never_read_as_a_padic_vector_or_operator():
+    # ["10", "01"] was read as the rows (1, 0) and (0, 1): the identity
+    with pytest.raises(errors.InvalidArgument, match=r"^rows\[0\]: expected a sequence, got str$"):
+        PAdicOperator.from_rationals(["10", "01"], 7, 3, 3)
+    with pytest.raises(errors.InvalidArgument, match="^rows: expected a sequence, got str$"):
+        PAdicOperator.from_rationals("1", 7, 3, 3)
+    with pytest.raises(errors.InvalidArgument, match="^entries: expected a sequence, got str$"):
+        PAdicVector.from_rationals("10", 7, 3, 3)
+    assert operators_equal(PAdicOperator.from_rationals([[1, 0], [0, 1]], 7, 3, 3),
+                           PAdicOperator.identity(2, 7, 3, 3))

@@ -466,3 +466,42 @@ def test_the_generated_rk4_step_keeps_the_source_rules():
         assert not [node for node in ast.walk(tree) if isinstance(node, (ast.Import, ast.ImportFrom))]
         assert "sum(" not in source
         assert max(line.count("*") for line in source.splitlines()) <= 64
+
+
+def _lcm_uses(tree):
+    """(line, innermost function) of every reference to `lcm`: a name, an
+    attribute, or a name imported from a module, so a call and the function
+    passed as a value (as to `functools.reduce`) are both seen."""
+    for node, func in _in_functions(tree):
+        if (isinstance(node, ast.Name) and node.id == "lcm"
+                or isinstance(node, ast.Attribute) and node.attr == "lcm"
+                or isinstance(node, ast.ImportFrom)
+                and any(alias.name == "lcm" for alias in node.names)):
+            yield node.lineno, func
+
+
+def test_only_the_common_denominator_takes_an_lcm():
+    # games._common_denominator holds the one digit bound on a common denominator;
+    # an lcm taken anywhere else could outgrow it
+    found = {
+        (path.name, func)
+        for path in SOURCES
+        for _, func in _lcm_uses(ast.parse(path.read_text(encoding="utf-8")))
+    }
+    assert found == {("games.py", "_common_denominator")}
+
+
+def test_the_lcm_rule_sees_every_form():
+    tree = ast.parse(
+        "import math\n"
+        "math.lcm(a, b)\n"
+        "from math import lcm\n"
+        "def f():\n    return lcm(*dens)\n"
+        "import math as m\n"
+        "class C:\n    def g(self):\n        return m.lcm(a)\n"
+        "lcm_of = gcd(a, b)\n"
+        "functools.reduce(math.lcm, dens)\n"
+        "from math import lcm as least\n"
+    )
+    assert list(_lcm_uses(tree)) == [(2, None), (3, None), (5, "f"), (9, "g"), (11, None),
+                                     (12, None)]
