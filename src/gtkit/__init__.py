@@ -16,9 +16,14 @@ Modules:
                    measurement, p-adic quantumization of 2x2 games
     gamefile       the gt-game/1 JSON schema and the packaged scenarios
     cli            the `gt` command-line front end
+
+The modules are package attributes loaded on first use (PEP 562):
+`import gtkit` loads none of them, and `gtkit.quantum`, `from gtkit import
+quantum` and `from gtkit import *` each load what they name. So a `gt`
+subcommand loads only the modules it runs.
 """
 
-from . import errors, evolution, gamefile, games, padic, padic_quantum, quantum
+import importlib
 
 __version__ = "0.1.0"
 
@@ -32,3 +37,14 @@ __all__ = [
     "quantum",
     "__version__",
 ]
+
+
+def __getattr__(name):
+    # called only for a name not yet bound: importing a submodule binds it here
+    if name in __all__:
+        return importlib.import_module(f".{name}", __name__)
+    raise AttributeError(f"module {__name__!r} has no attribute {name!r}")
+
+
+def __dir__():
+    return sorted({*globals(), *__all__})

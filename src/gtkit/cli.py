@@ -19,7 +19,12 @@ import os
 import sys
 from fractions import Fraction
 
-from . import errors, evolution, gamefile, games, padic, padic_quantum, quantum
+import gtkit
+
+from . import errors, gamefile, games
+
+# evolution, quantum, padic and padic_quantum are reached as attributes of the
+# package, which loads each on first use: a subcommand loads only what it runs
 
 EXIT_OK = 0
 EXIT_PARSE = 2
@@ -118,7 +123,7 @@ def _to_evolution(scn):
         n, t = g.shape[0], g._table  # both players' payoffs in ints over one D
         if any(t[i, j][1] != t[j, i][0] for i in range(n) for j in range(n)):
             raise errors.InvalidArgument("evolve needs symmetric roles: u2(i,j) must equal u1(j,i)")
-        return evolution.EvolutionGame._checked(
+        return gtkit.evolution.EvolutionGame._checked(
             g._scale, [[t[i, j][0] for j in range(n)] for i in range(n)])
     raise errors.InvalidArgument(f"cannot evolve a {scn.kind!r} scenario")
 
@@ -285,6 +290,7 @@ def _correlated_section(game, ce_path):
 
 
 def cmd_evolve(args):
+    evolution = gtkit.evolution
     scn = gamefile.resolve_input(args.infile)
     g = _to_evolution(scn)
     p0_text = args.p0 or ",".join(scn.metadata.get("default_p0", []))
@@ -357,6 +363,7 @@ def _alpha_weight(text):
 
 
 def cmd_quantumize(args):
+    quantum = gtkit.quantum
     scn = gamefile.resolve_input(args.infile)
     game, _ = _to_strategic(scn)
     if game.shape != (2, 2):
@@ -391,7 +398,7 @@ def _complex_report(scn, form, a):
         beta = math.sqrt(max(0.0, 1.0 - alpha * alpha))
     else:
         raise errors.InvalidArgument("--alpha must lie in [0, 1] (amplitude of |00>)")
-    rep = quantum.equilibrium_report(form)
+    rep = gtkit.quantum.equilibrium_report(form)
     classical_mixed = rep["classical_mixed_payoffs"]
     doc = {
         "command": "quantumize",
@@ -414,6 +421,7 @@ def _complex_report(scn, form, a):
 
 def _padic_report(args, scn, form, a):
     """equilibria.json of the p-adic mode, less the grid; prints its summary."""
+    padic = gtkit.padic
     p = args.p
     prec = args.prec  # recorded in the report; every value is exact at any precision
     gamefile.check_precision(p, prec, "--prec")
@@ -425,7 +433,7 @@ def _padic_report(args, scn, form, a):
         if not padic.is_square(padic.padic_from_rational(w, 1, p, 3)):
             raise errors.InvalidArgument(
                 f"{w} is not a square in Q_{p}: |alpha|^2 = {form.a2} has no amplitudes in Q_{p}")
-    res = padic_quantum.padic_quantumize_2x2(form, p, 1, 1)
+    res = gtkit.padic_quantum.padic_quantumize_2x2(form, p, 1, 1)
     doc = {
         "command": "quantumize",
         "mode": "padic",
@@ -466,6 +474,7 @@ def _padic_report(args, scn, form, a):
 
 
 def _eval_padic_expr(line, default_prec):
+    padic = gtkit.padic
     tokens = line.split()
     if not tokens:
         raise errors.ParseError("empty expression")
@@ -485,11 +494,12 @@ def _eval_padic_expr(line, default_prec):
 
     if op == "distcheck":
         seq = [rat(t) for t in " ".join(tokens[1:]).split(",") if t.strip()]
+        total = games.bounded(padic.distribution_sum(seq), "distribution sum")
         return {
             "op": "distcheck",
             "entries": [_frac(v) for v in seq],
-            "sum": _frac(games.bounded(sum(seq, Fraction(0)), "distribution sum")),
-            "is_distribution": padic.distribution_check(seq),
+            "sum": _frac(total),
+            "is_distribution": total == 1,
         }
     if op == "nonresidue":
         if len(tokens) != 2:

@@ -14,8 +14,9 @@ import math
 import os
 from fractions import Fraction
 
+import gtkit
+
 from . import errors
-from .evolution import EvolutionGame
 from .games import RATIONAL_DIGITS, _RATIONAL_LIMIT, CongestionGame, StrategicGame, parse_fraction
 
 FORMAT = "gt-game/1"
@@ -221,7 +222,7 @@ def parse_dict(doc, source="<dict>"):
             if not isinstance(row, list) or len(row) != len(matrix):
                 raise errors.ParseError(f"{source}: matrix row {i} is not length {len(matrix)}")
             rows.append([parse_rational(v, f"matrix[{i}]") for v in row])
-        game = EvolutionGame(rows)
+        game = gtkit.evolution.EvolutionGame(rows)  # the package loads evolution here
         names = doc.get("strategies")
         if names is not None:
             if not isinstance(names, list) or len(names) != 1:

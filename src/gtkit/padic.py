@@ -549,6 +549,22 @@ def ext_norm(z):
 # p-adic probability
 
 
+def distribution_sum(entries):
+    """The exact rational sum of a sequence of rationals.
+
+    Entries over one denominator are added as integers, then the distinct
+    denominators pairwise: each Fraction addition takes its gcd over operands
+    of about equal size, where a running total would grow with every entry.
+    """
+    numerators = {}
+    for q in map(as_fraction, _vector(entries, "entries")):
+        numerators[q.denominator] = numerators.get(q.denominator, 0) + q.numerator
+    terms = [Fraction(n, d) for d, n in numerators.items()] or [Fraction(0)]
+    while len(terms) > 1:
+        terms = [sum(terms[i:i + 2]) for i in range(0, len(terms), 2)]
+    return terms[0]
+
+
 class PAdicDistribution(errors.Frozen):
     """Sequence of exact rationals (read in Q_p) summing to exactly 1.
 
@@ -561,7 +577,7 @@ class PAdicDistribution(errors.Frozen):
     def __init__(self, entries, p):
         _check_prime(p)
         self._set_fields(tuple(map(as_fraction, _vector(entries, "entries"))), p)
-        if sum(self.entries, Fraction(0)) != 1:
+        if distribution_sum(self.entries) != 1:
             raise errors.InvalidArgument("p-adic distribution entries must sum to exactly 1")
 
     def __len__(self):
@@ -571,7 +587,7 @@ class PAdicDistribution(errors.Frozen):
 def distribution_check(entries):
     """True iff the exact rational sum of the sequence equals 1."""
     seq = entries.entries if isinstance(entries, PAdicDistribution) else entries
-    return sum(map(as_fraction, _vector(seq, "entries")), Fraction(0)) == 1
+    return distribution_sum(seq) == 1
 
 
 class PAdicValue(NamedTuple):

@@ -953,6 +953,35 @@ def test_padic_dist_and_distcheck(tmp_path):
     assert rep["results"][2]["distance"] == "1"
 
 
+def _distcheck_expression(n):
+    # n probabilities 1/n +- 1/(10^300 + k), the "+" ones first: each is within the
+    # digit bound and they sum to exactly 1, but a running Fraction total of them
+    # reaches a denominator of n/2 * 300 digits before it cancels
+    half = n // 2
+    plus = [F(1, n) + F(1, 10**300 + k) for k in range(half)]
+    minus = [F(1, n) - F(1, 10**300 + k) for k in range(half)]
+    return "distcheck " + ",".join(map(str, plus + minus))
+
+
+def test_distcheck_of_many_long_denominators_is_pinned_and_fast(tmp_path, capsys):
+    import hashlib
+
+    expr = _distcheck_expression(200)
+    start = time.perf_counter()
+    code, out = run(tmp_path, "padic", "--expr", expr)
+    assert time.perf_counter() - start < 0.1  # 0.18 s when the sum was taken twice
+    assert code == EXIT_OK
+    report = (out / "padic.json").read_bytes()
+    assert hashlib.sha256(report).hexdigest() == (
+        "b3cf62af223317e3c7b1f1f9a74f56ab99464fd594f69b1592a41d9238ead0c1")
+    (result,) = json.loads(report)["results"]
+    assert (result["sum"], result["is_distribution"]) == ("1", True)
+    summary = {k: v for k, v in result.items() if k not in ("op", "expr")}
+    assert capsys.readouterr().out == (
+        f"{expr}  ->  {json.dumps(summary, sort_keys=True)}\n"
+        f"report          {out / 'padic.json'}\n")
+
+
 def test_padic_file_input(tmp_path):
     exprs = tmp_path / "exprs.txt"
     exprs.write_text(

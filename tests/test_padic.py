@@ -1,6 +1,7 @@
 """Tests for fixed-precision p-adic arithmetic and the quadratic extension."""
 
 import math
+import time
 from fractions import Fraction
 
 import pytest
@@ -16,6 +17,7 @@ from gtkit.padic import (
     add,
     distance,
     distribution_check,
+    distribution_sum,
     div,
     ext_conj,
     ext_eq,
@@ -419,6 +421,28 @@ def test_distribution_check():
     assert distribution_check([1, -5, -1, 6])
     assert distribution_check([F(1, 2), F(1, 2)])
     assert not distribution_check([1, 1])
+
+
+@settings(max_examples=200, deadline=None)
+@given(st.lists(st.fractions(max_denominator=10**6), max_size=40), st.randoms())
+def test_distribution_sum_is_the_exact_sum_in_any_order(entries, rng):
+    rng.shuffle(entries)
+    total = distribution_sum(entries)
+    assert type(total) is F and total == sum(entries, F(0))
+    assert distribution_check(entries) is (total == 1)
+
+
+def test_distribution_sum_adds_long_denominators_without_a_running_total():
+    # 400 entries 1/400 +- 1/(10^300 + k), the "+" ones first: a running Fraction
+    # total reaches a 60,000-digit denominator before it cancels, and took about
+    # 0.4 s; added by denominator first, each pair cancels at once
+    plus = [F(1, 400) + F(1, 10**300 + k) for k in range(200)]
+    minus = [F(1, 400) - F(1, 10**300 + k) for k in range(200)]
+    start = time.perf_counter()
+    assert distribution_sum(plus + minus) == 1
+    assert distribution_check(plus + minus)
+    assert PAdicDistribution(plus + minus, 7).entries == tuple(plus + minus)
+    assert time.perf_counter() - start < 0.1
 
 
 def test_distribution_type_validates():

@@ -1,10 +1,12 @@
-"""Rules on the library source itself, checked on its syntax tree."""
+"""Rules on the library source itself, checked on its syntax tree or in a fresh interpreter."""
 
 import ast
 import os
 import subprocess
 import sys
 from pathlib import Path
+
+import pytest
 
 import gtkit
 from gtkit import errors, evolution
@@ -136,14 +138,18 @@ def test_the_module_import_rule_sees_every_form():
         "math", "fractions", "fractions", ".", ".games", "numbers"]
 
 
-def _loaded_by_the_cli(*modules):
-    """Which of the modules a fresh interpreter has loaded after `import gtkit.cli`."""
-    code = f"import sys, gtkit.cli; print(*[m in sys.modules for m in {modules!r}])"
+def _fresh(code):
+    """The words of the last line a fresh interpreter prints after running code."""
     src = str(Path(gtkit.__file__).resolve().parent.parent)
     env = dict(os.environ, PYTHONPATH=src)
     out = subprocess.run([sys.executable, "-c", code], env=env, capture_output=True,
                          text=True, check=True)
-    return out.stdout.split()
+    return out.stdout.splitlines()[-1].split()
+
+
+def _loaded_by_the_cli(*modules):
+    """Which of the modules a fresh interpreter has loaded after `import gtkit.cli`."""
+    return _fresh(f"import sys, gtkit.cli; print(*[m in sys.modules for m in {modules!r}])")
 
 
 def test_importing_the_cli_does_not_load_numpy():
@@ -153,6 +159,98 @@ def test_importing_the_cli_does_not_load_numpy():
 def test_importing_the_cli_loads_neither_dataclasses_nor_inspect():
     # each `gt` call starts a fresh interpreter; the two cost about 9 ms of its start
     assert _loaded_by_the_cli("dataclasses", "inspect") == ["False", "False"]
+
+
+def _gtkit_loaded_after(code):
+    """The gtkit modules a fresh interpreter has loaded after running code."""
+    return _fresh(f"import sys\n{code}\n"
+                  "print(*sorted(m for m in sys.modules if m.partition('.')[0] == 'gtkit'))")
+
+
+def test_the_cli_starts_on_the_analysis_core():
+    # the benchmark's set-up probe: every other module is a package attribute
+    # that loads on first use, so `gt` compiles no module its subcommand skips
+    assert _gtkit_loaded_after("import gtkit.cli; gtkit.cli.build_parser()") == [
+        "gtkit", "gtkit._linsolve", "gtkit.cli", "gtkit.errors", "gtkit.gamefile", "gtkit.games"]
+
+
+DEFERRED = ("gtkit.evolution", "gtkit.padic", "gtkit.padic_quantum", "gtkit.quantum")
+
+
+@pytest.mark.parametrize("argv,loads", [
+    (["analyze", "--in", "bos"], ()),
+    (["analyze", "--in", "rps"], ("gtkit.evolution",)),
+    (["padic", "--expr", "expand 1/3 @ 7", "--expr", "distcheck 1/2,1/2"], ("gtkit.padic",)),
+    (["quantumize", "--in", "bos", "--grid", "4"], ("gtkit.quantum",)),
+    (["quantumize", "--in", "bos", "--padic", "--grid", "4"],
+     ("gtkit.padic", "gtkit.padic_quantum", "gtkit.quantum")),
+    (["evolve", "--in", "rps", "--t-end", "1"], ("gtkit.evolution",)),
+], ids=["analyze-strategic", "analyze-evolution", "padic", "quantumize-complex",
+        "quantumize-padic", "evolve"])
+def test_each_subcommand_loads_only_what_it_runs(tmp_path, argv, loads):
+    argv = [*argv, "--out", str(tmp_path)]
+    loaded = _gtkit_loaded_after(
+        f"import gtkit.cli\nif gtkit.cli.main({argv!r}) != 0:\n    sys.exit('failed')")
+    assert tuple(m for m in DEFERRED if m in loaded) == loads
+
+
+def test_the_package_loads_its_modules_on_first_use():
+    assert _gtkit_loaded_after("import gtkit") == ["gtkit"]
+    assert _fresh("import gtkit; print(gtkit.quantum.ClassicalForm.__name__)") == ["ClassicalForm"]
+    listed = _fresh("import gtkit; print(*dir(gtkit))")
+    assert set(gtkit.__all__) <= set(listed) and listed == sorted(listed)
+    star = _fresh("import types\nfrom gtkit import *\nprint(__version__, *sorted(\n"
+                  "    n for n, v in globals().items()\n"
+                  "    if isinstance(v, types.ModuleType) and not n.startswith('__')))")
+    assert star == ["0.1.0", "errors", "evolution", "gamefile", "games", "padic", "padic_quantum",
+                    "quantum", "types"]
+
+
+def test_the_package_api_is_unchanged():
+    assert gtkit.__version__ == "0.1.0"
+    assert gtkit.__all__ == ["errors", "evolution", "gamefile", "games", "padic",
+                             "padic_quantum", "quantum", "__version__"]
+    from gtkit import games, quantum
+
+    assert gtkit.games is games and gtkit.quantum is quantum
+    with pytest.raises(AttributeError, match="'no_such_module'"):
+        gtkit.no_such_module
+
+
+def _dynamic_imports(tree):
+    """(line, what) of every import of importlib, reference to it, or use of __import__."""
+    yield from _imports_of(tree, "importlib")
+    for node in ast.walk(tree):
+        if isinstance(node, ast.Name) and node.id in ("importlib", "__import__"):
+            yield node.lineno, f"names {node.id}"
+        elif isinstance(node, ast.Attribute) and node.attr == "__import__":
+            yield node.lineno, "names __import__"
+
+
+def test_only_the_package_imports_by_name():
+    # the package __getattr__ is the one lazy import; every other module names
+    # its dependencies in import statements at module level
+    found = {
+        path.name
+        for path in SOURCES
+        for _ in _dynamic_imports(ast.parse(path.read_text(encoding="utf-8")))
+    }
+    assert found == {"__init__.py"}
+
+
+def test_the_dynamic_import_rule_sees_every_form():
+    tree = ast.parse(
+        "import importlib\n"
+        "from importlib import import_module\n"
+        "__import__('gtkit.padic')\n"
+        "importlib.import_module('.padic', 'gtkit')\n"
+        "import os, importlib.util as iu\n"
+        "builtins.__import__('json')\n"
+        "def f():\n    return __import__(name)\n"
+        "from . import importlib_like\n"
+        "import_module = None\n"
+    )
+    assert sorted({line for line, _ in _dynamic_imports(tree)}) == [1, 2, 3, 4, 5, 6, 8]
 
 
 def _amplitude_uses(tree):
