@@ -9,6 +9,7 @@ lists).  Every scenario serialized and re-parsed is value-identical.
 
 from __future__ import annotations
 
+import itertools
 import json
 import math
 import os
@@ -17,7 +18,14 @@ from fractions import Fraction
 import gtkit
 
 from . import errors
-from .games import RATIONAL_DIGITS, _RATIONAL_LIMIT, CongestionGame, StrategicGame, parse_fraction
+from .games import (
+    RATIONAL_DIGITS,
+    _RATIONAL_LIMIT,
+    CongestionGame,
+    StrategicGame,
+    _common_denominator,
+    parse_fraction,
+)
 
 FORMAT = "gt-game/1"
 SCENARIO_NAMES = (
@@ -144,6 +152,58 @@ def _parse_payoffs(nested, shape, n_players, where="payoffs"):
     return walk(nested, ())
 
 
+def _leaves(nested, sizes):
+    """The leaves of nested lists, in order, when each list at depth d has
+    sizes[d] entries (and a leaf is any value at depth len(sizes)); None otherwise."""
+    level = [nested]
+    for k in sizes:
+        if set(map(type, level)) != {list} or set(map(len, level)) != {k}:
+            return None
+        level = list(itertools.chain.from_iterable(level))
+    return level
+
+
+def _integer_payoffs(leaves):
+    """The ints of the payoff literals when each is an optional "-" and ASCII
+    digits (a str, or a JSON int) of a value inside the bound, which `_payoff`
+    reads to the same int; None otherwise."""
+    kinds = set(map(type, leaves))
+    if not kinds <= {str, int}:
+        return None
+    try:  # str() and int() refuse more digits than Python's int-to-string limit
+        text = "".join(leaves if kinds == {str} else map(str, leaves))
+        if not (text.isascii() and text.replace("-", "").isdigit()):
+            return None
+        values = list(map(int, leaves))  # refuses "", "-", "1-2" and "--5"
+    except ValueError:
+        return None
+    if -_RATIONAL_LIMIT < min(values) and max(values) < _RATIONAL_LIMIT:
+        return values
+    return None
+
+
+def _strategic_game(strategies, shape, payoffs):
+    """The StrategicGame of a file's checked strategy lists and its payoff
+    arrays, with its integer table made in this one pass.  When every leaf is
+    an integer literal the table is read in bulk over D = 1; otherwise
+    `_parse_payoffs` reads it depth first, so an error names the first bad
+    position, and the values go over their common denominator."""
+    n = len(shape)
+    sizes = (*shape, n)
+    leaves = _leaves(payoffs, sizes)
+    ints = None if leaves is None else _integer_payoffs(leaves)
+    if ints is None:
+        values = _leaves(_parse_payoffs(payoffs, shape, n), sizes)
+    if n < 2:  # refused after the payoffs are read, as StrategicGame refuses it
+        raise errors.InvalidArgument("a strategic game needs at least 2 players")
+    scale = 1
+    if ints is None:
+        scale = _common_denominator(values, "payoff")
+        ints = [v.numerator * (scale // v.denominator) for v in values]
+    table = dict(zip(itertools.product(*map(range, shape)), zip(*[iter(ints)] * n)))
+    return StrategicGame._checked(tuple(map(tuple, strategies)), scale, table)
+
+
 def scenario_to_dict(scn):
     """Canonical JSON-ready dict for a Scenario."""
     doc = {
@@ -210,9 +270,9 @@ def parse_dict(doc, source="<dict>"):
         n = len(strategies)
         declared = doc.get("players", n)
         if declared != n:
-            raise errors.ParseError(f"{source}: players={declared} but {n} strategy lists")
+            raise errors.ParseError(f"{source}: players={declared!r} but {n} strategy lists")
         check_profile_count(shape, source)
-        game = StrategicGame(strategies, _parse_payoffs(doc.get("payoffs"), shape, n))
+        game = _strategic_game(strategies, shape, doc.get("payoffs"))
     elif kind == "evolution":
         matrix = doc.get("matrix")
         if not isinstance(matrix, list) or not matrix:

@@ -15,6 +15,7 @@ from __future__ import annotations
 
 import itertools
 import math
+from bisect import bisect_left
 from fractions import Fraction
 from functools import cache
 from operator import and_, eq, ge, index, mul
@@ -189,12 +190,12 @@ class StrategicGame:
 
     @classmethod
     def _checked(cls, names, scale, table):
-        """A game from the name tuples of games already checked and an integer
-        table over the denominator scale > 0: every profile of the shape once,
-        each with one int per player.  Table and scale are divided by their
-        gcd, so that the scale is the lcm of the payoff denominators, as
-        `__init__` makes it and as `==` needs."""
-        g = math.gcd(scale, *(v for u in table.values() for v in u))
+        """A game from checked name tuples (at least 2, none empty) and an
+        integer table over the denominator scale > 0: every profile of the
+        shape once, each with one int per player.  Table and scale are
+        divided by their gcd, so that the scale is the lcm of the payoff
+        denominators, as `__init__` makes it and as `==` needs."""
+        g = math.gcd(scale, *(v for u in table.values() for v in u)) if scale > 1 else 1
         if g > 1:
             scale //= g
             table = {s: tuple(v // g for v in u) for s, u in table.items()}
@@ -651,10 +652,18 @@ def pareto_optimal_profiles(game):
 
     A maxima scan: a dominating payoff vector is lexicographically larger, and
     each dominated vector is dominated by a maximal one, so after a descending
-    sort every profile is tested only against the maximal vectors kept so far.
+    sort every profile is tested only against the maximal vectors kept so far,
+    each as large in the first payoff.  A vector equal to the last one kept is
+    kept with it, as equal vectors are all kept or all dropped.
     With 2 players that is a sweep: each vector kept has a larger second
     payoff than the one kept before it, so a vector is maximal exactly when
     it equals the last one kept or beats its second payoff.
+    With 3 players it is a sweep over a staircase of the kept vectors' last
+    two payoffs (Kung, Luccio & Preparata 1975): the points no other one
+    weakly beats in both, the second payoffs ascending and the third
+    descending.  A vector is dominated exactly when the first point whose
+    second payoff is as large, found by bisection, has a third as large too.
+    With more players each vector is tested against every maximal one kept.
     """
     ranked = sorted(((u, s) for s, u in game._table.items()), reverse=True)
     out = set()
@@ -664,6 +673,26 @@ def pareto_optimal_profiles(game):
             if last is None or u[1] > last[1] or u == last:
                 out.add(s)
                 last = u
+        return out
+    if game.n_players == 3:
+        last = None
+        seconds, thirds = [], []  # the staircase
+        for u, s in ranked:
+            if u != last:
+                _, second, third = u
+                at = bisect_left(seconds, second)
+                if at < len(seconds) and thirds[at] >= third:
+                    continue
+                # drop the points the new one weakly beats in both: the one with
+                # its second payoff, if any, and the last ones with a smaller one
+                end = at + (at < len(seconds) and seconds[at] == second)
+                start = end
+                while start and thirds[start - 1] <= third:
+                    start -= 1
+                seconds[start:end] = [second]
+                thirds[start:end] = [third]
+                last = u
+            out.add(s)
         return out
     maxima = []
     for u, s in ranked:

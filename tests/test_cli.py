@@ -102,12 +102,19 @@ def _one_payoff_game(value):
             "strategies": [["a"], ["b"]], "payoffs": [[[value, "0"]]]}
 
 
+def _filled_game(value):
+    """A 2 x 2 two-player game document with `value` as every payoff."""
+    return {"format": "gt-game/1", "kind": "strategic", "name": "x",
+            "strategies": [["a", "b"], ["c", "d"]], "payoffs": [[[value] * 2] * 2] * 2}
+
+
 PAYOFF_LITERALS = st.one_of(
     st.sampled_from([
         "1_000", " 12 ", "+5", "007", "-0", "١٢", "2/4", "1e3", "-", "", "--5", "1/0", "²",
         "0x10", "1.5e-3", "inf", "9" * 1000, "-" + "9" * 1000, "1" + "0" * 1000,
         "0" * 1001 + "7", "1" * 5000, "1e1001", True, None, [1],
         10**1000 - 1, -10**1000 + 1, 10**1000, -10**1000,
+        "5\n", "\n5", "1\n2", "٣", "0" * 1000, "0" * 1001,
     ]),
     st.integers(-10**30, 10**30),
     st.integers(-10**6, 10**6).map(str),
@@ -127,10 +134,51 @@ def _outcome(fn):
 @settings(max_examples=300, deadline=None)
 @given(PAYOFF_LITERALS)
 def test_a_game_file_payoff_parses_as_parse_rational_does(value):
-    # the game-file parse reads a plain integer literal straight to int; it must
-    # accept the same literals, with the same values and the same errors
-    parsed = _outcome(lambda: gamefile.parse_dict(_one_payoff_game(value)).game.payoff((0, 0))[0])
-    assert parsed == _outcome(lambda: gamefile.parse_rational(value, "payoffs[0, 0]"))
+    # the game-file parse reads a file of plain integer literals in bulk, straight
+    # to int, and any other file literal by literal; either way it must accept the
+    # same literals, with the same values and the same errors
+    def every_payoff():
+        game = gamefile.parse_dict(_filled_game(value)).game
+        return {v for s in game.profiles() for v in game.payoff(s)}
+
+    parsed = _outcome(every_payoff)
+    assert parsed == _outcome(lambda: {gamefile.parse_rational(value, "payoffs[0, 0]")})
+
+
+def _short_id(value):
+    """A test id for a long literal: its type and length."""
+    text = repr(value)
+    return f"{type(value).__name__}-of-{len(text)}-chars" if len(text) > 20 else None
+
+
+@pytest.mark.parametrize("value", [
+    "5\n", "\n5", "1\n2", "٣", "²", " 12 ", "+5", "1_000", "-", "", "--5", "1-2", "5-", "1,2",
+    "1/1", "1" + "0" * 1000, "-" + "1" * 1001, "1" * 5000, True, 1.0, None, [1], F(3),
+    10**1000, -10**1000, pytest.param(10**5000, id="past-the-int-to-string-limit")],
+    ids=_short_id)
+def test_only_plain_integer_literals_are_read_in_bulk(value):
+    # any other literal sends the whole file to the literal-by-literal parse
+    assert gamefile._integer_payoffs(["1", value]) is None
+    assert gamefile._integer_payoffs([value, 1]) is None
+
+
+def test_only_a_file_with_another_literal_is_parsed_literal_by_literal(monkeypatch):
+    parsed = []
+    parse = gamefile._parse_payoffs
+    monkeypatch.setattr(gamefile, "_parse_payoffs", lambda *a: parsed.append(a) or parse(*a))
+    assert gamefile.parse_dict(bimatrix_doc()).game.payoff((1, 1)) == (1, 1)
+    assert parsed == []
+    doc = _with(bimatrix_doc(), ["payoffs", 1, 1, 0], "1/2")
+    assert gamefile.parse_dict(doc).game.payoff((1, 1)) == (F(1, 2), 1)
+    assert len(parsed) == 1
+
+
+def test_plain_integer_literals_are_read_in_bulk():
+    # a value inside the bound, leading zeros or not, as `_payoff` reads it
+    literals = ["007", "-0", "0" * 1000, "0" * 1001 + "7", "-" + "9" * 1000, 10**1000 - 1,
+                -10**1000 + 1, -5]
+    assert gamefile._integer_payoffs(literals) == [
+        7, 0, 0, 7, -(10**1000 - 1), 10**1000 - 1, -10**1000 + 1, -5]
 
 
 def test_a_game_whose_common_denominator_is_too_long_is_refused(tmp_path):
@@ -233,6 +281,25 @@ def test_analyze_lists_every_profile_of_a_200_by_200_zero_sum_game(tmp_path):
     code, out = run(tmp_path, "analyze", "--in", str(path))
     assert code == EXIT_OK
     assert len(read_json(out / "analyze.json")["pareto_optimal"]) == 200 * 200
+
+
+def test_analyze_lists_every_profile_of_a_20_cubed_constant_sum_game(tmp_path):
+    # the 3-player worst case of the maxima scan, which the staircase sweep
+    # passes over once, bisecting: the quadratic scan took about 10 s here
+    rng = random.Random(7)
+    names = [f"s{i}" for i in range(20)]
+    payoffs = [[[[str(a), str(b), str(100 - a - b)]
+                 for a, b in ((rng.randint(-10**6, 10**6), rng.randint(-10**6, 10**6))
+                              for _ in names)]
+                for _ in names] for _ in names]
+    path = tmp_path / "constant-sum-20.json"
+    path.write_text(json.dumps({"format": "gt-game/1", "kind": "strategic", "name": "c",
+                                "strategies": [names] * 3, "payoffs": payoffs}))
+    start = time.perf_counter()
+    code, out = run(tmp_path, "analyze", "--in", str(path))
+    assert time.perf_counter() - start < 5
+    assert code == EXIT_OK
+    assert len(read_json(out / "analyze.json")["pareto_optimal"]) == 20 ** 3
 
 
 def test_analyze_skips_support_enumeration_beyond_its_cap(tmp_path):
@@ -500,6 +567,8 @@ BAD_GAME_FILES = {
     "payoff with a long numerator": (
         _with(bimatrix_doc(), ["payoffs", 0, 0, 0], "7" * 1001), EXIT_SIZE),
     "payoff is not a number": (_with(bimatrix_doc(), ["payoffs", 0, 0, 0], [1]), EXIT_PARSE),
+    "one player": (_with(_with(bimatrix_doc(), ["strategies"], [["a", "b"]]),
+                         ["payoffs"], [["3"], ["5"]]), EXIT_VALIDATION),
     "resources are not objects": (_with(congestion_doc(), ["resources"], ["x", "y"]),
                                   EXIT_PARSE),
     "costs are not a list": (_with(congestion_doc(), ["resources", 0, "costs"], "12"),
@@ -529,6 +598,29 @@ def test_malformed_game_files_exit_with_a_message(tmp_path, capsys, case):
         argv = [command, "--in", str(path), "--out", str(tmp_path / "o")]
         assert main(argv + (["--t-end", "0.1"] if command == "evolve" else [])) == want
         assert "error" in capsys.readouterr().err
+
+
+STRATEGIC_FILE_MESSAGES = {
+    "players is a string": (_with(bimatrix_doc(), ["players"], "2"), EXIT_PARSE,
+                            "error (parse): {path}: players='2' but 2 strategy lists"),
+    "one player": (*BAD_GAME_FILES["one player"],
+                   "error (validation): a strategic game needs at least 2 players"),
+    # depth first: the short payoff list inside the first row is named, not the
+    # second row that is no list at all
+    "two faults": (_with(bimatrix_doc(), ["payoffs"], [[["1", "1"], ["1"]], "x"]), EXIT_PARSE,
+                   "error (parse): payoffs[0, 1]: expected 2 payoffs"),
+    "a bad literal among integers": (_with(bimatrix_doc(), ["payoffs", 1, 0, 1], "1,2"),
+                                     EXIT_PARSE, "error (parse): bad rational '1,2' (payoffs[1, 0])"),
+}
+
+
+@pytest.mark.parametrize("case", sorted(STRATEGIC_FILE_MESSAGES))
+def test_malformed_strategic_files_exit_with_their_message(tmp_path, capsys, case):
+    doc, want, message = STRATEGIC_FILE_MESSAGES[case]
+    path = tmp_path / "game.json"
+    path.write_text(json.dumps(doc))
+    assert main(["analyze", "--in", str(path), "--out", str(tmp_path / "o")]) == want
+    assert capsys.readouterr().err == message.format(path=path) + "\n"
 
 
 def test_malformed_congestion_strategies_exit_2_naming_their_position(tmp_path, capsys):

@@ -1600,8 +1600,20 @@ def pure_nash_games(draw):
     return StrategicGame([[f"s{i}" for i in range(k)] for k in shape], dict(zip(profiles, vectors)))
 
 
+def _column_game(*vectors):
+    """A 3-player game of shape (len(vectors), 1, 1) with these payoff vectors."""
+    return StrategicGame([[f"s{i}" for i in range(len(vectors))], ["t"], ["u"]],
+                         [[[v]] for v in vectors])
+
+
 @settings(max_examples=300, deadline=None)
 @given(st.one_of(tied_games(), pure_nash_games()))
+# the staircase's edge cases: a point of equal second payoff and a smaller or
+# larger third; an equal (second, third) under a larger first; repeated vectors,
+# kept and dropped
+@example(_column_game((3, 1, 2), (2, 1, 1), (1, 1, 3), (0, 1, 4), (0, 0, 5)))
+@example(_column_game((2, 1, 1), (1, 1, 1), (1, 0, 2), (0, 1, 1)))
+@example(_column_game((2, 2, 2), (1, 1, 1), (2, 2, 2), (1, 1, 1), (0, 3, 0), (0, 3, 0)))
 def test_pareto_maxima_scan_matches_the_pairwise_test(game):
     assert pareto_optimal_profiles(game) == pareto_optimal_profiles_pairwise(game)
 
