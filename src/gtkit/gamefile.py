@@ -133,23 +133,28 @@ def _tensor_to_nested(game):
 
 
 def _parse_payoffs(nested, shape, n_players, where="payoffs"):
-    """The nested payoff arrays checked against the shape, with each literal
-    parsed once, to an int or a Fraction."""
+    """The payoffs of the nested arrays, checked against the shape and read
+    depth first into one flat list, each literal parsed once, to an int or a
+    Fraction, so an error names the first bad position."""
+    values = []
 
     def walk(node, prefix):
         depth = len(prefix)
         if depth == n_players:
             if not isinstance(node, list) or len(node) != n_players:
                 raise errors.ParseError(f"{where}{list(prefix)}: expected {n_players} payoffs")
-            return [_payoff(v, where, prefix) for v in node]
+            values.extend([_payoff(v, where, prefix) for v in node])
+            return
         if not isinstance(node, list) or len(node) != shape[depth]:
             raise errors.ParseError(
                 f"{where}{list(prefix)}: expected {shape[depth]} entries, got "
                 f"{len(node) if isinstance(node, list) else type(node).__name__}"
             )
-        return [walk(child, prefix + (i,)) for i, child in enumerate(node)]
+        for i, child in enumerate(node):
+            walk(child, prefix + (i,))
 
-    return walk(nested, ())
+    walk(nested, ())
+    return values
 
 
 def _leaves(nested, sizes):
@@ -189,11 +194,10 @@ def _strategic_game(strategies, shape, payoffs):
     `_parse_payoffs` reads it depth first, so an error names the first bad
     position, and the values go over their common denominator."""
     n = len(shape)
-    sizes = (*shape, n)
-    leaves = _leaves(payoffs, sizes)
+    leaves = _leaves(payoffs, (*shape, n))
     ints = None if leaves is None else _integer_payoffs(leaves)
     if ints is None:
-        values = _leaves(_parse_payoffs(payoffs, shape, n), sizes)
+        values = _parse_payoffs(payoffs, shape, n)
     if n < 2:  # refused after the payoffs are read, as StrategicGame refuses it
         raise errors.InvalidArgument("a strategic game needs at least 2 players")
     scale = 1

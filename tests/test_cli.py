@@ -132,17 +132,21 @@ def _outcome(fn):
 
 
 @settings(max_examples=300, deadline=None)
-@given(PAYOFF_LITERALS)
-def test_a_game_file_payoff_parses_as_parse_rational_does(value):
+@given(PAYOFF_LITERALS, st.sampled_from([(_one_payoff_game, {0}), (_filled_game, set())]))
+def test_a_game_file_payoff_parses_as_parse_rational_does(value, document):
     # the game-file parse reads a file of plain integer literals in bulk, straight
     # to int, and any other file literal by literal; either way it must accept the
-    # same literals, with the same values and the same errors
+    # same literals, with the same values and the same errors.  A literal filling
+    # every payoff of the game takes the bulk path when it is a plain integer; one
+    # beside an integer payoff sends the whole file to the other path when it is not
+    make, others = document
+
     def every_payoff():
-        game = gamefile.parse_dict(_filled_game(value)).game
+        game = gamefile.parse_dict(make(value)).game
         return {v for s in game.profiles() for v in game.payoff(s)}
 
     parsed = _outcome(every_payoff)
-    assert parsed == _outcome(lambda: {gamefile.parse_rational(value, "payoffs[0, 0]")})
+    assert parsed == _outcome(lambda: {gamefile.parse_rational(value, "payoffs[0, 0]"), *others})
 
 
 def _short_id(value):
