@@ -30,7 +30,7 @@ EXIT_OK = 0
 EXIT_PARSE = 2
 EXIT_VALIDATION = 3
 EXIT_SIZE = 4
-WRITE_CHUNK = 4096  # rows per write in _write_lines
+WRITE_CHUNK = 4096  # rows per write in _write_lines, encoder chunks in _write_json
 
 
 # ---------------------------------------------------------------------------
@@ -51,8 +51,15 @@ def _writing(path):
 
 
 def _write_json(path, obj):
+    """Write obj as the text of json.dumps(obj, sort_keys=True, indent=2,
+    default=float) and a newline, WRITE_CHUNK encoder chunks per write, so a
+    large report is never held whole as text (with an indent, dumps joins the
+    chunks of this same encoder)."""
+    chunks = json.JSONEncoder(sort_keys=True, indent=2, default=float).iterencode(obj)
     with _writing(path), open(path, "w", encoding="utf-8") as fh:
-        fh.write(json.dumps(obj, sort_keys=True, indent=2, default=float) + "\n")
+        while chunk := "".join(itertools.islice(chunks, WRITE_CHUNK)):
+            fh.write(chunk)
+        fh.write("\n")
     return path
 
 

@@ -62,9 +62,13 @@ def parse_rational(text, where):
     """Fraction from a literal such as "3", "-2/5", "0.25" or "1e-3" (JSON numbers too).
 
     ParseError when malformed; SizeLimit beyond RATIONAL_DIGITS digits, with a
-    large exponent refused before 10**exponent is built.
+    large exponent refused before 10**exponent is built.  An int past Python's
+    int-to-string limit, which str() refuses, is a SizeLimit too.
     """
-    text = str(text)
+    try:
+        text = str(text)
+    except ValueError as exc:
+        raise errors.SizeLimit(f"rational ({where}) exceeds {RATIONAL_DIGITS} digits") from exc
     try:
         return parse_fraction(text, f"rational {text!r} ({where})")
     except (ValueError, ZeroDivisionError) as exc:
@@ -73,10 +77,11 @@ def parse_rational(text, where):
 
 def _payoff(value, where, prefix):
     """parse_rational(value, f"{where}{list(prefix)}"), but a plain integer literal
-    (ASCII digits with an optional "-", or a JSON int) goes straight to int; the
+    (at most RATIONAL_DIGITS ASCII digits with an optional "-", or a JSON int
+    inside the bound) goes straight to int: the one home of that rule.  The
     location is built only for the general parse, where a message may need it."""
     if type(value) is str:
-        digits = value[1:] if value[:1] == "-" else value
+        digits = value.removeprefix("-")
         if digits.isascii() and digits.isdigit() and len(digits) <= RATIONAL_DIGITS:
             return int(value)
     elif type(value) is int and -_RATIONAL_LIMIT < value < _RATIONAL_LIMIT:
@@ -134,8 +139,9 @@ def _tensor_to_nested(game):
 
 def _parse_payoffs(nested, shape, n_players, where="payoffs"):
     """The payoffs of the nested arrays, checked against the shape and read
-    depth first into one flat list, each literal parsed once, to an int or a
-    Fraction, so an error names the first bad position."""
+    depth first into one flat list, each literal read once by `_payoff`, to an
+    int or a Fraction, so an error names the first bad position.  Every
+    strategic game file's payoffs are read here."""
     values = []
 
     def walk(node, prefix):
@@ -157,53 +163,17 @@ def _parse_payoffs(nested, shape, n_players, where="payoffs"):
     return values
 
 
-def _leaves(nested, sizes):
-    """The leaves of nested lists, in order, when each list at depth d has
-    sizes[d] entries (and a leaf is any value at depth len(sizes)); None otherwise."""
-    level = [nested]
-    for k in sizes:
-        if set(map(type, level)) != {list} or set(map(len, level)) != {k}:
-            return None
-        level = list(itertools.chain.from_iterable(level))
-    return level
-
-
-def _integer_payoffs(leaves):
-    """The ints of the payoff literals when each is an optional "-" and ASCII
-    digits (a str, or a JSON int) of a value inside the bound, which `_payoff`
-    reads to the same int; None otherwise."""
-    kinds = set(map(type, leaves))
-    if not kinds <= {str, int}:
-        return None
-    try:  # str() and int() refuse more digits than Python's int-to-string limit
-        text = "".join(leaves if kinds == {str} else map(str, leaves))
-        if not (text.isascii() and text.replace("-", "").isdigit()):
-            return None
-        values = list(map(int, leaves))  # refuses "", "-", "1-2" and "--5"
-    except ValueError:
-        return None
-    if -_RATIONAL_LIMIT < min(values) and max(values) < _RATIONAL_LIMIT:
-        return values
-    return None
-
-
 def _strategic_game(strategies, shape, payoffs):
     """The StrategicGame of a file's checked strategy lists and its payoff
-    arrays, with its integer table made in this one pass.  When every leaf is
-    an integer literal the table is read in bulk over D = 1; otherwise
-    `_parse_payoffs` reads it depth first, so an error names the first bad
-    position, and the values go over their common denominator."""
+    arrays, with its integer table made in this one pass: `_parse_payoffs`
+    reads the payoffs depth first, so an error names the first bad position,
+    and the values go over their common denominator."""
     n = len(shape)
-    leaves = _leaves(payoffs, (*shape, n))
-    ints = None if leaves is None else _integer_payoffs(leaves)
-    if ints is None:
-        values = _parse_payoffs(payoffs, shape, n)
+    values = _parse_payoffs(payoffs, shape, n)
     if n < 2:  # refused after the payoffs are read, as StrategicGame refuses it
         raise errors.InvalidArgument("a strategic game needs at least 2 players")
-    scale = 1
-    if ints is None:
-        scale = _common_denominator(values, "payoff")
-        ints = [v.numerator * (scale // v.denominator) for v in values]
+    scale = _common_denominator(values, "payoff")
+    ints = [v.numerator * (scale // v.denominator) for v in values]
     table = dict(zip(itertools.product(*map(range, shape)), zip(*[iter(ints)] * n)))
     return StrategicGame._checked(tuple(map(tuple, strategies)), scale, table)
 

@@ -655,31 +655,25 @@ def pareto_optimal_profiles(game):
     sort every profile is tested only against the maximal vectors kept so far,
     each as large in the first payoff.  A vector equal to the last one kept is
     kept with it, as equal vectors are all kept or all dropped.
-    With 2 players that is a sweep: each vector kept has a larger second
-    payoff than the one kept before it, so a vector is maximal exactly when
-    it equals the last one kept or beats its second payoff.
-    With 3 players it is a sweep over a staircase of the kept vectors' last
-    two payoffs (Kung, Luccio & Preparata 1975): the points no other one
-    weakly beats in both, the second payoffs ascending and the third
-    descending.  A vector is dominated exactly when the first point whose
-    second payoff is as large, found by bisection, has a third as large too.
+    With 2 or 3 players it is a sweep over a staircase of the kept vectors'
+    last two payoffs (Kung, Luccio & Preparata 1975), a 2-player vector read
+    with a constant third: the points no other one weakly beats in both, the
+    second payoffs ascending and the third descending.  A vector is dominated
+    exactly when the first point whose second payoff is as large, found by
+    bisection, has a third as large too.  With 2 players the staircase is the
+    one point last kept, which a vector is dominated by unless it beats its
+    second payoff, and which a kept vector replaces.
     With more players each vector is tested against every maximal one kept.
     """
     ranked = sorted(((u, s) for s, u in game._table.items()), reverse=True)
     out = set()
-    if game.n_players == 2:
-        last = None
-        for u, s in ranked:
-            if last is None or u[1] > last[1] or u == last:
-                out.add(s)
-                last = u
-        return out
-    if game.n_players == 3:
+    if game.n_players <= 3:
+        flat = game.n_players == 2  # a constant third payoff
         last = None
         seconds, thirds = [], []  # the staircase
         for u, s in ranked:
             if u != last:
-                _, second, third = u
+                second, third = u[1], 0 if flat else u[2]
                 at = bisect_left(seconds, second)
                 if at < len(seconds) and thirds[at] >= third:
                     continue

@@ -24,6 +24,7 @@ from gtkit.cli import (
     EXIT_SIZE,
     EXIT_VALIDATION,
     WRITE_CHUNK,
+    _write_json,
     _write_lines,
     build_parser,
     main,
@@ -115,6 +116,7 @@ PAYOFF_LITERALS = st.one_of(
         "0" * 1001 + "7", "1" * 5000, "1e1001", True, None, [1],
         10**1000 - 1, -10**1000 + 1, 10**1000, -10**1000,
         "5\n", "\n5", "1\n2", "٣", "0" * 1000, "0" * 1001,
+        "1,2", "1/1", "5-", "1-2", "-" + "1" * 1001, F(3), 1.0, 10**5000,
     ]),
     st.integers(-10**30, 10**30),
     st.integers(-10**6, 10**6).map(str),
@@ -134,11 +136,10 @@ def _outcome(fn):
 @settings(max_examples=300, deadline=None)
 @given(PAYOFF_LITERALS, st.sampled_from([(_one_payoff_game, {0}), (_filled_game, set())]))
 def test_a_game_file_payoff_parses_as_parse_rational_does(value, document):
-    # the game-file parse reads a file of plain integer literals in bulk, straight
-    # to int, and any other file literal by literal; either way it must accept the
-    # same literals, with the same values and the same errors.  A literal filling
-    # every payoff of the game takes the bulk path when it is a plain integer; one
-    # beside an integer payoff sends the whole file to the other path when it is not
+    # the game-file parse reads a plain integer literal straight to int and any
+    # other literal through parse_rational; either way it must accept the same
+    # literals, with the same values and the same errors, whether the literal
+    # fills every payoff of the game or sits beside an integer payoff
     make, others = document
 
     def every_payoff():
@@ -160,29 +161,11 @@ def _short_id(value):
     "1/1", "1" + "0" * 1000, "-" + "1" * 1001, "1" * 5000, True, 1.0, None, [1], F(3),
     10**1000, -10**1000, pytest.param(10**5000, id="past-the-int-to-string-limit")],
     ids=_short_id)
-def test_only_plain_integer_literals_are_read_in_bulk(value):
-    # any other literal sends the whole file to the literal-by-literal parse
-    assert gamefile._integer_payoffs(["1", value]) is None
-    assert gamefile._integer_payoffs([value, 1]) is None
-
-
-def test_only_a_file_with_another_literal_is_parsed_literal_by_literal(monkeypatch):
-    parsed = []
-    parse = gamefile._parse_payoffs
-    monkeypatch.setattr(gamefile, "_parse_payoffs", lambda *a: parsed.append(a) or parse(*a))
-    assert gamefile.parse_dict(bimatrix_doc()).game.payoff((1, 1)) == (1, 1)
-    assert parsed == []
-    doc = _with(bimatrix_doc(), ["payoffs", 1, 1, 0], "1/2")
-    assert gamefile.parse_dict(doc).game.payoff((1, 1)) == (F(1, 2), 1)
-    assert len(parsed) == 1
-
-
-def test_plain_integer_literals_are_read_in_bulk():
-    # a value inside the bound, leading zeros or not, as `_payoff` reads it
-    literals = ["007", "-0", "0" * 1000, "0" * 1001 + "7", "-" + "9" * 1000, 10**1000 - 1,
-                -10**1000 + 1, -5]
-    assert gamefile._integer_payoffs(literals) == [
-        7, 0, 0, 7, -(10**1000 - 1), 10**1000 - 1, -10**1000 + 1, -5]
+def test_only_plain_integer_literals_skip_the_rational_parse(value, monkeypatch):
+    # `_payoff` reads a plain integer literal with int(); every one of these, some
+    # of which int() would take, goes through parse_rational with its position
+    monkeypatch.setattr(gamefile, "parse_rational", lambda text, where: ("parsed", text, where))
+    assert gamefile._payoff(value, "payoffs", (1, 0)) == ("parsed", value, "payoffs[1, 0]")
 
 
 def test_a_game_whose_common_denominator_is_too_long_is_refused(tmp_path):
@@ -274,7 +257,8 @@ def test_analyze_every_scenario_passes(tmp_path):
 
 def test_analyze_lists_every_profile_of_a_200_by_200_zero_sum_game(tmp_path):
     # no profile of a zero-sum game dominates another, so every one is Pareto optimal:
-    # the worst case of a maxima scan, which the 2-player sweep passes over once
+    # the worst case of a maxima scan, which the staircase sweep passes over once,
+    # its staircase one point
     rng = random.Random(7)
     names = [f"s{i}" for i in range(200)]
     payoffs = [[[str(a), str(-a)] for a in (rng.randint(-10**6, 10**6) for _ in names)]
@@ -1762,6 +1746,25 @@ def test_quantumize_streams_its_surface(tmp_path):
         assert code == EXIT_OK, mode
         assert len((out / "surface.csv").read_text().splitlines()) == 1 + 201 * 201
         assert peak < 3 * 2**20, mode
+
+
+def test_a_json_report_is_written_as_it_is_encoded(tmp_path):
+    # 10**5 profile rows, each profile twice, as `gt analyze` lists a constant-sum
+    # game's: json.dumps would hold every encoder chunk and then their join, a
+    # traced peak of about 25 MiB above the report itself
+    rows = [[f"s{k // 250}", f"t{k % 250}"] for k in range(5 * 10**4)]
+    report = {"pareto_optimal": rows, "social_optimum": {"profiles": rows, "welfare": F(1, 3)},
+              "value": 0.1}
+    tracemalloc.start()
+    try:
+        path = _write_json(str(tmp_path / "report.json"), report)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak < 2**20
+    with open(path, "rb") as fh:
+        text = json.dumps(report, sort_keys=True, indent=2, default=float) + "\n"
+        assert fh.read() == text.encode("utf-8")
 
 
 def test_the_parser_is_built_once():

@@ -19,7 +19,7 @@ held to their loop forms bit for bit, the time average and the recurrence
 test on the flat trajectory to the numpy forms they replaced, and the
 quantum payoff surface to the numpy grid and the Fraction loop it replaced
 (the exact surface also to a count of the Fractions it builds).
-The Pareto maxima scan and its 2-player sweep are held to the pairwise dominance test, the
+The Pareto maxima scan and its sweep for 2 and 3 players are held to the pairwise dominance test, the
 per-context maxima of `pure_nash`, the deviation walks and strategy values of
 `games` to the per-profile loops they replaced,
 the congestion section of `gt analyze` to `best_response_dynamics` from every
@@ -1606,6 +1606,12 @@ def _column_game(*vectors):
                          [[[v]] for v in vectors])
 
 
+def _row_game(*vectors):
+    """A 2-player game of shape (len(vectors), 1) with these payoff vectors."""
+    return StrategicGame([[f"s{i}" for i in range(len(vectors))], ["t"]],
+                         [[v] for v in vectors])
+
+
 @settings(max_examples=300, deadline=None)
 @given(st.one_of(tied_games(), pure_nash_games()))
 # the staircase's edge cases: a point of equal second payoff and a smaller or
@@ -1614,6 +1620,13 @@ def _column_game(*vectors):
 @example(_column_game((3, 1, 2), (2, 1, 1), (1, 1, 3), (0, 1, 4), (0, 0, 5)))
 @example(_column_game((2, 1, 1), (1, 1, 1), (1, 0, 2), (0, 1, 1)))
 @example(_column_game((2, 2, 2), (1, 1, 1), (2, 2, 2), (1, 1, 1), (0, 3, 0), (0, 3, 0)))
+# and with 2 players, whose staircase is one point: equal vectors kept together
+# and dropped together, an equal second payoff under a larger first, an
+# all-equal game, and second payoffs strictly rising as the first falls
+@example(_row_game((2, 2), (1, 1), (2, 2), (1, 1), (0, 3)))
+@example(_row_game((3, 1), (2, 1), (1, 2), (1, 1)))
+@example(_row_game((1, 1), (1, 1), (1, 1)))
+@example(_row_game((3, 0), (2, 1), (1, 2), (0, 3)))
 def test_pareto_maxima_scan_matches_the_pairwise_test(game):
     assert pareto_optimal_profiles(game) == pareto_optimal_profiles_pairwise(game)
 
