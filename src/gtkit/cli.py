@@ -76,6 +76,36 @@ def _write_lines(path, rows):
     return path
 
 
+@contextlib.contextmanager
+def _staged(out, name):
+    """Yield a text file for out/name, made with out when that is missing, and
+    os.replace it onto out/name when the block ends.  On any error the file is
+    removed, with each directory this call made, so an existing out/name stays
+    untouched and a refused run leaves no trace.  OSErrors name out or
+    out/name, as `_outdir` and the writers do."""
+    path = os.path.join(out, name)
+    part = os.path.join(out, f".{name}.part")
+    made = []
+    parent = os.path.abspath(out)
+    while not os.path.lexists(parent):
+        made.append(parent)
+        parent = os.path.dirname(parent)
+    try:
+        with _writing(out):
+            os.makedirs(out, exist_ok=True)
+        with _writing(path):
+            with open(part, "w", encoding="utf-8") as fh:
+                yield fh
+            os.replace(part, path)
+    except BaseException:
+        with contextlib.suppress(OSError):
+            os.remove(part)
+        for directory in made:
+            with contextlib.suppress(OSError):
+                os.rmdir(directory)
+        raise
+
+
 def _outdir(args):
     with _writing(args.out):
         os.makedirs(args.out, exist_ok=True)
@@ -297,6 +327,16 @@ def _correlated_section(game, ce_path):
 
 
 def cmd_evolve(args):
+    """Run the replicator dynamics and write trajectory.csv and evolve.json.
+
+    The run is made, checked and written one chunk of `evolution.run_chunks`
+    at a time, through one `evolution.RunSummary`, so no whole trajectory is
+    held.  The refusals keep their order: the caps, then divergence, then a
+    run of fewer than 10 samples, then the rest-point diagnostics; an
+    unusable --out is refused before the run.  The CSV is written under a
+    temporary name and put in place after the last check (`_staged`), so a
+    refused run leaves the file system as it was.
+    """
     evolution = gtkit.evolution
     scn = gamefile.resolve_input(args.infile)
     g = _to_evolution(scn)
@@ -309,9 +349,42 @@ def cmd_evolve(args):
     p0 = evolution.SimplexState(raw)
     evolution.check_face_walk(g)
 
-    traj = evolution.integrate(g, p0, t_end=args.t_end, h=args.h)
-    avg = evolution.time_average(traj)
-    rec = evolution.detect_recurrence(traj, tol=args.tol)
+    samples, chunks = evolution.run_chunks(g, p0, t_end=args.t_end, h=args.h)
+    summary = evolution.RunSummary(samples, tol=args.tol)
+    with _staged(args.out, "trajectory.csv") as fh:
+        fh.write(evolution.csv_header(g.n, scn.metadata.get("strategy_names")) + "\n")
+        for chunk in chunks:
+            summary.add(chunk)
+            fh.write("\n".join(chunk.csv_lines()) + "\n")
+        avg, rec = summary.averages(), summary.recurrence()
+        rest, continua = _rest_points(evolution, g)
+    analysis = {
+        "command": "evolve",
+        "scenario": scn.name,
+        "h": float(args.h),
+        "t_end": float(args.t_end),
+        "p0": [_frac(v) for v in raw],
+        "rest_points": rest,
+        "rest_point_continua": [list(s) for s in continua],
+        "time_average": [float(v) for v in avg],
+        "recurrence": {
+            "kind": rec.kind,
+            "period": float(rec.period) if rec.period else None,
+            "detail": rec.detail,
+        },
+        "samples": samples,
+    }
+    json_path = _write_json(os.path.join(args.out, "evolve.json"), analysis)
+    print(f"scenario        {scn.name}")
+    print(f"trajectory      {os.path.join(args.out, 'trajectory.csv')} ({samples} samples)")
+    print(f"time average    {[f'{v:.6f}' for v in avg]}")
+    print(f"recurrence      {rec.kind}" + (f" (period {rec.period:.3f})" if rec.period else ""))
+    print(f"report          {json_path}")
+    return EXIT_OK
+
+
+def _rest_points(evolution, g):
+    """The rest_points entries of evolve.json, and the continuum supports."""
     reports, continua = evolution.rest_point_reports(g)
     rest = []
     for rep in reports:
@@ -328,33 +401,7 @@ def cmd_evolve(args):
             ess = evolution.ess_check(g, rep.point)
             entry["ess"] = {"is_ess": ess.is_ess, "method": ess.method}
         rest.append(entry)
-
-    names = scn.metadata.get("strategy_names")
-    out = _outdir(args)
-    csv_path = _write_lines(os.path.join(out, "trajectory.csv"), traj.csv_rows(names))
-    analysis = {
-        "command": "evolve",
-        "scenario": scn.name,
-        "h": float(args.h),
-        "t_end": float(args.t_end),
-        "p0": [_frac(v) for v in raw],
-        "rest_points": rest,
-        "rest_point_continua": [list(s) for s in continua],
-        "time_average": [float(v) for v in avg],
-        "recurrence": {
-            "kind": rec.kind,
-            "period": float(rec.period) if rec.period else None,
-            "detail": rec.detail,
-        },
-        "samples": len(traj),
-    }
-    json_path = _write_json(os.path.join(out, "evolve.json"), analysis)
-    print(f"scenario        {scn.name}")
-    print(f"trajectory      {csv_path} ({len(traj)} samples)")
-    print(f"time average    {[f'{v:.6f}' for v in avg]}")
-    print(f"recurrence      {rec.kind}" + (f" (period {rec.period:.3f})" if rec.period else ""))
-    print(f"report          {json_path}")
-    return EXIT_OK
+    return rest, continua
 
 
 # ---------------------------------------------------------------------------
@@ -375,13 +422,15 @@ def cmd_quantumize(args):
     game, _ = _to_strategic(scn)
     if game.shape != (2, 2):
         raise errors.UnsupportedShape("quantumize needs a 2x2 game")
-    out = _outdir(args)
     grid = args.grid if args.grid is not None else (10 if args.padic else 100)
     if grid < 1:
         raise errors.InvalidArgument("--grid must be >= 1")
     gamefile.check_profile_count((grid + 1, grid + 1), "--grid")
     a, a2 = _alpha_weight(args.alpha)
     form = quantum.ClassicalForm(game, a2)
+    if args.padic:  # the exact surface: its payoffs' digits bound its work
+        gamefile.check_surface_digits((grid + 1) ** 2, form.game, "--grid")
+    out = _outdir(args)
     if args.padic:
         doc = _padic_report(args, scn, form, a)
         surface = quantum.payoff_surface_rows(form, grid, exact=True)

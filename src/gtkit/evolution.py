@@ -33,6 +33,7 @@ DIVERGE_TOL = 1e-9
 SAMPLE_CAP = 2_000_000  # samples x strategies that integrate stores
 SUPPORT_CAP = 2 ** 12 - 1  # supports rest_point_reports solves: 2^n - 1, so n <= 12
 STRATEGY_CAP = 80  # strategies integrate compiles an RK4 run for; its code grows as n^2
+CHUNK_STEPS = 1024  # RK4 steps per chunk of run_chunks: what `gt evolve` holds at once
 
 
 def _to_fraction(value, what="matrix entry"):
@@ -268,14 +269,23 @@ class Trajectory(errors.Frozen):
         return self.row(-1)
 
     def csv_rows(self, names=None):
-        """An iterator over the CSV lines, header first, with 17-significant-digit
-        floats: t, p_1, ..., p_n."""
+        """An iterator over the CSV lines, header first (`csv_header`), then
+        `csv_lines`."""
+        return itertools.chain((csv_header(self.n, names),), self.csv_lines())
+
+    def csv_lines(self):
+        """An iterator over the CSV lines of the samples, header-less, with
+        17-significant-digit floats: t, p_1, ..., p_n.  `gt evolve` writes a run
+        as the lines of its chunks, so this is the one row formatter of both."""
         n = self.n
-        header = ",".join(["t"] + [names[i] if names else f"p_{i + 1}" for i in range(n)])
         fmt = ",".join(["%.17g"] * (n + 1))
         # n references to one iterator over the flat values: zip reads a row per time
-        states = zip(self.times, *[iter(self.values)] * n)
-        return itertools.chain((header,), map(fmt.__mod__, states))
+        return map(fmt.__mod__, zip(self.times, *[iter(self.values)] * n))
+
+
+def csv_header(n, names=None):
+    """The CSV header of a trajectory of n strategies: t, then the names or p_1, ..., p_n."""
+    return ",".join(["t"] + [names[i] if names else f"p_{i + 1}" for i in range(n)])
 
 
 def _step_source(rows, h):
@@ -351,16 +361,16 @@ def _step_function(rows, h):
     return namespace["run"]
 
 
-def integrate(g, p0, t_end, h=1e-3):
-    """Classical fixed-step RK4 on the replicator equation.
+def run_chunks(g, p0, t_end, h=1e-3):
+    """The RK4 run of `integrate`, checked at the call and made one chunk at a time.
 
-    After every step, entries of magnitude below 1e-12 are clamped to zero and
-    the state renormalized to sum 1.  Deterministic, with the same bits on
-    every Python version: each call compiles one run of straight-line steps
-    for g and h (`_step_source`), at a cost that grows as g.n ** 2.  t_end is realized
-    as round(t_end / h) steps of exactly h, at times k * h.  SizeLimit, before
-    anything is compiled or stored, when g.n exceeds STRATEGY_CAP or the
-    steps + 1 samples of g.n values exceed SAMPLE_CAP.
+    Returns (samples, chunks): the run's steps + 1 samples, and an iterator
+    over Trajectory chunks of consecutive samples, each of at most
+    CHUNK_STEPS steps, the first beginning with p0 at time 0.  Each chunk's
+    steps start from the last row of the chunk before it, so the floats are
+    those of one unbroken run, and sample k is at time k * h.  Every refusal
+    of `integrate` but divergence comes at the call; IntegrationDiverged comes
+    from the chunk whose step diverges.
     """
     if not (0 < h < math.inf and 0 < t_end < math.inf):
         raise errors.InvalidArgument("need finite h > 0 and t_end > 0")
@@ -373,27 +383,42 @@ def integrate(g, p0, t_end, h=1e-3):
     if (steps + 1) * g.n > SAMPLE_CAP:
         raise errors.SizeLimit(f"t_end / h = {t_end / h:.6g} steps of {g.n} strategies "
                                f"exceed the cap of {SAMPLE_CAP} stored values")
-    values = array("d", p)
-    _step_function(g.matrix, h)(p, steps, values)
-    return Trajectory._checked(array("d", [k * h for k in range(steps + 1)]), values, h)
+    return steps + 1, _chunks(_step_function(g.matrix, h), p, steps, h)
+
+
+def _chunks(run, p, steps, h):
+    n, first, values = len(p), 0, array("d", p)
+    for start in range(0, steps, CHUNK_STEPS):
+        stop = min(start + CHUNK_STEPS, steps)
+        run(p, stop - start, values)
+        yield Trajectory._checked(array("d", [k * h for k in range(first, stop + 1)]), values, h)
+        p, first, values = values[-n:], stop + 1, array("d")
+
+
+def integrate(g, p0, t_end, h=1e-3):
+    """Classical fixed-step RK4 on the replicator equation, as one Trajectory.
+
+    After every step, entries of magnitude below 1e-12 are clamped to zero and
+    the state renormalized to sum 1.  Deterministic, with the same bits on
+    every Python version: each call compiles one run of straight-line steps
+    for g and h (`_step_source`), at a cost that grows as g.n ** 2.  t_end is realized
+    as round(t_end / h) steps of exactly h, at times k * h.  The trajectory
+    joins the chunks of `run_chunks`, whose refusals it shares: SizeLimit,
+    before anything is compiled or stored, when g.n exceeds STRATEGY_CAP or
+    the steps + 1 samples of g.n values exceed SAMPLE_CAP.
+    """
+    times, values = array("d"), array("d")
+    for chunk in run_chunks(g, p0, t_end, h)[1]:
+        times.extend(chunk.times)
+        values.extend(chunk.values)
+    return Trajectory._checked(times, values, h)
 
 
 def time_average(traj):
-    """Trapezoidal time average (1/T) * integral of p(t) dt over the trajectory.
-
-    Per strategy, the terms d_k (y_k + y_(k+1)) are added left to right from
-    0.0 and the sum is halved.
-    """
-    t = traj.times
-    if len(t) < 2:
-        raise errors.InsufficientData("a time average needs at least 2 samples")
-    d = list(map(sub, t[1:], t))
-    span = t[-1] - t[0]
-    averages = []
-    for j in range(traj.n):
-        y = traj.column(j)
-        averages.append(_dot(d, map(add, y[1:], y)) / 2.0 / span)
-    return averages
+    """Trapezoidal time average (1/T) * integral of p(t) dt over the trajectory:
+    per strategy, the terms d_k (y_k + y_(k+1)) added left to right from 0.0,
+    halved.  The trajectory goes through `RunSummary` as one chunk."""
+    return _summary(traj).averages()
 
 
 # ---------------------------------------------------------------------------
@@ -707,35 +732,105 @@ class RecurrenceReport(NamedTuple):
     detail: str = ""
 
 
+class RunSummary:
+    """What `time_average` and `detect_recurrence` read of a run of `samples`
+    samples, carried across its chunks (`add`), so that no run is held whole.
+
+    Per strategy it keeps the trapezoid sum, whose terms d_k (y_k + y_(k+1))
+    are added left to right from 0.0, each chunk's from the sum of the chunks
+    before it; and the min and max over the terminal window, the samples from
+    m - max(10, m // 10) on, an index known before the run.  It records each
+    entry into the tol-ball (max norm) around the first sample: a sample
+    inside it whose predecessor is not.  Of the entries it keeps their count
+    and the last one, and of the spacings between them the sum, added left to
+    right from 0.0, and the least and greatest: s - mean rounds monotonically
+    in s, so those two decide the +-10% test of every spacing.  Each number is
+    the one the whole trajectory would give, bit for bit.
+    """
+
+    def __init__(self, samples, tol=1e-3):
+        if not 0 < tol < math.inf:
+            raise errors.InvalidArgument(f"tolerance must be finite and positive, got {tol!r}")
+        self.samples, self.tol = samples, tol
+        self.window = samples - max(10, samples // 10)
+        self.taken = 0
+        self.entries, self.entered = 0, None
+        self.spacing_sum, self.spacing_low, self.spacing_high = 0.0, math.inf, -math.inf
+
+    def add(self, chunk):
+        """Take the next chunk: a Trajectory of the samples after those taken."""
+        times, columns = chunk.times, [chunk.column(j) for j in range(chunk.n)]
+        if self.taken:
+            # the last sample taken leads the chunk, for the pairs across the boundary
+            times = array("d", [self.end]) + times
+            columns = [array("d", [v]) + y for v, y in zip(self.last, columns)]
+            at = self.taken - 1  # sample index of the chunk's first row
+        else:
+            self.begin, self.centre = times[0], [y[0] for y in columns]
+            self.sums = [0.0] * chunk.n
+            self.low, self.high = [math.inf] * chunk.n, [-math.inf] * chunk.n
+            at = 0
+        d = list(map(sub, times[1:], times))
+        w = max(0, self.window - at)  # the chunk's first row in the terminal window
+        for j, y in enumerate(columns):
+            self.sums[j] = reduce(add, map(mul, d, map(add, y[1:], y)), self.sums[j])
+            if w < len(y):
+                tail = y[w:]
+                self.low[j] = min(self.low[j], min(tail))
+                self.high[j] = max(self.high[j], max(tail))
+        # rows inside the ball, narrowed one strategy at a time; row 0 is never an entry
+        inside = range(len(times))
+        for y, ref in zip(columns, self.centre):
+            inside = [k for k in inside if abs(y[k] - ref) < self.tol]
+        for prev, k in zip(itertools.chain((-1,), inside), inside):
+            if k != prev + 1:
+                self._enter(times[k])
+        self.taken = at + len(times)
+        self.end, self.last = times[-1], [y[-1] for y in columns]
+
+    def _enter(self, t):
+        if self.entries:
+            s = t - self.entered
+            self.spacing_sum += s
+            self.spacing_low, self.spacing_high = min(self.spacing_low, s), max(self.spacing_high, s)
+        self.entries, self.entered = self.entries + 1, t
+
+    def averages(self):
+        """The trapezoid time average of each strategy: the sum, halved, over the span."""
+        if self.samples < 2:
+            raise errors.InsufficientData("a time average needs at least 2 samples")
+        span = self.end - self.begin
+        return [s / 2.0 / span for s in self.sums]
+
+    def recurrence(self):
+        """The verdict of `detect_recurrence` (InsufficientData under 10 samples)."""
+        if self.samples < 10:
+            raise errors.InsufficientData(f"need at least 10 samples, got {self.samples}")
+        diameter = max(map(sub, self.high, self.low))
+        if diameter < self.tol:
+            return RecurrenceReport("convergent", detail=f"terminal window diameter {diameter:.3g}")
+        if self.entries >= 2:
+            mean = self.spacing_sum / (self.entries - 1)
+            if mean > 0 and all(abs(s - mean) <= 0.10 * mean
+                                for s in (self.spacing_low, self.spacing_high)):
+                return RecurrenceReport(
+                    "recurrent", period=mean, detail=f"{self.entries} returns to the start ball"
+                )
+        return RecurrenceReport("none")
+
+
+def _summary(traj, tol=1e-3):
+    summary = RunSummary(len(traj), tol)
+    summary.add(traj)
+    return summary
+
+
 def detect_recurrence(traj, tol=1e-3):
     """Classify a trajectory as convergent, recurrent, or neither.
 
     Convergent: the terminal window's diameter falls below tol.  Recurrent:
     the state re-enters the tol-ball (max norm) around the initial state in
     episodes whose spacing is stable within +-10%; the period estimate is the
-    mean spacing.
+    mean spacing.  The trajectory goes through `RunSummary` as one chunk.
     """
-    if not 0 < tol < math.inf:
-        raise errors.InvalidArgument(f"tolerance must be finite and positive, got {tol!r}")
-    m = len(traj)
-    if m < 10:
-        raise errors.InsufficientData(f"need at least 10 samples, got {m}")
-    columns = [traj.column(j) for j in range(traj.n)]
-    size = max(10, m // 10)
-    diameter = max(max(col[-size:]) - min(col[-size:]) for col in columns)
-    if diameter < tol:
-        return RecurrenceReport("convergent", detail=f"terminal window diameter {diameter:.3g}")
-
-    # samples inside the ball, narrowed one strategy at a time
-    inside = range(m)
-    for col, ref in zip(columns, traj.row(0)):
-        inside = [k for k in inside if abs(col[k] - ref) < tol]
-    episodes = [traj.times[k] for prev, k in zip(inside, inside[1:]) if k != prev + 1]
-    if len(episodes) >= 2:
-        spacings = list(map(sub, episodes[1:], episodes))
-        mean = reduce(add, spacings, 0.0) / len(spacings)
-        if mean > 0 and all(abs(s - mean) <= 0.10 * mean for s in spacings):
-            return RecurrenceReport(
-                "recurrent", period=mean, detail=f"{len(episodes)} returns to the start ball"
-            )
-    return RecurrenceReport("none")
+    return _summary(traj, tol).recurrence()

@@ -16,7 +16,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 import gtkit
-from gtkit import errors, evolution, gamefile, padic
+from gtkit import errors, evolution, gamefile, padic, quantum
 from gtkit.games import StrategicGame
 from gtkit.cli import (
     EXIT_OK,
@@ -24,6 +24,7 @@ from gtkit.cli import (
     EXIT_SIZE,
     EXIT_VALIDATION,
     WRITE_CHUNK,
+    _to_strategic,
     _write_json,
     _write_lines,
     build_parser,
@@ -884,6 +885,51 @@ def test_evolve_refuses_a_too_short_run_before_any_rest_point(tmp_path, capsys, 
     assert not out.exists()
 
 
+def test_evolve_that_diverges_past_the_first_chunk_leaves_the_out_directory_as_it_was(
+        tmp_path, capsys):
+    # the share of the first strategy leaves 1 slowly and then falls at a rate
+    # of 1000: at h = 0.01 step 1383 lands below the simplex, in the second chunk
+    assert evolution.CHUNK_STEPS < 1383
+    doc = _with(evolution_doc(), ["matrix"], [["0", "0"], ["1", "1000"]])
+    path = tmp_path / "game.json"
+    path.write_text(json.dumps(_with(doc, ["strategies"], [["A", "B"]])))
+    argv = ["evolve", "--in", str(path), "--p0", "999999999/1000000000,1/1000000000",
+            "--t-end", "40", "--h", "0.01"]
+    out = tmp_path / "existing"
+    out.mkdir()
+    (out / "trajectory.csv").write_text("kept\n")
+    (out / "notes.txt").write_text("mine\n")
+    fresh = tmp_path / "fresh" / "nested"
+    for where in (out, fresh):
+        assert main([*argv, "--out", str(where)]) == EXIT_VALIDATION
+        assert "below -1e-09" in capsys.readouterr().err
+    assert sorted(os.listdir(out)) == ["notes.txt", "trajectory.csv"]
+    assert (out / "trajectory.csv").read_text() == "kept\n"
+    assert not (tmp_path / "fresh").exists()
+    # a run that passes every check replaces the file and leaves nothing else
+    assert main([*argv[:-4], "--t-end", "5", "--h", "0.01", "--out", str(out)]) == EXIT_OK
+    assert sorted(os.listdir(out)) == ["evolve.json", "notes.txt", "trajectory.csv"]
+    assert len((out / "trajectory.csv").read_text().splitlines()) == 1 + 501
+
+
+def test_evolve_holds_one_chunk_whatever_the_run_length(tmp_path):
+    # 1,000 and 10,000 steps: holding the whole run, the traced peak went from
+    # 0.3 to 1.4 MiB; one chunk of rps and its CSV text take about 0.25 MiB
+    peaks = []
+    for t_end in ("20", "200"):
+        out = tmp_path / t_end
+        tracemalloc.start()
+        try:
+            code = main(["evolve", "--in", "rps", "--t-end", t_end, "--h", "0.02",
+                         "--out", str(out)])
+            peaks.append(tracemalloc.get_traced_memory()[1])
+        finally:
+            tracemalloc.stop()
+        assert code == EXIT_OK
+        assert len((out / "trajectory.csv").read_text().splitlines()) == 1 + 50 * int(t_end) + 1
+    assert max(peaks) < 2**19, peaks
+
+
 def test_evolve_reads_decimal_p0_exactly(tmp_path):
     reports = []
     for p0 in ("0.2,0.3,0.5", "1/5,3/10,1/2"):
@@ -1622,6 +1668,41 @@ def test_evolve_refuses_a_non_finite_step_at_once(tmp_path, capsys):
     assert code == EXIT_VALIDATION
     assert "RK4 step is not finite" in capsys.readouterr().err
     assert not out.exists()
+
+
+def _rational_game(tmp_path, digits):
+    """A 2x2 game file of rationals with numerators and one denominator of these many digits."""
+    rng = random.Random(7)
+    den = 10 ** (digits - 1) + 7
+    doc = _with(bimatrix_doc(), ["payoffs"], [
+        [[f"{rng.randrange(10 ** (digits - 1), 10**digits)}/{den}" for _ in range(2)]
+         for _ in range(2)]
+        for _ in range(2)])
+    path = tmp_path / f"digits-{digits}.json"
+    path.write_text(json.dumps(doc))
+    return str(path)
+
+
+def test_an_exact_surface_of_long_payoffs_is_refused_at_once(tmp_path, capsys):
+    # 447^2 points of about 1000 payoff digits: 408 MB written in 12 s without the bound
+    start = time.perf_counter()
+    code, out = run(tmp_path, "quantumize", "--in", _rational_game(tmp_path, 500),
+                    "--padic", "--grid", "446")
+    assert time.perf_counter() - start < 1
+    assert code == EXIT_SIZE
+    assert "error (size limit): --grid: 199809 points" in capsys.readouterr().err
+    assert not out.exists()
+    # 20-digit payoffs, about 40 digits a value, still get the largest grid
+    game = gamefile.resolve_input(_rational_game(tmp_path, 20)).game
+    gamefile.check_surface_digits(447**2, quantum.ClassicalForm(game, F(1, 2)).game, "--grid")
+
+
+@pytest.mark.parametrize("name", ["bos", "pd", "matching-pennies", "congestion-2link"])
+@pytest.mark.parametrize("alpha", ["max", "3/5", "4/5"])
+def test_every_packaged_2x2_surface_is_accepted_at_the_largest_grid(name, alpha):
+    game, _ = _to_strategic(gamefile.load_scenario(name))
+    a2 = F(1, 2) if alpha == "max" else F(alpha) ** 2
+    gamefile.check_surface_digits(447**2, quantum.ClassicalForm(game, a2).game, "--grid")
 
 
 def test_quantumize_refuses_payoffs_beyond_binary64(tmp_path, capsys):

@@ -52,18 +52,21 @@ from gtkit._linsolve import (
     support_equalizers,
 )
 from gtkit.evolution import (
+    CHUNK_STEPS,
     CLAMP,
     DIVERGE_TOL,
     EvolutionGame,
     InteriorRestPoints,
     RecurrenceReport,
     RestPointReport,
+    RunSummary,
     SimplexState,
     Trajectory,
     _face_is_ess,
     _psi_form,
     _sampled_face_is_ess,
     _step_source,
+    csv_header,
     detect_recurrence,
     ess_check,
     integrate,
@@ -71,6 +74,7 @@ from gtkit.evolution import (
     is_nash_state,
     replicator_rhs,
     rest_point_reports,
+    run_chunks,
     time_average,
     transversal_eigenvalues,
 )
@@ -1497,6 +1501,101 @@ def test_detect_recurrence_matches_the_episode_loop(inside, kind):
     traj = _two_strategy_trajectory(inside)
     assert detect_recurrence(traj) == detect_recurrence_reference(traj)
     assert detect_recurrence(traj).kind == kind
+
+
+def streamed(chunks, samples, tol, names=None):
+    """(time average, recurrence verdict, CSV lines) of a run taken chunk by
+    chunk through one RunSummary, as `gt evolve` takes it; each verdict as
+    `outcome` gives it."""
+    summary, lines = RunSummary(samples, tol), []
+    for chunk in chunks:
+        lines = lines or [csv_header(chunk.n, names)]
+        summary.add(chunk)
+        lines += chunk.csv_lines()
+    return outcome(summary.averages), outcome(summary.recurrence), lines
+
+
+def stored(traj, tol, names=None):
+    """The same three of the stored trajectory, from the reference loops."""
+    average = (time_average_reference(traj) if len(traj) >= 2
+               else ("InsufficientData", "a time average needs at least 2 samples"))
+    return (average, outcome(detect_recurrence_reference, traj, tol),
+            csv_rows_reference(traj, names))
+
+
+def cut(traj, bounds):
+    """traj as consecutive chunks, a new one starting at each sample index in bounds."""
+    n, edges = traj.n, [0, *sorted(bounds), len(traj)]
+    return [Trajectory(traj.times[a:b], traj.values[a * n:b * n], traj.h)
+            for a, b in zip(edges, edges[1:])]
+
+
+@st.composite
+def chunked_trajectories(draw):
+    """Up to 60 samples of n <= 4 strategies whose first share takes a few
+    values, so ball entries, equal spacings and flat tails are common, at
+    strictly increasing times of uneven spacing, cut into chunks at drawn
+    sample indices."""
+    m, n = draw(st.integers(1, 60)), draw(st.integers(2, 4))
+    levels = draw(st.sampled_from([(0.5,), (0.5, 0.5004), (0.5, 0.6, 0.7), (0.2, 0.5, 0.9, 1.0)]))
+    shares = draw(st.lists(st.sampled_from(levels), min_size=m, max_size=m))
+    gaps = draw(st.lists(st.sampled_from([0.1, 0.3, 1.0]), min_size=m, max_size=m))
+    values = [v for a in shares for v in (a, *[(1 - a) / (n - 1)] * (n - 1))]
+    traj = Trajectory(list(itertools.accumulate(gaps)), values, 1.0)
+    return traj, draw(st.sets(st.integers(1, max(1, m - 1)), max_size=6)) - {m}
+
+
+# a return to the start ball on the first sample of the second chunk, one spacing
+RECURRENT_ACROSS_A_CUT = (_two_strategy_trajectory({0, 1, 2, 3, 4, 15, 30}), {15})
+# returns at 10, 13 and 30: spacings 3 and 17, neither within 10% of their mean
+NONE_OF_UNEVEN_RETURNS = (_two_strategy_trajectory({0, 10, 13, 30}), {13, 14})
+# exactly 10 samples, the whole run its terminal window, cut in three
+CONVERGENT_TEN = (Trajectory(np.arange(10.0), [0.5, 0.5] * 10, 1.0), {3, 9})
+# spacings 8, 8, 8 and then 10 or 6: only the greatest, or only the least, is
+# more than 10% off the mean, so the test must read both
+LONG_LAST_SPACING = (_two_strategy_trajectory({0, 2, 10, 18, 26, 36}), {18})
+SHORT_LAST_SPACING = (_two_strategy_trajectory({0, 2, 10, 18, 26, 32}), {26, 27})
+
+
+@pytest.mark.parametrize("case,kind", [
+    (RECURRENT_ACROSS_A_CUT, "recurrent"),
+    (NONE_OF_UNEVEN_RETURNS, "none"),
+    (CONVERGENT_TEN, "convergent"),
+    (LONG_LAST_SPACING, "none"),
+    (SHORT_LAST_SPACING, "none"),
+])
+def test_the_chunked_examples_reach_every_verdict(case, kind):
+    traj, bounds = case
+    assert detect_recurrence_reference(traj).kind == kind
+    assert streamed(cut(traj, bounds), len(traj), 1e-3) == stored(traj, 1e-3)
+
+
+@settings(max_examples=300, deadline=None)
+@example(RECURRENT_ACROSS_A_CUT, 1e-3)
+@example(NONE_OF_UNEVEN_RETURNS, 1e-3)
+@example(CONVERGENT_TEN, 1e-3)
+@example(LONG_LAST_SPACING, 1e-3)
+@example(SHORT_LAST_SPACING, 1e-3)
+@given(chunked_trajectories(), st.sampled_from([1e-3, 0.05, 0.15]))
+def test_a_trajectory_taken_in_chunks_matches_the_stored_references(case, tol):
+    traj, bounds = case
+    assert streamed(cut(traj, bounds), len(traj), tol) == stored(traj, tol)
+
+
+@pytest.mark.parametrize("steps", [1, 9, CHUNK_STEPS - 1, CHUNK_STEPS, CHUNK_STEPS + 1,
+                                   2 * CHUNK_STEPS + 1])
+@pytest.mark.parametrize("p0,h,tol", [
+    ([F(1, 2), F(1, 4), F(1, 4)], 5e-2, 1e-3),  # recurrent from C - 1 steps on
+    ([F(1, 2), F(1, 4), F(1, 4)], 1e-2, 5e-2),  # no return yet
+    ([F(1), F(0), F(0)], 1e-2, 1e-3),  # a vertex: convergent
+])
+def test_a_streamed_run_matches_the_references_on_the_stored_run(steps, p0, h, tol):
+    scn = gamefile.load_scenario("rps")
+    samples, chunks = run_chunks(scn.game, p0, steps * h, h)
+    traj = integrate_reference(scn.game, p0, steps, h)
+    assert samples == len(traj) == steps + 1
+    names = scn.metadata["strategy_names"]
+    assert streamed(chunks, samples, tol, names) == stored(traj, tol, names)
 
 
 # ---------------------------------------------------------------------------

@@ -479,6 +479,45 @@ def test_the_raise_rule_catches_an_unraised_class():
     assert _unraised(["A", "B", "C", "D", "E"], [tree]) == ["D", "E"]
 
 
+STORED_RUN_NAMES = ("integrate", "time_average", "detect_recurrence", "csv_rows")
+
+
+def _stored_run_uses(tree):
+    """(line, name) of every reference to a function that holds or walks a whole
+    trajectory: as a name, an attribute, or a getattr with that literal."""
+    for node in ast.walk(tree):
+        if isinstance(node, ast.Name) and node.id in STORED_RUN_NAMES:
+            yield node.lineno, node.id
+        elif isinstance(node, ast.Attribute) and node.attr in STORED_RUN_NAMES:
+            yield node.lineno, node.attr
+        elif (isinstance(node, ast.Call) and isinstance(node.func, ast.Name)
+              and node.func.id == "getattr" and len(node.args) > 1
+              and isinstance(node.args[1], ast.Constant)
+              and node.args[1].value in STORED_RUN_NAMES):
+            yield node.lineno, node.args[1].value
+
+
+def test_the_cli_streams_every_run():
+    # `gt evolve` takes a run chunk by chunk through run_chunks and RunSummary;
+    # the functions of a stored trajectory would hold one that grows with the run
+    (cli,) = [path for path in SOURCES if path.name == "cli.py"]
+    assert list(_stored_run_uses(ast.parse(cli.read_text(encoding="utf-8")))) == []
+
+
+def test_the_stored_run_rule_sees_every_form():
+    tree = ast.parse(
+        "evolution.integrate(g, p0, 1.0)\n"
+        "from gtkit.evolution import time_average\n"
+        "time_average(traj)\n"
+        "f = evolution.detect_recurrence\n"
+        "traj.csv_rows(names)\n"
+        "getattr(evolution, 'integrate')\n"
+        "evolution.run_chunks(g, p0, 1.0)\n"
+        "chunk.csv_lines()\n"
+    )
+    assert sorted(line for line, _ in _stored_run_uses(tree)) == [1, 3, 4, 5, 6]
+
+
 def _file_reads(tree):
     """(line, call) of every `open` or `io.open` whose mode does not write: no
     mode, or a mode that holds none of "w", "a", "x" or is not a literal."""
