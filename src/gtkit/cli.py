@@ -30,7 +30,7 @@ EXIT_OK = 0
 EXIT_PARSE = 2
 EXIT_VALIDATION = 3
 EXIT_SIZE = 4
-WRITE_CHUNK = 4096  # rows per write in _write_lines, encoder chunks in _write_json
+WRITE_CHUNK = 4096  # encoder chunks per write in _write_json
 
 
 # ---------------------------------------------------------------------------
@@ -60,19 +60,6 @@ def _write_json(path, obj):
         while chunk := "".join(itertools.islice(chunks, WRITE_CHUNK)):
             fh.write(chunk)
         fh.write("\n")
-    return path
-
-
-def _write_lines(path, rows):
-    """Write an iterable of rows as newline-terminated lines, WRITE_CHUNK rows per write.
-
-    Rows are taken from the iterable a chunk at a time, so a report streamed
-    from an iterator is never held whole, neither as rows nor as text.
-    """
-    rows = iter(rows)
-    with _writing(path), open(path, "w", encoding="utf-8") as fh:
-        while chunk := list(itertools.islice(rows, WRITE_CHUNK)):
-            fh.write("\n".join(chunk) + "\n")
     return path
 
 
@@ -417,6 +404,15 @@ def _alpha_weight(text):
 
 
 def cmd_quantumize(args):
+    """Write the payoff surface as surface.csv and the equilibria as equilibria.json.
+
+    The surface is written one grid row at a time, each block as
+    `quantum.payoff_surface_rows` makes it, under a temporary name put in
+    place after its last block (`_staged`), so a run refused before then
+    leaves the file system as it was.  The out directory is made after the
+    argument checks and before the report is printed, so an unusable --out
+    is refused first.
+    """
     quantum = gtkit.quantum
     scn = gamefile.resolve_input(args.infile)
     game, _ = _to_strategic(scn)
@@ -430,17 +426,18 @@ def cmd_quantumize(args):
     form = quantum.ClassicalForm(game, a2)
     if args.padic:  # the exact surface: its payoffs' digits bound its work
         gamefile.check_surface_digits((grid + 1) ** 2, form.game, "--grid")
-    out = _outdir(args)
-    if args.padic:
-        doc = _padic_report(args, scn, form, a)
-        surface = quantum.payoff_surface_rows(form, grid, exact=True)
-    else:  # the float surface refuses payoffs beyond binary64 at the call: before printing
-        surface = quantum.payoff_surface_rows(form, grid)
-        doc = _complex_report(scn, form, a)
+    with _staged(args.out, "surface.csv") as fh:
+        if args.padic:
+            doc = _padic_report(args, scn, form, a)
+            surface = quantum.payoff_surface_rows(form, grid, exact=True)
+        else:  # the float surface refuses payoffs beyond binary64 at the call: before printing
+            surface = quantum.payoff_surface_rows(form, grid)
+            doc = _complex_report(scn, form, a)
+        for block in surface:
+            fh.write(block + "\n")
     doc["grid"] = grid
-    csv_path = _write_lines(os.path.join(out, "surface.csv"), surface)
-    json_path = _write_json(os.path.join(out, "equilibria.json"), doc)
-    print(f"surface         {csv_path}")
+    json_path = _write_json(os.path.join(args.out, "equilibria.json"), doc)
+    print(f"surface         {os.path.join(args.out, 'surface.csv')}")
     print(f"report          {json_path}")
     return EXIT_OK
 

@@ -16,6 +16,7 @@ from __future__ import annotations
 
 import itertools
 import math
+import numbers
 from array import array
 from functools import reduce
 from fractions import Fraction
@@ -295,9 +296,11 @@ def _step_source(rows, h):
     one tuple.  The state stays in local variables and each step is
     straight-line code.
 
-    Payoffs, 0.5*h, h and h/6.0 are float literals; the fourth stage is folded
-    into the final combination.  Dot products and the total add left to right
-    from 0.0 by explicit `+`, as `_dot` does, at most 64 terms per statement:
+    Payoffs, 0.5*h, h and h/6.0 are float literals, from float(h): a float
+    times a Fraction or numpy h is that float times float(h), and a numpy
+    repr is no Python literal.  The fourth stage is folded into the final
+    combination.  Dot products and the total add left to right from 0.0 by
+    explicit `+`, as `_dot` does, at most 64 terms per statement:
     CPython cannot compile one sum of about 3000 terms.  A payoff of 1.0 or
     -1.0 adds or subtracts the entry itself, which is exact.  A 0.0 payoff
     drops its term: a sum from 0.0 is never -0.0, so that is exact while the
@@ -306,7 +309,7 @@ def _step_source(rows, h):
     `_diverged` is handed the stage entries of the columns with a 0.0 payoff
     to report what the unfolded step, NaN throughout, would have.
     """
-    n = len(rows)
+    n, h = len(rows), float(h)
     p, new = ([f"{v}{j}" for j in range(n)] for v in "pn")
     zero_columns = [j for j in range(n) if any(row[j] == 0.0 for row in rows)]
 
@@ -370,8 +373,12 @@ def run_chunks(g, p0, t_end, h=1e-3):
     steps start from the last row of the chunk before it, so the floats are
     those of one unbroken run, and sample k is at time k * h.  Every refusal
     of `integrate` but divergence comes at the call; IntegrationDiverged comes
-    from the chunk whose step diverges.
+    from the chunk whose step diverges.  t_end and h are real numbers, not
+    booleans (InvalidArgument).
     """
+    for value in (t_end, h):
+        if isinstance(value, bool) or not isinstance(value, numbers.Real):
+            raise errors.InvalidArgument(f"h and t_end must be real numbers, got {value!r}")
     if not (0 < h < math.inf and 0 < t_end < math.inf):
         raise errors.InvalidArgument("need finite h > 0 and t_end > 0")
     p = _state_array(g, p0)

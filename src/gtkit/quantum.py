@@ -20,8 +20,9 @@ row (one value of p) at a time: Python floats added in one fixed order (its
 bits do not depend on the Python version), or in the p-adic mode one exact
 rational per payoff, an integer numerator over the game's denominator times
 grid^2 printed as a reduced integer ratio, with no Fraction built.
-`payoff_surface_rows` returns its CSV lines as an iterator, checking its
-input at the call, so at most one grid row of the surface is held.
+`payoff_surface_rows` returns the CSV as an iterator of text blocks, the
+header and then one block per grid row, checking its input at the call, so
+a writer that writes each block as it is made holds one grid row of text.
 """
 
 from __future__ import annotations
@@ -181,22 +182,23 @@ def mw_nash_search(form, grid_n=100):
 
 
 def payoff_surface_rows(form, grid_n=100, exact=False):
-    """An iterator over the CSV lines of `_surface`, header first: p,q,payoff1,payoff2 as
-    exact rationals or 17 significant digits.
+    """An iterator over the CSV text of `_surface`: the header p,q,payoff1,payoff2,
+    then one block per grid row, that row's grid_n + 1 lines of p, q and the
+    payoffs as exact rationals or 17 significant digits.  Neither the header
+    nor a block ends in a newline, so the CSV is each item followed by one.
 
     The form, grid_n and the payoffs are checked at the call, so a payoff
-    beyond binary64 raises before any line is made.  The lines are made one
-    grid row at a time: each grid label is formatted once, into a row
-    template that takes a row's 2(grid_n + 1) payoffs in one `%`.
+    beyond binary64 raises before any text is made.  Each grid label is
+    formatted once, into a row template that takes a row's 2(grid_n + 1)
+    payoffs in one `%`.
     """
     rows = _surface(form, grid_n, exact)
     labels = [str(Fraction(i, grid_n)) if exact else "%.17g" % (i / grid_n)
               for i in range(grid_n + 1)]
     number = "%s" if exact else "%.17g"
     template = "\n".join(f"\0,{q},{number},{number}" for q in labels)
-    lines = ((template.replace("\0", p) % tuple(row)).split("\n")
-             for p, row in zip(labels, rows))
-    return itertools.chain(("p,q,payoff1,payoff2",), itertools.chain.from_iterable(lines))
+    blocks = (template.replace("\0", p) % tuple(row) for p, row in zip(labels, rows))
+    return itertools.chain(("p,q,payoff1,payoff2",), blocks)
 
 
 def classical_product_payoffs(base, p, q):

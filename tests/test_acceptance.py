@@ -80,7 +80,7 @@ def test_criterion_02_quantum_bos():
     ok = ok and abs(best - 2.5) <= 1e-9 and best > 6 / 5
 
     classical = quantum.ClassicalForm(g, 1)
-    rows = list(quantum.payoff_surface_rows(classical, 100))[1:]
+    rows = "\n".join(quantum.payoff_surface_rows(classical, 100)).split("\n")[1:]
     ok = ok and len(rows) == 101 * 101
     worst = 0.0
     for k, row in enumerate(rows):

@@ -1,6 +1,8 @@
 """Tests for the gt-game/1 schema and the gt command-line interface."""
 
 import copy
+import errno
+import itertools
 import json
 import os
 import random
@@ -23,10 +25,8 @@ from gtkit.cli import (
     EXIT_PARSE,
     EXIT_SIZE,
     EXIT_VALIDATION,
-    WRITE_CHUNK,
     _to_strategic,
     _write_json,
-    _write_lines,
     build_parser,
     main,
 )
@@ -1713,7 +1713,7 @@ def test_quantumize_refuses_payoffs_beyond_binary64(tmp_path, capsys):
     captured = capsys.readouterr()
     assert "binary64 range" in captured.err
     assert captured.out == ""
-    assert list(out.iterdir()) == []
+    assert not out.exists()
     assert run(tmp_path / "padic", "quantumize", "--padic", "--in", str(path))[0] == EXIT_OK
 
 
@@ -1803,19 +1803,9 @@ def test_outputs_are_byte_identical(tmp_path):
         assert (out1 / name).read_bytes() == (out2 / name).read_bytes(), name
 
 
-@pytest.mark.parametrize("count", [0, 1, WRITE_CHUNK - 1, WRITE_CHUNK, WRITE_CHUNK + 1,
-                                   2 * WRITE_CHUNK + 1])
-def test_chunked_lines_equal_one_join(tmp_path, count):
-    rows = [f"{k},{k / 7!r},é" for k in range(count)]
-    for source in (rows, iter(rows)):
-        path = _write_lines(str(tmp_path / "rows.csv"), source)
-        with open(path, "rb") as fh:
-            assert fh.read() == "".join(row + "\n" for row in rows).encode("utf-8")
-
-
 def test_quantumize_streams_its_surface(tmp_path):
-    # the 40,401 lines of grid 200, held in a list, took the traced peak to 5.5 MiB;
-    # both modes are measured, each from its own start
+    # one grid row's block at a time holds about 0.1 MiB at grid 200; its 40,401
+    # lines joined 4096 at a time held 1.1 MiB.  Each mode is measured from its own start
     for mode in ([], ["--padic"]):
         out = tmp_path / "".join(mode or ["complex"])
         tracemalloc.start()
@@ -1826,7 +1816,33 @@ def test_quantumize_streams_its_surface(tmp_path):
             tracemalloc.stop()
         assert code == EXIT_OK, mode
         assert len((out / "surface.csv").read_text().splitlines()) == 1 + 201 * 201
-        assert peak < 3 * 2**20, mode
+        assert peak < 2**18, mode
+
+
+@pytest.mark.parametrize("mode", [[], ["--padic"]], ids=["complex", "padic"])
+def test_a_surface_that_fails_after_its_first_block_leaves_the_out_directory_as_it_was(
+        tmp_path, monkeypatch, capsys, mode):
+    made = quantum.payoff_surface_rows
+
+    def failing(*args, **kwargs):
+        blocks = made(*args, **kwargs)
+        yield from itertools.islice(blocks, 2)  # the header and the first grid row
+        raise OSError(errno.ENOSPC, "No space left on device")
+
+    monkeypatch.setattr(quantum, "payoff_surface_rows", failing)
+    out = tmp_path / "existing"
+    out.mkdir()
+    (out / "surface.csv").write_text("kept\n")
+    (out / "notes.txt").write_text("mine\n")
+    fresh = tmp_path / "fresh" / "nested"
+    for where in (out, fresh):
+        argv = ["quantumize", "--in", "bos", "--grid", "20", *mode, "--out", str(where)]
+        assert main(argv) == EXIT_VALIDATION
+        assert f"cannot write {where / 'surface.csv'}: No space left on device" in (
+            capsys.readouterr().err)
+    assert sorted(os.listdir(out)) == ["notes.txt", "surface.csv"]
+    assert (out / "surface.csv").read_text() == "kept\n"
+    assert not (tmp_path / "fresh").exists()
 
 
 def test_a_json_report_is_written_as_it_is_encoded(tmp_path):

@@ -29,6 +29,7 @@ from gtkit.evolution import (
     mean_fitness,
     replicator_rhs,
     rest_point_reports,
+    run_chunks,
     time_average,
     transversal_eigenvalues,
 )
@@ -219,6 +220,20 @@ def test_integrate_validates_arguments():
         integrate(g, centroid(2), t_end=1.0, h=0)
     with pytest.raises(errors.InvalidArgument):
         integrate(g, centroid(2), t_end=-1.0, h=1e-3)
+
+
+@pytest.mark.parametrize("run", [integrate, run_chunks], ids=["integrate", "run_chunks"])
+def test_a_boolean_horizon_or_step_is_refused(run):
+    g = EvolutionGame(RPS)
+    p0 = [F(1, 2), F(1, 4), F(1, 4)]
+    for t_end, h in ((1, True), (True, 0.5), (1, np.True_), (np.True_, 0.5), (1, "0.5"),
+                     (None, 0.5)):
+        with pytest.raises(errors.InvalidArgument, match="must be real numbers"):
+            run(g, p0, t_end, h)
+    # ints, floats, Fractions and numpy numbers are still taken
+    for t_end, h in ((1, 0.5), (2.0, 1), (F(1), F(1, 2)), (np.int64(1), np.float64(0.5))):
+        result = run(g, p0, t_end, h)
+        assert (len(result) if run is integrate else result[0]) == 3
 
 
 def test_integrate_refuses_more_samples_than_the_cap(monkeypatch):

@@ -1616,6 +1616,11 @@ def quantum_forms(draw):
     return ClassicalForm(base, F(abs(alpha) ** 2))
 
 
+def surface_lines(form, grid, exact=False):
+    """The CSV lines of the surface: its header and grid row blocks, split."""
+    return "\n".join(payoff_surface_rows(form, grid, exact)).split("\n")
+
+
 TINY = F(-1, 10**400)  # rounds to -0.0, so every term of a payoff is -0.0
 ALL_TINY = ClassicalForm(
     StrategicGame([["a", "b"], ["c", "d"]], {s: (TINY, -1) for s in PROFILES}), F(1, 2))
@@ -1625,7 +1630,7 @@ ALL_TINY = ClassicalForm(
 @example(ALL_TINY, 3)
 @given(quantum_forms(), st.integers(1, 100))
 def test_payoff_surface_rows_match_the_numpy_grid_bit_for_bit(form, grid):
-    assert list(payoff_surface_rows(form, grid)) == payoff_surface_rows_reference(form, grid)
+    assert surface_lines(form, grid) == payoff_surface_rows_reference(form, grid)
 
 
 BOS = gamefile.load_scenario("bos").game
@@ -1640,14 +1645,14 @@ ALL_ZERO = StrategicGame([["a", "b"], ["c", "d"]], {s: (0, 0) for s in PROFILES}
 @example(ClassicalForm(BOS, F(1, 2)), 1)
 @given(quantum_forms(), st.integers(1, 100))
 def test_exact_payoff_surface_rows_match_the_fraction_loop(form, grid):
-    assert list(payoff_surface_rows(form, grid, exact=True)) == padic_surface_rows_reference(
+    assert surface_lines(form, grid, exact=True) == padic_surface_rows_reference(
         form, grid)
 
 
 @settings(max_examples=150, deadline=None)
 @given(quantum_forms(), st.integers(1, 30))
 def test_exact_payoff_surface_rows_match_the_fraction_loop_on_small_grids(form, grid):
-    assert list(payoff_surface_rows(form, grid, exact=True)) == padic_surface_rows_reference(
+    assert surface_lines(form, grid, exact=True) == padic_surface_rows_reference(
         form, grid)
 
 
@@ -1663,7 +1668,7 @@ def test_the_exact_surface_builds_a_fraction_per_grid_label_only(monkeypatch):
     form = ClassicalForm(BOS, F(25, 9))
     for grid in (1, 10, 28):
         built.clear()
-        lines = list(payoff_surface_rows(form, grid, exact=True))
+        lines = surface_lines(form, grid, exact=True)
         assert len(lines) == 1 + (grid + 1) ** 2
         assert 0 < len(built) <= grid + 1
 

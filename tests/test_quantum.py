@@ -193,7 +193,7 @@ def test_nash_search_validates_grid():
 
 
 def test_payoff_surface_rows():
-    rows = list(payoff_surface_rows(ClassicalForm(bos(), F(1, 2)), grid_n=2))
+    rows = "\n".join(payoff_surface_rows(ClassicalForm(bos(), F(1, 2)), grid_n=2)).split("\n")
     assert rows[0] == "p,q,payoff1,payoff2"
     assert len(rows) == 1 + 9
     p, q, u1, u2 = (float(x) for x in rows[1].split(","))

@@ -53,7 +53,7 @@ def test_payoffs_match_kraus_diagonal():
 
 def test_surface_is_the_exact_payoff_rounded():
     form = ClassicalForm(scenario("bos"), F(9, 25))
-    rows = list(quantum.payoff_surface_rows(form, 20))[1:]
+    rows = "\n".join(quantum.payoff_surface_rows(form, 20)).split("\n")[1:]
     for k, row in enumerate(rows):
         # 17 significant digits read back to the same binary64 values
         p, q, pay1, pay2 = map(float, row.split(","))
@@ -66,9 +66,11 @@ def test_surface_is_the_exact_payoff_rounded():
 
 @pytest.mark.parametrize("exact", [False, True], ids=["float", "exact"])
 def test_surface_rows_are_made_as_they_are_read(exact):
-    # built whole, this grid would hold 10^10 rows
+    # built whole, this grid would hold 10^10 rows: take the header and the
+    # block of the first grid row, then that block's first two lines
     form = ClassicalForm(scenario("bos"), F(1, 2))
-    head = list(itertools.islice(quantum.payoff_surface_rows(form, 10**5, exact), 3))
+    header, block = itertools.islice(quantum.payoff_surface_rows(form, 10**5, exact), 2)
+    head = [header, *block.split("\n", 2)[:2]]
     assert head[0] == "p,q,payoff1,payoff2"
     for j, row in enumerate(head[1:]):
         p, q, pay1, pay2 = map(F, row.split(","))
@@ -78,6 +80,19 @@ def test_surface_rows_are_made_as_they_are_read(exact):
         else:
             assert (float(p), float(q)) == (0.0, j / 10**5)
             assert abs(pay1 - want[0]) <= 1e-14 and abs(pay2 - want[1]) <= 1e-14
+
+
+@pytest.mark.parametrize("exact", [False, True], ids=["float", "exact"])
+def test_the_surface_is_its_header_then_one_block_per_grid_row(exact):
+    form = ClassicalForm(scenario("bos"), F(1, 2))
+    header, *blocks = quantum.payoff_surface_rows(form, 3, exact)
+    assert header == "p,q,payoff1,payoff2"
+    assert len(blocks) == 4
+    for i, block in enumerate(blocks):
+        lines = block.split("\n")  # no newline at either end
+        assert len(lines) == 4 and all(lines)
+        read = F if exact else float
+        assert all(read(line.split(",")[0]) == read(i) / 3 for line in lines)
 
 
 def test_a_payoff_beyond_binary64_is_refused_at_the_call():
