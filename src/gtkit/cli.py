@@ -10,6 +10,7 @@ from __future__ import annotations
 
 import argparse
 import contextlib
+import errno
 import functools
 import itertools
 import json
@@ -50,26 +51,25 @@ def _writing(path):
         raise errors.InvalidArgument(f"cannot write {path}: {exc.strerror or exc}") from exc
 
 
-def _write_json(path, obj):
-    """Write obj as the text of json.dumps(obj, sort_keys=True, indent=2,
-    default=float) and a newline, WRITE_CHUNK encoder chunks per write, so a
-    large report is never held whole as text (with an indent, dumps joins the
-    chunks of this same encoder)."""
+def _write_json(fh, obj):
+    """Write obj to the text file fh as the text of json.dumps(obj,
+    sort_keys=True, indent=2, default=float) and a newline, WRITE_CHUNK
+    encoder chunks per write, so a large report is never held whole as text
+    (with an indent, dumps joins the chunks of this same encoder)."""
     chunks = json.JSONEncoder(sort_keys=True, indent=2, default=float).iterencode(obj)
-    with _writing(path), open(path, "w", encoding="utf-8") as fh:
-        while chunk := "".join(itertools.islice(chunks, WRITE_CHUNK)):
-            fh.write(chunk)
-        fh.write("\n")
-    return path
+    while chunk := "".join(itertools.islice(chunks, WRITE_CHUNK)):
+        fh.write(chunk)
+    fh.write("\n")
 
 
 @contextlib.contextmanager
 def _staged(out, name):
     """Yield a text file for out/name, made with out when that is missing, and
-    os.replace it onto out/name when the block ends.  On any error the file is
-    removed, with each directory this call made, so an existing out/name stays
-    untouched and a refused run leaves no trace.  OSErrors name out or
-    out/name, as `_outdir` and the writers do."""
+    os.replace it onto out/name when the block ends: every report is written
+    here.  A directory at out/name is refused as the file opens, so a stage
+    nested in another's block fails before either is placed.  On any error
+    the file is removed, with each directory this call made, so a refused
+    run leaves no trace.  OSErrors name out or out/name."""
     path = os.path.join(out, name)
     part = os.path.join(out, f".{name}.part")
     made = []
@@ -81,6 +81,8 @@ def _staged(out, name):
         with _writing(out):
             os.makedirs(out, exist_ok=True)
         with _writing(path):
+            if os.path.isdir(path):
+                raise IsADirectoryError(errno.EISDIR, os.strerror(errno.EISDIR))
             with open(part, "w", encoding="utf-8") as fh:
                 yield fh
             os.replace(part, path)
@@ -91,12 +93,6 @@ def _staged(out, name):
             with contextlib.suppress(OSError):
                 os.rmdir(directory)
         raise
-
-
-def _outdir(args):
-    with _writing(args.out):
-        os.makedirs(args.out, exist_ok=True)
-    return args.out
 
 
 def _positive_real(text):
@@ -129,9 +125,9 @@ def _to_strategic(scn):
     if scn.kind == "evolution":
         g = scn.game
         names = tuple(scn.metadata.get("strategy_names") or (f"s{i + 1}" for i in range(g.n)))
-        t = g.table
-        cells = {(i, j): (t[i][j], t[j][i]) for i in range(g.n) for j in range(g.n)}
-        return games.StrategicGame._checked((names, names), g.scale, cells), None
+        t = g.table  # player 1's payoffs row by row, player 2's column by column
+        payoffs = (tuple(itertools.chain(*t)), tuple(itertools.chain(*zip(*t))))
+        return games.StrategicGame._checked((names, names), g.scale, payoffs), None
     if scn.kind == "congestion":
         return games.congestion_to_strategic(scn.game), scn.game
     raise errors.InvalidArgument(f"unknown scenario kind {scn.kind!r}")
@@ -144,11 +140,10 @@ def _to_evolution(scn):
         g = scn.game
         if g.n_players != 2 or g.shape[0] != g.shape[1]:
             raise errors.InvalidArgument("evolve needs a square symmetric-role game")
-        n, t = g.shape[0], g._table  # both players' payoffs in ints over one D
-        if any(t[i, j][1] != t[j, i][0] for i in range(n) for j in range(n)):
+        t = [[g.ints((i, j)) for j in range(g.shape[1])] for i in range(g.shape[0])]  # over one D
+        if any(u[1] != t[j][i][0] for i, row in enumerate(t) for j, u in enumerate(row)):
             raise errors.InvalidArgument("evolve needs symmetric roles: u2(i,j) must equal u1(j,i)")
-        return gtkit.evolution.EvolutionGame._checked(
-            g._scale, [[t[i, j][0] for j in range(n)] for i in range(n)])
+        return gtkit.evolution.EvolutionGame._checked(g._scale, [[u[0] for u in row] for row in t])
     raise errors.InvalidArgument(f"cannot evolve a {scn.kind!r} scenario")
 
 
@@ -262,7 +257,8 @@ def cmd_analyze(args):
     if args.ce:
         report["correlated_check"] = _correlated_section(game, args.ce)
 
-    path = _write_json(os.path.join(_outdir(args), "analyze.json"), report)
+    with _staged(args.out, "analyze.json") as fh:
+        _write_json(fh, report)
     print(f"scenario        {scn.name}")
     print(f"pure NE         {report['pure_nash']}")
     if report["mixed_ne_2x2"]:
@@ -271,7 +267,7 @@ def cmd_analyze(args):
     print(f"pareto optimal  {report['pareto_optimal']}")
     print(f"social optimum  {report['social_optimum']['profiles']} welfare {report['social_optimum']['welfare']}")
     print(f"PoA             {poa['value'] or poa['note']}")
-    print(f"report          {path}")
+    print(f"report          {os.path.join(args.out, 'analyze.json')}")
     return EXIT_OK
 
 
@@ -320,9 +316,9 @@ def cmd_evolve(args):
     at a time, through one `evolution.RunSummary`, so no whole trajectory is
     held.  The refusals keep their order: the caps, then divergence, then a
     run of fewer than 10 samples, then the rest-point diagnostics; an
-    unusable --out is refused before the run.  The CSV is written under a
-    temporary name and put in place after the last check (`_staged`), so a
-    refused run leaves the file system as it was.
+    unusable --out is refused before the run.  The CSV, and evolve.json inside
+    its block, are staged (`_staged`): put in place after the last check, so
+    a refused run leaves the file system as it was.
     """
     evolution = gtkit.evolution
     scn = gamefile.resolve_input(args.infile)
@@ -345,28 +341,28 @@ def cmd_evolve(args):
             fh.write("\n".join(chunk.csv_lines()) + "\n")
         avg, rec = summary.averages(), summary.recurrence()
         rest, continua = _rest_points(evolution, g)
-    analysis = {
-        "command": "evolve",
-        "scenario": scn.name,
-        "h": float(args.h),
-        "t_end": float(args.t_end),
-        "p0": [_frac(v) for v in raw],
-        "rest_points": rest,
-        "rest_point_continua": [list(s) for s in continua],
-        "time_average": [float(v) for v in avg],
-        "recurrence": {
-            "kind": rec.kind,
-            "period": float(rec.period) if rec.period else None,
-            "detail": rec.detail,
-        },
-        "samples": samples,
-    }
-    json_path = _write_json(os.path.join(args.out, "evolve.json"), analysis)
+        with _staged(args.out, "evolve.json") as js:
+            _write_json(js, {
+                "command": "evolve",
+                "scenario": scn.name,
+                "h": float(args.h),
+                "t_end": float(args.t_end),
+                "p0": [_frac(v) for v in raw],
+                "rest_points": rest,
+                "rest_point_continua": [list(s) for s in continua],
+                "time_average": [float(v) for v in avg],
+                "recurrence": {
+                    "kind": rec.kind,
+                    "period": float(rec.period) if rec.period else None,
+                    "detail": rec.detail,
+                },
+                "samples": samples,
+            })
     print(f"scenario        {scn.name}")
     print(f"trajectory      {os.path.join(args.out, 'trajectory.csv')} ({samples} samples)")
     print(f"time average    {[f'{v:.6f}' for v in avg]}")
     print(f"recurrence      {rec.kind}" + (f" (period {rec.period:.3f})" if rec.period else ""))
-    print(f"report          {json_path}")
+    print(f"report          {os.path.join(args.out, 'evolve.json')}")
     return EXIT_OK
 
 
@@ -408,10 +404,10 @@ def cmd_quantumize(args):
 
     The surface is written one grid row at a time, each block as
     `quantum.payoff_surface_rows` makes it, under a temporary name put in
-    place after its last block (`_staged`), so a run refused before then
-    leaves the file system as it was.  The out directory is made after the
-    argument checks and before the report is printed, so an unusable --out
-    is refused first.
+    place after its last block (`_staged`), with equilibria.json staged
+    inside its block, so a refused run leaves the file system as it was.  The
+    out directory is made after the argument checks, and the summary is
+    printed once both files are in place.
     """
     quantum = gtkit.quantum
     scn = gamefile.resolve_input(args.infile)
@@ -428,22 +424,24 @@ def cmd_quantumize(args):
         gamefile.check_surface_digits((grid + 1) ** 2, form.game, "--grid")
     with _staged(args.out, "surface.csv") as fh:
         if args.padic:
-            doc = _padic_report(args, scn, form, a)
+            doc, summary = _padic_report(args, scn, form, a)
             surface = quantum.payoff_surface_rows(form, grid, exact=True)
-        else:  # the float surface refuses payoffs beyond binary64 at the call: before printing
+        else:  # the float surface refuses payoffs beyond binary64 at the call: first
             surface = quantum.payoff_surface_rows(form, grid)
-            doc = _complex_report(scn, form, a)
+            doc, summary = _complex_report(scn, form, a)
         for block in surface:
             fh.write(block + "\n")
-    doc["grid"] = grid
-    json_path = _write_json(os.path.join(args.out, "equilibria.json"), doc)
+        doc["grid"] = grid
+        with _staged(args.out, "equilibria.json") as js:
+            _write_json(js, doc)
+    print(*summary, sep="\n")
     print(f"surface         {os.path.join(args.out, 'surface.csv')}")
-    print(f"report          {json_path}")
+    print(f"report          {os.path.join(args.out, 'equilibria.json')}")
     return EXIT_OK
 
 
 def _complex_report(scn, form, a):
-    """equilibria.json of the complex mode, less the grid; prints its summary."""
+    """equilibria.json of the complex mode, less the grid, and its summary lines."""
     if a is None:
         alpha = beta = 1.0 / math.sqrt(2.0)
     elif 0 <= a <= 1:
@@ -462,18 +460,16 @@ def _complex_report(scn, form, a):
         **rep,
         "classical_mixed_payoffs": [_frac(v) for v in classical_mixed] if classical_mixed else None,
     }
-    print(f"scenario        {scn.name}")
-    print(f"equilibria      {[(str(r['p']), str(r['q'])) for r in rep['equilibria']]}")
-    if rep["continua"]:
-        print(f"continua        {[[list(map(str, c[k])) for k in 'pq'] for c in rep['continua']]}")
-    print(f"best payoffs    {[str(v) for v in rep['best_equilibrium_payoffs']]}")
-    if classical_mixed:
-        print(f"classical mixed {doc['classical_mixed_payoffs']}")
-    return doc
+    continua = [[list(map(str, c[k])) for k in "pq"] for c in rep["continua"]]
+    return doc, [f"scenario        {scn.name}",
+                 f"equilibria      {[(str(r['p']), str(r['q'])) for r in rep['equilibria']]}",
+                 *([f"continua        {continua}"] if continua else []),
+                 f"best payoffs    {[str(v) for v in rep['best_equilibrium_payoffs']]}",
+                 *([f"classical mixed {doc['classical_mixed_payoffs']}"] if classical_mixed else [])]
 
 
 def _padic_report(args, scn, form, a):
-    """equilibria.json of the p-adic mode, less the grid; prints its summary."""
+    """equilibria.json of the p-adic mode, less the grid, and its summary lines."""
     padic = gtkit.padic
     p = args.p
     prec = args.prec  # recorded in the report; every value is exact at any precision
@@ -516,10 +512,9 @@ def _padic_report(args, scn, form, a):
         "note": "Q_p carries no canonical total order; payoffs and norms are reported "
         "without declaring a p-adic equilibrium",
     }
-    print(f"scenario        {scn.name} (p-adic mode, p={p}, mu={mu})")
-    print(f"payoffs         {[e['value'] for e in doc['payoffs']]}")
-    print(f"norms           {[e['norm'] for e in doc['payoffs']]}")
-    return doc
+    return doc, [f"scenario        {scn.name} (p-adic mode, p={p}, mu={mu})",
+                 f"payoffs         {[e['value'] for e in doc['payoffs']]}",
+                 f"norms           {[e['norm'] for e in doc['payoffs']]}"]
 
 
 # ---------------------------------------------------------------------------
@@ -644,12 +639,12 @@ def cmd_padic(args):
         res["expr"] = line.strip()
         results.append(res)
 
-    out = _outdir(args)
-    path = _write_json(os.path.join(out, "padic.json"), {"command": "padic", "results": results})
+    with _staged(args.out, "padic.json") as fh:
+        _write_json(fh, {"command": "padic", "results": results})
     for res in results:
         summary = {k: v for k, v in res.items() if k not in ("op", "expr")}
         print(f"{res['expr']}  ->  {json.dumps(summary, sort_keys=True)}")
-    print(f"report          {path}")
+    print(f"report          {os.path.join(args.out, 'padic.json')}")
     return EXIT_OK
 
 

@@ -9,7 +9,6 @@ lists).  Every scenario serialized and re-parsed is value-identical.
 
 from __future__ import annotations
 
-import itertools
 import json
 import math
 import os
@@ -23,7 +22,7 @@ from .games import (
     _RATIONAL_LIMIT,
     CongestionGame,
     StrategicGame,
-    _common_denominator,
+    _integer_payoffs,
     parse_fraction,
 )
 
@@ -105,10 +104,10 @@ def check_profile_count(shape, where):
 def check_surface_digits(points, game, where):
     """SizeLimit when points times the payoff digits of a strategic game exceed
     SURFACE_DIGIT_CAP.  The payoff digits are those of the largest magnitude
-    in the game's integer table plus those of its denominator D, counted from
+    among the game's ints plus those of its denominator D, counted from
     bit lengths (within one of the decimal count): a payoff of the exact
     surface, a fraction over D times the squared grid, has about that many."""
-    largest = max(abs(v) for payoffs in game._table.values() for v in payoffs)
+    largest = max(abs(v) for s in game.profiles() for v in game.ints(s))
     digits = (largest.bit_length() + game._scale.bit_length()) * math.log10(2)
     if points * digits > SURFACE_DIGIT_CAP:
         raise errors.SizeLimit(
@@ -147,54 +146,48 @@ def _names(value, where, length=None):
 
 
 def _tensor_to_nested(game):
-    def build(prefix):
-        depth = len(prefix)
-        if depth == game.n_players:
-            return [str(v) for v in game.payoff(tuple(prefix))]
-        return [build(prefix + [s]) for s in range(game.shape[depth])]
-
-    return build([])
+    """The payoffs as nested lists of strings, grouped from the last player up."""
+    nested = [[str(v) for v in game.payoff(s)] for s in game.profiles()]
+    for k in reversed(game.shape):
+        nested = [nested[at:at + k] for at in range(0, len(nested), k)]
+    return nested[0]
 
 
 def _parse_payoffs(nested, shape, n_players, where="payoffs"):
     """The payoffs of the nested arrays, checked against the shape and read
     depth first into one flat list, each literal read once by `_payoff`, to an
     int or a Fraction, so an error names the first bad position.  Every
-    strategic game file's payoffs are read here."""
+    strategic game file's payoffs are read here, by an explicit stack: a
+    recursive closure would hold itself, and the values, in a cycle."""
     values = []
-
-    def walk(node, prefix):
+    stack = [(nested, ())]
+    while stack:
+        node, prefix = stack.pop()
         depth = len(prefix)
         if depth == n_players:
             if not isinstance(node, list) or len(node) != n_players:
                 raise errors.ParseError(f"{where}{list(prefix)}: expected {n_players} payoffs")
             values.extend([_payoff(v, where, prefix) for v in node])
-            return
+            continue
         if not isinstance(node, list) or len(node) != shape[depth]:
             raise errors.ParseError(
                 f"{where}{list(prefix)}: expected {shape[depth]} entries, got "
                 f"{len(node) if isinstance(node, list) else type(node).__name__}"
             )
-        for i, child in enumerate(node):
-            walk(child, prefix + (i,))
-
-    walk(nested, ())
+        stack += [(node[i], prefix + (i,)) for i in reversed(range(len(node)))]
     return values
 
 
 def _strategic_game(strategies, shape, payoffs):
     """The StrategicGame of a file's checked strategy lists and its payoff
-    arrays, with its integer table made in this one pass: `_parse_payoffs`
-    reads the payoffs depth first, so an error names the first bad position,
-    and the values go over their common denominator."""
+    arrays: `_parse_payoffs` reads the payoffs depth first, so an error names
+    the first bad position, and `games._integer_payoffs` puts the values over
+    their common denominator, as `StrategicGame` does."""
     n = len(shape)
     values = _parse_payoffs(payoffs, shape, n)
     if n < 2:  # refused after the payoffs are read, as StrategicGame refuses it
         raise errors.InvalidArgument("a strategic game needs at least 2 players")
-    scale = _common_denominator(values, "payoff")
-    ints = [v.numerator * (scale // v.denominator) for v in values]
-    table = dict(zip(itertools.product(*map(range, shape)), zip(*[iter(ints)] * n)))
-    return StrategicGame._checked(tuple(map(tuple, strategies)), scale, table)
+    return StrategicGame._checked(tuple(map(tuple, strategies)), *_integer_payoffs(values, n))
 
 
 def scenario_to_dict(scn):

@@ -1,12 +1,12 @@
 """Exact-rational normal-form games: equilibria, dominance, welfare, bargaining.
 
-A strategic game keeps its payoffs as one table of Python ints over one
-common denominator D > 0, the lcm of the payoff denominators: player i's
-payoff at profile s is ``table[s][i] / D``.  Scaling every payoff by the same
-D > 0 keeps every argmax, dominance, Pareto, best-reply and equilibrium
-relation, so equilibria, dominance and welfare are decided by comparing and
-summing integers; a value leaves this module as an exact
-``fractions.Fraction``, divided by D only there.  No floats enter any
+A strategic game keeps its payoffs as Python ints over one common denominator
+D > 0, the lcm of the payoff denominators: one tuple per player in profile
+order, read by index (`_strides`) and context slice (`_context`) here alone.
+Scaling every payoff by the same D > 0 keeps every argmax, dominance, Pareto,
+best-reply and equilibrium relation, so equilibria, dominance and welfare are
+decided by comparing and summing integers; a value leaves this module as an
+exact ``fractions.Fraction``, divided by D only there.  No floats enter any
 decision, so every result here is bit-reproducible.  Games are immutable
 after construction and all operations are pure functions.
 """
@@ -91,6 +91,14 @@ def _common_denominator(values, what, bounded=True):
     return scale
 
 
+def _integer_payoffs(values, n):
+    """(D, per-player tuples of ints times D) of a game's rationals, n per
+    profile in lexicographic profile order: the one conversion of payoffs."""
+    scale = _common_denominator(values, "payoff")
+    ints = [v.numerator * (scale // v.denominator) for v in values]
+    return scale, tuple(tuple(ints[i::n]) for i in range(n))
+
+
 def _vector(values, what, at=None, length=None):
     """The entries of a vector argument: a list or tuple as it is, another
     iterable (a numpy array) as a tuple, of the given length when there is
@@ -136,6 +144,19 @@ def _profile(profile, shape):
     return None
 
 
+@cache
+def _strides(shape):
+    """Each player's stride in lexicographic profile order: s is at sum(s[i] * stride[i])."""
+    return tuple(math.prod(shape[i + 1:]) for i in range(len(shape)))
+
+
+def _context(shape, i, profile):
+    """The slice of the profiles that differ from `profile` in player i's strategy alone."""
+    strides = _strides(shape)
+    start = sum(map(mul, profile, strides)) - profile[i] * strides[i]
+    return slice(start, start + shape[i] * strides[i], strides[i])
+
+
 class StrategicGame:
     """Finite n-player normal-form game with exact-rational payoffs.
 
@@ -147,8 +168,9 @@ class StrategicGame:
     vector may be a string.
     A payoff is read by `as_fraction`: an int (numpy ones too), a Fraction
     or a string like "2/5".  The game keeps
-    them as one integer table over their common denominator D (see the
-    module docstring); a D of over RATIONAL_DIGITS digits is SizeLimit.
+    them as ints over their common denominator D, one tuple per player in
+    profile order (see the module docstring); a D of over RATIONAL_DIGITS
+    digits is SizeLimit.
     """
 
     def __init__(self, strategy_names, payoffs):
@@ -162,17 +184,19 @@ class StrategicGame:
         self._shape = tuple(len(per_player) for per_player in names)
         n = len(names)
 
-        rows = {}
         if hasattr(payoffs, "keys"):
+            rows = {}
             for profile, vector in payoffs.items():
                 try:
                     profile = self.validate_profile(profile)
                 except errors.InvalidProfile as exc:
                     raise errors.InvalidArgument(f"payoff map key: {exc}") from exc
                 rows[profile] = tuple(map(_rational, _vector(vector, "payoffs", profile, n)))
+            values = []
             for profile in self.profiles():
                 if profile not in rows:
                     raise errors.InvalidArgument(f"payoff map is not total: missing {profile}")
+                values += rows[profile]
         else:
             # one level per player, each prefix's children in order: the
             # profiles come out in lexicographic order
@@ -180,30 +204,26 @@ class StrategicGame:
             for k in self._shape:
                 cells = [(prefix + (i,), child) for prefix, node in cells
                          for i, child in enumerate(_vector(node, "payoffs", prefix, k))]
-            for profile, cell in cells:
-                rows[profile] = tuple(map(_rational, _vector(cell, "payoffs", profile, n)))
-        scale = _common_denominator((v for u in rows.values() for v in u), "payoff")
-        for s, u in rows.items():  # in place: the rational rows are not kept
-            rows[s] = tuple(v.numerator * (scale // v.denominator) for v in u)
-        self._scale = scale
-        self._table = rows
+            values = [_rational(v) for profile, cell in cells
+                      for v in _vector(cell, "payoffs", profile, n)]
+        self._scale, self._payoffs = _integer_payoffs(values, n)
 
     @classmethod
-    def _checked(cls, names, scale, table):
-        """A game from checked name tuples (at least 2, none empty) and an
-        integer table over the denominator scale > 0: every profile of the
-        shape once, each with one int per player.  Table and scale are
-        divided by their gcd, so that the scale is the lcm of the payoff
-        denominators, as `__init__` makes it and as `==` needs."""
-        g = math.gcd(scale, *(v for u in table.values() for v in u)) if scale > 1 else 1
+    def _checked(cls, names, scale, payoffs):
+        """A game from checked name tuples (at least 2, none empty) and one
+        tuple of ints per player over the denominator scale > 0, one int per
+        profile in lexicographic order.  Payoffs and scale are divided by their
+        gcd, so that the scale is the lcm of the payoff denominators, as
+        `__init__` makes it and as `==` needs."""
+        g = math.gcd(scale, *(v for u in payoffs for v in u)) if scale > 1 else 1
         if g > 1:
             scale //= g
-            table = {s: tuple(v // g for v in u) for s, u in table.items()}
+            payoffs = tuple(tuple(v // g for v in u) for u in payoffs)
         game = cls.__new__(cls)
         game._names = names
         game._shape = tuple(map(len, names))
         game._scale = scale
-        game._table = table
+        game._payoffs = payoffs
         return game
 
     @property
@@ -234,7 +254,12 @@ class StrategicGame:
     def payoff(self, profile):
         """Payoff vector u(s), one Fraction per player."""
         scale = self._scale
-        return tuple(Fraction(v, scale) for v in self._table[self.validate_profile(profile)])
+        return tuple(Fraction(v, scale) for v in self.ints(self.validate_profile(profile)))
+
+    def ints(self, profile):
+        """u(s) times D at a valid profile, unchecked: how other modules read payoffs."""
+        at = sum(map(mul, profile, _strides(self._shape)))
+        return tuple(u[at] for u in self._payoffs)
 
     def labels(self, profile):
         return tuple(self._names[i][s] for i, s in enumerate(profile))
@@ -244,11 +269,11 @@ class StrategicGame:
             isinstance(other, StrategicGame)
             and self._names == other._names
             and self._scale == other._scale
-            and self._table == other._table
+            and self._payoffs == other._payoffs
         )
 
     def __hash__(self):
-        return hash((self._names, self._scale, tuple(sorted(self._table.items()))))
+        return hash((self._names, self._scale, self._payoffs))
 
     def __repr__(self):
         return f"StrategicGame(shape={self._shape})"
@@ -361,12 +386,6 @@ def pure_to_mixed(game, profile):
     )
 
 
-def _deviations(profile, i, k):
-    """The k profiles that differ from `profile` only in player i's strategy, in strategy order."""
-    head, tail = profile[:i], profile[i + 1:]
-    return [head + (s,) + tail for s in range(k)]
-
-
 def _weights(mixed):
     """Each player's mixture as integer weights over its common denominator,
     which, the mixture summing to 1, is the sum of the weights.  Unbounded:
@@ -383,10 +402,10 @@ def _strategy_values(game, player, weights):
     integer weights, as integers in one scale: D times the product of the
     others' weight sums."""
     values = [0] * game.shape[player]
-    for profile, u in game._table.items():
+    for profile, u in zip(game.profiles(), game._payoffs[player]):
         prob = math.prod(weights[j][s] for j, s in enumerate(profile) if j != player)
         if prob:
-            values[profile[player]] += prob * u[player]
+            values[profile[player]] += prob * u
     return values
 
 
@@ -409,25 +428,21 @@ def pure_nash(game):
     profile without its own strategy); a profile is an equilibrium when each
     player's payoff there equals its context's maximum, which is the weak
     inequality against every unilateral deviation.  O(N n) comparisons for N
-    profiles of n players.  In lexicographic profile order player i's
-    strategies are ``stride`` apart, so each block of ``k * stride``
-    profiles holds ``stride`` contexts side by side.
+    profiles of n players.  Player i's strategies are ``stride`` apart, so
+    each block of ``k * stride`` profiles holds ``stride`` contexts side by
+    side.
     """
-    profiles = list(game.profiles())
-    rows = list(map(game._table.__getitem__, profiles))
-    stable = [True] * len(rows)
-    stride = len(rows)
-    for i, k in enumerate(game.shape):
-        block, stride = stride, stride // k
+    stable = [True] * len(game._payoffs[0])
+    for pay, k, stride in zip(game._payoffs, game.shape, _strides(game.shape)):
         if k == 1:
             continue
-        pay = [u[i] for u in rows]
+        block = k * stride
         best = []  # per profile, the maximum of its context
         for start in range(0, len(pay), block):
             runs = [pay[at:at + stride] for at in range(start, start + block, stride)]
             best += list(map(max, *runs)) * k
         stable = list(map(and_, stable, map(eq, pay, best)))
-    return {s for s, ok in zip(profiles, stable) if ok}
+    return {s for s, ok in zip(game.profiles(), stable) if ok}
 
 
 class EliminationStep(NamedTuple):
@@ -451,7 +466,6 @@ def iterated_elimination(game):
     profiles; passes repeat until a fixpoint.  The trace records eliminations
     in order with original strategy indices.
     """
-    table = game._table
     surviving = [list(range(k)) for k in game.shape]
     trace = []
     rnd = 0
@@ -459,12 +473,12 @@ def iterated_elimination(game):
     while changed:
         changed = False
         rnd += 1
-        for i, k in enumerate(game.shape):
+        for i, pay in enumerate(game._payoffs):
             if len(surviving[i]) == 1:
                 continue
             # one column of player i's payoffs per surviving opponent profile
             contexts = itertools.product(*(s if j != i else (0,) for j, s in enumerate(surviving)))
-            columns = [[table[alt][i] for alt in _deviations(c, i, k)] for c in contexts]
+            columns = [pay[_context(game.shape, i, c)] for c in contexts]
             doomed = []
             for a in surviving[i]:
                 for b in surviving[i]:
@@ -479,10 +493,10 @@ def iterated_elimination(game):
                 changed = True
 
     names = tuple(tuple(game.strategy_names[i][s] for s in surviving[i]) for i in range(game.n_players))
-    # the surviving lists stay sorted, so old and new profiles enumerate in step
-    reduced = StrategicGame._checked(names, game._scale, dict(zip(
-        itertools.product(*(range(len(s)) for s in surviving)),
-        map(table.__getitem__, itertools.product(*surviving)))))
+    # the surviving lists stay sorted, so the kept profiles come in the reduced game's order
+    kept = [sum(map(mul, s, _strides(game.shape))) for s in itertools.product(*surviving)]
+    payoffs = tuple(tuple(map(pay.__getitem__, kept)) for pay in game._payoffs)
+    reduced = StrategicGame._checked(names, game._scale, payoffs)
     return EliminationResult(reduced, tuple(tuple(s) for s in surviving), tuple(trace))
 
 
@@ -515,9 +529,9 @@ def equilibrium_set_2x2(game):
     """
     if game.shape != (2, 2):
         raise errors.UnsupportedShape(f"needs a 2x2 game, got shape {game.shape}")
-    u = [game._table[s] for s in game.profiles()]
-    rows = _best_reply_graph(u[1][0] - u[3][0], u[0][0] - u[2][0])
-    cols = _best_reply_graph(u[2][1] - u[3][1], u[0][1] - u[1][1])
+    a, b = game._payoffs
+    rows = _best_reply_graph(a[1] - a[3], a[0] - a[2])
+    cols = _best_reply_graph(b[2] - b[3], b[0] - b[1])
     found = set()
     for (p1, q1), (q2, p2) in itertools.product(rows, cols):
         box = tuple((max(x[0], y[0]), min(x[1], y[1])) for x, y in ((p1, p2), (q1, q2)))
@@ -553,7 +567,7 @@ def support_enumeration(game):
     equilibrium with unequal supports), solves each player's equalizer
     system for the opponent's mixture, and keeps solutions with positive
     support probabilities and no profitable outside deviation.  The systems
-    of all pairs are read off the game's integer table by Cramer's rule, as
+    of all pairs are read off the game's payoff tuples by Cramer's rule, as
     signed numerators over their sum, from one table of minors per payoff
     matrix filled bottom-up (`_linsolve.support_equalizers`); only a
     singular bordered system goes to Bareiss elimination, which tells "none"
@@ -570,9 +584,9 @@ def support_enumeration(game):
     m, n = game.shape
     if m > 5 or n > 5:
         raise errors.SizeLimit("support enumeration is limited to 5 strategies per player")
-    table = game._table
-    A = [[table[i, j][0] for j in range(n)] for i in range(m)]
-    Bt = [[table[i, j][1] for i in range(m)] for j in range(n)]
+    a, b = game._payoffs
+    A = [a[i * n:(i + 1) * n] for i in range(m)]
+    Bt = [b[j::n] for j in range(n)]
 
     nums_a = support_equalizers(A, _minor_layout(m, n))
     nums_bt = support_equalizers(Bt, _minor_layout(n, m))
@@ -665,7 +679,7 @@ def pareto_optimal_profiles(game):
     second payoff, and which a kept vector replaces.
     With more players each vector is tested against every maximal one kept.
     """
-    ranked = sorted(((u, s) for s, u in game._table.items()), reverse=True)
+    ranked = sorted(zip(zip(*game._payoffs), game.profiles()), reverse=True)
     out = set()
     if game.n_players <= 3:
         flat = game.n_players == 2  # a constant third payoff
@@ -700,9 +714,9 @@ def pareto_optimal_profiles(game):
 
 def social_optimum(game):
     """Welfare-maximizing profiles and the maximal welfare, ties included."""
-    welfare = {s: sum(u) for s, u in game._table.items()}
-    best = max(welfare.values())
-    return {s for s, w in welfare.items() if w == best}, Fraction(best, game._scale)
+    welfare = list(map(sum, zip(*game._payoffs)))
+    best = max(welfare)
+    return {s for s, w in zip(game.profiles(), welfare) if w == best}, Fraction(best, game._scale)
 
 
 def price_of_anarchy(game):
@@ -718,7 +732,7 @@ def anarchy_ratio(game, equilibria, best):
     """The price of anarchy from the pure equilibria and the maximal welfare in hand."""
     if not equilibria:
         raise errors.NoEquilibrium("no pure Nash equilibrium")
-    worst_ne = Fraction(min(sum(game._table[s]) for s in equilibria), game._scale)
+    worst_ne = Fraction(min(sum(game.ints(s)) for s in equilibria), game._scale)
     if worst_ne <= 0:
         raise errors.UndefinedRatio(f"equilibrium welfare {worst_ne} is not positive")
     return Fraction(best) / worst_ne
@@ -748,14 +762,13 @@ def is_correlated_equilibrium(game, dist):
     if any(w < 0 for w in weights.values()) or sum(weights.values()) != den:
         raise errors.InvalidArgument("not a joint probability distribution")
 
-    table = game._table
     margins = {(i, rec, dev): 0  # keyed (player, recommended, deviation), in order
                for i, k in enumerate(game.shape) for rec in range(k) for dev in range(k)}
     for profile, w in weights.items():
-        u = table[profile]
-        for i, k in enumerate(game.shape):
-            for dev, alt in enumerate(_deviations(profile, i, k)):
-                margins[i, profile[i], dev] += w * (u[i] - table[alt][i])
+        for i, pay in enumerate(game._payoffs):
+            row = pay[_context(game.shape, i, profile)]
+            for dev, alt in enumerate(row):
+                margins[i, profile[i], dev] += w * (row[profile[i]] - alt)
     scale = den * game._scale
     worst = min(margins.values())
     violations = tuple((*key, Fraction(m, scale)) for key, m in margins.items() if m < 0)
@@ -857,12 +870,12 @@ def congestion_to_strategic(cg):
         tuple("+".join(cg.resource_names[j] for j in strat) for strat in per_player)
         for per_player in cg.strategies
     )
-    table = {}
+    rows = []
     for profile in itertools.product(*(range(len(s)) for s in cg.strategies)):
         counts = cg.usage(profile)
-        table[profile] = tuple(-sum(cg.costs[j][counts[j] - 1] for j in cg.strategies[i][s])
-                               for i, s in enumerate(profile))
-    return StrategicGame._checked(names, cg.scale, table)
+        rows.append(tuple(-sum(cg.costs[j][counts[j] - 1] for j in cg.strategies[i][s])
+                          for i, s in enumerate(profile)))
+    return StrategicGame._checked(names, cg.scale, tuple(zip(*rows)))
 
 
 def check_potential(game, potential):
@@ -876,10 +889,10 @@ def check_potential(game, potential):
     # phi over its common denominator P and payoffs over D: compare the
     # differences times P * D in integers
     den = _common_denominator(phi.values(), "potential")
-    phi = {s: v.numerator * (den // v.denominator) * game._scale for s, v in phi.items()}
-    table = game._table
-    return all(phi[s] - phi[alt] == (u[i] - table[alt][i]) * den for s, u in table.items()
-               for i, k in enumerate(game.shape) for alt in _deviations(s, i, k))
+    phi = [phi[s].numerator * (den // phi[s].denominator) * game._scale for s in game.profiles()]
+    return all(phi[at] - x == (pay[at] - y) * den for at, s in enumerate(game.profiles())
+               for i, pay in enumerate(game._payoffs) for ctx in (_context(game.shape, i, s),)
+               for x, y in zip(phi[ctx], pay[ctx]))
 
 
 class BRDResult(NamedTuple):
@@ -898,9 +911,8 @@ def best_response_step(game, profile):
     """The next profile of a best-response path from a valid profile, or None
     at a fixed profile: the lowest-index player with a strict improvement
     moves to their lowest-index best response."""
-    table = game._table
-    for i, k in enumerate(game.shape):
-        values = [table[alt][i] for alt in _deviations(profile, i, k)]
+    for i, pay in enumerate(game._payoffs):
+        values = pay[_context(game.shape, i, profile)]
         top = max(values)
         if top > values[profile[i]]:
             return profile[:i] + (values.index(top),) + profile[i + 1:]

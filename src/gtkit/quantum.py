@@ -119,9 +119,9 @@ def _surface(form, grid_n, exact=False):
         raise errors.InvalidArgument("expected a quantum.ClassicalForm")
     if grid_n < 1:
         raise errors.InvalidArgument("grid_n must be >= 1")
-    if exact:  # the game's own integer table over its denominator D
+    if exact:  # the game's own ints over its denominator D
         game = form.game
-        return _exact_rows([game._table[s] for s in PROFILES], game._scale, grid_n)
+        return _exact_rows([game.ints(s) for s in PROFILES], game._scale, grid_n)
     payoffs = [form.game.payoff(s) for s in PROFILES]
     try:
         floats = [[float(x) for x in u] for u in payoffs]

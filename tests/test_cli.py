@@ -2,6 +2,7 @@
 
 import copy
 import errno
+import gc
 import itertools
 import json
 import os
@@ -25,6 +26,7 @@ from gtkit.cli import (
     EXIT_PARSE,
     EXIT_SIZE,
     EXIT_VALIDATION,
+    _staged,
     _to_strategic,
     _write_json,
     build_parser,
@@ -62,6 +64,23 @@ def test_scenarios_load_and_round_trip():
     scn = gamefile.parse_dict(doc)
     assert gamefile.loads(gamefile.dumps(scn)) == scn
     assert scn.game.costs == ((1, 2), (1, 2))
+
+
+def test_a_game_file_read_or_written_leaves_no_reference_cycle(tmp_path):
+    # the parsed payoff values are freed when the load returns, not at the next
+    # cyclic collection (a 58^3 game's values take about 20 MiB), and so is the
+    # nested payoff document of a game written back
+    path = tmp_path / "game.json"
+    path.write_text(gamefile.dumps(gamefile.load_scenario("bos")))
+    gc.collect()
+    gc.disable()
+    try:
+        for name in gamefile.SCENARIO_NAMES:
+            gamefile.scenario_to_dict(gamefile.load_scenario(name))
+        gamefile.load_path(str(path))
+        assert gc.collect() == 0
+    finally:
+        gc.enable()
 
 
 def test_unknown_scenario():
@@ -1845,6 +1864,29 @@ def test_a_surface_that_fails_after_its_first_block_leaves_the_out_directory_as_
     assert not (tmp_path / "fresh").exists()
 
 
+@pytest.mark.parametrize("argv,name", [
+    (["analyze", "--in", "bos"], "analyze.json"),
+    (["padic", "--expr", "expand 1/3 @ 7"], "padic.json"),
+    (["evolve", "--in", "rps", "--t-end", "1"], "trajectory.csv"),
+    (["evolve", "--in", "rps", "--t-end", "1"], "evolve.json"),
+    (["quantumize", "--in", "bos", "--grid", "2"], "surface.csv"),
+    (["quantumize", "--in", "bos", "--grid", "2"], "equilibria.json"),
+    (["quantumize", "--in", "bos", "--grid", "2", "--padic"], "equilibria.json"),
+], ids=["analyze", "padic", "evolve-csv", "evolve-json", "quantumize-csv", "quantumize-json",
+        "quantumize-padic-json"])
+def test_a_report_that_is_a_directory_refuses_the_run_and_places_no_file(
+        tmp_path, capsys, argv, name):
+    # every report is staged, and a run places all its files or none
+    (tmp_path / name).mkdir()
+    assert main([*argv, "--out", str(tmp_path)]) == EXIT_VALIDATION
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert captured.err == (
+        f"error (validation): cannot write {tmp_path / name}: Is a directory\n")
+    assert os.listdir(tmp_path) == [name]
+    assert os.listdir(tmp_path / name) == []
+
+
 def test_a_json_report_is_written_as_it_is_encoded(tmp_path):
     # 10**5 profile rows, each profile twice, as `gt analyze` lists a constant-sum
     # game's: json.dumps would hold every encoder chunk and then their join, a
@@ -1854,12 +1896,13 @@ def test_a_json_report_is_written_as_it_is_encoded(tmp_path):
               "value": 0.1}
     tracemalloc.start()
     try:
-        path = _write_json(str(tmp_path / "report.json"), report)
+        with _staged(str(tmp_path), "report.json") as fh:
+            _write_json(fh, report)
         peak = tracemalloc.get_traced_memory()[1]
     finally:
         tracemalloc.stop()
     assert peak < 2**20
-    with open(path, "rb") as fh:
+    with open(tmp_path / "report.json", "rb") as fh:
         text = json.dumps(report, sort_keys=True, indent=2, default=float) + "\n"
         assert fh.read() == text.encode("utf-8")
 

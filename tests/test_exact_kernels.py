@@ -1690,10 +1690,11 @@ def tied_games(draw):
 
 @st.composite
 def pure_nash_games(draw):
-    """A 2- to 4-player game with 1-3 strategies each and payoffs k/d for k in
+    """A 2- to 5-player game with 1-3 strategies each and payoffs k/d for k in
     {-2..2} and d in {1, 2, 3}; in about half of them the payoffs of every
-    profile sum to one constant, the last player's being the rest."""
-    shape = draw(st.lists(st.integers(1, 3), min_size=2, max_size=4))
+    profile sum to one constant, the last player's being the rest.  With 3 or
+    more players a middle player's stride is neither 1 nor the largest."""
+    shape = draw(st.lists(st.integers(1, 3), min_size=2, max_size=5))
     profiles = list(itertools.product(*(range(k) for k in shape)))
     payoff = rationals_over(2, [1, 2, 3])
     constant = draw(st.one_of(st.none(), payoff))

@@ -1,7 +1,9 @@
 """Tests for the exact-rational game core."""
 
+import itertools
 import re
 from fractions import Fraction
+from operator import mul
 
 import numpy as np
 import pytest
@@ -276,6 +278,51 @@ def test_equal_games_are_equal_however_their_payoffs_are_written():
         other = StrategicGame([["a", "b"], ["c"]], payoffs)
         assert other == as_ints and hash(other) == hash(as_ints)
     assert StrategicGame([["a", "b"], ["c"]], [[(1, -2)], [(0, F(9, 2))]]) != as_ints
+
+
+@st.composite
+def layout_cases(draw):
+    """A game of 2-5 players with 1-4 strategies each, built from one table of
+    distinct payoffs k/d by the nested form, the mapping form (its profiles
+    shuffled) and `_checked`, with that table."""
+    shape = tuple(draw(st.lists(st.integers(1, 4), min_size=2, max_size=5)))
+    n, profiles = len(shape), list(itertools.product(*map(range, shape)))
+    names = tuple(tuple(f"s{i}" for i in range(k)) for k in shape)
+    den = draw(st.sampled_from([1, 2, 6]))
+    rng = draw(st.randoms(use_true_random=False))
+    nums = list(range(-len(profiles) * n, 0))
+    rng.shuffle(nums)  # distinct, so a misplaced payoff cannot read as right
+    table = {s: tuple(F(v, den) for v in nums[at * n:at * n + n]) for at, s in enumerate(profiles)}
+
+    def nested(prefix):
+        if len(prefix) == n:
+            return table[prefix]
+        return [nested(prefix + (i,)) for i in range(shape[len(prefix)])]
+
+    ints = tuple(tuple(int(table[s][i] * den) for s in profiles) for i in range(n))
+    built = (StrategicGame(names, nested(())),
+             StrategicGame(names, dict(rng.sample(sorted(table.items()), len(table)))),
+             StrategicGame._checked(names, den, ints))
+    return built, table
+
+
+@settings(max_examples=100, deadline=None)
+@given(layout_cases())
+def test_the_payoff_index_and_context_slices_follow_the_profile_order(case):
+    built, table = case
+    assert built[0] == built[1] == built[2]
+    assert len({hash(game) for game in built}) == 1
+    for game in built:
+        strides = games._strides(game.shape)
+        assert list(game.profiles()) == sorted(table)
+        for at, s in enumerate(game.profiles()):
+            assert sum(map(mul, s, strides)) == at
+            assert game.payoff(s) == table[s]
+            assert game.ints(s) == tuple(pay[at] for pay in game._payoffs)
+            assert tuple(F(v, game._scale) for v in game.ints(s)) == table[s]
+            for i, (pay, k) in enumerate(zip(game._payoffs, game.shape)):
+                context = [F(v, game._scale) for v in pay[games._context(game.shape, i, s)]]
+                assert context == [table[s[:i] + (b,) + s[i + 1:]][i] for b in range(k)]
 
 
 # ---------------------------------------------------------------------------

@@ -482,19 +482,25 @@ def test_the_raise_rule_catches_an_unraised_class():
 STORED_RUN_NAMES = ("integrate", "time_average", "detect_recurrence", "csv_rows")
 
 
+def _attribute_uses(tree, names):
+    """(line, name) of every use of an attribute of one of the names: as an
+    attribute, or a getattr with that literal."""
+    for node in ast.walk(tree):
+        if isinstance(node, ast.Attribute) and node.attr in names:
+            yield node.lineno, node.attr
+        elif (isinstance(node, ast.Call) and isinstance(node.func, ast.Name)
+              and node.func.id == "getattr" and len(node.args) > 1
+              and isinstance(node.args[1], ast.Constant) and node.args[1].value in names):
+            yield node.lineno, node.args[1].value
+
+
 def _stored_run_uses(tree):
     """(line, name) of every reference to a function that holds or walks a whole
     trajectory: as a name, an attribute, or a getattr with that literal."""
     for node in ast.walk(tree):
         if isinstance(node, ast.Name) and node.id in STORED_RUN_NAMES:
             yield node.lineno, node.id
-        elif isinstance(node, ast.Attribute) and node.attr in STORED_RUN_NAMES:
-            yield node.lineno, node.attr
-        elif (isinstance(node, ast.Call) and isinstance(node.func, ast.Name)
-              and node.func.id == "getattr" and len(node.args) > 1
-              and isinstance(node.args[1], ast.Constant)
-              and node.args[1].value in STORED_RUN_NAMES):
-            yield node.lineno, node.args[1].value
+    yield from _attribute_uses(tree, STORED_RUN_NAMES)
 
 
 def test_the_cli_streams_every_run():
@@ -516,6 +522,35 @@ def test_the_stored_run_rule_sees_every_form():
         "chunk.csv_lines()\n"
     )
     assert sorted(line for line, _ in _stored_run_uses(tree)) == [1, 3, 4, 5, 6]
+
+
+PAYOFF_STORAGE = ("_payoffs", "_table")
+
+
+def test_only_games_reads_the_payoff_storage():
+    # the layout of a StrategicGame's payoffs is known in games.py alone; every
+    # other module reads a profile's payoffs through StrategicGame.ints
+    found = {
+        path.name
+        for path in SOURCES
+        for _ in _attribute_uses(ast.parse(path.read_text(encoding="utf-8")), PAYOFF_STORAGE)
+    }
+    assert found == {"games.py"}
+
+
+def test_the_payoff_storage_rule_sees_every_form():
+    tree = ast.parse(
+        "game._payoffs[0][at]\n"
+        "t = g._table\n"
+        "getattr(game, '_payoffs')\n"
+        "self._payoffs = payoffs\n"
+        "a, b = other._payoffs\n"
+        "game.ints(s)\n"
+        "payoffs = game.payoff(s)\n"
+        "getattr(game, name)\n"
+        "_table = {}\n"
+    )
+    assert sorted(line for line, _ in _attribute_uses(tree, PAYOFF_STORAGE)) == [1, 2, 3, 4, 5]
 
 
 def _file_reads(tree):
