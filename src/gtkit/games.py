@@ -86,16 +86,26 @@ def _common_denominator(values, what, bounded=True):
     for den in {v.denominator for v in values}:
         scale = math.lcm(scale, den)
         if bounded and scale >= _RATIONAL_LIMIT:
-            raise errors.SizeLimit(
-                f"the {what} denominators have a common multiple over {RATIONAL_DIGITS} digits")
+            raise _too_long(what)
     return scale
+
+
+def _too_long(what):
+    return errors.SizeLimit(
+        f"the {what} denominators have a common multiple over {RATIONAL_DIGITS} digits")
 
 
 def _integer_payoffs(values, n):
     """(D, per-player tuples of ints times D) of a game's rationals, n per
-    profile in lexicographic profile order: the one conversion of payoffs."""
+    profile in lexicographic profile order: the one conversion of payoffs.
+    When D is 1 and every value is an int, the values are their own ints, so
+    no scaled copy is made (a Fraction of denominator 1 is still copied, so
+    the tuples hold ints alone)."""
     scale = _common_denominator(values, "payoff")
-    ints = [v.numerator * (scale // v.denominator) for v in values]
+    if scale == 1 and all(type(v) is int for v in values):
+        ints = values
+    else:
+        ints = [v.numerator * (scale // v.denominator) for v in values]
     return scale, tuple(tuple(ints[i::n]) for i in range(n))
 
 
@@ -214,11 +224,14 @@ class StrategicGame:
         tuple of ints per player over the denominator scale > 0, one int per
         profile in lexicographic order.  Payoffs and scale are divided by their
         gcd, so that the scale is the lcm of the payoff denominators, as
-        `__init__` makes it and as `==` needs."""
+        `__init__` makes it and as `==` needs; as there, a scale so reduced of
+        over RATIONAL_DIGITS digits is SizeLimit."""
         g = math.gcd(scale, *(v for u in payoffs for v in u)) if scale > 1 else 1
         if g > 1:
             scale //= g
             payoffs = tuple(tuple(v // g for v in u) for u in payoffs)
+        if scale >= _RATIONAL_LIMIT:
+            raise _too_long("payoff")
         game = cls.__new__(cls)
         game._names = names
         game._shape = tuple(map(len, names))
@@ -417,6 +430,22 @@ def expected_payoff(game, mixed):
                  for i, own in enumerate(weights))
 
 
+def _product_weights(p, q):
+    """The integer weights of the profiles 00, 01, 10, 11 under ((p, 1-p), (q, 1-q))
+    for exact p = pn/pd and q = qn/qd, and their denominator pd qd."""
+    pn, pd, qn, qd = p.numerator, p.denominator, q.numerator, q.denominator
+    return (pn * qn, pn * (qd - qn), (pd - pn) * qn, (pd - pn) * (qd - qn)), pd * qd
+
+
+def payoffs_2x2(game, p, q):
+    """`expected_payoff` of a 2x2 game under ((p, 1-p), (q, 1-q)) in closed form,
+    for exact p and q in [0, 1], unchecked: each payoff is the profile weights
+    of `_product_weights` times the game's ints, over D pd qd."""
+    weights, den = _product_weights(p, q)
+    den *= game._scale
+    return tuple(Fraction(sum(map(mul, weights, u)), den) for u in game._payoffs)
+
+
 # ---------------------------------------------------------------------------
 # equilibria
 
@@ -546,6 +575,8 @@ def mixed_ne_2x2(game):
 
     Read off `equilibrium_set_2x2`: the corners of the square it holds, and
     an isolated point strictly inside (0,1) x (0,1); everything is exact.
+    Each payoff pair is `payoffs_2x2`, the closed form on the game's ints,
+    as every equilibrium is a valid mixed profile by construction.
     """
     results = set()
     for (p_lo, p_hi), (q_lo, q_hi) in equilibrium_set_2x2(game):
@@ -553,7 +584,7 @@ def mixed_ne_2x2(game):
         for p, q in itertools.product((p_lo, p_hi), (q_lo, q_hi)):
             if {p, q} <= {0, 1} or (point and 0 < p < 1 and 0 < q < 1):
                 results.add(((p, 1 - p), (q, 1 - q)))
-    return [(m, expected_payoff(game, m)) for m in sorted(results)]
+    return [(m, payoffs_2x2(game, m[0][0], m[1][0])) for m in sorted(results)]
 
 
 # The minor table's bitmask bookkeeping depends on the shape alone: made once per shape.
@@ -668,7 +699,9 @@ def pareto_optimal_profiles(game):
     each dominated vector is dominated by a maximal one, so after a descending
     sort every profile is tested only against the maximal vectors kept so far,
     each as large in the first payoff.  A vector equal to the last one kept is
-    kept with it, as equal vectors are all kept or all dropped.
+    kept with it, as equal vectors are all kept or all dropped, so their order
+    in the sort does not matter.  The sort orders profile indices by their
+    payoff vectors, and the kept indices pick the profiles at the end.
     With 2 or 3 players it is a sweep over a staircase of the kept vectors'
     last two payoffs (Kung, Luccio & Preparata 1975), a 2-player vector read
     with a constant third: the points no other one weakly beats in both, the
@@ -679,13 +712,15 @@ def pareto_optimal_profiles(game):
     second payoff, and which a kept vector replaces.
     With more players each vector is tested against every maximal one kept.
     """
-    ranked = sorted(zip(zip(*game._payoffs), game.profiles()), reverse=True)
-    out = set()
+    vectors = list(zip(*game._payoffs))
+    ranked = sorted(range(len(vectors)), key=vectors.__getitem__, reverse=True)
+    kept = bytearray(len(vectors))  # by profile index
     if game.n_players <= 3:
         flat = game.n_players == 2  # a constant third payoff
         last = None
         seconds, thirds = [], []  # the staircase
-        for u, s in ranked:
+        for k in ranked:
+            u = vectors[k]
             if u != last:
                 second, third = u[1], 0 if flat else u[2]
                 at = bisect_left(seconds, second)
@@ -700,16 +735,17 @@ def pareto_optimal_profiles(game):
                 seconds[start:end] = [second]
                 thirds[start:end] = [third]
                 last = u
-            out.add(s)
-        return out
-    maxima = []
-    for u, s in ranked:
-        if maxima and maxima[-1] == u:  # ties with the maximal vector just kept
-            out.add(s)
-        elif not any(all(map(ge, v, u)) for v in maxima):
-            out.add(s)
-            maxima.append(u)
-    return out
+            kept[k] = 1
+    else:
+        maxima = []
+        for k in ranked:
+            u = vectors[k]
+            if maxima and maxima[-1] == u:  # ties with the maximal vector just kept
+                kept[k] = 1
+            elif not any(all(map(ge, v, u)) for v in maxima):
+                kept[k] = 1
+                maxima.append(u)
+    return set(itertools.compress(game.profiles(), kept))
 
 
 def social_optimum(game):

@@ -10,16 +10,21 @@ The pure choice (s, t) of identity (0) or bit-flip (1) yields (s, t) with
 weight |alpha|^2 and (1-s, 1-t) with |beta|^2, so the quantum game is exactly
 the classical 2x2 game `ClassicalForm(base, |alpha|^2)`, solved exactly for
 both the complex and the p-adic mode.  The library takes that weight as an
-exact rational and holds no amplitude, state vector or density matrix:
-complex amplitudes and the two-qubit Kraus sum that this identity replaces
-live in the tests as their oracle, and the grid search `mw_nash_search`
-remains as the oracle of the exact equilibrium set.
+exact rational and holds no amplitude, state vector or density matrix.  The
+2x2 core stays in ints from the base game to the printed string: the game
+is built from the base game's ints and the weight's numerator and
+denominator, and its payoffs at (p, q) are the closed form
+`games.payoffs_2x2` on integer profile weights.  Complex amplitudes, the
+two-qubit Kraus sum that this identity replaces and the Fraction forms of
+the core live in the tests as their oracles, and the grid search
+`mw_nash_search` remains as the oracle of the exact equilibrium set.
 
 The payoff surface is that game's closed form on the grid, made one grid
 row (one value of p) at a time: Python floats added in one fixed order (its
 bits do not depend on the Python version), or in the p-adic mode one exact
 rational per payoff, an integer numerator over the game's denominator times
-grid^2 printed as a reduced integer ratio, with no Fraction built.
+grid^2 printed as a reduced integer ratio, with no Fraction built: each
+numerator steps along its row, and each gcd's denominator text is made once.
 `payoff_surface_rows` returns the CSV as an iterator of text blocks, the
 header and then one block per grid row, checking its input at the call, so
 a writer that writes each block as it is made holds one grid row of text.
@@ -42,7 +47,11 @@ class ClassicalForm:
     """The 2x2 game A'(s,t) = a2 u(s,t) + (1 - a2) u(1-s,1-t) for the weight a2 = |alpha|^2.
 
     Strategy 0 is the identity, so p and q are identity probabilities.  a2 is
-    an exact rational; in the p-adic mode it may lie outside [0, 1].
+    an exact rational; in the p-adic mode it may lie outside [0, 1].  For
+    a2 = w/d the game is built on ints, with no Fraction: each payoff of A'
+    times D d is w U(s) + (d - w) U(flip s), U the base game's ints over its
+    denominator D, reduced by `StrategicGame._checked` to the game that the
+    rationals themselves make.
     """
 
     def __init__(self, base, a2):
@@ -50,21 +59,29 @@ class ClassicalForm:
             raise errors.UnsupportedShape("quantumization needs a 2x2 base game")
         self.base = base
         self.a2 = games.as_fraction(a2)
-        self.game = games.StrategicGame(base.strategy_names, {
-            s: tuple(self.a2 * x + (1 - self.a2) * y
-                     for x, y in zip(base.payoff(s), base.payoff((1 - s[0], 1 - s[1]))))
-            for s in PROFILES
-        })
+        w, d = self.a2.numerator, self.a2.denominator
+        cells = [base.ints(s) for s in PROFILES]  # the flip of PROFILES[k] is PROFILES[3 - k]
+        self.game = games.StrategicGame._checked(base.strategy_names, base._scale * d, tuple(
+            tuple(w * x[i] + (d - w) * y[i] for x, y in zip(cells, reversed(cells)))
+            for i in (0, 1)))
 
     def payoffs(self, p, q):
-        """Exact expected payoffs of A' under ((p, 1-p), (q, 1-q))."""
-        return games.expected_payoff(self.game, ((p, 1 - p), (q, 1 - q)))
+        """Exact expected payoffs of A' under ((p, 1-p), (q, 1-q)): the closed
+        form `games.payoffs_2x2`, once p and q are read as a valid profile
+        (InvalidProfile for one outside [0, 1])."""
+        (p, _), (q, _) = games.validate_mixed(self.game, ((p, 1 - p), (q, 1 - q)))
+        return games.payoffs_2x2(self.game, p, q)
 
     def distribution(self, p, q):
         """Exact outcome probabilities over the profiles 00, 01, 10, 11: a2 times
-        the product weight of each plus (1 - a2) times that of its flip."""
-        w = {(s, t): (p if s == 0 else 1 - p) * (q if t == 0 else 1 - q) for s, t in PROFILES}
-        return tuple(self.a2 * w[s] + (1 - self.a2) * w[(1 - s[0], 1 - s[1])] for s in PROFILES)
+        the product weight of each plus (1 - a2) times that of its flip, on the
+        integer weights of `games._product_weights`; p and q are read by
+        `games.as_fraction`, so a float is InvalidArgument."""
+        weights, den = games._product_weights(games.as_fraction(p), games.as_fraction(q))
+        w, d = self.a2.numerator, self.a2.denominator
+        den *= d
+        return tuple(Fraction(w * x + (d - w) * y, den)
+                     for x, y in zip(weights, reversed(weights)))
 
     def equilibria(self):
         """The exact equilibrium set of A' (see games.equilibrium_set_2x2)."""
@@ -104,13 +121,16 @@ def _surface(form, grid_n, exact=False):
 
     Each payoff is pq c00 + p(1-q) c01 + (1-p)q c10 + (1-p)(1-q) c11 for the
     payoffs c of A'.  A float row is the list u1, u2, u1, u2, ... over q, each
-    payoff's terms added left to right after a leading 0 (which turns a
+    payoff's terms added left to right after a leading 0.0 (which turns a
     -0.0 first term into 0.0); a float surface needs every payoff of A' in
     the binary64 range (InvalidArgument).  Exactly, with C = D c on integers
     for the common denominator D, the payoff at (i, j) is the one rational
     (ij C00 + i(N-j) C01 + (N-i)j C10 + (N-i)(N-j) C11) / (D N^2), N = grid_n;
-    an exact row is that list as strings, each numerator read as a j + b and
-    printed over D N^2 in lowest terms, as `str(Fraction)` prints it.
+    an exact row is that list as strings, all ints until then: each numerator
+    a j + b starts at b and steps by a along the row, and is printed over
+    D N^2 in lowest terms, as `str(Fraction)` prints it, its integer quotient
+    joined to the text "/{D N^2 // g}" made once per gcd g (none at g = D N^2).
+    No tuple, product or Fraction is built per point.
 
     The form, grid_n and the float conversion are checked here, at the call;
     the returned iterator computes each row as it is consumed.
@@ -131,19 +151,38 @@ def _surface(form, grid_n, exact=False):
     return _float_rows(floats, grid_n)
 
 
+class _Tails(dict):
+    """The text "/{den // g}" of each gcd g of a numerator and den, made once
+    per g on its first lookup; "" at g = den, where the value is an integer."""
+
+    def __init__(self, den):
+        super().__init__()
+        self.den = den
+
+    def __missing__(self, g):
+        text = self[g] = f"/{self.den // g}" if g != self.den else ""
+        return text
+
+
 def _exact_rows(payoffs, scale, n):
     (x00, y00), (x01, y01), (x10, y10), (x11, y11) = payoffs
     den = scale * n * n
-    for i in range(n + 1):
+    tails = _Tails(den)
+    columns = range(n + 1)
+    for i in columns:
         r = n - i
-        # the numerators at (i, j) are a j + b, one pair (a, b) per player
-        a1, b1 = i * (x00 - x01) + r * (x10 - x11), n * (i * x01 + r * x11)
-        a2, b2 = i * (y00 - y01) + r * (y10 - y11), n * (i * y01 + r * y11)
+        # each player's numerator at (i, j) is a j + b: it starts at b and steps by a
+        a1, u1 = i * (x00 - x01) + r * (x10 - x11), n * (i * x01 + r * x11)
+        a2, u2 = i * (y00 - y01) + r * (y10 - y11), n * (i * y01 + r * y11)
         row = []
-        for j in range(n + 1):
-            for num in (a1 * j + b1, a2 * j + b2):
-                g = gcd(num, den)
-                row.append(str(num // g) if g == den else f"{num // g}/{den // g}")
+        add = row.append
+        for _ in columns:
+            g = gcd(u1, den)
+            add(str(u1 // g) + tails[g])
+            g = gcd(u2, den)
+            add(str(u2 // g) + tails[g])
+            u1 += a1
+            u2 += a2
         yield row
 
 
@@ -155,8 +194,8 @@ def _float_rows(payoffs, n):
         add = row.append
         for q, s in qs:
             w00, w01, w10, w11 = p * q, p * s, r * q, r * s
-            add(0 + w00 * x00 + w01 * x01 + w10 * x10 + w11 * x11)
-            add(0 + w00 * y00 + w01 * y01 + w10 * y10 + w11 * y11)
+            add(0.0 + w00 * x00 + w01 * x01 + w10 * x10 + w11 * x11)
+            add(0.0 + w00 * y00 + w01 * y01 + w10 * y10 + w11 * y11)
         yield row
 
 

@@ -18,7 +18,9 @@ The compiled RK4 run and the trajectory CSV formatter are
 held to their loop forms bit for bit, the time average and the recurrence
 test on the flat trajectory to the numpy forms they replaced, and the
 quantum payoff surface to the numpy grid and the Fraction loop it replaced
-(the exact surface also to a count of the Fractions it builds).
+(the exact surface also to a count of the Fractions it builds), and the 2x2
+quantum core on ints (the weighted game, its closed-form payoff and its
+outcome distribution) to the Fraction forms and `expected_payoff` it replaced.
 The Pareto maxima scan and its sweep for 2 and 3 players are held to the pairwise dominance test, the
 per-context maxima of `pure_nash`, the deviation walks and strategy values of
 `games` to the per-profile loops they replaced,
@@ -722,13 +724,36 @@ def payoff_surface_rows_reference(form, grid_n=100):
 
 
 def padic_surface_rows_reference(form, grid):
-    """The p-adic mode's surface.csv rows, one `form.payoffs` call per grid point."""
+    """The p-adic mode's surface.csv rows, one n-player `games.expected_payoff`
+    call per grid point (not `form.payoffs`, which is the closed form that the
+    surface shares)."""
     surface = ["p,q,payoff1,payoff2"]
     for i in range(grid + 1):
         for j in range(grid + 1):
             pt, qt = Fraction(i, grid), Fraction(j, grid)
-            surface.append(",".join(str(Fraction(v)) for v in (pt, qt, *form.payoffs(pt, qt))))
+            pay = games.expected_payoff(form.game, ((pt, 1 - pt), (qt, 1 - qt)))
+            surface.append(",".join(str(Fraction(v)) for v in (pt, qt, *pay)))
     return surface
+
+
+# ---------------------------------------------------------------------------
+# reference implementations of the 2x2 quantum core (the Fraction forms)
+
+
+def classical_form_game_reference(base, a2):
+    """The game of `ClassicalForm(base, a2)` built from a dict of Fractions through
+    the validating `StrategicGame` constructor."""
+    return StrategicGame(base.strategy_names, {
+        s: tuple(a2 * x + (1 - a2) * y
+                 for x, y in zip(base.payoff(s), base.payoff((1 - s[0], 1 - s[1]))))
+        for s in PROFILES
+    })
+
+
+def distribution_reference(a2, p, q):
+    """Outcome probabilities over 00, 01, 10, 11 from the Fraction product weights."""
+    w = {(s, t): (p if s == 0 else 1 - p) * (q if t == 0 else 1 - q) for s, t in PROFILES}
+    return tuple(a2 * w[s] + (1 - a2) * w[(1 - s[0], 1 - s[1])] for s in PROFILES)
 
 
 # ---------------------------------------------------------------------------
@@ -1656,6 +1681,31 @@ def test_exact_payoff_surface_rows_match_the_fraction_loop_on_small_grids(form, 
         form, grid)
 
 
+# the base game's player-1 payoff rises from -1 to 1 from column 0 to column 1
+# in every row, so under a weight a2 above 1/2, where A' flips that, each exact
+# row's step a is negative and its numerators cross 0 at j = N/2
+FALLING = StrategicGame([["a", "b"], ["c", "d"]],
+                        {(0, 0): (-1, 2), (0, 1): (1, 2), (1, 0): (-1, F(-1, 3)), (1, 1): (1, 0)})
+
+
+@settings(max_examples=40, deadline=None)
+@example(ClassicalForm(FALLING, F(3, 4)), 4)
+@example(ClassicalForm(FALLING, F(7, 5)), 6)
+@given(quantum_forms(), st.integers(1, 12))
+def test_exact_payoff_surface_rows_step_through_zero(form, grid):
+    assert surface_lines(form, grid, exact=True) == padic_surface_rows_reference(form, grid)
+
+
+@pytest.mark.parametrize("a2, n", [(F(3, 4), 4), (F(7, 5), 6)])
+def test_the_falling_examples_step_down_through_zero(a2, n):
+    game = ClassicalForm(FALLING, a2).game
+    (x00, _), (x01, _), (x10, _), (x11, _) = (game.ints(s) for s in PROFILES)
+    for i in range(n + 1):
+        a = i * (x00 - x01) + (n - i) * (x10 - x11)
+        b = n * (i * x01 + (n - i) * x11)
+        assert a < 0 < b and a * n + b < 0 and a * (n // 2) + b == 0
+
+
 def test_the_exact_surface_builds_a_fraction_per_grid_label_only(monkeypatch):
     built = []
 
@@ -1671,6 +1721,103 @@ def test_the_exact_surface_builds_a_fraction_per_grid_label_only(monkeypatch):
         lines = surface_lines(form, grid, exact=True)
         assert len(lines) == 1 + (grid + 1) ** 2
         assert 0 < len(built) <= grid + 1
+
+
+# ---------------------------------------------------------------------------
+# the 2x2 quantum core on integers
+
+
+QUANTUM_PAYOFFS = st.one_of(st.integers(-50, 50),
+                            st.builds(F, st.integers(-50, 50), st.integers(1, 12)))
+WEIGHTS = st.one_of(st.builds(F, st.integers(-30, 30), st.integers(1, 30)),
+                    st.builds(F, st.integers(-10**40, 10**40), st.integers(1, 10**40)))
+PROBABILITIES = st.builds(lambda d, k: F(k % (d + 1), d), st.integers(1, 40), st.integers(0, 40))
+
+
+@st.composite
+def base_games_2x2(draw):
+    """2x2 games of wide payoffs, or of payoffs k/d for k in {-2..2}, where ties
+    and degenerate games are common."""
+    entry = draw(st.sampled_from([QUANTUM_PAYOFFS, rationals_over(2, [1, 2, 3, 4])]))
+    return StrategicGame([["a", "b"], ["c", "d"]],
+                         {s: (draw(entry), draw(entry)) for s in PROFILES})
+
+
+@settings(max_examples=200, deadline=None)
+@example(BOS, F(-3, 7))  # a negative weight
+@example(BOS, F(25, 9))  # a weight above 1
+@example(BOS, F(1, 2))
+@example(ALL_ZERO, F(5, 3))  # every payoff 0, at D = 1
+@example(ALL_TINY.base, F(10**50 + 1, 3**100))  # a large D times a large d
+@example(FALLING, F(1))
+@example(FALLING, F(0))
+@given(base_games_2x2(), WEIGHTS)
+def test_the_integer_classical_form_is_the_fraction_build(base, a2):
+    game = ClassicalForm(base, a2).game
+    want = classical_form_game_reference(base, a2)
+    assert game == want and hash(game) == hash(want)
+    assert game._scale == want._scale and game._payoffs == want._payoffs
+    assert all(type(v) is int for u in game._payoffs for v in u)
+
+
+def test_a_classical_form_whose_denominator_is_too_long_is_refused():
+    # D about 600 digits and d about 600 more, coprime: the parent's Fraction
+    # build refused this game with the same message
+    base = StrategicGame([["a", "b"], ["c", "d"]],
+                         {(0, 0): (F(1, 3**1258), 1), (0, 1): (0, 0), (1, 0): (0, 0),
+                          (1, 1): (0, 0)})
+    a2 = F(1, 2**1994)
+    for build in (ClassicalForm, classical_form_game_reference):
+        with pytest.raises(errors.SizeLimit,
+                           match="^the payoff denominators have a common multiple over 1000"):
+            build(base, a2)
+    assert ClassicalForm(base, F(1, 2)).game == classical_form_game_reference(base, F(1, 2))
+
+
+@settings(max_examples=200, deadline=None)
+@example(BOS, F(9, 25), F(0), F(1))
+@example(FALLING, F(-1, 2), F(1), F(1, 3))
+@given(base_games_2x2(), WEIGHTS, PROBABILITIES, PROBABILITIES)
+def test_the_closed_form_2x2_payoff_is_the_expected_payoff(base, a2, p, q):
+    form = ClassicalForm(base, a2)
+    profile = ((p, 1 - p), (q, 1 - q))
+    want = games.expected_payoff(form.game, profile)
+    assert games.payoffs_2x2(form.game, p, q) == want
+    assert form.payoffs(p, q) == want
+    assert form.distribution(p, q) == distribution_reference(form.a2, p, q)
+    assert games.payoffs_2x2(base, p, q) == games.expected_payoff(base, profile)
+
+
+@settings(max_examples=200, deadline=None)
+@given(base_games_2x2())
+def test_mixed_ne_2x2_payoffs_are_the_expected_payoffs(game):
+    rows = games.mixed_ne_2x2(game)
+    assert rows and all(pay == games.expected_payoff(game, sigma) for sigma, pay in rows)
+
+
+@pytest.mark.parametrize("p, q", [(F(-1, 3), F(1, 2)), (F(1, 2), F(4, 3)), (2, 0), (0, -1)])
+def test_payoffs_outside_the_square_are_refused(p, q):
+    form = ClassicalForm(BOS, F(9, 25))
+    with pytest.raises(errors.InvalidProfile, match="not a probability vector"):
+        form.payoffs(p, q)
+
+
+def test_a_float_probability_is_refused_by_the_distribution():
+    form = ClassicalForm(BOS, F(9, 25))
+    with pytest.raises(errors.InvalidArgument, match="exact rational required"):
+        form.distribution(0.5, F(1, 2))
+    assert form.distribution(1, "1/2") == distribution_reference(F(9, 25), F(1), F(1, 2))
+
+
+@given(st.lists(st.integers(-10**20, 10**20), min_size=4, max_size=12).filter(
+    lambda v: len(v) % 2 == 0))
+def test_integer_payoffs_at_denominator_1_are_their_own_ints(values):
+    scale, payoffs = games._integer_payoffs(values, 2)
+    assert scale == 1 and payoffs == (tuple(values[0::2]), tuple(values[1::2]))
+    assert all(x is y for x, y in zip(payoffs[0], values[0::2]))
+    as_fractions = [F(v) for v in values]  # a Fraction of denominator 1 is copied to an int
+    assert games._integer_payoffs(as_fractions, 2) == (scale, payoffs)
+    assert all(type(v) is int for u in games._integer_payoffs(as_fractions, 2)[1] for v in u)
 
 
 # ---------------------------------------------------------------------------
