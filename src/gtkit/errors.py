@@ -1,5 +1,5 @@
-"""Exception hierarchy shared by all gtkit modules, and the base of their
-immutable value classes."""
+"""Exception hierarchy shared by all gtkit modules, and `Frozen`, the base of
+every value class that gtkit compares or hashes."""
 
 
 class GTError(Exception):
@@ -92,10 +92,14 @@ class SizeLimit(GTError):
 
 class Frozen:
     """Base of an immutable value class: the subclass names its fields in
-    ``__slots__`` and sets them once in ``__init__`` (`_set_fields`, or
-    ``object.__setattr__``).  Assigning or deleting a field afterwards raises
-    AttributeError; two instances of one class are equal, and hash alike,
-    when their fields are."""
+    ``__slots__`` and sets them once, in ``__init__`` or a ``_checked``
+    constructor (`_set_fields`, or ``object.__setattr__``).  Assigning or
+    deleting a field afterwards raises AttributeError; two instances of one
+    class are equal, and hash alike, when their fields are.  The one rule of
+    equality and hashing in gtkit: games.StrategicGame, CongestionGame and
+    BargainingProblem; evolution.EvolutionGame and Trajectory;
+    padic.PAdicNumber, PAdicExtElement, UltraNorm and PAdicDistribution;
+    padic_quantum.PAdicHilbertSpace."""
 
     __slots__ = ()
 

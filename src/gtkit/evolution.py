@@ -26,7 +26,7 @@ from typing import NamedTuple
 from . import errors
 # solve_exact stays a name here because perfbench/tracing.py rebinds evolution.solve_exact.
 from ._linsolve import equalizer, principal_equalizers, solve_exact  # noqa: F401
-from .games import _common_denominator, _vector, _weights, as_fraction
+from .games import _common_denominator, _reduced, _vector, _weights, as_fraction
 
 SUM_TOL = 1e-12
 CLAMP = 1e-12
@@ -53,16 +53,19 @@ def _dot(a, b):
     return reduce(add, map(mul, a, b), 0.0)
 
 
-class EvolutionGame:
+class EvolutionGame(errors.Frozen):
     """Symmetric evolution matrix game: an n x n payoff matrix A.
 
     Rows are vectors as `games._vector` takes them (never strings); entries
     are integers (numpy ones too), Fractions, strings or floats (rationalized
     exactly).  A is kept as `table`, int rows over `scale` D, the lcm of the
     entries' denominators, as `games` keeps a strategic game (SizeLimit over
-    RATIONAL_DIGITS digits), and as `matrix`, its binary64 values.  Equal
-    matrices give equal games.
+    RATIONAL_DIGITS digits), and as `matrix`, its correctly rounded binary64
+    values.  A game is an `errors.Frozen` value: equal matrices give equal
+    games that hash alike.
     """
+
+    __slots__ = ("scale", "table", "matrix")
 
     def __init__(self, matrix):
         exact = [list(map(_to_fraction, _vector(row, "matrix", (i,))))
@@ -71,29 +74,28 @@ class EvolutionGame:
         if n < 2 or any(len(row) != n for row in exact):
             raise errors.InvalidArgument("payoff matrix must be square with n >= 2")
         try:
-            self.matrix = tuple(tuple(map(float, row)) for row in exact)
+            floats = tuple(tuple(map(float, row)) for row in exact)
         except OverflowError as exc:
             raise errors.InvalidArgument("payoff entry beyond the binary64 range") from exc
-        self.scale = scale = _common_denominator((v for row in exact for v in row), "payoff")
-        self.table = tuple(tuple(v.numerator * (scale // v.denominator) for v in row)
-                           for row in exact)
+        scale = _common_denominator((v for row in exact for v in row), "payoff")
+        self._set_fields(scale, tuple(tuple(v.numerator * (scale // v.denominator) for v in row)
+                                      for row in exact), floats)
 
     @classmethod
     def _checked(cls, scale, table):
         """A game from n x n int rows over the denominator scale > 0 of a game
-        already checked.  Table and scale are divided by their gcd, so that the
-        scale is the lcm of the entries' denominators, as `__init__` makes it
-        and as `==` needs; `matrix` holds the same correctly rounded values."""
+        already checked, reduced by `games._reduced` to the lcm scale that
+        `__init__` takes (SizeLimit past RATIONAL_DIGITS digits); `matrix`
+        holds the same correctly rounded values."""
         if len(table) < 2:
             raise errors.InvalidArgument("payoff matrix must be square with n >= 2")
-        g = math.gcd(scale, *(v for row in table for v in row))
-        game = cls.__new__(cls)
-        game.scale = scale = scale // g
-        game.table = table = tuple(tuple(v // g for v in row) for row in table)
+        scale, table = _reduced(scale, tuple(map(tuple, table)))
         try:
-            game.matrix = tuple(tuple(v / scale for v in row) for row in table)
+            floats = tuple(tuple(v / scale for v in row) for row in table)
         except OverflowError as exc:
             raise errors.InvalidArgument("payoff entry beyond the binary64 range") from exc
+        game = cls.__new__(cls)
+        game._set_fields(scale, table, floats)
         return game
 
     @property
@@ -109,13 +111,6 @@ class EvolutionGame:
     @property
     def is_symmetric(self):
         return self.table == tuple(zip(*self.table))
-
-    def __eq__(self, other):
-        return (isinstance(other, EvolutionGame)
-                and self.scale == other.scale and self.table == other.table)
-
-    def __hash__(self):
-        return hash((self.scale, self.table))
 
     def __repr__(self):
         return f"EvolutionGame(n={self.n})"

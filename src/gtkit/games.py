@@ -7,8 +7,9 @@ Scaling every payoff by the same D > 0 keeps every argmax, dominance, Pareto,
 best-reply and equilibrium relation, so equilibria, dominance and welfare are
 decided by comparing and summing integers; a value leaves this module as an
 exact ``fractions.Fraction``, divided by D only there.  No floats enter any
-decision, so every result here is bit-reproducible.  Games are immutable
-after construction and all operations are pure functions.
+decision, so every result here is bit-reproducible.  Games are
+`errors.Frozen` values, immutable after construction, and all operations are
+pure functions.
 """
 
 from __future__ import annotations
@@ -95,6 +96,21 @@ def _too_long(what):
         f"the {what} denominators have a common multiple over {RATIONAL_DIGITS} digits")
 
 
+def _reduced(scale, rows):
+    """(scale, rows) for int rows over the denominator scale > 0, both divided
+    by their gcd, so that the scale is the lcm of the denominators of the
+    rationals they hold, as `_common_denominator` makes it and as equality of
+    games needs; a reduced scale of over RATIONAL_DIGITS digits is SizeLimit.
+    The rows come back as they are when the gcd is 1."""
+    g = math.gcd(scale, *(v for row in rows for v in row)) if scale > 1 else 1
+    if g > 1:
+        scale //= g
+        rows = tuple(tuple(v // g for v in row) for row in rows)
+    if scale >= _RATIONAL_LIMIT:
+        raise _too_long("payoff")
+    return scale, rows
+
+
 def _integer_payoffs(values, n):
     """(D, per-player tuples of ints times D) of a game's rationals, n per
     profile in lexicographic profile order: the one conversion of payoffs.
@@ -167,7 +183,7 @@ def _context(shape, i, profile):
     return slice(start, start + shape[i] * strides[i], strides[i])
 
 
-class StrategicGame:
+class StrategicGame(errors.Frozen):
     """Finite n-player normal-form game with exact-rational payoffs.
 
     ``payoffs`` may be a nested sequence (one level per player, leaf = one
@@ -180,8 +196,11 @@ class StrategicGame:
     or a string like "2/5".  The game keeps
     them as ints over their common denominator D, one tuple per player in
     profile order (see the module docstring); a D of over RATIONAL_DIGITS
-    digits is SizeLimit.
+    digits is SizeLimit.  A game is an `errors.Frozen` value: its fields are
+    set once, and equal names and payoffs give equal games that hash alike.
     """
+
+    __slots__ = ("_names", "_shape", "_scale", "_payoffs")
 
     def __init__(self, strategy_names, payoffs):
         names = tuple(tuple(str(s) for s in _vector(per_player, "strategy_names", (i,)))
@@ -190,20 +209,19 @@ class StrategicGame:
             raise errors.InvalidArgument("a strategic game needs at least 2 players")
         if any(len(per_player) == 0 for per_player in names):
             raise errors.InvalidArgument("every strategy set must be non-empty")
-        self._names = names
-        self._shape = tuple(len(per_player) for per_player in names)
+        shape = tuple(map(len, names))
         n = len(names)
 
         if hasattr(payoffs, "keys"):
             rows = {}
-            for profile, vector in payoffs.items():
-                try:
-                    profile = self.validate_profile(profile)
-                except errors.InvalidProfile as exc:
-                    raise errors.InvalidArgument(f"payoff map key: {exc}") from exc
+            for key, vector in payoffs.items():
+                profile = _profile(tuple(key), shape)
+                if profile is None:
+                    raise errors.InvalidArgument(
+                        f"payoff map key: profile {tuple(key)} invalid for shape {shape}")
                 rows[profile] = tuple(map(_rational, _vector(vector, "payoffs", profile, n)))
             values = []
-            for profile in self.profiles():
+            for profile in itertools.product(*map(range, shape)):
                 if profile not in rows:
                     raise errors.InvalidArgument(f"payoff map is not total: missing {profile}")
                 values += rows[profile]
@@ -211,32 +229,21 @@ class StrategicGame:
             # one level per player, each prefix's children in order: the
             # profiles come out in lexicographic order
             cells = [((), payoffs)]
-            for k in self._shape:
+            for k in shape:
                 cells = [(prefix + (i,), child) for prefix, node in cells
                          for i, child in enumerate(_vector(node, "payoffs", prefix, k))]
             values = [_rational(v) for profile, cell in cells
                       for v in _vector(cell, "payoffs", profile, n)]
-        self._scale, self._payoffs = _integer_payoffs(values, n)
+        self._set_fields(names, shape, *_integer_payoffs(values, n))
 
     @classmethod
     def _checked(cls, names, scale, payoffs):
         """A game from checked name tuples (at least 2, none empty) and one
         tuple of ints per player over the denominator scale > 0, one int per
-        profile in lexicographic order.  Payoffs and scale are divided by their
-        gcd, so that the scale is the lcm of the payoff denominators, as
-        `__init__` makes it and as `==` needs; as there, a scale so reduced of
-        over RATIONAL_DIGITS digits is SizeLimit."""
-        g = math.gcd(scale, *(v for u in payoffs for v in u)) if scale > 1 else 1
-        if g > 1:
-            scale //= g
-            payoffs = tuple(tuple(v // g for v in u) for u in payoffs)
-        if scale >= _RATIONAL_LIMIT:
-            raise _too_long("payoff")
+        profile in lexicographic order, reduced by `_reduced` to the lcm scale
+        that `__init__` takes (SizeLimit past RATIONAL_DIGITS digits)."""
         game = cls.__new__(cls)
-        game._names = names
-        game._shape = tuple(map(len, names))
-        game._scale = scale
-        game._payoffs = payoffs
+        game._set_fields(names, tuple(map(len, names)), *_reduced(scale, payoffs))
         return game
 
     @property
@@ -276,17 +283,6 @@ class StrategicGame:
 
     def labels(self, profile):
         return tuple(self._names[i][s] for i, s in enumerate(profile))
-
-    def __eq__(self, other):
-        return (
-            isinstance(other, StrategicGame)
-            and self._names == other._names
-            and self._scale == other._scale
-            and self._payoffs == other._payoffs
-        )
-
-    def __hash__(self):
-        return hash((self._names, self._scale, self._payoffs))
 
     def __repr__(self):
         return f"StrategicGame(shape={self._shape})"

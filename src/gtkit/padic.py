@@ -91,12 +91,14 @@ def rational_norm(q, p):
     return Fraction(0) if v is math.inf else Fraction(p) ** -v
 
 
-class PAdicNumber:
+class PAdicNumber(errors.Frozen):
     """Element of Q_p known to relative precision N: (p, valuation, unit, N).
 
     `unit` is an integer prime to p, stored mod p**N.  The canonical zero is
     (p, +inf, 0, 0).  Literals are checked by parse_padic; the constructor
-    checks only the prime and N >= 1.
+    checks only the prime and N >= 1.  A number is an `errors.Frozen` value:
+    equal fields give equal numbers that hash alike, and no field is ever
+    written again, so a unit stays canonical.
     """
 
     __slots__ = ("p", "valuation", "unit", "precision")
@@ -109,10 +111,7 @@ class PAdicNumber:
             raise errors.InvalidArgument("precision must be >= 1")
         else:
             unit %= p**precision
-        self.p = p
-        self.valuation = valuation
-        self.unit = unit
-        self.precision = precision
+        self._set_fields(p, valuation, unit, precision)
 
     @classmethod
     def zero(cls, p):
@@ -137,17 +136,6 @@ class PAdicNumber:
         return tuple(out)
 
     # -- dunder ------------------------------------------------------------
-
-    def __eq__(self, other):
-        if not isinstance(other, PAdicNumber):
-            return NotImplemented
-        if self.p != other.p:
-            return False
-        return (self.valuation, self.unit, self.precision) == (
-            other.valuation, other.unit, other.precision)
-
-    def __hash__(self):
-        return hash((self.p, self.valuation, self.unit, self.precision))
 
     def __repr__(self):
         return f"PAdicNumber({format_padic(self)!r})"

@@ -631,6 +631,39 @@ def test_malformed_strategic_files_exit_with_their_message(tmp_path, capsys, cas
     assert capsys.readouterr().err == message.format(path=path) + "\n"
 
 
+def _symmetric_doc_with_a_long_payoff():
+    # u2(i, j) = u1(j, i) still holds; a 401-digit payoff is exact but has no binary64 value
+    big = "1" + "0" * 400
+    return _with(bimatrix_doc(), ["payoffs", 0, 0], [big, big])
+
+
+REFUSAL_MESSAGES = {
+    "sqrt in Q_2 below 3 digits": (
+        ["padic", "--expr", "sqrt 17 @ 2^2"], EXIT_VALIDATION,
+        "error (validation): need at least 3 digits to decide squareness in Q_2"),
+    "two site specs": (
+        ["padic", "--expr", "add 1 2 @ 7 5"], EXIT_PARSE,
+        "error (parse at line 1): line 1: exactly one site spec after '@': 'add 1 2 @ 7 5'"),
+    "no initial state": (
+        ["evolve", "--in", "pd"], EXIT_VALIDATION,
+        "error (validation): no initial state: pass --p0 or use a scenario with default_p0"),
+    "an evolution view beyond binary64": (
+        ["evolve", "--in", "{game}", "--p0", "1/2,1/2"], EXIT_VALIDATION,
+        "error (validation): payoff entry beyond the binary64 range"),
+}
+
+
+@pytest.mark.parametrize("case", sorted(REFUSAL_MESSAGES))
+def test_refused_runs_exit_with_their_message(tmp_path, capsys, case):
+    argv, want, message = REFUSAL_MESSAGES[case]
+    game = tmp_path / "game.json"
+    game.write_text(json.dumps(_symmetric_doc_with_a_long_payoff()))
+    code, out = run(tmp_path, *(arg.format(game=game) for arg in argv))
+    assert code == want
+    assert capsys.readouterr().err == message + "\n"
+    assert not out.exists()
+
+
 def test_malformed_congestion_strategies_exit_2_naming_their_position(tmp_path, capsys):
     # CongestionGame checks the lists the file holds; the parse wraps its message
     path = tmp_path / "game.json"
@@ -692,13 +725,14 @@ def test_malformed_ce_files_exit_with_a_message(tmp_path, capsys, case):
         ["evolve", "--in", "rps", "--h", "0"],
         ["evolve", "--in", "rps", "--tol", "nan"],
         ["evolve", "--in", "rps", "--tol", "-1"],
+        ["evolve", "--in", "rps", "--h", "abc"],
     ],
 )
 def test_non_finite_options_are_refused(tmp_path, capsys, argv):
     with pytest.raises(SystemExit) as exc:
         main(argv + ["--out", str(tmp_path / "o")])
     assert exc.value.code == EXIT_PARSE
-    assert "finite number > 0" in capsys.readouterr().err
+    assert f"expected a finite number > 0, got {argv[-1]!r}" in capsys.readouterr().err
     assert not (tmp_path / "o").exists()
 
 
@@ -1153,6 +1187,7 @@ def test_padic_file_input(tmp_path):
     ("dist 1 282475250 @ 7^5", "distance", "1/282475249"),
     ("sub 3/5 1/7 @ 7^2", "rational", "16/35"),
     ("add 1/999 1/998 @ 7^3", "rational", "1997/997002"),
+    ("sqrt 17 @ 2^8", "literal", "0:1.0.0.1.0.1.1@2^7"),  # the 2-adic lift
 ])
 def test_padic_reports_exact_values_at_any_precision(tmp_path, expr, key, want):
     code, out = run(tmp_path, "padic", "--expr", expr)

@@ -110,6 +110,13 @@ def test_numpy_integers_are_matrix_entries():
             EvolutionGame([[bad, 0], [0, 1]])
 
 
+def test_a_checked_table_is_reduced_and_its_scale_bounded_as_a_game_file_is():
+    big = 10**1000
+    assert EvolutionGame._checked(big, [[big, 0], [0, big]]) == EvolutionGame([[1, 0], [0, 1]])
+    with pytest.raises(errors.SizeLimit, match="^the payoff denominators have a common multiple"):
+        EvolutionGame._checked(big, [[1, 0], [0, 1]])
+
+
 def test_a_refused_state_entry_is_named_as_one():
     for bad in ("x", True, None, float("nan")):
         message = f"not a real state entry: {bad!r}"

@@ -96,8 +96,9 @@ def test_game_construction_validation():
         StrategicGame([["a"], []], [[(1, 1)]])  # empty strategy set
     with pytest.raises(errors.InvalidArgument):
         StrategicGame([["a", "b"], ["c"]], {(0, 0): (1, 1)})  # not total
-    for junk in ((7, 7), ("x",), (1, 0, 0)):
-        with pytest.raises(errors.InvalidArgument):  # a key outside the shape
+    for junk in ((7, 7), ("x",), (1, 0, 0)):  # a key outside the shape
+        message = f"payoff map key: profile {junk} invalid for shape (2, 1)"
+        with pytest.raises(errors.InvalidArgument, match=rf"^{re.escape(message)}$"):
             StrategicGame([["a", "b"], ["c"]], {(0, 0): (1, 1), (1, 0): (2, 2), junk: (1, 1)})
     for alias in ((1.0, 0), (True, 0)):
         with pytest.raises(errors.InvalidArgument):  # equal to (1, 0), but not a profile

@@ -301,6 +301,17 @@ def test_hensel_sqrt_lifts_the_smallest_root_mod_p():
             assert hensel_sqrt(x).unit % p == smallest, (a, p)
 
 
+@settings(deadline=None)
+@given(st.integers(-300, 300), st.integers(-4, 4), st.integers(3, 40))
+def test_a_2_adic_square_root_squares_back_at_its_precision(j, k, n):
+    # every 2-adic square is 4**k times a unit = 1 mod 8; its root is known mod 2**(n - 1)
+    x = padic_from_rational(F(8 * j + 1) * F(4) ** k, 1, 2, n)
+    assert is_square(x)
+    r = hensel_sqrt(x)
+    assert (r.valuation, r.precision) == (k, n - 1)
+    assert mul(r, r) == PAdicNumber(2, x.valuation, x.unit, n - 1)
+
+
 def test_is_prime_is_exact_and_bounded():
     def trial_division(n):
         return n >= 2 and all(n % f for f in range(2, math.isqrt(n) + 1))

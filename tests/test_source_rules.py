@@ -1,6 +1,7 @@
 """Rules on the library source itself, checked on its syntax tree or in a fresh interpreter."""
 
 import ast
+import importlib
 import os
 import subprocess
 import sys
@@ -677,3 +678,73 @@ def test_the_lcm_rule_sees_every_form():
     )
     assert list(_lcm_uses(tree)) == [(2, None), (3, None), (5, "f"), (9, "g"), (11, None),
                                      (12, None)]
+
+
+VALUE_DUNDERS = ("__eq__", "__hash__")
+
+
+def _value_dunder_classes(tree):
+    """(line, name) of every class, nested ones too, whose body defines __eq__
+    or __hash__: by a def, or by binding the name (`__hash__ = None`)."""
+    for node in ast.walk(tree):
+        if not isinstance(node, ast.ClassDef):
+            continue
+        for item in node.body:
+            if isinstance(item, (ast.FunctionDef, ast.AsyncFunctionDef)):
+                names = [item.name]
+            elif isinstance(item, (ast.Assign, ast.AnnAssign)):
+                targets = item.targets if isinstance(item, ast.Assign) else [item.target]
+                names = [n.id for t in targets for n in ast.walk(t) if isinstance(n, ast.Name)]
+            else:
+                continue
+            if any(name in VALUE_DUNDERS for name in names):
+                yield node.lineno, node.name
+                break
+
+
+def _unfrozen_value_classes(tree, namespace):
+    """The classes of `_value_dunder_classes` that the module's namespace does
+    not hold as an errors.Frozen; a nested class, which it does not hold at all, too."""
+    for line, name in _value_dunder_classes(tree):
+        cls = namespace.get(name)
+        if not (isinstance(cls, type) and issubclass(cls, errors.Frozen)):
+            yield line, name
+
+
+def _module_of(path):
+    return importlib.import_module("gtkit" if path.stem == "__init__" else f"gtkit.{path.stem}")
+
+
+def test_every_value_class_is_frozen():
+    # errors.Frozen is the one rule of equality and hashing: a value class that
+    # writes its own could stay mutable, so a set or dict would lose it after a
+    # field write.  A Scenario is a mutable record, equal field by field and unhashable
+    found = {
+        (path.name, name)
+        for path in SOURCES
+        for _, name in _unfrozen_value_classes(ast.parse(path.read_text(encoding="utf-8")),
+                                               vars(_module_of(path)))
+    }
+    assert found == {("gamefile.py", "Scenario")}
+
+
+def test_the_value_rule_sees_every_form():
+    tree = ast.parse(
+        "class A:\n    def __eq__(self, other):\n        return True\n"
+        "class B:\n    def __hash__(self):\n        return 0\n"
+        "class C:\n    __hash__ = None\n"
+        "class D:\n    __eq__: object = object.__eq__\n"
+        "class E(errors.Frozen):\n    __slots__ = ()\n"
+        "    def __eq__(self, other):\n        return True\n"
+        "class F(E):\n    __slots__ = ()\n    __hash__ = E.__hash__\n"
+        "class G:\n    def __lt__(self, other):\n        return True\n"
+        "def f():\n    class H:\n        def __eq__(self, other):\n            return True\n"
+        "    return H\n"
+        "class I:\n    def eq(self):\n        __eq__ = 1\n"
+    )
+    namespace = {"errors": errors}
+    exec(compile(tree, "<rule>", "exec"), namespace)
+    assert sorted(name for _, name in _value_dunder_classes(tree)) == [
+        "A", "B", "C", "D", "E", "F", "H"]
+    assert sorted(name for _, name in _unfrozen_value_classes(tree, namespace)) == [
+        "A", "B", "C", "D", "H"]

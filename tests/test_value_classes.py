@@ -31,6 +31,20 @@ def space(convention=padic_quantum.SESQUILINEAR):
     return padic_quantum.PAdicHilbertSpace(2, P, MU, convention)
 
 
+def strategic(payoffs=(((1, "2/4"), (0, 0)), ((0, 0), (Fraction(1, 2), 1)))):
+    return games.StrategicGame((("a", "b"), ("c", "d")), payoffs)
+
+
+def strategic_map():
+    # the nested payoffs of `strategic` as a mapping, in another order and entry form
+    return strategic({(1, 1): ("1/2", 1), (0, 1): (0, 0), (1, 0): (0, 0),
+                      (0, 0): (1, Fraction(1, 2))})
+
+
+def matrix_game(half="2/4"):
+    return evolution.EvolutionGame([[0, half], [1, 0]])
+
+
 def trajectory():
     return evolution.Trajectory([0.0, 1.0], [0.5, 0.5, 0.25, 0.75], 1.0)
 
@@ -50,6 +64,13 @@ VALUES = {
                           lambda: distribution((2, -1))),
     "PAdicHilbertSpace": (space, lambda: padic_quantum.PAdicHilbertSpace(2, P, MU),
                           lambda: space(padic_quantum.BILINEAR)),
+    "StrategicGame": (strategic, strategic_map,
+                      lambda: strategic((((1, 1), (0, 0)), ((0, 0), (1, 1))))),
+    "EvolutionGame": (matrix_game, lambda: matrix_game(Fraction(1, 2)),
+                      lambda: matrix_game(Fraction(1, 3))),
+    "PAdicNumber": (lambda: padic.padic_from_rational(3, 1, P, 4),
+                    lambda: padic.parse_padic("0:3.0.0.0@7^4"),
+                    lambda: padic.padic_from_rational(3, 1, P, 5)),
 }
 
 
@@ -71,21 +92,25 @@ FROZEN = {
     "PAdicDistribution": distribution,
     "PAdicHilbertSpace": space,
     "Trajectory": trajectory,
+    "StrategicGame": strategic,
+    "EvolutionGame": matrix_game,
+    "PAdicNumber": lambda: padic.padic_from_rational(3, 1, P, 4),
 }
 
 
 @pytest.mark.parametrize("name", sorted(FROZEN))
 def test_fields_refuse_assignment_and_deletion(name):
     value = FROZEN[name]()
-    field = value.__slots__[0]
-    before = getattr(value, field)
-    with pytest.raises(AttributeError):
-        setattr(value, field, before)
-    with pytest.raises(AttributeError):
-        delattr(value, field)
+    for field in value.__slots__:
+        kept = getattr(value, field)
+        with pytest.raises(AttributeError):
+            setattr(value, field, kept)
+        with pytest.raises(AttributeError):
+            delattr(value, field)
+        assert getattr(value, field) is kept
     with pytest.raises(AttributeError):
         value.extra = 1  # no instance dict either
-    assert getattr(value, field) is before
+    assert value == FROZEN[name]()
 
 
 def test_ultranorm_orders_by_norm_with_zero_lowest():
