@@ -3,7 +3,8 @@
 of each file left under --out.
 
 The jobs are those of the four workloads of `perfbench/inputs.py` at seeds 7
-and 8, plus runs that are refused, each run in-process through `cli.main`.
+and 8, plus accepted runs outside the benchmark and runs that are refused,
+each run in-process through `cli.main`.
 Paths under the test's temporary directory are written as `<tmp>`.  A change
 meant to keep every report byte-identical leaves the manifest as it is; a
 change to a report regenerates it, from the repository root, with
@@ -32,6 +33,17 @@ ROOT = Path(__file__).resolve().parent.parent
 MANIFEST = Path(__file__).resolve().parent / "data" / "equal_output.json"
 WORKLOADS = ("trajectory", "stability", "batch", "quantum")
 SEEDS = (7, 8)
+
+# argv less --out, each in the complex and the p-adic mode: a zero-sum game,
+# bos at a weight where A' pays its players apart, and a game whose A' pays both
+# players alike at every alpha, so both sides of the surface's common-interest
+# rule are pinned beside the benchmark's bos at max
+ACCEPTED = [[*argv, *mode]
+            for argv in (["quantumize", "--in", "matching-pennies", "--grid", "40"],
+                         ["quantumize", "--in", "bos", "--alpha", "3/5", "--grid", "40"],
+                         ["quantumize", "--in", "congestion-2link", "--alpha", "4/5",
+                          "--grid", "40"])
+            for mode in ([], ["--padic"])]
 
 # argv less --out; "file" runs into an existing regular file as --out
 REFUSED = [
@@ -94,9 +106,9 @@ def workload_records(workload, seed, tmp):
             for k, job in enumerate(built.jobs)]
 
 
-def refused_records(tmp):
+def argv_records(runs, tmp):
     records = []
-    for k, argv in enumerate(REFUSED):
+    for k, argv in enumerate(runs):
         out = os.path.join(tmp, "out", f"{k:03d}")
         if argv[-1] == "file":
             argv = argv[:-1]
@@ -107,13 +119,13 @@ def refused_records(tmp):
 
 
 def records(section, tmp):
-    if section == "refused":
-        return refused_records(tmp)
+    if section in ("accepted", "refused"):
+        return argv_records(ACCEPTED if section == "accepted" else REFUSED, tmp)
     workload, seed = section.split(":")
     return workload_records(workload, int(seed), tmp)
 
 
-SECTIONS = [f"{w}:{s}" for w in WORKLOADS for s in SEEDS] + ["refused"]
+SECTIONS = [f"{w}:{s}" for w in WORKLOADS for s in SEEDS] + ["accepted", "refused"]
 
 
 @pytest.mark.parametrize("section", SECTIONS)
@@ -128,7 +140,10 @@ def test_every_run_gives_the_recorded_outputs(section, tmp_path):
 def test_the_manifest_holds_every_job_passed_and_every_refusal_refused():
     manifest = json.loads(MANIFEST.read_text(encoding="utf-8"))
     assert list(manifest) == sorted(SECTIONS)
-    assert all(r["exit"] == 0 for s in SECTIONS[:-1] for r in manifest[s])
+    assert all(r["exit"] == 0 for s in SECTIONS if s != "refused" for r in manifest[s])
+    assert [r["argv"] for r in manifest["accepted"]] == ACCEPTED
+    assert all(set(r["reports"]) == {"surface.csv", "equilibria.json"}
+               for r in manifest["accepted"])
     assert all(r["exit"] in (2, 3, 4) for r in manifest["refused"])
 
 
