@@ -93,19 +93,26 @@ class SizeLimit(GTError):
 class Frozen:
     """Base of an immutable value class: the subclass names its fields in
     ``__slots__`` and sets them once, in ``__init__`` or a ``_checked``
-    constructor (`_set_fields`, or ``object.__setattr__``).  Assigning or
-    deleting a field afterwards raises AttributeError; two instances of one
-    class are equal, and hash alike, when their fields are.  The one rule of
-    equality and hashing in gtkit: games.StrategicGame, CongestionGame and
-    BargainingProblem; evolution.EvolutionGame and Trajectory;
-    padic.PAdicNumber, PAdicExtElement, UltraNorm and PAdicDistribution;
-    padic_quantum.PAdicHilbertSpace."""
+    constructor, through `_set_fields`.  Assigning or deleting a field
+    afterwards raises AttributeError; two instances of one class are equal
+    when their fields are, and hash alike unless the class sets ``__hash__``
+    to None.  The one rule of equality and hashing in gtkit:
+    games.StrategicGame, CongestionGame and BargainingProblem;
+    evolution.EvolutionGame and Trajectory (unhashable: its fields are
+    arrays); padic.PAdicNumber, PAdicExtElement, UltraNorm and
+    PAdicDistribution; padic_quantum.PAdicHilbertSpace."""
 
     __slots__ = ()
 
+    def __init_subclass__(cls, **kwargs):
+        super().__init_subclass__(**kwargs)
+        # each field's slot setter, bound once per class rather than looked up
+        # by name on every construction
+        cls._setters = tuple(getattr(cls, name).__set__ for name in cls.__slots__)
+
     def _set_fields(self, *values):
-        for name, value in zip(self.__slots__, values):
-            object.__setattr__(self, name, value)
+        for set_field, value in zip(self._setters, values):
+            set_field(self, value)
 
     def __setattr__(self, name, value):
         raise AttributeError(f"cannot assign to field {name!r}")

@@ -214,9 +214,11 @@ class Trajectory(errors.Frozen):
 
     `values` holds the states row-major in one flat `array('d')`, so sample k
     is `values[k * n:(k + 1) * n]` and strategy j is the slice `values[j::n]`.
+    Trajectories compare by value but are unhashable, as their arrays are.
     """
 
     __slots__ = ("times", "values", "h")
+    __hash__ = None
 
     def __init__(self, times, values, h):
         t, v = _floats(times), _floats(values)

@@ -412,9 +412,7 @@ class PAdicExtElement(errors.Frozen):
         if x.p != y.p:
             raise errors.PrimeMismatch("extension components over different primes")
         _check_nonresidue(x.p, mu)
-        object.__setattr__(self, "x", x)
-        object.__setattr__(self, "y", y)
-        object.__setattr__(self, "mu", mu)
+        self._set_fields(x, y, mu)
 
     @property
     def p(self):

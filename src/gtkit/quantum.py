@@ -25,6 +25,9 @@ bits do not depend on the Python version), or in the p-adic mode one exact
 rational per payoff, an integer numerator over the game's denominator times
 grid^2 printed as a reduced integer ratio, with no Fraction built: each
 numerator steps along its row, and each gcd's denominator text is made once.
+When A' pays both players alike (its ints equal at every profile, as for
+every symmetric game at |alpha|^2 = 1/2), each grid point's payoff is
+computed and formatted once and its text written in both payoff columns.
 `payoff_surface_rows` returns the CSV as an iterator of text blocks, the
 header and then one block per grid row, checking its input at the call, so
 a writer that writes each block as it is made holds one grid row of text.
@@ -132,6 +135,12 @@ def _surface(form, grid_n, exact=False):
     joined to the text "/{D N^2 // g}" made once per gcd g (none at g = D N^2).
     No tuple, product or Fraction is built per point.
 
+    Returns (alike, rows).  alike says that A' pays both players alike: the
+    game's ints of the two players are equal at every profile, so their
+    floats and every sum of them are equal too, bit for bit, in either mode.
+    Its rows then hold one payoff per grid point, player 1's, made as above;
+    otherwise they hold u1, u2 interleaved.
+
     The form, grid_n and the float conversion are checked here, at the call;
     the returned iterator computes each row as it is consumed.
     """
@@ -139,16 +148,21 @@ def _surface(form, grid_n, exact=False):
         raise errors.InvalidArgument("expected a quantum.ClassicalForm")
     if grid_n < 1:
         raise errors.InvalidArgument("grid_n must be >= 1")
+    game = form.game
+    ints = [game.ints(s) for s in PROFILES]
+    alike = all(x == y for x, y in ints)
     if exact:  # the game's own ints over its denominator D
-        game = form.game
-        return _exact_rows([game.ints(s) for s in PROFILES], game._scale, grid_n)
-    payoffs = [form.game.payoff(s) for s in PROFILES]
+        if alike:
+            return alike, _exact_rows_alike([x for x, _ in ints], game._scale, grid_n)
+        return alike, _exact_rows(ints, game._scale, grid_n)
     try:
-        floats = [[float(x) for x in u] for u in payoffs]
+        floats = [[float(x) for x in game.payoff(s)] for s in PROFILES]
     except OverflowError as exc:
         raise errors.InvalidArgument(
             "payoff beyond the binary64 range; the p-adic mode (--padic) is exact") from exc
-    return _float_rows(floats, grid_n)
+    if alike:
+        return alike, _float_rows_alike([x for x, _ in floats], grid_n)
+    return alike, _float_rows(floats, grid_n)
 
 
 class _Tails(dict):
@@ -186,6 +200,24 @@ def _exact_rows(payoffs, scale, n):
         yield row
 
 
+def _exact_rows_alike(payoffs, scale, n):
+    """`_exact_rows` for one player's ints: one text per grid point."""
+    x00, x01, x10, x11 = payoffs
+    den = scale * n * n
+    tails = _Tails(den)
+    columns = range(n + 1)
+    for i in columns:
+        r = n - i
+        a, u = i * (x00 - x01) + r * (x10 - x11), n * (i * x01 + r * x11)
+        row = []
+        add = row.append
+        for _ in columns:
+            g = gcd(u, den)
+            add(str(u // g) + tails[g])
+            u += a
+        yield row
+
+
 def _float_rows(payoffs, n):
     (x00, y00), (x01, y01), (x10, y10), (x11, y11) = payoffs
     qs = [(q, 1 - q) for q in (j / n for j in range(n + 1))]
@@ -199,6 +231,21 @@ def _float_rows(payoffs, n):
         yield row
 
 
+def _float_rows_alike(payoffs, n):
+    """`_float_rows` for one player's floats: one sum per grid point."""
+    x00, x01, x10, x11 = payoffs
+    qs = [(q, 1 - q) for q in (j / n for j in range(n + 1))]
+    for p, r in qs:
+        yield [0.0 + p * q * x00 + p * s * x01 + r * q * x10 + r * s * x11 for q, s in qs]
+
+
+def _twice(texts):
+    """Each text of a row twice in a row: both players' payoff columns."""
+    row = texts * 2
+    row[0::2] = row[1::2] = texts
+    return row
+
+
 def mw_nash_search(form, grid_n=100):
     """Exhaustive equilibrium search on the (p, q) grid: the reference oracle
     for `ClassicalForm.equilibria`.
@@ -208,12 +255,12 @@ def mw_nash_search(form, grid_n=100):
     weak equilibria are reported).  Returns ((p, q), (payoff1, payoff2)) rows
     in row-major grid order.
     """
-    rows = list(_surface(form, grid_n))
+    alike, rows = _surface(form, grid_n)
+    rows = [(row, row) if alike else (row[0::2], row[1::2]) for row in rows]
     ps = [i / grid_n for i in range(grid_n + 1)]
-    col_best = [max(col) for col in zip(*(row[0::2] for row in rows))]
+    col_best = [max(col) for col in zip(*(u1s for u1s, _ in rows))]
     found = []
-    for p, row in zip(ps, rows):
-        u1s, u2s = row[0::2], row[1::2]
+    for p, (u1s, u2s) in zip(ps, rows):
         row_best = max(u2s)
         found += [((p, q), (u1, u2)) for q, u1, u2, best in zip(ps, u1s, u2s, col_best)
                   if u1 >= best - EQ_TOL and u2 >= row_best - EQ_TOL]
@@ -229,12 +276,19 @@ def payoff_surface_rows(form, grid_n=100, exact=False):
     The form, grid_n and the payoffs are checked at the call, so a payoff
     beyond binary64 raises before any text is made.  Each grid label is
     formatted once, into a row template that takes a row's 2(grid_n + 1)
-    payoffs in one `%`.
+    payoffs in one `%`.  When A' pays both players alike, each point's one
+    payoff is made once (`_surface`), a float row's grid_n + 1 sums formatted
+    in one `%`, and the template takes each text twice.
     """
-    rows = _surface(form, grid_n, exact)
+    alike, rows = _surface(form, grid_n, exact)
     labels = [str(Fraction(i, grid_n)) if exact else "%.17g" % (i / grid_n)
               for i in range(grid_n + 1)]
-    number = "%s" if exact else "%.17g"
+    if alike:
+        if not exact:
+            texts = ",".join(["%.17g"] * (grid_n + 1))
+            rows = ((texts % tuple(row)).split(",") for row in rows)
+        rows = map(_twice, rows)
+    number = "%s" if exact or alike else "%.17g"
     template = "\n".join(f"\0,{q},{number},{number}" for q in labels)
     blocks = (template.replace("\0", p) % tuple(row) for p, row in zip(labels, rows))
     return itertools.chain(("p,q,payoff1,payoff2",), blocks)

@@ -1857,14 +1857,20 @@ def test_outputs_are_byte_identical(tmp_path):
         assert (out1 / name).read_bytes() == (out2 / name).read_bytes(), name
 
 
-def test_quantumize_streams_its_surface(tmp_path):
+@pytest.mark.parametrize("name", ["bos", "matching-pennies"])
+def test_quantumize_streams_its_surface(tmp_path, name):
     # one grid row's block at a time holds about 0.1 MiB at grid 200; its 40,401
-    # lines joined 4096 at a time held 1.1 MiB.  Each mode is measured from its own start
+    # lines joined 4096 at a time held 1.1 MiB.  Each mode is measured from its own
+    # start.  At maximal entanglement bos's A' pays both players alike and
+    # matching-pennies's does not, so both kinds of surface row are measured.  A
+    # small untraced run first imports the modules the mode loads on first use
     for mode in ([], ["--padic"]):
         out = tmp_path / "".join(mode or ["complex"])
+        assert main(["quantumize", "--in", name, "--grid", "2", *mode,
+                     "--out", str(tmp_path / "first")]) == EXIT_OK
         tracemalloc.start()
         try:
-            code = main(["quantumize", "--in", "bos", "--grid", "200", *mode, "--out", str(out)])
+            code = main(["quantumize", "--in", name, "--grid", "200", *mode, "--out", str(out)])
             peak = tracemalloc.get_traced_memory()[1]
         finally:
             tracemalloc.stop()

@@ -1641,6 +1641,27 @@ def quantum_forms(draw):
     return ClassicalForm(base, F(abs(alpha) ** 2))
 
 
+@st.composite
+def alike_quantum_forms(draw):
+    """Forms whose A' pays both players alike, so the surface makes one payoff
+    per grid point: a symmetric base game (u2(s, t) = u1(t, s)) at a2 = 1/2, or
+    a base game with u1 = u2 under any weight that `quantum_forms` draws."""
+    entry = st.one_of(st.integers(-4, 4), st.builds(F, st.integers(-9, 9), st.integers(1, 7)))
+    u1 = {s: draw(entry) for s in PROFILES}
+    if draw(st.booleans()):
+        base = StrategicGame([["a", "b"], ["a", "b"]],
+                             {(s, t): (u1[s, t], u1[t, s]) for s, t in PROFILES})
+        return ClassicalForm(base, F(1, 2))
+    base = StrategicGame([["a", "b"], ["c", "d"]], {s: (u, u) for s, u in u1.items()})
+    if draw(st.booleans()):
+        return ClassicalForm(base, draw(st.builds(F, st.integers(-9, 9), st.integers(1, 9))))
+    return ClassicalForm(base, F(draw(st.floats(0, 1)) ** 2))
+
+
+# both sides of the surface's rule that A' pays both players alike
+SURFACE_FORMS = st.one_of(quantum_forms(), alike_quantum_forms())
+
+
 def surface_lines(form, grid, exact=False):
     """The CSV lines of the surface: its header and grid row blocks, split."""
     return "\n".join(payoff_surface_rows(form, grid, exact)).split("\n")
@@ -1651,15 +1672,37 @@ ALL_TINY = ClassicalForm(
     StrategicGame([["a", "b"], ["c", "d"]], {s: (TINY, -1) for s in PROFILES}), F(1, 2))
 
 
-@settings(max_examples=50, deadline=None)
-@example(ALL_TINY, 3)
-@given(quantum_forms(), st.integers(1, 100))
-def test_payoff_surface_rows_match_the_numpy_grid_bit_for_bit(form, grid):
-    assert surface_lines(form, grid) == payoff_surface_rows_reference(form, grid)
-
-
 BOS = gamefile.load_scenario("bos").game
 ALL_ZERO = StrategicGame([["a", "b"], ["c", "d"]], {s: (0, 0) for s in PROFILES})
+# A' pays both players alike: bos and pd at maximal entanglement, and
+# congestion-2link at every weight
+BOS_MAX = ClassicalForm(BOS, F(1, 2))
+PD_MAX = ClassicalForm(gamefile.load_scenario("pd").game, F(1, 2))
+CONGESTION = ClassicalForm(
+    games.congestion_to_strategic(gamefile.load_scenario("congestion-2link").game), F(9, 25))
+# u1 = u2 but at (1, 1), where player 2 gets 1/3 more; at a2 = 1, A' is the
+# base game, so A' too pays the players apart at one profile only
+ALMOST_ALIKE = ClassicalForm(StrategicGame([["a", "b"], ["c", "d"]], {
+    (0, 0): (2, 2), (0, 1): (F(-1, 3), F(-1, 3)), (1, 0): (0, 0), (1, 1): (1, F(4, 3))}), F(1))
+
+
+@pytest.mark.parametrize("form, alike", [
+    (BOS_MAX, True), (PD_MAX, True), (CONGESTION, True), (ALMOST_ALIKE, False),
+])
+def test_the_alike_examples_pay_both_players_alike_or_not(form, alike):
+    pairs = [form.game.ints(s) for s in PROFILES]
+    assert [x == y for x, y in pairs] == ([True] * 4 if alike else [True] * 3 + [False])
+
+
+@settings(max_examples=50, deadline=None)
+@example(ALL_TINY, 3)
+@example(BOS_MAX, 7)
+@example(PD_MAX, 10)
+@example(CONGESTION, 9)
+@example(ALMOST_ALIKE, 6)
+@given(SURFACE_FORMS, st.integers(1, 100))
+def test_payoff_surface_rows_match_the_numpy_grid_bit_for_bit(form, grid):
+    assert surface_lines(form, grid) == payoff_surface_rows_reference(form, grid)
 
 
 # each example runs up to 10201 Fraction points in the reference, so there are few of them
@@ -1667,15 +1710,22 @@ ALL_ZERO = StrategicGame([["a", "b"], ["c", "d"]], {s: (0, 0) for s in PROFILES}
 @example(ALL_TINY, 3)
 @example(ClassicalForm(BOS, F(25, 9)), 10)  # gt quantumize --padic --p 5 --alpha=5/3
 @example(ClassicalForm(ALL_ZERO, F(1, 2)), 6)  # every numerator is 0 and prints as 0
-@example(ClassicalForm(BOS, F(1, 2)), 1)
-@given(quantum_forms(), st.integers(1, 100))
+@example(BOS_MAX, 1)
+@example(PD_MAX, 12)
+@example(CONGESTION, 9)
+@example(ALMOST_ALIKE, 6)
+@given(SURFACE_FORMS, st.integers(1, 100))
 def test_exact_payoff_surface_rows_match_the_fraction_loop(form, grid):
     assert surface_lines(form, grid, exact=True) == padic_surface_rows_reference(
         form, grid)
 
 
 @settings(max_examples=150, deadline=None)
-@given(quantum_forms(), st.integers(1, 30))
+@example(BOS_MAX, 4)
+@example(PD_MAX, 3)
+@example(CONGESTION, 5)
+@example(ALMOST_ALIKE, 2)
+@given(SURFACE_FORMS, st.integers(1, 30))
 def test_exact_payoff_surface_rows_match_the_fraction_loop_on_small_grids(form, grid):
     assert surface_lines(form, grid, exact=True) == padic_surface_rows_reference(
         form, grid)

@@ -111,6 +111,17 @@ def test_fields_refuse_assignment_and_deletion(name):
     with pytest.raises(AttributeError):
         value.extra = 1  # no instance dict either
     assert value == FROZEN[name]()
+    if name != "Trajectory":  # the one unhashable value, below
+        assert hash(value) == hash(FROZEN[name]())
+
+
+def test_a_trajectory_compares_by_value_and_is_unhashable():
+    a, b = trajectory(), trajectory()
+    assert a == b and a != evolution.Trajectory([0.0, 1.0], [0.5, 0.5, 0.5, 0.5], 1.0)
+    with pytest.raises(TypeError, match="unhashable type: 'Trajectory'"):
+        hash(a)
+    with pytest.raises(TypeError):
+        {a}
 
 
 def test_ultranorm_orders_by_norm_with_zero_lowest():
