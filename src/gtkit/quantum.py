@@ -20,17 +20,18 @@ the core live in the tests as their oracles, and the grid search
 `mw_nash_search` remains as the oracle of the exact equilibrium set.
 
 The payoff surface is that game's closed form on the grid, made one grid
-row (one value of p) at a time: Python floats added in one fixed order (its
-bits do not depend on the Python version), or in the p-adic mode one exact
-rational per payoff, an integer numerator over the game's denominator times
-grid^2 printed as a reduced integer ratio, with no Fraction built: each
-numerator steps along its row, and each gcd's denominator text is made once.
-When A' pays both players alike (its ints equal at every profile, as for
-every symmetric game at |alpha|^2 = 1/2), each grid point's payoff is
-computed and formatted once and its text written in both payoff columns.
-`payoff_surface_rows` returns the CSV as an iterator of text blocks, the
-header and then one block per grid row, checking its input at the call, so
-a writer that writes each block as it is made holds one grid row of text.
+row (one value of p) at a time from one integer numerator per payoff, over
+the game's denominator times grid^2: each numerator steps along its row.
+The complex mode prints that ratio's float, the exact payoff correctly
+rounded by int true division; the p-adic mode prints it as a reduced
+integer ratio, with no Fraction built, each gcd's denominator text made
+once.  When A' pays both players alike (its ints equal at every profile,
+as for every symmetric game at |alpha|^2 = 1/2), each grid point's payoff
+is computed and formatted once and its text written in both payoff
+columns.  `payoff_surface_rows` returns the CSV as an iterator of text
+blocks, the header and then one block per grid row, checking its input at
+the call, so a writer that writes each block as it is made holds one grid
+row of text.
 """
 
 from __future__ import annotations
@@ -123,25 +124,25 @@ def _surface(form, grid_n, exact=False):
     """The payoffs of the grid (i/grid_n, j/grid_n), one row of p = i/grid_n at a time.
 
     Each payoff is pq c00 + p(1-q) c01 + (1-p)q c10 + (1-p)(1-q) c11 for the
-    payoffs c of A'.  A float row is the list u1, u2, u1, u2, ... over q, each
-    payoff's terms added left to right after a leading 0.0 (which turns a
-    -0.0 first term into 0.0); a float surface needs every payoff of A' in
-    the binary64 range (InvalidArgument).  Exactly, with C = D c on integers
-    for the common denominator D, the payoff at (i, j) is the one rational
-    (ij C00 + i(N-j) C01 + (N-i)j C10 + (N-i)(N-j) C11) / (D N^2), N = grid_n;
-    an exact row is that list as strings, all ints until then: each numerator
-    a j + b starts at b and steps by a along the row, and is printed over
-    D N^2 in lowest terms, as `str(Fraction)` prints it, its integer quotient
-    joined to the text "/{D N^2 // g}" made once per gcd g (none at g = D N^2).
-    No tuple, product or Fraction is built per point.
+    payoffs c of A'.  With C = D c on integers for the common denominator D,
+    the payoff at (i, j) is the one rational
+    (ij C00 + i(N-j) C01 + (N-i)j C10 + (N-i)(N-j) C11) / (D N^2), N = grid_n,
+    whose numerator u = a j + b starts at b and steps by a along the row
+    (`_rows`).  Both modes read those ints, and no tuple, product or Fraction
+    is built per point.  A float is u / (D N^2), whose int true division
+    rounds the exact payoff once, correctly; a float surface needs every
+    payoff of A' in the binary64 range (InvalidArgument).  An exact value is
+    u / (D N^2) in lowest terms, as `str(Fraction)` prints it: its integer
+    quotient joined to the text "/{D N^2 // g}" made once per gcd g (none at
+    g = D N^2).
 
-    Returns (alike, rows).  alike says that A' pays both players alike: the
-    game's ints of the two players are equal at every profile, so their
-    floats and every sum of them are equal too, bit for bit, in either mode.
-    Its rows then hold one payoff per grid point, player 1's, made as above;
-    otherwise they hold u1, u2 interleaved.
+    Returns (alike, rows).  Each row holds one list of values over q per
+    player: player 1's is row[0] and player 2's row[-1].  alike says that A'
+    pays both players alike: the game's ints of the two players are equal at
+    every profile, so a row holds one list and each grid point's payoff is
+    made once.
 
-    The form, grid_n and the float conversion are checked here, at the call;
+    The form, grid_n and the binary64 range are checked here, at the call;
     the returned iterator computes each row as it is consumed.
     """
     if not isinstance(form, ClassicalForm):
@@ -149,20 +150,26 @@ def _surface(form, grid_n, exact=False):
     if grid_n < 1:
         raise errors.InvalidArgument("grid_n must be >= 1")
     game = form.game
-    ints = [game.ints(s) for s in PROFILES]
-    alike = all(x == y for x, y in ints)
-    if exact:  # the game's own ints over its denominator D
-        if alike:
-            return alike, _exact_rows_alike([x for x, _ in ints], game._scale, grid_n)
-        return alike, _exact_rows(ints, game._scale, grid_n)
-    try:
-        floats = [[float(x) for x in game.payoff(s)] for s in PROFILES]
-    except OverflowError as exc:
-        raise errors.InvalidArgument(
-            "payoff beyond the binary64 range; the p-adic mode (--padic) is exact") from exc
+    players = list(zip(*(game.ints(s) for s in PROFILES)))
+    alike = players[0] == players[1]
     if alike:
-        return alike, _float_rows_alike([x for x, _ in floats], grid_n)
-    return alike, _float_rows(floats, grid_n)
+        del players[1]
+    den = game._scale * grid_n * grid_n
+    if exact:
+        tails = _Tails(den)
+
+        def values(us):
+            return [str(u // (g := gcd(u, den))) + tails[g] for u in us]
+    else:
+        try:  # every grid value lies between the payoffs of A'
+            max(abs(x) for u in players for x in u) / game._scale
+        except OverflowError as exc:
+            raise errors.InvalidArgument(
+                "payoff beyond the binary64 range; the p-adic mode (--padic) is exact") from exc
+
+        def values(us):
+            return [u / den for u in us]
+    return alike, _rows(players, grid_n, values)
 
 
 class _Tails(dict):
@@ -178,72 +185,17 @@ class _Tails(dict):
         return text
 
 
-def _exact_rows(payoffs, scale, n):
-    (x00, y00), (x01, y01), (x10, y10), (x11, y11) = payoffs
-    den = scale * n * n
-    tails = _Tails(den)
-    columns = range(n + 1)
-    for i in columns:
+def _rows(players, n, values):
+    """The rows of `_surface`: in row i, for each player's ints x00, x01, x10,
+    x11, `values` of that player's numerators a j + b over the columns j."""
+    columns = n + 1
+    for i in range(columns):
         r = n - i
-        # each player's numerator at (i, j) is a j + b: it starts at b and steps by a
-        a1, u1 = i * (x00 - x01) + r * (x10 - x11), n * (i * x01 + r * x11)
-        a2, u2 = i * (y00 - y01) + r * (y10 - y11), n * (i * y01 + r * y11)
         row = []
-        add = row.append
-        for _ in columns:
-            g = gcd(u1, den)
-            add(str(u1 // g) + tails[g])
-            g = gcd(u2, den)
-            add(str(u2 // g) + tails[g])
-            u1 += a1
-            u2 += a2
+        for x00, x01, x10, x11 in players:
+            a, b = i * (x00 - x01) + r * (x10 - x11), n * (i * x01 + r * x11)
+            row.append(values(range(b, b + a * columns, a) if a else [b] * columns))
         yield row
-
-
-def _exact_rows_alike(payoffs, scale, n):
-    """`_exact_rows` for one player's ints: one text per grid point."""
-    x00, x01, x10, x11 = payoffs
-    den = scale * n * n
-    tails = _Tails(den)
-    columns = range(n + 1)
-    for i in columns:
-        r = n - i
-        a, u = i * (x00 - x01) + r * (x10 - x11), n * (i * x01 + r * x11)
-        row = []
-        add = row.append
-        for _ in columns:
-            g = gcd(u, den)
-            add(str(u // g) + tails[g])
-            u += a
-        yield row
-
-
-def _float_rows(payoffs, n):
-    (x00, y00), (x01, y01), (x10, y10), (x11, y11) = payoffs
-    qs = [(q, 1 - q) for q in (j / n for j in range(n + 1))]
-    for p, r in qs:
-        row = []
-        add = row.append
-        for q, s in qs:
-            w00, w01, w10, w11 = p * q, p * s, r * q, r * s
-            add(0.0 + w00 * x00 + w01 * x01 + w10 * x10 + w11 * x11)
-            add(0.0 + w00 * y00 + w01 * y01 + w10 * y10 + w11 * y11)
-        yield row
-
-
-def _float_rows_alike(payoffs, n):
-    """`_float_rows` for one player's floats: one sum per grid point."""
-    x00, x01, x10, x11 = payoffs
-    qs = [(q, 1 - q) for q in (j / n for j in range(n + 1))]
-    for p, r in qs:
-        yield [0.0 + p * q * x00 + p * s * x01 + r * q * x10 + r * s * x11 for q, s in qs]
-
-
-def _twice(texts):
-    """Each text of a row twice in a row: both players' payoff columns."""
-    row = texts * 2
-    row[0::2] = row[1::2] = texts
-    return row
 
 
 def mw_nash_search(form, grid_n=100):
@@ -252,11 +204,12 @@ def mw_nash_search(form, grid_n=100):
 
     A grid point is an equilibrium when no unilateral grid deviation improves
     either player's payoff by 1e-9 or more (ties count as no improvement, so
-    weak equilibria are reported).  Returns ((p, q), (payoff1, payoff2)) rows
-    in row-major grid order.
+    weak equilibria are reported).  The payoffs are the float rows of
+    `_surface`.  Returns ((p, q), (payoff1, payoff2)) rows in row-major grid
+    order.
     """
-    alike, rows = _surface(form, grid_n)
-    rows = [(row, row) if alike else (row[0::2], row[1::2]) for row in rows]
+    _, rows = _surface(form, grid_n)
+    rows = [(row[0], row[-1]) for row in rows]
     ps = [i / grid_n for i in range(grid_n + 1)]
     col_best = [max(col) for col in zip(*(u1s for u1s, _ in rows))]
     found = []
@@ -276,22 +229,26 @@ def payoff_surface_rows(form, grid_n=100, exact=False):
     The form, grid_n and the payoffs are checked at the call, so a payoff
     beyond binary64 raises before any text is made.  Each grid label is
     formatted once, into a row template that takes a row's 2(grid_n + 1)
-    payoffs in one `%`.  When A' pays both players alike, each point's one
-    payoff is made once (`_surface`), a float row's grid_n + 1 sums formatted
-    in one `%`, and the template takes each text twice.
+    payoffs in one `%`, player 1's and player 2's at each point.  When A'
+    pays both players alike, a row holds one payoff per point (`_surface`),
+    its grid_n + 1 floats formatted in one `%` of their own, and the
+    template takes each text twice.
     """
     alike, rows = _surface(form, grid_n, exact)
     labels = [str(Fraction(i, grid_n)) if exact else "%.17g" % (i / grid_n)
               for i in range(grid_n + 1)]
-    if alike:
-        if not exact:
-            texts = ",".join(["%.17g"] * (grid_n + 1))
-            rows = ((texts % tuple(row)).split(",") for row in rows)
-        rows = map(_twice, rows)
+    if alike and not exact:
+        texts = ",".join(["%.17g"] * (grid_n + 1))
+        rows = ([(texts % tuple(row[0])).split(",")] for row in rows)
     number = "%s" if exact or alike else "%.17g"
     template = "\n".join(f"\0,{q},{number},{number}" for q in labels)
-    blocks = (template.replace("\0", p) % tuple(row) for p, row in zip(labels, rows))
-    return itertools.chain(("p,q,payoff1,payoff2",), blocks)
+
+    def blocks():
+        for p, row in zip(labels, rows):
+            both = row[0] * 2
+            both[0::2], both[1::2] = row[0], row[-1]
+            yield template.replace("\0", p) % tuple(both)
+    return itertools.chain(("p,q,payoff1,payoff2",), blocks())
 
 
 def classical_product_payoffs(base, p, q):

@@ -1417,21 +1417,21 @@ def test_quantumize_padic_reports_are_pinned(tmp_path, monkeypatch, name, alpha)
 
 
 COMPLEX_DIGESTS = {
-    ("bos", "max"): ("4fe15f3324b14f8825e11eb05fb6f865def0f4efa5fa48cbeae94d422ce34fbf",
+    ("bos", "max"): ("63aa6544ed989bb934d631a4aff7ea4f15d8b3e667256ff9fa3355296f230f38",
                      "7e75158187217e2965c90f3b09922aec6ac9d6413cd83969afb5c6b796ed1bcd"),
-    ("pd", "max"): ("a1dcf13a83ea90ce3252c334bccc4549d41c5846164173d868f3e34ce136dc54",
+    ("pd", "max"): ("9bc68e5763713198e4d75b82d64b454401a270ca8dc552604db17289348a12c5",
                     "44782d4d1159fb7b1539be6945326569be2686f15a90dc56050f1a1c14154c63"),
     ("matching-pennies", "max"): (
-        "72d32502e2143d087934a6a206afa554e7241e47eae83918f5d3c1cdf36cd8e2",
+        "803c30247cd6d8270c3abf76eb4a8094f063e20ad29285a0622510e2c9d3a8ca",
         "423d68696c8c4e252b77f133b57ec1ad3ad03c0ecb4a3362c352afa581548a94"),
-    ("bos", "3/5"): ("6f041fdfce156786ed5564c79d7b09af6cc16cd36f26e6ed7aa15de680bbc14d",
+    ("bos", "3/5"): ("f62d306f93272b1420b5da1911a04e7074d9ecae3df433b5a3228889ace08c3c",
                      "9bcc94c172dec61bf2e001b509c34a1e02e123ca2d2a8b0e022df1932843e3e6"),
 }
 
 
 @pytest.mark.parametrize("name,alpha", sorted(COMPLEX_DIGESTS))
 def test_quantumize_complex_reports_are_pinned(tmp_path, name, alpha):
-    # sha256 of the reports as the numpy meshgrid surface wrote them
+    # sha256 of the reports, each surface payoff the exact payoff correctly rounded
     import hashlib
 
     code, out = run(tmp_path, "quantumize", "--in", name, "--grid", "100", "--alpha", alpha)

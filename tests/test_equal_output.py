@@ -11,7 +11,8 @@ change to a report regenerates it, from the repository root, with
 
     PYTHONPATH=src python tests/test_equal_output.py
 
-and says which outputs changed and why.
+which prints the id of each run whose outputs changed, and says which
+outputs changed and why.
 """
 
 import contextlib
@@ -19,6 +20,7 @@ import functools
 import hashlib
 import importlib.util
 import io
+import itertools
 import json
 import os
 import sys
@@ -147,14 +149,42 @@ def test_the_manifest_holds_every_job_passed_and_every_refusal_refused():
     assert all(r["exit"] in (2, 3, 4) for r in manifest["refused"])
 
 
+def changed_runs(old, new):
+    """The id of each run whose record differs between two manifests, its
+    section/index and its job name or argv; a run in one manifest only counts."""
+    changed = []
+    for section in sorted(set(old) | set(new)):
+        pairs = itertools.zip_longest(old.get(section, []), new.get(section, []))
+        for k, (was, now) in enumerate(pairs):
+            if was != now:
+                record = now or was
+                changed.append(f"{section}/{k} {record.get('job') or ' '.join(record['argv'])}")
+    return changed
+
+
+def test_changed_runs_names_each_run_that_differs():
+    run_a = {"argv": ["analyze", "--in", "pd"], "exit": 0}
+    job_b = {"argv": ["evolve"], "exit": 0, "job": "evolve:rps"}
+    old = {"accepted": [run_a, job_b], "gone": [run_a]}
+    new = {"accepted": [run_a, dict(job_b, exit=3), run_a], "new": [job_b]}
+    assert changed_runs(old, new) == ["accepted/1 evolve:rps", "accepted/2 analyze --in pd",
+                                      "gone/0 analyze --in pd", "new/0 evolve:rps"]
+    assert changed_runs(new, new) == []
+
+
 def main():
+    """Rewrite the manifest from fresh runs, and print the id of each run
+    whose recorded outputs differ from the manifest it replaces."""
+    old = json.loads(MANIFEST.read_text(encoding="utf-8")) if MANIFEST.exists() else {}
     doc = {}
     for section in SECTIONS:
         with tempfile.TemporaryDirectory() as tmp:
             doc[section] = records(section, tmp)
     MANIFEST.parent.mkdir(exist_ok=True)
     MANIFEST.write_text(json.dumps(doc, indent=1, sort_keys=True) + "\n", encoding="utf-8")
-    print(f"wrote {MANIFEST}: {sum(len(v) for v in doc.values())} runs")
+    changed = changed_runs(old, doc)
+    print(f"wrote {MANIFEST}: {sum(len(v) for v in doc.values())} runs, {len(changed)} changed")
+    print(*changed, sep="\n")
 
 
 if __name__ == "__main__":

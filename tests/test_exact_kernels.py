@@ -694,33 +694,7 @@ def best_response_dynamics_reference(game, start, max_steps=None):
 
 
 # ---------------------------------------------------------------------------
-# reference implementations of the quantum payoff surface (numpy grid, Fraction loop)
-
-
-def _payoff_surfaces(form, grid_n):
-    """Binary64 payoffs of A' (of a ClassicalForm) over the grid."""
-    if grid_n < 1:
-        raise errors.InvalidArgument("grid_n must be >= 1")
-    game = form.game
-    ps = np.array([i / grid_n for i in range(grid_n + 1)])
-    P, Q = np.meshgrid(ps, ps, indexing="ij")
-    rows, cols = (P, 1 - P), (Q, 1 - Q)
-    pay1, pay2 = (
-        sum(rows[s] * cols[t] * float(game.payoff((s, t))[player]) for s, t in PROFILES)
-        for player in (0, 1)
-    )
-    return ps, pay1, pay2
-
-
-def payoff_surface_rows_reference(form, grid_n=100):
-    """CSV-ready rows (p, q, payoff1, payoff2) over the full grid."""
-    ps, pay1, pay2 = _payoff_surfaces(form, grid_n)
-    rows = ["p,q,payoff1,payoff2"]
-    for i, j in itertools.product(range(grid_n + 1), repeat=2):
-        rows.append(
-            ",".join(f"{v:.17g}" for v in (ps[i], ps[j], pay1[i, j], pay2[i, j]))
-        )
-    return rows
+# reference implementation of the quantum payoff surface (the Fraction loop)
 
 
 def padic_surface_rows_reference(form, grid):
@@ -1667,9 +1641,15 @@ def surface_lines(form, grid, exact=False):
     return "\n".join(payoff_surface_rows(form, grid, exact)).split("\n")
 
 
-TINY = F(-1, 10**400)  # rounds to -0.0, so every term of a payoff is -0.0
+TINY = F(-1, 10**400)  # every payoff of player 1, correctly rounded to -0.0
 ALL_TINY = ClassicalForm(
     StrategicGame([["a", "b"], ["c", "d"]], {s: (TINY, -1) for s in PROFILES}), F(1, 2))
+# payoffs of about 1000 digits over one denominator of 1000, near 10 and -10 in
+# value, so that each float is a division of two big ints
+BIG = 10**999 + 3
+WIDE = ClassicalForm(StrategicGame([["a", "b"], ["c", "d"]], {
+    (0, 0): (F(10**1000 + 1, BIG), F(-10**1000 - 7, BIG)), (0, 1): (F(1, BIG), 0),
+    (1, 0): (F(-10**1000 + 11, BIG), F(3, BIG)), (1, 1): (F(10**998, BIG), F(-1, BIG))}), F(3, 5))
 
 
 BOS = gamefile.load_scenario("bos").game
@@ -1694,15 +1674,41 @@ def test_the_alike_examples_pay_both_players_alike_or_not(form, alike):
     assert [x == y for x, y in pairs] == ([True] * 4 if alike else [True] * 3 + [False])
 
 
+def rounded_lines(lines):
+    """The lines of an exact surface with each value as 17 significant digits
+    of its float: the exact value correctly rounded."""
+    return [lines[0]] + [",".join("%.17g" % float(F(v)) for v in line.split(","))
+                         for line in lines[1:]]
+
+
+# the reference runs a Fraction loop per grid point, so the grids are small
 @settings(max_examples=50, deadline=None)
 @example(ALL_TINY, 3)
 @example(BOS_MAX, 7)
 @example(PD_MAX, 10)
 @example(CONGESTION, 9)
 @example(ALMOST_ALIKE, 6)
-@given(SURFACE_FORMS, st.integers(1, 100))
-def test_payoff_surface_rows_match_the_numpy_grid_bit_for_bit(form, grid):
-    assert surface_lines(form, grid) == payoff_surface_rows_reference(form, grid)
+@example(WIDE, 5)
+@given(SURFACE_FORMS, st.integers(1, 20))
+def test_payoff_surface_rows_are_the_exact_payoffs_correctly_rounded(form, grid):
+    assert surface_lines(form, grid) == rounded_lines(padic_surface_rows_reference(form, grid))
+
+
+@settings(max_examples=30, deadline=None)
+@example(ALL_TINY, 3)
+@example(BOS_MAX, 30)
+@example(ALMOST_ALIKE, 6)
+@example(WIDE, 12)
+@given(SURFACE_FORMS, st.integers(1, 40))
+def test_the_complex_surface_rounds_the_values_of_the_exact_surface(form, grid):
+    assert surface_lines(form, grid) == rounded_lines(surface_lines(form, grid, exact=True))
+
+
+def test_a_tiny_negative_payoff_prints_as_minus_zero():
+    # -1/10**400 rounds to -0.0, and -0.0 prints as -0
+    lines = surface_lines(ALL_TINY, 3)[1:]
+    assert len(lines) == 16
+    assert {tuple(line.split(",")[2:]) for line in lines} == {("-0", "-1")}
 
 
 # each example runs up to 10201 Fraction points in the reference, so there are few of them

@@ -55,12 +55,12 @@ def test_surface_is_the_exact_payoff_rounded():
     form = ClassicalForm(scenario("bos"), F(9, 25))
     rows = "\n".join(quantum.payoff_surface_rows(form, 20)).split("\n")[1:]
     for k, row in enumerate(rows):
-        # 17 significant digits read back to the same binary64 values
+        # 17 significant digits read back to the same binary64 values, each
+        # the exact payoff correctly rounded
         p, q, pay1, pay2 = map(float, row.split(","))
         want = form.payoffs(F(k // 21, 20), F(k % 21, 20))
         assert (p, q) == ((k // 21) / 20, (k % 21) / 20)
-        assert abs(pay1 - float(want[0])) <= 1e-14
-        assert abs(pay2 - float(want[1])) <= 1e-14
+        assert (pay1, pay2) == tuple(map(float, want))
     assert len(rows) == 21 * 21
 
 
