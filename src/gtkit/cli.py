@@ -53,10 +53,11 @@ def _writing(path):
 
 def _write_json(fh, obj):
     """Write obj to the text file fh as the text of json.dumps(obj,
-    sort_keys=True, indent=2, default=float) and a newline, WRITE_CHUNK
-    encoder chunks per write, so a large report is never held whole as text
-    (with an indent, dumps joins the chunks of this same encoder)."""
-    chunks = json.JSONEncoder(sort_keys=True, indent=2, default=float).iterencode(obj)
+    sort_keys=True, indent=2) and a newline, WRITE_CHUNK encoder chunks per
+    write, so a large report is never held whole as text (with an indent,
+    dumps joins the chunks of this same encoder).  A value JSON has no form
+    for, such as a Fraction, raises TypeError: a report converts its own."""
+    chunks = json.JSONEncoder(sort_keys=True, indent=2).iterencode(obj)
     while chunk := "".join(itertools.islice(chunks, WRITE_CHUNK)):
         fh.write(chunk)
     fh.write("\n")
@@ -451,13 +452,18 @@ def _complex_report(scn, form, a):
         raise errors.InvalidArgument("--alpha must lie in [0, 1] (amplitude of |00>)")
     rep = gtkit.quantum.equilibrium_report(form)
     classical_mixed = rep["classical_mixed_payoffs"]
-    doc = {
+    doc = {  # the report's exact values as floats; the summary prints rep's Fractions
         "command": "quantumize",
         "mode": "complex",
         "scenario": scn.name,
         "alpha": alpha,
         "beta": beta,
-        **rep,
+        "equilibria": [dict(e, p=float(e["p"]), q=float(e["q"]),
+                            payoffs=[*map(float, e["payoffs"])]) for e in rep["equilibria"]],
+        "continua": [dict(c, p=[*map(float, c["p"])], q=[*map(float, c["q"])],
+                          payoff_range=[[*map(float, r)] for r in c["payoff_range"]])
+                     for c in rep["continua"]],
+        "best_equilibrium_payoffs": [*map(float, rep["best_equilibrium_payoffs"])],
         "classical_mixed_payoffs": [_frac(v) for v in classical_mixed] if classical_mixed else None,
     }
     continua = [[list(map(str, c[k])) for k in "pq"] for c in rep["continua"]]

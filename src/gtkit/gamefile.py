@@ -153,7 +153,7 @@ def _tensor_to_nested(game):
     return nested[0]
 
 
-def _parse_payoffs(nested, shape, n_players, where="payoffs"):
+def _parse_payoffs(nested, shape, n_players):
     """The payoffs of the nested arrays, checked against the shape and read
     depth first into one flat list, each literal read once by `_payoff`, to an
     int or a Fraction, so an error names the first bad position.  Every
@@ -166,12 +166,12 @@ def _parse_payoffs(nested, shape, n_players, where="payoffs"):
         depth = len(prefix)
         if depth == n_players:
             if not isinstance(node, list) or len(node) != n_players:
-                raise errors.ParseError(f"{where}{list(prefix)}: expected {n_players} payoffs")
-            values.extend([_payoff(v, where, prefix) for v in node])
+                raise errors.ParseError(f"payoffs{list(prefix)}: expected {n_players} payoffs")
+            values.extend([_payoff(v, "payoffs", prefix) for v in node])
             continue
         if not isinstance(node, list) or len(node) != shape[depth]:
             raise errors.ParseError(
-                f"{where}{list(prefix)}: expected {shape[depth]} entries, got "
+                f"payoffs{list(prefix)}: expected {shape[depth]} entries, got "
                 f"{len(node) if isinstance(node, list) else type(node).__name__}"
             )
         stack += [(node[i], prefix + (i,)) for i in reversed(range(len(node)))]

@@ -6,10 +6,11 @@ order, read by index (`_strides`) and context slice (`_context`) here alone.
 Scaling every payoff by the same D > 0 keeps every argmax, dominance, Pareto,
 best-reply and equilibrium relation, so equilibria, dominance and welfare are
 decided by comparing and summing integers; a value leaves this module as an
-exact ``fractions.Fraction``, divided by D only there.  No floats enter any
-decision, so every result here is bit-reproducible.  Games are
-`errors.Frozen` values, immutable after construction, and all operations are
-pure functions.
+exact ``fractions.Fraction``, divided by D only there.  Support enumeration's
+table of Cramer minors is built, cached per shape and read here alone.  No
+floats enter any decision, so every result here is bit-reproducible.  Games
+are `errors.Frozen` values, immutable after construction, and all operations
+are pure functions.
 """
 
 from __future__ import annotations
@@ -24,7 +25,7 @@ from typing import NamedTuple
 
 from . import errors
 # solve_exact stays a name here because perfbench/tracing.py rebinds games.solve_exact.
-from ._linsolve import equalizer, minor_layout, solve_exact, support_equalizers  # noqa: F401
+from ._linsolve import equalizer, solve_exact  # noqa: F401
 
 # Decimal digits allowed in the numerator and denominator of a rational read from
 # any input, and in a game's common payoff denominator D: a sum or product of two
@@ -583,8 +584,123 @@ def mixed_ne_2x2(game):
     return [(m, payoffs_2x2(game, m[0][0], m[1][0])) for m in sorted(results)]
 
 
-# The minor table's bitmask bookkeeping depends on the shape alone: made once per shape.
-_minor_layout = cache(minor_layout)
+@cache
+def _minor_layout(m, n):
+    """``(fills, reads)``: what `_bordered_minors` and `_support_equalizers` do
+    for an m x n matrix, bitmask bookkeeping that depends on the shape alone,
+    so it is made once per shape.
+
+    ``fills``: per level k = 2..min(m, n), the ``(rmask, expansions)`` to
+    fill, where each expansion ``(cmask, terms)`` is one k-minor's
+    lowest-row expansion: per column, its index into the row followed by
+    its negation (every other column negated), and the column mask of the
+    (k-1)-minor that it multiplies.
+
+    ``reads``: per k = 1..min(m, n), ``(row_sets, opps, negated, keys)``:
+    the k-subsets own of the rows with their table offsets, the k-subsets
+    opp of the columns, the column masks whose minors some numerator
+    negates, and per opp and column, the index of its numerator in a row
+    set's ``width`` minors followed by those negated ones.
+    """
+    top = min(m, n)
+    shift = n + 1
+    width = 1 << shift
+    ones = 1 << n
+
+    def mask(members):
+        return sum(1 << i for i in members)
+
+    fills = []
+    for k in range(2, top + 1):
+        every, with_ones = [], []
+        for cols in itertools.combinations(range(shift), k):
+            cmask = mask(cols)
+            terms = [(c + (shift if b & 1 else 0), cmask ^ 1 << c) for b, c in enumerate(cols)]
+            every.append((cmask, terms))
+            if cmask & ones:
+                with_ones.append(every[-1])
+        # a row set with row 0, or of the top size, is never expanded into
+        fills.append([(rmask, with_ones if rmask & 1 or k == top else every)
+                      for rmask in map(mask, itertools.combinations(range(m), k))])
+    reads = []
+    for k in range(1, top + 1):
+        row_sets = [(own, mask(own) << shift) for own in itertools.combinations(range(m), k)]
+        opps = list(itertools.combinations(range(n), k))
+        # per column b of each opp, its minor's column mask, and whether
+        # (-1)^(k-1-b) negates it: at b = k-2, k-4, ...
+        minors = [(mask(opp) ^ 1 << j | ones, (k - 1 - b) & 1)
+                  for opp in opps for b, j in enumerate(opp)]
+        negated = sorted({cmask for cmask, odd in minors if odd})
+        keys = [width + negated.index(cmask) if odd else cmask for cmask, odd in minors]
+        reads.append((row_sets, opps, negated, keys))
+    return fills, reads
+
+
+def _bordered_minors(rows):
+    """The minors of ``[rows | 1]`` that the Cramer numerators of the
+    equal-size blocks of rows need, in one flat list.
+
+    For an m x n integer matrix, the minor on the rows of bitmask rmask and
+    the equally many columns of bitmask cmask (column n is the ones column)
+    is at ``rmask << (n + 1) | cmask``.  The table is filled level by level,
+    up to size min(m, n): each k-minor is expanded along its lowest row, a
+    sum of k products with (k-1)-minors, so every value is an exact int.  It
+    holds every minor with the ones column, and every minor that a larger
+    one expands into: those without it on row sets without row 0, below the
+    top size.  Every other entry is 0.
+    """
+    m, n = len(rows), len(rows[0])
+    shift = n + 1
+    width = 1 << shift
+    table = [0] * (1 << (m + shift))
+    for i, row in enumerate(rows):
+        base = 1 << i << shift
+        table[base | 1 << n] = 1
+        for j, a in enumerate(row):
+            table[base | 1 << j] = a
+    for level in _minor_layout(m, n)[0]:
+        for rmask, expansions in level:
+            low = rmask & -rmask
+            row = [*rows[low.bit_length() - 1], 1]
+            row += [-a for a in row]
+            rest = (rmask ^ low) << shift
+            minors = table[rest:rest + width]
+            base = rmask << shift
+            for cmask, terms in expansions:
+                table[base | cmask] = sum([row[c] * minors[sub] for c, sub in terms])
+    return table
+
+
+def _support_equalizers(rows):
+    """The equalizer systems of every equal-size sub-block ``rows[own][opp]``
+    of one integer matrix, as ``{own: {opp: num}}`` over the sorted index
+    tuples own and opp.
+
+    ``num`` is a tuple of the signed Cramer numerators of the block's system,
+    one per column of ``opp``, and ``den = sum(num)``.  `equalizer` on the
+    block is "unique" exactly when den is nonzero, and then its weights are
+    ``num[b] / den``: not in lowest terms, and den may be negative.  A block
+    with den 0 has no unique solution, and `equalizer` decides between
+    "none" and "many".
+
+    Cramer's rule on the bordered system ``[[block, 1], [1ᵀ, 0]]``: the
+    weight on the b-th of k columns is ``(-1)^(k-1-b) det[block without
+    column b | 1]``, and the common denominator ``-det [[block, 1], [1ᵀ, 0]]``
+    is, expanded along its ones row, the sum of those weights.  Each such
+    determinant is a minor of ``[rows | 1]``, read from `_bordered_minors`.
+    """
+    m, n = len(rows), len(rows[0])
+    width = 1 << (n + 1)
+    table = _bordered_minors(rows)
+    blocks = {}
+    for row_sets, opps, negated, keys in _minor_layout(m, n)[1]:
+        k = len(opps[0])
+        for own, base in row_sets:
+            signed = table[base:base + width]  # the row set's minors, then some negated
+            signed += [-signed[c] for c in negated]
+            # k numerators per opp, in the order of opps
+            blocks[own] = dict(zip(opps, zip(*[map(signed.__getitem__, keys)] * k)))
+    return blocks
 
 
 def support_enumeration(game):
@@ -596,15 +712,17 @@ def support_enumeration(game):
     support probabilities and no profitable outside deviation.  The systems
     of all pairs are read off the game's payoff tuples by Cramer's rule, as
     signed numerators over their sum, from one table of minors per payoff
-    matrix filled bottom-up (`_linsolve.support_equalizers`); only a
-    singular bordered system goes to Bareiss elimination, which tells "none"
-    from "many".  Pairs are taken by size, then player 1's support, then
-    player 2's.  Player 1's system of a pair is read whenever player 2's has
-    a solution, whatever its signs, so "many" in either raises at the first
-    such pair; signs and outside deviations are tested only after both, and
-    only the equilibria found are put in lowest terms.  Returns the full
-    equilibrium list for nondegenerate games, sorted canonically; the first
-    support pair whose system has many solutions raises DegenerateGame.
+    matrix filled bottom-up (`_support_equalizers`), whose layout this
+    module alone builds, caches per shape and reads (`_minor_layout`); only
+    a singular bordered system goes to Bareiss elimination, which tells
+    "none" from "many".  Pairs are taken by size, then player 1's support,
+    then player 2's.  Player 1's system of a pair is read whenever player
+    2's has a solution, whatever its signs, so "many" in either raises at
+    the first such pair; signs and outside deviations are tested only after
+    both, and only the equilibria found are put in lowest terms.  Returns
+    the full equilibrium list for nondegenerate games, sorted canonically;
+    the first support pair whose system has many solutions raises
+    DegenerateGame.
     """
     if game.n_players != 2:
         raise errors.UnsupportedShape("support enumeration handles 2-player games only")
@@ -615,8 +733,8 @@ def support_enumeration(game):
     A = [a[i * n:(i + 1) * n] for i in range(m)]
     Bt = [b[j::n] for j in range(n)]
 
-    nums_a = support_equalizers(A, _minor_layout(m, n))
-    nums_bt = support_equalizers(Bt, _minor_layout(n, m))
+    nums_a = _support_equalizers(A)
+    nums_bt = _support_equalizers(Bt)
 
     def singular(rows, own, opp, pair):
         # a block whose Cramer denominator is 0: "many" raises, "none" is (None, None)

@@ -11,6 +11,7 @@ probabilities are not frequencies, so the module reports distributions only.
 
 from __future__ import annotations
 
+import functools
 import operator
 from typing import NamedTuple
 
@@ -158,16 +159,9 @@ class PAdicOperator:
 
     def __matmul__(self, other):
         self._check(other)
-        n = self.n
-        out = []
-        for i in range(n):
-            row = []
-            for j in range(n):
-                acc = ext_zero(self.p, self.mu)
-                for k in range(n):
-                    acc = acc + self.entries[i][k] * other.entries[k][j]
-                row.append(acc)
-            out.append(row)
+        columns = list(zip(*other.entries))
+        out = [[_ext_sum(map(operator.mul, row, column), self.p, self.mu) for column in columns]
+               for row in self.entries]
         return PAdicOperator._checked(out, self.p, self.mu)
 
     def _check(self, other):
@@ -186,11 +180,13 @@ def adjoint(m):
         [map(ext_conj, column) for column in zip(*m.entries)], m.p, m.mu)
 
 
+def _ext_sum(terms, p, mu):
+    """ext_zero(p, mu) + t0 + t1 + ..., added left to right."""
+    return functools.reduce(operator.add, terms, ext_zero(p, mu))
+
+
 def trace(m):
-    acc = ext_zero(m.p, m.mu)
-    for i in range(m.n):
-        acc = acc + m.entries[i][i]
-    return acc
+    return _ext_sum((m.entries[i][i] for i in range(m.n)), m.p, m.mu)
 
 
 def operators_equal(a, b):
@@ -258,11 +254,8 @@ def inner_product(u, v, space):
         raise errors.InvalidArgument("dimension mismatch")
     if u.p != space.p or u.mu != space.mu or v.p != space.p or v.mu != space.mu:
         raise errors.PrimeMismatch("vectors do not live on the space")
-    acc = ext_zero(space.p, space.mu)
-    for a, b in zip(u.components, v.components):
-        left = ext_conj(a) if space.convention == SESQUILINEAR else a
-        acc = acc + left * b
-    return acc
+    left = map(ext_conj, u.components) if space.convention == SESQUILINEAR else u.components
+    return _ext_sum(map(operator.mul, left, v.components), space.p, space.mu)
 
 
 def ultranorm(v):

@@ -1933,7 +1933,7 @@ def test_a_json_report_is_written_as_it_is_encoded(tmp_path):
     # game's: json.dumps would hold every encoder chunk and then their join, a
     # traced peak of about 25 MiB above the report itself
     rows = [[f"s{k // 250}", f"t{k % 250}"] for k in range(5 * 10**4)]
-    report = {"pareto_optimal": rows, "social_optimum": {"profiles": rows, "welfare": F(1, 3)},
+    report = {"pareto_optimal": rows, "social_optimum": {"profiles": rows, "welfare": "1/3"},
               "value": 0.1}
     tracemalloc.start()
     try:
@@ -1944,8 +1944,16 @@ def test_a_json_report_is_written_as_it_is_encoded(tmp_path):
         tracemalloc.stop()
     assert peak < 2**20
     with open(tmp_path / "report.json", "rb") as fh:
-        text = json.dumps(report, sort_keys=True, indent=2, default=float) + "\n"
+        text = json.dumps(report, sort_keys=True, indent=2) + "\n"
         assert fh.read() == text.encode("utf-8")
+
+
+def test_a_report_holding_an_exact_value_raises_and_places_no_file(tmp_path):
+    # a report converts its own exact values: the writer has no silent float path
+    with pytest.raises(TypeError):
+        with _staged(str(tmp_path / "out"), "report.json") as fh:
+            _write_json(fh, {"value": 0.5, "welfare": F(1, 3)})
+    assert os.listdir(tmp_path) == []
 
 
 def test_the_parser_is_built_once():

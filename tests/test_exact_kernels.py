@@ -45,14 +45,7 @@ from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from gtkit import _linsolve, cli, errors, gamefile, games, padic, quantum
-from gtkit._linsolve import (
-    bordered_minors,
-    equalizer,
-    minor_layout,
-    principal_equalizers,
-    solve_exact,
-    support_equalizers,
-)
+from gtkit._linsolve import equalizer, principal_equalizers, solve_exact
 from gtkit.evolution import (
     CHUNK_STEPS,
     CLAMP,
@@ -86,7 +79,9 @@ from gtkit.games import (
     CorrelatedCheck,
     CycleReport,
     StrategicGame,
+    _bordered_minors,
     _convex_hull,
+    _support_equalizers,
     as_fraction,
     nash_bargaining,
     pareto_optimal_profiles,
@@ -1155,8 +1150,14 @@ def leibniz_det(matrix):
 @example([[2, -7, 0, 5, 1]])  # one row: only 1 x 1 blocks
 @given(integer_matrices())
 def test_support_equalizers_match_equalizer_on_every_block(rows):
+    assert_support_equalizers_match_equalizer(rows)
+
+
+def assert_support_equalizers_match_equalizer(rows):
+    """Every equal-size block of rows has a numerator tuple, which is `equalizer`'s
+    solution once put in lowest terms, or has den 0 where `equalizer` finds none or many."""
     m, n = len(rows), len(rows[0])
-    blocks = support_equalizers(rows, minor_layout(m, n))
+    blocks = _support_equalizers(rows)
     sizes = range(1, min(m, n) + 1)
     assert sorted(blocks) == sorted(own for k in sizes for own in itertools.combinations(range(m), k))
     for own, by_opp in blocks.items():
@@ -1213,7 +1214,7 @@ def test_a_nondegenerate_matrix_borders_every_block_without_elimination(monkeypa
 def test_bordered_minors_hold_every_minor_with_the_ones_column(rows):
     m, n = len(rows), len(rows[0])
     ext = [[*row, 1] for row in rows]
-    table = bordered_minors(rows, minor_layout(m, n))
+    table = _bordered_minors(rows)
     assert len(table) == 1 << (m + n + 1)
     for k in range(1, min(m, n) + 1):
         for own in itertools.combinations(range(m), k):
@@ -1286,6 +1287,22 @@ MANY_BEHIND_A_NEGATIVE_SOLUTION = StrategicGame(
 @given(st.one_of(small_bimatrix_games(), wide_bimatrix_games()))
 def test_support_enumeration_matches_indifference_reference(game):
     assert outcome(support_enumeration, game) == outcome(support_enumeration_reference, game)
+
+
+@pytest.mark.parametrize("top", [1, 999])
+def test_every_shape_under_the_cap_matches_the_references(top):
+    # Hypothesis draws shapes at random; this sweep takes each of the 25 in turn,
+    # with entries in {-1, 0, 1}, where singular blocks are common, or up to +-999
+    rnd = random.Random(top)
+    for m, n in itertools.product(range(1, 6), repeat=2):
+        for _ in range(4):
+            cells = [[(rnd.randint(-top, top), rnd.randint(-top, top)) for _ in range(n)]
+                     for _ in range(m)]
+            # player 1's payoff matrix A and player 2's transposed, as support_enumeration reads them
+            assert_support_equalizers_match_equalizer([[a for a, _ in row] for row in cells])
+            assert_support_equalizers_match_equalizer([[row[j][1] for row in cells] for j in range(n)])
+            game = StrategicGame([[f"r{i}" for i in range(m)], [f"c{j}" for j in range(n)]], cells)
+            assert outcome(support_enumeration, game) == outcome(support_enumeration_reference, game)
 
 
 def bimatrix_5x5(seed, equal_rows=False, equal_b_columns=False):
